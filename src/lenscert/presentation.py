@@ -120,11 +120,12 @@ def format_word(word: Word, labels: tuple[str, ...]) -> str:
 
 
 def parse_word(text: str, labels: tuple[str, ...]) -> Word:
-    index = {lab: k for k, lab in enumerate(labels)}
+    # one shared (gen, +1) and (gen, -1) tuple per label, not one per letter
+    letter_of = {lab: ((k, 1), (k, -1)) for k, lab in enumerate(labels)}
     letters: list[tuple[int, int]] = []
     for token in text.split():
         name, _, exp_text = token.partition("^")
-        if name not in index:
+        if name not in letter_of:
             raise ValueError(f"unknown generator {name!r} in word")
         exp = 1
         if exp_text:
@@ -134,8 +135,7 @@ def parse_word(text: str, labels: tuple[str, ...]) -> Word:
                 raise ValueError(f"bad exponent in token {token!r}") from None
         if exp == 0:
             continue
-        sign = 1 if exp > 0 else -1
-        letters.extend([(index[name], sign)] * abs(exp))
+        letters.extend([letter_of[name][exp < 0]] * abs(exp))
     return Word(tuple(letters))
 
 

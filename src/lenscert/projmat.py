@@ -1,9 +1,18 @@
 """Elements of PSL(2, F) as sign-normalized determinant-1 matrices.
 
-The +-M ambiguity is resolved at construction: scanning entries in the
-order (a, b, c, d), the first nonzero entry's first nonzero coordinate
-is forced into [0, (p-1)/2], so equal group elements have equal
-representatives and equality is plain tuple equality.
+A matrix is stored as its field spec and eight reduced ints
+(a0, a1, b0, b1, c0, c1, d0, d1): entry k is v[2k] + v[2k+1]*w, and the
+odd coordinates are 0 over a prime field.  Products, inverses and
+powers run on these ints; FieldElement appears only at the boundary
+(the public constructor and the a, b, c, d, entries and trace views).
+
+det = 1 is checked once, when ProjMatrix(a, b, c, d) is built from
+field elements.  A product or inverse of determinant-1 matrices has
+determinant 1, so results are built without a recheck.
+
+The +-M ambiguity is resolved at construction: the first nonzero of the
+eight coordinates is forced into [0, (p-1)/2], so equal group elements
+have equal representatives and equality is coordinate equality.
 """
 
 from __future__ import annotations
@@ -12,8 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .galois import FieldElement, FieldSpec, factorize
+from .galois import FieldElement, FieldSpec, factorize, is_quadratic_residue
 from .presentation import Word
+
+_IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
 class OrderCeilingExceeded(RuntimeError):
@@ -39,58 +50,99 @@ class OpCounter:
         self.field_ops += 2
 
 
-@dataclass(frozen=True)
-class ProjMatrix:
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
-
-    def __post_init__(self) -> None:
-        spec = self.a.spec
-        for x in (self.b, self.c, self.d):
-            if x.spec != spec:
-                raise ValueError("matrix entries from different fields")
-        det = self.a * self.d - self.b * self.c
-        if det != spec.one():
-            raise ValueError(f"matrix determinant is {det}, not 1")
-        half = (spec.p - 1) // 2
-        for entry in (self.a, self.b, self.c, self.d):
-            coord = entry.a if entry.a != 0 else entry.b
-            if coord == 0:
-                continue
-            if coord > half:
-                for name, val in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-                    object.__setattr__(self, name, -val)
+def _sign_normalized(p: int, v: tuple) -> tuple:
+    for x in v:
+        if x:
+            if x > (p - 1) >> 1:
+                return tuple(-y % p for y in v)
             break
+    return v
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.a.spec
+
+def _from_coords(spec: FieldSpec, v: tuple) -> "ProjMatrix":
+    """The matrix with coordinates v, known to have determinant 1."""
+    m = object.__new__(ProjMatrix)
+    object.__setattr__(m, "spec", spec)
+    object.__setattr__(m, "coords", _sign_normalized(spec.p, v))
+    return m
+
+
+class ProjMatrix:
+    __slots__ = ("spec", "coords")
+
+    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement) -> None:
+        spec = a.spec
+        if b.spec != spec or c.spec != spec or d.spec != spec:
+            raise ValueError("matrix entries from different fields")
+        p, s = spec.p, spec.s or 0
+        det = (
+            (a.a * d.a + s * a.b * d.b - b.a * c.a - s * b.b * c.b) % p,
+            (a.a * d.b + a.b * d.a - b.a * c.b - b.b * c.a) % p,
+        )
+        if det != (1, 0):
+            raise ValueError(f"matrix determinant is {spec.element(*det)}, not 1")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(
+            self, "coords", _sign_normalized(p, (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b))
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ProjMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjMatrix):
+            return NotImplemented
+        return self.coords == other.coords and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @staticmethod
     def identity(spec: FieldSpec) -> "ProjMatrix":
-        return ProjMatrix(spec.one(), spec.zero(), spec.zero(), spec.one())
+        return _from_coords(spec, _IDENTITY)
 
     def is_identity(self) -> bool:
-        return self == ProjMatrix.identity(self.spec)
+        return self.coords == _IDENTITY
 
     def mul(self, other: "ProjMatrix", counter: Optional[OpCounter] = None) -> "ProjMatrix":
-        if self.spec != other.spec:
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
             raise ValueError("field spec mismatch")
         if counter is not None:
             counter.count_mul()
-        return ProjMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        p = spec.p
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
+        e0, e1, f0, f1, g0, g1, h0, h1 = other.coords
+        if spec.degree == 1:
+            v = (
+                (a0 * e0 + b0 * g0) % p, 0,
+                (a0 * f0 + b0 * h0) % p, 0,
+                (c0 * e0 + d0 * g0) % p, 0,
+                (c0 * f0 + d0 * h0) % p, 0,
+            )
+        else:
+            s = spec.s
+            v = (
+                (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
+                (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
+                (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
+                (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
+                (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
+                (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
+                (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
+                (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
+            )
+        return _from_coords(spec, v)
 
     def inverse(self, counter: Optional[OpCounter] = None) -> "ProjMatrix":
         if counter is not None:
             counter.count_inverse()
-        return ProjMatrix(self.d, -self.b, -self.c, self.a)
+        p = self.spec.p
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
+        return _from_coords(self.spec, (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1))
 
     def power(self, n: int) -> "ProjMatrix":
         base = self if n >= 0 else self.inverse()
@@ -99,13 +151,34 @@ class ProjMatrix:
         while n:
             if n & 1:
                 out = out.mul(base)
-            base = base.mul(base)
             n >>= 1
+            if n:
+                base = base.mul(base)
         return out
+
+    def _entry(self, k: int) -> FieldElement:
+        return FieldElement(self.spec, self.coords[2 * k], self.coords[2 * k + 1])
+
+    @property
+    def a(self) -> FieldElement:
+        return self._entry(0)
+
+    @property
+    def b(self) -> FieldElement:
+        return self._entry(1)
+
+    @property
+    def c(self) -> FieldElement:
+        return self._entry(2)
+
+    @property
+    def d(self) -> FieldElement:
+        return self._entry(3)
 
     def trace(self) -> FieldElement:
         """Trace of the normalized representative (defined up to sign)."""
-        return self.a + self.d
+        v = self.coords
+        return FieldElement(self.spec, v[0] + v[6], v[1] + v[7])
 
     def entries(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
         return (self.a, self.b, self.c, self.d)
@@ -113,26 +186,49 @@ class ProjMatrix:
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
+    def __repr__(self) -> str:
+        return f"ProjMatrix({self})"
+
 
 def psl_group_order(spec: FieldSpec) -> int:
     q = spec.order
     return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
-def _group_exponent(spec: FieldSpec) -> int:
-    # every element order divides p, (q-1)/2 or (q+1)/2 (q odd)
-    q = spec.order
-    return math.lcm(spec.p, (q - 1) // 2, (q + 1) // 2)
+def has_order(m: ProjMatrix, n: int) -> bool:
+    """True iff M has projective order exactly n: M^n is trivial and
+    M^(n/l) is not, for every prime l dividing n."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if not m.power(n).is_identity():
+        return False
+    return not any(m.power(n // l).is_identity() for l in factorize(n))
+
+
+def _order_bound(m: ProjMatrix) -> int:
+    """A multiple of M's order from its trace class (Dickson): p when
+    tr = +-2; (q-1)/2 when tr^2 - 4 is a nonzero square in F_q (M is
+    diagonalizable over F_q); (q+1)/2 otherwise."""
+    spec = m.spec
+    p, q, s = spec.p, spec.order, spec.s or 0
+    v = m.coords
+    t0, t1 = (v[0] + v[6]) % p, (v[1] + v[7]) % p
+    if t1 == 0 and t0 in (2, p - 2):
+        return p
+    u0, u1 = (t0 * t0 + s * t1 * t1 - 4) % p, 2 * t0 * t1 % p
+    # u = tr^2 - 4; over F_{p^2} it is a square iff its norm to F_p is
+    disc = u0 if spec.degree == 1 else (u0 * u0 - s * u1 * u1) % p
+    return (q - 1) // 2 if is_quadratic_residue(disc, p) else (q + 1) // 2
 
 
 def projective_order(m: ProjMatrix, ceiling: int = 10**9) -> int:
-    """Least k with M^k trivial in PSL, by divisor descent from the group
-    exponent rather than naive iteration."""
+    """Least k with M^k trivial in PSL, by divisor descent from the
+    order bound of M's trace class rather than naive iteration."""
     if ceiling < 1:
         raise ValueError("ceiling must be at least 1")
-    n = _group_exponent(m.spec)
+    n = _order_bound(m)
     if not m.power(n).is_identity():
-        raise ArithmeticError("matrix power of group exponent is not the identity")
+        raise ArithmeticError("matrix power of its order bound is not the identity")
     for q in factorize(n):
         while n % q == 0 and m.power(n // q).is_identity():
             n //= q

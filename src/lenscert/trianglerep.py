@@ -30,7 +30,7 @@ from .galois import (
     sqrt_mod_p,
 )
 from .presentation import GroupPresentation, Word, word_power
-from .projmat import ProjMatrix, evaluate_word, projective_order
+from .projmat import ProjMatrix, evaluate_word, has_order, projective_order
 
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
@@ -183,13 +183,9 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
 
     xy = x_img.mul(y_img)
     yx = y_img.mul(x_img)
-    orders = (
-        projective_order(x_img, 2 * t.ell),
-        projective_order(y_img, 2 * t.ell),
-        projective_order(xy, 2 * t.ell),
-    )
-    if orders != t.triple:
-        raise RepVerificationError(f"orders {orders} != {t.triple}")
+    for name, m, n in (("x", x_img, t.n1), ("y", y_img, t.n2), ("xy", xy, t.n3)):
+        if not has_order(m, n):
+            raise RepVerificationError(f"image of {name} does not have order {n}")
     if xy.trace() not in (c3, -c3):
         raise RepVerificationError("trace of xy image is not +-C3")
     if xy == yx:
@@ -225,15 +221,7 @@ class TriangleCertData:
 
 def _psl_elements(spec: FieldSpec) -> list[ProjMatrix]:
     """All of PSL(2, F) in a deterministic order."""
-    seen = set()
-    out = []
-
-    def record(m: ProjMatrix) -> None:
-        key = tuple((e.a, e.b) for e in m.entries())
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-
+    found = set()
     zero, one = spec.zero(), spec.one()
     for a in spec.elements():
         if a.is_zero():
@@ -241,15 +229,14 @@ def _psl_elements(spec: FieldSpec) -> list[ProjMatrix]:
         inv_a = a.inverse()
         for b in spec.elements():
             for c in spec.elements():
-                record(ProjMatrix(a, b, c, (one + b * c) * inv_a))
+                found.add(ProjMatrix(a, b, c, (one + b * c) * inv_a))
     for b in spec.elements():
         if b.is_zero():
             continue
         c = -b.inverse()
         for d in spec.elements():
-            record(ProjMatrix(zero, b, c, d))
-    out.sort(key=lambda m: tuple((e.a, e.b) for e in m.entries()))
-    return out
+            found.add(ProjMatrix(zero, b, c, d))
+    return sorted(found, key=lambda m: m.coords)
 
 
 _SPHERICAL_FIELDS = (
@@ -319,9 +306,9 @@ def _dihedral_cert(t: TriangleType) -> TriangleCertData:
     x_img = ProjMatrix(i, zero, zero, -i)
     y_img = ProjMatrix(i, i, zero, -i)
     xy = x_img.mul(y_img)
-    if projective_order(x_img, 4) != 2 or projective_order(y_img, 4) != 2:
+    if not has_order(x_img, 2) or not has_order(y_img, 2):
         raise RepVerificationError("dihedral generators are not order 2")
-    if projective_order(xy, 2 * m) != p:
+    if not has_order(xy, p):
         raise RepVerificationError("xy image does not have order p")
     if not evaluate_word([x_img, y_img], word_power(Word(((0, 1), (1, 1))), m)).is_identity():
         raise RepVerificationError("(xy)^m does not die")

@@ -10,6 +10,7 @@ vertex.  Everything here is an immutable value; all operations are pure.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -296,13 +297,6 @@ def validate(tri: Triangulation) -> ValidationReport:
     f = 2 * t
     euler = v - e + f - t
 
-    reversed_edges = 0
-    for tet in range(t):
-        for a, b in EDGE_PAIRS:
-            d1 = 12 * tet + DIRECTED_INDEX[(a, b)]
-            d2 = 12 * tet + DIRECTED_INDEX[(b, a)]
-            if dedges.find(d1) == dedges.find(d2):
-                reversed_edges += 1
     # Count edge classes (not slots) that are reversed.
     reversed_classes = set()
     for tet in range(t):
@@ -382,9 +376,9 @@ def dual_graph(tri: Triangulation) -> DualGraph:
     in_tree = [False] * len(pairings)
     index_of = {fp.source: k for k, fp in enumerate(pairings)}
     index_of.update({fp.target: k for k, fp in enumerate(pairings)})
-    queue = [0]
+    queue = deque([0])
     while queue:
-        tet = queue.pop(0)
+        tet = queue.popleft()
         for face in range(4):
             tet2 = tri.gluings[tet][face][0]
             if not visited[tet2]:

@@ -354,3 +354,36 @@ def primes_in_progression_by_scan(l: int, count: int = 1) -> list[int]:
             found.append(candidate)
         candidate += l
     return found
+
+
+# ----------------------------------------------------------------------
+# 2x2 matrices over FieldElement, with no sign normalization
+
+
+def matrix_product(m, n):
+    """Entries (a, b, c, d) of the product of two entry tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def matrix_inverse(m):
+    """Adjugate of a determinant-1 entry tuple."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def equal_up_to_sign(m, n) -> bool:
+    return tuple(m) == tuple(n) or tuple(m) == tuple(-x for x in n)
+
+
+def naive_projective_order(m, limit: int) -> int:
+    """Least k <= limit with M^k = +-I, by repeated multiplication."""
+    spec = m[0].spec
+    one, zero = spec.one(), spec.zero()
+    power = tuple(m)
+    for k in range(1, limit + 1):
+        if equal_up_to_sign(power, (one, zero, zero, one)):
+            return k
+        power = matrix_product(power, m)
+    raise AssertionError(f"no projective order up to {limit}")

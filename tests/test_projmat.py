@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lenscert.galois import FieldSpec, quadratic_extension, sqrt_mod_p
+from lenscert.galois import FieldSpec, factorize, quadratic_extension, sqrt_mod_p
 from lenscert.presentation import Word, parse_word
 from lenscert.projmat import (
     OpCounter,
@@ -11,12 +13,52 @@ from lenscert.projmat import (
     bit_size,
     bit_size_spec,
     evaluate_word,
+    has_order,
     projective_order,
     psl_group_order,
 )
 
+from oracles import (
+    equal_up_to_sign,
+    matrix_inverse,
+    matrix_product,
+    naive_projective_order,
+)
+
 SPEC5 = FieldSpec(5)
 SPEC337 = FieldSpec(337)
+# fields small enough for naive powering: element orders are at most 31
+SMALL_SPECS = (
+    SPEC5,
+    FieldSpec(17),
+    FieldSpec(31),
+    quadratic_extension(3),
+    quadratic_extension(5),
+    quadratic_extension(7),
+)
+SPECS = SMALL_SPECS + (SPEC337, quadratic_extension(17), quadratic_extension(337))
+
+
+@st.composite
+def sl2_entries(draw, specs=SPECS):
+    """Entries (a, b, c, d) of a determinant-1 matrix, a = 0 included."""
+    spec = draw(st.sampled_from(specs))
+    coord = st.integers(0, spec.p - 1)
+
+    def element(nonzero=False):
+        x = spec.element(draw(coord), draw(coord) if spec.degree == 2 else 0)
+        return spec.one() if nonzero and x.is_zero() else x
+
+    a = element()
+    if a.is_zero():
+        b = element(nonzero=True)
+        return (a, b, -b.inverse(), element())
+    b, c = element(), element()
+    return (a, b, c, (spec.one() + b * c) * a.inverse())
+
+
+def order_limit(spec):
+    return max(spec.p, (spec.order + 1) // 2)
 
 
 def random_matrix(spec, rng):
@@ -31,6 +73,11 @@ def random_matrix(spec, rng):
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         ProjMatrix(SPEC5.element(1), SPEC5.zero(), SPEC5.zero(), SPEC5.element(2))
+    spec = quadratic_extension(5)
+    w = spec.element(0, 1)
+    with pytest.raises(ValueError, match="determinant"):
+        ProjMatrix(w, spec.zero(), spec.zero(), w)  # det = w^2 = s
+    assert ProjMatrix(w, spec.zero(), spec.zero(), w.inverse()).spec == spec
 
 
 def test_sign_normalization_identifies_negatives():
@@ -77,6 +124,44 @@ def test_det_preserved_under_ops():
         assert prod.a * prod.d - prod.b * prod.c == one
 
 
+def test_mixed_fields_rejected():
+    spec25 = quadratic_extension(5)
+    with pytest.raises(ValueError, match="different fields"):
+        ProjMatrix(SPEC5.one(), SPEC5.zero(), spec25.zero(), SPEC5.one())
+    with pytest.raises(ValueError, match="different fields"):
+        ProjMatrix(SPEC5.one(), SPEC5.zero(), SPEC5.zero(), FieldSpec(7).one())
+
+
+def test_matrices_are_immutable():
+    m = ProjMatrix.identity(SPEC5)
+    with pytest.raises(AttributeError):
+        m.coords = (1, 0, 0, 0, 0, 0, 1, 0)
+    with pytest.raises(AttributeError):
+        del m.spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(sl2_entries(), st.data())
+def test_mul_and_inverse_match_reference_product(entries, data):
+    spec = entries[0].spec
+    other = data.draw(sl2_entries(specs=(spec,)))
+    m, n = ProjMatrix(*entries), ProjMatrix(*other)
+    assert equal_up_to_sign(m.mul(n).entries(), matrix_product(entries, other))
+    assert equal_up_to_sign(m.inverse().entries(), matrix_inverse(entries))
+    assert equal_up_to_sign(m.entries(), entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sl2_entries())
+def test_negation_is_equal_and_hashes_alike(entries):
+    m = ProjMatrix(*entries)
+    negated = ProjMatrix(*(-x for x in entries))
+    assert negated == m
+    assert hash(negated) == hash(m)
+    assert str(negated) == str(m)
+    assert len({m, negated}) == 1
+
+
 def test_spec_mismatch_rejected():
     a = ProjMatrix.identity(SPEC5)
     b = ProjMatrix.identity(SPEC337)
@@ -121,16 +206,77 @@ def test_order_divides_group_order():
 
 
 def test_order_matches_naive_iteration():
+    # PSL(2, 17) has split orders 2, 4, 8 and non-split 3, 9; PSL(2, 31)
+    # has split 3, 5, 15 and non-split 2, 4, 8, 16
     rng = random.Random(31)
-    spec = FieldSpec(13)
-    for _ in range(80):
-        m = random_matrix(spec, rng)
-        power = m
-        naive = 1
-        while not power.is_identity():
-            power = power.mul(m)
-            naive += 1
-        assert projective_order(m) == naive
+    seen = set()
+    for spec, count in ((FieldSpec(13), 80), (FieldSpec(17), 300), (FieldSpec(31), 300)):
+        for _ in range(count):
+            m = random_matrix(spec, rng)
+            power = m
+            naive = 1
+            while not power.is_identity():
+                power = power.mul(m)
+                naive += 1
+            assert projective_order(m) == naive
+            assert has_order(m, naive) and not has_order(m, 2 * naive)
+            seen.add(naive)
+    assert {4, 8, 9, 16, 17, 31} <= seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(sl2_entries(specs=SMALL_SPECS))
+def test_orders_match_naive_powering(entries):
+    m = ProjMatrix(*entries)
+    naive = naive_projective_order(entries, order_limit(m.spec))
+    assert projective_order(m) == naive
+    assert has_order(m, naive)
+    for k in range(1, 2 * naive + 2):
+        assert has_order(m, k) == (k == naive)
+
+
+def _diagonal_of_order(spec, n):
+    """diag(x, 1/x) for the first x of multiplicative order 2n, conjugated
+    so that no entry is zero; its projective order is n."""
+    one = spec.one()
+    for x in spec.elements():
+        if x.is_zero():
+            continue
+        powers = [one]
+        while len(powers) <= 2 * n and (len(powers) == 1 or powers[-1] != one):
+            powers.append(powers[-1] * x)
+        if len(powers) == 2 * n + 1 and powers[-1] == one:
+            break
+    else:
+        raise ValueError(f"no element of order {2 * n} in {spec}")
+    g = (one, one, one, one + one)
+    diag = (x, spec.zero(), spec.zero(), x.inverse())
+    return matrix_product(matrix_product(g, diag), matrix_inverse(g))
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        (FieldSpec(17), 4),
+        (FieldSpec(17), 8),
+        (FieldSpec(97), 16),
+        (FieldSpec(19), 9),
+        (quadratic_extension(17), 4),
+        (quadratic_extension(17), 8),
+        (quadratic_extension(17), 9),
+        (quadratic_extension(17), 16),
+        (quadratic_extension(17), 144),
+    ],
+)
+def test_orders_with_repeated_prime_factors(spec, n):
+    entries = _diagonal_of_order(spec, n)
+    m = ProjMatrix(*entries)
+    assert naive_projective_order(entries, order_limit(spec)) == n
+    assert projective_order(m) == n
+    assert has_order(m, n)
+    for ell in factorize(n):
+        assert not has_order(m, n // ell)
+        assert not has_order(m, n * ell)
 
 
 def test_order_ceiling():

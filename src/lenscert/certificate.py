@@ -190,11 +190,31 @@ class _Reader:
         return CertificateSyntaxError(f"line {self.pos}: {message}")
 
 
-def _parse_reduced_word(reader: _Reader, text: str, labels: tuple[str, ...]) -> Word:
+def _letter_table(labels: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """Token -> letter for the canonical spellings `label` and `label^-1`."""
+    table = {}
+    for k, lab in enumerate(labels):
+        table[lab] = (k, 1)
+        table[lab + "^-1"] = (k, -1)
+    return table
+
+
+def _parse_reduced_word(
+    reader: _Reader, text: str, letters: dict[str, tuple[int, int]]
+) -> Word:
+    """A certificate word: one letter per token, so parse and evaluation
+    cost stay linear in the text.  Any exponent other than `^-1` is a
+    syntax error."""
     try:
-        word = parse_word(text, labels)
-    except ValueError as exc:
-        raise reader.error(str(exc)) from None
+        word = Word(tuple(letters[token] for token in text.split()))
+    except KeyError as exc:
+        token = exc.args[0]
+        name, caret, _ = token.partition("^")
+        if caret and name + "^-1" in letters:
+            raise reader.error(
+                f"exponent in {token!r}: certificate words allow only '^-1'"
+            ) from None
+        raise reader.error(f"unknown generator {name!r} in word") from None
     if not word.is_reduced():
         raise reader.error(f"word {text!r} is not freely reduced")
     return word
@@ -235,8 +255,9 @@ def parse(text: str) -> Certificate:
         r = int(line.split()[1])
     except (IndexError, ValueError):
         raise reader.error("bad relator count") from None
+    letters = _letter_table(labels)
     relators = tuple(
-        _parse_reduced_word(reader, reader.next_raw(), labels) for _ in range(r)
+        _parse_reduced_word(reader, reader.next_raw(), letters) for _ in range(r)
     )
     try:
         pres = GroupPresentation(g=g, relators=relators, labels=labels)
@@ -313,11 +334,12 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     if line == "surjection":
         reader.next()
         words: dict[str, Word] = {}
+        rep_letters = _letter_table(tuple(rep_gens))
         for _ in range(pres.g):
             sm = _SURJ_RE.match(reader.next())
             if not sm:
                 raise reader.error("expected 'gen <name> -> <word>'")
-            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2), tuple(rep_gens))
+            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2), rep_letters)
         if set(words) != set(pres.labels):
             raise reader.error("surjection does not cover the generators")
         surjection = tuple(words[lab] for lab in pres.labels)
@@ -329,9 +351,10 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     if "|" not in body:
         raise reader.error("witness needs two words separated by '|'")
     left, right = body.split("|", 1)
+    letters = _letter_table(pres.labels)
     witness = (
-        _parse_reduced_word(reader, left.strip(), pres.labels),
-        _parse_reduced_word(reader, right.strip(), pres.labels),
+        _parse_reduced_word(reader, left, letters),
+        _parse_reduced_word(reader, right, letters),
     )
     if reader.peek() is not None:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
@@ -399,12 +422,27 @@ def subgroup_invariants(
     return inner.diag[0], inner.diag[1]
 
 
+def _is_rotation(w1: Word, w2: Word) -> bool:
+    """True iff w1 = uv and w2 = vu as letter sequences, u and v non-empty.
+
+    Each letter becomes a token that starts with the only ',' in it, so a
+    match inside w1 w1 starts on a letter boundary; str.find keeps the
+    test linear in the words' length.
+    """
+    if len(w1) != len(w2) or len(w1) < 2:
+        return False
+    s1, s2 = ("".join(f",{g}:{e}" for g, e in w.letters) for w in (w1, w2))
+    return 0 < (s1 + s1).find(s2, 1) < len(s1)
+
+
 def verify(cert: Certificate) -> VerificationReport:
     """Check a certificate; accept iff every check passes.
 
     Representation path: every relator (pushed through the surjection if
     present) evaluates to the identity, some generator image is
-    non-trivial, and the witness words have distinct images.  Abelian
+    non-trivial, and the witness is a pair w1 = uv, w2 = vu (a cyclic
+    rotation) with distinct images, so the images of u and v do not
+    commute and the image is non-abelian.  Abelian
     path: relator exponent images vanish in Z/a x Z/b and the generator
     images span a non-cyclic subgroup.
     """
@@ -446,6 +484,10 @@ def verify(cert: Certificate) -> VerificationReport:
         m2 = evaluate_word(images, _push(cert, w2), counter)
         if m1 == m2:
             return report(False, "witness words have equal images", relator_mults)
+        if not _is_rotation(w1, w2):
+            return report(
+                False, "witness words are not cyclic rotations uv, vu of each other", relator_mults
+            )
         return report(True, None, relator_mults)
 
     # NonCyclicAbelian

@@ -2,6 +2,16 @@
 
 Entries are Python ints throughout: SNF intermediates overflow any fixed
 word size, so arbitrary precision is not optional here.
+
+`smith_normal_form` is dense: every step scans the remaining matrix for
+its pivot, so it costs about n^3 on an n x n matrix.  `abelianization`
+therefore first eliminates +-1 pivots sparsely (Dumas, Saunders and
+Villard, J. Symb. Comput. 2001): the exponent matrix of a triangulation's
+presentation has at most 3 nonzeros per row, mostly +-1, and what is left
+for the dense SNF is a small core.  Callers that need the column
+transform V (`certificate.noncyclic_certificate`, `subgroup_invariants`)
+call the dense SNF on the whole matrix, since the sparse pass tracks no
+transforms; their matrices are small.
 """
 
 from __future__ import annotations
@@ -217,13 +227,76 @@ def format_abelian(group: AbelianGroup) -> str:
     return " + ".join(parts)
 
 
+def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix]:
+    """Eliminate +-1 pivots from sparse rows {col: value} over g columns.
+
+    A pivot (i, j) with entry +-1 is cleared from the rest of column j by
+    row operations; then row i's other entries can be cleared by column
+    operations that touch no other row, so row i and column j split off
+    as an invariant factor 1.  Rows are swept in index order, each taking
+    its unit column with the fewest entries (ties to the lower column);
+    later sweeps revisit only rows changed since they were last looked
+    at.  Returns the pivot count k and the dense core of the nonzero rows
+    and columns left, whose SNF together with k ones is that of `rows`.
+    The row dicts are updated in place.
+    """
+    col_rows: list[set[int]] = [set() for _ in range(g)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    pivots = 0
+    todo: Sequence[int] = range(len(rows))
+    while todo:
+        touched: set[int] = set()
+        for i in todo:
+            touched.discard(i)
+            row = rows[i]
+            units = [j for j, x in row.items() if x == 1 or x == -1]
+            if not units:
+                continue
+            j = min(units, key=lambda c: (len(col_rows[c]), c))
+            sign = row[j]
+            for r in col_rows[j] - {i}:
+                other = rows[r]
+                c = other[j] * sign
+                for col, x in row.items():
+                    y = other.get(col, 0) - c * x
+                    if y:
+                        if col not in other:
+                            col_rows[col].add(r)
+                        other[col] = y
+                    else:
+                        del other[col]
+                        col_rows[col].discard(r)
+                touched.add(r)
+            for col in row:
+                col_rows[col].discard(i)
+            rows[i] = {}
+            pivots += 1
+        todo = sorted(touched)
+    cols = [j for j in range(g) if col_rows[j]]
+    core = [[row.get(j, 0) for j in cols] for row in rows if row]
+    return pivots, IntMatrix(core, cols=len(cols))
+
+
 def abelianization(pres) -> AbelianGroup:
-    """Structure of G^ab from the Smith normal form of the exponent matrix."""
-    rows = pres.exponent_rows()
-    a = IntMatrix(rows, cols=pres.g)
-    snf = smith_normal_form(a)
+    """Structure of G^ab from the Smith normal form of the exponent matrix.
+
+    Unit pivots are eliminated sparsely first (`_unit_pivot_core`); each
+    adds an invariant factor 1, and the dense `smith_normal_form` runs
+    only on the core that is left.  G^ab = Z^(g - k - core rank) plus the
+    core's factors above 1, with k the number of unit pivots.
+    """
+    rows = []
+    for w in pres.relators:
+        row: dict[int, int] = {}
+        for gen, exp in w.letters:
+            row[gen] = row.get(gen, 0) + exp
+        rows.append({j: x for j, x in row.items() if x})
+    pivots, core = _unit_pivot_core(rows, pres.g)
+    snf = smith_normal_form(core)
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
-    return AbelianGroup(free_rank=pres.g - snf.rank, torsion=torsion)
+    return AbelianGroup(free_rank=pres.g - pivots - snf.rank, torsion=torsion)
 
 
 def is_cyclic(group: AbelianGroup) -> bool:

@@ -119,7 +119,14 @@ def format_word(word: Word, labels: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
+# Largest |k| accepted in a token x^k.  The word is expanded letter by
+# letter, so the cap bounds the letters (and later the matrix products)
+# that one short token can cost.
+MAX_WORD_EXPONENT = 100
+
+
 def parse_word(text: str, labels: tuple[str, ...]) -> Word:
+    """Tokens `label` or `label^k` with |k| <= MAX_WORD_EXPONENT."""
     # one shared (gen, +1) and (gen, -1) tuple per label, not one per letter
     letter_of = {lab: ((k, 1), (k, -1)) for k, lab in enumerate(labels)}
     letters: list[tuple[int, int]] = []
@@ -133,6 +140,10 @@ def parse_word(text: str, labels: tuple[str, ...]) -> Word:
                 exp = int(exp_text)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
+            if abs(exp) > MAX_WORD_EXPONENT:
+                raise ValueError(
+                    f"exponent in token {token!r} exceeds {MAX_WORD_EXPONENT} in absolute value"
+                )
         if exp == 0:
             continue
         letters.extend([letter_of[name][exp < 0]] * abs(exp))

@@ -405,24 +405,22 @@ def orientation_check(tri: Triangulation) -> OrientationResult:
     are then checked, and the first violation is returned as witness.
     """
     graph = dual_graph(tri)
+    # The tree fixes every sign; propagate them in BFS order from tet 0.
+    tree_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(tri.t)]
+    for fp in graph.tree_edges():
+        a, b = fp.source[0], fp.target[0]
+        want = 1 if fp.perm.is_odd() else -1
+        tree_nbrs[a].append((b, want))
+        tree_nbrs[b].append((a, want))
     sign = [0] * tri.t
     sign[0] = 1
-    # Propagate along tree edges (BFS order again for determinism).
-    pending = graph.tree_edges()
-    while pending:
-        remaining = []
-        for fp in pending:
-            a, b = fp.source[0], fp.target[0]
-            want = 1 if fp.perm.is_odd() else -1
-            if sign[a] and not sign[b]:
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b, want in tree_nbrs[a]:
+            if not sign[b]:
                 sign[b] = sign[a] * want
-            elif sign[b] and not sign[a]:
-                sign[a] = sign[b] * want
-            elif not sign[a] and not sign[b]:
-                remaining.append(fp)
-        if len(remaining) == len(pending):
-            raise DisconnectedError("spanning tree did not reach every tetrahedron")
-        pending = remaining
+                queue.append(b)
 
     for fp in graph.non_tree_edges():
         a, b = fp.source[0], fp.target[0]

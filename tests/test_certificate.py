@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text, load_fixture
 from lenscert.certificate import (
@@ -19,7 +21,7 @@ from lenscert.certificate import (
     verify,
 )
 from lenscert.galois import FieldSpec
-from lenscert.presentation import GroupPresentation, Word, parse_word
+from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from lenscert.projmat import ProjMatrix
 
 
@@ -62,6 +64,24 @@ def test_unreduced_word_rejected():
     )
     with pytest.raises(CertificateSyntaxError, match="reduced"):
         parse(text)
+
+
+def test_certificate_words_allow_only_inverse_exponent():
+    text = fixture_text("fig8.cert")
+    for old, new in (
+        ("witness a b | b a", "witness a^100000 | b a"),
+        ("witness a b | b a", "witness a b^1 | b a"),
+        ("a b a^-1 b^-1 a b a b^-1", "a b a^-1 b^-1 a b^2 b^-1"),
+    ):
+        with pytest.raises(CertificateSyntaxError, match="only '\\^-1'"):
+            parse(text.replace(old, new))
+
+
+def test_surjection_file_exponent_is_capped():
+    words = parse_surjection("gen a -> x^3\ngen b -> y^-100\n", ("a", "b"))
+    assert words == (Word(((0, 1),) * 3), Word(((1, -1),) * 100))
+    with pytest.raises(CertificateSyntaxError, match="exceeds"):
+        parse_surjection("gen a -> x^100000\ngen b -> y\n", ("a", "b"))
 
 
 def test_unknown_kind_rejected():
@@ -147,6 +167,82 @@ def test_trivial_image_rejected():
     report = verify(cert)
     assert not report.accepted
     assert "identity" in report.reason
+
+
+# Z/5 = <x | x^5> is a lens space group; x and x x have distinct images
+# under x -> [[1,1],[0,1]], but they are not a rotation pair uv, vu.
+Z5_CERT = """lenscert v1
+kind NonAbelianRep
+gens 1 x
+rels 1
+x x x x x
+field p=5 deg=1
+gen x = [[1,1],[0,1]]
+witness x | x x
+"""
+
+
+def test_cyclic_group_certificate_rejected():
+    report = verify(parse(Z5_CERT))
+    assert not report.accepted
+    assert "witness" in report.reason
+
+
+def test_witness_must_be_a_cyclic_rotation():
+    from dataclasses import replace
+
+    cert = fig8_certificate()
+    a, b = (0, 1), (1, 1)
+    # a b | b a and (a b) b | b (a b) are rotations with distinct images
+    for w1, w2 in (((a, b), (b, a)), ((a, b, b), (b, a, b))):
+        assert verify(replace(cert, witness=(Word(w1), Word(w2)))).accepted
+    # distinct images, but not a rotation pair
+    for w1, w2 in (((a, b), (b,)), ((a, b, b), (b, a, a))):
+        report = verify(replace(cert, witness=(Word(w1), Word(w2))))
+        assert not report.accepted
+        assert "witness" in report.reason and "rotation" in report.reason
+
+
+def _det_one_matrix(spec, a, b, c, d):
+    """[[a,b],[c,d]] with d (or c, when a = 0) adjusted to make det = 1."""
+    p = spec.p
+    if a % p:
+        d = (1 + b * c) * pow(a, -1, p) % p
+    else:
+        b = b % p or 1
+        c = -pow(b, -1, p) % p
+    return ProjMatrix(spec.element(a % p), spec.element(b % p), spec.element(c), spec.element(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_generator_rep_certificate_never_accepted(data):
+    """Over one generator every image is abelian, so no witness can pass."""
+    spec = FieldSpec(data.draw(st.sampled_from((3, 5, 7, 11, 13))))
+    entries = st.integers(0, spec.p - 1)
+    n_mats = data.draw(st.integers(1, 2))
+    mats = tuple(
+        _det_one_matrix(spec, *(data.draw(entries) for _ in range(4))) for _ in range(n_mats)
+    )
+    x = Word(((0, 1),))
+    powers = st.integers(-6, 6).map(lambda n: word_power(x, n))
+    relators = tuple(data.draw(st.lists(powers.filter(len), max_size=3)))
+    surjection = None
+    rep_gens = ("x",)
+    if n_mats == 2:
+        rep_gens = ("u", "v")
+        letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+        surjection = (Word(tuple(data.draw(st.lists(letters, max_size=5)))).reduced(),)
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=GroupPresentation(1, relators, ("x",)),
+        field=spec,
+        rep_gens=rep_gens,
+        rep_images=mats,
+        surjection=surjection,
+        witness=(data.draw(powers), data.draw(powers)),
+    )
+    assert not verify(cert).accepted
 
 
 def test_agreeing_witness_rejected():

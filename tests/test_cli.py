@@ -98,6 +98,16 @@ def test_verify_rejection_exits_one(tmp_path):
     assert "accepted=no" in out.stdout
 
 
+def test_verify_powered_witness_exits_two(tmp_path):
+    # x^100000 is 8 bytes; expanding it would cost 100000 multiplies
+    text = open(fixture_path("fig8.cert")).read()
+    path = tmp_path / "powered.cert"
+    path.write_text(text.replace("witness a b | b a", "witness a^100000 | b a"))
+    out = run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert "^-1" in out.stderr
+
+
 def test_verify_parse_error_exits_two(tmp_path):
     path = tmp_path / "junk.cert"
     path.write_text("lenscert v1\nkind Nope\n")

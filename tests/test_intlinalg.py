@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from lenscert.intlinalg import (
     AbelianGroup,
     IntMatrix,
+    _unit_pivot_core,
     abelianization,
     format_abelian,
     hadamard_torsion_bound,
@@ -14,7 +17,12 @@ from lenscert.intlinalg import (
     smith_normal_form,
 )
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
+from conftest import MANIFOLD_FIXTURES, load_fixture
+from lenscert.presentation import fundamental_group
 from oracles import det_int, invariant_factors_by_minors, random_presentation
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from make_fixtures import lens_space  # noqa: E402
 
 
 def triangle_presentation_333():
@@ -238,3 +246,83 @@ def test_hadamard_bound_property(data):
     )
     pres = GroupPresentation(g, tuple(Word(tuple(w)) for w in relators))
     assert abelianization(pres).torsion_order() <= hadamard_torsion_bound(pres)
+
+
+# ----------------------------------------------------------------------
+# sparse unit-pivot elimination in abelianization
+
+
+def dense_abelianization(pres) -> AbelianGroup:
+    """G^ab from the dense SNF of the whole exponent matrix."""
+    snf = smith_normal_form(IntMatrix(pres.exponent_rows(), cols=pres.g))
+    torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
+    return AbelianGroup(free_rank=pres.g - snf.rank, torsion=torsion)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_abelianization_matches_minors_oracle(data):
+    # exponents +-2 and +-3 leave non-unit pivots, so the dense core is
+    # often non-trivial
+    g = data.draw(st.integers(1, 4))
+    relators = data.draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1, 2, -2, 3, -3))),
+                max_size=4,
+            ),
+            max_size=6,
+        )
+    )
+    words = tuple(
+        Word(tuple((gen, 1 if k > 0 else -1) for gen, k in rel for _ in range(abs(k))))
+        for rel in relators
+    )
+    pres = GroupPresentation(g, words)
+    factors = invariant_factors_by_minors(pres.exponent_rows())
+    expected = AbelianGroup(g - len(factors), tuple(d for d in factors if d > 1))
+    assert abelianization(pres) == expected
+
+
+def test_abelianization_matches_dense_snf_on_random_presentations():
+    rng = random.Random(5150)
+    for _ in range(500):
+        pres = random_presentation(rng)
+        assert abelianization(pres) == dense_abelianization(pres)
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_abelianization_matches_dense_snf_on_fixtures(name):
+    pres = fundamental_group(load_fixture(name))
+    assert abelianization(pres) == dense_abelianization(pres)
+
+
+@pytest.mark.parametrize("p,q", [(97, 29), (240, 61), (500, 163), (1000, 331)])
+def test_large_lens_space_homology(p, q):
+    pres = fundamental_group(lens_space(p, q))
+    assert abelianization(pres) == AbelianGroup(0, (p,))
+    # every generator but one is a unit pivot: the dense SNF sees one column
+    rows = [{j: x for j, x in enumerate(row) if x} for row in pres.exponent_rows()]
+    pivots, core = _unit_pivot_core(rows, pres.g)
+    assert (pivots, core.cols) == (pres.g - 1, 1)
+
+
+def test_unit_pivot_core_revisits_changed_rows():
+    # row 0 has no unit until row 1's pivot clears column 0 from it
+    pivots, core = _unit_pivot_core([{0: 2, 1: 3}, {0: 1, 1: 1}], 2)
+    assert (pivots, core.rows, core.cols) == (2, 0, 0)
+    pivots, core = _unit_pivot_core([{0: 2, 1: 4}, {0: 1, 1: 1}], 2)
+    assert (pivots, core.entries) == (1, ((2,),))
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(1729)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        ours = [d for d in smith_normal_form(IntMatrix(entries)).diag if d]
+        theirs = invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)
+        assert ours == [abs(int(d)) for d in theirs if d]

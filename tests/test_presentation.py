@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import (
+    MAX_WORD_EXPONENT,
     GroupPresentation,
     Word,
     cell_structure,
@@ -64,6 +65,15 @@ def test_word_format_roundtrip():
     assert format_word(w, labels) == "a b^-1 a a"
     assert parse_word("a^3", labels) == Word(((0, 1),) * 3)
     assert parse_word("b^-2", labels) == Word(((1, -1),) * 2)
+
+
+def test_parse_word_caps_exponent_before_expanding():
+    labels = ("a",)
+    limit = MAX_WORD_EXPONENT
+    assert len(parse_word(f"a^{limit} a^-{limit}", labels)) == 2 * limit
+    for token in (f"a^{limit + 1}", f"a^-{limit + 1}", "a^100000000000000"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_word(token, labels)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import random
+import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from lenscert.triangulation import (
     DisconnectedError,
     Permutation4,
     TriangulationError,
+    dual_graph,
     format_triangulation,
     orientation_check,
     parse_triangulation,
@@ -20,6 +24,9 @@ from oracles import (
     random_gluing_table,
     relabel_triangulation,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from make_fixtures import lens_space  # noqa: E402
 
 MINIMAL_ONE_TET = """
 # two self-gluings of a single tetrahedron
@@ -186,6 +193,39 @@ def test_orientation_random_tables_against_oracle():
         t = rng.randint(1, 12)
         tri = random_gluing_table(t, rng)
         assert orientation_check(tri).orientable == (exhaustive_orientation(tri) is not None)
+
+
+def _tree_forced_result(tri):
+    """(assignment, witness) as defined by the dual spanning tree: relax the
+    tree edges until every sign is set, then take the first violated
+    non-tree edge."""
+    graph = dual_graph(tri)
+    sign = {0: 1}
+    changed = True
+    while changed:
+        changed = False
+        for fp in graph.tree_edges():
+            want = 1 if fp.perm.is_odd() else -1
+            for u, v in ((fp.source[0], fp.target[0]), (fp.target[0], fp.source[0])):
+                if u in sign and v not in sign:
+                    sign[v] = sign[u] * want
+                    changed = True
+    signs = tuple(sign[k] for k in range(tri.t))
+    for fp in graph.non_tree_edges():
+        if signs[fp.source[0]] * signs[fp.target[0]] != (1 if fp.perm.is_odd() else -1):
+            return None, fp
+    return signs, None
+
+
+def test_orientation_assignment_and_witness_follow_the_tree():
+    rng = random.Random(4711)
+    tris = [load_fixture(name) for name in MANIFOLD_FIXTURES]
+    tris += [random_gluing_table(rng.randint(1, 12), rng) for _ in range(100)]
+    tris += [lens_space(p, q) for p in range(2, 60, 7) for q in range(1, p) if gcd(p, q) == 1]
+    tris.append(lens_space(1000, 331))
+    for tri in tris:
+        result = orientation_check(tri)
+        assert (result.assignment, result.witness) == _tree_forced_result(tri)
 
 
 def test_orientation_invariant_under_relabeling():

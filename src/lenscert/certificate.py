@@ -244,6 +244,11 @@ def parse(text: str) -> Certificate:
         raise reader.error("bad generator count") from None
     labels = tuple(parts[2:])
     if not labels:
+        # Every generator needs a later line (its image or its surjection
+        # word), so a count beyond the lines left is malformed; checking
+        # first keeps a short `gens N` from allocating N labels.
+        if g > len(reader.lines) - reader.pos:
+            raise reader.error("generator count exceeds the lines that follow")
         labels = tuple(f"x{i}" for i in range(g))
     if len(labels) != g:
         raise reader.error("label count does not match generator count")

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 from .triangulation import (
     DIRECTED_INDEX,
+    DIRECTED_PAIRS,
+    EDGE_DIRECTIONS,
     EDGE_INDEX,
     EDGE_PAIRS,
     DisconnectedError,
     Triangulation,
     TriangulationError,
-    _orbit_unions,
 )
 from .unionfind import UnionFind
 
@@ -54,6 +55,8 @@ class Word:
                 out.pop()
             else:
                 out.append(letter)
+        if len(out) == len(self.letters):
+            return self
         return Word(tuple(out))
 
     def is_reduced(self) -> bool:
@@ -164,8 +167,8 @@ class CellStructure:
 
     Edge classes are numbered in order of their smallest slot.  The
     representative slot's low-to-high vertex direction is the positive
-    orientation; directed_sign maps each directed edge slot to its
-    (class, sign).
+    orientation; directed_sign maps each directed edge slot
+    (12*tet + DIRECTED_INDEX) to its (class, sign).
     """
 
     tri: Triangulation
@@ -174,69 +177,73 @@ class CellStructure:
     edge_class: tuple[int, ...]  # 6t slots -> class index
     n_edges: int
     edge_reps: tuple[tuple[int, int], ...]  # class -> (tet, edge idx)
-    directed_sign: dict[tuple[int, int], tuple[int, int]]
+    directed_sign: tuple[tuple[int, int], ...]  # 12t slots -> (class, +-1)
     face_classes: tuple[tuple[tuple[int, int], ...], ...]
     face_reps: tuple[tuple[int, int], ...]
 
 
+# undirected edge index of each directed edge
+_EDGE_OF_DIRECTED = tuple(EDGE_INDEX[tuple(sorted(pair))] for pair in DIRECTED_PAIRS)
+# boundary of face f (opposite vertex f) as directed edges p->q, q->r, r->p
+_FACE_BOUNDARY = tuple(
+    tuple(DIRECTED_INDEX[pair] for pair in ((p, q), (q, r), (r, p)))
+    for p, q, r in (tuple(v for v in range(4) if v != f) for f in range(4))
+)
+
+
+def _class_indices(roots: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """Slot -> class index, classes numbered in order of their smallest
+    slot (the root); and the roots in that order."""
+    index = [0] * len(roots)
+    reps: list[int] = []
+    for x, root in enumerate(roots):
+        if x == root:
+            index[x] = len(reps)
+            reps.append(x)
+        else:
+            index[x] = index[root]
+    return tuple(index), reps
+
+
 def cell_structure(tri: Triangulation) -> CellStructure:
     """Orbit closure of vertices, edges and faces under the gluings."""
-    t = tri.t
-    verts, edges, dedges = _orbit_unions(tri)
-
-    vroots = sorted({verts.find(x) for x in range(4 * t)})
-    vindex = {root: k for k, root in enumerate(vroots)}
-    vertex_class = tuple(vindex[verts.find(x)] for x in range(4 * t))
-
-    eroots = sorted({edges.find(x) for x in range(6 * t)})
-    eindex = {root: k for k, root in enumerate(eroots)}
-    edge_class = tuple(eindex[edges.find(x)] for x in range(6 * t))
-    edge_reps = tuple(divmod(root, 6) for root in eroots)
+    vroot, eroot, droot = tri.orbit_roots
+    vertex_class, vreps = _class_indices(vroot)
+    edge_class, ereps = _class_indices(eroot)
+    edge_reps = tuple(divmod(root, 6) for root in ereps)
 
     # Positive orientation: the directed orbit containing the class
     # representative's (low -> high) direction.
-    positive_root = {}
-    for cls, (tet, eidx) in enumerate(edge_reps):
-        a, b = EDGE_PAIRS[eidx]
-        positive_root[cls] = dedges.find(12 * tet + DIRECTED_INDEX[(a, b)])
+    positive_root = []
+    for tet, eidx in edge_reps:
+        fwd, back = EDGE_DIRECTIONS[eidx]
+        if droot[12 * tet + fwd] == droot[12 * tet + back]:
+            raise TriangulationError("edge glued to itself in reverse; no orientation")
+        positive_root.append(droot[12 * tet + fwd])
 
-    directed_sign: dict[tuple[int, int], tuple[int, int]] = {}
-    for tet in range(t):
-        for a in range(4):
-            for b in range(4):
-                if a == b:
-                    continue
-                cls = edge_class[6 * tet + EDGE_INDEX[(min(a, b), max(a, b))]]
-                droot = dedges.find(12 * tet + DIRECTED_INDEX[(a, b)])
-                neg = dedges.find(
-                    12 * edge_reps[cls][0]
-                    + DIRECTED_INDEX[EDGE_PAIRS[edge_reps[cls][1]][::-1]]
-                )
-                if droot == positive_root[cls]:
-                    if droot == neg:
-                        raise TriangulationError(
-                            "edge glued to itself in reverse; no orientation"
-                        )
-                    directed_sign[(tet, DIRECTED_INDEX[(a, b)])] = (cls, 1)
-                elif droot == neg:
-                    directed_sign[(tet, DIRECTED_INDEX[(a, b)])] = (cls, -1)
-                else:
-                    raise TriangulationError("directed edge orbit mismatch")
+    # Every directed slot of a class lies on the positive orbit or on its
+    # reverse, since gluings map both directions of an edge together.
+    directed_sign = []
+    for x, root in enumerate(droot):
+        cls = edge_class[6 * (x // 12) + _EDGE_OF_DIRECTED[x % 12]]
+        directed_sign.append((cls, 1 if root == positive_root[cls] else -1))
 
-    face_of: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for fp in tri.pairings():
-        face_of[fp.source] = (fp.source, fp.target)
-    face_classes = tuple(face_of[key] for key in sorted(face_of))
+    face_classes = tuple(
+        ((tet, face), (tet2, face2))
+        for tet, row in enumerate(tri.gluings)
+        for face, (tet2, face2, _) in enumerate(row)
+        if (tet, face) <= (tet2, face2)
+    )
     face_reps = tuple(cls[0] for cls in face_classes)
 
     return CellStructure(
         tri=tri,
         vertex_class=vertex_class,
-        n_vertices=len(vroots),
+        n_vertices=len(vreps),
         edge_class=edge_class,
-        n_edges=len(eroots),
+        n_edges=len(ereps),
         edge_reps=edge_reps,
-        directed_sign=directed_sign,
+        directed_sign=tuple(directed_sign),
         face_classes=face_classes,
         face_reps=face_reps,
     )
@@ -273,10 +280,9 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
 
     relators = []
     for tet, face in cs.face_reps:
-        p, q, r = [v for v in range(4) if v != face]
         letters: list[tuple[int, int]] = []
-        for a, b in ((p, q), (q, r), (r, p)):
-            cls, sign = cs.directed_sign[(tet, DIRECTED_INDEX[(a, b)])]
+        for d in _FACE_BOUNDARY[face]:
+            cls, sign = cs.directed_sign[12 * tet + d]
             if cls in tree:
                 continue
             letters.append((gen_index[cls], sign))

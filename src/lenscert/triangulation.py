@@ -5,16 +5,24 @@ tetrahedron is the face opposite vertex f, so a pairing is a permutation
 of {0,1,2,3} carrying the three vertices of the source face onto the
 target face and the source's opposite vertex onto the target's opposite
 vertex.  Everything here is an immutable value; all operations are pure.
+
+The 24 permutations are interned at import with int tables (inverse,
+parity, induced maps on edges and directed edges), so parsing and the
+orbit pass do no per-gluing validation.  The vertex, edge and
+directed-edge orbits of a triangulation are computed once per instance
+(``Triangulation.orbit_roots``) and shared by ``validate`` and the
+presentation code; they are derived from the gluings alone, so the memo
+never changes a value.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Optional
-
-from .unionfind import UnionFind
+from collections import Counter, deque
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 
 class TriangulationError(ValueError):
@@ -30,6 +38,37 @@ EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX = {pair: k for k, pair in enumerate(EDGE_PAIRS)}
 DIRECTED_PAIRS = tuple((a, b) for a in range(4) for b in range(4) if a != b)
 DIRECTED_INDEX = {pair: k for k, pair in enumerate(DIRECTED_PAIRS)}
+# (low -> high, high -> low) directed index of each edge
+EDGE_DIRECTIONS = tuple((DIRECTED_INDEX[(a, b)], DIRECTED_INDEX[(b, a)]) for a, b in EDGE_PAIRS)
+
+# The 24 permutations of 0..3 in lexicographic order, and per permutation
+# its inverse (by index), its parity and the maps it induces on the 12
+# directed edges and the 6 edges of a tetrahedron.
+_PERM_IMAGES = tuple(itertools.permutations(range(4)))
+_PERM_INDEX = {images: k for k, images in enumerate(_PERM_IMAGES)}
+_PERM_INVERSE = tuple(
+    _PERM_INDEX[tuple(images.index(v) for v in range(4))] for images in _PERM_IMAGES
+)
+_PERM_ODD = tuple(
+    sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 1
+    for images in _PERM_IMAGES
+)
+_DIRECTED_MAP = tuple(
+    tuple(DIRECTED_INDEX[(images[a], images[b])] for a, b in DIRECTED_PAIRS)
+    for images in _PERM_IMAGES
+)
+_EDGE_MAP = tuple(
+    tuple(EDGE_INDEX[tuple(sorted((images[a], images[b])))] for a, b in EDGE_PAIRS)
+    for images in _PERM_IMAGES
+)
+
+# The faces (numbered by their opposite vertex) that hold each vertex,
+# edge and directed edge of a tetrahedron.
+_VERTEX_FACES = tuple(tuple(f for f in range(4) if f != v) for v in range(4))
+_EDGE_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in EDGE_PAIRS)
+_DIRECTED_FACES = tuple(
+    tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS
+)
 
 
 @dataclass(frozen=True)
@@ -37,31 +76,29 @@ class Permutation4:
     """A bijection of {0,1,2,3} stored as the image tuple of (0,1,2,3)."""
 
     images: tuple[int, int, int, int]
+    index: int = field(init=False, repr=False, compare=False)  # into the tables above
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != [0, 1, 2, 3]:
+        index = _PERM_INDEX.get(tuple(self.images))
+        if index is None:
             raise TriangulationError(f"not a permutation of 0..3: {self.images}")
+        object.__setattr__(self, "index", index)
 
     def __call__(self, v: int) -> int:
         return self.images[v]
 
     def inverse(self) -> "Permutation4":
-        inv = [0] * 4
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return Permutation4(tuple(inv))
+        return _PERMS[_PERM_INVERSE[self.index]]
 
     def is_odd(self) -> bool:
-        inversions = sum(
-            1
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if self.images[i] > self.images[j]
-        )
-        return inversions % 2 == 1
+        return _PERM_ODD[self.index]
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.images)
+
+
+_PERMS = tuple(Permutation4(images) for images in _PERM_IMAGES)
+_PERM_BY_TEXT = {str(perm): perm for perm in _PERMS}
 
 
 @dataclass(frozen=True)
@@ -107,6 +144,20 @@ class Triangulation:
                     out.append(self.pairing(tet, face))
         return out
 
+    @cached_property
+    def orbit_roots(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Vertex, edge and directed-edge orbits under the gluings.
+
+        Slots are 4*tet + vertex, 6*tet + EDGE_INDEX and 12*tet +
+        DIRECTED_INDEX; each list maps a slot to the smallest slot of its
+        orbit.  Computed on first use and kept on this instance only.
+        """
+        return (
+            _orbit_roots(self.gluings, 4, _VERTEX_FACES, _PERM_IMAGES),
+            _orbit_roots(self.gluings, 6, _EDGE_FACES, _EDGE_MAP),
+            _orbit_roots(self.gluings, 12, _DIRECTED_FACES, _DIRECTED_MAP),
+        )
+
     def is_connected(self) -> bool:
         if self.t == 0:
             return True
@@ -122,20 +173,54 @@ class Triangulation:
         return len(seen) == self.t
 
 
+def _orbit_roots(gluings, width: int, faces_of, maps) -> tuple[int, ...]:
+    """Slot -> smallest slot of its orbit, for slots of `width` per tetrahedron.
+
+    Local slot s lies on the faces faces_of[s]; across a face glued to
+    tetrahedron tet2 by the permutation with table index k it goes to
+    slot width*tet2 + maps[k][s].  Orbits are labelled by depth-first
+    search from each unlabelled slot in increasing order, so the first
+    slot of an orbit reached is its smallest.
+    """
+    across = [[(width * tet2, maps[perm.index]) for tet2, _, perm in row] for row in gluings]
+    root = [-1] * (width * len(gluings))
+    for start in range(len(root)):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            tet, s = divmod(stack.pop(), width)
+            row = across[tet]
+            for f in faces_of[s]:
+                base, image = row[f]
+                other = base + image[s]
+                if root[other] < 0:
+                    root[other] = start
+                    stack.append(other)
+    return tuple(root)
+
+
+_Gluing = tuple[int, int, int, int, Permutation4]  # tet, face, tet2, face2, perm
+
+
 def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
     """Assemble a Triangulation from pairings, enforcing the involution."""
+    return _assemble(t, [(*fp.source, *fp.target, fp.perm) for fp in pairings])
+
+
+def _assemble(t: int, gluings: list[_Gluing]) -> Triangulation:
     table: list[list[Optional[tuple[int, int, Permutation4]]]] = [
         [None] * 4 for _ in range(t)
     ]
 
-    def record(fp: FacePairing) -> None:
-        (tet, face), (tet2, face2) = fp.source, fp.target
+    def record(tet: int, face: int, tet2: int, face2: int, perm: Permutation4) -> None:
         for tt, ff in ((tet, face), (tet2, face2)):
             if not (0 <= tt < t and 0 <= ff < 4):
                 raise TriangulationError(f"face index out of range: {tt}:{ff}")
         if (tet, face) == (tet2, face2):
             raise TriangulationError(f"face {tet}:{face} glued to itself")
-        entry = (tet2, face2, fp.perm)
+        entry = (tet2, face2, perm)
         prev = table[tet][face]
         if prev is not None and prev != entry:
             raise TriangulationError(
@@ -144,9 +229,9 @@ def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
             )
         table[tet][face] = entry
 
-    for fp in pairings:
-        record(fp)
-        record(fp.reverse())
+    for tet, face, tet2, face2, perm in gluings:
+        record(tet, face, tet2, face2, perm)
+        record(tet2, face2, tet, face, perm.inverse())
 
     for tet in range(t):
         for face in range(4):
@@ -171,7 +256,7 @@ def parse_triangulation(text: str) -> Triangulation:
     but they must be mutually inverse.
     """
     t = None
-    pairings: list[FacePairing] = []
+    gluings: list[_Gluing] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,41 +272,42 @@ def parse_triangulation(text: str) -> Triangulation:
         m = _GLUING_RE.match(line)
         if not m:
             raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
-        tet, face, tet2, face2 = (int(m.group(k)) for k in range(1, 5))
-        perm = Permutation4(tuple(int(ch) for ch in m.group(5)))  # type: ignore[arg-type]
+        tet, face, tet2, face2, perm_text = m.groups()
+        tet, face, tet2, face2 = int(tet), int(face), int(tet2), int(face2)
+        perm = _PERM_BY_TEXT.get(perm_text)
+        if perm is None:
+            images = tuple(int(ch) for ch in perm_text)
+            raise TriangulationError(f"not a permutation of 0..3: {images}")
         if not (0 <= tet < t and 0 <= tet2 < t):
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
         if perm(face) != face2:
             raise TriangulationError(
                 f"line {lineno}: perm does not send face {face} to face {face2}"
             )
-        try:
-            pairings.append(FacePairing((tet, face), (tet2, face2), perm))
-        except TriangulationError as exc:
-            raise TriangulationError(f"line {lineno}: {exc}") from None
+        gluings.append((tet, face, tet2, face2, perm))
     if t is None:
         raise TriangulationError("missing 't=<N>' header")
     try:
-        return make_triangulation(t, pairings)
+        return _assemble(t, gluings)
     except TriangulationError:
         # Distinguish the involution failure for better messages.
-        _check_involution(t, pairings)
+        _check_involution(gluings)
         raise
 
 
-def _check_involution(t: int, pairings: list[FacePairing]) -> None:
-    seen: dict[tuple[int, int], FacePairing] = {}
-    for fp in pairings:
-        for direction in (fp, fp.reverse()):
-            prev = seen.get(direction.source)
-            if prev is not None and (
-                prev.target != direction.target or prev.perm != direction.perm
-            ):
+def _check_involution(gluings: list[_Gluing]) -> None:
+    seen: dict[tuple[int, int], tuple[tuple[int, int], Permutation4]] = {}
+    for tet, face, tet2, face2, perm in gluings:
+        for source, target, p in (
+            ((tet, face), (tet2, face2), perm),
+            ((tet2, face2), (tet, face), perm.inverse()),
+        ):
+            prev = seen.get(source)
+            if prev is not None and prev != (target, p):
                 raise TriangulationError(
-                    f"pairing not an involution at face "
-                    f"{direction.source[0]}:{direction.source[1]}"
+                    f"pairing not an involution at face {source[0]}:{source[1]}"
                 )
-            seen[direction.source] = direction
+            seen[source] = (target, p)
 
 
 def format_triangulation(tri: Triangulation, comment: str = "") -> str:
@@ -233,12 +319,6 @@ def format_triangulation(tri: Triangulation, comment: str = "") -> str:
         (a, f), (b, g) = fp.source, fp.target
         lines.append(f"{a}:{f} -> {b}:{g} perm={fp.perm}")
     return "\n".join(lines) + "\n"
-
-
-def face_maps(tri: Triangulation) -> Iterator[tuple[int, int, int, int, Permutation4]]:
-    """One (tet, face, tet2, face2, perm) per pairing class."""
-    for fp in tri.pairings():
-        yield fp.source[0], fp.source[1], fp.target[0], fp.target[1], fp.perm
 
 
 @dataclass(frozen=True)
@@ -254,33 +334,6 @@ class ValidationReport:
     failures: tuple[str, ...]
 
 
-def _orbit_unions(tri: Triangulation) -> tuple[UnionFind, UnionFind, UnionFind]:
-    """Union-find structures over vertex, edge, directed-edge slots."""
-    t = tri.t
-    verts = UnionFind(4 * t)
-    edges = UnionFind(6 * t)
-    dedges = UnionFind(12 * t)
-    for tet, face, tet2, _face2, perm in face_maps(tri):
-        on_face = [v for v in range(4) if v != face]
-        for v in on_face:
-            verts.union(4 * tet + v, 4 * tet2 + perm(v))
-        for a in on_face:
-            for b in on_face:
-                if a == b:
-                    continue
-                dedges.union(
-                    12 * tet + DIRECTED_INDEX[(a, b)],
-                    12 * tet2 + DIRECTED_INDEX[(perm(a), perm(b))],
-                )
-                if a < b:
-                    pa, pb = perm(a), perm(b)
-                    edges.union(
-                        6 * tet + EDGE_INDEX[(a, b)],
-                        6 * tet2 + EDGE_INDEX[(min(pa, pb), max(pa, pb))],
-                    )
-    return verts, edges, dedges
-
-
 def validate(tri: Triangulation) -> ValidationReport:
     """Check the closed-3-manifold conditions by orbit counting.
 
@@ -290,44 +343,33 @@ def validate(tri: Triangulation) -> ValidationReport:
     has chi = 2 and no edge is glued to itself in reverse.
     """
     t = tri.t
-    verts, edges, dedges = _orbit_unions(tri)
+    vroot, eroot, droot = tri.orbit_roots
 
-    v = verts.class_count()
-    e = edges.class_count()
+    v = len(set(vroot))
+    e = len(set(eroot))
     f = 2 * t
     euler = v - e + f - t
 
-    # Count edge classes (not slots) that are reversed.
-    reversed_classes = set()
-    for tet in range(t):
-        for a, b in EDGE_PAIRS:
-            d1 = 12 * tet + DIRECTED_INDEX[(a, b)]
-            d2 = 12 * tet + DIRECTED_INDEX[(b, a)]
-            if dedges.find(d1) == dedges.find(d2):
-                reversed_classes.add(edges.find(6 * tet + EDGE_INDEX[(a, b)]))
-    reversed_edges = len(reversed_classes)
+    # Count edge classes (not slots) whose two directions share an orbit.
+    reversed_edges = len({
+        eroot[6 * tet + k]
+        for tet in range(t)
+        for k, (fwd, back) in enumerate(EDGE_DIRECTIONS)
+        if droot[12 * tet + fwd] == droot[12 * tet + back]
+    })
 
     # Link of a vertex class: corner triangles are its faces, corner
-    # sides are glued in face-pairing pairs, corner tips sit on directed
-    # edge orbits.  chi(link) = (#tip orbits) - (#corners)/2.
-    corners: dict[int, int] = {}
-    for tet in range(t):
-        for vv in range(4):
-            root = verts.find(4 * tet + vv)
-            corners[root] = corners.get(root, 0) + 1
-
-    tips: dict[int, set[int]] = {}
-    for tet in range(t):
-        for a, b in DIRECTED_PAIRS:
-            root = verts.find(4 * tet + a)
-            tips.setdefault(root, set()).add(dedges.find(12 * tet + DIRECTED_INDEX[(a, b)]))
-
-    link_eulers = []
-    for root in sorted(corners):
-        f_v = corners[root]
-        v_link = len(tips.get(root, set()))
-        # 3*f_v corner sides glued in pairs
-        link_eulers.append(v_link - (3 * f_v) // 2 + f_v)
+    # sides are glued in face-pairing pairs, corner tips are the directed
+    # edge orbits leaving it (a gluing keeps an edge's tail in its vertex
+    # class).  chi(link) = (#tip orbits) - (#corners)/2.
+    corners = Counter(vroot)
+    tips = Counter(
+        vroot[4 * (x // 12) + DIRECTED_PAIRS[x % 12][0]]
+        for x, root in enumerate(droot)
+        if x == root
+    )
+    # 3*f_v corner sides glued in pairs
+    link_eulers = [tips[root] - (3 * f_v) // 2 + f_v for root, f_v in sorted(corners.items())]
 
     failures = []
     if euler != 0:

@@ -23,12 +23,3 @@ class UnionFind:
                 self.parent[rb] = ra
             else:
                 self.parent[ra] = rb
-
-    def class_count(self) -> int:
-        return sum(1 for x in range(len(self.parent)) if self.find(x) == x)
-
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out

@@ -178,9 +178,8 @@ def link_euler_characteristics(tri: Triangulation) -> dict:
     return chi
 
 
-def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
-    """H_1 from cellular boundary matrices of the identified complex,
-    using the minors oracle for the torsion."""
+def _edge_orbits(tri: Triangulation) -> tuple[_Orbits, _Orbits]:
+    """Orbits of edges (tet, a, b), a < b, and of directed edges (tet, a, b)."""
     edges = _Orbits(
         [(tet, a, b) for tet in range(tri.t) for a in range(4) for b in range(4) if a < b]
     )
@@ -197,6 +196,13 @@ def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
                 if a < b:
                     pa, pb = sorted((perm(a), perm(b)))
                     edges.union((tet, a, b), (tet2, pa, pb))
+    return edges, directed
+
+
+def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
+    """H_1 from cellular boundary matrices of the identified complex,
+    using the minors oracle for the torsion."""
+    edges, directed = _edge_orbits(tri)
     vertices = _vertex_orbits(tri)
 
     edge_roots = sorted(edges.classes())

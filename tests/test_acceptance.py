@@ -222,7 +222,9 @@ def test_criterion_7_nonhyperbolic_coverage():
 def _criterion_mutations(text: str):
     """The criterion's mutation surface: every matrix entry coordinate
     bumped by +-1, every relator letter swapped to another generator
-    (exponent kept), every modulus (field p/deg/s, target a/b) bumped."""
+    (exponent kept), every modulus (field p/deg/s, target a/b) bumped,
+    and the witness replaced by a commuting pair u v | v u with u and v
+    words in one generator."""
     lines = text.splitlines()
     gens: list[str] = []
     rels_start = rels = 0
@@ -246,6 +248,12 @@ def _criterion_mutations(text: str):
             for m in re.finditer(r"\d+", line):
                 for delta in (1, -1):
                     new_line = line[: m.start()] + str(int(m.group()) + delta) + line[m.end():]
+                    yield "\n".join(lines[:i] + [new_line] + lines[i + 1:]) + "\n"
+        elif line.startswith("witness "):
+            for name in gens:
+                inv = name + "^-1"
+                for u, v in (([name], [name]), ([name], [name, name]), ([inv], [inv, inv])):
+                    new_line = f"witness {' '.join(u + v)} | {' '.join(v + u)}"
                     yield "\n".join(lines[:i] + [new_line] + lines[i + 1:]) + "\n"
         elif line.startswith("gen ") and "= [[" in line:
             offset = line.index("=") + 1

@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text, load_fixture
@@ -75,6 +76,31 @@ def test_certificate_words_allow_only_inverse_exponent():
     ):
         with pytest.raises(CertificateSyntaxError, match="only '\\^-1'"):
             parse(text.replace(old, new))
+
+
+# A valid certificate with an unlabelled `gens` line: x0, x1 by default.
+UNLABELLED_CERT = """lenscert v1
+kind NonAbelianRep
+gens 2
+rels 0
+field p=5 deg=1
+gen x0 = [[1,1],[0,1]]
+gen x1 = [[1,0],[1,1]]
+witness x0 x1 | x1 x0
+"""
+
+
+def test_unlabelled_generator_count_is_capped_by_lines_left():
+    cert = parse(UNLABELLED_CERT)
+    assert cert.presentation.labels == ("x0", "x1")
+    assert verify(cert).accepted
+    # five lines follow the gens line, so six generators cannot all appear
+    with pytest.raises(CertificateSyntaxError, match="generator count"):
+        parse(UNLABELLED_CERT.replace("gens 2", "gens 6"))
+    start = time.monotonic()
+    with pytest.raises(CertificateSyntaxError, match="generator count"):
+        parse("lenscert v1\nkind NonAbelianRep\ngens 1000000000\nrels 0\n")
+    assert time.monotonic() - start < 0.5
 
 
 def test_surjection_file_exponent_is_capped():
@@ -241,6 +267,41 @@ def test_one_generator_rep_certificate_never_accepted(data):
         rep_images=mats,
         surjection=surjection,
         witness=(data.draw(powers), data.draw(powers)),
+    )
+    assert not verify(cert).accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_commuting_images_never_accepted(data):
+    """If all generator images commute, u v and v u have equal images for
+    every pair of words, so no rotation witness can pass."""
+    spec = FieldSpec(data.draw(st.sampled_from((3, 5, 7, 11, 13))))
+    g = data.draw(st.integers(2, 3))
+    if data.draw(st.booleans()):
+        entries = st.integers(0, spec.p - 1)
+        base = _det_one_matrix(spec, *(data.draw(entries) for _ in range(4)))
+        mats = tuple(base.power(data.draw(st.integers(0, 6))) for _ in range(g))
+    else:
+        units = st.integers(1, spec.p - 1)
+        mats = tuple(
+            ProjMatrix(spec.element(a), spec.zero(), spec.zero(), spec.element(pow(a, -1, spec.p)))
+            for a in (data.draw(units) for _ in range(g))
+        )
+    # w = u v cyclically reduced, so both u v and v u are reduced words
+    letters = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+    w = Word(tuple(data.draw(st.lists(letters, min_size=2, max_size=8)))).reduced()
+    assume(len(w) >= 2 and w.letters[0] != (w.letters[-1][0], -w.letters[-1][1]))
+    k = data.draw(st.integers(1, len(w) - 1))
+    u, v = Word(w.letters[:k]), Word(w.letters[k:])
+    labels = ("a", "b", "c")[:g]
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=GroupPresentation(g, (), labels),
+        field=spec,
+        rep_gens=labels,
+        rep_images=mats,
+        witness=(u * v, v * u),
     )
     assert not verify(cert).accepted
 

@@ -116,6 +116,14 @@ def test_verify_parse_error_exits_two(tmp_path):
     assert "error:" in out.stderr
 
 
+def test_verify_huge_unlabelled_generator_count_exits_two(tmp_path):
+    path = tmp_path / "gens.cert"
+    path.write_text("lenscert v1\nkind NonAbelianRep\ngens 1000000000\nrels 0\n")
+    out = run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert "generator count" in out.stderr
+
+
 def test_pipeline_step1(tmp_path):
     target = tmp_path / "p.cert"
     out = run_cli(

@@ -1,0 +1,190 @@
+"""The shared orbit pass (`Triangulation.orbit_roots`) and its readers,
+checked against the independent orbit oracles in `oracles.py`."""
+
+import itertools
+import os
+import random
+import sys
+
+import pytest
+
+from conftest import MANIFOLD_FIXTURES, load_fixture
+from lenscert.intlinalg import abelianization
+from lenscert.presentation import cell_structure, fundamental_group
+from lenscert.triangulation import (
+    DIRECTED_INDEX,
+    EDGE_INDEX,
+    Permutation4,
+    TriangulationError,
+    format_triangulation,
+    parse_triangulation,
+    validate,
+)
+from oracles import (
+    _edge_orbits,
+    _vertex_orbits,
+    chain_complex_h1,
+    link_euler_characteristics,
+    random_gluing_table,
+    relabel_triangulation,
+)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from make_fixtures import lens_space  # noqa: E402
+
+ALL_FIXTURES = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
+# fixtures whose boundary matrices keep the minors oracle cheap; the other
+# manifolds are checked against the H1 recorded in fixtures/metadata.json
+SMALL_FIXTURES = [
+    "lens_2_1.tri",
+    "lens_3_1.tri",
+    "lens_4_1.tri",
+    "lens_5_2.tri",
+    "t3_torus.tri",
+    "prism_q8.tri",
+    "prism_q12.tri",
+    "onevertex_t2.tri",
+    "badlink_torus.tri",
+]
+
+
+def _random_tables(count: int, seed: int, max_t: int):
+    rng = random.Random(seed)
+    return [random_gluing_table(rng.randint(1, max_t), rng) for _ in range(count)]
+
+
+def _min_slots(orbits, slot_of) -> list[int]:
+    """Slot -> smallest slot of its oracle class."""
+    out = {}
+    for members in orbits.classes().values():
+        slots = [slot_of(m) for m in members]
+        for s in slots:
+            out[s] = min(slots)
+    return [out[s] for s in range(len(out))]
+
+
+def _oracle_report(tri):
+    vertices = _vertex_orbits(tri)
+    edges, directed = _edge_orbits(tri)
+    v, e = vertices.count(), edges.count()
+    reversed_edges = len({
+        edges.find((tet, a, b))
+        for tet, a, b in edges.parent
+        if directed.find((tet, a, b)) == directed.find((tet, b, a))
+    })
+    chi = link_euler_characteristics(tri)
+    classes = vertices.classes()
+    links = [chi[root] for root in sorted(classes, key=lambda r: min(classes[r]))]
+    return v, e, reversed_edges, links
+
+
+def _check_against_oracles(tri, h1_oracle=True):
+    vertices = _vertex_orbits(tri)
+    edges, directed = _edge_orbits(tri)
+    vroot, eroot, droot = tri.orbit_roots
+    assert list(vroot) == _min_slots(vertices, lambda m: 4 * m[0] + m[1])
+    assert list(eroot) == _min_slots(edges, lambda m: 6 * m[0] + EDGE_INDEX[m[1:]])
+    assert list(droot) == _min_slots(directed, lambda m: 12 * m[0] + DIRECTED_INDEX[m[1:]])
+
+    v, e, reversed_edges, links = _oracle_report(tri)
+    report = validate(tri)
+    assert (report.v, report.e, report.f, report.t) == (v, e, 2 * tri.t, tri.t)
+    assert report.euler == v - e + tri.t
+    assert report.reversed_edges == reversed_edges
+    assert list(report.vertex_link_eulers) == links
+    assert report.passed == (report.euler == 0 and set(links) <= {2} and not reversed_edges)
+
+    if reversed_edges:
+        with pytest.raises(TriangulationError):
+            cell_structure(tri)
+        with pytest.raises(TriangulationError):
+            fundamental_group(tri)
+        return False
+    cs = cell_structure(tri)
+    assert (cs.n_vertices, cs.n_edges, len(cs.face_classes)) == (v, e, 2 * tri.t)
+    edge_mins = sorted(min(m) for m in edges.classes().values())
+    assert list(cs.edge_reps) == [(tet, EDGE_INDEX[(a, b)]) for tet, a, b in edge_mins]
+    if h1_oracle:
+        group = abelianization(fundamental_group(tri))
+        free_rank, torsion = chain_complex_h1(tri)
+        assert (group.free_rank, sorted(group.torsion)) == (free_rank, torsion)
+    return True
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_fixture_orbits_match_oracles(name, fixture_metadata):
+    tri = load_fixture(name)
+    _check_against_oracles(tri, h1_oracle=name in SMALL_FIXTURES)
+    if name not in SMALL_FIXTURES:
+        group = abelianization(fundamental_group(tri))
+        expected = fixture_metadata[name]["h1"]
+        assert (group.free_rank, list(group.torsion)) == (expected["free_rank"], expected["torsion"])
+
+
+def test_random_table_orbits_match_oracles():
+    with_pi1 = sum(_check_against_oracles(tri) for tri in _random_tables(200, 8128, 6))
+    assert with_pi1 >= 20  # enough draws without reversed edges reach H1
+
+
+def _outcome(fn, tri):
+    try:
+        return fn(tri)
+    except TriangulationError as exc:
+        return str(exc)
+
+
+def test_results_do_not_depend_on_call_order():
+    for tri in _random_tables(60, 31337, 6) + [load_fixture(n) for n in ALL_FIXTURES]:
+        text = format_triangulation(tri)
+        first, second = parse_triangulation(text), parse_triangulation(text)
+        report_first = validate(first)
+        pres_first = _outcome(fundamental_group, first)
+        pres_second = _outcome(fundamental_group, second)
+        report_second = validate(second)
+        assert report_first == report_second
+        assert pres_first == pres_second
+
+
+def test_memo_belongs_to_one_instance():
+    rng = random.Random(4711)
+    moved = 0
+    for tri in _random_tables(60, 2718, 6):
+        roots = tri.orbit_roots
+        twin = parse_triangulation(format_triangulation(tri))
+        assert twin == tri and "orbit_roots" not in vars(twin)
+        perm = list(range(tri.t))
+        rng.shuffle(perm)
+        relabelled = relabel_triangulation(tri, perm)
+        assert "orbit_roots" not in vars(relabelled)
+        _check_against_oracles(relabelled)
+        moved += relabelled.orbit_roots != roots
+        assert tri.orbit_roots is roots
+    assert moved >= 20  # a memo shared with the original would be caught
+
+
+@pytest.mark.parametrize("p,q", [(500, 201), (1000, 331)])
+def test_large_lens_space_validates_with_cyclic_h1(p, q):
+    tri = parse_triangulation(format_triangulation(lens_space(p, q)))
+    assert validate(tri).passed
+    group = abelianization(fundamental_group(tri))
+    assert (group.free_rank, group.torsion) == (0, (p,))
+
+
+def test_permutation_tables_match_brute_force():
+    for images in itertools.permutations(range(4)):
+        perm = Permutation4(images)
+        inverse = perm.inverse()
+        assert all(inverse(perm(v)) == v for v in range(4))
+        assert inverse.inverse() == perm
+        # parity from the cycle count, independent of inversion counting
+        seen, cycles = set(), 0
+        for v in range(4):
+            if v not in seen:
+                cycles += 1
+                while v not in seen:
+                    seen.add(v)
+                    v = images[v]
+        assert perm.is_odd() == ((4 - cycles) % 2 == 1)
+    with pytest.raises(TriangulationError):
+        Permutation4((0, 0, 1, 2))
+

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .galois import FieldSpec, parse_field_element
+from .galois import FieldSpec, parse_coords, parse_decimal
 from .intlinalg import IntMatrix, smith_normal_form
 from .presentation import (
     GroupPresentation,
@@ -147,12 +147,13 @@ def serialize(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+# digit runs are read by galois.parse_decimal, which accepts canonical decimals only
 _MATRIX_RE = re.compile(
     r"^gen\s+(\w+)\s*=\s*\[\[([^\],]+),([^\],]+)\],\[([^\],]+),([^\],]+)\]\]$"
 )
-_ABELIAN_RE = re.compile(r"^gen\s+(\w+)\s*=\s*\((-?\d+),(-?\d+)\)$")
-_TARGET_RE = re.compile(r"^target\s+Z/(\d+)\s*x\s*Z/(\d+)$")
-_FIELD_RE = re.compile(r"^field\s+p=(\d+)\s+deg=(\d+)(?:\s+s=(\d+))?$")
+_ABELIAN_RE = re.compile(r"^gen\s+(\w+)\s*=\s*\(([0-9]+),([0-9]+)\)$")
+_TARGET_RE = re.compile(r"^target\s+Z/([0-9]+)\s*x\s*Z/([0-9]+)$")
+_FIELD_RE = re.compile(r"^field\s+p=([0-9]+)\s+deg=([0-9]+)(?:\s+s=([0-9]+))?$")
 _SURJ_RE = re.compile(r"^gen\s+(\w+)\s*->\s*(.*)$")
 
 
@@ -206,7 +207,7 @@ def _parse_reduced_word(
     cost stay linear in the text.  Any exponent other than `^-1` is a
     syntax error."""
     try:
-        word = Word(tuple(letters[token] for token in text.split()))
+        word = Word(tuple(map(letters.__getitem__, text.split())))
     except KeyError as exc:
         token = exc.args[0]
         name, caret, _ = token.partition("^")
@@ -239,7 +240,7 @@ def parse(text: str) -> Certificate:
         raise reader.error("expected 'gens <g> <labels...>'")
     parts = line.split()
     try:
-        g = int(parts[1])
+        g = parse_decimal(parts[1])
     except (IndexError, ValueError):
         raise reader.error("bad generator count") from None
     labels = tuple(parts[2:])
@@ -257,7 +258,7 @@ def parse(text: str) -> Certificate:
     if not line.startswith("rels "):
         raise reader.error("expected 'rels <r>'")
     try:
-        r = int(line.split()[1])
+        r = parse_decimal(line.split()[1])
     except (IndexError, ValueError):
         raise reader.error("bad relator count") from None
     letters = _letter_table(labels)
@@ -285,13 +286,16 @@ def _parse_abelian(reader: _Reader, pres: GroupPresentation, level: Optional[str
     m = _TARGET_RE.match(reader.next())
     if not m:
         raise reader.error("expected 'target Z/<a> x Z/<b>'")
-    a, b = int(m.group(1)), int(m.group(2))
+    a, b = parse_decimal(m.group(1)), parse_decimal(m.group(2))
     images: dict[str, tuple[int, int]] = {}
     for _ in range(pres.g):
         gm = _ABELIAN_RE.match(reader.next())
         if not gm:
             raise reader.error("expected 'gen <name> = (<u>,<v>)'")
-        images[gm.group(1)] = (int(gm.group(2)), int(gm.group(3)))
+        u, v = parse_decimal(gm.group(2)), parse_decimal(gm.group(3))
+        if u >= a or v >= b:
+            raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
+        images[gm.group(1)] = (u, v)
     if set(images) != set(pres.labels):
         raise reader.error("abelian images do not cover the generators")
     if reader.peek() is not None:
@@ -309,9 +313,9 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     m = _FIELD_RE.match(reader.next())
     if not m:
         raise reader.error("expected 'field p=<p> deg=<d> [s=<s>]'")
-    p, deg = int(m.group(1)), int(m.group(2))
-    s = int(m.group(3)) if m.group(3) else None
     try:
+        p, deg = parse_decimal(m.group(1)), parse_decimal(m.group(2))
+        s = parse_decimal(m.group(3)) if m.group(3) else None
         spec = FieldSpec(p, deg, s)
     except ValueError as exc:
         raise reader.error(str(exc)) from None
@@ -320,14 +324,14 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     rep_images: list[ProjMatrix] = []
     while True:
         line = reader.peek()
-        if line is None or not _MATRIX_RE.match(line):
+        gm = _MATRIX_RE.match(line) if line is not None else None
+        if gm is None:
             break
-        gm = _MATRIX_RE.match(reader.next())
-        assert gm is not None
+        reader.next()
         try:
-            entries = [parse_field_element(gm.group(k), spec) for k in range(2, 6)]
-            matrix = ProjMatrix(*entries)
-        except (ValueError, ZeroDivisionError) as exc:
+            coords = [x for k in range(2, 6) for x in parse_coords(gm.group(k), spec)]
+            matrix = ProjMatrix.from_coords(spec, coords)
+        except ValueError as exc:
             raise reader.error(str(exc)) from None
         rep_gens.append(gm.group(1))
         rep_images.append(matrix)

@@ -312,20 +312,33 @@ class FieldElement:
         return f"{self.a}+{self.b}*w"
 
 
-def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Strict canonical form: coordinates must already lie in [0, p)."""
-    text = text.strip()
+def parse_decimal(text: str) -> int:
+    """A canonical decimal, 0|[1-9][0-9]* in ASCII: no sign, no leading
+    zero, no '_' and no other script's digits, so str() gives text back."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+def parse_coords(text: str, spec: FieldSpec) -> tuple[int, int]:
+    """The coordinates (a, b) of a field element written canonically:
+    "a" over F_p, "a+b*w" over F_{p^2}, each coordinate in [0, p)."""
     if spec.degree == 1:
-        coords = [int(text)]
+        coords = (parse_decimal(text), 0)
     else:
         main, _, wpart = text.partition("+")
         if not wpart.endswith("*w"):
             raise ValueError(f"bad degree-2 element syntax: {text!r}")
-        coords = [int(main), int(wpart[:-2])]
+        coords = (parse_decimal(main), parse_decimal(wpart[:-2]))
     for c in coords:
-        if not 0 <= c < spec.p:
+        if c >= spec.p:
             raise ValueError(f"coordinate {c} out of range for p={spec.p}")
-    return FieldElement(spec, *coords)
+    return coords
+
+
+def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
+    """Strict canonical form: coordinates must already lie in [0, p)."""
+    return FieldElement(spec, *parse_coords(text, spec))
 
 
 def primitive_root(p: int) -> int:

@@ -60,7 +60,14 @@ class Word:
         return Word(tuple(out))
 
     def is_reduced(self) -> bool:
-        return self.reduced() == self
+        """No letter is followed by its inverse, so reduced() is self: one
+        scan over adjacent pairs that allocates nothing."""
+        prev_gen, prev_exp = -1, 0
+        for gen, exp in self.letters:
+            if gen == prev_gen and exp != prev_exp:
+                return False
+            prev_gen, prev_exp = gen, exp
+        return True
 
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=-1)

@@ -6,13 +6,20 @@ odd coordinates are 0 over a prime field.  Products, inverses and
 powers run on these ints; FieldElement appears only at the boundary
 (the public constructor and the a, b, c, d, entries and trace views).
 
-det = 1 is checked once, when ProjMatrix(a, b, c, d) is built from
-field elements.  A product or inverse of determinant-1 matrices has
+det = 1 is checked once, when a matrix is built from outside data:
+ProjMatrix(a, b, c, d) from field elements or ProjMatrix.from_coords
+from parsed ints.  A product or inverse of determinant-1 matrices has
 determinant 1, so results are built without a recheck.
+
+Every product goes through one kernel, _mul_coords, on raw 8-int tuples;
+mul, power and evaluate_word fold through it and build one ProjMatrix
+for the result.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
-have equal representatives and equality is coordinate equality.
+have equal representatives and equality is coordinate equality.  A fold
+of unnormalized representatives is the product up to sign, so it is
+normalized once, at the end.
 """
 
 from __future__ import annotations
@@ -50,6 +57,36 @@ class OpCounter:
         self.field_ops += 2
 
 
+def _mul_coords(p: int, s: int, u: tuple, v: tuple) -> tuple:
+    """Coordinates of the product of u and v, reduced but not
+    sign-normalized; s is the nonresidue, 0 over a prime field."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = u
+    e0, e1, f0, f1, g0, g1, h0, h1 = v
+    if not s:
+        return (
+            (a0 * e0 + b0 * g0) % p, 0,
+            (a0 * f0 + b0 * h0) % p, 0,
+            (c0 * e0 + d0 * g0) % p, 0,
+            (c0 * f0 + d0 * h0) % p, 0,
+        )
+    return (
+        (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
+        (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
+        (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
+        (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
+        (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
+        (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
+        (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
+        (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
+    )
+
+
+def _inverse_coords(p: int, v: tuple) -> tuple:
+    """The adjugate (d, -b, -c, a): the inverse of a determinant-1 matrix."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = v
+    return (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1)
+
+
 def _sign_normalized(p: int, v: tuple) -> tuple:
     for x in v:
         if x:
@@ -57,6 +94,17 @@ def _sign_normalized(p: int, v: tuple) -> tuple:
                 return tuple(-y % p for y in v)
             break
     return v
+
+
+def _check_det(spec: FieldSpec, v: tuple) -> None:
+    p, s = spec.p, spec.s or 0
+    a0, a1, b0, b1, c0, c1, d0, d1 = v
+    det = (
+        (a0 * d0 + s * a1 * d1 - b0 * c0 - s * b1 * c1) % p,
+        (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p,
+    )
+    if det != (1, 0):
+        raise ValueError(f"matrix determinant is {spec.element(*det)}, not 1")
 
 
 def _from_coords(spec: FieldSpec, v: tuple) -> "ProjMatrix":
@@ -74,17 +122,24 @@ class ProjMatrix:
         spec = a.spec
         if b.spec != spec or c.spec != spec or d.spec != spec:
             raise ValueError("matrix entries from different fields")
-        p, s = spec.p, spec.s or 0
-        det = (
-            (a.a * d.a + s * a.b * d.b - b.a * c.a - s * b.b * c.b) % p,
-            (a.a * d.b + a.b * d.a - b.a * c.b - b.b * c.a) % p,
-        )
-        if det != (1, 0):
-            raise ValueError(f"matrix determinant is {spec.element(*det)}, not 1")
+        v = (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
+        _check_det(spec, v)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(
-            self, "coords", _sign_normalized(p, (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b))
-        )
+        object.__setattr__(self, "coords", _sign_normalized(spec.p, v))
+
+    @staticmethod
+    def from_coords(spec: FieldSpec, v: Sequence[int]) -> "ProjMatrix":
+        """The matrix with coordinates (a0, a1, b0, b1, c0, c1, d0, d1),
+        each reduced mod p and every odd one 0 over a prime field;
+        raises ValueError unless its determinant is 1."""
+        v = tuple(v)
+        p = spec.p
+        if len(v) != 8 or not all(0 <= x < p for x in v):
+            raise ValueError(f"matrix needs 8 coordinates in [0, {p})")
+        if spec.degree == 1 and any(v[1::2]):
+            raise ValueError("degree-1 matrix with a w coordinate")
+        _check_det(spec, v)
+        return _from_coords(spec, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjMatrix is immutable")
@@ -113,48 +168,25 @@ class ProjMatrix:
             raise ValueError("field spec mismatch")
         if counter is not None:
             counter.count_mul()
-        p = spec.p
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
-        e0, e1, f0, f1, g0, g1, h0, h1 = other.coords
-        if spec.degree == 1:
-            v = (
-                (a0 * e0 + b0 * g0) % p, 0,
-                (a0 * f0 + b0 * h0) % p, 0,
-                (c0 * e0 + d0 * g0) % p, 0,
-                (c0 * f0 + d0 * h0) % p, 0,
-            )
-        else:
-            s = spec.s
-            v = (
-                (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
-                (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
-                (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
-                (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
-                (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
-                (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
-                (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
-                (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
-            )
-        return _from_coords(spec, v)
+        return _from_coords(spec, _mul_coords(spec.p, spec.s or 0, self.coords, other.coords))
 
     def inverse(self, counter: Optional[OpCounter] = None) -> "ProjMatrix":
         if counter is not None:
             counter.count_inverse()
-        p = self.spec.p
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
-        return _from_coords(self.spec, (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1))
+        return _from_coords(self.spec, _inverse_coords(self.spec.p, self.coords))
 
     def power(self, n: int) -> "ProjMatrix":
-        base = self if n >= 0 else self.inverse()
+        p, s = self.spec.p, self.spec.s or 0
+        base = self.coords if n >= 0 else _inverse_coords(p, self.coords)
         n = abs(n)
-        out = ProjMatrix.identity(self.spec)
+        out = _IDENTITY
         while n:
             if n & 1:
-                out = out.mul(base)
+                out = _mul_coords(p, s, out, base)
             n >>= 1
             if n:
-                base = base.mul(base)
-        return out
+                base = _mul_coords(p, s, base, base)
+        return _from_coords(self.spec, out)
 
     def _entry(self, k: int) -> FieldElement:
         return FieldElement(self.spec, self.coords[2 * k], self.coords[2 * k + 1])
@@ -184,7 +216,10 @@ class ProjMatrix:
         return (self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
+        if self.spec.degree == 1:
+            return f"[[{a0},{b0}],[{c0},{d0}]]"
+        return f"[[{a0}+{a1}*w,{b0}+{b1}*w],[{c0}+{c1}*w,{d0}+{d1}*w]]"
 
     def __repr__(self) -> str:
         return f"ProjMatrix({self})"
@@ -242,17 +277,34 @@ def evaluate_word(
     word: Word,
     counter: Optional[OpCounter] = None,
 ) -> ProjMatrix:
-    """Left-to-right product of generator images; one multiply per letter."""
+    """Left-to-right product of generator images; one multiply per letter
+    and one inverse per ^-1 letter are charged, as if each went through
+    ProjMatrix.mul and ProjMatrix.inverse."""
     if not images:
         raise ValueError("no generator images")
     spec = images[0].spec
-    out = ProjMatrix.identity(spec)
+    p, s, n = spec.p, spec.s or 0, len(images)
+    inverses: dict[int, tuple] = {}
+    inverse_letters = 0
+    out = _IDENTITY
     for gen, exp in word.letters:
-        if gen >= len(images):
+        if gen >= n:
             raise ValueError(f"no image for generator {gen}")
-        m = images[gen] if exp == 1 else images[gen].inverse(counter)
-        out = out.mul(m, counter)
-    return out
+        m = images[gen]
+        if m.spec is not spec and m.spec != spec:
+            raise ValueError("field spec mismatch")
+        if exp == 1:
+            v = m.coords
+        else:
+            inverse_letters += 1
+            v = inverses.get(gen)
+            if v is None:
+                v = inverses[gen] = _inverse_coords(p, m.coords)
+        out = _mul_coords(p, s, out, v)
+    if counter is not None:
+        counter.mat_mults += len(word.letters)
+        counter.field_ops += 12 * len(word.letters) + 2 * inverse_letters
+    return _from_coords(spec, out)
 
 
 def bit_size(m: ProjMatrix) -> int:

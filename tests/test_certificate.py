@@ -21,6 +21,7 @@ from lenscert.certificate import (
     triangle_certificate,
     verify,
 )
+from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from lenscert.projmat import ProjMatrix
@@ -124,6 +125,109 @@ def test_level_line_roundtrip():
     text = serialize(marked)
     assert "level orbifold" in text.splitlines()[2]
     assert parse(text) == marked
+
+
+# The (2,3,7) certificate over F_337 and the (7,7,7) one onto Z/7 x Z/7.
+DEG1_CERT = serialize(triangle_certificate(2, 3, 7)[0])
+Z7_CERT = serialize(triangle_certificate(7, 7, 7)[0])
+FIG8_A = "gen a = [[2+0*w,0+0*w],[0+0*w,3+0*w]]"
+DEG1_X = "gen x = [[0,1],[336,0]]"
+
+# (certificate, line, replacement): each spells an integer non-canonically
+NON_CANONICAL = [
+    ("fig8", "gens 2 a b", "gens 0_2 a b"),
+    ("fig8", "gens 2 a b", "gens +2 a b"),
+    ("fig8", "gens 2 a b", "gens 02 a b"),
+    ("fig8", "rels 1", "rels 0_1"),
+    ("fig8", "rels 1", "rels +1"),
+    ("fig8", "rels 1", "rels 01"),
+    ("fig8", "field p=5 deg=2 s=2", "field p=05 deg=2 s=2"),
+    ("fig8", "field p=5 deg=2 s=2", "field p=5 deg=2 s=٢"),
+    ("fig8", "field p=5 deg=2 s=2", "field p=5 deg=02 s=2"),
+    ("fig8", FIG8_A, "gen a = [[0_02+0*w,0+0*w],[0+0*w,3+0*w]]"),
+    ("fig8", FIG8_A, "gen a = [[2++0*w,0+0*w],[0+0*w,3+0*w]]"),
+    ("fig8", FIG8_A, "gen a = [[ 2+0*w,0+0*w],[0+0*w,3+0*w]]"),
+    ("deg1", DEG1_X, "gen x = [[+0,1],[336,0]]"),
+    ("deg1", DEG1_X, "gen x = [[-0,1],[336,0]]"),
+    ("deg1", DEG1_X, "gen x = [[00,1],[336,0]]"),
+    ("z7", "target Z/7 x Z/7", "target Z/07 x Z/7"),
+    ("z7", "target Z/7 x Z/7", "target Z/7 x Z/٧"),
+    ("z7", "gen x = (1,0)", "gen x = (8,0)"),
+    ("z7", "gen x = (1,0)", "gen x = (7,0)"),
+    ("z7", "gen y = (0,1)", "gen y = (0,8)"),
+    ("z7", "gen x = (1,0)", "gen x = (-6,0)"),
+    ("z7", "gen x = (1,0)", "gen x = (٣,0)"),
+    ("z7", "gen x = (1,0)", "gen x = (01,0)"),
+]
+
+
+def certificate_text(name: str) -> str:
+    return {"fig8": fixture_text("fig8.cert"), "deg1": DEG1_CERT, "z7": Z7_CERT}[name]
+
+
+def test_non_canonical_cases_start_from_valid_certificates():
+    for name in ("fig8", "deg1", "z7"):
+        text = certificate_text(name)
+        assert verify(parse(text)).accepted
+        assert serialize(parse(text)) == text
+    for name, old, _ in NON_CANONICAL:
+        assert old in certificate_text(name).splitlines()
+
+
+@pytest.mark.parametrize("name,old,new", NON_CANONICAL)
+def test_non_canonical_integer_is_syntax_error(name, old, new, tmp_path, capsys):
+    # each of these parsed under int() rules and then failed to round-trip
+    text = certificate_text(name).replace(old, new, 1)
+    with pytest.raises(CertificateSyntaxError):
+        parse(text)
+    path = tmp_path / "non_canonical.cert"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_abelian_images_must_be_reduced():
+    with pytest.raises(CertificateSyntaxError, match=r"\(8,0\) is not reduced in Z/7 x Z/7"):
+        parse(Z7_CERT.replace("gen x = (1,0)", "gen x = (8,0)"))
+    reduced = parse(Z7_CERT.replace("gen x = (1,0)", "gen x = (6,0)"))
+    assert reduced.abelian_images == ((6, 0), (0, 1))
+
+
+# (certificate, replacement for its first matrix line, the error message
+# the parser gave before matrix lines were read as ints, and still gives)
+MALFORMED_MATRIX_LINES = [
+    ("fig8", "gen a = [[1+0*w,0+0*w],[0+0*w,2+0*w]]", "line 7: matrix determinant is 2+0*w, not 1"),
+    ("fig8", "gen a = [[7+0*w,0+0*w],[0+0*w,3+0*w]]", "line 7: coordinate 7 out of range for p=5"),
+    ("fig8", "gen a = [[2+5*w,0+0*w],[0+0*w,3+0*w]]", "line 7: coordinate 5 out of range for p=5"),
+    ("deg1", "gen x = [[0,1],[337,0]]", "line 9: coordinate 337 out of range for p=337"),
+    ("deg1", "gen x = [[2,0],[0,2]]", "line 9: matrix determinant is 4, not 1"),
+    (
+        "deg1",
+        "gen x = [[3+1*w,1],[336,0]]",
+        "line 9: invalid literal for int() with base 10: '3+1*w'",
+    ),
+    ("deg1", "gen x = [[0,1],[336,1*w]]", "line 9: invalid literal for int() with base 10: '1*w'"),
+    ("fig8", "gen a = [[2+0*v,0+0*w],[0+0*w,3+0*w]]", "line 7: bad degree-2 element syntax: '2+0*v'"),
+    ("fig8", "gen a = [[2+0,0+0*w],[0+0*w,3+0*w]]", "line 7: bad degree-2 element syntax: '2+0'"),
+    ("fig8", "gen a = [[2,0+0*w],[0+0*w,3+0*w]]", "line 7: bad degree-2 element syntax: '2'"),
+    ("fig8", "gen a = [[2*w,0+0*w],[0+0*w,3+0*w]]", "line 7: bad degree-2 element syntax: '2*w'"),
+    ("fig8", "gen a = [[2-0*w,0+0*w],[0+0*w,3+0*w]]", "line 7: bad degree-2 element syntax: '2-0*w'"),
+    (
+        "fig8",
+        "gen a = [[2+0*w*w,0+0*w],[0+0*w,3+0*w]]",
+        "line 7: invalid literal for int() with base 10: '0*w'",
+    ),
+    ("fig8", "gen a = [[+0*w,0+0*w],[0+0*w,3+0*w]]", "line 7: invalid literal for int() with base 10: ''"),
+    ("fig8", "gen a = [[x+0*w,0+0*w],[0+0*w,3+0*w]]", "line 7: invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("name,new,message", MALFORMED_MATRIX_LINES)
+def test_malformed_matrix_line_errors_are_unchanged(name, new, message):
+    old = FIG8_A if name == "fig8" else DEG1_X
+    with pytest.raises(CertificateSyntaxError) as info:
+        parse(certificate_text(name).replace(old, new, 1))
+    assert str(info.value) == message
 
 
 # ----------------------------------------------------------------------

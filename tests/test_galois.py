@@ -15,6 +15,8 @@ from lenscert.galois import (
     is_prime,
     is_quadratic_residue,
     linnik_ratio,
+    parse_coords,
+    parse_decimal,
     parse_field_element,
     primitive_root,
     quadratic_extension,
@@ -163,6 +165,29 @@ def test_element_serialization_roundtrip():
         assert str(parse_field_element(text, spec2)) == text
     spec1 = FieldSpec(13)
     assert str(parse_field_element("11", spec1)) == "11"
+
+
+def test_parse_decimal_accepts_only_canonical_ascii():
+    for text in ("0", "7", "10", "337", "123456789012345678901234567890"):
+        assert parse_decimal(text) == int(text)
+        assert str(parse_decimal(text)) == text
+    for text in ("", "00", "07", "0_1", "1_000", "+1", "-1", "-0", " 1", "1 ", "٣", "²", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            parse_decimal(text)
+
+
+def test_field_element_parser_uses_the_decimal_rule():
+    spec1, spec2 = FieldSpec(13), quadratic_extension(13)
+    assert parse_coords("12", spec1) == (12, 0)
+    assert parse_coords("0+12*w", spec2) == (0, 12)
+    for text, spec in (("012", spec1), ("+1", spec1), (" 1", spec1), ("1+01*w", spec2),
+                       ("1++1*w", spec2), ("0_1+1*w", spec2), ("1+1*w ", spec2)):
+        with pytest.raises(ValueError):
+            parse_field_element(text, spec)
+    with pytest.raises(ValueError, match="coordinate 13 out of range for p=13"):
+        parse_field_element("1+13*w", spec2)
+    with pytest.raises(ValueError, match="bad degree-2 element syntax"):
+        parse_field_element("1-1*w", spec2)
 
 
 # ----------------------------------------------------------------------

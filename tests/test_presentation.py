@@ -59,6 +59,24 @@ def test_word_inverse_cancels(letters):
     assert (w * w.inverse()).reduced() == Word()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=12)
+)
+def test_is_reduced_agrees_with_reduction(letters):
+    w = Word(tuple(letters))
+    assert w.is_reduced() == (w.reduced() == w)
+    assert w.reduced().is_reduced()
+
+
+def test_is_reduced_small_cases():
+    assert Word().is_reduced()
+    assert Word(((0, -1),)).is_reduced()
+    assert Word(((0, 1), (0, 1), (1, -1), (0, -1))).is_reduced()
+    assert not Word(((0, 1), (1, 1), (1, -1))).is_reduced()
+    assert not Word(((1, -1), (1, 1))).is_reduced()
+
+
 def test_word_format_roundtrip():
     labels = ("a", "b")
     w = parse_word("a b^-1 a a", labels)

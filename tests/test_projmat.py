@@ -167,6 +167,105 @@ def test_spec_mismatch_rejected():
     b = ProjMatrix.identity(SPEC337)
     with pytest.raises(ValueError):
         a.mul(b)
+    with pytest.raises(ValueError):
+        evaluate_word([a, b], Word(((0, 1), (1, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sl2_entries())
+def test_str_formats_entries(entries):
+    m = ProjMatrix(*entries)
+    assert str(m) == f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sl2_entries())
+def test_from_coords_matches_field_constructor(entries):
+    m = ProjMatrix(*entries)
+    coords = tuple(x for e in entries for x in (e.a, e.b))
+    assert ProjMatrix.from_coords(m.spec, coords) == m
+    assert ProjMatrix.from_coords(m.spec, coords).coords == m.coords
+
+
+def test_from_coords_checks_its_input():
+    spec25 = quadratic_extension(5)
+    assert ProjMatrix.from_coords(SPEC5, (1, 0, 1, 0, 0, 0, 1, 0)).coords == (1, 0, 1, 0, 0, 0, 1, 0)
+    with pytest.raises(ValueError, match="matrix determinant is 2, not 1"):
+        ProjMatrix.from_coords(SPEC5, (1, 0, 0, 0, 0, 0, 2, 0))
+    with pytest.raises(ValueError, match="determinant is 2\\+0\\*w"):
+        ProjMatrix.from_coords(spec25, (1, 0, 0, 0, 0, 0, 2, 0))
+    with pytest.raises(ValueError, match="coordinates"):
+        ProjMatrix.from_coords(SPEC5, (6, 0, 0, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match="coordinates"):
+        ProjMatrix.from_coords(SPEC5, (-4, 0, 0, 0, 0, 0, 4, 0))
+    with pytest.raises(ValueError, match="coordinates"):
+        ProjMatrix.from_coords(SPEC5, (1, 0, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="w coordinate"):
+        ProjMatrix.from_coords(SPEC5, (1, 1, 0, 0, 0, 0, 1, 0))
+
+
+def _oracle_fold(spec, factors):
+    """Left fold of oracles.matrix_product from the identity."""
+    one, zero = spec.one(), spec.zero()
+    out = (one, zero, zero, one)
+    for entries in factors:
+        out = matrix_product(out, entries)
+    return out
+
+
+@st.composite
+def images_and_word(draw):
+    """1-3 generator images over one field and a word in them, not
+    necessarily reduced, that may use ^-1 letters."""
+    spec = draw(st.sampled_from(SPECS))
+    k = draw(st.integers(1, 3))
+    images = [draw(sl2_entries(specs=(spec,))) for _ in range(k)]
+    letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+    return spec, images, Word(tuple(draw(st.lists(letter, max_size=14))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images_and_word(), st.integers(0, 50), st.integers(0, 500))
+def test_evaluate_word_matches_oracle_fold(case, mults_before, ops_before):
+    spec, entries, word = case
+    images = [ProjMatrix(*e) for e in entries]
+    factors = [entries[g] if e == 1 else matrix_inverse(entries[g]) for g, e in word.letters]
+    counter = OpCounter(mults_before, ops_before)
+    value = evaluate_word(images, word, counter)
+    assert equal_up_to_sign(value.entries(), _oracle_fold(spec, factors))
+    inverse_letters = sum(e == -1 for _, e in word.letters)
+    assert counter.mat_mults - mults_before == len(word)
+    assert counter.field_ops - ops_before == 12 * len(word) + 2 * inverse_letters
+    # the same totals as one ProjMatrix.mul per letter and one inverse per ^-1
+    stepwise, product = OpCounter(), ProjMatrix.identity(spec)
+    for g, e in word.letters:
+        product = product.mul(images[g] if e == 1 else images[g].inverse(stepwise), stepwise)
+    assert product == value
+    assert (stepwise.mat_mults, stepwise.field_ops) == (
+        counter.mat_mults - mults_before,
+        counter.field_ops - ops_before,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(images_and_word(), st.integers(0, 5))
+def test_evaluate_word_rejects_unmapped_generator(case, excess):
+    spec, entries, word = case
+    images = [ProjMatrix(*e) for e in entries]
+    bad = Word(word.letters + ((len(images) + excess, 1),))
+    with pytest.raises(ValueError, match="no image"):
+        evaluate_word(images, bad, OpCounter())
+    with pytest.raises(ValueError):
+        evaluate_word([], word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl2_entries(), st.integers(-20, 20))
+def test_power_matches_oracle_fold(entries, n):
+    m = ProjMatrix(*entries)
+    factor = entries if n >= 0 else matrix_inverse(entries)
+    assert equal_up_to_sign(m.power(n).entries(), _oracle_fold(m.spec, [factor] * abs(n)))
+    assert m.power(n) == evaluate_word([m], Word(((0, 1 if n >= 0 else -1),) * abs(n)))
 
 
 # ----------------------------------------------------------------------

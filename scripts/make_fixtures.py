@@ -40,7 +40,7 @@ from lenscert.certificate import (
     serialize,
     verify,
 )
-from lenscert.galois import quadratic_extension, sqrt_mod_p
+from lenscert.galois import FieldSpec, quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
 from lenscert.projmat import ProjMatrix
@@ -358,7 +358,7 @@ def find_one_vertex(t: int = 2) -> Triangulation:
 
 
 def figure8_certificate() -> Certificate:
-    spec = quadratic_extension(5)
+    spec = quadratic_extension(FieldSpec(5))
     x = spec.element(sqrt_mod_p(spec.p - 1, spec.p))  # a square root of -1
     a_img = ProjMatrix(x, spec.zero(), spec.zero(), -x)
     b_img = ProjMatrix(x, -x, spec.zero(), -x)

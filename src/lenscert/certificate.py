@@ -9,6 +9,7 @@ is canonical: serialize(parse(serialize(c))) is byte-identical.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -147,14 +148,16 @@ def serialize(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-# digit runs are read by galois.parse_decimal, which accepts canonical decimals only
+# Tokens are separated by single spaces, as serialize writes them, and digit
+# runs are read by galois.parse_decimal, which accepts canonical decimals only.
 _MATRIX_RE = re.compile(
-    r"^gen\s+(\w+)\s*=\s*\[\[([^\],]+),([^\],]+)\],\[([^\],]+),([^\],]+)\]\]$"
+    r"^gen (\w+) = \[\[([^\],]+),([^\],]+)\],\[([^\],]+),([^\],]+)\]\]$"
 )
-_ABELIAN_RE = re.compile(r"^gen\s+(\w+)\s*=\s*\(([0-9]+),([0-9]+)\)$")
-_TARGET_RE = re.compile(r"^target\s+Z/([0-9]+)\s*x\s*Z/([0-9]+)$")
-_FIELD_RE = re.compile(r"^field\s+p=([0-9]+)\s+deg=([0-9]+)(?:\s+s=([0-9]+))?$")
-_SURJ_RE = re.compile(r"^gen\s+(\w+)\s*->\s*(.*)$")
+_ABELIAN_RE = re.compile(r"^gen (\w+) = \(([0-9]+),([0-9]+)\)$")
+_TARGET_RE = re.compile(r"^target Z/([0-9]+) x Z/([0-9]+)$")
+_FIELD_RE = re.compile(r"^field p=([0-9]+) deg=([0-9]+)(?: s=([0-9]+))?$")
+# an empty word leaves "gen <name> ->" once the line is stripped
+_SURJ_RE = re.compile(r"^gen (\w+) ->(?: (.*))?$")
 
 
 class _Reader:
@@ -203,11 +206,11 @@ def _letter_table(labels: tuple[str, ...]) -> dict[str, tuple[int, int]]:
 def _parse_reduced_word(
     reader: _Reader, text: str, letters: dict[str, tuple[int, int]]
 ) -> Word:
-    """A certificate word: one letter per token, so parse and evaluation
-    cost stay linear in the text.  Any exponent other than `^-1` is a
-    syntax error."""
+    """A certificate word: one letter per single-space-separated token, so
+    parse and evaluation cost stay linear in the text.  Any exponent other
+    than `^-1` is a syntax error."""
     try:
-        word = Word(tuple(map(letters.__getitem__, text.split())))
+        word = Word(tuple(map(letters.__getitem__, text.split(" ") if text else ())))
     except KeyError as exc:
         token = exc.args[0]
         name, caret, _ = token.partition("^")
@@ -228,17 +231,17 @@ def parse(text: str) -> Certificate:
     line = reader.next()
     if not line.startswith("kind "):
         raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
-    kind = line[5:].strip()
+    kind = line[5:]
 
     level = None
     line = reader.next()
     if line.startswith("level "):
-        level = line[6:].strip()
+        level = line[6:]
         line = reader.next()
 
     if not line.startswith("gens "):
         raise reader.error("expected 'gens <g> <labels...>'")
-    parts = line.split()
+    parts = line.split(" ")
     try:
         g = parse_decimal(parts[1])
     except (IndexError, ValueError):
@@ -258,8 +261,8 @@ def parse(text: str) -> Certificate:
     if not line.startswith("rels "):
         raise reader.error("expected 'rels <r>'")
     try:
-        r = parse_decimal(line.split()[1])
-    except (IndexError, ValueError):
+        r = parse_decimal(line[5:])
+    except ValueError:
         raise reader.error("bad relator count") from None
     letters = _letter_table(labels)
     relators = tuple(
@@ -348,7 +351,7 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
             sm = _SURJ_RE.match(reader.next())
             if not sm:
                 raise reader.error("expected 'gen <name> -> <word>'")
-            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2), rep_letters)
+            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2) or "", rep_letters)
         if set(words) != set(pres.labels):
             raise reader.error("surjection does not cover the generators")
         surjection = tuple(words[lab] for lab in pres.labels)
@@ -356,10 +359,9 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     line = reader.next()
     if not line.startswith("witness "):
         raise reader.error("expected 'witness <word1> | <word2>'")
-    body = line[len("witness "):]
-    if "|" not in body:
-        raise reader.error("witness needs two words separated by '|'")
-    left, right = body.split("|", 1)
+    left, bar, right = line[len("witness "):].partition(" | ")
+    if not bar:
+        raise reader.error("witness needs two words separated by ' | '")
     letters = _letter_table(pres.labels)
     witness = (
         _parse_reduced_word(reader, left, letters),
@@ -404,31 +406,24 @@ def _push(cert: Certificate, word: Word) -> Word:
 def subgroup_invariants(
     a: int, b: int, images: tuple[tuple[int, int], ...]
 ) -> tuple[int, int]:
-    """Invariant factors (s1 | s2) of the subgroup of Z/a x Z/b generated
-    by the images, via two Smith normal forms of small integer lattices."""
-    rows = [list(img) for img in images] + [[a, 0], [0, b]]
-    snf = smith_normal_form(IntMatrix(rows, cols=2), want_transforms=True)
-    d1, d2 = snf.diag[0], snf.diag[1]
-    v = snf.v
-    assert v is not None
-    det_v = v.det()
-    # inverse of the unimodular 2x2 V
-    vinv = [
-        [det_v * v[1, 1], -det_v * v[0, 1]],
-        [-det_v * v[1, 0], det_v * v[0, 0]],
-    ]
-    # rows of C are a basis for the lattice spanned by images and (a,0),(0,b)
-    c = [[d1 * vinv[0][0], d1 * vinv[0][1]], [d2 * vinv[1][0], d2 * vinv[1][1]]]
-    det_c = c[0][0] * c[1][1] - c[0][1] * c[1][0]
-    adj = [[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]
-    w = [[a * adj[0][0], a * adj[0][1]], [b * adj[1][0], b * adj[1][1]]]
-    for i in range(2):
-        for j in range(2):
-            if w[i][j] % det_c != 0:
-                raise ArithmeticError("subgroup lattice is not contained in its span")
-            w[i][j] //= det_c
-    inner = smith_normal_form(IntMatrix(w))
-    return inner.diag[0], inner.diag[1]
+    """Invariant factors (s1 | s2) of the subgroup H of Z/a x Z/b generated
+    by the images.  The lattice L spanned by the images, (a,0) and (0,b)
+    is kept as a Hermite basis (x, y), (0, z), one Euclid run per image;
+    then |H| = ab / det L = ab / xz, s2 is the exponent of H (the lcm of
+    the images' orders) and s1 = |H| / s2."""
+    x, y, z = a, 0, b
+    exponent = 1
+    for u, v in images:
+        u, v = u % a, v % b
+        exponent = math.lcm(exponent, a // math.gcd(u, a), b // math.gcd(v, b))
+        # Euclid on the first coordinates of (x, y) and (u, v), rows kept mod (0, z)
+        while u:
+            q = x // u
+            x, y, u, v = u, v, x - q * u, (y - q * v) % z
+        z = math.gcd(z, v)
+        y %= z
+    order = a * b // (x * z)
+    return order // exponent, exponent
 
 
 def _is_rotation(w1: Word, w2: Word) -> bool:
@@ -642,7 +637,7 @@ def parse_surjection(
         if name in words:
             raise CertificateSyntaxError(f"line {lineno}: generator {name!r} mapped twice")
         try:
-            word = parse_word(m.group(2), rep_labels)
+            word = parse_word(m.group(2) or "", rep_labels)
         except ValueError as exc:
             raise CertificateSyntaxError(f"line {lineno}: {exc}") from None
         if not word.is_reduced():

@@ -2,9 +2,25 @@
 
 F_{p^2} is realized as F_p[w] with w^2 = s for the smallest positive
 quadratic nonresidue s, so serialized elements are reproducible
-bit-for-bit.  Primality is decided by a deterministic Miller-Rabin base
-set valid below 3.3e24; anything larger is an error, never a
-probabilistic accept.
+bit-for-bit.
+
+Primality is decided by strong probable-prime tests to the first k prime
+bases, which are deterministic below psi_k, the least strong pseudoprime
+to all of them.  is_prime takes the smallest k whose psi_k exceeds n:
+
+    k   bases      n below psi_k
+    1   2          2047                        Pomerance, Selfridge and
+    2   2..3       1373653                     Wagstaff (1980)
+    3   2..5       25326001
+    4   2..7       3215031751
+    5   2..11      2152302898747               Jaeschke (1993)
+    6   2..13      3474749660383
+    7   2..17      341550071728321             (= psi_8)
+    9   2..23      3825123056546413051         Jiang and Deng (2014), = psi_10 = psi_11
+    12  2..37      318665857834031151167461    Sorenson and Webster (2017)
+    13  2..41      3317044064679887385961981
+
+Anything from psi_13 up is an error, never a probabilistic accept.
 """
 
 from __future__ import annotations
@@ -14,9 +30,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-# Sorenson-Webster: these bases are a deterministic primality test below this bound.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, the first k bases), from the table above
+_MR_RANGES = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+))
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -41,14 +61,14 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_LIMIT:
+    for psi, bases in _MR_RANGES:
+        if n < psi:
+            break
+    else:
         raise PrimalityBoundError(f"{n} exceeds the deterministic primality range")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -228,8 +248,16 @@ class FieldSpec:
                     yield FieldElement(self, a, b)
 
 
-def quadratic_extension(p: int) -> FieldSpec:
-    return FieldSpec(p, 2, smallest_nonresidue(p))
+def quadratic_extension(base: FieldSpec) -> FieldSpec:
+    """F_{p^2} over the prime field base.  p was checked when base was
+    built and s is a nonresidue by construction, so nothing is retested."""
+    if base.degree != 1:
+        raise ValueError("quadratic_extension needs a prime field")
+    ext = object.__new__(FieldSpec)
+    object.__setattr__(ext, "p", base.p)
+    object.__setattr__(ext, "degree", 2)
+    object.__setattr__(ext, "s", smallest_nonresidue(base.p))
+    return ext
 
 
 @dataclass(frozen=True)
@@ -298,14 +326,6 @@ class FieldElement:
             n >>= 1
         return out
 
-    def lift(self, spec: FieldSpec) -> "FieldElement":
-        """Embed a prime-field element into a degree-2 extension of the same p."""
-        if self.spec == spec:
-            return self
-        if self.spec.degree != 1 or spec.p != self.spec.p:
-            raise ValueError("can only lift F_p into F_{p^2}")
-        return FieldElement(spec, self.a, 0)
-
     def __str__(self) -> str:
         if self.spec.degree == 1:
             return str(self.a)
@@ -350,10 +370,11 @@ def primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root found modulo {p}")
 
 
-def root_of_unity(p: int, l: int) -> FieldElement:
+def root_of_unity(spec: FieldSpec, l: int) -> FieldElement:
     """Element of exact multiplicative order l in F_p, from the smallest
     primitive root; the order is verified against every maximal proper
-    divisor of l."""
+    divisor of l.  It is returned over spec, of characteristic p."""
+    p = spec.p
     if (p - 1) % l != 0:
         raise ValueError(f"{l} does not divide p-1 = {p - 1}")
     g = primitive_root(p)
@@ -361,7 +382,7 @@ def root_of_unity(p: int, l: int) -> FieldElement:
     for q in factorize(l):
         if pow(z, l // q, p) == 1:
             raise ArithmeticError(f"order verification failed for l={l}, p={p}")
-    return FieldElement(FieldSpec(p), z)
+    return FieldElement(spec, z)
 
 
 def element_order(x: FieldElement) -> int:

@@ -8,10 +8,9 @@ its pivot, so it costs about n^3 on an n x n matrix.  `abelianization`
 therefore first eliminates +-1 pivots sparsely (Dumas, Saunders and
 Villard, J. Symb. Comput. 2001): the exponent matrix of a triangulation's
 presentation has at most 3 nonzeros per row, mostly +-1, and what is left
-for the dense SNF is a small core.  Callers that need the column
-transform V (`certificate.noncyclic_certificate`, `subgroup_invariants`)
-call the dense SNF on the whole matrix, since the sparse pass tracks no
-transforms; their matrices are small.
+for the dense SNF is a small core.  `certificate.noncyclic_certificate`
+needs the column transform V, so it calls the dense SNF on the whole
+matrix, since the sparse pass tracks no transforms.
 """
 
 from __future__ import annotations
@@ -62,30 +61,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

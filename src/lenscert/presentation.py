@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .galois import parse_decimal
 from .triangulation import (
     DIRECTED_INDEX,
     DIRECTED_PAIRS,
@@ -136,18 +137,22 @@ MAX_WORD_EXPONENT = 100
 
 
 def parse_word(text: str, labels: tuple[str, ...]) -> Word:
-    """Tokens `label` or `label^k` with |k| <= MAX_WORD_EXPONENT."""
+    """Tokens `label` or `label^k` with |k| <= MAX_WORD_EXPONENT, k a
+    canonical decimal (galois.parse_decimal) after an optional '-'."""
     # one shared (gen, +1) and (gen, -1) tuple per label, not one per letter
     letter_of = {lab: ((k, 1), (k, -1)) for k, lab in enumerate(labels)}
     letters: list[tuple[int, int]] = []
     for token in text.split():
-        name, _, exp_text = token.partition("^")
+        name, caret, exp_text = token.partition("^")
         if name not in letter_of:
             raise ValueError(f"unknown generator {name!r} in word")
         exp = 1
-        if exp_text:
+        if caret:
             try:
-                exp = int(exp_text)
+                if exp_text[:1] == "-":
+                    exp = -parse_decimal(exp_text[1:])
+                else:
+                    exp = parse_decimal(exp_text)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
             if abs(exp) > MAX_WORD_EXPONENT:

@@ -6,6 +6,8 @@ c = cos(pi/n1), y to a conjugate of the same shape, and everything is
 reduced modulo a prime p = 1 (mod 2*lcm(n1,n2,n3)) so the cosines become
 explicit roots of unity sums in F_p.  The parameter r solves a quadratic
 whose discriminant decides whether F_p suffices or F_{p^2} is needed.
+That construction runs on plain ints modulo p over one FieldSpec per
+triple; FieldElement appears only in the returned ReducedRepData.
 Non-hyperbolic triples get either a (Z/d)^2 abelian image or a small
 dihedral / spherical matrix image found by bounded search.
 """
@@ -23,7 +25,6 @@ from .galois import (
     FieldSpec,
     euler_phi,
     imaginary_unit,
-    is_quadratic_residue,
     quadratic_extension,
     root_of_unity,
     smallest_prime_in_progression,
@@ -84,61 +85,55 @@ def triangle_presentation(t: TriangleType) -> GroupPresentation:
 
 
 def reduced_cosines(
-    p: int, ell: int, triple: tuple[int, int, int]
-) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
-    """(zeta, C1, C2, C3) with zeta of exact order ell in F_p and
-    C_k = zeta^(ell/2n_k) + zeta^(-ell/2n_k), the image of 2cos(pi/n_k)."""
+    spec: FieldSpec, ell: int, triple: tuple[int, int, int]
+) -> tuple[int, int, int, int]:
+    """(zeta, C1, C2, C3) as ints in [0, p): zeta of exact order ell in the
+    prime field spec and C_k = zeta^(ell/2n_k) + zeta^(-ell/2n_k), the
+    image of 2cos(pi/n_k)."""
+    p = spec.p
     if (p - 1) % ell != 0:
         raise ValueError(f"p={p} is not 1 mod ell={ell}")
-    zeta = root_of_unity(p, ell)
-    cs = []
-    for n in triple:
-        zk = zeta ** (ell // (2 * n))
-        cs.append(zk + zk.inverse())
-    return (zeta, cs[0], cs[1], cs[2])
+    z = root_of_unity(spec, ell).a
+    # zeta^-k = zeta^(ell-k), as zeta has order ell
+    c1, c2, c3 = (
+        (pow(z, k, p) + pow(z, ell - k, p)) % p for k in (ell // (2 * n) for n in triple)
+    )
+    return (z, c1, c2, c3)
 
 
-def solve_r(
-    spec: FieldSpec, c1: FieldElement, c2: FieldElement, c3: FieldElement
-) -> tuple[FieldSpec, FieldElement]:
-    """Root of r^2 + r(C1-C2) + (2 - C1*C2 - C3) over F_p, upgrading to
-    F_{p^2} when the discriminant is a nonresidue."""
+def solve_r(spec: FieldSpec, c1: int, c2: int, c3: int) -> tuple[FieldSpec, tuple[int, int]]:
+    """Root (r0, r1), meaning r0 + r1*w, of r^2 + r(C1-C2) + (2 - C1*C2 - C3)
+    for C_k in the prime field spec: over F_p when the discriminant is a
+    square there, else over F_{p^2} = F_p[w] (and then r0 = -(C1-C2)/2)."""
     if spec.degree != 1:
         raise ValueError("solve_r starts from the prime field")
     p = spec.p
-    two = spec.element(2)
-    lin = c1 - c2
-    const = two - c1 * c2 - c3
-    disc = lin * lin - spec.element(4) * const
-    if is_quadratic_residue(disc.a, p):
-        root = sqrt_mod_p(disc.a, p)
-        assert root is not None
-        out_spec = spec
-        sqrt_disc = spec.element(root)
+    half = (p + 1) // 2
+    lin = (c1 - c2) % p
+    const = (2 - c1 * c2 - c3) % p
+    disc = (lin * lin - 4 * const) % p
+    root = sqrt_mod_p(disc, p)
+    if root is not None:
+        out_spec, r0, r1 = spec, (root - lin) * half % p, 0
     else:
-        out_spec = quadratic_extension(p)
-        scaled = disc.a * pow(out_spec.s, p - 2, p) % p  # disc/s is a residue
-        u = sqrt_mod_p(scaled, p)
+        out_spec = quadratic_extension(spec)
+        u = sqrt_mod_p(disc * pow(out_spec.s, p - 2, p), p)  # disc/s is a residue
         assert u is not None
-        sqrt_disc = out_spec.element(0, u)
-        lin = lin.lift(out_spec)
-        c1, c2, c3 = (x.lift(out_spec) for x in (c1, c2, c3))
-    r = (sqrt_disc - lin) * out_spec.element(2).inverse()
-    check = r * r + r * lin + (out_spec.element(2) - c1 * c2 - c3)
-    if not check.is_zero():
+        r0, r1 = -lin * half % p, u * half % p
+    s = out_spec.s or 0
+    # r^2 + r*lin + const, with w^2 = s
+    if (r0 * r0 + s * r1 * r1 + r0 * lin + const) % p or (2 * r0 + lin) * r1 % p:
         raise RepVerificationError("r does not satisfy its quadratic")
-    return out_spec, r
+    return out_spec, (r0, r1)
 
 
-def _standard_matrix(c: FieldElement) -> ProjMatrix:
+def _standard_matrix(spec: FieldSpec, c: int) -> ProjMatrix:
     """[[C, 1], [-1, 0]]: determinant 1, trace the cosine value."""
-    spec = c.spec
-    return ProjMatrix(c, spec.one(), -spec.one(), spec.zero())
+    return ProjMatrix.from_coords(spec, (c, 0, 1, 0, spec.p - 1, 0, 0, 0))
 
 
-def _translation(r: FieldElement) -> ProjMatrix:
-    spec = r.spec
-    return ProjMatrix(spec.one(), r, spec.zero(), spec.one())
+def _translation(spec: FieldSpec, r0: int, r1: int) -> ProjMatrix:
+    return ProjMatrix.from_coords(spec, (1, 0, r0, r1, 0, 0, 1, 0))
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,14 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
     if t.d != 1:
         raise ValueError("triple has a common divisor; use the abelian certificate")
     p = smallest_prime_in_progression(t.ell, ceiling)
-    zeta, c1, c2, c3 = reduced_cosines(p, t.ell, t.triple)
-    spec, r = solve_r(FieldSpec(p), c1, c2, c3)
-    c1, c2, c3 = (x.lift(spec) for x in (c1, c2, c3))
+    base = FieldSpec(p)
+    zeta, c1, c2, c3 = reduced_cosines(base, t.ell, t.triple)
+    spec, r = solve_r(base, c1, c2, c3)
 
-    x_img = _standard_matrix(c1)
-    t_r = _translation(r)
-    y_img = t_r.mul(_standard_matrix(c2)).mul(t_r.inverse())
+    x_img = _standard_matrix(spec, c1)
+    t_r = _translation(spec, *r)
+    y_img = t_r.mul(_standard_matrix(spec, c2)).mul(t_r.inverse())
+    c1, c2, c3 = (FieldElement(spec, c) for c in (c1, c2, c3))
 
     xy = x_img.mul(y_img)
     yx = y_img.mul(x_img)
@@ -195,11 +191,11 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
         ell=t.ell,
         p=p,
         spec=spec,
-        zeta=zeta,
+        zeta=FieldElement(base, zeta),
         c1=c1,
         c2=c2,
         c3=c3,
-        r=r,
+        r=FieldElement(spec, *r),
         x_image=x_img,
         y_image=y_img,
     )
@@ -243,7 +239,7 @@ _SPHERICAL_FIELDS = (
     FieldSpec(3),
     FieldSpec(5),
     FieldSpec(7),
-    quadratic_extension(3),  # F_9
+    quadratic_extension(FieldSpec(3)),  # F_9
 )
 
 
@@ -300,7 +296,7 @@ def _dihedral_cert(t: TriangleType) -> TriangleCertData:
 
     m = t.n3
     p = min(factorize(m))
-    spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(p)
+    spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(FieldSpec(p))
     i = imaginary_unit(spec)
     zero = spec.zero()
     x_img = ProjMatrix(i, zero, zero, -i)

@@ -4,7 +4,10 @@ Everything here is implemented from first principles, separately from
 the library: invariant factors come from gcds of minors, orientability
 from trying all 2^t sign assignments, homology from cellular boundary
 matrices, link Euler characteristics from explicit corner-piece orbit
-counts.  Slow is fine; these only run at fixture scale.
+counts.  Slow is fine; these only run at fixture scale.  The exceptions
+are the triangle cosines, solve_r and subgroup invariants below: they
+are the library's earlier FieldElement and Smith-normal-form versions,
+kept as references for the int code that replaced them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,14 @@ import math
 import random
 from fractions import Fraction
 
+from lenscert.galois import (
+    FieldSpec,
+    is_quadratic_residue,
+    quadratic_extension,
+    root_of_unity,
+    sqrt_mod_p,
+)
+from lenscert.intlinalg import IntMatrix, smith_normal_form
 from lenscert.triangulation import (
     FacePairing,
     Permutation4,
@@ -393,3 +404,66 @@ def naive_projective_order(m, limit: int) -> int:
             return k
         power = matrix_product(power, m)
     raise AssertionError(f"no projective order up to {limit}")
+
+
+# ----------------------------------------------------------------------
+# the triangle construction on FieldElement, as the library computed it
+# before it moved to plain ints
+
+
+def field_reduced_cosines(p: int, ell: int, triple):
+    """(zeta, C1, C2, C3) as FieldElements of F_p: C_k = z^k + z^-k with
+    k = ell/2n_k, the inverse taken in the field."""
+    zeta = root_of_unity(FieldSpec(p), ell)
+    cs = []
+    for n in triple:
+        zk = zeta ** (ell // (2 * n))
+        cs.append(zk + zk.inverse())
+    return (zeta, cs[0], cs[1], cs[2])
+
+
+def field_solve_r(spec: FieldSpec, c1, c2, c3):
+    """(spec, r) with r a root of r^2 + r(C1-C2) + (2 - C1*C2 - C3), in
+    F_p when the discriminant is a residue and in F_{p^2} otherwise."""
+    p = spec.p
+    two = spec.element(2)
+    lin = c1 - c2
+    const = two - c1 * c2 - c3
+    disc = lin * lin - spec.element(4) * const
+    if is_quadratic_residue(disc.a, p):
+        out_spec = spec
+        sqrt_disc = spec.element(sqrt_mod_p(disc.a, p))
+    else:
+        out_spec = quadratic_extension(spec)
+        scaled = disc.a * pow(out_spec.s, p - 2, p) % p
+        sqrt_disc = out_spec.element(0, sqrt_mod_p(scaled, p))
+        lin, c1, c2, c3 = (out_spec.element(x.a) for x in (lin, c1, c2, c3))
+    r = (sqrt_disc - lin) * out_spec.element(2).inverse()
+    assert (r * r + r * lin + (out_spec.element(2) - c1 * c2 - c3)).is_zero()
+    return out_spec, r
+
+
+def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:
+    """Invariant factors (s1 | s2) of the subgroup of Z/a x Z/b generated by
+    the images, from two Smith normal forms: one gives a basis C of the
+    lattice L spanned by the images, (a,0) and (0,b); the other the
+    invariant factors of a*Z + b*Z in the coordinates of C."""
+    rows = [list(img) for img in images] + [[a, 0], [0, b]]
+    snf = smith_normal_form(IntMatrix(rows, cols=2), want_transforms=True)
+    d1, d2 = snf.diag[0], snf.diag[1]
+    v = snf.v
+    det_v = det_int(v.entries)
+    vinv = [
+        [det_v * v[1, 1], -det_v * v[0, 1]],
+        [-det_v * v[1, 0], det_v * v[0, 0]],
+    ]
+    c = [[d1 * vinv[0][0], d1 * vinv[0][1]], [d2 * vinv[1][0], d2 * vinv[1][1]]]
+    det_c = c[0][0] * c[1][1] - c[0][1] * c[1][0]
+    adj = [[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]
+    w = [[a * adj[0][0], a * adj[0][1]], [b * adj[1][0], b * adj[1][1]]]
+    for i in range(2):
+        for j in range(2):
+            assert w[i][j] % det_c == 0
+            w[i][j] //= det_c
+    inner = smith_normal_form(IntMatrix(w))
+    return inner.diag[0], inner.diag[1]

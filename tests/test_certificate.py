@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from lenscert.projmat import ProjMatrix
+from oracles import snf_subgroup_invariants
 
 
 def fig8_certificate() -> Certificate:
@@ -102,6 +104,19 @@ def test_unlabelled_generator_count_is_capped_by_lines_left():
     with pytest.raises(CertificateSyntaxError, match="generator count"):
         parse("lenscert v1\nkind NonAbelianRep\ngens 1000000000\nrels 0\n")
     assert time.monotonic() - start < 0.5
+
+
+def test_composite_characteristic_exits_two(tmp_path, capsys):
+    # 399165290221 * 798330580441: a strong pseudoprime to every prime base
+    # up to 37, so only base 41 shows it composite
+    psi_12 = 318665857834031151167461
+    text = UNLABELLED_CERT.replace("field p=5 deg=1", f"field p={psi_12} deg=1")
+    with pytest.raises(CertificateSyntaxError, match="odd prime"):
+        parse(text)
+    path = tmp_path / "composite.cert"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_surjection_file_exponent_is_capped():
@@ -184,6 +199,103 @@ def test_non_canonical_integer_is_syntax_error(name, old, new, tmp_path, capsys)
     path.write_text(text, encoding="utf-8")
     assert cli_main(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+SURJ_CERT = serialize(
+    pipeline(
+        load_fixture("prism_q12.tri"), (2, 2, 3), surjection_text=fixture_text("prism_q12.surj")
+    )[0]
+)
+FIG8_RELATOR = "a b a^-1 b^-1 a b a b^-1 a^-1 b^-1"
+
+# (certificate, line, replacement): each spaces a line's tokens other than
+# serialize does, which parse read the same before and then failed to round-trip
+NON_CANONICAL_SPACING = [
+    ("fig8", "kind NonAbelianRep", "kind  NonAbelianRep"),
+    ("fig8", "gens 2 a b", "gens  2 a b"),
+    ("fig8", "gens 2 a b", "gens 2  a b"),
+    ("fig8", "rels 1", "rels  1"),
+    ("fig8", "rels 1", "rels 1 a"),
+    ("fig8", FIG8_RELATOR, FIG8_RELATOR.replace("a b", "a  b", 1)),
+    ("fig8", "field p=5 deg=2 s=2", "field  p=5 deg=2 s=2"),
+    ("fig8", "field p=5 deg=2 s=2", "field p=5  deg=2 s=2"),
+    ("fig8", FIG8_A, FIG8_A.replace(" = ", "  =  ")),
+    ("fig8", FIG8_A, FIG8_A.replace("gen ", "gen  ")),
+    ("fig8", "witness a b | b a", "witness a  b |  b a"),
+    ("fig8", "witness a b | b a", "witness a b|b a"),
+    ("fig8", "witness a b | b a", "witness a b  | b a"),
+    ("z7", "target Z/7 x Z/7", "target Z/7  x Z/7"),
+    ("z7", "target Z/7 x Z/7", "target  Z/7 x Z/7"),
+    ("z7", "gen x = (1,0)", "gen x  = (1,0)"),
+    ("surj", "gen x3 -> x y x", "gen x3 ->  x y x"),
+    ("surj", "gen x3 -> x y x", "gen x3  -> x y x"),
+    ("surj", "gen x3 -> x y x", "gen x3 -> x  y x"),
+]
+
+
+def spaced_text(name: str) -> str:
+    return SURJ_CERT if name == "surj" else certificate_text(name)
+
+
+@pytest.mark.parametrize("name,old,new", NON_CANONICAL_SPACING)
+def test_non_canonical_spacing_is_syntax_error(name, old, new, tmp_path, capsys):
+    text = spaced_text(name)
+    assert old in text.splitlines()
+    mutated = text.replace(old, new, 1)
+    with pytest.raises(CertificateSyntaxError):
+        parse(mutated)
+    path = tmp_path / "spaced.cert"
+    path.write_text(mutated, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_empty_words_round_trip():
+    """An empty relator or surjection word serializes to an empty field,
+    and the parser reads it back."""
+    cert = parse(SURJ_CERT)
+    empty = Word(())
+    edited = replace(
+        cert,
+        presentation=GroupPresentation(4, (empty,), cert.presentation.labels),
+        surjection=(empty,) + cert.surjection[1:],
+    )
+    text = serialize(edited)
+    assert "\n\n" in text and "gen x0 -> \n" in text
+    assert parse(text) == edited
+    assert serialize(parse(text)) == text
+
+
+EMITTED_TEXTS = [
+    fixture_text("fig8.cert"),
+    DEG1_CERT,
+    Z7_CERT,
+    SURJ_CERT,
+    serialize(replace(triangle_certificate(3, 4, 5)[0], level="orbifold")),
+    serialize(pipeline(load_fixture("prism_q8.tri"), (2, 2, 2))[0]),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EMITTED_TEXTS), st.data())
+def test_spelling_edits_round_trip_or_are_syntax_errors(text, data):
+    """One edit inside a line of an emitted certificate (a character
+    deleted, or a space, tab, 0, +, - or _ inserted) gives text that either
+    parses and serializes back to itself or is a syntax error.  Edits at
+    either end of a line are left out: the reader strips lines."""
+    assert serialize(parse(text)) == text
+    inside = [i for i in range(1, len(text)) if text[i - 1] != "\n" and text[i] != "\n"]
+    i = data.draw(st.sampled_from(inside))
+    if data.draw(st.booleans()):
+        mutated = text[:i] + text[i + 1:]
+    else:
+        mutated = text[:i] + data.draw(st.sampled_from(" \t0+-_")) + text[i:]
+    assume(all(line == line.strip() for line in mutated.splitlines()))
+    try:
+        cert = parse(mutated)
+    except CertificateSyntaxError:
+        return
+    assert serialize(cert) == mutated
 
 
 def test_abelian_images_must_be_reduced():
@@ -471,6 +583,20 @@ def test_target_moduli_must_exceed_one():
         )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**6), st.integers(2, 10**6), st.data())
+def test_subgroup_invariants_match_snf_oracle(a, b, data):
+    """Moduli up to 10^6, equal or not; up to 50 images, with zero,
+    reduced and unreduced coordinates."""
+    b = data.draw(st.sampled_from([a, b, b % 30 + 2]))
+
+    def coordinate(m):
+        return st.one_of(st.just(0), st.integers(0, m - 1), st.integers(-2 * m, 2 * m))
+
+    images = data.draw(st.lists(st.tuples(coordinate(a), coordinate(b)), max_size=50))
+    assert subgroup_invariants(a, b, tuple(images)) == snf_subgroup_invariants(a, b, images)
+
+
 def test_subgroup_invariants_against_closure_oracle():
     rng = random.Random(20240812)
 
@@ -556,6 +682,12 @@ def test_surjection_certificate_roundtrip():
     assert "surjection" in text
     assert parse(text) == cert
     assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("token", ["x^+3", "y^0_2", "x^٣", "x^03", "x^", "x^--1"])
+def test_surjection_file_exponent_is_a_canonical_decimal(token):
+    with pytest.raises(CertificateSyntaxError, match="bad exponent"):
+        parse_surjection(f"gen a -> {token}\ngen b -> y\n", ("a", "b"))
 
 
 def test_surjection_must_cover_generators():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -201,6 +202,17 @@ def test_sweep_small():
     assert doc["triples"] == doc["built"] == doc["verified"]
     assert doc["embedding_witnesses"] == doc["triples"]
     assert out.returncode == 0
+
+
+# sha256 of `lenscert sweep --max-n 12 --json` stdout, computed before the
+# triangle construction moved from FieldElement to plain ints
+SWEEP_12_JSON_SHA256 = "4dffcf23d71873fa15c981bf9107144ebbb634eef94f8183b7684258f19d6cdf"
+
+
+def test_sweep_json_bytes_are_pinned():
+    out = run_cli("sweep", "--max-n", "12", "--json")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == SWEEP_12_JSON_SHA256
 
 
 def test_bounds_subcommand():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -48,6 +49,56 @@ def test_is_prime_carmichael_and_squares():
 def test_is_prime_bound_error():
     with pytest.raises(PrimalityBoundError):
         is_prime(2**89 - 1)
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_rejects_psi_k(k):
+    # psi_k passes the test to the first k bases, so a base set one short
+    # of what its range needs would call it prime
+    assert all(strong_probable_prime(PSI[k], a) for a in PRIME_BASES[:k])
+    assert not is_prime(PSI[k])
+
+
+def test_is_prime_range_ends_at_psi_13():
+    assert PSI[12] == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="odd prime"):
+        FieldSpec(PSI[12])
+    with pytest.raises(PrimalityBoundError):
+        is_prime(PSI[13])
+
+
+def test_is_prime_matches_trial_division_across_range_ends():
+    for psi in (PSI[1], PSI[2], PSI[3]):
+        for n in range(psi - 300, psi + 300):
+            expected = all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert is_prime(n) == expected, n
 
 
 @pytest.mark.parametrize("l,expected", [(2, 3), (4, 5), (84, 337)])
@@ -110,7 +161,7 @@ def test_add_in_f5():
 
 
 def test_sqrt_of_nonresidue_squares_to_it():
-    spec = quadratic_extension(5)
+    spec = quadratic_extension(FieldSpec(5))
     w = spec.element(0, 1)
     assert w * w == spec.element(2)
 
@@ -143,7 +194,7 @@ def test_field_axioms_prime_field(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(*(st.integers(0, 12) for _ in range(6)))
 def test_field_axioms_quadratic(a0, a1, b0, b1, c0, c1):
-    spec = quadratic_extension(13)
+    spec = quadratic_extension(FieldSpec(13))
     x, y, z = spec.element(a0, a1), spec.element(b0, b1), spec.element(c0, c1)
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
@@ -153,14 +204,14 @@ def test_field_axioms_quadratic(a0, a1, b0, b1, c0, c1):
 
 
 def test_pow_negative_exponent():
-    spec = quadratic_extension(7)
+    spec = quadratic_extension(FieldSpec(7))
     x = spec.element(3, 2)
     assert x**-3 == (x**3).inverse()
     assert x**0 == spec.one()
 
 
 def test_element_serialization_roundtrip():
-    spec2 = quadratic_extension(13)
+    spec2 = quadratic_extension(FieldSpec(13))
     for text in ("0+0*w", "5+12*w"):
         assert str(parse_field_element(text, spec2)) == text
     spec1 = FieldSpec(13)
@@ -177,7 +228,7 @@ def test_parse_decimal_accepts_only_canonical_ascii():
 
 
 def test_field_element_parser_uses_the_decimal_rule():
-    spec1, spec2 = FieldSpec(13), quadratic_extension(13)
+    spec1, spec2 = FieldSpec(13), quadratic_extension(FieldSpec(13))
     assert parse_coords("12", spec1) == (12, 0)
     assert parse_coords("0+12*w", spec2) == (0, 12)
     for text, spec in (("012", spec1), ("+1", spec1), (" 1", spec1), ("1+01*w", spec2),
@@ -232,32 +283,41 @@ def test_sqrt_euler_criterion():
 
 
 def test_root_of_unity_p5():
-    z = root_of_unity(5, 4)
+    z = root_of_unity(FieldSpec(5), 4)
     assert z.a in (2, 3)
     assert z.a == 2  # from the smallest primitive root
 
 
 def test_root_of_unity_p3():
-    assert root_of_unity(3, 2).a == 2
+    assert root_of_unity(FieldSpec(3), 2).a == 2
 
 
 def test_root_of_unity_337():
-    z = root_of_unity(337, 84)
+    z = root_of_unity(FieldSpec(337), 84)
     assert z**84 == z.spec.one()
     for q in (2, 3, 7):
         assert z ** (84 // q) != z.spec.one()
 
 
+def test_quadratic_extension_matches_checked_constructor():
+    for p in (3, 5, 7, 13, 17, 337, 1009):
+        ext = quadratic_extension(FieldSpec(p))
+        assert ext == FieldSpec(p, 2, smallest_nonresidue(p))
+        assert hash(ext) == hash(FieldSpec(p, 2, smallest_nonresidue(p)))
+    with pytest.raises(ValueError, match="prime field"):
+        quadratic_extension(quadratic_extension(FieldSpec(5)))
+
+
 def test_root_of_unity_rejects_bad_divisor():
     with pytest.raises(ValueError):
-        root_of_unity(337, 85)
+        root_of_unity(FieldSpec(337), 85)
 
 
 def test_root_of_unity_order_by_direct_check():
     # direct order check over all residues
     p, l = 5, 4
     candidates = [x for x in range(1, p) if all(pow(x, k, p) != 1 for k in range(1, l))]
-    z = root_of_unity(p, l)
+    z = root_of_unity(FieldSpec(p), l)
     assert z.a in candidates
 
 
@@ -265,11 +325,11 @@ def test_element_order_examples():
     spec = FieldSpec(337)
     assert element_order(spec.one()) == 1
     assert element_order(-spec.one()) == 2
-    assert element_order(root_of_unity(337, 84)) == 84
+    assert element_order(root_of_unity(FieldSpec(337), 84)) == 84
 
 
 def test_element_order_quadratic():
-    spec = quadratic_extension(5)
+    spec = quadratic_extension(FieldSpec(5))
     w = spec.element(0, 1)
     # w^2 = 2, which has order 4 mod 5, so w has order 8
     assert element_order(w) == 8
@@ -318,7 +378,7 @@ def test_imaginary_unit():
     spec = FieldSpec(5)
     i = imaginary_unit(spec)
     assert i * i == -spec.one()
-    spec9 = quadratic_extension(3)
+    spec9 = quadratic_extension(FieldSpec(3))
     j = imaginary_unit(spec9)
     assert j * j == -spec9.one()
     with pytest.raises(ValueError):

@@ -85,6 +85,13 @@ def test_word_format_roundtrip():
     assert parse_word("b^-2", labels) == Word(((1, -1),) * 2)
 
 
+@pytest.mark.parametrize("token", ["x^+3", "y^0_2", "x^٣", "x^03", "x^", "x^-", "x^--1"])
+def test_parse_word_exponent_is_a_canonical_decimal(token):
+    with pytest.raises(ValueError, match="bad exponent"):
+        parse_word(token, ("x", "y"))
+    assert parse_word("x^3 y^-2 x^0 y^-0", ("x", "y")) == Word(((0, 1),) * 3 + ((1, -1),) * 2)
+
+
 def test_parse_word_caps_exponent_before_expanding():
     labels = ("a",)
     limit = MAX_WORD_EXPONENT

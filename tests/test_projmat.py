@@ -32,11 +32,15 @@ SMALL_SPECS = (
     SPEC5,
     FieldSpec(17),
     FieldSpec(31),
-    quadratic_extension(3),
-    quadratic_extension(5),
-    quadratic_extension(7),
+    quadratic_extension(FieldSpec(3)),
+    quadratic_extension(FieldSpec(5)),
+    quadratic_extension(FieldSpec(7)),
 )
-SPECS = SMALL_SPECS + (SPEC337, quadratic_extension(17), quadratic_extension(337))
+SPECS = SMALL_SPECS + (
+    SPEC337,
+    quadratic_extension(FieldSpec(17)),
+    quadratic_extension(SPEC337),
+)
 
 
 @st.composite
@@ -73,7 +77,7 @@ def random_matrix(spec, rng):
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         ProjMatrix(SPEC5.element(1), SPEC5.zero(), SPEC5.zero(), SPEC5.element(2))
-    spec = quadratic_extension(5)
+    spec = quadratic_extension(FieldSpec(5))
     w = spec.element(0, 1)
     with pytest.raises(ValueError, match="determinant"):
         ProjMatrix(w, spec.zero(), spec.zero(), w)  # det = w^2 = s
@@ -125,7 +129,7 @@ def test_det_preserved_under_ops():
 
 
 def test_mixed_fields_rejected():
-    spec25 = quadratic_extension(5)
+    spec25 = quadratic_extension(FieldSpec(5))
     with pytest.raises(ValueError, match="different fields"):
         ProjMatrix(SPEC5.one(), SPEC5.zero(), spec25.zero(), SPEC5.one())
     with pytest.raises(ValueError, match="different fields"):
@@ -188,7 +192,7 @@ def test_from_coords_matches_field_constructor(entries):
 
 
 def test_from_coords_checks_its_input():
-    spec25 = quadratic_extension(5)
+    spec25 = quadratic_extension(FieldSpec(5))
     assert ProjMatrix.from_coords(SPEC5, (1, 0, 1, 0, 0, 0, 1, 0)).coords == (1, 0, 1, 0, 0, 0, 1, 0)
     with pytest.raises(ValueError, match="matrix determinant is 2, not 1"):
         ProjMatrix.from_coords(SPEC5, (1, 0, 0, 0, 0, 0, 2, 0))
@@ -277,7 +281,7 @@ def test_identity_order_one():
 
 
 def test_unipotent_order_p():
-    for spec in (SPEC5, SPEC337, quadratic_extension(3)):
+    for spec in (SPEC5, SPEC337, quadratic_extension(FieldSpec(3))):
         m = ProjMatrix(spec.one(), spec.one(), spec.zero(), spec.one())
         assert projective_order(m) == spec.p
 
@@ -290,7 +294,7 @@ def test_x_image_237_has_order_two():
 
 def test_order_divides_group_order():
     rng = random.Random(29)
-    for spec in (SPEC5, FieldSpec(7), quadratic_extension(3)):
+    for spec in (SPEC5, FieldSpec(7), quadratic_extension(FieldSpec(3))):
         group_order = psl_group_order(spec)
         for _ in range(60):
             m = random_matrix(spec, rng) if spec.degree == 1 else None
@@ -360,11 +364,11 @@ def _diagonal_of_order(spec, n):
         (FieldSpec(17), 8),
         (FieldSpec(97), 16),
         (FieldSpec(19), 9),
-        (quadratic_extension(17), 4),
-        (quadratic_extension(17), 8),
-        (quadratic_extension(17), 9),
-        (quadratic_extension(17), 16),
-        (quadratic_extension(17), 144),
+        (quadratic_extension(FieldSpec(17)), 4),
+        (quadratic_extension(FieldSpec(17)), 8),
+        (quadratic_extension(FieldSpec(17)), 9),
+        (quadratic_extension(FieldSpec(17)), 16),
+        (quadratic_extension(FieldSpec(17)), 144),
     ],
 )
 def test_orders_with_repeated_prime_factors(spec, n):
@@ -401,7 +405,7 @@ def test_x_xinv_is_identity():
 
 
 def test_figure8_relator_dies_in_d10():
-    spec = quadratic_extension(5)
+    spec = quadratic_extension(FieldSpec(5))
     x = spec.element(sqrt_mod_p(4, 5))
     a = ProjMatrix(x, spec.zero(), spec.zero(), -x)
     b = ProjMatrix(x, -x, spec.zero(), -x)
@@ -437,6 +441,6 @@ def test_unmapped_generator():
     [(5, 2, 16), (3, 1, 4), (337, 2, 72), (337, 1, 36)],
 )
 def test_bit_size(p, deg, expected):
-    spec = FieldSpec(p) if deg == 1 else quadratic_extension(p)
+    spec = FieldSpec(p) if deg == 1 else quadratic_extension(FieldSpec(p))
     assert bit_size_spec(spec) == expected
     assert bit_size(ProjMatrix.identity(spec)) == expected

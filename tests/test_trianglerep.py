@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lenscert.galois import FieldSpec, euler_phi, is_quadratic_residue
 from lenscert.presentation import Word, word_power
@@ -19,7 +21,13 @@ from lenscert.trianglerep import (
     solve_r,
     triangle_presentation,
 )
-from oracles import cyclotomic_closed_form, float_cosine_norm
+from oracles import (
+    cyclotomic_closed_form,
+    field_reduced_cosines,
+    field_solve_r,
+    float_cosine_norm,
+    primes_in_progression_by_scan,
+)
 
 
 # ----------------------------------------------------------------------
@@ -63,10 +71,10 @@ def test_triangle_presentation_shape():
 
 
 def test_cosine_images_small_orders():
-    zeta, c1, c2, c3 = reduced_cosines(337, 84, (2, 3, 7))
-    assert c1 == FieldSpec(337).zero()  # 2cos(pi/2) = 0
-    assert c2 == FieldSpec(337).one()  # 2cos(pi/3) = 1
-    assert c3 != FieldSpec(337).element(2)
+    zeta, c1, c2, c3 = reduced_cosines(FieldSpec(337), 84, (2, 3, 7))
+    assert c1 == 0  # 2cos(pi/2) = 0
+    assert c2 == 1  # 2cos(pi/3) = 1
+    assert c3 != 2
 
 
 def test_cosine_images_never_two_unless_power_of_two():
@@ -76,19 +84,19 @@ def test_cosine_images_never_two_unless_power_of_two():
         from lenscert.galois import smallest_prime_in_progression
 
         p = smallest_prime_in_progression(t.ell)
-        _, c1, c2, c3 = reduced_cosines(p, t.ell, t.triple)
-        two = FieldSpec(p).element(2)
+        _, c1, c2, c3 = reduced_cosines(FieldSpec(p), t.ell, t.triple)
         for n, c in zip(t.triple, (c1, c2, c3)):
             if n & (n - 1) != 0:
-                assert c != two
+                assert c != 2
 
 
 def test_solve_r_replay():
     p = 337
     spec = FieldSpec(p)
-    _, c1, c2, c3 = reduced_cosines(p, 84, (2, 3, 7))
+    _, c1, c2, c3 = reduced_cosines(spec, 84, (2, 3, 7))
     out_spec, r = solve_r(spec, c1, c2, c3)
-    lifted = [x.lift(out_spec) for x in (c1, c2, c3)]
+    lifted = [out_spec.element(c) for c in (c1, c2, c3)]
+    r = out_spec.element(*r)
     check = r * r + r * (lifted[0] - lifted[1]) + (
         out_spec.element(2) - lifted[0] * lifted[1] - lifted[2]
     )
@@ -98,21 +106,66 @@ def test_solve_r_replay():
 def test_solve_r_degenerate_zero():
     # C1 = C2 and C3 = 2 - C1^2 forces r = 0
     spec = FieldSpec(337)
-    c1 = spec.element(5)
-    c3 = spec.element(2) - c1 * c1
+    c1 = 5
+    c3 = (2 - c1 * c1) % 337
     out_spec, r = solve_r(spec, c1, c1, c3)
     assert out_spec == spec
-    assert r.is_zero()
+    assert r == (0, 0)
 
 
 def test_solve_r_residue_verdict_recorded():
     p = 337
     spec = FieldSpec(p)
-    _, c1, c2, c3 = reduced_cosines(p, 84, (2, 3, 7))
+    _, c1, c2, c3 = (spec.element(c) for c in reduced_cosines(spec, 84, (2, 3, 7)))
     lin = c1 - c2
     disc = lin * lin - spec.element(4) * (spec.element(2) - c1 * c2 - c3)
-    out_spec, _ = solve_r(spec, c1, c2, c3)
+    out_spec, _ = solve_r(spec, c1.a, c2.a, c3.a)
     assert (out_spec.degree == 1) == is_quadratic_residue(disc.a, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 40), min_size=3, max_size=3), st.integers(0, 2))
+@example([2, 3, 7], 0)  # F_337
+@example([2, 3, 8], 0)  # F_97^2
+def test_int_construction_matches_field_oracles(entries, k):
+    """Cosines and r on ints equal the FieldElement construction, for the
+    k-th prime p = 1 (mod ell), over F_p and F_{p^2} alike."""
+    t = classify(*entries)
+    assume(t.curvature == HYPERBOLIC)
+    p = primes_in_progression_by_scan(t.ell, k + 1)[-1]
+    spec = FieldSpec(p)
+    cosines = reduced_cosines(spec, t.ell, t.triple)
+    expected = field_reduced_cosines(p, t.ell, t.triple)
+    assert cosines == tuple(x.a for x in expected)
+    out_spec, r = solve_r(spec, *cosines[1:])
+    oracle_spec, oracle_r = field_solve_r(spec, *expected[1:])
+    assert out_spec == oracle_spec
+    assert r == (oracle_r.a, oracle_r.b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 13, 97, 337, 1009, 65537]), st.data())
+def test_solve_r_matches_field_oracle_on_any_coefficients(p, data):
+    spec = FieldSpec(p)
+    c1, c2, c3 = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+    out_spec, r = solve_r(spec, c1, c2, c3)
+    oracle_spec, oracle_r = field_solve_r(spec, *(spec.element(c) for c in (c1, c2, c3)))
+    assert out_spec == oracle_spec
+    assert r == (oracle_r.a, oracle_r.b)
+
+
+def test_oracle_examples_reach_both_degrees():
+    degrees = set()
+    for triple in ((2, 3, 7), (2, 3, 8)):
+        t = classify(*triple)
+        spec = FieldSpec(primes_in_progression_by_scan(t.ell)[0])
+        degrees.add(solve_r(spec, *reduced_cosines(spec, t.ell, t.triple)[1:])[0].degree)
+    assert degrees == {1, 2}
+
+
+def test_solve_r_needs_a_prime_field():
+    with pytest.raises(ValueError, match="prime field"):
+        solve_r(FieldSpec(5, 2, 2), 0, 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -163,8 +216,9 @@ def test_build_with_alternate_root_of_unity():
     for n in t.triple:
         zk = alt ** (ell // (2 * n))
         cs.append(zk + zk.inverse())
-    spec, r = solve_r(FieldSpec(p), *cs)
-    c1, c2 = cs[0].lift(spec), cs[1].lift(spec)
+    spec, r = solve_r(FieldSpec(p), *(c.a for c in cs))
+    r = spec.element(*r)
+    c1, c2 = spec.element(cs[0].a), spec.element(cs[1].a)
     x = ProjMatrix(c1, spec.one(), -spec.one(), spec.zero())
     t_r = ProjMatrix(spec.one(), r, spec.zero(), spec.one())
     y = t_r.mul(ProjMatrix(c2, spec.one(), -spec.one(), spec.zero())).mul(t_r.inverse())

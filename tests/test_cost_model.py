@@ -6,12 +6,21 @@ Seifert-fibered fixtures: the certificate text and the verifier's
 relator_mat_mults, mat_mults, field_ops and cert_bits.  Any change to
 arithmetic, accounting or serialization that moves one of them fails
 here, whatever it does to speed.
+
+A second digest pins what the producers report: the info dict of every
+triangle certificate, and the certificate and info (or the exception
+class) of `pipeline` over every fixture triangulation, a set of bases
+that reaches each branch of the triangle dispatch, with and without a
+surjection file, at levels auto and triangulation.
 """
 
+import glob
 import hashlib
 import itertools
+import json
+import os
 
-from conftest import fixture_text, load_fixture
+from conftest import FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import parse, pipeline, serialize, triangle_certificate, verify
 
 # computed on the code before verification moved to int coordinates
@@ -50,3 +59,51 @@ def test_cost_model_digest_is_pinned():
     sha, count = cost_model_digest()
     assert count == 1140 + 1 + len(PIPELINE_CASES)
     assert sha == COST_MODEL_SHA256
+
+
+# computed on the code before the triangle dispatch was merged into one function
+BUILD_INFO_SHA256 = "0c774e1a589c64412cd0602b868dab38029331ea7a2803c6bafa583d049e1cc5"
+
+BASES = (
+    (2, 3, 7),  # hyperbolic, coprime
+    (3, 4, 5),  # hyperbolic, coprime, quadratic extension
+    (2, 4, 6),  # hyperbolic, common divisor 2
+    (2, 3, 3),  # spherical pairs
+    (2, 3, 4),
+    (2, 3, 5),
+    (2, 3, 6),  # euclidean, reuses the (2,3,3) pair
+    (2, 2, 3),  # dihedral
+    (2, 2, 5),
+    (2, 4, 4),  # euclidean, common divisor 2
+    (3, 3, 3),
+    (1, 2, 3),  # not a triangle group
+)
+LEVELS = ("auto", "triangulation")
+
+
+def build_info_records():
+    for triple in itertools.combinations_with_replacement(range(2, 20), 3):
+        info = triangle_certificate(*triple)[1]
+        yield f"triangle {triple} {json.dumps(info, sort_keys=True)}\n"
+    surj_text = fixture_text("prism_q12.surj")
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.tri"))):
+        name = os.path.basename(path)
+        tri = load_fixture(name)
+        for base, surj, level in itertools.product(BASES, (None, surj_text), LEVELS):
+            head = f"pipeline {name} {base} {surj is not None} {level}"
+            try:
+                cert, info = pipeline(tri, base, surjection_text=surj, level=level)
+            except Exception as exc:
+                yield f"{head} raises {type(exc).__name__}\n"
+                continue
+            yield f"{head}\n{serialize(cert)}{json.dumps(info, sort_keys=True)}\n"
+
+
+def test_build_info_digest_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for record in build_info_records():
+        digest.update(record.encode())
+        count += 1
+    assert count == 1140 + 13 * len(BASES) * 2 * len(LEVELS)
+    assert digest.hexdigest() == BUILD_INFO_SHA256

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .galois import FieldSpec, parse_coords, parse_decimal
@@ -25,9 +25,11 @@ from .presentation import (
 )
 from .projmat import OpCounter, ProjMatrix, bit_size, evaluate_word
 from .trianglerep import (
-    build_hyperbolic_rep,
-    build_nonhyperbolic_cert,
+    HYPERBOLIC,
+    TriangleCertData,
+    TriangleType,
     classify,
+    triangle_image,
     triangle_presentation,
 )
 
@@ -35,6 +37,9 @@ NON_ABELIAN = "NonAbelianRep"
 NON_CYCLIC = "NonCyclicAbelian"
 
 HEADER = "lenscert v1"
+# the one level the producer writes: a certificate about the base
+# orbifold's triangle group, not about the triangulation
+ORBIFOLD = "orbifold"
 
 
 class CertificateSyntaxError(ValueError):
@@ -61,6 +66,10 @@ class Certificate:
     witness: Optional[tuple[Word, Word]] = None  # words over presentation gens
 
     def __post_init__(self) -> None:
+        if self.level not in (None, ORBIFOLD):
+            raise CertificateSyntaxError(
+                f"unknown level {self.level!r}; the only level is {ORBIFOLD!r}"
+            )
         pres = self.presentation
         for w in pres.relators:
             if not w.is_reduced():
@@ -565,54 +574,53 @@ def noncyclic_certificate(pres: GroupPresentation, level: Optional[str] = None) 
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
 
 
+def _image_certificate(
+    pres: GroupPresentation, image: TriangleCertData, level: Optional[str] = None
+) -> Certificate:
+    """The triangle group presentation pres with its image: (Z/d)^2 by
+    x -> (1,0), y -> (0,1), or the x, y matrices with witness xy | yx."""
+    if image.kind == "abelian":
+        assert image.d is not None
+        return make_abelian_certificate(pres, (image.d, image.d), ((1, 0), (0, 1)), level=level)
+    return Certificate(
+        kind=NON_ABELIAN,
+        presentation=pres,
+        level=level,
+        field=image.spec,
+        rep_gens=("x", "y"),
+        rep_images=(image.x_image, image.y_image),
+        witness=_XY_WITNESS,
+    )
+
+
+def _image_info(t: TriangleType, image: TriangleCertData) -> dict:
+    """What both producers report about a triangle image; the orders of
+    x, y and xy are exactly the triple only on the hyperbolic path."""
+    if image.kind == "abelian":
+        return {"kind": NON_CYCLIC, "target": (image.d, image.d)}
+    assert image.spec is not None
+    info = {"kind": NON_ABELIAN, "p": image.spec.p, "field_degree": image.spec.degree}
+    if t.curvature == HYPERBOLIC:
+        info["orders"] = t.triple
+    return info
+
+
 def triangle_certificate(
     n1: int, n2: int, n3: int, ceiling: int = 10**9
 ) -> tuple[Certificate, dict]:
     """Certificate for the triangle group itself, plus build metadata."""
     t = classify(n1, n2, n3)
-    pres = triangle_presentation(t)
-    info: dict = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature}
-    if t.curvature == "hyperbolic" and t.d == 1:
-        rep = build_hyperbolic_rep(t, ceiling)
-        cert = Certificate(
-            kind=NON_ABELIAN,
-            presentation=pres,
-            field=rep.spec,
-            rep_gens=("x", "y"),
-            rep_images=(rep.x_image, rep.y_image),
-            witness=_XY_WITNESS,
-        )
-        info.update(
-            kind=NON_ABELIAN,
-            p=rep.p,
-            field_degree=rep.spec.degree,
-            field_size=rep.spec.order,
-            orders=t.triple,
-        )
-    else:
-        data = build_nonhyperbolic_cert(t)
-        if data.kind == "abelian":
-            assert data.d is not None
-            cert = make_abelian_certificate(
-                pres, (data.d, data.d), ((1, 0), (0, 1))
-            )
-            info.update(kind=NON_CYCLIC, target=(data.d, data.d))
-        else:
-            assert data.spec is not None
-            cert = Certificate(
-                kind=NON_ABELIAN,
-                presentation=pres,
-                field=data.spec,
-                rep_gens=("x", "y"),
-                rep_images=(data.x_image, data.y_image),
-                witness=_XY_WITNESS,
-            )
-            info.update(
-                kind=NON_ABELIAN,
-                p=data.spec.p,
-                field_degree=data.spec.degree,
-                field_size=data.spec.order,
-            )
+    image = triangle_image(t, ceiling)
+    cert = _image_certificate(triangle_presentation(t), image)
+    info = {
+        "triple": t.triple,
+        "ell": t.ell,
+        "gcd": t.d,
+        "curvature": t.curvature,
+        **_image_info(t, image),
+    }
+    if image.spec is not None:
+        info["field_size"] = image.spec.order
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built certificate fails verification: {outcome.reason}")
@@ -660,13 +668,14 @@ def pipeline(
 
     Step 1 computes homology from the triangulation's own presentation
     and emits a non-cyclic abelian certificate when possible.  Step 2
-    dispatches on the caller-asserted base orbifold triple: the triangle
-    group gets its representation, pushed through the user-supplied
-    surjection onto the triangulation's presentation when one is given,
-    and marked orbifold-level otherwise.  Passing level="triangulation"
-    makes the missing-surjection case an error instead of a downgrade.
+    builds the image of the caller-asserted base orbifold's triangle
+    group once.  A user-supplied surjection carries it to the
+    triangulation's presentation; without one the certificate is about
+    the triangle group itself and is marked level orbifold.  Passing
+    level="triangulation" makes the missing-surjection case an error
+    instead of a downgrade.
     """
-    if level not in ("auto", "orbifold", "triangulation"):
+    if level not in ("auto", "triangulation"):
         raise ValueError(f"unknown level {level!r}")
     if level == "triangulation" and surjection_text is None:
         raise PipelineError(
@@ -696,71 +705,55 @@ def pipeline(
 
     t_type = classify(*base)
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    if t_type.curvature == "hyperbolic" and t_type.d == 1:
-        rep = build_hyperbolic_rep(t_type, ceiling)
-        spec, x_img, y_img = rep.spec, rep.x_image, rep.y_image
-        info.update(p=rep.p, field_degree=spec.degree, orders=t_type.triple)
-        rep_data = None
-    else:
-        data = build_nonhyperbolic_cert(t_type)
-        rep_data = data
-        if data.kind == "rep":
-            spec, x_img, y_img = data.spec, data.x_image, data.y_image
-            info.update(p=spec.p, field_degree=spec.degree)
-        else:
-            spec = x_img = y_img = None
+    image = triangle_image(t_type, ceiling)
+    info.update(_image_info(t_type, image))
 
-    if surjection_text is not None:
-        surj = parse_surjection(surjection_text, pres.labels)
-        if spec is None:
-            # abelian target: push exponent sums through the surjection
-            assert rep_data is not None and rep_data.d is not None
-            d = rep_data.d
-            images = tuple(
-                (w.exponent_sums(2)[0] % d, w.exponent_sums(2)[1] % d) for w in surj
-            )
-            cert = make_abelian_certificate(pres, (d, d), images)
-            outcome = verify(cert)
-            if not outcome.accepted:
-                raise PipelineError(f"surjection gives no valid certificate: {outcome.reason}")
-            info.update(kind=NON_CYCLIC, target=(d, d), level="triangulation")
-            return cert, info
-        images = [evaluate_word([x_img, y_img], w) for w in surj]
-        witness = None
-        for i in range(pres.g):
-            for j in range(i + 1, pres.g):
-                if images[i].mul(images[j]) != images[j].mul(images[i]):
-                    witness = (Word(((i, 1), (j, 1))), Word(((j, 1), (i, 1))))
-                    break
-            if witness:
-                break
-        if witness is None:
-            raise PipelineError(
-                "pushed generator images all commute; surjection does not "
-                "carry a non-abelian image"
-            )
-        cert = Certificate(
-            kind=NON_ABELIAN,
-            presentation=pres,
-            field=spec,
-            rep_gens=("x", "y"),
-            rep_images=(x_img, y_img),
-            surjection=surj,
-            witness=witness,
-        )
+    if surjection_text is None:
+        # Orbifold-level: certificate about the triangle group itself.
+        cert = _image_certificate(triangle_presentation(t_type), image, ORBIFOLD)
         outcome = verify(cert)
         if not outcome.accepted:
-            raise PipelineError(f"surjection kills no relators: {outcome.reason}")
-        info.update(kind=NON_ABELIAN, level="triangulation")
+            raise ArithmeticError(f"orbifold certificate fails: {outcome.reason}")
+        info.update(level=ORBIFOLD)
         return cert, info
 
-    # Orbifold-level: certificate about the triangle group itself.
-    cert, tri_info = triangle_certificate(*base, ceiling=ceiling)
-    cert = replace(cert, level="orbifold")
+    surj = parse_surjection(surjection_text, pres.labels)
+    if image.kind == "abelian":
+        # abelian target: push exponent sums through the surjection
+        d = image.d
+        images = tuple(tuple(e % d for e in w.exponent_sums(2)) for w in surj)
+        cert = make_abelian_certificate(pres, (d, d), images)
+        outcome = verify(cert)
+        if not outcome.accepted:
+            raise PipelineError(f"surjection gives no valid certificate: {outcome.reason}")
+        info.update(level="triangulation")
+        return cert, info
+    x_img, y_img = image.x_image, image.y_image
+    images = [evaluate_word([x_img, y_img], w) for w in surj]
+    witness = None
+    for i in range(pres.g):
+        for j in range(i + 1, pres.g):
+            if images[i].mul(images[j]) != images[j].mul(images[i]):
+                witness = (Word(((i, 1), (j, 1))), Word(((j, 1), (i, 1))))
+                break
+        if witness:
+            break
+    if witness is None:
+        raise PipelineError(
+            "pushed generator images all commute; surjection does not "
+            "carry a non-abelian image"
+        )
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=pres,
+        field=image.spec,
+        rep_gens=("x", "y"),
+        rep_images=(x_img, y_img),
+        surjection=surj,
+        witness=witness,
+    )
     outcome = verify(cert)
     if not outcome.accepted:
-        raise ArithmeticError(f"orbifold certificate fails: {outcome.reason}")
-    info.update(kind=cert.kind, level="orbifold", **{
-        k: v for k, v in tri_info.items() if k in ("p", "field_degree", "target", "orders")
-    })
+        raise PipelineError(f"surjection kills no relators: {outcome.reason}")
+    info.update(level="triangulation")
     return cert, info

@@ -385,18 +385,6 @@ def root_of_unity(spec: FieldSpec, l: int) -> FieldElement:
     return FieldElement(spec, z)
 
 
-def element_order(x: FieldElement) -> int:
-    """Exact multiplicative order via factoring the group order."""
-    if x.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    one = x.spec.one()
-    n = x.spec.order - 1
-    for q in factorize(n):
-        while n % q == 0 and x ** (n // q) == one:
-            n //= q
-    return n
-
-
 def imaginary_unit(spec: FieldSpec) -> FieldElement:
     """A square root of -1: in F_p when p = 1 (mod 4), else u*w in F_{p^2}."""
     p = spec.p

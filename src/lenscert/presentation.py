@@ -302,9 +302,3 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
 
     return GroupPresentation(g=len(gen_index), relators=tuple(relators))
 
-
-def exponent_matrix(pres: GroupPresentation):
-    """r x g integer matrix of signed exponent sums."""
-    from .intlinalg import IntMatrix
-
-    return IntMatrix(pres.exponent_rows(), cols=pres.g)

@@ -24,7 +24,6 @@ normalized once, at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,11 +222,6 @@ class ProjMatrix:
 
     def __repr__(self) -> str:
         return f"ProjMatrix({self})"
-
-
-def psl_group_order(spec: FieldSpec) -> int:
-    q = spec.order
-    return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
 def has_order(m: ProjMatrix, n: int) -> bool:

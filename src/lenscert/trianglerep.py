@@ -8,8 +8,9 @@ explicit roots of unity sums in F_p.  The parameter r solves a quadratic
 whose discriminant decides whether F_p suffices or F_{p^2} is needed.
 That construction runs on plain ints modulo p over one FieldSpec per
 triple; FieldElement appears only in the returned ReducedRepData.
-Non-hyperbolic triples get either a (Z/d)^2 abelian image or a small
-dihedral / spherical matrix image found by bounded search.
+Non-hyperbolic triples get either a (Z/d)^2 abelian image, a dihedral
+image, or one of three fixed spherical matrix pairs over F_3, F_5, F_7.
+triangle_image is the one place that chooses between the two builders.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .galois import (
     sqrt_mod_p,
 )
 from .presentation import GroupPresentation, Word, word_power
-from .projmat import ProjMatrix, evaluate_word, has_order, projective_order
+from .projmat import ProjMatrix, evaluate_word, has_order
 
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
@@ -215,78 +216,63 @@ class TriangleCertData:
     y_image: Optional[ProjMatrix] = None
 
 
-def _psl_elements(spec: FieldSpec) -> list[ProjMatrix]:
-    """All of PSL(2, F) in a deterministic order."""
-    found = set()
-    zero, one = spec.zero(), spec.one()
-    for a in spec.elements():
-        if a.is_zero():
-            continue
-        inv_a = a.inverse()
-        for b in spec.elements():
-            for c in spec.elements():
-                found.add(ProjMatrix(a, b, c, (one + b * c) * inv_a))
-    for b in spec.elements():
-        if b.is_zero():
-            continue
-        c = -b.inverse()
-        for d in spec.elements():
-            found.add(ProjMatrix(zero, b, c, d))
-    return sorted(found, key=lambda m: m.coords)
+# x and y images for the spherical triples over F_p, entries (a, b, c, d):
+# the pairs that an exhaustive search of PSL(2, p), p = 3, 5, 7 in turn,
+# finds first.  tests/oracles.py keeps that search.
+_SPHERICAL = {
+    (2, 3, 3): (3, (0, 1, 2, 0), (0, 1, 2, 1)),
+    (2, 3, 4): (7, (0, 1, 6, 0), (1, 1, 4, 5)),
+    (2, 3, 5): (5, (0, 1, 4, 0), (0, 1, 4, 1)),
+}
 
 
-_SPHERICAL_FIELDS = (
-    FieldSpec(3),
-    FieldSpec(5),
-    FieldSpec(7),
-    quadratic_extension(FieldSpec(3)),  # F_9
-)
-
-
-@lru_cache(maxsize=None)
-def _spherical_pair(n1: int, n2: int, n3: int) -> tuple[ProjMatrix, ProjMatrix]:
-    """First (A, B) over PSL(2,q), q in {3,5,7,9}, with orders (n1, n2),
-    order(AB) = n3 and AB != BA."""
-    for spec in _SPHERICAL_FIELDS:
-        elements = _psl_elements(spec)
-        orders = [projective_order(m, 10**6) for m in elements]
-        a_candidates = [m for m, o in zip(elements, orders) if o == n1]
-        b_candidates = [m for m, o in zip(elements, orders) if o == n2]
-        for a in a_candidates:
-            for b in b_candidates:
-                ab = a.mul(b)
-                if ab == b.mul(a):
-                    continue
-                if projective_order(ab, 10**6) == n3:
-                    return (a, b)
-    raise RepVerificationError(f"no spherical pair found for ({n1},{n2},{n3})")
+def triangle_image(t: TriangleType, ceiling: int = 10**9) -> TriangleCertData:
+    """The certificate image of T(n1, n2, n3): the mod-p representation
+    for a coprime hyperbolic triple, build_nonhyperbolic_cert otherwise."""
+    if t.curvature == HYPERBOLIC and t.d == 1:
+        rep = build_hyperbolic_rep(t, ceiling)
+        return TriangleCertData(
+            triple=t.triple, kind="rep", spec=rep.spec, x_image=rep.x_image, y_image=rep.y_image
+        )
+    return build_nonhyperbolic_cert(t)
 
 
 def build_nonhyperbolic_cert(t: TriangleType) -> TriangleCertData:
     """Certificate data for non-hyperbolic triples (and d > 1 in general).
 
-    d > 1 gives the abelian image in (Z/d)^2; the spherical triples get a
-    bounded brute-force matrix pair; (2,3,6) reuses the (2,3,3) images
-    since (xy)^3 = 1 kills (xy)^6; odd (2,2,m) gets the dihedral image
-    over the smallest prime divisor of m.
+    d > 1 gives the abelian image in (Z/d)^2; the spherical triples get
+    the fixed matrix pairs of _SPHERICAL; (2,3,6) reuses the (2,3,3)
+    images since (xy)^3 = 1 kills (xy)^6; odd (2,2,m) gets the dihedral
+    image over the smallest prime divisor of m.
     """
     if t.curvature == HYPERBOLIC and t.d == 1:
         raise ValueError("coprime hyperbolic triples use build_hyperbolic_rep")
     if t.d > 1:
         return TriangleCertData(triple=t.triple, kind="abelian", d=t.d)
-    if t.triple in ((2, 3, 3), (2, 3, 4), (2, 3, 5)):
-        a, b = _spherical_pair(*t.triple)
-        return TriangleCertData(
-            triple=t.triple, kind="rep", spec=a.spec, x_image=a, y_image=b
-        )
+    if t.triple in _SPHERICAL:
+        return _spherical_cert(t, t.triple)
     if t.triple == (2, 3, 6):
-        a, b = _spherical_pair(2, 3, 3)
-        return TriangleCertData(
-            triple=t.triple, kind="rep", spec=a.spec, x_image=a, y_image=b
-        )
+        return _spherical_cert(t, (2, 3, 3))
     if t.n1 == 2 and t.n2 == 2 and t.n3 % 2 == 1:
         return _dihedral_cert(t)
     raise ValueError(f"no construction for triple {t.triple}")
+
+
+def _spherical_cert(t: TriangleType, orders: tuple[int, int, int]) -> TriangleCertData:
+    """The _SPHERICAL pair for orders, checked to give x, y and xy exactly
+    those orders and xy != yx."""
+    p, x, y = _SPHERICAL[orders]
+    spec = FieldSpec(p)
+    x_img, y_img = (
+        ProjMatrix.from_coords(spec, (m[0], 0, m[1], 0, m[2], 0, m[3], 0)) for m in (x, y)
+    )
+    xy = x_img.mul(y_img)
+    for name, m, n in zip(("x", "y", "xy"), (x_img, y_img, xy), orders):
+        if not has_order(m, n):
+            raise RepVerificationError(f"spherical image of {name} does not have order {n}")
+    if xy == y_img.mul(x_img):
+        raise RepVerificationError("spherical image is abelian")
+    return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
 
 
 def _dihedral_cert(t: TriangleType) -> TriangleCertData:

@@ -7,7 +7,10 @@ matrices, link Euler characteristics from explicit corner-piece orbit
 counts.  Slow is fine; these only run at fixture scale.  The exceptions
 are the triangle cosines, solve_r and subgroup invariants below: they
 are the library's earlier FieldElement and Smith-normal-form versions,
-kept as references for the int code that replaced them.
+kept as references for the int code that replaced them.  The
+spherical-pair search is the one the library's fixed spherical images
+came from; psl_group_order, element_order and exponent_matrix are
+helpers that only tests call.
 """
 
 from __future__ import annotations
@@ -18,13 +21,17 @@ import random
 from fractions import Fraction
 
 from lenscert.galois import (
+    FieldElement,
     FieldSpec,
+    factorize,
     is_quadratic_residue,
     quadratic_extension,
     root_of_unity,
     sqrt_mod_p,
 )
 from lenscert.intlinalg import IntMatrix, smith_normal_form
+from lenscert.presentation import GroupPresentation
+from lenscert.projmat import ProjMatrix, projective_order
 from lenscert.triangulation import (
     FacePairing,
     Permutation4,
@@ -305,7 +312,7 @@ def relabel_triangulation(tri: Triangulation, perm: list[int]) -> Triangulation:
 
 
 def random_presentation(rng: random.Random):
-    from lenscert.presentation import GroupPresentation, Word
+    from lenscert.presentation import Word
 
     g = rng.randint(1, 6)
     r = rng.randint(1, 8)
@@ -467,3 +474,68 @@ def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:
             w[i][j] //= det_c
     inner = smith_normal_form(IntMatrix(w))
     return inner.diag[0], inner.diag[1]
+
+
+# ----------------------------------------------------------------------
+# group orders and the spherical-pair search
+
+
+def psl_group_order(spec: FieldSpec) -> int:
+    q = spec.order
+    return q * (q * q - 1) // math.gcd(2, q - 1)
+
+
+def element_order(x: FieldElement) -> int:
+    """Exact multiplicative order via factoring the group order."""
+    if x.is_zero():
+        raise ValueError("zero has no multiplicative order")
+    one = x.spec.one()
+    n = x.spec.order - 1
+    for q in factorize(n):
+        while n % q == 0 and x ** (n // q) == one:
+            n //= q
+    return n
+
+
+def exponent_matrix(pres: GroupPresentation) -> IntMatrix:
+    """r x g integer matrix of signed exponent sums."""
+    return IntMatrix(pres.exponent_rows(), cols=pres.g)
+
+
+def psl_elements(spec: FieldSpec) -> list[ProjMatrix]:
+    """All of PSL(2, F) in a deterministic order."""
+    found = set()
+    zero, one = spec.zero(), spec.one()
+    for a in spec.elements():
+        if a.is_zero():
+            continue
+        inv_a = a.inverse()
+        for b in spec.elements():
+            for c in spec.elements():
+                found.add(ProjMatrix(a, b, c, (one + b * c) * inv_a))
+    for b in spec.elements():
+        if b.is_zero():
+            continue
+        c = -b.inverse()
+        for d in spec.elements():
+            found.add(ProjMatrix(zero, b, c, d))
+    return sorted(found, key=lambda m: m.coords)
+
+
+SPHERICAL_FIELDS = (FieldSpec(3), FieldSpec(5), FieldSpec(7), quadratic_extension(FieldSpec(3)))
+
+
+def spherical_pair_by_search(n1: int, n2: int, n3: int):
+    """First (A, B) over PSL(2, q), q in {3, 5, 7, 9} in turn, with orders
+    (n1, n2), order(AB) = n3 and AB != BA; None if there is none."""
+    for spec in SPHERICAL_FIELDS:
+        elements = psl_elements(spec)
+        orders = [projective_order(m, 10**6) for m in elements]
+        a_candidates = [m for m, o in zip(elements, orders) if o == n1]
+        b_candidates = [m for m, o in zip(elements, orders) if o == n2]
+        for a in a_candidates:
+            for b in b_candidates:
+                ab = a.mul(b)
+                if ab != b.mul(a) and projective_order(ab, 10**6) == n3:
+                    return (a, b)
+    return None

@@ -837,6 +837,50 @@ def test_pipeline_rejects_invalid():
         pipeline(load_fixture("badlink_torus.tri"), (2, 3, 7))
 
 
+def test_pipeline_has_no_orbifold_level_option():
+    with pytest.raises(ValueError, match="unknown level"):
+        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7), level="orbifold")
+
+
+def test_pipeline_builds_and_verifies_once(monkeypatch):
+    import lenscert.certificate as certmod
+    import lenscert.trianglerep as trianglerep
+
+    counts = {"build": 0, "verify": 0}
+    build, check = trianglerep.build_hyperbolic_rep, certmod.verify
+
+    def counted_build(*args):
+        counts["build"] += 1
+        return build(*args)
+
+    def counted_verify(cert):
+        counts["verify"] += 1
+        return check(cert)
+
+    monkeypatch.setattr(trianglerep, "build_hyperbolic_rep", counted_build)
+    monkeypatch.setattr(certmod, "verify", counted_verify)
+    cert, info = pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
+    assert (cert.level, info["p"]) == ("orbifold", 337)
+    assert counts == {"build": 1, "verify": 1}
+
+
+def test_level_other_than_orbifold_is_a_syntax_error():
+    text = fixture_text("fig8.cert")
+    junk = text.replace("kind NonAbelianRep\n", "kind NonAbelianRep\nlevel whatever junk\n")
+    with pytest.raises(CertificateSyntaxError, match="level"):
+        parse(junk)
+    with pytest.raises(CertificateSyntaxError, match="level"):
+        replace(parse(fixture_text("fig8.cert")), level="triangulation")
+    # the level the producer writes still round-trips, on both kinds
+    for cert in (
+        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))[0],
+        pipeline(load_fixture("lens_5_2.tri"), (2, 4, 4))[0],
+    ):
+        assert cert.level == "orbifold"
+        text = serialize(cert)
+        assert serialize(parse(text)) == text and parse(text) == cert
+
+
 # ----------------------------------------------------------------------
 # cost accounting sanity
 

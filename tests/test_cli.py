@@ -146,6 +146,26 @@ def test_pipeline_orbifold_level(tmp_path):
     assert run_cli("verify", str(target)).returncode == 0
 
 
+def test_pipeline_level_orbifold_is_not_a_choice(tmp_path):
+    target = tmp_path / "p237.cert"
+    out = run_cli(
+        "pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7",
+        "--level", "orbifold", "-o", str(target),
+    )
+    assert out.returncode == 2
+    assert "invalid choice" in out.stderr
+    assert not target.exists()
+
+
+def test_verify_unknown_level_exits_two(tmp_path):
+    text = open(fixture_path("fig8.cert")).read()
+    path = tmp_path / "level.cert"
+    path.write_text(text.replace("kind NonAbelianRep\n", "kind NonAbelianRep\nlevel whatever junk\n"))
+    out = run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert "level" in out.stderr
+
+
 def test_pipeline_with_surjection(tmp_path):
     target = tmp_path / "prism.cert"
     out = run_cli(

@@ -9,7 +9,6 @@ from lenscert.galois import (
     FieldSpec,
     PrimalityBoundError,
     SearchLimitExceeded,
-    element_order,
     euler_phi,
     factorize,
     imaginary_unit,
@@ -26,7 +25,7 @@ from lenscert.galois import (
     smallest_prime_in_progression,
     sqrt_mod_p,
 )
-from oracles import primes_in_progression_by_scan
+from oracles import element_order, primes_in_progression_by_scan
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from lenscert.presentation import (
     GroupPresentation,
     Word,
     cell_structure,
-    exponent_matrix,
     format_presentation,
     format_word,
     fundamental_group,
@@ -19,7 +18,7 @@ from lenscert.presentation import (
     word_power,
 )
 from lenscert.triangulation import parse_triangulation, validate
-from oracles import chain_complex_h1, random_gluing_table
+from oracles import chain_complex_h1, exponent_matrix, random_gluing_table
 
 MINIMAL_ONE_TET = """
 t=1

@@ -15,7 +15,6 @@ from lenscert.projmat import (
     evaluate_word,
     has_order,
     projective_order,
-    psl_group_order,
 )
 
 from oracles import (
@@ -23,6 +22,7 @@ from oracles import (
     matrix_inverse,
     matrix_product,
     naive_projective_order,
+    psl_group_order,
 )
 
 SPEC5 = FieldSpec(5)

@@ -19,6 +19,7 @@ from lenscert.trianglerep import (
     hyperbolic_triples,
     reduced_cosines,
     solve_r,
+    triangle_image,
     triangle_presentation,
 )
 from oracles import (
@@ -27,6 +28,7 @@ from oracles import (
     field_solve_r,
     float_cosine_norm,
     primes_in_progression_by_scan,
+    spherical_pair_by_search,
 )
 
 
@@ -311,6 +313,37 @@ def test_236_relators_die_on_reused_images():
 def test_hyperbolic_gcd_goes_abelian():
     data = build_nonhyperbolic_cert(classify(2, 4, 6))
     assert data.kind == "abelian" and data.d == 2
+
+
+@pytest.mark.parametrize(
+    "triple, searched",
+    [((2, 3, 3), (2, 3, 3)), ((2, 3, 4), (2, 3, 4)), ((2, 3, 5), (2, 3, 5)),
+     ((2, 3, 6), (2, 3, 3))],
+)
+def test_spherical_table_is_first_pair_of_search(triple, searched):
+    # the fixed pairs are what an exhaustive search of PSL(2, q) finds
+    # first, q = 3, 5, 7 in turn; it never reaches F_9
+    a, b = spherical_pair_by_search(*searched)
+    assert a.spec.degree == 1
+    data = build_nonhyperbolic_cert(classify(*triple))
+    assert (data.spec, data.x_image, data.y_image) == (a.spec, a, b)
+
+
+def test_triangle_image_dispatch(monkeypatch):
+    import lenscert.trianglerep as trianglerep
+
+    calls = []
+    for name in ("build_hyperbolic_rep", "build_nonhyperbolic_cert"):
+        original = getattr(trianglerep, name)
+        monkeypatch.setattr(
+            trianglerep, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    hyperbolic = triangle_image(classify(2, 3, 7))
+    assert hyperbolic.kind == "rep" and hyperbolic.spec.p == 337
+    assert triangle_image(classify(2, 4, 6)).kind == "abelian"
+    assert triangle_image(classify(2, 3, 5)).spec.p == 5
+    assert triangle_image(classify(2, 2, 7)).kind == "rep"
+    assert calls == ["build_hyperbolic_rep"] + ["build_nonhyperbolic_cert"] * 3
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,10 @@ Two kinds of witness exist: a surjection onto a non-cyclic abelian group
 Z/a x Z/b, or a non-abelian image in PSL(2, F).  Verification is
 polynomial with exact operation tallies; a malformed file is an error
 while a well-formed but false certificate is a rejection.  The text form
-is canonical: serialize(parse(serialize(c))) is byte-identical.
+is canonical: serialize(parse(serialize(c))) is byte-identical, and
+parse reads every line exactly as written, each ended by a newline.  A
+blank, padded or comment line is not skipped but read as the line it
+stands in for, so it is a syntax error there.
 """
 
 from __future__ import annotations
@@ -165,39 +168,29 @@ _MATRIX_RE = re.compile(
 _ABELIAN_RE = re.compile(r"^gen (\w+) = \(([0-9]+),([0-9]+)\)$")
 _TARGET_RE = re.compile(r"^target Z/([0-9]+) x Z/([0-9]+)$")
 _FIELD_RE = re.compile(r"^field p=([0-9]+) deg=([0-9]+)(?: s=([0-9]+))?$")
-# an empty word leaves "gen <name> ->" once the line is stripped
-_SURJ_RE = re.compile(r"^gen (\w+) ->(?: (.*))?$")
+# serialize writes an empty word as "gen <name> -> "; a surjection-file
+# line is stripped first, which leaves "gen <name> ->"
+_SURJ_RE = re.compile(r"^gen (\w+) -> (.*)$")
+_SURJ_FILE_RE = re.compile(r"^gen (\w+) ->(?: (.*))?$")
 
 
 class _Reader:
+    """The certificate's lines exactly as written, each ended by '\\n'."""
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = text.split("\n")
+        if self.lines.pop():
+            raise CertificateSyntaxError(f"line {len(self.lines) + 1}: no newline at end of line")
         self.pos = 0
 
     def peek(self) -> Optional[str]:
-        pos = self.pos
-        while pos < len(self.lines):
-            stripped = self.lines[pos].strip()
-            if stripped and not stripped.startswith("#"):
-                return stripped
-            pos += 1
-        return None
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
 
     def next(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                return stripped
-        raise CertificateSyntaxError(f"line {self.pos + 1}: unexpected end of file")
-
-    def next_raw(self) -> str:
         if self.pos >= len(self.lines):
             raise CertificateSyntaxError(f"line {self.pos + 1}: unexpected end of file")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line.strip()
+        return self.lines[self.pos - 1]
 
     def error(self, message: str) -> CertificateSyntaxError:
         return CertificateSyntaxError(f"line {self.pos}: {message}")
@@ -275,7 +268,7 @@ def parse(text: str) -> Certificate:
         raise reader.error("bad relator count") from None
     letters = _letter_table(labels)
     relators = tuple(
-        _parse_reduced_word(reader, reader.next_raw(), letters) for _ in range(r)
+        _parse_reduced_word(reader, reader.next(), letters) for _ in range(r)
     )
     try:
         pres = GroupPresentation(g=g, relators=relators, labels=labels)
@@ -360,7 +353,7 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
             sm = _SURJ_RE.match(reader.next())
             if not sm:
                 raise reader.error("expected 'gen <name> -> <word>'")
-            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2) or "", rep_letters)
+            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2), rep_letters)
         if set(words) != set(pres.labels):
             raise reader.error("surjection does not cover the generators")
         surjection = tuple(words[lab] for lab in pres.labels)
@@ -636,7 +629,7 @@ def parse_surjection(
         line = raw.split("#", 1)[0].strip()
         if not line or line == "surjection":
             continue
-        m = _SURJ_RE.match(line)
+        m = _SURJ_FILE_RE.match(line)
         if not m:
             raise CertificateSyntaxError(f"line {lineno}: expected 'gen <name> -> <word>'")
         name = m.group(1)

@@ -37,8 +37,9 @@ class CliError(RuntimeError):
 
 
 def _read(path: str) -> str:
+    # newline="": certificates are read with their line ends as written
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None

@@ -226,14 +226,21 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix
         for i in todo:
             touched.discard(i)
             row = rows[i]
-            units = [j for j, x in row.items() if x == 1 or x == -1]
-            if not units:
+            best = min(
+                ((len(col_rows[j]), j) for j, x in row.items() if x == 1 or x == -1),
+                default=None,
+            )
+            if best is None:
                 continue
-            j = min(units, key=lambda c: (len(col_rows[c]), c))
-            sign = row[j]
-            for r in col_rows[j] - {i}:
+            j = best[1]
+            sign = row.pop(j)
+            # every other row loses column j, and row i goes
+            others = col_rows[j]
+            col_rows[j] = set()
+            others.discard(i)
+            for r in others:
                 other = rows[r]
-                c = other[j] * sign
+                c = other.pop(j) * sign
                 for col, x in row.items():
                     y = other.get(col, 0) - c * x
                     if y:
@@ -264,10 +271,14 @@ def abelianization(pres) -> AbelianGroup:
     """
     rows = []
     for w in pres.relators:
-        row: dict[int, int] = {}
+        row: dict[int, int] = {}  # nonzero exponent sums only
         for gen, exp in w.letters:
-            row[gen] = row.get(gen, 0) + exp
-        rows.append({j: x for j, x in row.items() if x})
+            x = row.get(gen, 0) + exp
+            if x:
+                row[gen] = x
+            else:
+                del row[gen]
+        rows.append(row)
     pivots, core = _unit_pivot_core(rows, pres.g)
     snf = smith_normal_form(core)
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)

@@ -10,17 +10,18 @@ yields at most t+1 generators and 2t relators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from .galois import parse_decimal
 from .triangulation import (
     DIRECTED_INDEX,
-    DIRECTED_PAIRS,
     EDGE_DIRECTIONS,
-    EDGE_INDEX,
     EDGE_PAIRS,
     DisconnectedError,
     Triangulation,
     TriangulationError,
+    root_slots,
 )
 from .unionfind import UnionFind
 
@@ -71,7 +72,8 @@ class Word:
         return True
 
     def max_generator(self) -> int:
-        return max((g for g, _ in self.letters), default=-1)
+        # letters compare by generator first
+        return max(self.letters, default=(-1, 0))[0]
 
     def exponent_sums(self, g: int) -> list[int]:
         sums = [0] * g
@@ -101,18 +103,21 @@ class GroupPresentation:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.labels:
+        supplied = bool(self.labels)
+        if not supplied:
             object.__setattr__(self, "labels", default_labels(self.g))
         if len(self.labels) != self.g:
             raise ValueError("label count does not match generator count")
         if len(set(self.labels)) != self.g:
             raise ValueError("duplicate generator labels")
-        for lab in self.labels:
+        # the default labels x0, x1, ... are well formed by construction
+        for lab in self.labels if supplied else ():
             if not lab or not set(lab) <= _LABEL_CHARS or lab[0].isdigit():
                 raise ValueError(f"bad generator label {lab!r}")
-        for w in self.relators:
-            if w.max_generator() >= self.g:
-                raise ValueError("relator references unknown generator")
+        # letters compare by generator first: the largest names the top one
+        top = max(chain.from_iterable(map(attrgetter("letters"), self.relators)), default=(-1, 0))
+        if top[0] >= self.g:
+            raise ValueError("relator references unknown generator")
 
     def size(self) -> int:
         """Total symbol length: all generators plus all relator letters."""
@@ -173,29 +178,6 @@ def format_presentation(pres: GroupPresentation) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class CellStructure:
-    """Identified cells of a triangulation with chosen orientations.
-
-    Edge classes are numbered in order of their smallest slot.  The
-    representative slot's low-to-high vertex direction is the positive
-    orientation; directed_sign maps each directed edge slot
-    (12*tet + DIRECTED_INDEX) to its (class, sign).
-    """
-
-    tri: Triangulation
-    vertex_class: tuple[int, ...]  # 4t slots -> class index
-    n_vertices: int
-    edge_class: tuple[int, ...]  # 6t slots -> class index
-    n_edges: int
-    edge_reps: tuple[tuple[int, int], ...]  # class -> (tet, edge idx)
-    directed_sign: tuple[tuple[int, int], ...]  # 12t slots -> (class, +-1)
-    face_classes: tuple[tuple[tuple[int, int], ...], ...]
-    face_reps: tuple[tuple[int, int], ...]
-
-
-# undirected edge index of each directed edge
-_EDGE_OF_DIRECTED = tuple(EDGE_INDEX[tuple(sorted(pair))] for pair in DIRECTED_PAIRS)
 # boundary of face f (opposite vertex f) as directed edges p->q, q->r, r->p
 _FACE_BOUNDARY = tuple(
     tuple(DIRECTED_INDEX[pair] for pair in ((p, q), (q, r), (r, p)))
@@ -203,102 +185,57 @@ _FACE_BOUNDARY = tuple(
 )
 
 
-def _class_indices(roots: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """Slot -> class index, classes numbered in order of their smallest
-    slot (the root); and the roots in that order."""
-    index = [0] * len(roots)
-    reps: list[int] = []
-    for x, root in enumerate(roots):
-        if x == root:
-            index[x] = len(reps)
-            reps.append(x)
-        else:
-            index[x] = index[root]
-    return tuple(index), reps
-
-
-def cell_structure(tri: Triangulation) -> CellStructure:
-    """Orbit closure of vertices, edges and faces under the gluings."""
-    vroot, eroot, droot = tri.orbit_roots
-    vertex_class, vreps = _class_indices(vroot)
-    edge_class, ereps = _class_indices(eroot)
-    edge_reps = tuple(divmod(root, 6) for root in ereps)
-
-    # Positive orientation: the directed orbit containing the class
-    # representative's (low -> high) direction.
-    positive_root = []
-    for tet, eidx in edge_reps:
-        fwd, back = EDGE_DIRECTIONS[eidx]
-        if droot[12 * tet + fwd] == droot[12 * tet + back]:
-            raise TriangulationError("edge glued to itself in reverse; no orientation")
-        positive_root.append(droot[12 * tet + fwd])
-
-    # Every directed slot of a class lies on the positive orbit or on its
-    # reverse, since gluings map both directions of an edge together.
-    directed_sign = []
-    for x, root in enumerate(droot):
-        cls = edge_class[6 * (x // 12) + _EDGE_OF_DIRECTED[x % 12]]
-        directed_sign.append((cls, 1 if root == positive_root[cls] else -1))
-
-    face_classes = tuple(
-        ((tet, face), (tet2, face2))
-        for tet, row in enumerate(tri.gluings)
-        for face, (tet2, face2, _) in enumerate(row)
-        if (tet, face) <= (tet2, face2)
-    )
-    face_reps = tuple(cls[0] for cls in face_classes)
-
-    return CellStructure(
-        tri=tri,
-        vertex_class=vertex_class,
-        n_vertices=len(vreps),
-        edge_class=edge_class,
-        n_edges=len(ereps),
-        edge_reps=edge_reps,
-        directed_sign=tuple(directed_sign),
-        face_classes=face_classes,
-        face_reps=face_reps,
-    )
-
-
-def _skeleton_tree(cs: CellStructure) -> set[int]:
-    """Maximal tree in the identified 1-skeleton, as edge class indices."""
-    endpoints = []
-    for cls, (tet, eidx) in enumerate(cs.edge_reps):
-        a, b = EDGE_PAIRS[eidx]
-        endpoints.append(
-            (cs.vertex_class[4 * tet + a], cs.vertex_class[4 * tet + b])
-        )
-    uf = UnionFind(cs.n_vertices)
-    tree: set[int] = set()
-    for cls, (va, vb) in enumerate(endpoints):
-        if uf.find(va) != uf.find(vb):
-            uf.union(va, vb)
-            tree.add(cls)
-    return tree
-
-
 def fundamental_group(tri: Triangulation) -> GroupPresentation:
-    """Edge-class generators, triangle-boundary relators, tree edges killed."""
-    if not tri.is_connected():
-        raise DisconnectedError("triangulation is not connected")
-    cs = cell_structure(tri)
-    tree = _skeleton_tree(cs)
+    """Edge-class generators, triangle-boundary relators, tree edges killed.
 
-    gen_index: dict[int, int] = {}
-    for cls in range(cs.n_edges):
-        if cls not in tree:
-            gen_index[cls] = len(gen_index)
+    Read straight from `Triangulation.orbit_roots`.  Edge classes are
+    taken in order of their root, the smallest edge slot: a class whose
+    ends lie in two components of the classes taken so far joins the
+    maximal tree of the 1-skeleton, and every other class is the next
+    generator.  The orbit of the root's low-to-high direction reads as
+    the generator, the reverse orbit as its inverse.  Each face class, in
+    canonical (tet, face) order, gives the freely reduced boundary word
+    of its smaller side.
+    """
+    vroot, eroot, droot = tri.orbit_roots
+    components = UnionFind(len(vroot))
+    joined = 0  # tree edges
+    reversed_edge = False
+    letter: dict[int, tuple[int, int]] = {}  # directed root -> (generator, +-1)
+    for root in root_slots(eroot):
+        tet, k = divmod(root, 6)
+        fwd, back = EDGE_DIRECTIONS[k]
+        positive, negative = droot[12 * tet + fwd], droot[12 * tet + back]
+        reversed_edge = reversed_edge or positive == negative
+        a, b = EDGE_PAIRS[k]
+        va, vb = vroot[4 * tet + a], vroot[4 * tet + b]
+        if va != vb and components.find(va) != components.find(vb):
+            components.union(va, vb)
+            joined += 1
+        else:
+            gen = len(letter) // 2
+            letter[positive] = (gen, 1)
+            letter[negative] = (gen, -1)
+    # the 1-skeleton is connected iff the triangulation is
+    if joined != len(set(vroot)) - 1:
+        raise DisconnectedError("triangulation is not connected")
+    if reversed_edge:
+        raise TriangulationError("edge glued to itself in reverse; no orientation")
 
     relators = []
-    for tet, face in cs.face_reps:
-        letters: list[tuple[int, int]] = []
-        for d in _FACE_BOUNDARY[face]:
-            cls, sign = cs.directed_sign[12 * tet + d]
-            if cls in tree:
+    for tet, row in enumerate(tri.gluings):
+        for face, (tet2, face2, _) in enumerate(row):
+            if 4 * tet + face > 4 * tet2 + face2:
                 continue
-            letters.append((gen_index[cls], sign))
-        relators.append(Word(tuple(letters)).reduced())
+            word: list[tuple[int, int]] = []  # reduced as it grows
+            for d in _FACE_BOUNDARY[face]:
+                x = letter.get(droot[12 * tet + d])
+                if x is None:
+                    continue
+                if word and word[-1][0] == x[0] and word[-1][1] != x[1]:
+                    word.pop()
+                else:
+                    word.append(x)
+            relators.append(Word(tuple(word)))
 
-    return GroupPresentation(g=len(gen_index), relators=tuple(relators))
-
+    return GroupPresentation(g=len(letter) // 2, relators=tuple(relators))

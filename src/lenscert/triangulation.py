@@ -7,21 +7,26 @@ target face and the source's opposite vertex onto the target's opposite
 vertex.  Everything here is an immutable value; all operations are pure.
 
 The 24 permutations are interned at import with int tables (inverse,
-parity, induced maps on edges and directed edges), so parsing and the
-orbit pass do no per-gluing validation.  The vertex, edge and
-directed-edge orbits of a triangulation are computed once per instance
-(``Triangulation.orbit_roots``) and shared by ``validate`` and the
-presentation code; they are derived from the gluings alone, so the memo
-never changes a value.
+parity, induced map on directed edges), so parsing and the orbit pass do
+no per-gluing validation.  ``Triangulation.orbit_roots`` computes the
+vertex, edge and directed-edge orbits once per instance: one depth-first
+pass over vertices, and one walk around each directed-edge orbit, from
+which the edge orbits are read.  ``validate`` and
+``presentation.fundamental_group`` share them; they are derived from the
+gluings alone, so the memo never changes a value.  ``orientation_check``
+is one breadth-first pass from tetrahedron 0.  The dual spanning graph
+that the orientation check once built, and the earlier three-pass orbit
+search, are kept as reference oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count, permutations
+from operator import eq
 from typing import Optional
 
 
@@ -42,9 +47,9 @@ DIRECTED_INDEX = {pair: k for k, pair in enumerate(DIRECTED_PAIRS)}
 EDGE_DIRECTIONS = tuple((DIRECTED_INDEX[(a, b)], DIRECTED_INDEX[(b, a)]) for a, b in EDGE_PAIRS)
 
 # The 24 permutations of 0..3 in lexicographic order, and per permutation
-# its inverse (by index), its parity and the maps it induces on the 12
-# directed edges and the 6 edges of a tetrahedron.
-_PERM_IMAGES = tuple(itertools.permutations(range(4)))
+# its inverse (by index), its parity and the map it induces on the 12
+# directed edges of a tetrahedron.
+_PERM_IMAGES = tuple(permutations(range(4)))
 _PERM_INDEX = {images: k for k, images in enumerate(_PERM_IMAGES)}
 _PERM_INVERSE = tuple(
     _PERM_INDEX[tuple(images.index(v) for v in range(4))] for images in _PERM_IMAGES
@@ -57,17 +62,21 @@ _DIRECTED_MAP = tuple(
     tuple(DIRECTED_INDEX[(images[a], images[b])] for a, b in DIRECTED_PAIRS)
     for images in _PERM_IMAGES
 )
-_EDGE_MAP = tuple(
-    tuple(EDGE_INDEX[tuple(sorted((images[a], images[b])))] for a, b in EDGE_PAIRS)
-    for images in _PERM_IMAGES
-)
+# sign(b) / sign(a) that a consistent orientation needs across a gluing
+# of tetrahedron a to b: +1 for an odd permutation, -1 for an even one
+_GLUING_SIGN = tuple(1 if odd else -1 for odd in _PERM_ODD)
 
-# The faces (numbered by their opposite vertex) that hold each vertex,
-# edge and directed edge of a tetrahedron.
+# The faces (numbered by their opposite vertex) that hold each vertex and
+# directed edge of a tetrahedron; the undirected edge of each directed
+# edge; and, for a directed edge s and one of its two faces g, the other.
 _VERTEX_FACES = tuple(tuple(f for f in range(4) if f != v) for v in range(4))
-_EDGE_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in EDGE_PAIRS)
 _DIRECTED_FACES = tuple(
     tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS
+)
+_EDGE_OF_DIRECTED = tuple(EDGE_INDEX[tuple(sorted(pair))] for pair in DIRECTED_PAIRS)
+_OTHER_FACE = tuple(
+    tuple(faces[g == faces[0]] if g in faces else -1 for g in range(4))
+    for faces in _DIRECTED_FACES
 )
 
 
@@ -152,11 +161,8 @@ class Triangulation:
         DIRECTED_INDEX; each list maps a slot to the smallest slot of its
         orbit.  Computed on first use and kept on this instance only.
         """
-        return (
-            _orbit_roots(self.gluings, 4, _VERTEX_FACES, _PERM_IMAGES),
-            _orbit_roots(self.gluings, 6, _EDGE_FACES, _EDGE_MAP),
-            _orbit_roots(self.gluings, 12, _DIRECTED_FACES, _DIRECTED_MAP),
-        )
+        droot, eroot = _directed_roots(self.gluings)
+        return _vertex_roots(self.gluings), eroot, droot
 
     def is_connected(self) -> bool:
         if self.t == 0:
@@ -173,32 +179,74 @@ class Triangulation:
         return len(seen) == self.t
 
 
-def _orbit_roots(gluings, width: int, faces_of, maps) -> tuple[int, ...]:
-    """Slot -> smallest slot of its orbit, for slots of `width` per tetrahedron.
+def _vertex_roots(gluings) -> tuple[int, ...]:
+    """Vertex slot -> smallest slot of its orbit.
 
-    Local slot s lies on the faces faces_of[s]; across a face glued to
-    tetrahedron tet2 by the permutation with table index k it goes to
-    slot width*tet2 + maps[k][s].  Orbits are labelled by depth-first
-    search from each unlabelled slot in increasing order, so the first
-    slot of an orbit reached is its smallest.
+    Vertex v lies on the three faces other than face v; across a face
+    glued by a permutation p it goes to vertex p(v) of the other
+    tetrahedron.  Orbits are labelled by depth-first search from each
+    unlabelled slot in increasing order, so the first slot of an orbit
+    reached is its smallest.
     """
-    across = [[(width * tet2, maps[perm.index]) for tet2, _, perm in row] for row in gluings]
-    root = [-1] * (width * len(gluings))
+    across = [[(4 * tet2, perm.images) for tet2, _, perm in row] for row in gluings]
+    root = [-1] * (4 * len(gluings))
     for start in range(len(root)):
         if root[start] >= 0:
             continue
         root[start] = start
         stack = [start]
         while stack:
-            tet, s = divmod(stack.pop(), width)
+            tet, v = divmod(stack.pop(), 4)
             row = across[tet]
-            for f in faces_of[s]:
-                base, image = row[f]
-                other = base + image[s]
+            for f in _VERTEX_FACES[v]:
+                base, images = row[f]
+                other = base + images[v]
                 if root[other] < 0:
                     root[other] = start
                     stack.append(other)
     return tuple(root)
+
+
+def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Directed-edge slot and edge slot -> smallest slot of its orbit.
+
+    A directed edge lies on the two faces that miss both its ends, so its
+    orbit is a cycle: leave through one face, and from each directed edge
+    reached leave through its face other than the one entered, until the
+    start comes round again.  Walks start from each unlabelled slot in
+    increasing order, so a walk's start is its orbit's smallest slot.  An
+    edge orbit is the union of the orbits of its two directions, which
+    pass the same edges; the first of the two walks labels it with the
+    smallest edge slot it passed.
+    """
+    droot = [-1] * (12 * len(gluings))
+    eroot = [-1] * (6 * len(gluings))
+    for start in range(len(droot)):
+        if droot[start] >= 0:
+            continue
+        tet, s = divmod(start, 12)
+        face = _DIRECTED_FACES[s][0]
+        edges = [6 * tet + _EDGE_OF_DIRECTED[s]]
+        x = start
+        while True:
+            droot[x] = start
+            tet, entered, perm = gluings[tet][face]
+            s = _DIRECTED_MAP[perm.index][s]
+            x = 12 * tet + s
+            if x == start:
+                break
+            face = _OTHER_FACE[s][entered]
+            edges.append(6 * tet + _EDGE_OF_DIRECTED[s])
+        if eroot[edges[0]] < 0:
+            low = min(edges)
+            for e in edges:
+                eroot[e] = low
+    return tuple(droot), tuple(eroot)
+
+
+def root_slots(roots: tuple[int, ...]) -> list[int]:
+    """The slots that are their orbit's root, in increasing order."""
+    return list(compress(count(), map(eq, roots, count())))
 
 
 _Gluing = tuple[int, int, int, int, Permutation4]  # tet, face, tet2, face2, perm
@@ -210,35 +258,36 @@ def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
 
 
 def _assemble(t: int, gluings: list[_Gluing]) -> Triangulation:
-    table: list[list[Optional[tuple[int, int, Permutation4]]]] = [
-        [None] * 4 for _ in range(t)
-    ]
+    """Both directions of every gluing in one table, checked as they go in.
 
-    def record(tet: int, face: int, tet2: int, face2: int, perm: Permutation4) -> None:
-        for tt, ff in ((tet, face), (tet2, face2)):
-            if not (0 <= tt < t and 0 <= ff < 4):
-                raise TriangulationError(f"face index out of range: {tt}:{ff}")
-        if (tet, face) == (tet2, face2):
-            raise TriangulationError(f"face {tet}:{face} glued to itself")
-        entry = (tet2, face2, perm)
-        prev = table[tet][face]
-        if prev is not None and prev != entry:
-            raise TriangulationError(
-                f"face {tet}:{face} glued twice, inconsistently "
-                f"({prev[0]}:{prev[1]} vs {tet2}:{face2})"
-            )
-        table[tet][face] = entry
-
+    The table is keyed by face slot 4*tet + face and holds only what the
+    gluings fill, so a header with few gluings costs no work of order t:
+    the first unpaired slot lies within the filled ones.
+    """
+    table: dict[int, tuple[int, int, Permutation4]] = {}
     for tet, face, tet2, face2, perm in gluings:
-        record(tet, face, tet2, face2, perm)
-        record(tet2, face2, tet, face, perm.inverse())
-
-    for tet in range(t):
-        for face in range(4):
-            if table[tet][face] is None:
-                raise TriangulationError(f"face {tet}:{face} is unpaired")
-
-    return Triangulation(t, tuple(tuple(row) for row in table))  # type: ignore[arg-type]
+        if not (0 <= tet < t and 0 <= face < 4):
+            raise TriangulationError(f"face index out of range: {tet}:{face}")
+        if not (0 <= tet2 < t and 0 <= face2 < 4):
+            raise TriangulationError(f"face index out of range: {tet2}:{face2}")
+        if tet == tet2 and face == face2:
+            raise TriangulationError(f"face {tet}:{face} glued to itself")
+        for slot, entry in (
+            (4 * tet + face, (tet2, face2, perm)),
+            (4 * tet2 + face2, (tet, face, _PERMS[_PERM_INVERSE[perm.index]])),
+        ):
+            prev = table.setdefault(slot, entry)
+            if prev is not entry and prev != entry:
+                raise TriangulationError(
+                    "face {}:{} glued twice, inconsistently ({}:{} vs {}:{})".format(
+                        *divmod(slot, 4), *prev[:2], *entry[:2]
+                    )
+                )
+    if len(table) < 4 * t:
+        first = next(slot for slot in range(4 * t) if slot not in table)
+        raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
+    rows = [table[slot] for slot in range(4 * t)]
+    return Triangulation(t, tuple(zip(*[iter(rows)] * 4)))  # one row of four per tetrahedron
 
 
 _GLUING_RE = re.compile(
@@ -253,25 +302,36 @@ def parse_triangulation(text: str) -> Triangulation:
     First non-comment line is ``t=<N>``; each following line is
     ``<tet>:<face> -> <tet>:<face> perm=<abcd>`` where abcd is the image
     of 0123.  ``#`` starts a comment.  Listing both directions is allowed
-    but they must be mutually inverse.
+    but they must be mutually inverse.  Fewer than 2t gluing lines leave
+    a face unpaired, and that is reported after work of the order of the
+    lines, whatever t is.
     """
+    lines = text.splitlines()
     t = None
-    gluings: list[_Gluing] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if t is None:
+        if line:
             m = _HEADER_RE.match(line)
             if not m:
                 raise TriangulationError(f"line {lineno}: expected 't=<N>' header")
             t = int(m.group(1))
             if t <= 0:
                 raise TriangulationError(f"line {lineno}: need at least one tetrahedron")
-            continue
-        m = _GLUING_RE.match(line)
-        if not m:
-            raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
+            break
+    if t is None:
+        raise TriangulationError("missing 't=<N>' header")
+    gluings: list[_Gluing] = []
+    match = _GLUING_RE.match
+    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+        # a gluing line matches as it stands; others lose comment and blanks
+        m = match(raw)
+        if m is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = match(line)
+            if m is None:
+                raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
         tet, face, tet2, face2, perm_text = m.groups()
         tet, face, tet2, face2 = int(tet), int(face), int(tet2), int(face2)
         perm = _PERM_BY_TEXT.get(perm_text)
@@ -280,13 +340,11 @@ def parse_triangulation(text: str) -> Triangulation:
             raise TriangulationError(f"not a permutation of 0..3: {images}")
         if not (0 <= tet < t and 0 <= tet2 < t):
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
-        if perm(face) != face2:
+        if perm.images[face] != face2:
             raise TriangulationError(
                 f"line {lineno}: perm does not send face {face} to face {face2}"
             )
         gluings.append((tet, face, tet2, face2, perm))
-    if t is None:
-        raise TriangulationError("missing 't=<N>' header")
     try:
         return _assemble(t, gluings)
     except TriangulationError:
@@ -345,29 +403,26 @@ def validate(tri: Triangulation) -> ValidationReport:
     t = tri.t
     vroot, eroot, droot = tri.orbit_roots
 
-    v = len(set(vroot))
-    e = len(set(eroot))
+    corners = Counter(vroot)  # vertex class -> corners of its link
+    edge_roots = root_slots(eroot)
+    v = len(corners)
+    e = len(edge_roots)
     f = 2 * t
     euler = v - e + f - t
 
-    # Count edge classes (not slots) whose two directions share an orbit.
-    reversed_edges = len({
-        eroot[6 * tet + k]
-        for tet in range(t)
-        for k, (fwd, back) in enumerate(EDGE_DIRECTIONS)
-        if droot[12 * tet + fwd] == droot[12 * tet + back]
-    })
+    # Count edge classes whose two directions share an orbit; a gluing
+    # maps both directions of an edge together, so the root decides.
+    reversed_edges = 0
+    for root in edge_roots:
+        tet, k = divmod(root, 6)
+        fwd, back = EDGE_DIRECTIONS[k]
+        reversed_edges += droot[12 * tet + fwd] == droot[12 * tet + back]
 
     # Link of a vertex class: corner triangles are its faces, corner
     # sides are glued in face-pairing pairs, corner tips are the directed
     # edge orbits leaving it (a gluing keeps an edge's tail in its vertex
     # class).  chi(link) = (#tip orbits) - (#corners)/2.
-    corners = Counter(vroot)
-    tips = Counter(
-        vroot[4 * (x // 12) + DIRECTED_PAIRS[x % 12][0]]
-        for x, root in enumerate(droot)
-        if x == root
-    )
+    tips = Counter(vroot[4 * (x // 12) + DIRECTED_PAIRS[x % 12][0]] for x in root_slots(droot))
     # 3*f_v corner sides glued in pairs
     link_eulers = [tips[root] - (3 * f_v) // 2 + f_v for root, f_v in sorted(corners.items())]
 
@@ -394,43 +449,6 @@ def validate(tri: Triangulation) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class DualGraph:
-    """Dual 1-skeleton: a vertex per tetrahedron, an edge per pairing class."""
-
-    t: int
-    edges: tuple[FacePairing, ...]
-    tree: tuple[bool, ...]  # parallel to edges
-
-    def tree_edges(self) -> list[FacePairing]:
-        return [fp for fp, keep in zip(self.edges, self.tree) if keep]
-
-    def non_tree_edges(self) -> list[FacePairing]:
-        return [fp for fp, keep in zip(self.edges, self.tree) if not keep]
-
-
-def dual_graph(tri: Triangulation) -> DualGraph:
-    """BFS spanning tree from tetrahedron 0, smallest (tet, face) first."""
-    if not tri.is_connected():
-        raise DisconnectedError("triangulation is not connected")
-    pairings = tri.pairings()
-    visited = [False] * tri.t
-    visited[0] = True
-    in_tree = [False] * len(pairings)
-    index_of = {fp.source: k for k, fp in enumerate(pairings)}
-    index_of.update({fp.target: k for k, fp in enumerate(pairings)})
-    queue = deque([0])
-    while queue:
-        tet = queue.popleft()
-        for face in range(4):
-            tet2 = tri.gluings[tet][face][0]
-            if not visited[tet2]:
-                visited[tet2] = True
-                in_tree[index_of[(tet, face)]] = True
-                queue.append(tet2)
-    return DualGraph(tri.t, tuple(pairings), tuple(in_tree))
-
-
-@dataclass(frozen=True)
 class OrientationResult:
     orientable: bool
     assignment: Optional[tuple[int, ...]]
@@ -438,35 +456,43 @@ class OrientationResult:
 
 
 def orientation_check(tri: Triangulation) -> OrientationResult:
-    """Decide orientability by sign propagation over a spanning tree.
+    """Decide orientability by sign propagation from tetrahedron 0.
 
     Convention: a pairing is orientation reversing iff its permutation is
     odd, and a consistent orientation needs every induced pairing to be
     reversing, i.e. sign(A) * sign(B) = +1 exactly for odd permutations.
-    Tree pairings force each neighbour's sign; the t+1 non-tree pairings
-    are then checked, and the first violation is returned as witness.
+    One breadth-first pass, smallest (tet, face) first, sets each
+    tetrahedron's sign through the gluing that first reaches it and
+    checks every other gluing against the signs already set.  A reaching
+    gluing agrees with its signs by construction, so on a failed check
+    one scan in canonical (tet, face) order returns the first violated
+    pairing as witness.
     """
-    graph = dual_graph(tri)
-    # The tree fixes every sign; propagate them in BFS order from tet 0.
-    tree_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(tri.t)]
-    for fp in graph.tree_edges():
-        a, b = fp.source[0], fp.target[0]
-        want = 1 if fp.perm.is_odd() else -1
-        tree_nbrs[a].append((b, want))
-        tree_nbrs[b].append((a, want))
+    gluings = tri.gluings
     sign = [0] * tri.t
     sign[0] = 1
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for b, want in tree_nbrs[a]:
-            if not sign[b]:
-                sign[b] = sign[a] * want
-                queue.append(b)
-
-    for fp in graph.non_tree_edges():
-        a, b = fp.source[0], fp.target[0]
-        want = 1 if fp.perm.is_odd() else -1
-        if sign[a] * sign[b] != want:
-            return OrientationResult(False, None, fp)
-    return OrientationResult(True, tuple(sign), None)
+    reached = [0]
+    consistent = True
+    for tet in reached:  # grows while it is read: the BFS queue
+        here = sign[tet]
+        for tet2, _, perm in gluings[tet]:
+            want = here * _GLUING_SIGN[perm.index]
+            there = sign[tet2]
+            if not there:
+                sign[tet2] = want
+                reached.append(tet2)
+            elif there != want:
+                consistent = False
+    if len(reached) < tri.t:
+        raise DisconnectedError("triangulation is not connected")
+    if consistent:
+        return OrientationResult(True, tuple(sign), None)
+    # both sides of a violated pairing fail, so the first failing slot is
+    # the smaller side of the first violated class
+    witness = next(
+        FacePairing((tet, face), (tet2, face2), perm)
+        for tet, row in enumerate(gluings)
+        for face, (tet2, face2, perm) in enumerate(row)
+        if sign[tet] * _GLUING_SIGN[perm.index] != sign[tet2]
+    )
+    return OrientationResult(False, None, witness)

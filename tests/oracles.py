@@ -7,7 +7,11 @@ matrices, link Euler characteristics from explicit corner-piece orbit
 counts.  Slow is fine; these only run at fixture scale.  The exceptions
 are the triangle cosines, solve_r and subgroup invariants below: they
 are the library's earlier FieldElement and Smith-normal-form versions,
-kept as references for the int code that replaced them.  The
+kept as references for the int code that replaced them, and the
+triangulation chain's earlier stages: the three-pass orbit search, the
+dual spanning graph with its tree-sign orientation check, and the cell
+structure that pi1 was read from, and the gluing-table assembly with
+its per-gluing closure.  The
 spherical-pair search is the one the library's fixed spherical images
 came from; psl_group_order, element_order and exponent_matrix are
 helpers that only tests call.
@@ -18,6 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from lenscert.galois import (
@@ -30,14 +37,23 @@ from lenscert.galois import (
     sqrt_mod_p,
 )
 from lenscert.intlinalg import IntMatrix, smith_normal_form
-from lenscert.presentation import GroupPresentation
+from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, projective_order
 from lenscert.triangulation import (
+    DIRECTED_INDEX,
+    DIRECTED_PAIRS,
+    EDGE_DIRECTIONS,
+    EDGE_INDEX,
+    EDGE_PAIRS,
+    DisconnectedError,
     FacePairing,
+    OrientationResult,
     Permutation4,
     Triangulation,
+    TriangulationError,
     make_triangulation,
 )
+from lenscert.unionfind import UnionFind
 
 
 def det_int(rows) -> int:
@@ -265,6 +281,310 @@ def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
 
 
 # ----------------------------------------------------------------------
+# the triangulation chain as the library computed it before it read
+# everything off one directed-edge walk: three orbit passes, a dual
+# spanning graph for the orientation, and a cell structure for pi1
+
+
+_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+# faces holding each vertex, edge and directed edge of a tetrahedron, and
+# the maps a permutation induces on edges and directed edges
+_VERTEX_FACES = tuple(tuple(f for f in range(4) if f != v) for v in range(4))
+_EDGE_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in EDGE_PAIRS)
+_DIRECTED_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS)
+_EDGE_MAP = tuple(
+    tuple(EDGE_INDEX[tuple(sorted((images[a], images[b])))] for a, b in EDGE_PAIRS)
+    for images in _PERMUTATIONS
+)
+_DIRECTED_MAP = tuple(
+    tuple(DIRECTED_INDEX[(images[a], images[b])] for a, b in DIRECTED_PAIRS)
+    for images in _PERMUTATIONS
+)
+
+
+def _orbit_roots(gluings, width: int, faces_of, maps) -> tuple[int, ...]:
+    """Slot -> smallest slot of its orbit, for slots of `width` per
+    tetrahedron, by depth-first search from each unlabelled slot in
+    increasing order."""
+    across = [[(width * tet2, maps[perm.index]) for tet2, _, perm in row] for row in gluings]
+    root = [-1] * (width * len(gluings))
+    for start in range(len(root)):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            tet, s = divmod(stack.pop(), width)
+            row = across[tet]
+            for f in faces_of[s]:
+                base, image = row[f]
+                other = base + image[s]
+                if root[other] < 0:
+                    root[other] = start
+                    stack.append(other)
+    return tuple(root)
+
+
+def three_pass_orbit_roots(tri: Triangulation):
+    """(vertex, edge, directed-edge) roots, one depth-first pass each."""
+    return (
+        _orbit_roots(tri.gluings, 4, _VERTEX_FACES, _PERMUTATIONS),
+        _orbit_roots(tri.gluings, 6, _EDGE_FACES, _EDGE_MAP),
+        _orbit_roots(tri.gluings, 12, _DIRECTED_FACES, _DIRECTED_MAP),
+    )
+
+
+@dataclass(frozen=True)
+class DualGraph:
+    """Dual 1-skeleton: a vertex per tetrahedron, an edge per pairing class."""
+
+    t: int
+    edges: tuple[FacePairing, ...]
+    tree: tuple[bool, ...]  # parallel to edges
+
+    def tree_edges(self) -> list[FacePairing]:
+        return [fp for fp, keep in zip(self.edges, self.tree) if keep]
+
+    def non_tree_edges(self) -> list[FacePairing]:
+        return [fp for fp, keep in zip(self.edges, self.tree) if not keep]
+
+
+def dual_graph(tri: Triangulation) -> DualGraph:
+    """BFS spanning tree from tetrahedron 0, smallest (tet, face) first."""
+    if not tri.is_connected():
+        raise DisconnectedError("triangulation is not connected")
+    pairings = tri.pairings()
+    visited = [False] * tri.t
+    visited[0] = True
+    in_tree = [False] * len(pairings)
+    index_of = {fp.source: k for k, fp in enumerate(pairings)}
+    index_of.update({fp.target: k for k, fp in enumerate(pairings)})
+    queue = deque([0])
+    while queue:
+        tet = queue.popleft()
+        for face in range(4):
+            tet2 = tri.gluings[tet][face][0]
+            if not visited[tet2]:
+                visited[tet2] = True
+                in_tree[index_of[(tet, face)]] = True
+                queue.append(tet2)
+    return DualGraph(tri.t, tuple(pairings), tuple(in_tree))
+
+
+def tree_orientation_check(tri: Triangulation) -> OrientationResult:
+    """Signs propagated over the dual spanning tree; the first violated
+    non-tree pairing in canonical order is the witness."""
+    graph = dual_graph(tri)
+    tree_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(tri.t)]
+    for fp in graph.tree_edges():
+        a, b = fp.source[0], fp.target[0]
+        want = 1 if fp.perm.is_odd() else -1
+        tree_nbrs[a].append((b, want))
+        tree_nbrs[b].append((a, want))
+    sign = [0] * tri.t
+    sign[0] = 1
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b, want in tree_nbrs[a]:
+            if not sign[b]:
+                sign[b] = sign[a] * want
+                queue.append(b)
+    for fp in graph.non_tree_edges():
+        a, b = fp.source[0], fp.target[0]
+        want = 1 if fp.perm.is_odd() else -1
+        if sign[a] * sign[b] != want:
+            return OrientationResult(False, None, fp)
+    return OrientationResult(True, tuple(sign), None)
+
+
+@dataclass(frozen=True)
+class CellStructure:
+    """Identified cells with chosen orientations.  Edge classes are
+    numbered in order of their smallest slot, whose low-to-high direction
+    is positive; directed_sign maps each directed edge slot to its
+    (class, sign)."""
+
+    tri: Triangulation
+    vertex_class: tuple[int, ...]  # 4t slots -> class index
+    n_vertices: int
+    edge_class: tuple[int, ...]  # 6t slots -> class index
+    n_edges: int
+    edge_reps: tuple[tuple[int, int], ...]  # class -> (tet, edge idx)
+    directed_sign: tuple[tuple[int, int], ...]  # 12t slots -> (class, +-1)
+    face_classes: tuple[tuple[tuple[int, int], ...], ...]
+    face_reps: tuple[tuple[int, int], ...]
+
+
+_EDGE_OF_DIRECTED = tuple(EDGE_INDEX[tuple(sorted(pair))] for pair in DIRECTED_PAIRS)
+# boundary of face f (opposite vertex f) as directed edges p->q, q->r, r->p
+_FACE_BOUNDARY = tuple(
+    tuple(DIRECTED_INDEX[pair] for pair in ((p, q), (q, r), (r, p)))
+    for p, q, r in (tuple(v for v in range(4) if v != f) for f in range(4))
+)
+
+
+def _class_indices(roots):
+    """Slot -> class index, classes numbered in order of their root; and
+    the roots in that order."""
+    index = [0] * len(roots)
+    reps: list[int] = []
+    for x, root in enumerate(roots):
+        if x == root:
+            index[x] = len(reps)
+            reps.append(x)
+        else:
+            index[x] = index[root]
+    return tuple(index), reps
+
+
+def cell_structure(tri: Triangulation) -> CellStructure:
+    """Orbit closure of vertices, edges and faces, from the three-pass roots."""
+    vroot, eroot, droot = three_pass_orbit_roots(tri)
+    vertex_class, vreps = _class_indices(vroot)
+    edge_class, ereps = _class_indices(eroot)
+    edge_reps = tuple(divmod(root, 6) for root in ereps)
+    positive_root = []
+    for tet, eidx in edge_reps:
+        fwd, back = EDGE_DIRECTIONS[eidx]
+        if droot[12 * tet + fwd] == droot[12 * tet + back]:
+            raise TriangulationError("edge glued to itself in reverse; no orientation")
+        positive_root.append(droot[12 * tet + fwd])
+    directed_sign = []
+    for x, root in enumerate(droot):
+        cls = edge_class[6 * (x // 12) + _EDGE_OF_DIRECTED[x % 12]]
+        directed_sign.append((cls, 1 if root == positive_root[cls] else -1))
+    face_classes = tuple(
+        ((tet, face), (tet2, face2))
+        for tet, row in enumerate(tri.gluings)
+        for face, (tet2, face2, _) in enumerate(row)
+        if (tet, face) <= (tet2, face2)
+    )
+    return CellStructure(
+        tri=tri,
+        vertex_class=vertex_class,
+        n_vertices=len(vreps),
+        edge_class=edge_class,
+        n_edges=len(ereps),
+        edge_reps=edge_reps,
+        directed_sign=tuple(directed_sign),
+        face_classes=face_classes,
+        face_reps=tuple(cls[0] for cls in face_classes),
+    )
+
+
+def _skeleton_tree(cs: CellStructure) -> set[int]:
+    """Maximal tree in the identified 1-skeleton, as edge class indices."""
+    uf = UnionFind(cs.n_vertices)
+    tree: set[int] = set()
+    for cls, (tet, eidx) in enumerate(cs.edge_reps):
+        a, b = EDGE_PAIRS[eidx]
+        va, vb = cs.vertex_class[4 * tet + a], cs.vertex_class[4 * tet + b]
+        if uf.find(va) != uf.find(vb):
+            uf.union(va, vb)
+            tree.add(cls)
+    return tree
+
+
+def cell_fundamental_group(tri: Triangulation) -> GroupPresentation:
+    """Edge-class generators, triangle-boundary relators, tree edges killed."""
+    if not tri.is_connected():
+        raise DisconnectedError("triangulation is not connected")
+    cs = cell_structure(tri)
+    tree = _skeleton_tree(cs)
+    gen_index: dict[int, int] = {}
+    for cls in range(cs.n_edges):
+        if cls not in tree:
+            gen_index[cls] = len(gen_index)
+    relators = []
+    for tet, face in cs.face_reps:
+        letters = []
+        for d in _FACE_BOUNDARY[face]:
+            cls, sign = cs.directed_sign[12 * tet + d]
+            if cls not in tree:
+                letters.append((gen_index[cls], sign))
+        relators.append(Word(tuple(letters)).reduced())
+    return GroupPresentation(g=len(gen_index), relators=tuple(relators))
+
+
+def closure_assemble(t: int, gluings) -> Triangulation:
+    """Gluings (tet, face, tet2, face2, perm) recorded both ways into a
+    dense t x 4 table by a per-gluing closure, then checked for gaps."""
+    table = [[None] * 4 for _ in range(t)]
+
+    def record(tet, face, tet2, face2, perm):
+        for tt, ff in ((tet, face), (tet2, face2)):
+            if not (0 <= tt < t and 0 <= ff < 4):
+                raise TriangulationError(f"face index out of range: {tt}:{ff}")
+        if (tet, face) == (tet2, face2):
+            raise TriangulationError(f"face {tet}:{face} glued to itself")
+        entry = (tet2, face2, perm)
+        prev = table[tet][face]
+        if prev is not None and prev != entry:
+            raise TriangulationError(
+                f"face {tet}:{face} glued twice, inconsistently "
+                f"({prev[0]}:{prev[1]} vs {tet2}:{face2})"
+            )
+        table[tet][face] = entry
+
+    for tet, face, tet2, face2, perm in gluings:
+        record(tet, face, tet2, face2, perm)
+        record(tet2, face2, tet, face, perm.inverse())
+    for tet in range(t):
+        for face in range(4):
+            if table[tet][face] is None:
+                raise TriangulationError(f"face {tet}:{face} is unpaired")
+    return Triangulation(t, tuple(tuple(row) for row in table))
+
+
+def closure_parse_triangulation(text: str) -> Triangulation:
+    """The gluing format read line by line, each line stripped of its
+    comment and blanks first, then assembled by `closure_assemble`."""
+    header = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
+    gluing = re.compile(
+        r"^\s*(\d+)\s*:\s*([0-3])\s*->\s*(\d+)\s*:\s*([0-3])\s*perm\s*=\s*([0-3]{4})\s*$"
+    )
+    t = None
+    gluings = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if t is None:
+            m = header.match(line)
+            if not m:
+                raise TriangulationError(f"line {lineno}: expected 't=<N>' header")
+            t = int(m.group(1))
+            if t <= 0:
+                raise TriangulationError(f"line {lineno}: need at least one tetrahedron")
+            continue
+        m = gluing.match(line)
+        if not m:
+            raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
+        tet, face, tet2, face2 = (int(x) for x in m.groups()[:4])
+        images = tuple(int(ch) for ch in m.group(5))
+        perm = Permutation4(images)
+        if not (0 <= tet < t and 0 <= tet2 < t):
+            raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
+        if perm(face) != face2:
+            raise TriangulationError(f"line {lineno}: perm does not send face {face} to face {face2}")
+        gluings.append((tet, face, tet2, face2, perm))
+    if t is None:
+        raise TriangulationError("missing 't=<N>' header")
+    try:
+        return closure_assemble(t, gluings)
+    except TriangulationError:
+        seen = {}
+        for tet, face, tet2, face2, perm in gluings:
+            for source, target in (((tet, face), ((tet2, face2), perm)), ((tet2, face2), ((tet, face), perm.inverse()))):
+                if seen.setdefault(source, target) != target:
+                    raise TriangulationError(
+                        f"pairing not an involution at face {source[0]}:{source[1]}"
+                    ) from None
+        raise
+
+
+# ----------------------------------------------------------------------
 # generators for randomized checks
 
 
@@ -298,6 +618,15 @@ def random_gluing_table(t: int, rng: random.Random, connected: bool = True) -> T
         return tri
 
 
+def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
+    """Tetrahedra of b renumbered after those of a, no gluing between them."""
+    shifted = [
+        FacePairing((fp.source[0] + a.t, fp.source[1]), (fp.target[0] + a.t, fp.target[1]), fp.perm)
+        for fp in b.pairings()
+    ]
+    return make_triangulation(a.t + b.t, a.pairings() + shifted)
+
+
 def relabel_triangulation(tri: Triangulation, perm: list[int]) -> Triangulation:
     """Rename tetrahedron i to perm[i]."""
     pairings = [
@@ -312,8 +641,6 @@ def relabel_triangulation(tri: Triangulation, perm: list[int]) -> Triangulation:
 
 
 def random_presentation(rng: random.Random):
-    from lenscert.presentation import Word
-
     g = rng.randint(1, 6)
     r = rng.randint(1, 8)
     relators = []

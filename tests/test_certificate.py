@@ -250,16 +250,20 @@ def test_non_canonical_spacing_is_syntax_error(name, old, new, tmp_path, capsys)
     assert "error:" in capsys.readouterr().err
 
 
-def test_empty_words_round_trip():
-    """An empty relator or surjection word serializes to an empty field,
-    and the parser reads it back."""
+def _empty_words_certificate() -> Certificate:
     cert = parse(SURJ_CERT)
     empty = Word(())
-    edited = replace(
+    return replace(
         cert,
         presentation=GroupPresentation(4, (empty,), cert.presentation.labels),
         surjection=(empty,) + cert.surjection[1:],
     )
+
+
+def test_empty_words_round_trip():
+    """An empty relator or surjection word serializes to an empty field,
+    and the parser reads it back."""
+    edited = _empty_words_certificate()
     text = serialize(edited)
     assert "\n\n" in text and "gen x0 -> \n" in text
     assert parse(text) == edited
@@ -273,29 +277,83 @@ EMITTED_TEXTS = [
     SURJ_CERT,
     serialize(replace(triangle_certificate(3, 4, 5)[0], level="orbifold")),
     serialize(pipeline(load_fixture("prism_q8.tri"), (2, 2, 2))[0]),
+    serialize(_empty_words_certificate()),
 ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EMITTED_TEXTS), st.data())
 def test_spelling_edits_round_trip_or_are_syntax_errors(text, data):
-    """One edit inside a line of an emitted certificate (a character
-    deleted, or a space, tab, 0, +, - or _ inserted) gives text that either
-    parses and serializes back to itself or is a syntax error.  Edits at
-    either end of a line are left out: the reader strips lines."""
+    """One edit anywhere in an emitted certificate gives text that either
+    parses and serializes back to itself or is a syntax error.  An edit
+    deletes a character (a newline too), inserts a space, tab, 0, +, -, _,
+    # or newline at any place, line ends included, or inserts a blank,
+    padded or comment line."""
     assert serialize(parse(text)) == text
-    inside = [i for i in range(1, len(text)) if text[i - 1] != "\n" and text[i] != "\n"]
-    i = data.draw(st.sampled_from(inside))
-    if data.draw(st.booleans()):
+    edit = data.draw(st.sampled_from(["delete", "insert", "line"]))
+    if edit == "delete":
+        i = data.draw(st.integers(0, len(text) - 1))
         mutated = text[:i] + text[i + 1:]
+    elif edit == "insert":
+        i = data.draw(st.integers(0, len(text)))
+        mutated = text[:i] + data.draw(st.sampled_from(" \t0+-_#\n")) + text[i:]
     else:
-        mutated = text[:i] + data.draw(st.sampled_from(" \t0+-_")) + text[i:]
-    assume(all(line == line.strip() for line in mutated.splitlines()))
+        i = data.draw(st.sampled_from([0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]))
+        mutated = text[:i] + data.draw(st.sampled_from(["\n", " \n", "#\n", "# note\n"])) + text[i:]
     try:
         cert = parse(mutated)
     except CertificateSyntaxError:
         return
     assert serialize(cert) == mutated
+
+
+def _edit_lines(text: str, edit) -> str:
+    lines = text.split("\n")[:-1]
+    return "\n".join(edit(lines)) + "\n"
+
+
+# (certificate, edit of its list of lines): each leaves every token as
+# serialize writes it, and the reader once skipped or stripped the change
+LINE_LEVEL_EDITS = [
+    pytest.param("fig8", lambda lines: lines[:2] + [""] + lines[2:], id="blank-line"),
+    pytest.param("fig8", lambda lines: lines + [""], id="trailing-blank-line"),
+    pytest.param("fig8", lambda lines: ["# comment"] + lines, id="leading-comment"),
+    pytest.param("fig8", lambda lines: lines[:5] + ["# the field"] + lines[5:], id="comment-line"),
+    pytest.param("fig8", lambda lines: lines[:3] + ["   "] + lines[3:], id="spaces-line"),
+    pytest.param("fig8", lambda lines: [" " + lines[0]] + lines[1:], id="leading-space"),
+    pytest.param("fig8", lambda lines: lines[:-1] + [lines[-1] + " "], id="trailing-space"),
+    pytest.param("fig8", lambda lines: lines[:5] + [lines[5] + "\t"] + lines[6:], id="trailing-tab"),
+    pytest.param("z7", lambda lines: lines[:-1] + ["  " + lines[-1]], id="z7-leading-spaces"),
+    pytest.param("surj", lambda lines: lines[:-1] + ["", lines[-1]], id="surj-blank-line"),
+]
+
+
+@pytest.mark.parametrize("name,edit", LINE_LEVEL_EDITS)
+def test_line_level_edits_are_syntax_errors(name, edit, tmp_path, capsys):
+    text = _edit_lines(spaced_text(name), edit)
+    with pytest.raises(CertificateSyntaxError):
+        parse(text)
+    path = tmp_path / "edited.cert"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        fixture_text("fig8.cert").rstrip("\n"),
+        fixture_text("fig8.cert").replace("\n", "\r\n"),
+        serialize(_empty_words_certificate()).replace("gen x0 -> \n", "gen x0 ->\n"),
+    ],
+    ids=["no-final-newline", "crlf", "empty-surjection-word-unspaced"],
+)
+def test_line_ends_other_than_serialized_are_syntax_errors(text, tmp_path):
+    with pytest.raises(CertificateSyntaxError):
+        parse(text)
+    path = tmp_path / "ends.cert"
+    path.write_bytes(text.encode("utf-8"))
+    assert cli_main(["verify", str(path)]) == 2
 
 
 def test_abelian_images_must_be_reduced():

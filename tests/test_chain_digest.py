@@ -21,28 +21,17 @@ from conftest import FIXTURES, fixture_text
 from lenscert.intlinalg import abelianization, format_abelian
 from lenscert.presentation import format_presentation, fundamental_group
 from lenscert.triangulation import (
-    FacePairing,
     TriangulationError,
-    make_triangulation,
     orientation_check,
     parse_triangulation,
     validate,
 )
-from oracles import random_gluing_table
+from oracles import disjoint_union, random_gluing_table
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 from make_fixtures import lens_space  # noqa: E402
 
 CHAIN_SHA256 = "33fe4bf2d1b9cd9299810d6f9e818bbe6c50b3c9cd5827c783457f099d0f521b"
-
-
-def disjoint_union(a, b):
-    """Tetrahedra of b renumbered after those of a, no gluing between them."""
-    shifted = [
-        FacePairing((fp.source[0] + a.t, fp.source[1]), (fp.target[0] + a.t, fp.target[1]), fp.perm)
-        for fp in b.pairings()
-    ]
-    return make_triangulation(a.t + b.t, a.pairings() + shifted)
 
 
 def triangulations():

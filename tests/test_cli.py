@@ -32,6 +32,14 @@ def test_validate_failing_fixture_exits_one():
     assert "passed=no" in out.stdout
 
 
+def test_validate_bare_header_exits_two(tmp_path):
+    path = tmp_path / "huge.tri"
+    path.write_text(f"t={10**12}\n")
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2
+    assert "unpaired" in out.stderr
+
+
 def test_validate_json():
     out = run_cli("validate", fixture_path("t3_torus.tri"), "--json")
     doc = json.loads(out.stdout)

@@ -1,32 +1,44 @@
 """The shared orbit pass (`Triangulation.orbit_roots`) and its readers,
-checked against the independent orbit oracles in `oracles.py`."""
+checked against the independent orbit oracles in `oracles.py`, and
+against the chain they replaced (three orbit passes, the dual-graph
+orientation check, pi1 from a cell structure)."""
 
 import itertools
 import os
 import random
 import sys
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.intlinalg import abelianization
-from lenscert.presentation import cell_structure, fundamental_group
+from lenscert.presentation import fundamental_group
 from lenscert.triangulation import (
     DIRECTED_INDEX,
     EDGE_INDEX,
+    DisconnectedError,
     Permutation4,
     TriangulationError,
     format_triangulation,
+    orientation_check,
     parse_triangulation,
     validate,
 )
 from oracles import (
     _edge_orbits,
     _vertex_orbits,
+    cell_fundamental_group,
+    cell_structure,
     chain_complex_h1,
+    disjoint_union,
     link_euler_characteristics,
     random_gluing_table,
     relabel_triangulation,
+    three_pass_orbit_roots,
+    tree_orientation_check,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
@@ -188,3 +200,53 @@ def test_permutation_tables_match_brute_force():
     with pytest.raises(TriangulationError):
         Permutation4((0, 0, 1, 2))
 
+
+
+# ----------------------------------------------------------------------
+# the one-walk chain against the chain it replaced
+
+
+def _result(fn, tri):
+    try:
+        return fn(tri)
+    except TriangulationError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_chain_matches_replaced(tri):
+    assert tri.orbit_roots == three_pass_orbit_roots(tri)
+    assert _result(orientation_check, tri) == _result(tree_orientation_check, tri)
+    assert _result(fundamental_group, tri) == _result(cell_fundamental_group, tri)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.randoms(use_true_random=False))
+def test_chain_equals_replaced_chain_on_random_tables(t, connected, rnd):
+    _assert_chain_matches_replaced(random_gluing_table(t, rnd, connected=connected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_chain_equals_replaced_chain_on_disjoint_unions(t1, t2, rnd):
+    tri = disjoint_union(random_gluing_table(t1, rnd), random_gluing_table(t2, rnd))
+    with pytest.raises(DisconnectedError):
+        orientation_check(tri)
+    _assert_chain_matches_replaced(tri)
+
+
+@st.composite
+def lens_parameters(draw):
+    p = draw(st.integers(2, 90))
+    q = draw(st.sampled_from([q for q in range(1, p) if gcd(p, q) == 1]))
+    return p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(lens_parameters(), st.randoms(use_true_random=False))
+def test_chain_equals_replaced_chain_on_relabelled_lens_spaces(pq, rnd):
+    tri = lens_space(*pq)
+    perm = list(range(tri.t))
+    rnd.shuffle(perm)
+    relabelled = relabel_triangulation(tri, perm)
+    _assert_chain_matches_replaced(relabelled)
+    assert abelianization(fundamental_group(relabelled)).torsion == (pq[0],)

@@ -10,7 +10,6 @@ from lenscert.presentation import (
     MAX_WORD_EXPONENT,
     GroupPresentation,
     Word,
-    cell_structure,
     format_presentation,
     format_word,
     fundamental_group,
@@ -18,7 +17,7 @@ from lenscert.presentation import (
     word_power,
 )
 from lenscert.triangulation import parse_triangulation, validate
-from oracles import chain_complex_h1, exponent_matrix, random_gluing_table
+from oracles import cell_structure, chain_complex_h1, exponent_matrix, random_gluing_table
 
 MINIMAL_ONE_TET = """
 t=1

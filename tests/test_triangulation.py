@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import time
 from math import gcd
 
 import pytest
@@ -10,15 +11,19 @@ from hypothesis import strategies as st
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.triangulation import (
     DisconnectedError,
+    FacePairing,
     Permutation4,
     TriangulationError,
-    dual_graph,
     format_triangulation,
+    make_triangulation,
     orientation_check,
     parse_triangulation,
     validate,
 )
 from oracles import (
+    closure_assemble,
+    closure_parse_triangulation,
+    dual_graph,
     exhaustive_orientation,
     link_euler_characteristics,
     random_gluing_table,
@@ -75,6 +80,90 @@ def test_index_out_of_range_rejected():
 def test_unpaired_face_rejected():
     with pytest.raises(TriangulationError, match="unpaired"):
         parse_triangulation("t=1\n0:0 -> 0:1 perm=1023\n")
+
+
+def test_bare_header_fails_without_work_of_order_t():
+    # 4 * 10**12 face slots: a dense table could not even be allocated
+    start = time.perf_counter()
+    with pytest.raises(TriangulationError, match="face 0:0 is unpaired"):
+        parse_triangulation(f"t={10**12}\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_few_gluings_name_the_first_unpaired_face():
+    text = "t=1000000000\n0:0 -> 0:1 perm=1023\n0:2 -> 1:3 perm=0132\n"
+    with pytest.raises(TriangulationError, match="face 0:3 is unpaired"):
+        parse_triangulation(text)
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except TriangulationError as exc:
+        return type(exc), str(exc)
+
+
+def _decorated_gluing_text(rnd):
+    """A random table written with random spacing, comments, blank lines,
+    reversed and repeated lines, and sometimes one line dropped, bent or
+    pointed out of range."""
+    tri = random_gluing_table(rnd.randint(1, 4), rnd, connected=False)
+    pairings = [fp.reverse() if rnd.random() < 0.5 else fp for fp in tri.pairings()]
+    pairings += [rnd.choice(pairings).reverse() for _ in range(rnd.randint(0, 2))]
+    rnd.shuffle(pairings)
+
+    def gap():
+        return rnd.choice(["", "", " ", "  ", "\t"])
+
+    lines = [f"{gap()}t{gap()}={gap()}{tri.t}{gap()}"]
+    for fp in pairings:
+        (a, f), (b, g) = fp.source, fp.target
+        line = f"{gap()}{a}{gap()}:{gap()}{f}{gap()}->{gap()}{b}{gap()}:{gap()}{g}{gap()}perm{gap()}={gap()}{fp.perm}{gap()}"
+        lines.append(line + (f"{gap()}# note" if rnd.random() < 0.2 else ""))
+    for _ in range(rnd.randint(0, 3)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "   ", "# comment", " # x"]))
+    fault = rnd.randrange(8)
+    body = [k for k, line in enumerate(lines) if "->" in line]
+    if body and fault == 0:
+        del lines[rnd.choice(body)]
+    elif body and fault == 1:
+        k = rnd.choice(body)
+        lines[k] = lines[k].replace("->", "- >")
+    elif body and fault == 2:
+        k = rnd.choice(body)
+        lines[k] = lines[k].replace("perm", "perm=3210 #", 1)
+    elif fault == 3:
+        lines.append(f"{tri.t}:0 -> 0:1 perm=1023")
+    elif fault == 4:
+        lines.append("0:0 -> 0:0 perm=0132")
+    return "\n".join(lines) + rnd.choice(["", "\n", "\r\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_parse_equals_line_by_line_parse(rnd):
+    text = _decorated_gluing_text(rnd)
+    assert _outcome_of(parse_triangulation, text) == _outcome_of(closure_parse_triangulation, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_assembly_equals_closure_assembly(t, rnd):
+    gluings = []
+    for _ in range(rnd.randint(0, 2 * t + 3)):
+        tet, tet2 = rnd.randint(-1, t), rnd.randint(-1, t)
+        face, face2 = rnd.randrange(4), rnd.randrange(4)
+        rest = [v for v in range(4) if v != face2]
+        rnd.shuffle(rest)
+        images = [0] * 4
+        images[face] = face2
+        for v, w in zip([v for v in range(4) if v != face], rest):
+            images[v] = w
+        gluings.append(FacePairing((tet, face), (tet2, face2), Permutation4(tuple(images))))
+    if rnd.random() < 0.3:
+        gluings = random_gluing_table(t, rnd, connected=False).pairings() + gluings[:1]
+    tuples = [(*fp.source, *fp.target, fp.perm) for fp in gluings]
+    assert _outcome_of(make_triangulation, t, gluings) == _outcome_of(closure_assemble, t, tuples)
 
 
 def test_syntax_error_reports_line():

@@ -5,6 +5,12 @@ the identified 2-skeleton minus a maximal tree in the 1-skeleton, and
 each face class contributes its boundary word, so relators have reduced
 length at most 3.  A 1-vertex triangulation with t tetrahedra therefore
 yields at most t+1 generators and 2t relators.
+
+`fundamental_group` reads the generators, the maximal tree and every
+relator letter straight off `Triangulation.orbit_roots` (one walk per
+directed-edge orbit): a generator's letter is the directed-edge orbit
+it runs along.  The cell structure pi1 was once read from is kept as a
+reference oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations

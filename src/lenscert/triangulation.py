@@ -214,10 +214,14 @@ def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
     orbit is a cycle: leave through one face, and from each directed edge
     reached leave through its face other than the one entered, until the
     start comes round again.  Walks start from each unlabelled slot in
-    increasing order, so a walk's start is its orbit's smallest slot.  An
-    edge orbit is the union of the orbits of its two directions, which
-    pass the same edges; the first of the two walks labels it with the
-    smallest edge slot it passed.
+    increasing order, so a walk's start is its orbit's smallest slot.
+
+    An edge orbit is the union of the orbits of its two directions, and
+    that union holds both directions of each of its edges.  Directed
+    slots within a tetrahedron are ordered by (tail, head) and edges by
+    (low end, high end), so the union's smallest directed slot, where the
+    first of its walks starts, lies on its smallest edge slot.  The walk
+    over the reverse directions finds that root already set.
     """
     droot = [-1] * (12 * len(gluings))
     eroot = [-1] * (6 * len(gluings))
@@ -225,22 +229,19 @@ def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if droot[start] >= 0:
             continue
         tet, s = divmod(start, 12)
+        edge = 6 * tet + _EDGE_OF_DIRECTED[s]
+        low = eroot[edge] if eroot[edge] >= 0 else edge
         face = _DIRECTED_FACES[s][0]
-        edges = [6 * tet + _EDGE_OF_DIRECTED[s]]
         x = start
         while True:
             droot[x] = start
+            eroot[6 * tet + _EDGE_OF_DIRECTED[s]] = low
             tet, entered, perm = gluings[tet][face]
             s = _DIRECTED_MAP[perm.index][s]
             x = 12 * tet + s
             if x == start:
                 break
             face = _OTHER_FACE[s][entered]
-            edges.append(6 * tet + _EDGE_OF_DIRECTED[s])
-        if eroot[edges[0]] < 0:
-            low = min(edges)
-            for e in edges:
-                eroot[e] = low
     return tuple(droot), tuple(eroot)
 
 

@@ -100,7 +100,37 @@ def test_parse_word_caps_exponent_before_expanding():
 
 
 # ----------------------------------------------------------------------
-# cell structure
+# presentation checks at construction
+
+LETTERS = st.tuples(st.integers(0, 7), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.lists(st.lists(LETTERS, max_size=4), max_size=5))
+def test_presentation_rejects_exactly_the_relators_past_its_generators(g, words):
+    relators = tuple(Word(tuple(letters)) for letters in words)
+    top = max((gen for letters in words for gen, _ in letters), default=-1)
+    for labels in ((), tuple(f"g{k}" for k in range(g))):
+        if top < g:
+            pres = GroupPresentation(g, relators, labels)
+            assert pres.labels == (labels or tuple(f"x{k}" for k in range(g)))
+        else:
+            with pytest.raises(ValueError, match="unknown generator"):
+                GroupPresentation(g, relators, labels)
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [(("a",), "label count"), (("a", "a"), "duplicate"), (("a", "1b"), "bad generator label"),
+     (("a", "b-c"), "bad generator label"), (("a", ""), "bad generator label")],
+)
+def test_presentation_label_checks(labels, message):
+    with pytest.raises(ValueError, match=message):
+        GroupPresentation(2, (), labels)
+
+
+# ----------------------------------------------------------------------
+# cell structure (the oracle pi1 was once read from)
 
 
 def test_one_tet_has_two_face_classes():

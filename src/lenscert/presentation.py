@@ -78,8 +78,7 @@ class Word:
         return True
 
     def max_generator(self) -> int:
-        # letters compare by generator first
-        return max(self.letters, default=(-1, 0))[0]
+        return max((g for g, _ in self.letters), default=-1)
 
     def exponent_sums(self, g: int) -> list[int]:
         sums = [0] * g
@@ -116,10 +115,10 @@ class GroupPresentation:
             raise ValueError("label count does not match generator count")
         if len(set(self.labels)) != self.g:
             raise ValueError("duplicate generator labels")
-        # the default labels x0, x1, ... are well formed by construction
-        for lab in self.labels if supplied else ():
-            if not lab or not set(lab) <= _LABEL_CHARS or lab[0].isdigit():
-                raise ValueError(f"bad generator label {lab!r}")
+        if supplied:  # the default labels x0, x1, ... are well formed
+            for lab in self.labels:
+                if not lab or not set(lab) <= _LABEL_CHARS or lab[0].isdigit():
+                    raise ValueError(f"bad generator label {lab!r}")
         # letters compare by generator first: the largest names the top one
         top = max(chain.from_iterable(map(attrgetter("letters"), self.relators)), default=(-1, 0))
         if top[0] >= self.g:
@@ -206,6 +205,7 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     vroot, eroot, droot = tri.orbit_roots
     components = UnionFind(len(vroot))
     joined = 0  # tree edges
+    g = 0  # generators
     reversed_edge = False
     letter: dict[int, tuple[int, int]] = {}  # directed root -> (generator, +-1)
     for root in root_slots(eroot):
@@ -219,11 +219,12 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
             components.union(va, vb)
             joined += 1
         else:
-            gen = len(letter) // 2
-            letter[positive] = (gen, 1)
-            letter[negative] = (gen, -1)
-    # the 1-skeleton is connected iff the triangulation is
-    if joined != len(set(vroot)) - 1:
+            letter[positive] = (g, 1)
+            letter[negative] = (g, -1)
+            g += 1
+    # the 1-skeleton is connected iff the triangulation is; a spanning
+    # forest of it has one edge fewer than its vertex classes per component
+    if joined < len(set(vroot)) - 1:
         raise DisconnectedError("triangulation is not connected")
     if reversed_edge:
         raise TriangulationError("edge glued to itself in reverse; no orientation")
@@ -244,4 +245,4 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
                     word.append(x)
             relators.append(Word(tuple(word)))
 
-    return GroupPresentation(g=len(letter) // 2, relators=tuple(relators))
+    return GroupPresentation(g=g, relators=tuple(relators))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.intlinalg import abelianization
-from lenscert.presentation import fundamental_group
+from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.triangulation import (
     DIRECTED_INDEX,
     EDGE_INDEX,
@@ -23,6 +23,7 @@ from lenscert.triangulation import (
     Permutation4,
     TriangulationError,
     format_triangulation,
+    make_triangulation,
     orientation_check,
     parse_triangulation,
     validate,
@@ -232,6 +233,12 @@ def test_chain_equals_replaced_chain_on_disjoint_unions(t1, t2, rnd):
     with pytest.raises(DisconnectedError):
         orientation_check(tri)
     _assert_chain_matches_replaced(tri)
+
+
+def test_empty_triangulation_has_the_empty_presentation():
+    empty = make_triangulation(0, [])
+    assert fundamental_group(empty) == cell_fundamental_group(empty) == GroupPresentation(0, ())
+    assert validate(empty).v == 0 and empty.orbit_roots == ((), (), ())
 
 
 @st.composite

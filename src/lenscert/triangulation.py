@@ -239,8 +239,12 @@ def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tet, entered, perm = gluings[tet][face]
             s = _DIRECTED_MAP[perm.index][s]
             x = 12 * tet + s
-            if x == start:
-                break
+            if droot[x] >= 0:
+                if x == start:
+                    break
+                # orbits are disjoint cycles when the gluings pair faces
+                # both ways, as make_triangulation and the parser ensure
+                raise TriangulationError("gluings do not pair the faces both ways")
             face = _OTHER_FACE[s][entered]
     return tuple(droot), tuple(eroot)
 

@@ -6,6 +6,7 @@ orientation check, pi1 from a cell structure)."""
 import itertools
 import os
 import random
+import signal
 import sys
 from math import gcd
 
@@ -21,6 +22,7 @@ from lenscert.triangulation import (
     EDGE_INDEX,
     DisconnectedError,
     Permutation4,
+    Triangulation,
     TriangulationError,
     format_triangulation,
     make_triangulation,
@@ -239,6 +241,43 @@ def test_empty_triangulation_has_the_empty_presentation():
     empty = make_triangulation(0, [])
     assert fundamental_group(empty) == cell_fundamental_group(empty) == GroupPresentation(0, ())
     assert validate(empty).v == 0 and empty.orbit_roots == ((), (), ())
+
+
+def _table_built_directly(rng):
+    """Rows of random (tet, face, perm) entries, skipping make_triangulation."""
+    t = rng.randint(1, 3)
+    perms = [Permutation4(images) for images in itertools.permutations(range(4))]
+    rows = tuple(
+        tuple((rng.randrange(t), rng.randrange(4), rng.choice(perms)) for _ in range(4))
+        for _ in range(t)
+    )
+    return Triangulation(t, rows)
+
+
+def test_walk_stops_on_gluings_that_do_not_pair_faces_both_ways():
+    """A walk round such a table can cycle without meeting its start; it
+    must stop at the first slot labelled before.  The alarm turns a
+    walk that never stops into a failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError("orbit walk did not stop")
+
+    rng = random.Random(99)
+    rejected = 0
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        for _ in range(50):
+            try:
+                _table_built_directly(rng).orbit_roots
+            except TriangulationError as exc:
+                assert "both ways" in str(exc)
+                rejected += 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # a few tables happen to give every directed edge a cycle
+    assert rejected >= 40
 
 
 @st.composite

@@ -8,10 +8,36 @@ is canonical: serialize(parse(serialize(c))) is byte-identical, and
 parse reads every line exactly as written, each ended by a newline.  A
 blank, padded or comment line is not skipped but read as the line it
 stands in for, so it is a syntax error there.
+
+Each invariant is checked once, where a certificate comes in:
+
+- parse checks line by line: spelling and spacing, canonical decimals
+  (galois.parse_decimal), the labels and matrix generator names
+  (presentation.is_label), every word letter against the letter table of
+  the names it is over (so each letter is a known generator with
+  exponent +-1) and free reduction, matrix coordinates in [0, p)
+  (galois.parse_coords), det 1 (ProjMatrix.from_reduced) and the sign
+  normalization serialize writes, reduced abelian images, and image and
+  surjection lines in the order of the gens line.  Words and the
+  presentation are then built by Word.from_checked and
+  GroupPresentation.from_checked, which trust the letter table, and
+  Certificate._check_fields checks what no one line shows: the level,
+  the kind's fields, target moduli above 1, distinct matrix names, and
+  matrix names equal to the labels when there is no surjection.  parse
+  records the bytes of the canonical text as text_bytes.
+- The constructors check a certificate built in code: Certificate runs
+  _check_fields and then checks every word, matrix name and image field
+  as parse does; Word checks its letters and GroupPresentation its labels
+  and relator generators.
+- verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
+  certificate built in code is serialized to count its bytes.  The
+  images' coordinates and inverses are taken once per certificate
+  (projmat.letter_table) and every word is one projmat.fold_letters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -22,11 +48,20 @@ from .intlinalg import IntMatrix, smith_normal_form
 from .presentation import (
     GroupPresentation,
     Word,
+    default_labels,
     format_presentation,
     format_word,
+    is_label,
     parse_word,
 )
-from .projmat import OpCounter, ProjMatrix, bit_size, evaluate_word
+from .projmat import (
+    OpCounter,
+    ProjMatrix,
+    bit_size_spec,
+    evaluate_word,
+    fold_letters,
+    letter_table,
+)
 from .trianglerep import (
     HYPERBOLIC,
     TriangleCertData,
@@ -67,16 +102,52 @@ class Certificate:
     rep_images: Optional[tuple[ProjMatrix, ...]] = None
     surjection: Optional[tuple[Word, ...]] = None  # per presentation generator
     witness: Optional[tuple[Word, Word]] = None  # words over presentation gens
+    # bytes of the canonical text, recorded by parse from the text it read;
+    # None for a certificate built in code, whose verify serializes it
+    text_bytes: Optional[int] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        self._check_fields()
+        pres = self.presentation
+        for w in pres.relators:
+            if not w.is_reduced():
+                raise CertificateSyntaxError("relator word is not freely reduced")
+        if self.kind == NON_CYCLIC:
+            a, b = self.target  # type: ignore[misc]
+            object.__setattr__(
+                self,
+                "abelian_images",
+                tuple((u % a, v % b) for u, v in self.abelian_images),  # type: ignore[union-attr]
+            )
+            return
+        for name in self.rep_gens:  # type: ignore[union-attr]
+            if not is_label(name):
+                raise CertificateSyntaxError(f"bad generator label {name!r}")
+        for m in self.rep_images:  # type: ignore[union-attr]
+            if m.spec != self.field:
+                raise CertificateSyntaxError("matrix over the wrong field")
+        for w in self.surjection or ():
+            if not w.is_reduced():
+                raise CertificateSyntaxError("surjection word is not freely reduced")
+            if w.max_generator() >= len(self.rep_gens):  # type: ignore[arg-type]
+                raise CertificateSyntaxError("surjection word uses unknown generator")
+        for w in self.witness:  # type: ignore[union-attr]
+            if not w.is_reduced():
+                raise CertificateSyntaxError("witness word is not freely reduced")
+            if w.max_generator() >= pres.g:
+                raise CertificateSyntaxError("witness word uses unknown generator")
+
+    def _check_fields(self) -> None:
+        """What parse cannot see line by line: the level, the kind and
+        which fields it needs, the target moduli, and the matrix names
+        against each other and against the presentation."""
         if self.level not in (None, ORBIFOLD):
             raise CertificateSyntaxError(
                 f"unknown level {self.level!r}; the only level is {ORBIFOLD!r}"
             )
         pres = self.presentation
-        for w in pres.relators:
-            if not w.is_reduced():
-                raise CertificateSyntaxError("relator word is not freely reduced")
         if self.kind == NON_CYCLIC:
             if self.target is None or self.abelian_images is None:
                 raise CertificateSyntaxError("abelian certificate needs target and images")
@@ -87,11 +158,6 @@ class Certificate:
                 raise CertificateSyntaxError("abelian target moduli must exceed 1")
             if len(self.abelian_images) != pres.g:
                 raise CertificateSyntaxError("need one abelian image per generator")
-            object.__setattr__(
-                self,
-                "abelian_images",
-                tuple((u % a, v % b) for u, v in self.abelian_images),
-            )
         elif self.kind == NON_ABELIAN:
             if self.field is None or self.rep_gens is None or self.rep_images is None:
                 raise CertificateSyntaxError("representation certificate needs field and images")
@@ -103,30 +169,30 @@ class Certificate:
                 raise CertificateSyntaxError("matrix count does not match matrix generators")
             if len(set(self.rep_gens)) != len(self.rep_gens):
                 raise CertificateSyntaxError("duplicate matrix generator names")
-            for m in self.rep_images:
-                if m.spec != self.field:
-                    raise CertificateSyntaxError("matrix over the wrong field")
             if self.surjection is None:
                 if self.rep_gens != pres.labels:
                     raise CertificateSyntaxError(
                         "without a surjection the matrices must be indexed by the "
                         "presentation generators"
                     )
-            else:
-                if len(self.surjection) != pres.g:
-                    raise CertificateSyntaxError("need one surjection word per generator")
-                for w in self.surjection:
-                    if not w.is_reduced():
-                        raise CertificateSyntaxError("surjection word is not freely reduced")
-                    if w.max_generator() >= len(self.rep_gens):
-                        raise CertificateSyntaxError("surjection word uses unknown generator")
-            for w in self.witness:
-                if not w.is_reduced():
-                    raise CertificateSyntaxError("witness word is not freely reduced")
-                if w.max_generator() >= pres.g:
-                    raise CertificateSyntaxError("witness word uses unknown generator")
+            elif len(self.surjection) != pres.g:
+                raise CertificateSyntaxError("need one surjection word per generator")
         else:
             raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Certificate))
+
+
+def _parsed_certificate(fields: dict) -> Certificate:
+    """The certificate parse read, text_bytes included.  Its words, matrix
+    names and images were checked line by line as they were read, so of
+    the constructor's checks only _check_fields runs."""
+    cert = object.__new__(Certificate)
+    for name in _FIELD_NAMES:
+        object.__setattr__(cert, name, fields.get(name))
+    cert._check_fields()
+    return cert
 
 
 def serialize(cert: Certificate) -> str:
@@ -212,7 +278,7 @@ def _parse_reduced_word(
     parse and evaluation cost stay linear in the text.  Any exponent other
     than `^-1` is a syntax error."""
     try:
-        word = Word(tuple(map(letters.__getitem__, text.split(" ") if text else ())))
+        word = Word.from_checked(tuple(map(letters.__getitem__, text.split(" ") if text else ())))
     except KeyError as exc:
         token = exc.args[0]
         name, caret, _ = token.partition("^")
@@ -224,6 +290,13 @@ def _parse_reduced_word(
     if not word.is_reduced():
         raise reader.error(f"word {text!r} is not freely reduced")
     return word
+
+
+def _expect_name(reader: _Reader, name: str, label: str) -> None:
+    if name != label:
+        raise reader.error(
+            f"expected generator {label!r}, not {name!r}: these lines follow the gens line's order"
+        )
 
 
 def parse(text: str) -> Certificate:
@@ -249,13 +322,17 @@ def parse(text: str) -> Certificate:
     except (IndexError, ValueError):
         raise reader.error("bad generator count") from None
     labels = tuple(parts[2:])
+    # the canonical text's bytes: the text as read, plus the default
+    # labels " x0 x1 ..." that a gens line without labels stands for
+    text_bytes = len(text.encode())
     if not labels:
         # Every generator needs a later line (its image or its surjection
         # word), so a count beyond the lines left is malformed; checking
         # first keeps a short `gens N` from allocating N labels.
         if g > len(reader.lines) - reader.pos:
             raise reader.error("generator count exceeds the lines that follow")
-        labels = tuple(f"x{i}" for i in range(g))
+        labels = default_labels(g)
+        text_bytes += g + sum(map(len, labels))
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
 
@@ -271,50 +348,48 @@ def parse(text: str) -> Certificate:
         _parse_reduced_word(reader, reader.next(), letters) for _ in range(r)
     )
     try:
-        pres = GroupPresentation(g=g, relators=relators, labels=labels)
+        pres = GroupPresentation.from_checked(g, relators, labels)
     except ValueError as exc:
         raise reader.error(str(exc)) from None
 
     try:
         if kind == NON_CYCLIC:
-            return _parse_abelian(reader, pres, level)
-        if kind == NON_ABELIAN:
-            return _parse_rep(reader, pres, level)
-    except (ValueError, CertificateSyntaxError) as exc:
+            fields = _parse_abelian(reader, labels)
+        elif kind == NON_ABELIAN:
+            fields = _parse_rep(reader, labels, letters)
+        else:
+            raise reader.error(f"unknown certificate kind {kind!r}")
+    except ValueError as exc:
         if isinstance(exc, CertificateSyntaxError):
             raise
         raise reader.error(str(exc)) from None
-    raise reader.error(f"unknown certificate kind {kind!r}")
+    if reader.peek() is not None:
+        raise reader.error(f"unexpected trailing line {reader.peek()!r}")
+    fields.update(kind=kind, presentation=pres, level=level, text_bytes=text_bytes)
+    return _parsed_certificate(fields)
 
 
-def _parse_abelian(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -> Certificate:
+def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
     m = _TARGET_RE.match(reader.next())
     if not m:
         raise reader.error("expected 'target Z/<a> x Z/<b>'")
     a, b = parse_decimal(m.group(1)), parse_decimal(m.group(2))
-    images: dict[str, tuple[int, int]] = {}
-    for _ in range(pres.g):
+    images = []
+    for label in labels:
         gm = _ABELIAN_RE.match(reader.next())
         if not gm:
             raise reader.error("expected 'gen <name> = (<u>,<v>)'")
+        _expect_name(reader, gm.group(1), label)
         u, v = parse_decimal(gm.group(2)), parse_decimal(gm.group(3))
         if u >= a or v >= b:
             raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
-        images[gm.group(1)] = (u, v)
-    if set(images) != set(pres.labels):
-        raise reader.error("abelian images do not cover the generators")
-    if reader.peek() is not None:
-        raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    return Certificate(
-        kind=NON_CYCLIC,
-        presentation=pres,
-        level=level,
-        target=(a, b),
-        abelian_images=tuple(images[lab] for lab in pres.labels),
-    )
+        images.append((u, v))
+    return {"target": (a, b), "abelian_images": tuple(images)}
 
 
-def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -> Certificate:
+def _parse_rep(
+    reader: _Reader, labels: tuple[str, ...], letters: dict[str, tuple[int, int]]
+) -> dict:
     m = _FIELD_RE.match(reader.next())
     if not m:
         raise reader.error("expected 'field p=<p> deg=<d> [s=<s>]'")
@@ -334,29 +409,36 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
             break
         reader.next()
         try:
-            coords = [x for k in range(2, 6) for x in parse_coords(gm.group(k), spec)]
-            matrix = ProjMatrix.from_coords(spec, coords)
+            a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
+            coords = (*a, *b, *c, *d)
+            matrix = ProjMatrix.from_reduced(spec, coords)
         except ValueError as exc:
             raise reader.error(str(exc)) from None
-        rep_gens.append(gm.group(1))
+        if matrix.coords != coords:
+            raise reader.error(
+                f"matrix is not sign-normalized: its first nonzero coordinate "
+                f"exceeds {(p - 1) // 2}; write it as {matrix}"
+            )
+        name = gm.group(1)
+        if not is_label(name):
+            raise reader.error(f"bad generator label {name!r}")
+        rep_gens.append(name)
         rep_images.append(matrix)
     if not rep_images:
         raise reader.error("expected at least one 'gen <name> = [[..],[..]]' line")
 
     surjection = None
-    line = reader.peek()
-    if line == "surjection":
+    if reader.peek() == "surjection":
         reader.next()
-        words: dict[str, Word] = {}
         rep_letters = _letter_table(tuple(rep_gens))
-        for _ in range(pres.g):
+        words = []
+        for label in labels:
             sm = _SURJ_RE.match(reader.next())
             if not sm:
                 raise reader.error("expected 'gen <name> -> <word>'")
-            words[sm.group(1)] = _parse_reduced_word(reader, sm.group(2), rep_letters)
-        if set(words) != set(pres.labels):
-            raise reader.error("surjection does not cover the generators")
-        surjection = tuple(words[lab] for lab in pres.labels)
+            _expect_name(reader, sm.group(1), label)
+            words.append(_parse_reduced_word(reader, sm.group(2), rep_letters))
+        surjection = tuple(words)
 
     line = reader.next()
     if not line.startswith("witness "):
@@ -364,23 +446,17 @@ def _parse_rep(reader: _Reader, pres: GroupPresentation, level: Optional[str]) -
     left, bar, right = line[len("witness "):].partition(" | ")
     if not bar:
         raise reader.error("witness needs two words separated by ' | '")
-    letters = _letter_table(pres.labels)
     witness = (
         _parse_reduced_word(reader, left, letters),
         _parse_reduced_word(reader, right, letters),
     )
-    if reader.peek() is not None:
-        raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    return Certificate(
-        kind=NON_ABELIAN,
-        presentation=pres,
-        level=level,
-        field=spec,
-        rep_gens=tuple(rep_gens),
-        rep_images=tuple(rep_images),
-        surjection=surjection,
-        witness=witness,
-    )
+    return {
+        "field": spec,
+        "rep_gens": tuple(rep_gens),
+        "rep_images": tuple(rep_images),
+        "surjection": surjection,
+        "witness": witness,
+    }
 
 
 @dataclass(frozen=True)
@@ -393,16 +469,6 @@ class VerificationReport:
     field_ops: int
     cert_bits: int
     matrix_bits: tuple[int, ...]
-
-
-def _push(cert: Certificate, word: Word) -> Word:
-    if cert.surjection is None:
-        return word
-    letters: list[tuple[int, int]] = []
-    for gen, exp in word.letters:
-        image = cert.surjection[gen]
-        letters.extend((image if exp == 1 else image.inverse()).letters)
-    return Word(tuple(letters))
 
 
 def subgroup_invariants(
@@ -453,8 +519,11 @@ def verify(cert: Certificate) -> VerificationReport:
     images span a non-cyclic subgroup.
     """
     counter = OpCounter()
-    cert_bits = 8 * len(serialize(cert).encode())
-    matrix_bits = tuple(bit_size(m) for m in cert.rep_images) if cert.rep_images else ()
+    text_bytes = cert.text_bytes
+    if text_bytes is None:
+        text_bytes = len(serialize(cert).encode())
+    images = cert.rep_images or ()
+    matrix_bits = (bit_size_spec(cert.field),) * len(images) if images else ()
 
     def report(accepted: bool, reason: Optional[str], relator_mults: int) -> VerificationReport:
         return VerificationReport(
@@ -464,31 +533,41 @@ def verify(cert: Certificate) -> VerificationReport:
             relator_mat_mults=relator_mults,
             mat_mults=counter.mat_mults,
             field_ops=counter.field_ops,
-            cert_bits=cert_bits,
+            cert_bits=8 * text_bytes,
             matrix_bits=matrix_bits,
         )
 
     pres = cert.presentation
     if cert.kind == NON_ABELIAN:
-        images = list(cert.rep_images)  # type: ignore[arg-type]
+        spec = cert.field
+        table = letter_table(images)
+        identity = ProjMatrix.identity(spec).coords
+        # the rep-generator letters of each presentation letter, as table[exp][gen]
+        pushed = None
+        if cert.surjection is not None:
+            pushed = (
+                None,
+                [w.letters for w in cert.surjection],
+                [w.inverse().letters for w in cert.surjection],
+            )
+
+        def value(letters) -> tuple:
+            if pushed is not None:
+                letters = [x for gen, exp in letters for x in pushed[exp][gen]]
+            return fold_letters(spec, table, letters, counter)
+
         relator_mults = 0
         for k, rel in enumerate(pres.relators):
-            pushed = _push(cert, rel)
             before = counter.mat_mults
-            value = evaluate_word(images, pushed, counter)
+            coords = value(rel.letters)
             relator_mults += counter.mat_mults - before
-            if not value.is_identity():
+            if coords != identity:
                 return report(False, f"relator {k} does not map to the identity", relator_mults)
-        gen_images = [
-            evaluate_word(images, _push(cert, Word(((i, 1),))), counter)
-            for i in range(pres.g)
-        ]
-        if all(m.is_identity() for m in gen_images):
+        gen_images = [value(((i, 1),)) for i in range(pres.g)]
+        if all(coords == identity for coords in gen_images):
             return report(False, "every generator maps to the identity", relator_mults)
         w1, w2 = cert.witness  # type: ignore[misc]
-        m1 = evaluate_word(images, _push(cert, w1), counter)
-        m2 = evaluate_word(images, _push(cert, w2), counter)
-        if m1 == m2:
+        if value(w1.letters) == value(w2.letters):
             return report(False, "witness words have equal images", relator_mults)
         if not _is_rotation(w1, w2):
             return report(
@@ -501,7 +580,10 @@ def verify(cert: Certificate) -> VerificationReport:
     images_ab = cert.abelian_images
     assert images_ab is not None
     for k, rel in enumerate(pres.relators):
-        sums = rel.exponent_sums(pres.g)
+        # the presentation holds its relators to generators below g
+        sums = [0] * pres.g
+        for gen, exp in rel.letters:
+            sums[gen] += exp
         u = v = 0
         for i, e in enumerate(sums):
             if e:

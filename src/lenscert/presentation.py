@@ -15,6 +15,7 @@ reference oracle in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -31,7 +32,12 @@ from .triangulation import (
 )
 from .unionfind import UnionFind
 
-_LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# a generator label: ASCII, a letter or '_' first, then letters, digits or '_'
+_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def is_label(text: str) -> bool:
+    return _LABEL_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,14 @@ class Word:
                 raise ValueError(f"letter exponent must be +-1, got {exp}")
             if gen < 0:
                 raise ValueError(f"negative generator index {gen}")
+
+    @classmethod
+    def from_checked(cls, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """The word on letters already known to be (generator >= 0, +-1)
+        pairs, as a parser's letter table gives them: no recheck."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -113,16 +127,33 @@ class GroupPresentation:
             object.__setattr__(self, "labels", default_labels(self.g))
         if len(self.labels) != self.g:
             raise ValueError("label count does not match generator count")
-        if len(set(self.labels)) != self.g:
-            raise ValueError("duplicate generator labels")
-        if supplied:  # the default labels x0, x1, ... are well formed
-            for lab in self.labels:
-                if not lab or not set(lab) <= _LABEL_CHARS or lab[0].isdigit():
-                    raise ValueError(f"bad generator label {lab!r}")
+        self._check_labels(supplied)
         # letters compare by generator first: the largest names the top one
         top = max(chain.from_iterable(map(attrgetter("letters"), self.relators)), default=(-1, 0))
         if top[0] >= self.g:
             raise ValueError("relator references unknown generator")
+
+    @classmethod
+    def from_checked(
+        cls, g: int, relators: tuple[Word, ...], labels: tuple[str, ...]
+    ) -> "GroupPresentation":
+        """The presentation on g labels and on relators already known to
+        use only generators below g, as a parser's letter table gives
+        them: the labels are checked, the relator letters are not rescanned."""
+        pres = object.__new__(cls)
+        object.__setattr__(pres, "g", g)
+        object.__setattr__(pres, "relators", relators)
+        object.__setattr__(pres, "labels", labels)
+        pres._check_labels(True)
+        return pres
+
+    def _check_labels(self, supplied: bool) -> None:
+        if len(set(self.labels)) != self.g:
+            raise ValueError("duplicate generator labels")
+        if supplied:  # the default labels x0, x1, ... are well formed
+            for lab in self.labels:
+                if not is_label(lab):
+                    raise ValueError(f"bad generator label {lab!r}")
 
     def size(self) -> int:
         """Total symbol length: all generators plus all relator letters."""

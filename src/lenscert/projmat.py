@@ -7,13 +7,15 @@ powers run on these ints; FieldElement appears only at the boundary
 (the public constructor and the a, b, c, d, entries and trace views).
 
 det = 1 is checked once, when a matrix is built from outside data:
-ProjMatrix(a, b, c, d) from field elements or ProjMatrix.from_coords
-from parsed ints.  A product or inverse of determinant-1 matrices has
+ProjMatrix(a, b, c, d) from field elements, ProjMatrix.from_coords from
+ints, or ProjMatrix.from_reduced from ints a parser has already range
+checked.  A product or inverse of determinant-1 matrices has
 determinant 1, so results are built without a recheck.
 
-Every product goes through one kernel, _mul_coords, on raw 8-int tuples;
-mul, power and evaluate_word fold through it and build one ProjMatrix
-for the result.
+Every product goes through one kernel, _mul_coords, on raw 8-int tuples.
+mul and power call it directly; a word is one fold_letters over a
+letter_table of the images' coordinates and inverses, which
+evaluate_word builds per call and a verifier once per certificate.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -25,6 +27,7 @@ normalized once, at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .galois import FieldElement, FieldSpec, factorize, is_quadratic_residue
@@ -90,7 +93,8 @@ def _sign_normalized(p: int, v: tuple) -> tuple:
     for x in v:
         if x:
             if x > (p - 1) >> 1:
-                return tuple(-y % p for y in v)
+                a0, a1, b0, b1, c0, c1, d0, d1 = v
+                return (-a0 % p, -a1 % p, -b0 % p, -b1 % p, -c0 % p, -c1 % p, -d0 % p, -d1 % p)
             break
     return v
 
@@ -137,6 +141,13 @@ class ProjMatrix:
             raise ValueError(f"matrix needs 8 coordinates in [0, {p})")
         if spec.degree == 1 and any(v[1::2]):
             raise ValueError("degree-1 matrix with a w coordinate")
+        return ProjMatrix.from_reduced(spec, v)
+
+    @staticmethod
+    def from_reduced(spec: FieldSpec, v: tuple) -> "ProjMatrix":
+        """from_coords for 8 coordinates already known to be reduced, the
+        odd ones 0 over a prime field, as galois.parse_coords gives them:
+        only the determinant is checked."""
         _check_det(spec, v)
         return _from_coords(spec, v)
 
@@ -266,39 +277,50 @@ def projective_order(m: ProjMatrix, ceiling: int = 10**9) -> int:
     return n
 
 
+def letter_table(images: Sequence[ProjMatrix]) -> tuple:
+    """The coordinates of the images and of their inverses, taken once
+    for many folds: table[1][k] is image k and table[-1][k] its inverse.
+    The images must share one field."""
+    p = images[0].spec.p
+    coords = [m.coords for m in images]
+    return (None, coords, [_inverse_coords(p, v) for v in coords])
+
+
+def fold_letters(
+    spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int]], counter: Optional[OpCounter] = None
+) -> tuple:
+    """Sign-normalized coordinates of the left-to-right product of
+    table[exp][gen] over the letters (gen, exp): one _mul_coords per
+    letter.  One multiply per letter and one inverse per ^-1 letter are
+    charged, as if each went through ProjMatrix.mul and ProjMatrix.inverse."""
+    p, s = spec.p, spec.s or 0
+    out = _IDENTITY
+    for gen, exp in letters:
+        out = _mul_coords(p, s, out, table[exp][gen])
+    if counter is not None:
+        n = len(letters)
+        # exponents are +-1, so the ^-1 letters number (n - their sum) / 2
+        counter.mat_mults += n
+        counter.field_ops += 12 * n + n - sum(map(itemgetter(1), letters))
+    return _sign_normalized(p, out)
+
+
 def evaluate_word(
     images: Sequence[ProjMatrix],
     word: Word,
     counter: Optional[OpCounter] = None,
 ) -> ProjMatrix:
-    """Left-to-right product of generator images; one multiply per letter
-    and one inverse per ^-1 letter are charged, as if each went through
-    ProjMatrix.mul and ProjMatrix.inverse."""
+    """Left-to-right product of generator images, charged as fold_letters
+    charges it."""
     if not images:
         raise ValueError("no generator images")
     spec = images[0].spec
-    p, s, n = spec.p, spec.s or 0, len(images)
-    inverses: dict[int, tuple] = {}
-    inverse_letters = 0
-    out = _IDENTITY
-    for gen, exp in word.letters:
-        if gen >= n:
-            raise ValueError(f"no image for generator {gen}")
-        m = images[gen]
-        if m.spec is not spec and m.spec != spec:
-            raise ValueError("field spec mismatch")
-        if exp == 1:
-            v = m.coords
-        else:
-            inverse_letters += 1
-            v = inverses.get(gen)
-            if v is None:
-                v = inverses[gen] = _inverse_coords(p, m.coords)
-        out = _mul_coords(p, s, out, v)
-    if counter is not None:
-        counter.mat_mults += len(word.letters)
-        counter.field_ops += 12 * len(word.letters) + 2 * inverse_letters
-    return _from_coords(spec, out)
+    if any(m.spec is not spec and m.spec != spec for m in images):
+        raise ValueError("field spec mismatch")
+    top = word.max_generator()
+    if top >= len(images):
+        raise ValueError(f"no image for generator {top}")
+    return _from_coords(spec, fold_letters(spec, letter_table(images), word.letters, counter))
 
 
 def bit_size(m: ProjMatrix) -> int:

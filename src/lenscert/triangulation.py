@@ -471,8 +471,11 @@ def orientation_check(tri: Triangulation) -> OrientationResult:
     checks every other gluing against the signs already set.  A reaching
     gluing agrees with its signs by construction, so on a failed check
     one scan in canonical (tet, face) order returns the first violated
-    pairing as witness.
+    pairing as witness.  The empty triangulation is orientable, with
+    the empty assignment.
     """
+    if not tri.t:
+        return OrientationResult(True, (), None)
     gluings = tri.gluings
     sign = [0] * tri.t
     sign[0] = 1

@@ -56,13 +56,14 @@ def test_criterion_1_figure8_worked_example():
     outcome = verify(cert)
     assert outcome.accepted
     assert outcome.relator_mat_mults == 10  # the length-10 relator, exactly
-    # witness (ab, ba) images differ
-    from lenscert.certificate import _push
+    # witness (ab, ba) images differ; with no surjection the witness
+    # words are over the matrix generators themselves
     from lenscert.projmat import evaluate_word
 
+    assert cert.surjection is None
     w1, w2 = cert.witness
-    m1 = evaluate_word(list(cert.rep_images), _push(cert, w1))
-    m2 = evaluate_word(list(cert.rep_images), _push(cert, w2))
+    m1 = evaluate_word(list(cert.rep_images), w1)
+    m2 = evaluate_word(list(cert.rep_images), w2)
     assert m1 != m2
     # the image group order divides |D_10| = 10
     seen = {ProjMatrix.identity(cert.field)}

@@ -250,6 +250,130 @@ def test_non_canonical_spacing_is_syntax_error(name, old, new, tmp_path, capsys)
     assert "error:" in capsys.readouterr().err
 
 
+def _rename_matrix_generator(text: str, new: str, old: str = "x") -> str:
+    """A surjection certificate with matrix generator old renamed, in its
+    matrix line and in every surjection word."""
+    lines = []
+    for line in text.split("\n"):
+        if line.startswith(f"gen {old} = "):
+            line = f"gen {new} = " + line[len(f"gen {old} = "):]
+        elif " -> " in line:
+            head, _, word = line.partition(" -> ")
+            line = f"{head} -> " + " ".join(new if token == old else token for token in word.split(" "))
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_renamed_matrix_generator_round_trips():
+    text = _rename_matrix_generator(SURJ_CERT, "_z9")
+    assert "gen _z9 = [[" in text and "gen x3 -> _z9 y _z9" in text
+    cert = parse(text)
+    assert cert.rep_gens == ("_z9", "y") and verify(cert).accepted
+    assert serialize(cert) == text
+
+
+@pytest.mark.parametrize("name", ["é", "1", "٣", "1x", "xé"])
+def test_matrix_generator_names_follow_the_label_rule(name, tmp_path, capsys):
+    """A matrix generator name is ASCII with a letter or '_' first, as a
+    presentation label is; each of these once verified and round-tripped."""
+    text = _rename_matrix_generator(SURJ_CERT, name)
+    with pytest.raises(CertificateSyntaxError, match=f"line 12: bad generator label '{name}'"):
+        parse(text)
+    path = tmp_path / "renamed.cert"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(CertificateSyntaxError, match="bad generator label"):
+        replace(parse(SURJ_CERT), rep_gens=(name, "y"))
+
+
+def test_matrix_generator_names_are_distinct():
+    for text in (_rename_matrix_generator(SURJ_CERT, "x", "y"), DEG1_CERT.replace("gen y = ", "gen x = ")):
+        with pytest.raises(CertificateSyntaxError, match="duplicate matrix generator names"):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ("x0 x0", "line 4: duplicate generator labels"),
+        ("x0 1b", "line 4: bad generator label '1b'"),
+        ("x0 é", "line 4: bad generator label 'é'"),
+    ],
+)
+def test_presentation_labels_are_checked_by_parse(labels, message):
+    text = UNLABELLED_CERT.replace("gens 2\n", f"gens 2 {labels}\n")
+    with pytest.raises(CertificateSyntaxError, match=message):
+        parse(text)
+
+
+# (certificate, line, replacement): each parsed to a certificate that
+# serialize writes differently, so the text's bytes were not its bytes
+NON_CANONICAL_ORDER_OR_SIGN = [
+    ("deg1", DEG1_X, "gen x = [[0,336],[1,0]]", "line 9: matrix is not sign-normalized"),
+    ("fig8", FIG8_A, "gen a = [[3+0*w,0+0*w],[0+0*w,2+0*w]]", "line 7: matrix is not sign-normalized"),
+    ("z7", "gen x = (1,0)\ngen y = (0,1)", "gen y = (0,1)\ngen x = (1,0)", "line 9: expected generator 'x'"),
+    (
+        "surj",
+        "gen x1 -> x\ngen x2 -> y",
+        "gen x2 -> y\ngen x1 -> x",
+        "line 16: expected generator 'x1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,old,new,message", NON_CANONICAL_ORDER_OR_SIGN)
+def test_negated_matrix_or_reordered_lines_are_syntax_errors(name, old, new, message, tmp_path):
+    text = spaced_text(name)
+    assert old in text
+    mutated = text.replace(old, new, 1)
+    with pytest.raises(CertificateSyntaxError, match=message):
+        parse(mutated)
+    path = tmp_path / "reordered.cert"
+    path.write_text(mutated, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
+
+
+def test_text_bytes_is_recorded_by_parse_only():
+    """parse records the bytes of the text it read; the record is not a
+    constructor argument, not compared and not in repr, and a certificate
+    built in code (or replaced) has none, so verify serializes it."""
+    text = fixture_text("fig8.cert")
+    parsed = parse(text)
+    assert parsed.text_bytes == len(text.encode())
+    built = replace(parsed)
+    assert built.text_bytes is None
+    assert built == parsed and hash(built) == hash(parsed) and repr(built) == repr(parsed)
+    assert "text_bytes" not in repr(parsed)
+    assert verify(built) == verify(parsed)
+    with pytest.raises(TypeError):
+        Certificate(kind=NON_ABELIAN, presentation=parsed.presentation, text_bytes=1)
+
+
+def test_unlabelled_gens_line_counts_the_labels_it_stands_for():
+    cert = parse(UNLABELLED_CERT)
+    canonical = serialize(cert)
+    assert canonical == UNLABELLED_CERT.replace("gens 2\n", "gens 2 x0 x1\n")
+    assert verify(cert).cert_bits == 8 * len(canonical.encode()) == verify(parse(canonical)).cert_bits
+
+
+def test_direct_construction_keeps_every_check():
+    cert = fig8_certificate()
+    labels = cert.presentation.labels
+    with pytest.raises(CertificateSyntaxError, match="relator word is not freely reduced"):
+        replace(cert, presentation=GroupPresentation(2, (Word(((0, 1), (0, -1))),), labels))
+    with pytest.raises(CertificateSyntaxError, match="witness word uses unknown generator"):
+        replace(cert, witness=(Word(((2, 1),)), cert.witness[1]))
+    with pytest.raises(CertificateSyntaxError, match="matrix over the wrong field"):
+        replace(cert, rep_images=(ProjMatrix.identity(FieldSpec(7)), cert.rep_images[1]))
+    with pytest.raises(ValueError, match="coordinates"):
+        ProjMatrix.from_coords(FieldSpec(5), (5, 0, 0, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match="relator references unknown generator"):
+        GroupPresentation(2, (Word(((2, 1),)),), labels)
+    with pytest.raises(ValueError, match="exponent"):
+        Word(((0, 2),))
+
+
 def _empty_words_certificate() -> Certificate:
     cert = parse(SURJ_CERT)
     empty = Word(())
@@ -305,6 +429,7 @@ def test_spelling_edits_round_trip_or_are_syntax_errors(text, data):
     except CertificateSyntaxError:
         return
     assert serialize(cert) == mutated
+    assert verify(cert).cert_bits == 8 * len(mutated.encode())
 
 
 def _edit_lines(text: str, edit) -> str:

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import os
+from dataclasses import replace
 
 from conftest import FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import parse, pipeline, serialize, triangle_certificate, verify
@@ -59,6 +60,19 @@ def test_cost_model_digest_is_pinned():
     sha, count = cost_model_digest()
     assert count == 1140 + 1 + len(PIPELINE_CASES)
     assert sha == COST_MODEL_SHA256
+
+
+def test_parsed_certificate_verifies_as_built():
+    """verify takes cert_bits from the bytes parse read, and serializes
+    only a certificate built in code: every report field agrees."""
+    count = 0
+    for cert in certificates():
+        built = replace(cert)  # a parsed fixture loses its record here
+        parsed = parse(serialize(built))
+        assert built.text_bytes is None and parsed.text_bytes is not None
+        assert verify(parsed) == verify(built)
+        count += 1
+    assert count == 1140 + 1 + len(PIPELINE_CASES)
 
 
 # computed on the code before the triangle dispatch was merged into one function

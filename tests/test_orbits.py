@@ -21,6 +21,7 @@ from lenscert.triangulation import (
     DIRECTED_INDEX,
     EDGE_INDEX,
     DisconnectedError,
+    OrientationResult,
     Permutation4,
     Triangulation,
     TriangulationError,
@@ -241,6 +242,14 @@ def test_empty_triangulation_has_the_empty_presentation():
     empty = make_triangulation(0, [])
     assert fundamental_group(empty) == cell_fundamental_group(empty) == GroupPresentation(0, ())
     assert validate(empty).v == 0 and empty.orbit_roots == ((), (), ())
+
+
+def test_empty_triangulation_is_orientable():
+    """Like is_connected() and the empty presentation: no tetrahedron, no
+    sign to set and no pairing to violate."""
+    empty = make_triangulation(0, [])
+    assert empty.is_connected()
+    assert orientation_check(empty) == OrientationResult(True, (), None)
 
 
 def _table_built_directly(rng):

@@ -181,7 +181,7 @@ class Certificate:
             raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Certificate))
+_UNSET = dict.fromkeys(f.name for f in dataclasses.fields(Certificate))
 
 
 def _parsed_certificate(fields: dict) -> Certificate:
@@ -189,8 +189,8 @@ def _parsed_certificate(fields: dict) -> Certificate:
     names and images were checked line by line as they were read, so of
     the constructor's checks only _check_fields runs."""
     cert = object.__new__(Certificate)
-    for name in _FIELD_NAMES:
-        object.__setattr__(cert, name, fields.get(name))
+    # frozen blocks setattr, not the instance dict; a field not read is None
+    vars(cert).update(_UNSET, **fields)
     cert._check_fields()
     return cert
 

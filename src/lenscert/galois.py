@@ -344,16 +344,15 @@ def parse_coords(text: str, spec: FieldSpec) -> tuple[int, int]:
     """The coordinates (a, b) of a field element written canonically:
     "a" over F_p, "a+b*w" over F_{p^2}, each coordinate in [0, p)."""
     if spec.degree == 1:
-        coords = (parse_decimal(text), 0)
+        a, b = parse_decimal(text), 0
     else:
         main, _, wpart = text.partition("+")
         if not wpart.endswith("*w"):
             raise ValueError(f"bad degree-2 element syntax: {text!r}")
-        coords = (parse_decimal(main), parse_decimal(wpart[:-2]))
-    for c in coords:
-        if c >= spec.p:
-            raise ValueError(f"coordinate {c} out of range for p={spec.p}")
-    return coords
+        a, b = parse_decimal(main), parse_decimal(wpart[:-2])
+    if a >= spec.p or b >= spec.p:
+        raise ValueError(f"coordinate {a if a >= spec.p else b} out of range for p={spec.p}")
+    return a, b
 
 
 def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:

@@ -32,7 +32,7 @@ Each invariant is checked once, where a certificate comes in:
 - verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
   certificate built in code is serialized to count its bytes.  The
   images' coordinates and inverses are taken once per certificate
-  (projmat.letter_table) and every word is one projmat.fold_letters.
+  (projmat.letter_coords) and every word is one projmat.fold_letters.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .projmat import (
     bit_size_spec,
     evaluate_word,
     fold_letters,
-    letter_table,
+    letter_coords,
 )
 from .trianglerep import (
     HYPERBOLIC,
@@ -540,7 +540,7 @@ def verify(cert: Certificate) -> VerificationReport:
     pres = cert.presentation
     if cert.kind == NON_ABELIAN:
         spec = cert.field
-        table = letter_table(images)
+        table = letter_coords(images)
         identity = ProjMatrix.identity(spec).coords
         # the rep-generator letters of each presentation letter, as table[exp][gen]
         pushed = None

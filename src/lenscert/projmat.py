@@ -13,9 +13,9 @@ checked.  A product or inverse of determinant-1 matrices has
 determinant 1, so results are built without a recheck.
 
 Every product goes through one kernel, _mul_coords, on raw 8-int tuples.
-mul and power call it directly; a word is one fold_letters over a
-letter_table of the images' coordinates and inverses, which
-evaluate_word builds per call and a verifier once per certificate.
+mul and power call it directly; a word is one fold_letters over the
+coordinates of the images and their inverses (letter_coords), which
+evaluate_word takes per call and a verifier once per certificate.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -277,7 +277,7 @@ def projective_order(m: ProjMatrix, ceiling: int = 10**9) -> int:
     return n
 
 
-def letter_table(images: Sequence[ProjMatrix]) -> tuple:
+def letter_coords(images: Sequence[ProjMatrix]) -> tuple:
     """The coordinates of the images and of their inverses, taken once
     for many folds: table[1][k] is image k and table[-1][k] its inverse.
     The images must share one field."""
@@ -287,7 +287,10 @@ def letter_table(images: Sequence[ProjMatrix]) -> tuple:
 
 
 def fold_letters(
-    spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int]], counter: Optional[OpCounter] = None
+    spec: FieldSpec,
+    table: tuple,
+    letters: Sequence[tuple[int, int]],
+    counter: Optional[OpCounter] = None,
 ) -> tuple:
     """Sign-normalized coordinates of the left-to-right product of
     table[exp][gen] over the letters (gen, exp): one _mul_coords per
@@ -320,7 +323,7 @@ def evaluate_word(
     top = word.max_generator()
     if top >= len(images):
         raise ValueError(f"no image for generator {top}")
-    return _from_coords(spec, fold_letters(spec, letter_table(images), word.letters, counter))
+    return _from_coords(spec, fold_letters(spec, letter_coords(images), word.letters, counter))
 
 
 def bit_size(m: ProjMatrix) -> int:

@@ -122,17 +122,19 @@ class Certificate:
                 tuple((u % a, v % b) for u, v in self.abelian_images),  # type: ignore[union-attr]
             )
             return
-        for name in self.rep_gens:  # type: ignore[union-attr]
-            if not is_label(name):
-                raise CertificateSyntaxError(f"bad generator label {name!r}")
         for m in self.rep_images:  # type: ignore[union-attr]
             if m.spec != self.field:
                 raise CertificateSyntaxError("matrix over the wrong field")
-        for w in self.surjection or ():
-            if not w.is_reduced():
-                raise CertificateSyntaxError("surjection word is not freely reduced")
-            if w.max_generator() >= len(self.rep_gens):  # type: ignore[arg-type]
-                raise CertificateSyntaxError("surjection word uses unknown generator")
+        # without a surjection the names are the presentation's labels
+        if self.surjection is not None:
+            for name in self.rep_gens:  # type: ignore[union-attr]
+                if not is_label(name):
+                    raise CertificateSyntaxError(f"bad generator label {name!r}")
+            for w in self.surjection:
+                if not w.is_reduced():
+                    raise CertificateSyntaxError("surjection word is not freely reduced")
+                if w.max_generator() >= len(self.rep_gens):  # type: ignore[arg-type]
+                    raise CertificateSyntaxError("surjection word uses unknown generator")
         for w in self.witness:  # type: ignore[union-attr]
             if not w.is_reduced():
                 raise CertificateSyntaxError("witness word is not freely reduced")
@@ -181,7 +183,7 @@ class Certificate:
             raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
 
 
-_UNSET = dict.fromkeys(f.name for f in dataclasses.fields(Certificate))
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Certificate))
 
 
 def _parsed_certificate(fields: dict) -> Certificate:
@@ -189,8 +191,8 @@ def _parsed_certificate(fields: dict) -> Certificate:
     names and images were checked line by line as they were read, so of
     the constructor's checks only _check_fields runs."""
     cert = object.__new__(Certificate)
-    # frozen blocks setattr, not the instance dict; a field not read is None
-    vars(cert).update(_UNSET, **fields)
+    for name in _FIELD_NAMES:  # a field parse did not read is None
+        object.__setattr__(cert, name, fields.get(name))
     cert._check_fields()
     return cert
 
@@ -365,7 +367,7 @@ def parse(text: str) -> Certificate:
         raise reader.error(str(exc)) from None
     if reader.peek() is not None:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    fields.update(kind=kind, presentation=pres, level=level, text_bytes=text_bytes)
+    fields.update(presentation=pres, level=level, text_bytes=text_bytes)
     return _parsed_certificate(fields)
 
 
@@ -384,7 +386,7 @@ def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
         if u >= a or v >= b:
             raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
         images.append((u, v))
-    return {"target": (a, b), "abelian_images": tuple(images)}
+    return {"kind": NON_CYCLIC, "target": (a, b), "abelian_images": tuple(images)}
 
 
 def _parse_rep(
@@ -451,6 +453,7 @@ def _parse_rep(
         _parse_reduced_word(reader, right, letters),
     )
     return {
+        "kind": NON_ABELIAN,
         "field": spec,
         "rep_gens": tuple(rep_gens),
         "rep_images": tuple(rep_images),

@@ -259,7 +259,8 @@ def _rename_matrix_generator(text: str, new: str, old: str = "x") -> str:
             line = f"gen {new} = " + line[len(f"gen {old} = "):]
         elif " -> " in line:
             head, _, word = line.partition(" -> ")
-            line = f"{head} -> " + " ".join(new if token == old else token for token in word.split(" "))
+            tokens = (new if token == old else token for token in word.split(" "))
+            line = f"{head} -> " + " ".join(tokens)
         lines.append(line)
     return "\n".join(lines)
 
@@ -288,7 +289,8 @@ def test_matrix_generator_names_follow_the_label_rule(name, tmp_path, capsys):
 
 
 def test_matrix_generator_names_are_distinct():
-    for text in (_rename_matrix_generator(SURJ_CERT, "x", "y"), DEG1_CERT.replace("gen y = ", "gen x = ")):
+    twice_x = (_rename_matrix_generator(SURJ_CERT, "x", "y"), DEG1_CERT.replace("gen y = ", "gen x = "))
+    for text in twice_x:
         with pytest.raises(CertificateSyntaxError, match="duplicate matrix generator names"):
             parse(text)
 
@@ -311,8 +313,18 @@ def test_presentation_labels_are_checked_by_parse(labels, message):
 # serialize writes differently, so the text's bytes were not its bytes
 NON_CANONICAL_ORDER_OR_SIGN = [
     ("deg1", DEG1_X, "gen x = [[0,336],[1,0]]", "line 9: matrix is not sign-normalized"),
-    ("fig8", FIG8_A, "gen a = [[3+0*w,0+0*w],[0+0*w,2+0*w]]", "line 7: matrix is not sign-normalized"),
-    ("z7", "gen x = (1,0)\ngen y = (0,1)", "gen y = (0,1)\ngen x = (1,0)", "line 9: expected generator 'x'"),
+    (
+        "fig8",
+        FIG8_A,
+        "gen a = [[3+0*w,0+0*w],[0+0*w,2+0*w]]",
+        "line 7: matrix is not sign-normalized",
+    ),
+    (
+        "z7",
+        "gen x = (1,0)\ngen y = (0,1)",
+        "gen y = (0,1)\ngen x = (1,0)",
+        "line 9: expected generator 'x'",
+    ),
     (
         "surj",
         "gen x1 -> x\ngen x2 -> y",
@@ -354,7 +366,8 @@ def test_unlabelled_gens_line_counts_the_labels_it_stands_for():
     cert = parse(UNLABELLED_CERT)
     canonical = serialize(cert)
     assert canonical == UNLABELLED_CERT.replace("gens 2\n", "gens 2 x0 x1\n")
-    assert verify(cert).cert_bits == 8 * len(canonical.encode()) == verify(parse(canonical)).cert_bits
+    cert_bits = verify(cert).cert_bits
+    assert cert_bits == 8 * len(canonical.encode()) == verify(parse(canonical)).cert_bits
 
 
 def test_direct_construction_keeps_every_check():

@@ -21,10 +21,11 @@ Each invariant is checked once, where a certificate comes in:
   surjection lines in the order of the gens line.  Words and the
   presentation are then built by Word.from_checked and
   GroupPresentation.from_checked, which trust the letter table, and
-  Certificate._check_fields checks what no one line shows: the level,
-  the kind's fields, target moduli above 1, distinct matrix names, and
-  matrix names equal to the labels when there is no surjection.  parse
-  records the bytes of the canonical text as text_bytes.
+  Certificate._check_fields checks the rest once the text is read: the
+  level, the kind's fields, target moduli above 1, distinct matrix
+  names, and matrix names equal to the labels when there is no
+  surjection.  parse records the bytes of the canonical text as
+  text_bytes.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
   as parse does; Word checks its letters and GroupPresentation its labels
@@ -142,9 +143,9 @@ class Certificate:
                 raise CertificateSyntaxError("witness word uses unknown generator")
 
     def _check_fields(self) -> None:
-        """What parse cannot see line by line: the level, the kind and
-        which fields it needs, the target moduli, and the matrix names
-        against each other and against the presentation."""
+        """The checks parse makes once the text is read: the level, the
+        kind and which fields it needs, the target moduli, and the matrix
+        names against each other and against the presentation."""
         if self.level not in (None, ORBIFOLD):
             raise CertificateSyntaxError(
                 f"unknown level {self.level!r}; the only level is {ORBIFOLD!r}"

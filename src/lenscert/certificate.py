@@ -4,10 +4,12 @@ Two kinds of witness exist: a surjection onto a non-cyclic abelian group
 Z/a x Z/b, or a non-abelian image in PSL(2, F).  Verification is
 polynomial with exact operation tallies; a malformed file is an error
 while a well-formed but false certificate is a rejection.  The text form
-is canonical: serialize(parse(serialize(c))) is byte-identical, and
-parse reads every line exactly as written, each ended by a newline.  A
-blank, padded or comment line is not skipped but read as the line it
-stands in for, so it is a syntax error there.
+is canonical: parse accepts exactly the texts serialize writes, so
+serialize(parse(text)) == text for every text parse accepts.  parse
+reads every line exactly as written, each ended by a newline.  A blank,
+padded or comment line is not skipped but read as the line it stands in
+for, so it is a syntax error there, and so is a gens line without its
+labels.
 
 Each invariant is checked once, where a certificate comes in:
 
@@ -24,7 +26,7 @@ Each invariant is checked once, where a certificate comes in:
   Certificate._check_fields checks the rest once the text is read: the
   level, the kind's fields, target moduli above 1, distinct matrix
   names, and matrix names equal to the labels when there is no
-  surjection.  parse records the bytes of the canonical text as
+  surjection.  parse records the bytes of the text it read as
   text_bytes.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
@@ -49,7 +51,6 @@ from .intlinalg import IntMatrix, smith_normal_form
 from .presentation import (
     GroupPresentation,
     Word,
-    default_labels,
     format_presentation,
     format_word,
     is_label,
@@ -325,17 +326,6 @@ def parse(text: str) -> Certificate:
     except (IndexError, ValueError):
         raise reader.error("bad generator count") from None
     labels = tuple(parts[2:])
-    # the canonical text's bytes: the text as read, plus the default
-    # labels " x0 x1 ..." that a gens line without labels stands for
-    text_bytes = len(text.encode())
-    if not labels:
-        # Every generator needs a later line (its image or its surjection
-        # word), so a count beyond the lines left is malformed; checking
-        # first keeps a short `gens N` from allocating N labels.
-        if g > len(reader.lines) - reader.pos:
-            raise reader.error("generator count exceeds the lines that follow")
-        labels = default_labels(g)
-        text_bytes += g + sum(map(len, labels))
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
 
@@ -368,7 +358,7 @@ def parse(text: str) -> Certificate:
         raise reader.error(str(exc)) from None
     if reader.peek() is not None:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    fields.update(presentation=pres, level=level, text_bytes=text_bytes)
+    fields.update(presentation=pres, level=level, text_bytes=len(text.encode()))
     return _parsed_certificate(fields)
 
 

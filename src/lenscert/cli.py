@@ -48,8 +48,12 @@ def _read(path: str) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lenscert-", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -237,8 +241,11 @@ def cmd_sweep(args) -> int:
             built += 1
             row["kind"] = cert.kind
             if cert.kind == certmod.NON_ABELIAN:
+                bounds = bound_report(t, spec=cert.field)
                 row["p"] = info["p"]
                 row["field_deg"] = info["field_degree"]
+                row["linnik_ratio"] = bounds.linnik_ratio
+                row["field_ratio_ell10"] = bounds.field_ratio_ell10
             else:
                 row["target"] = list(info["target"])
             scan = field_degree_report(t)
@@ -250,14 +257,11 @@ def cmd_sweep(args) -> int:
             failures += 1
             row["error"] = str(exc)
         rows.append(row)
-    summary = (
-        f"{len(triples)} triples, {built} built, {built} verified, {failures} failures"
-    )
+    summary = f"{len(triples)} triples, {built} built, {failures} failures"
     doc = {
         "max_n": args.max_n,
         "triples": len(triples),
         "built": built,
-        "verified": built,
         "embedding_witnesses": witnesses,
         "failures": failures,
         "rows": rows,
@@ -267,14 +271,27 @@ def cmd_sweep(args) -> int:
     if args.verbose:
         for row in rows:
             triple = ",".join(str(x) for x in row["triple"])
-            detail = f"p={row['p']} deg={row['field_deg']}" if "p" in row else (
-                f"target={row.get('target')}" if "target" in row else f"error={row.get('error')}"
-            )
+            if "p" in row:
+                detail = (
+                    f"p={row['p']} deg={row['field_deg']} linnik_ratio={row['linnik_ratio']:.4g} "
+                    f"field_ratio_ell10={row['field_ratio_ell10']:.4g}"
+                )
+            elif "target" in row:
+                detail = f"target={row['target']}"
+            else:
+                detail = f"error={row['error']}"
             lines.append(
                 f"({triple}) ell={row['ell']} gcd={row['gcd']} {detail} "
-                f"witness_l={row.get('witness_l')}"
+                f"trace_degree={row.get('trace_degree')} witness_l={row.get('witness_l')}"
             )
     lines.append(f"embedding witnesses found: {witnesses}/{len(triples)}")
+    coprime = [row for row in rows if "p" in row]
+    quadratic = sum(row["field_deg"] == 2 for row in coprime)
+    lines.append(f"quadratic extensions needed: {quadratic}/{len(coprime)}")
+    for key, name in (("linnik_ratio", "p/ell^5.18"), ("field_ratio_ell10", "|F|/ell^10")):
+        top = max(coprime, key=lambda row: row[key], default=None)
+        at = f"{top[key]:.4g} at {tuple(top['triple'])}" if top else "none"
+        lines.append(f"largest {name}: {at}")
     lines.append(summary)
     _emit(doc, args.json, lines)
     return 0 if failures == 0 else 1
@@ -334,12 +351,12 @@ def _float_norm(n: int, shift: float) -> float:
     return out
 
 
-def _bound_doc(args) -> int:
+def cmd_bounds(args) -> int:
     t = classify(args.n1, args.n2, args.n3)
-    rep = None
+    spec = None
     if t.curvature == HYPERBOLIC and t.d == 1:
-        rep = build_hyperbolic_rep(t, ceiling=args.ceiling)
-    report = bound_report(t, t=args.tetrahedra, rep=rep)
+        spec = build_hyperbolic_rep(t, ceiling=args.ceiling).spec
+    report = bound_report(t, t=args.tetrahedra, spec=spec)
     doc = {k: v for k, v in report.__dict__.items()}
     doc["triple"] = list(doc["triple"])
     lines = [f"{k}={v}" for k, v in doc.items()]
@@ -409,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=200)
     p.add_argument("--verbose", action="store_true")
 
-    p = add("bounds", _bound_doc, help="certificate-size bound report for a triple")
+    p = add("bounds", cmd_bounds, help="certificate-size bound report for a triple")
     p.add_argument("n1", type=int)
     p.add_argument("n2", type=int)
     p.add_argument("n3", type=int)

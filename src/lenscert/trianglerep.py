@@ -26,6 +26,7 @@ from .galois import (
     FieldSpec,
     euler_phi,
     imaginary_unit,
+    linnik_ratio,
     quadratic_extension,
     root_of_unity,
     smallest_prime_in_progression,
@@ -455,8 +456,10 @@ class BoundReport:
 def bound_report(
     t_type: TriangleType,
     t: Optional[int] = None,
-    rep: Optional[ReducedRepData] = None,
+    spec: Optional[FieldSpec] = None,
 ) -> BoundReport:
+    """spec is the field of the triple's image, as in ReducedRepData.spec
+    or a certificate's field; without it the field rows stay None."""
     ell = t_type.ell
     phi_half = euler_phi(ell) // 2
     kwargs: dict = {}
@@ -471,18 +474,18 @@ def bound_report(
             degree_bound=degree_bound,
             degree_within_bound=phi_half <= degree_bound,
         )
-    if rep is not None:
-        size = rep.spec.order
+    if spec is not None:
+        size, budget = spec.order, ell**10
         try:
-            ratio = size / ell**10
+            ratio = size / budget
         except OverflowError:
             ratio = 0.0
         kwargs.update(
             field_size=size,
-            field_within_ell10=size < ell**10,
+            field_within_ell10=size < budget,
             field_ratio_ell10=ratio,
-            prime=rep.p,
-            linnik_ratio=rep.p / ell**5.18,
+            prime=spec.p,
+            linnik_ratio=linnik_ratio(spec.p, ell),
         )
         kwargs.setdefault("trace_degree", phi_half)
     return BoundReport(triple=t_type.triple, ell=ell, d=t_type.d, **kwargs)

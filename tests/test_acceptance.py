@@ -323,7 +323,7 @@ def test_criterion_9_bound_reports():
     start = time.monotonic()
     t_type = classify(2, 3, 7)
     rep = build_hyperbolic_rep(t_type)
-    out = bound_report(t_type, t=10, rep=rep)
+    out = bound_report(t_type, t=10, spec=rep.spec)
     assert out.ell_bound == 2**20 * 3**120
     assert out.ell_within_bound  # 84 <= 2^20 * 3^120, exact big-int comparison
     assert out.field_within_ell10  # |F| < 84^10

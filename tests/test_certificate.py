@@ -81,7 +81,8 @@ def test_certificate_words_allow_only_inverse_exponent():
             parse(text.replace(old, new))
 
 
-# A valid certificate with an unlabelled `gens` line: x0, x1 by default.
+# A certificate with an unlabelled `gens` line, which serialize never
+# writes, and the valid certificate it would stand for with labels x0, x1.
 UNLABELLED_CERT = """lenscert v1
 kind NonAbelianRep
 gens 2
@@ -91,13 +92,14 @@ gen x0 = [[1,1],[0,1]]
 gen x1 = [[1,0],[1,1]]
 witness x0 x1 | x1 x0
 """
+LABELLED_CERT = UNLABELLED_CERT.replace("gens 2\n", "gens 2 x0 x1\n")
 
 
 def test_unlabelled_generator_count_is_capped_by_lines_left():
-    cert = parse(UNLABELLED_CERT)
-    assert cert.presentation.labels == ("x0", "x1")
-    assert verify(cert).accepted
-    # five lines follow the gens line, so six generators cannot all appear
+    with pytest.raises(CertificateSyntaxError):
+        parse(UNLABELLED_CERT)
+    # a gens line without labels fails its label count at once, however
+    # large the count
     with pytest.raises(CertificateSyntaxError, match="generator count"):
         parse(UNLABELLED_CERT.replace("gens 2", "gens 6"))
     start = time.monotonic()
@@ -110,7 +112,7 @@ def test_composite_characteristic_exits_two(tmp_path, capsys):
     # 399165290221 * 798330580441: a strong pseudoprime to every prime base
     # up to 37, so only base 41 shows it composite
     psi_12 = 318665857834031151167461
-    text = UNLABELLED_CERT.replace("field p=5 deg=1", f"field p={psi_12} deg=1")
+    text = LABELLED_CERT.replace("field p=5 deg=1", f"field p={psi_12} deg=1")
     with pytest.raises(CertificateSyntaxError, match="odd prime"):
         parse(text)
     path = tmp_path / "composite.cert"
@@ -304,7 +306,7 @@ def test_matrix_generator_names_are_distinct():
     ],
 )
 def test_presentation_labels_are_checked_by_parse(labels, message):
-    text = UNLABELLED_CERT.replace("gens 2\n", f"gens 2 {labels}\n")
+    text = LABELLED_CERT.replace("gens 2 x0 x1\n", f"gens 2 {labels}\n")
     with pytest.raises(CertificateSyntaxError, match=message):
         parse(text)
 
@@ -362,14 +364,6 @@ def test_text_bytes_is_recorded_by_parse_only():
         Certificate(kind=NON_ABELIAN, presentation=parsed.presentation, text_bytes=1)
 
 
-def test_unlabelled_gens_line_counts_the_labels_it_stands_for():
-    cert = parse(UNLABELLED_CERT)
-    canonical = serialize(cert)
-    assert canonical == UNLABELLED_CERT.replace("gens 2\n", "gens 2 x0 x1\n")
-    cert_bits = verify(cert).cert_bits
-    assert cert_bits == 8 * len(canonical.encode()) == verify(parse(canonical)).cert_bits
-
-
 def test_direct_construction_keeps_every_check():
     cert = fig8_certificate()
     labels = cert.presentation.labels
@@ -416,6 +410,23 @@ EMITTED_TEXTS = [
     serialize(pipeline(load_fixture("prism_q8.tri"), (2, 2, 2))[0]),
     serialize(_empty_words_certificate()),
 ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    EMITTED_TEXTS + [LABELLED_CERT],
+    ids=[f"text{i}" for i in range(len(EMITTED_TEXTS) + 1)],
+)
+def test_gens_line_without_its_labels_exits_two(text, tmp_path):
+    assert verify(parse(text)).cert_bits == 8 * len(text.encode())
+    gens = next(line for line in text.split("\n") if line.startswith("gens "))
+    unlabelled = text.replace(gens + "\n", " ".join(gens.split(" ")[:2]) + "\n", 1)
+    assert unlabelled != text
+    with pytest.raises(CertificateSyntaxError, match="label count"):
+        parse(unlabelled)
+    path = tmp_path / "unlabelled.cert"
+    path.write_text(unlabelled, encoding="utf-8")
+    assert cli_main(["verify", str(path)]) == 2
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
 from conftest import fixture_path
+from lenscert.cli import main as cli_main
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -227,14 +229,52 @@ def test_sweep_small():
     out = run_cli("sweep", "--max-n", "7", "--json")
     doc = json.loads(out.stdout)
     assert doc["failures"] == 0
-    assert doc["triples"] == doc["built"] == doc["verified"]
+    assert doc["triples"] == doc["built"]
     assert doc["embedding_witnesses"] == doc["triples"]
     assert out.returncode == 0
 
 
-# sha256 of `lenscert sweep --max-n 12 --json` stdout, computed before the
-# triangle construction moved from FieldElement to plain ints
-SWEEP_12_JSON_SHA256 = "4dffcf23d71873fa15c981bf9107144ebbb634eef94f8183b7684258f19d6cdf"
+def _cli_json(capsys, *args):
+    assert cli_main([*args, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_sweep_rows_carry_the_bounds_ratios(capsys):
+    rows = _cli_json(capsys, "sweep", "--max-n", "12")["rows"]
+    coprime = [row for row in rows if row["gcd"] == 1]
+    assert coprime and len(coprime) < len(rows)
+    for row in rows:
+        if row["gcd"] != 1:
+            assert row["kind"] == "NonCyclicAbelian"
+            assert "linnik_ratio" not in row and "field_ratio_ell10" not in row
+            continue
+        assert row["kind"] == "NonAbelianRep"
+        bounds = _cli_json(capsys, "bounds", *map(str, row["triple"]))
+        assert row["linnik_ratio"] == bounds["linnik_ratio"]
+        assert row["field_ratio_ell10"] == bounds["field_ratio_ell10"]
+
+
+def test_sweep_closing_lines_follow_the_json_rows(capsys):
+    rows = _cli_json(capsys, "sweep", "--max-n", "12")["rows"]
+    assert cli_main(["sweep", "--max-n", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    coprime = [row for row in rows if row["kind"] == "NonAbelianRep"]
+    quadratic = sum(row["field_deg"] == 2 for row in coprime)
+    linnik = max(coprime, key=lambda row: row["linnik_ratio"])
+    budget = max(coprime, key=lambda row: row["field_ratio_ell10"])
+    assert lines[1:4] == [
+        f"quadratic extensions needed: {quadratic}/{len(coprime)}",
+        f"largest p/ell^5.18: {linnik['linnik_ratio']:.4g} at {tuple(linnik['triple'])}",
+        f"largest |F|/ell^10: {budget['field_ratio_ell10']:.4g} at {tuple(budget['triple'])}",
+    ]
+    assert lines[0].startswith("embedding witnesses found: ")
+
+
+# sha256 of `lenscert sweep --max-n 12 --json` stdout, re-pinned once when
+# each NonAbelianRep row gained linnik_ratio and field_ratio_ell10 and the
+# document lost `verified` (always equal to `built`); the rest of the
+# document is as it was under the previous pin
+SWEEP_12_JSON_SHA256 = "7506cc1cbec35716f381cb53d27efe61c35d2548a7d7f13ddef197a83479259b"
 
 
 def test_sweep_json_bytes_are_pinned():
@@ -259,17 +299,55 @@ def test_no_subcommand_exits_two():
     assert out.returncode == 2
 
 
-def test_deterministic_output():
+def test_deterministic_output(tmp_path):
+    # every subcommand with --json, and a few text forms; the two that
+    # write a certificate write it to the same path both times
+    cert = str(tmp_path / "t.cert")
+    pipeline_cert = str(tmp_path / "pipeline.cert")
     for args in (
         ("homology", fixture_path("t3_torus.tri")),
         ("degree-report", "2", "3", "7"),
         ("verify", fixture_path("fig8.cert")),
         ("sweep", "--max-n", "6", "--verbose"),
+        ("validate", fixture_path("t3_torus.tri"), "--json"),
+        ("orient", fixture_path("s2xs1_twisted.tri"), "--json"),
+        ("pi1", fixture_path("prism_q8.tri"), "--json"),
+        ("homology", fixture_path("prism_q8.tri"), "--json"),
+        ("trianglecert", "2", "3", "7", "-o", cert, "--json"),
+        ("verify", fixture_path("fig8.cert"), "--json"),
+        ("pipeline", fixture_path("prism_q12.tri"), "--base", "2,2,3",
+         "--surjection", fixture_path("prism_q12.surj"), "-o", pipeline_cert, "--json"),
+        ("sweep", "--max-n", "6", "--json"),
+        ("degree-report", "2", "3", "7", "--json"),
+        ("norms", "--max-n", "30", "--json"),
+        ("bounds", "2", "3", "7", "-t", "10", "--json"),
     ):
+        written = [args[args.index("-o") + 1]] if "-o" in args else []
         first = run_cli(*args)
+        first_bytes = [open(path, "rb").read() for path in written]
         second = run_cli(*args)
-        assert first.stdout == second.stdout
-        assert first.returncode == second.returncode
+        assert first.returncode == second.returncode == 0, args
+        assert first.stdout == second.stdout, args
+        assert first_bytes == [open(path, "rb").read() for path in written]
+        if "--json" in args:
+            json.loads(first.stdout)
+
+
+def test_certificate_mode_follows_the_umask(tmp_path):
+    # a certificate is written for someone else to verify, so it gets the
+    # mode of any file the user writes, not mkstemp's 0600
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o027):
+            os.umask(umask)
+            target = tmp_path / f"c{umask:o}.cert"
+            plain = tmp_path / f"plain{umask:o}.txt"
+            plain.write_text("plain\n")
+            assert run_cli("trianglecert", "2", "3", "7", "-o", str(target)).returncode == 0
+            mode = stat.S_IMODE(target.stat().st_mode)
+            assert mode == stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
 
 
 def test_certificate_written_atomically(tmp_path):

@@ -449,7 +449,7 @@ def test_phi_inequality_with_documented_exception():
 def test_bound_report_237_t10():
     t = classify(2, 3, 7)
     rep = build_hyperbolic_rep(t)
-    report = bound_report(t, t=10, rep=rep)
+    report = bound_report(t, t=10, spec=rep.spec)
     assert report.ell_bound == 2**20 * 3**120
     assert report.ell_within_bound
     assert report.degree_bound == 2**9 * 3**60

@@ -20,7 +20,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .presentation import GroupPresentation, Word, fundamental_group
-from .projmat import ProjMatrix, bit_size, evaluate_word, projective_order
+from .projmat import ProjMatrix, evaluate_word, projective_order
 from .trianglerep import (
     TriangleType,
     bound_report,

@@ -47,12 +47,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .galois import FieldSpec, parse_coords, parse_decimal
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import IntMatrix, abelianization, format_abelian, is_cyclic, smith_normal_form
 from .presentation import (
     GroupPresentation,
     Word,
     format_presentation,
     format_word,
+    fundamental_group,
     is_label,
     parse_word,
 )
@@ -72,6 +73,7 @@ from .trianglerep import (
     triangle_image,
     triangle_presentation,
 )
+from .triangulation import orientation_check, validate
 
 NON_ABELIAN = "NonAbelianRep"
 NON_CYCLIC = "NonCyclicAbelian"
@@ -592,21 +594,6 @@ def verify(cert: Certificate) -> VerificationReport:
     return report(True, None, 0)
 
 
-def make_abelian_certificate(
-    pres: GroupPresentation,
-    target: tuple[int, int],
-    images: tuple[tuple[int, int], ...],
-    level: Optional[str] = None,
-) -> Certificate:
-    return Certificate(
-        kind=NON_CYCLIC,
-        presentation=pres,
-        level=level,
-        target=target,
-        abelian_images=images,
-    )
-
-
 def noncyclic_certificate(pres: GroupPresentation, level: Optional[str] = None) -> Certificate:
     """Build the homology certificate from the Smith normal form.
 
@@ -633,7 +620,9 @@ def noncyclic_certificate(pres: GroupPresentation, level: Optional[str] = None) 
     else:
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
     images = tuple((v[k, i1] % a, v[k, i2] % b) for k in range(pres.g))
-    cert = make_abelian_certificate(pres, (a, b), images, level=level)
+    cert = Certificate(
+        kind=NON_CYCLIC, presentation=pres, level=level, target=(a, b), abelian_images=images
+    )
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built abelian certificate fails: {outcome.reason}")
@@ -650,7 +639,13 @@ def _image_certificate(
     x -> (1,0), y -> (0,1), or the x, y matrices with witness xy | yx."""
     if image.kind == "abelian":
         assert image.d is not None
-        return make_abelian_certificate(pres, (image.d, image.d), ((1, 0), (0, 1)), level=level)
+        return Certificate(
+            kind=NON_CYCLIC,
+            presentation=pres,
+            level=level,
+            target=(image.d, image.d),
+            abelian_images=((1, 0), (0, 1)),
+        )
     return Certificate(
         kind=NON_ABELIAN,
         presentation=pres,
@@ -751,10 +746,6 @@ def pipeline(
             "a triangulation-level certificate needs a surjection file "
             "mapping the presentation generators into the triangle group"
         )
-    from .intlinalg import abelianization, format_abelian, is_cyclic
-    from .presentation import fundamental_group
-    from .triangulation import orientation_check, validate
-
     report = validate(tri)
     if not report.passed:
         raise PipelineError(
@@ -791,7 +782,7 @@ def pipeline(
         # abelian target: push exponent sums through the surjection
         d = image.d
         images = tuple(tuple(e % d for e in w.exponent_sums(2)) for w in surj)
-        cert = make_abelian_certificate(pres, (d, d), images)
+        cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(d, d), abelian_images=images)
         outcome = verify(cert)
         if not outcome.accepted:
             raise PipelineError(f"surjection gives no valid certificate: {outcome.reason}")

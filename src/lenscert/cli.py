@@ -46,20 +46,24 @@ def _read(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lenscert-", suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".lenscert-", suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+    finally:
+        # a replaced temp file is gone; a failed write leaves none behind
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -157,14 +161,8 @@ def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
     else:
         a, b = info["target"]
         line = f"kind=NonCyclicAbelian target=Z/{a}xZ/{b}"
-    doc = {"kind": cert.kind, **{k: v for k, v in info.items() if k != "triple"}}
-    if "triple" in info:
-        doc["triple"] = list(info["triple"])
-    if "orders" in doc:
-        doc["orders"] = list(doc["orders"])
-    if "target" in doc:
-        doc["target"] = list(doc["target"])
-    return doc, [line]
+    # json.dumps writes the tuples in info as lists
+    return {"kind": cert.kind, **info}, [line]
 
 
 def cmd_trianglecert(args) -> int:

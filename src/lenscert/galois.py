@@ -237,16 +237,6 @@ class FieldSpec:
     def element(self, a: int, b: int = 0) -> "FieldElement":
         return FieldElement(self, a, b)
 
-    def elements(self):
-        """All field elements in canonical (a, b) lexicographic order."""
-        if self.degree == 1:
-            for a in range(self.p):
-                yield FieldElement(self, a)
-        else:
-            for a in range(self.p):
-                for b in range(self.p):
-                    yield FieldElement(self, a, b)
-
 
 def quadratic_extension(base: FieldSpec) -> FieldSpec:
     """F_{p^2} over the prime field base.  p was checked when base was
@@ -353,11 +343,6 @@ def parse_coords(text: str, spec: FieldSpec) -> tuple[int, int]:
     if a >= spec.p or b >= spec.p:
         raise ValueError(f"coordinate {a if a >= spec.p else b} out of range for p={spec.p}")
     return a, b
-
-
-def parse_field_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Strict canonical form: coordinates must already lie in [0, p)."""
-    return FieldElement(spec, *parse_coords(text, spec))
 
 
 def primitive_root(p: int) -> int:

@@ -46,22 +46,6 @@ class IntMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> int:
         return self.entries[idx[0]][idx[1]]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        data = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return IntMatrix(data, cols=other.cols)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
 
 @dataclass(frozen=True)
 class SNFResult:

@@ -70,20 +70,9 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def reduced(self) -> "Word":
-        out: list[tuple[int, int]] = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        if len(out) == len(self.letters):
-            return self
-        return Word(tuple(out))
-
     def is_reduced(self) -> bool:
-        """No letter is followed by its inverse, so reduced() is self: one
-        scan over adjacent pairs that allocates nothing."""
+        """No letter is followed by its inverse: one scan over adjacent
+        pairs that allocates nothing."""
         prev_gen, prev_exp = -1, 0
         for gen, exp in self.letters:
             if gen == prev_gen and exp != prev_exp:

@@ -25,6 +25,7 @@ from .galois import (
     FieldElement,
     FieldSpec,
     euler_phi,
+    factorize,
     imaginary_unit,
     linnik_ratio,
     quadratic_extension,
@@ -152,10 +153,6 @@ class ReducedRepData:
     x_image: ProjMatrix
     y_image: ProjMatrix
 
-    @property
-    def field_degree(self) -> int:
-        return self.spec.degree
-
 
 def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepData:
     """Construct and verify the mod-p image for a coprime hyperbolic triple.
@@ -179,15 +176,9 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
     y_img = t_r.mul(_standard_matrix(spec, c2)).mul(t_r.inverse())
     c1, c2, c3 = (FieldElement(spec, c) for c in (c1, c2, c3))
 
-    xy = x_img.mul(y_img)
-    yx = y_img.mul(x_img)
-    for name, m, n in (("x", x_img, t.n1), ("y", y_img, t.n2), ("xy", xy, t.n3)):
-        if not has_order(m, n):
-            raise RepVerificationError(f"image of {name} does not have order {n}")
+    xy = _checked_xy(x_img, y_img, t.triple)
     if xy.trace() not in (c3, -c3):
         raise RepVerificationError("trace of xy image is not +-C3")
-    if xy == yx:
-        raise RepVerificationError("image is abelian")
     return ReducedRepData(
         triple=t.triple,
         ell=t.ell,
@@ -227,6 +218,21 @@ _SPHERICAL = {
 }
 
 
+def _checked_xy(
+    x_img: ProjMatrix, y_img: ProjMatrix, orders: tuple[int, int, int]
+) -> ProjMatrix:
+    """The image of xy, once x, y and xy are checked to have projective
+    orders exactly orders and xy != yx; a failure is a bug and raises
+    RepVerificationError."""
+    xy = x_img.mul(y_img)
+    for name, m, n in zip(("x", "y", "xy"), (x_img, y_img, xy), orders):
+        if not has_order(m, n):
+            raise RepVerificationError(f"image of {name} does not have order {n}")
+    if xy == y_img.mul(x_img):
+        raise RepVerificationError("image is abelian")
+    return xy
+
+
 def triangle_image(t: TriangleType, ceiling: int = 10**9) -> TriangleCertData:
     """The certificate image of T(n1, n2, n3): the mod-p representation
     for a coprime hyperbolic triple, build_nonhyperbolic_cert otherwise."""
@@ -260,27 +266,19 @@ def build_nonhyperbolic_cert(t: TriangleType) -> TriangleCertData:
 
 
 def _spherical_cert(t: TriangleType, orders: tuple[int, int, int]) -> TriangleCertData:
-    """The _SPHERICAL pair for orders, checked to give x, y and xy exactly
-    those orders and xy != yx."""
+    """The _SPHERICAL pair for orders, checked by _checked_xy."""
     p, x, y = _SPHERICAL[orders]
     spec = FieldSpec(p)
     x_img, y_img = (
         ProjMatrix.from_coords(spec, (m[0], 0, m[1], 0, m[2], 0, m[3], 0)) for m in (x, y)
     )
-    xy = x_img.mul(y_img)
-    for name, m, n in zip(("x", "y", "xy"), (x_img, y_img, xy), orders):
-        if not has_order(m, n):
-            raise RepVerificationError(f"spherical image of {name} does not have order {n}")
-    if xy == y_img.mul(x_img):
-        raise RepVerificationError("spherical image is abelian")
+    _checked_xy(x_img, y_img, orders)
     return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
 
 
 def _dihedral_cert(t: TriangleType) -> TriangleCertData:
     """x -> diag(i, -i), y -> [[i, i], [0, -i]] over F_p or F_p[i] for the
     smallest prime divisor p of m, so xy is unipotent of order p."""
-    from .galois import factorize
-
     m = t.n3
     p = min(factorize(m))
     spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(FieldSpec(p))
@@ -288,15 +286,9 @@ def _dihedral_cert(t: TriangleType) -> TriangleCertData:
     zero = spec.zero()
     x_img = ProjMatrix(i, zero, zero, -i)
     y_img = ProjMatrix(i, i, zero, -i)
-    xy = x_img.mul(y_img)
-    if not has_order(x_img, 2) or not has_order(y_img, 2):
-        raise RepVerificationError("dihedral generators are not order 2")
-    if not has_order(xy, p):
-        raise RepVerificationError("xy image does not have order p")
+    _checked_xy(x_img, y_img, (2, 2, p))
     if not evaluate_word([x_img, y_img], word_power(Word(((0, 1), (1, 1))), m)).is_identity():
         raise RepVerificationError("(xy)^m does not die")
-    if xy == y_img.mul(x_img):
-        raise RepVerificationError("dihedral image is abelian")
     return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
 
 
@@ -322,8 +314,6 @@ def _prime_power_base(m: int) -> Optional[int]:
     """p when m = p^e with e >= 1, else None."""
     if m < 2:
         return None
-    from .galois import factorize
-
     factors = factorize(m)
     if len(factors) == 1:
         return next(iter(factors))
@@ -459,7 +449,10 @@ def bound_report(
     spec: Optional[FieldSpec] = None,
 ) -> BoundReport:
     """spec is the field of the triple's image, as in ReducedRepData.spec
-    or a certificate's field; without it the field rows stay None."""
+    or a certificate's field; without it the field rows stay None.  t, the
+    tetrahedron count, must be at least 1."""
+    if t is not None and t < 1:
+        raise ValueError(f"tetrahedron count t={t} must be at least 1")
     ell = t_type.ell
     phi_half = euler_phi(ell) // 2
     kwargs: dict = {}

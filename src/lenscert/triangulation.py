@@ -47,16 +47,12 @@ DIRECTED_INDEX = {pair: k for k, pair in enumerate(DIRECTED_PAIRS)}
 EDGE_DIRECTIONS = tuple((DIRECTED_INDEX[(a, b)], DIRECTED_INDEX[(b, a)]) for a, b in EDGE_PAIRS)
 
 # The 24 permutations of 0..3 in lexicographic order, and per permutation
-# its inverse (by index), its parity and the map it induces on the 12
-# directed edges of a tetrahedron.
+# its inverse (by index), the map it induces on the 12 directed edges of a
+# tetrahedron, and its gluing sign.
 _PERM_IMAGES = tuple(permutations(range(4)))
 _PERM_INDEX = {images: k for k, images in enumerate(_PERM_IMAGES)}
 _PERM_INVERSE = tuple(
     _PERM_INDEX[tuple(images.index(v) for v in range(4))] for images in _PERM_IMAGES
-)
-_PERM_ODD = tuple(
-    sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 1
-    for images in _PERM_IMAGES
 )
 _DIRECTED_MAP = tuple(
     tuple(DIRECTED_INDEX[(images[a], images[b])] for a, b in DIRECTED_PAIRS)
@@ -64,7 +60,10 @@ _DIRECTED_MAP = tuple(
 )
 # sign(b) / sign(a) that a consistent orientation needs across a gluing
 # of tetrahedron a to b: +1 for an odd permutation, -1 for an even one
-_GLUING_SIGN = tuple(1 if odd else -1 for odd in _PERM_ODD)
+_GLUING_SIGN = tuple(
+    1 if sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4)) % 2 else -1
+    for images in _PERM_IMAGES
+)
 
 # The faces (numbered by their opposite vertex) that hold each vertex and
 # directed edge of a tetrahedron; the undirected edge of each directed
@@ -98,9 +97,6 @@ class Permutation4:
 
     def inverse(self) -> "Permutation4":
         return _PERMS[_PERM_INVERSE[self.index]]
-
-    def is_odd(self) -> bool:
-        return _PERM_ODD[self.index]
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.images)
@@ -139,18 +135,14 @@ class Triangulation:
     t: int
     gluings: tuple[tuple[tuple[int, int, Permutation4], ...], ...]
 
-    def pairing(self, tet: int, face: int) -> FacePairing:
-        tet2, face2, perm = self.gluings[tet][face]
-        return FacePairing((tet, face), (tet2, face2), perm)
-
     def pairings(self) -> list[FacePairing]:
         """Canonical one-per-class list, sources sorted."""
         out = []
         for tet in range(self.t):
             for face in range(4):
-                tet2, face2, _ = self.gluings[tet][face]
+                tet2, face2, perm = self.gluings[tet][face]
                 if (tet, face) <= (tet2, face2):
-                    out.append(self.pairing(tet, face))
+                    out.append(FacePairing((tet, face), (tet2, face2), perm))
         return out
 
     @cached_property
@@ -163,20 +155,6 @@ class Triangulation:
         """
         droot, eroot = _directed_roots(self.gluings)
         return _vertex_roots(self.gluings), eroot, droot
-
-    def is_connected(self) -> bool:
-        if self.t == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            tet = stack.pop()
-            for face in range(4):
-                tet2 = self.gluings[tet][face][0]
-                if tet2 not in seen:
-                    seen.add(tet2)
-                    stack.append(tet2)
-        return len(seen) == self.t
 
 
 def _vertex_roots(gluings) -> tuple[int, ...]:

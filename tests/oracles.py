@@ -14,7 +14,8 @@ structure that pi1 was read from, and the gluing-table assembly with
 its per-gluing closure.  The
 spherical-pair search is the one the library's fixed spherical images
 came from; psl_group_order, element_order and exponent_matrix are
-helpers that only tests call.
+helpers that only tests call, as are perm_is_odd, is_connected,
+reduced_word, int_matmul, int_identity and field_elements.
 """
 
 from __future__ import annotations
@@ -119,6 +120,28 @@ def invariant_factors_by_minors(rows) -> list[int]:
 # triangulation oracles
 
 
+def perm_is_odd(perm: Permutation4) -> bool:
+    """Parity of a permutation of 0..3 by counting inversions."""
+    images = perm.images
+    return sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 1
+
+
+def is_connected(tri: Triangulation) -> bool:
+    """Every tetrahedron is reached from tetrahedron 0 across its faces."""
+    if tri.t == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        tet = stack.pop()
+        for face in range(4):
+            tet2 = tri.gluings[tet][face][0]
+            if tet2 not in seen:
+                seen.add(tet2)
+                stack.append(tet2)
+    return len(seen) == tri.t
+
+
 def exhaustive_orientation(tri: Triangulation):
     """Try every per-tetrahedron sign assignment; return one that makes
     every pairing's permutation parity odd exactly when signs agree."""
@@ -128,7 +151,7 @@ def exhaustive_orientation(tri: Triangulation):
         for k in range(tri.t - 1):
             signs.append(1 if (bits >> k) & 1 else -1)
         if all(
-            (signs[fp.source[0]] * signs[fp.target[0]] == 1) == fp.perm.is_odd()
+            (signs[fp.source[0]] * signs[fp.target[0]] == 1) == perm_is_odd(fp.perm)
             for fp in pairings
         ):
             return signs
@@ -351,7 +374,7 @@ class DualGraph:
 
 def dual_graph(tri: Triangulation) -> DualGraph:
     """BFS spanning tree from tetrahedron 0, smallest (tet, face) first."""
-    if not tri.is_connected():
+    if not is_connected(tri):
         raise DisconnectedError("triangulation is not connected")
     pairings = tri.pairings()
     visited = [False] * tri.t
@@ -378,7 +401,7 @@ def tree_orientation_check(tri: Triangulation) -> OrientationResult:
     tree_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(tri.t)]
     for fp in graph.tree_edges():
         a, b = fp.source[0], fp.target[0]
-        want = 1 if fp.perm.is_odd() else -1
+        want = 1 if perm_is_odd(fp.perm) else -1
         tree_nbrs[a].append((b, want))
         tree_nbrs[b].append((a, want))
     sign = [0] * tri.t
@@ -392,7 +415,7 @@ def tree_orientation_check(tri: Triangulation) -> OrientationResult:
                 queue.append(b)
     for fp in graph.non_tree_edges():
         a, b = fp.source[0], fp.target[0]
-        want = 1 if fp.perm.is_odd() else -1
+        want = 1 if perm_is_odd(fp.perm) else -1
         if sign[a] * sign[b] != want:
             return OrientationResult(False, None, fp)
     return OrientationResult(True, tuple(sign), None)
@@ -486,9 +509,23 @@ def _skeleton_tree(cs: CellStructure) -> set[int]:
     return tree
 
 
+def reduced_word(w: Word) -> Word:
+    """The free reduction of w: cancel each letter against an inverse
+    letter before it, by one stack pass; w itself when nothing cancels."""
+    out: list[tuple[int, int]] = []
+    for letter in w.letters:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    if len(out) == len(w.letters):
+        return w
+    return Word(tuple(out))
+
+
 def cell_fundamental_group(tri: Triangulation) -> GroupPresentation:
     """Edge-class generators, triangle-boundary relators, tree edges killed."""
-    if not tri.is_connected():
+    if not is_connected(tri):
         raise DisconnectedError("triangulation is not connected")
     cs = cell_structure(tri)
     tree = _skeleton_tree(cs)
@@ -503,7 +540,7 @@ def cell_fundamental_group(tri: Triangulation) -> GroupPresentation:
             cls, sign = cs.directed_sign[12 * tet + d]
             if cls not in tree:
                 letters.append((gen_index[cls], sign))
-        relators.append(Word(tuple(letters)).reduced())
+        relators.append(reduced_word(Word(tuple(letters))))
     return GroupPresentation(g=len(gen_index), relators=tuple(relators))
 
 
@@ -613,7 +650,7 @@ def random_gluing_table(t: int, rng: random.Random, connected: bool = True) -> T
         if not ok:
             continue
         tri = make_triangulation(t, pairings)
-        if connected and not tri.is_connected():
+        if connected and not is_connected(tri):
             continue
         return tri
 
@@ -829,22 +866,44 @@ def exponent_matrix(pres: GroupPresentation) -> IntMatrix:
     return IntMatrix(pres.exponent_rows(), cols=pres.g)
 
 
+def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The integer matrix product a * b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    data = [
+        [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    return IntMatrix(data, cols=b.cols)
+
+
+def int_identity(n: int) -> IntMatrix:
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def field_elements(spec: FieldSpec) -> list[FieldElement]:
+    """All field elements in (a, b) lexicographic order."""
+    seconds = range(spec.p) if spec.degree == 2 else (0,)
+    return [FieldElement(spec, a, b) for a in range(spec.p) for b in seconds]
+
+
 def psl_elements(spec: FieldSpec) -> list[ProjMatrix]:
     """All of PSL(2, F) in a deterministic order."""
     found = set()
     zero, one = spec.zero(), spec.one()
-    for a in spec.elements():
+    elements = field_elements(spec)
+    for a in elements:
         if a.is_zero():
             continue
         inv_a = a.inverse()
-        for b in spec.elements():
-            for c in spec.elements():
+        for b in elements:
+            for c in elements:
                 found.add(ProjMatrix(a, b, c, (one + b * c) * inv_a))
-    for b in spec.elements():
+    for b in elements:
         if b.is_zero():
             continue
         c = -b.inverse()
-        for d in spec.elements():
+        for d in elements:
             found.add(ProjMatrix(zero, b, c, d))
     return sorted(found, key=lambda m: m.coords)
 

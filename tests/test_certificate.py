@@ -26,7 +26,7 @@ from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from lenscert.projmat import ProjMatrix
-from oracles import snf_subgroup_invariants
+from oracles import reduced_word, snf_subgroup_invariants
 
 
 def fig8_certificate() -> Certificate:
@@ -681,7 +681,7 @@ def test_one_generator_rep_certificate_never_accepted(data):
     if n_mats == 2:
         rep_gens = ("u", "v")
         letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
-        surjection = (Word(tuple(data.draw(st.lists(letters, max_size=5)))).reduced(),)
+        surjection = (reduced_word(Word(tuple(data.draw(st.lists(letters, max_size=5))))),)
     cert = Certificate(
         kind=NON_ABELIAN,
         presentation=GroupPresentation(1, relators, ("x",)),
@@ -713,7 +713,7 @@ def test_commuting_images_never_accepted(data):
         )
     # w = u v cyclically reduced, so both u v and v u are reduced words
     letters = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
-    w = Word(tuple(data.draw(st.lists(letters, min_size=2, max_size=8)))).reduced()
+    w = reduced_word(Word(tuple(data.draw(st.lists(letters, min_size=2, max_size=8)))))
     assume(len(w) >= 2 and w.letters[0] != (w.letters[-1][0], -w.letters[-1][1]))
     k = data.draw(st.integers(1, len(w) - 1))
     u, v = Word(w.letters[:k]), Word(w.letters[k:])

@@ -289,6 +289,13 @@ def test_bounds_subcommand():
     assert "ell_within_bound=True" in out.stdout
 
 
+def test_bounds_tetrahedron_count_below_one_exits_two():
+    for count in ("0", "-2"):
+        out = run_cli("bounds", "2", "3", "7", "-t", count)
+        assert out.returncode == 2
+        assert "must be at least 1" in out.stderr and out.stdout == ""
+
+
 def test_usage_error_exits_two():
     out = run_cli("pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3")
     assert out.returncode == 2
@@ -357,6 +364,21 @@ def test_certificate_written_atomically(tmp_path):
     assert out.returncode == 0
     leftovers = [p for p in os.listdir(tmp_path) if p != "out.cert"]
     assert leftovers == []
+
+
+def test_unwritable_output_exits_two(tmp_path):
+    # a missing directory fails in mkstemp, an existing directory in os.replace
+    (tmp_path / "adir").mkdir()
+    for args in (
+        ("trianglecert", "2", "3", "7"),
+        ("pipeline", fixture_path("prism_q8.tri"), "--base", "2,2,2"),
+    ):
+        for target in (tmp_path / "missing" / "x.cert", tmp_path / "adir"):
+            out = run_cli(*args, "-o", str(target))
+            assert out.returncode == 2, (args, target)
+            assert "cannot write" in out.stderr and "Traceback" not in out.stderr
+            assert sorted(os.listdir(tmp_path)) == ["adir"]
+            assert os.listdir(tmp_path / "adir") == []
 
 
 def test_verify_writes_nothing(tmp_path):

@@ -17,7 +17,6 @@ from lenscert.galois import (
     linnik_ratio,
     parse_coords,
     parse_decimal,
-    parse_field_element,
     primitive_root,
     quadratic_extension,
     root_of_unity,
@@ -212,9 +211,9 @@ def test_pow_negative_exponent():
 def test_element_serialization_roundtrip():
     spec2 = quadratic_extension(FieldSpec(13))
     for text in ("0+0*w", "5+12*w"):
-        assert str(parse_field_element(text, spec2)) == text
+        assert str(spec2.element(*parse_coords(text, spec2))) == text
     spec1 = FieldSpec(13)
-    assert str(parse_field_element("11", spec1)) == "11"
+    assert str(spec1.element(*parse_coords("11", spec1))) == "11"
 
 
 def test_parse_decimal_accepts_only_canonical_ascii():
@@ -233,11 +232,11 @@ def test_field_element_parser_uses_the_decimal_rule():
     for text, spec in (("012", spec1), ("+1", spec1), (" 1", spec1), ("1+01*w", spec2),
                        ("1++1*w", spec2), ("0_1+1*w", spec2), ("1+1*w ", spec2)):
         with pytest.raises(ValueError):
-            parse_field_element(text, spec)
+            parse_coords(text, spec)
     with pytest.raises(ValueError, match="coordinate 13 out of range for p=13"):
-        parse_field_element("1+13*w", spec2)
+        parse_coords("1+13*w", spec2)
     with pytest.raises(ValueError, match="bad degree-2 element syntax"):
-        parse_field_element("1-1*w", spec2)
+        parse_coords("1-1*w", spec2)
 
 
 # ----------------------------------------------------------------------

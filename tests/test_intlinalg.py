@@ -19,7 +19,13 @@ from lenscert.intlinalg import (
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
-from oracles import det_int, invariant_factors_by_minors, random_presentation
+from oracles import (
+    det_int,
+    int_identity,
+    int_matmul,
+    invariant_factors_by_minors,
+    random_presentation,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 from make_fixtures import lens_space  # noqa: E402
@@ -71,7 +77,7 @@ def test_snf_transforms_reconstruct():
         cols = rng.randint(1, 5)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         result = smith_normal_form(a, want_transforms=True)
-        n = result.u.mul(a).mul(result.v)
+        n = int_matmul(int_matmul(result.u, a), result.v)
         for i in range(rows):
             for j in range(cols):
                 expected = result.diag[i] if i == j and i < len(result.diag) else 0
@@ -97,7 +103,7 @@ def test_snf_invariant_under_unimodular_multiplication():
     rng = random.Random(99)
 
     def random_unimodular(n):
-        m = IntMatrix.identity(n)
+        m = int_identity(n)
         entries = [list(r) for r in m.entries]
         for _ in range(6):
             i, j = rng.randrange(n), rng.randrange(n)
@@ -112,7 +118,7 @@ def test_snf_invariant_under_unimodular_multiplication():
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         u, v = random_unimodular(n), random_unimodular(n)
         assert abs(det_int(u.entries)) == 1 and abs(det_int(v.entries)) == 1
-        assert smith_normal_form(a).diag == smith_normal_form(u.mul(a).mul(v)).diag
+        assert smith_normal_form(a).diag == smith_normal_form(int_matmul(int_matmul(u, a), v)).diag
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""scripts/make_fixtures.py regenerates fixtures/ byte for byte."""
+"""scripts/make_fixtures.py regenerates fixtures/ byte for byte, and
+every public name of the library has a caller outside the unit tests."""
 
+import ast
 import os
+import re
 import sys
+from pathlib import Path
 
 from conftest import FIXTURES
 
@@ -18,3 +22,29 @@ def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeyp
     for name in names:
         with open(os.path.join(FIXTURES, name), "rb") as handle:
             assert (tmp_path / name).read_bytes() == handle.read(), name
+
+
+def test_every_public_name_has_a_product_caller():
+    # product callers: the library itself, scripts/, perfbench/ and the
+    # acceptance tests; a name only unit tests or oracles use belongs there
+    root = Path(__file__).resolve().parent.parent
+    library = sorted((root / "src" / "lenscert").glob("*.py"))
+    callers = [path for path in library if path.name != "__init__.py"]
+    callers += sorted((root / "scripts").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    callers.append(root / "tests" / "test_acceptance.py")
+    lines = [
+        (path, lineno, line)
+        for path in callers
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    ]
+    unused = []
+    for path in library:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                name = re.compile(rf"\b{node.name}\b")
+                if not any(
+                    name.search(line) and (where, lineno) != (path, node.lineno)
+                    for where, lineno, line in lines
+                ):
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

@@ -18,6 +18,7 @@ from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.triangulation import (
+    _GLUING_SIGN,
     DIRECTED_INDEX,
     EDGE_INDEX,
     DisconnectedError,
@@ -38,7 +39,9 @@ from oracles import (
     cell_structure,
     chain_complex_h1,
     disjoint_union,
+    is_connected,
     link_euler_characteristics,
+    perm_is_odd,
     random_gluing_table,
     relabel_triangulation,
     three_pass_orbit_roots,
@@ -200,7 +203,9 @@ def test_permutation_tables_match_brute_force():
                 while v not in seen:
                     seen.add(v)
                     v = images[v]
-        assert perm.is_odd() == ((4 - cycles) % 2 == 1)
+        odd = (4 - cycles) % 2 == 1
+        assert perm_is_odd(perm) == odd
+        assert _GLUING_SIGN[perm.index] == (1 if odd else -1)
     with pytest.raises(TriangulationError):
         Permutation4((0, 0, 1, 2))
 
@@ -245,10 +250,10 @@ def test_empty_triangulation_has_the_empty_presentation():
 
 
 def test_empty_triangulation_is_orientable():
-    """Like is_connected() and the empty presentation: no tetrahedron, no
+    """Like is_connected and the empty presentation: no tetrahedron, no
     sign to set and no pairing to violate."""
     empty = make_triangulation(0, [])
-    assert empty.is_connected()
+    assert is_connected(empty)
     assert orientation_check(empty) == OrientationResult(True, (), None)
 
 

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from lenscert.galois import FieldSpec, euler_phi, is_quadratic_residue
 from lenscert.presentation import Word, word_power
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
+from lenscert import trianglerep
 from lenscert.trianglerep import (
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERICAL,
+    RepVerificationError,
     bound_report,
     build_hyperbolic_rep,
     build_nonhyperbolic_cert,
@@ -310,6 +312,27 @@ def test_236_relators_die_on_reused_images():
     assert data.x_image.mul(data.y_image) != data.y_image.mul(data.x_image)
 
 
+@pytest.mark.parametrize(
+    "build,triple",
+    [
+        (build_hyperbolic_rep, (2, 3, 7)),
+        (build_nonhyperbolic_cert, (2, 3, 5)),
+        (build_nonhyperbolic_cert, (2, 2, 5)),
+    ],
+)
+def test_wrong_order_fails_the_postcondition(monkeypatch, build, triple):
+    monkeypatch.setattr(trianglerep, "has_order", lambda m, n: False)
+    with pytest.raises(RepVerificationError, match="image of x does not have order"):
+        build(classify(*triple))
+
+
+def test_commuting_images_fail_the_postcondition(monkeypatch):
+    monkeypatch.setattr(trianglerep, "has_order", lambda m, n: True)
+    x = ProjMatrix.from_coords(FieldSpec(5), (0, 0, 1, 0, 4, 0, 0, 0))
+    with pytest.raises(RepVerificationError, match="abelian"):
+        trianglerep._checked_xy(x, x, (2, 2, 2))
+
+
 def test_hyperbolic_gcd_goes_abelian():
     data = build_nonhyperbolic_cert(classify(2, 4, 6))
     assert data.kind == "abelian" and data.d == 2
@@ -458,6 +481,14 @@ def test_bound_report_237_t10():
     assert report.field_within_ell10
     assert 0 <= report.field_ratio_ell10 < 1
     assert report.linnik_ratio == 337 / 84**5.18
+
+
+def test_bound_report_needs_a_positive_tetrahedron_count():
+    t = classify(2, 3, 7)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            bound_report(t, t=count)
+    assert bound_report(t, t=1).degree_bound == 3**6
 
 
 def test_bound_report_without_optionals():

@@ -14,20 +14,26 @@ labels.
 Each invariant is checked once, where a certificate comes in:
 
 - parse checks line by line: spelling and spacing, canonical decimals
-  (galois.parse_decimal), the labels and matrix generator names
-  (presentation.is_label), every word letter against the letter table of
+  (galois.parse_decimal), every word letter against the letter table of
   the names it is over (so each letter is a known generator with
-  exponent +-1) and free reduction, matrix coordinates in [0, p)
-  (galois.parse_coords), det 1 (ProjMatrix.from_reduced) and the sign
-  normalization serialize writes, reduced abelian images, and image and
-  surjection lines in the order of the gens line.  Words and the
-  presentation are then built by Word.from_checked and
-  GroupPresentation.from_checked, which trust the letter table, and
-  Certificate._check_fields checks the rest once the text is read: the
-  level, the kind's fields, target moduli above 1, distinct matrix
-  names, and matrix names equal to the labels when there is no
-  surjection.  parse records the bytes of the text it read as
-  text_bytes.
+  exponent +-1) and free reduction, reduced abelian images, and image
+  and surjection lines in the order of the gens line.  The gens line and
+  each matrix line are accepted by one regex matched against the whole
+  line, whose groups are canonical decimals and labels
+  (presentation.is_label's pattern): so the labels need no other check
+  than distinctness, and a matrix's coordinates go straight to ints, in
+  range when their max is below p, with det 1 checked by
+  ProjMatrix.from_reduced and the sign normalization serialize writes by
+  one compare.  A line either regex refuses goes to a diagnose function
+  (_diagnose_gens, _diagnose_matrix) that runs the per-field checks
+  (galois.parse_coords, is_label) only to name the error, and always
+  raises.  Words and the presentation are then built by
+  Word.from_checked and GroupPresentation.from_checked, which trust the
+  letter table and the gens regex, and Certificate._check_fields checks
+  the rest once the text is read: the level, the kind's fields, target
+  moduli above 1, distinct matrix names, and matrix names equal to the
+  labels when there is no surjection.  parse records the bytes of the
+  text it read as text_bytes.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
   as parse does; Word checks its letters and GroupPresentation its labels
@@ -35,7 +41,8 @@ Each invariant is checked once, where a certificate comes in:
 - verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
   certificate built in code is serialized to count its bytes.  The
   images' coordinates and inverses are taken once per certificate
-  (projmat.letter_coords) and every word is one projmat.fold_letters.
+  (projmat.letter_coords), every word is one projmat.fold_letters, and
+  without a surjection a generator's image is read from its coordinates.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .galois import FieldSpec, parse_coords, parse_decimal
 from .intlinalg import IntMatrix, abelianization, format_abelian, is_cyclic, smith_normal_form
@@ -58,6 +65,7 @@ from .presentation import (
     parse_word,
 )
 from .projmat import (
+    _IDENTITY,
     OpCounter,
     ProjMatrix,
     bit_size_spec,
@@ -187,16 +195,18 @@ class Certificate:
             raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Certificate))
-
-
 def _parsed_certificate(fields: dict) -> Certificate:
     """The certificate parse read, text_bytes included.  Its words, matrix
     names and images were checked line by line as they were read, so of
-    the constructor's checks only _check_fields runs."""
+    the constructor's checks only _check_fields runs.  A field parse did
+    not read keeps its class default, None.  The fields go into the
+    instance dict one by one, not by dict.update, which would give every
+    certificate its own copy of the keys instead of the class's shared
+    ones."""
     cert = object.__new__(Certificate)
-    for name in _FIELD_NAMES:  # a field parse did not read is None
-        object.__setattr__(cert, name, fields.get(name))
+    state = cert.__dict__
+    for name, value in fields.items():
+        state[name] = value
     cert._check_fields()
     return cert
 
@@ -232,9 +242,22 @@ def serialize(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Tokens are separated by single spaces, as serialize writes them, and digit
-# runs are read by galois.parse_decimal, which accepts canonical decimals only.
-_MATRIX_RE = re.compile(
+# Tokens are separated by single spaces, as serialize writes them.  The gens
+# line and each degree's matrix line are accepted by one regex, matched
+# against the whole line (fullmatch), whose groups are canonical decimals
+# (as galois.parse_decimal reads them) and labels (as presentation.is_label
+# reads them); a line the regex refuses goes to a diagnose function that
+# names the error and always raises.
+_DECIMAL = "(0|[1-9][0-9]*)"
+_LABEL = "[A-Za-z_][A-Za-z0-9_]*"
+_GENS_RE = re.compile(rf"gens {_DECIMAL}(?: {_LABEL})*")
+_MATRIX_RES = {
+    deg: re.compile(rf"gen ({_LABEL}) = \[\[{e},{e}\],\[{e},{e}\]\]")
+    for deg, e in ((1, _DECIMAL), (2, rf"{_DECIMAL}\+{_DECIMAL}\*w"))
+}
+# what the matrix block takes for a matrix line at all: the first line it
+# does not take ends the block
+_MATRIX_LINE_RE = re.compile(
     r"^gen (\w+) = \[\[([^\],]+),([^\],]+)\],\[([^\],]+),([^\],]+)\]\]$"
 )
 _ABELIAN_RE = re.compile(r"^gen (\w+) = \(([0-9]+),([0-9]+)\)$")
@@ -305,6 +328,41 @@ def _expect_name(reader: _Reader, name: str, label: str) -> None:
         )
 
 
+def _read_relators(reader: _Reader, letters: dict[str, tuple[int, int]]) -> tuple[Word, ...]:
+    """The rels line and the relator words after it."""
+    line = reader.next()
+    if not line.startswith("rels "):
+        raise reader.error("expected 'rels <r>'")
+    try:
+        r = parse_decimal(line[5:])
+    except ValueError:
+        raise reader.error("bad relator count") from None
+    return tuple(_parse_reduced_word(reader, reader.next(), letters) for _ in range(r))
+
+
+def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
+    """Raise the error parse names for a gens line _GENS_RE refused, or
+    whose count int() refuses: a bad count at once; a malformed label
+    once the relators are read, as a label error is named after any
+    relator error."""
+    if not line.startswith("gens "):
+        raise reader.error("expected 'gens <g> <labels...>'")
+    parts = line.split(" ")
+    try:
+        g = parse_decimal(parts[1])
+    except ValueError:
+        raise reader.error("bad generator count") from None
+    labels = tuple(parts[2:])
+    if len(labels) != g:
+        raise reader.error("label count does not match generator count")
+    relators = _read_relators(reader, _letter_table(labels))
+    try:
+        GroupPresentation(g, relators, labels)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    raise AssertionError(f"gens line {line!r} fails _GENS_RE but no check")
+
+
 def parse(text: str) -> Certificate:
     reader = _Reader(text)
     if reader.next() != HEADER:
@@ -320,28 +378,18 @@ def parse(text: str) -> Certificate:
         level = line[6:]
         line = reader.next()
 
-    if not line.startswith("gens "):
-        raise reader.error("expected 'gens <g> <labels...>'")
+    if _GENS_RE.fullmatch(line) is None:
+        _diagnose_gens(reader, line)
     parts = line.split(" ")
-    try:
-        g = parse_decimal(parts[1])
-    except (IndexError, ValueError):
-        raise reader.error("bad generator count") from None
     labels = tuple(parts[2:])
+    try:
+        g = int(parts[1])
+    except ValueError:  # more digits than int() converts
+        _diagnose_gens(reader, line)
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
-
-    line = reader.next()
-    if not line.startswith("rels "):
-        raise reader.error("expected 'rels <r>'")
-    try:
-        r = parse_decimal(line[5:])
-    except ValueError:
-        raise reader.error("bad relator count") from None
     letters = _letter_table(labels)
-    relators = tuple(
-        _parse_reduced_word(reader, reader.next(), letters) for _ in range(r)
-    )
+    relators = _read_relators(reader, letters)
     try:
         pres = GroupPresentation.from_checked(g, relators, labels)
     except ValueError as exc:
@@ -360,7 +408,11 @@ def parse(text: str) -> Certificate:
         raise reader.error(str(exc)) from None
     if reader.peek() is not None:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    fields.update(presentation=pres, level=level, text_bytes=len(text.encode()))
+    fields.update(
+        presentation=pres,
+        level=level,
+        text_bytes=len(text) if text.isascii() else len(text.encode()),
+    )
     return _parsed_certificate(fields)
 
 
@@ -382,6 +434,34 @@ def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
     return {"kind": NON_CYCLIC, "target": (a, b), "abelian_images": tuple(images)}
 
 
+def _unnormalized(reader: _Reader, matrix: ProjMatrix) -> CertificateSyntaxError:
+    return reader.error(
+        f"matrix is not sign-normalized: its first nonzero coordinate "
+        f"exceeds {(matrix.spec.p - 1) // 2}; write it as {matrix}"
+    )
+
+
+def _diagnose_matrix(reader: _Reader, line: str, spec: FieldSpec) -> NoReturn:
+    """Raise the error parse names for a matrix line: one _MATRIX_LINE_RE
+    takes but the field's regex refuses, or with a coordinate out of
+    range or with more digits than int() converts.  The checks run in
+    the order they name errors: each entry's syntax and range
+    (galois.parse_coords), det 1, sign normalization, the label."""
+    gm = _MATRIX_LINE_RE.match(line)
+    try:
+        a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
+        coords = (*a, *b, *c, *d)
+        matrix = ProjMatrix.from_reduced(spec, coords)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    if matrix.coords != coords:
+        raise _unnormalized(reader, matrix)
+    name = gm.group(1)
+    if not is_label(name):
+        raise reader.error(f"bad generator label {name!r}")
+    raise AssertionError(f"matrix line {line!r} fails its regex but no check")
+
+
 def _parse_rep(
     reader: _Reader, labels: tuple[str, ...], letters: dict[str, tuple[int, int]]
 ) -> dict:
@@ -397,27 +477,34 @@ def _parse_rep(
 
     rep_gens: list[str] = []
     rep_images: list[ProjMatrix] = []
+    matrix_re = _MATRIX_RES[deg]
     while True:
         line = reader.peek()
-        gm = _MATRIX_RE.match(line) if line is not None else None
-        if gm is None:
+        if line is None:
+            break
+        gm = matrix_re.fullmatch(line)
+        if gm is None and _MATRIX_LINE_RE.match(line) is None:
             break
         reader.next()
+        if gm is None:
+            _diagnose_matrix(reader, line, spec)
         try:
-            a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
-            coords = (*a, *b, *c, *d)
+            if deg == 1:
+                a, b, c, d = map(int, gm.group(2, 3, 4, 5))
+                coords = (a, 0, b, 0, c, 0, d, 0)
+            else:
+                coords = tuple(map(int, gm.group(2, 3, 4, 5, 6, 7, 8, 9)))
+        except ValueError:  # more digits than int() converts
+            _diagnose_matrix(reader, line, spec)
+        if max(coords) >= p:
+            _diagnose_matrix(reader, line, spec)
+        try:
             matrix = ProjMatrix.from_reduced(spec, coords)
         except ValueError as exc:
             raise reader.error(str(exc)) from None
         if matrix.coords != coords:
-            raise reader.error(
-                f"matrix is not sign-normalized: its first nonzero coordinate "
-                f"exceeds {(p - 1) // 2}; write it as {matrix}"
-            )
-        name = gm.group(1)
-        if not is_label(name):
-            raise reader.error(f"bad generator label {name!r}")
-        rep_gens.append(name)
+            raise _unnormalized(reader, matrix)
+        rep_gens.append(gm.group(1))
         rep_images.append(matrix)
     if not rep_images:
         raise reader.error("expected at least one 'gen <name> = [[..],[..]]' line")
@@ -537,7 +624,6 @@ def verify(cert: Certificate) -> VerificationReport:
     if cert.kind == NON_ABELIAN:
         spec = cert.field
         table = letter_coords(images)
-        identity = ProjMatrix.identity(spec).coords
         # the rep-generator letters of each presentation letter, as table[exp][gen]
         pushed = None
         if cert.surjection is not None:
@@ -552,15 +638,22 @@ def verify(cert: Certificate) -> VerificationReport:
                 letters = [x for gen, exp in letters for x in pushed[exp][gen]]
             return fold_letters(spec, table, letters, counter)
 
-        relator_mults = 0
+        # the relators are charged first, so their multiplies are the
+        # counter's until the generators are charged
         for k, rel in enumerate(pres.relators):
-            before = counter.mat_mults
-            coords = value(rel.letters)
-            relator_mults += counter.mat_mults - before
-            if coords != identity:
-                return report(False, f"relator {k} does not map to the identity", relator_mults)
-        gen_images = [value(((i, 1),)) for i in range(pres.g)]
-        if all(coords == identity for coords in gen_images):
+            if value(rel.letters) != _IDENTITY:
+                reason = f"relator {k} does not map to the identity"
+                return report(False, reason, counter.mat_mults)
+        relator_mults = counter.mat_mults
+        if pushed is None:
+            # generator i's image is image i, whose coordinates are already
+            # sign-normalized; it is charged as the one-letter fold it is
+            gen_images = table[1]
+            counter.mat_mults += pres.g
+            counter.field_ops += 12 * pres.g
+        else:
+            gen_images = [value(((i, 1),)) for i in range(pres.g)]
+        if gen_images.count(_IDENTITY) == pres.g:
             return report(False, "every generator maps to the identity", relator_mults)
         w1, w2 = cert.witness  # type: ignore[misc]
         if value(w1.letters) == value(w2.letters):

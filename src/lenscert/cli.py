@@ -355,7 +355,13 @@ def cmd_bounds(args) -> int:
     if t.curvature == HYPERBOLIC and t.d == 1:
         spec = build_hyperbolic_rep(t, ceiling=args.ceiling).spec
     report = bound_report(t, t=args.tetrahedra, spec=spec)
-    doc = {k: v for k, v in report.__dict__.items()}
+    doc = {}
+    for k, v in report.__dict__.items():
+        # the two bounds have thousands of digits for large t, more than
+        # Python converts to decimal, so they are written as bit lengths
+        if k in ("ell_bound", "degree_bound"):
+            k, v = f"{k}_bits", None if v is None else v.bit_length()
+        doc[k] = v
     doc["triple"] = list(doc["triple"])
     lines = [f"{k}={v}" for k, v in doc.items()]
     _emit(doc, args.json, lines)

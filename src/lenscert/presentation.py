@@ -126,20 +126,22 @@ class GroupPresentation:
     def from_checked(
         cls, g: int, relators: tuple[Word, ...], labels: tuple[str, ...]
     ) -> "GroupPresentation":
-        """The presentation on g labels and on relators already known to
+        """The presentation on g labels already known to be well formed,
+        as a parser's regex reads them, and on relators already known to
         use only generators below g, as a parser's letter table gives
-        them: the labels are checked, the relator letters are not rescanned."""
+        them: only the labels' distinctness is checked."""
         pres = object.__new__(cls)
         object.__setattr__(pres, "g", g)
         object.__setattr__(pres, "relators", relators)
         object.__setattr__(pres, "labels", labels)
-        pres._check_labels(True)
+        pres._check_labels(False)
         return pres
 
-    def _check_labels(self, supplied: bool) -> None:
+    def _check_labels(self, check_spelling: bool) -> None:
         if len(set(self.labels)) != self.g:
             raise ValueError("duplicate generator labels")
-        if supplied:  # the default labels x0, x1, ... are well formed
+        # the default labels x0, x1, ... are well formed
+        if check_spelling:
             for lab in self.labels:
                 if not is_label(lab):
                     raise ValueError(f"bad generator label {lab!r}")

@@ -12,10 +12,13 @@ ints, or ProjMatrix.from_reduced from ints a parser has already range
 checked.  A product or inverse of determinant-1 matrices has
 determinant 1, so results are built without a recheck.
 
-Every product goes through one kernel, _mul_coords, on raw 8-int tuples.
-mul and power call it directly; a word is one fold_letters over the
-coordinates of the images and their inverses (letter_coords), which
-evaluate_word takes per call and a verifier once per certificate.
+Products run on raw 8-int tuples in two places that do the same
+multiplies in the same order: the kernel _mul_coords, which mul and
+power call, and fold_letters, which multiplies a word's letters inline,
+on 4 ints over F_p and 8 over F_{p^2}, to save a call and a tuple per
+letter.  A word is one fold_letters over the coordinates of the images
+and their inverses (letter_coords), which evaluate_word takes per call
+and a verifier once per certificate.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -27,7 +30,6 @@ normalized once, at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .galois import FieldElement, FieldSpec, factorize, is_quadratic_residue
@@ -287,27 +289,45 @@ def fold_letters(
     counter: Optional[OpCounter] = None,
 ) -> tuple:
     """Sign-normalized coordinates of the left-to-right product of
-    table[exp][gen] over the letters (gen, exp): one _mul_coords per
-    letter, charged to counter by the OpCounter rule."""
+    table[exp][gen] over the letters (gen, exp): per letter the multiplies
+    of one _mul_coords, charged to counter by the OpCounter rule."""
     p, s = spec.p, spec.s or 0
-    out = _IDENTITY
-    for gen, exp in letters:
-        out = _mul_coords(p, s, out, table[exp][gen])
+    exponent_sum = 0
+    if not s:
+        a, b, c, d = 1, 0, 0, 1
+        for gen, exp in letters:
+            exponent_sum += exp
+            e, _, f, _, g, _, h, _ = table[exp][gen]
+            # a row of the product needs only that row of the left factor
+            a, b = (a * e + b * g) % p, (a * f + b * h) % p
+            c, d = (c * e + d * g) % p, (c * f + d * h) % p
+        out = (a, 0, b, 0, c, 0, d, 0)
+    else:
+        a0, a1, b0, b1, c0, c1, d0, d1 = _IDENTITY
+        for gen, exp in letters:
+            exponent_sum += exp
+            e0, e1, f0, f1, g0, g1, h0, h1 = table[exp][gen]
+            a0, a1, b0, b1, c0, c1, d0, d1 = (
+                (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
+                (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
+                (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
+                (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
+                (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
+                (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
+                (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
+                (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
+            )
+        out = (a0, a1, b0, b1, c0, c1, d0, d1)
     if counter is not None:
         n = len(letters)
         # exponents are +-1, so the ^-1 letters number (n - their sum) / 2
         counter.mat_mults += n
-        counter.field_ops += 12 * n + n - sum(map(itemgetter(1), letters))
+        counter.field_ops += 13 * n - exponent_sum
     return _sign_normalized(p, out)
 
 
-def evaluate_word(
-    images: Sequence[ProjMatrix],
-    word: Word,
-    counter: Optional[OpCounter] = None,
-) -> ProjMatrix:
-    """Left-to-right product of generator images, charged as fold_letters
-    charges it."""
+def evaluate_word(images: Sequence[ProjMatrix], word: Word) -> ProjMatrix:
+    """Left-to-right product of generator images."""
     if not images:
         raise ValueError("no generator images")
     spec = images[0].spec
@@ -316,7 +336,7 @@ def evaluate_word(
     top = word.max_generator()
     if top >= len(images):
         raise ValueError(f"no image for generator {top}")
-    return _from_coords(spec, fold_letters(spec, letter_coords(images), word.letters, counter))
+    return _from_coords(spec, fold_letters(spec, letter_coords(images), word.letters))
 
 
 def bit_size_spec(spec: FieldSpec) -> int:

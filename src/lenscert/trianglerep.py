@@ -145,7 +145,6 @@ class ReducedRepData:
     ell: int
     p: int
     spec: FieldSpec
-    zeta: FieldElement
     c1: FieldElement
     c2: FieldElement
     c3: FieldElement
@@ -168,7 +167,7 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
         raise ValueError("triple has a common divisor; use the abelian certificate")
     p = smallest_prime_in_progression(t.ell, ceiling)
     base = FieldSpec(p)
-    zeta, c1, c2, c3 = reduced_cosines(base, t.ell, t.triple)
+    _, c1, c2, c3 = reduced_cosines(base, t.ell, t.triple)
     spec, r = solve_r(base, c1, c2, c3)
 
     x_img = _standard_matrix(spec, c1)
@@ -184,7 +183,6 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
         ell=t.ell,
         p=p,
         spec=spec,
-        zeta=FieldElement(base, zeta),
         c1=c1,
         c2=c2,
         c3=c3,

@@ -23,7 +23,7 @@ from lenscert.certificate import (
     verify,
 )
 from lenscert.cli import main as cli_main
-from lenscert.galois import FieldSpec
+from lenscert.galois import FieldSpec, quadratic_extension
 from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
 from lenscert.projmat import ProjMatrix
 from oracles import reduced_word, snf_subgroup_invariants
@@ -106,6 +106,23 @@ def test_unlabelled_generator_count_is_capped_by_lines_left():
     with pytest.raises(CertificateSyntaxError, match="generator count"):
         parse("lenscert v1\nkind NonAbelianRep\ngens 1000000000\nrels 0\n")
     assert time.monotonic() - start < 0.5
+
+
+def test_gens_line_of_many_labels():
+    g = 10**5
+    labels = [f"g{k}" for k in range(g)]
+    images = ["(1,0)", "(0,1)"] + ["(0,0)"] * (g - 2)
+
+    def text(labels):
+        head = f"lenscert v1\nkind NonCyclicAbelian\ngens {g} {' '.join(labels)}\nrels 0\n"
+        lines = [f"gen {lab} = {image}\n" for lab, image in zip(labels, images)]
+        return head + "target Z/2 x Z/2\n" + "".join(lines)
+
+    cert = parse(text(labels))
+    assert cert.presentation.labels == tuple(labels)
+    assert verify(cert).accepted
+    with pytest.raises(CertificateSyntaxError, match="bad generator label '9z'"):
+        parse(text(labels[:-1] + ["9z"]))
 
 
 def test_composite_characteristic_exits_two(tmp_path, capsys):
@@ -616,6 +633,28 @@ def test_trivial_image_rejected():
     report = verify(cert)
     assert not report.accepted
     assert "identity" in report.reason
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(5), quadratic_extension(FieldSpec(3))])
+def test_all_identity_images_rejected_with_their_charge(spec):
+    # without a surjection every generator's image is read from its
+    # coordinates, and still charged as one one-letter fold per generator
+    labels = ("x", "y")
+    relators = (parse_word("x y x^-1 y^-1", labels), parse_word("x x x", labels))
+    identity = ProjMatrix.identity(spec)
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=GroupPresentation(2, relators, labels),
+        field=spec,
+        rep_gens=labels,
+        rep_images=(identity, identity),
+        witness=(parse_word("x y", labels), parse_word("y x", labels)),
+    )
+    for report in (verify(cert), verify(parse(serialize(cert)))):
+        assert not report.accepted
+        assert report.reason == "every generator maps to the identity"
+        assert report.relator_mat_mults == 7
+        assert (report.mat_mults, report.field_ops) == (7 + 2, 12 * 7 + 2 * 2 + 12 * 2)
 
 
 # Z/5 = <x | x^5> is a lens space group; x and x x have distinct images

@@ -289,6 +289,18 @@ def test_bounds_subcommand():
     assert "ell_within_bound=True" in out.stdout
 
 
+def test_bounds_at_large_t_write_bit_lengths():
+    # 2^(2t) * 3^(12t) has more than 4300 decimal digits from t = 680
+    expected = (2 ** 2000 * 3 ** 12000).bit_length()
+    for form in ((), ("--json",)):
+        out = run_cli("bounds", "2", "3", "7", "-t", "1000", *form)
+        assert out.returncode == 0, out.stderr
+        if form:
+            assert json.loads(out.stdout)["ell_bound_bits"] == expected
+        else:
+            assert f"ell_bound_bits={expected}" in out.stdout.splitlines()
+
+
 def test_bounds_tetrahedron_count_below_one_exits_two():
     for count in ("0", "-2"):
         out = run_cli("bounds", "2", "3", "7", "-t", count)

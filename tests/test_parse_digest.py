@@ -1,0 +1,154 @@
+"""parse's outcome on a seeded mutation corpus, pinned by one digest.
+
+Base texts: the certificate of every triangle triple with entries from 2
+to 12 (over F_p and F_{p^2}, abelian, dihedral and spherical),
+fixtures/fig8.cert and the three Seifert pipeline certificates, the
+prism_q12 one with its surjection.  Each line of each base is edited in
+each way that applies to it (see edited_texts), one edit per text.  The
+digest covers, for every base and edited text, serialize(parse(text)) or
+the class and message of the exception parse raised.
+PARSE_OUTCOME_SHA256 was computed on the parser that read every matrix
+coordinate with galois.parse_coords and every label with
+presentation.is_label, so a rewrite of the parse path that moves one
+accepted byte or one error message fails here.
+"""
+
+import functools
+import hashlib
+import itertools
+import re
+
+import pytest
+
+from conftest import fixture_text, load_fixture
+from lenscert import certificate
+from lenscert.certificate import (
+    CertificateSyntaxError,
+    parse,
+    pipeline,
+    serialize,
+    triangle_certificate,
+)
+
+PARSE_OUTCOME_SHA256 = "8da35e8f6f8bf80403c1c88b2d7a551574141674da98d69b6941b9bf12e75640"
+
+SEIFERT = (
+    ("prism_q8.tri", (2, 2, 2), None),
+    ("t3_torus.tri", (2, 3, 7), None),
+    ("prism_q12.tri", (2, 2, 3), "prism_q12.surj"),
+)
+_NUMBER = re.compile(r"[0-9]+")
+_FIELD_P = re.compile(r"^field p=([0-9]+) ", re.MULTILINE)
+
+
+def base_texts() -> list[str]:
+    texts = [
+        serialize(triangle_certificate(*triple)[0])
+        for triple in itertools.combinations_with_replacement(range(2, 13), 3)
+    ]
+    texts.append(fixture_text("fig8.cert"))
+    for name, base, surj in SEIFERT:
+        surj_text = fixture_text(surj) if surj else None
+        texts.append(serialize(pipeline(load_fixture(name), base, surjection_text=surj_text)[0]))
+    return texts
+
+
+def _matrix_line(name: str, coords: list[int], deg: int) -> str:
+    if deg == 1:
+        a, b, c, d = coords
+        return f"gen {name} = [[{a},{b}],[{c},{d}]]"
+    e = [f"{coords[k]}+{coords[k + 1]}*w" for k in range(0, 8, 2)]
+    return f"gen {name} = [[{e[0]},{e[1]}],[{e[2]},{e[3]}]]"
+
+
+def line_edits(line: str, p: int, label: str):
+    """Each single-line edit that applies to line."""
+    m = _NUMBER.search(line)
+    if m:
+        head, digits, tail = line[:m.start()], m.group(), line[m.end():]
+        yield head + "0" + digits + tail  # leading zero
+        yield head + str(int(digits) + p) + tail  # coordinate + p
+        yield head + "٣" + digits[1:] + tail  # non-ASCII digit
+        yield head + "9" * 5000 + tail  # more digits than int() converts
+    if line.startswith("gen ") and " = [[" in line:
+        name, entries = line[4:].split(" = ")
+        coords = [int(x) for x in _NUMBER.findall(entries)]
+        deg = len(coords) // 4
+        yield _matrix_line(name, [-x % p for x in coords], deg)  # negated matrix
+        yield _matrix_line(name, [(coords[0] + 1) % p] + coords[1:], deg)  # det bumped
+    if "*w" in line:
+        yield line.replace("*w", "", 1)
+    tokens = line.split(" ")
+    for k, token in enumerate(tokens):
+        if token == label or token.startswith(label + "^"):
+            for prefix in ("9", "é"):  # digit-first, non-ASCII label
+                yield " ".join(tokens[:k] + [prefix + token] + tokens[k + 1:])
+            break
+    yield line + "^2"
+    yield line + " "  # trailing space
+
+
+def edited_texts(text: str):
+    lines = text.split("\n")[:-1]
+    field = _FIELD_P.search(text)
+    p = int(field.group(1)) if field else 7
+    label = next(x for x in lines if x.startswith("gens ")).split(" ")[2]
+    for i, line in enumerate(lines):
+        for new in line_edits(line, p, label):
+            yield lines[:i] + [new] + lines[i + 1:]
+        yield lines[:i] + [""] + lines[i:]  # blank line
+        yield lines[:i] + lines[i + 1:]  # deleted line
+        if i + 1 < len(lines):
+            yield lines[:i] + [lines[i + 1], line] + lines[i + 2:]  # two lines swapped
+
+
+@functools.lru_cache(maxsize=1)
+def corpus() -> tuple[tuple[str, bool], ...]:
+    """(text, whether it is a base text) for every base and its edits."""
+    out = []
+    for text in base_texts():
+        out.append((text, True))
+        out.extend(("\n".join(lines) + "\n", False) for lines in edited_texts(text))
+    return tuple(out)
+
+
+def outcome(text: str) -> str:
+    try:
+        return serialize(parse(text))
+    except Exception as exc:  # the class and message are the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for text, is_base in corpus():
+        result = outcome(text)
+        if is_base:
+            assert result == text
+        digest.update(result.encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PARSE_OUTCOME_SHA256
+
+
+@pytest.mark.parametrize("name", ["_diagnose_gens", "_diagnose_matrix"])
+def test_diagnose_fallback_always_raises(monkeypatch, name):
+    """A line the accepting regex refuses is only diagnosed: the fallback
+    raises a syntax error on every corpus text that reaches it."""
+    diagnose = getattr(certificate, name)
+    calls, raised = [], []
+
+    def recorded(*args):
+        calls.append(args)
+        try:
+            diagnose(*args)
+        except CertificateSyntaxError:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(certificate, name, recorded)
+    for text, _ in corpus():
+        try:
+            parse(text)
+        except CertificateSyntaxError:
+            pass
+    assert calls and raised == calls

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 from lenscert.galois import FieldSpec, factorize, quadratic_extension, sqrt_mod_p
 from lenscert.presentation import Word, parse_word
 from lenscert.projmat import (
+    _IDENTITY,
+    _mul_coords,
+    _sign_normalized,
     OpCounter,
     OrderCeilingExceeded,
     ProjMatrix,
     bit_size_spec,
     evaluate_word,
+    fold_letters,
     has_order,
+    letter_coords,
     projective_order,
 )
 
@@ -234,9 +239,10 @@ def test_evaluate_word_matches_oracle_fold(case, mults_before, ops_before):
     spec, entries, word = case
     images = [ProjMatrix(*e) for e in entries]
     factors = [entries[g] if e == 1 else matrix_inverse(entries[g]) for g, e in word.letters]
-    counter = OpCounter(mults_before, ops_before)
-    value = evaluate_word(images, word, counter)
+    value = evaluate_word(images, word)
     assert equal_up_to_sign(value.entries(), _oracle_fold(spec, factors))
+    counter = OpCounter(mults_before, ops_before)
+    assert fold_letters(spec, letter_coords(images), word.letters, counter) == value.coords
     inverse_letters = sum(e == -1 for _, e in word.letters)
     assert counter.mat_mults - mults_before == len(word)
     assert counter.field_ops - ops_before == 12 * len(word) + 2 * inverse_letters
@@ -247,6 +253,31 @@ def test_evaluate_word_matches_oracle_fold(case, mults_before, ops_before):
     assert product == value
 
 
+MERSENNE_61 = FieldSpec(2**61 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fold_letters_matches_a_mul_coords_fold_beyond_64_bits(data):
+    """Over p = 2^61 - 1 a product of two coordinates needs up to 122
+    bits, so fold_letters' inline loops agree with the _mul_coords kernel,
+    letter by letter, only if they assume no fixed width."""
+    spec = data.draw(st.sampled_from((MERSENNE_61, quadratic_extension(MERSENNE_61))))
+    k = data.draw(st.integers(1, 3))
+    images = [ProjMatrix(*data.draw(sl2_entries(specs=(spec,)))) for _ in range(k)]
+    letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+    letters = tuple(data.draw(st.lists(letter, max_size=14)))
+    table = letter_coords(images)
+    expected = _IDENTITY
+    for gen, exp in letters:
+        expected = _mul_coords(spec.p, spec.s or 0, expected, table[exp][gen])
+    counter = OpCounter()
+    assert fold_letters(spec, table, letters, counter) == _sign_normalized(spec.p, expected)
+    inverse_letters = sum(e == -1 for _, e in letters)
+    assert counter.mat_mults == len(letters)
+    assert counter.field_ops == 12 * len(letters) + 2 * inverse_letters
+
+
 @settings(max_examples=200, deadline=None)
 @given(images_and_word(), st.integers(0, 5))
 def test_evaluate_word_rejects_unmapped_generator(case, excess):
@@ -254,7 +285,7 @@ def test_evaluate_word_rejects_unmapped_generator(case, excess):
     images = [ProjMatrix(*e) for e in entries]
     bad = Word(word.letters + ((len(images) + excess, 1),))
     with pytest.raises(ValueError, match="no image"):
-        evaluate_word(images, bad, OpCounter())
+        evaluate_word(images, bad)
     with pytest.raises(ValueError):
         evaluate_word([], word)
 
@@ -406,8 +437,9 @@ def test_figure8_relator_dies_in_d10():
     a = ProjMatrix(x, spec.zero(), spec.zero(), -x)
     b = ProjMatrix(x, -x, spec.zero(), -x)
     relator = parse_word("a b a^-1 b^-1 a b a b^-1 a^-1 b^-1", ("a", "b"))
+    assert evaluate_word([a, b], relator).is_identity()
     counter = OpCounter()
-    assert evaluate_word([a, b], relator, counter).is_identity()
+    fold_letters(spec, letter_coords([a, b]), relator.letters, counter)
     assert counter.mat_mults == 10
     assert not evaluate_word([a, b], parse_word("a b", ("a", "b"))).is_identity()
 

@@ -214,7 +214,7 @@ def test_build_with_alternate_root_of_unity():
     t = classify(2, 3, 7)
     rep = build_hyperbolic_rep(t)
     p, ell = rep.p, t.ell
-    base = rep.zeta
+    base = FieldSpec(p).element(reduced_cosines(FieldSpec(p), ell, t.triple)[0])
     alt = base**5  # gcd(5,84)=1, so another valid generator choice
     cs = []
     for n in t.triple:

@@ -669,12 +669,14 @@ def verify(cert: Certificate) -> VerificationReport:
     images_ab = cert.abelian_images
     assert images_ab is not None
     for k, rel in enumerate(pres.relators):
-        # the presentation holds its relators to generators below g
-        sums = [0] * pres.g
+        # only the generators a relator touches get a sum, so the pass is
+        # linear in the relator's letters, not in g; the presentation
+        # holds its relators to generators below g
+        sums: dict[int, int] = {}
         for gen, exp in rel.letters:
-            sums[gen] += exp
+            sums[gen] = sums.get(gen, 0) + exp
         u = v = 0
-        for i, e in enumerate(sums):
+        for i, e in sums.items():
             if e:
                 u += e * images_ab[i][0]
                 v += e * images_ab[i][1]

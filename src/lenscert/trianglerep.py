@@ -8,6 +8,12 @@ explicit roots of unity sums in F_p.  The parameter r solves a quadratic
 whose discriminant decides whether F_p suffices or F_{p^2} is needed.
 That construction runs on plain ints modulo p over one FieldSpec per
 triple; FieldElement appears only in the returned ReducedRepData.
+Each postcondition is checked once, on ints: the orders of x, y and xy
+by projmat.has_order's trace walk, the trace of xy against +-C3 on its
+coordinates, and xy != yx.  Facts true by construction are not
+rechecked: p is prime because the prime search proved it, and the
+relator words are well formed because they are built from constants.
+classify compares n2*n3 + n1*n3 + n1*n2 with n1*n2*n3 as ints.
 Non-hyperbolic triples get either a (Z/d)^2 abelian image, a dihedral
 image, or one of three fixed spherical matrix pairs over F_3, F_5, F_7.
 triangle_image is the one place that chooses between the two builders.
@@ -17,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -60,31 +65,30 @@ class TriangleType:
 
 
 def classify(n1: int, n2: int, n3: int) -> TriangleType:
-    """Sort the triple and classify by the sign of 1/n1 + 1/n2 + 1/n3 - 1."""
-    ns = sorted((n1, n2, n3))
-    if ns[0] < 2:
+    """Sort the triple and classify by the sign of 1/n1 + 1/n2 + 1/n3 - 1,
+    which is the sign of n2*n3 + n1*n3 + n1*n2 - n1*n2*n3."""
+    a, b, c = sorted((n1, n2, n3))
+    if a < 2:
         raise ValueError("triangle group orders must be at least 2")
-    total = Fraction(1, ns[0]) + Fraction(1, ns[1]) + Fraction(1, ns[2])
-    if total < 1:
+    total, product = b * c + a * c + a * b, a * b * c
+    if total < product:
         curvature = HYPERBOLIC
-    elif total == 1:
+    elif total == product:
         curvature = EUCLIDEAN
     else:
         curvature = SPHERICAL
-    ell = 2 * math.lcm(ns[0], ns[1], ns[2])
-    d = math.gcd(ns[0], math.gcd(ns[1], ns[2]))
-    return TriangleType(ns[0], ns[1], ns[2], ell, d, curvature)
+    return TriangleType(a, b, c, 2 * math.lcm(a, b, c), math.gcd(a, b, c), curvature)
 
 
 def triangle_presentation(t: TriangleType) -> GroupPresentation:
-    """<x, y | x^n1, y^n2, (xy)^n3> with labels x, y."""
-    x, y = Word(((0, 1),)), Word(((1, 1),))
+    """<x, y | x^n1, y^n2, (xy)^n3> with labels x, y, built from letters
+    that are well formed by construction."""
     relators = (
-        word_power(x, t.n1),
-        word_power(y, t.n2),
-        word_power(x * y, t.n3),
+        Word.from_checked(((0, 1),) * t.n1),
+        Word.from_checked(((1, 1),) * t.n2),
+        Word.from_checked(((0, 1), (1, 1)) * t.n3),
     )
-    return GroupPresentation(g=2, relators=relators, labels=("x", "y"))
+    return GroupPresentation.from_checked(2, relators, ("x", "y"))
 
 
 def reduced_cosines(
@@ -131,12 +135,24 @@ def solve_r(spec: FieldSpec, c1: int, c2: int, c3: int) -> tuple[FieldSpec, tupl
 
 
 def _standard_matrix(spec: FieldSpec, c: int) -> ProjMatrix:
-    """[[C, 1], [-1, 0]]: determinant 1, trace the cosine value."""
-    return ProjMatrix.from_coords(spec, (c, 0, 1, 0, spec.p - 1, 0, 0, 0))
+    """[[C, 1], [-1, 0]] for C in [0, p): determinant 1, trace the cosine
+    value."""
+    return ProjMatrix.from_reduced(spec, (c, 0, 1, 0, spec.p - 1, 0, 0, 0))
 
 
 def _translation(spec: FieldSpec, r0: int, r1: int) -> ProjMatrix:
-    return ProjMatrix.from_coords(spec, (1, 0, r0, r1, 0, 0, 1, 0))
+    """[[1, r], [0, 1]] for r = r0 + r1*w reduced, as solve_r gives it."""
+    return ProjMatrix.from_reduced(spec, (1, 0, r0, r1, 0, 0, 1, 0))
+
+
+def _prime_field(p: int) -> FieldSpec:
+    """FieldSpec(p) for a p that smallest_prime_in_progression has just
+    proved prime, so is_prime is not run a second time."""
+    spec = object.__new__(FieldSpec)
+    object.__setattr__(spec, "p", p)
+    object.__setattr__(spec, "degree", 1)
+    object.__setattr__(spec, "s", None)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -166,26 +182,25 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
     if t.d != 1:
         raise ValueError("triple has a common divisor; use the abelian certificate")
     p = smallest_prime_in_progression(t.ell, ceiling)
-    base = FieldSpec(p)
+    base = _prime_field(p)
     _, c1, c2, c3 = reduced_cosines(base, t.ell, t.triple)
     spec, r = solve_r(base, c1, c2, c3)
 
     x_img = _standard_matrix(spec, c1)
     t_r = _translation(spec, *r)
     y_img = t_r.mul(_standard_matrix(spec, c2)).mul(t_r.inverse())
-    c1, c2, c3 = (FieldElement(spec, c) for c in (c1, c2, c3))
 
-    xy = _checked_xy(x_img, y_img, t.triple)
-    if xy.trace() not in (c3, -c3):
+    v = _checked_xy(x_img, y_img, t.triple).coords
+    if (v[1] + v[7]) % p or (v[0] + v[6]) % p not in (c3, -c3 % p):
         raise RepVerificationError("trace of xy image is not +-C3")
     return ReducedRepData(
         triple=t.triple,
         ell=t.ell,
         p=p,
         spec=spec,
-        c1=c1,
-        c2=c2,
-        c3=c3,
+        c1=FieldElement(spec, c1),
+        c2=FieldElement(spec, c2),
+        c3=FieldElement(spec, c3),
         r=FieldElement(spec, *r),
         x_image=x_img,
         y_image=y_img,

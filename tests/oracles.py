@@ -7,7 +7,9 @@ matrices, link Euler characteristics from explicit corner-piece orbit
 counts.  Slow is fine; these only run at fixture scale.  The exceptions
 are the triangle cosines, solve_r and subgroup invariants below: they
 are the library's earlier FieldElement and Smith-normal-form versions,
-kept as references for the int code that replaced them, and the
+kept as references for the int code that replaced them; the earlier
+Fraction classification, matrix-power order check and dense abelian
+verification loop, kept for the same reason; and the
 triangulation chain's earlier stages: the three-pass orbit search, the
 dual spanning graph with its tree-sign orientation check, and the cell
 structure that pi1 was read from, and the gluing-table assembly with
@@ -28,6 +30,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from lenscert.certificate import (
+    NON_CYCLIC,
+    Certificate,
+    VerificationReport,
+    serialize,
+    subgroup_invariants,
+)
 from lenscert.galois import (
     FieldElement,
     FieldSpec,
@@ -40,6 +49,7 @@ from lenscert.galois import (
 from lenscert.intlinalg import IntMatrix, smith_normal_form
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, projective_order
+from lenscert.trianglerep import EUCLIDEAN, HYPERBOLIC, SPHERICAL, TriangleType
 from lenscert.triangulation import (
     DIRECTED_INDEX,
     DIRECTED_PAIRS,
@@ -777,9 +787,38 @@ def naive_projective_order(m, limit: int) -> int:
     raise AssertionError(f"no projective order up to {limit}")
 
 
+def power_has_order(m: ProjMatrix, n: int) -> bool:
+    """True iff M has projective order exactly n: M^n is trivial and
+    M^(n/l) is not, for every prime l dividing n.  This is the library's
+    order check before it walked the trace recurrence."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if not m.power(n).is_identity():
+        return False
+    return not any(m.power(n // l).is_identity() for l in factorize(n))
+
+
 # ----------------------------------------------------------------------
 # the triangle construction on FieldElement, as the library computed it
 # before it moved to plain ints
+
+
+def fraction_classify(n1: int, n2: int, n3: int) -> TriangleType:
+    """The sorted triple, classified by the sign of 1/n1 + 1/n2 + 1/n3 - 1
+    summed in Fractions, as the library did before it compared ints."""
+    ns = sorted((n1, n2, n3))
+    if ns[0] < 2:
+        raise ValueError("triangle group orders must be at least 2")
+    total = Fraction(1, ns[0]) + Fraction(1, ns[1]) + Fraction(1, ns[2])
+    if total < 1:
+        curvature = HYPERBOLIC
+    elif total == 1:
+        curvature = EUCLIDEAN
+    else:
+        curvature = SPHERICAL
+    ell = 2 * math.lcm(ns[0], ns[1], ns[2])
+    d = math.gcd(ns[0], math.gcd(ns[1], ns[2]))
+    return TriangleType(ns[0], ns[1], ns[2], ell, d, curvature)
 
 
 def field_reduced_cosines(p: int, ell: int, triple):
@@ -812,6 +851,50 @@ def field_solve_r(spec: FieldSpec, c1, c2, c3):
     r = (sqrt_disc - lin) * out_spec.element(2).inverse()
     assert (r * r + r * lin + (out_spec.element(2) - c1 * c2 - c3)).is_zero()
     return out_spec, r
+
+
+def dense_abelian_report(cert: Certificate) -> VerificationReport:
+    """verify on a NonCyclicAbelian certificate, by the loop the library
+    ran before it kept only the sums a relator touches: a list of all g
+    exponent sums per relator, scanned in generator order, so the cost is
+    g times the relator count."""
+    assert cert.kind == NON_CYCLIC
+    text_bytes = cert.text_bytes
+    if text_bytes is None:
+        text_bytes = len(serialize(cert).encode())
+    field_ops = 0
+
+    def report(accepted, reason):
+        return VerificationReport(
+            accepted=accepted,
+            kind=cert.kind,
+            reason=reason,
+            relator_mat_mults=0,
+            mat_mults=0,
+            field_ops=field_ops,
+            cert_bits=8 * text_bytes,
+            matrix_bits=(),
+        )
+
+    pres = cert.presentation
+    a, b = cert.target
+    images = cert.abelian_images
+    for k, rel in enumerate(pres.relators):
+        sums = [0] * pres.g
+        for gen, exp in rel.letters:
+            sums[gen] += exp
+        u = v = 0
+        for i, e in enumerate(sums):
+            if e:
+                u += e * images[i][0]
+                v += e * images[i][1]
+                field_ops += 4
+        if u % a or v % b:
+            return report(False, f"relator {k} image is nonzero in the target")
+    s1, _s2 = subgroup_invariants(a, b, images)
+    if s1 <= 1:
+        return report(False, "generator images span a cyclic subgroup")
+    return report(True, None)
 
 
 def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:

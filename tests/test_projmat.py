@@ -27,6 +27,8 @@ from oracles import (
     matrix_inverse,
     matrix_product,
     naive_projective_order,
+    power_has_order,
+    psl_elements,
     psl_group_order,
 )
 
@@ -413,6 +415,95 @@ def test_order_ceiling():
     m = ProjMatrix(SPEC337.one(), SPEC337.one(), SPEC337.zero(), SPEC337.one())
     with pytest.raises(OrderCeilingExceeded):
         projective_order(m, ceiling=100)
+
+
+# has_order walks the trace recurrence; power_has_order is the check by
+# matrix powers and the prime factors of n that it replaced
+ORDER_PRIMES = (3, 5, 7, 13, 337, 2**61 - 1)
+# orders of n = 1 .. 3p are compared, up to this many
+ORDER_N_CAP = 100
+
+
+def _sqrt(spec, x):
+    """A square root of x in spec (x in F_p), or None."""
+    p = spec.p
+    root = sqrt_mod_p(x.a, p)
+    if root is not None:
+        return spec.element(root)
+    if spec.degree == 2:
+        # x/s is a residue when x is not, so sqrt(x) = sqrt(x/s) * w
+        return spec.element(0, sqrt_mod_p(x.a * pow(spec.s, p - 2, p), p))
+    return None
+
+
+@st.composite
+def order_cases(draw):
+    """(matrix, the n to check it at): a random det-1 matrix, I, -I, a
+    unipotent, an involution, or a conjugate of [[t, 1], [-1, 0]] for a
+    trace t of small order (0, +-1, +-sqrt 2, +-sqrt 3, (+-1 +- sqrt 5)/2)."""
+    p = draw(st.sampled_from(ORDER_PRIMES))
+    spec = FieldSpec(p)
+    if draw(st.booleans()):
+        spec = quadratic_extension(spec)
+    one, zero = spec.one(), spec.zero()
+
+    def conjugate(entries):
+        g = ProjMatrix(*draw(sl2_entries(specs=(spec,))))
+        return g.mul(ProjMatrix(*entries)).mul(g.inverse())
+
+    kind = draw(
+        st.sampled_from(("random", "identity", "minus", "unipotent", "involution", "trace"))
+    )
+    if kind == "random":
+        m = ProjMatrix(*draw(sl2_entries(specs=(spec,))))
+    elif kind == "identity":
+        m = ProjMatrix.identity(spec)
+    elif kind == "minus":
+        m = ProjMatrix(-one, zero, zero, -one)
+    elif kind == "unipotent":
+        x = spec.element(draw(st.integers(1, p - 1)))
+        sign = draw(st.sampled_from((one, -one)))
+        m = conjugate((sign, sign * x, zero, sign))
+    elif kind == "involution":
+        m = conjugate((zero, one, -one, zero))
+    else:
+        two = spec.element(2)
+        roots = [_sqrt(spec, spec.element(k)) for k in (2, 3, 5)]
+        traces = [zero, one, -one] + [sign * r for r in roots[:2] if r for sign in (one, -one)]
+        if roots[2] is not None:
+            traces += [(a + b * roots[2]) / two for a in (one, -one) for b in (one, -one)]
+        m = conjugate((draw(st.sampled_from(traces)), one, -one, zero))
+    ns = list(range(1, min(3 * p, ORDER_N_CAP) + 1))
+    if m.trace() in (spec.element(2), spec.element(-2)):
+        # I and the unipotents have order 1 or p, and p is past the cap
+        # for the large primes
+        ns.append(p)
+    return m, ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_cases())
+def test_has_order_matches_power_oracle(case):
+    m, ns = case
+    assert [has_order(m, n) for n in ns] == [power_has_order(m, n) for n in ns]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec(3), FieldSpec(5), FieldSpec(7), quadratic_extension(FieldSpec(3))],
+    ids=["F3", "F5", "F7", "F9"],
+)
+def test_has_order_matches_power_oracle_on_the_whole_group(spec):
+    # every element of PSL(2, q) at every n = 1 .. 3p, which covers its order
+    for m in psl_elements(spec):
+        order = projective_order(m)
+        for n in range(1, 3 * spec.p + 1):
+            assert has_order(m, n) == power_has_order(m, n) == (n == order)
+
+
+def test_has_order_rejects_order_zero():
+    with pytest.raises(ValueError):
+        has_order(ProjMatrix.identity(SPEC5), 0)
 
 
 # ----------------------------------------------------------------------

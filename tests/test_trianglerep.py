@@ -3,7 +3,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenscert.galois import FieldSpec, euler_phi, is_quadratic_residue
-from lenscert.presentation import Word, word_power
+from lenscert.presentation import GroupPresentation, Word, word_power
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
 from lenscert import trianglerep
 from lenscert.trianglerep import (
@@ -29,6 +29,7 @@ from oracles import (
     field_reduced_cosines,
     field_solve_r,
     float_cosine_norm,
+    fraction_classify,
     primes_in_progression_by_scan,
     spherical_pair_by_search,
 )
@@ -62,6 +63,36 @@ def test_classify_sorts():
 def test_classify_rejects_small():
     with pytest.raises(ValueError):
         classify(1, 3, 7)
+    with pytest.raises(ValueError):
+        classify(1, 2, 3)
+
+
+def test_classify_matches_fraction_oracle_up_to_60():
+    # every sorted triple with entries 2..60, passed unsorted
+    for a in range(2, 61):
+        for b in range(a, 61):
+            for c in range(b, 61):
+                assert classify(c, a, b) == fraction_classify(a, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 7), st.integers(2, 10**12)), min_size=3, max_size=3))
+@example([2, 3, 6])
+@example([2, 4, 4])
+@example([10**12, 10**12, 10**12])
+def test_classify_matches_fraction_oracle_on_large_entries(ns):
+    assert classify(*ns) == fraction_classify(*ns)
+
+
+def test_triangle_presentation_equals_checked_construction():
+    # the words built without validation are the ones Word and
+    # GroupPresentation accept
+    for triple in [(2, 3, 7), (2, 2, 5), (3, 3, 3), (4, 5, 19)]:
+        t = classify(*triple)
+        x, y = Word(((0, 1),)), Word(((1, 1),))
+        relators = (word_power(x, t.n1), word_power(y, t.n2), word_power(x * y, t.n3))
+        expected = GroupPresentation(g=2, relators=relators, labels=("x", "y"))
+        assert triangle_presentation(t) == expected
 
 
 def test_triangle_presentation_shape():

@@ -8,9 +8,13 @@ its pivot, so it costs about n^3 on an n x n matrix.  `abelianization`
 therefore first eliminates +-1 pivots sparsely (Dumas, Saunders and
 Villard, J. Symb. Comput. 2001): the exponent matrix of a triangulation's
 presentation has at most 3 nonzeros per row, mostly +-1, and what is left
-for the dense SNF is a small core.  `certificate.noncyclic_certificate`
-needs the column transform V, so it calls the dense SNF on the whole
-matrix, since the sparse pass tracks no transforms.
+for the dense SNF is a small core.  Each row takes its pivot by one
+scan of its entries, at most three on a relator row.
+`certificate.noncyclic_certificate` needs the column transform V, so it
+calls the dense SNF on the whole matrix, since the sparse pass tracks no
+transforms.  Matrices this module computes (the core, U and V) are built
+by `IntMatrix.from_checked`, without the int() per entry that the public
+constructor runs.
 """
 
 from __future__ import annotations
@@ -42,6 +46,16 @@ class IntMatrix:
         object.__setattr__(self, "entries", frozen)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", width)
+
+    @classmethod
+    def from_checked(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """The matrix on rows already known to be tuples of cols ints, as
+        this module's own computations give them: no int() per entry."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "rows", len(entries))
+        object.__setattr__(matrix, "cols", cols)
+        return matrix
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
         return self.entries[idx[0]][idx[1]]
@@ -155,7 +169,12 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
     diag = tuple(d[i][i] for i in range(min(m, n)))
     rank = sum(1 for x in diag if x != 0)
     if want_transforms:
-        return SNFResult(diag, rank, IntMatrix(u), IntMatrix(v))
+        return SNFResult(
+            diag,
+            rank,
+            IntMatrix.from_checked(tuple(map(tuple, u)), m),
+            IntMatrix.from_checked(tuple(map(tuple, v)), n),
+        )
     return SNFResult(diag, rank)
 
 
@@ -210,22 +229,27 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix
         for i in todo:
             touched.discard(i)
             row = rows[i]
-            best = min(
-                ((len(col_rows[j]), j) for j, x in row.items() if x == 1 or x == -1),
-                default=None,
-            )
-            if best is None:
+            # fewest entries, ties to the lower column, by a plain scan:
+            # a relator row holds at most three entries
+            j = -1
+            fewest = 0
+            for col, x in row.items():
+                if x == 1 or x == -1:
+                    n = len(col_rows[col])
+                    if j < 0 or n < fewest or (n == fewest and col < j):
+                        j, fewest = col, n
+            if j < 0:
                 continue
-            j = best[1]
             sign = row.pop(j)
             # every other row loses column j, and row i goes
             others = col_rows[j]
             col_rows[j] = set()
             others.discard(i)
+            entries = row.items()
             for r in others:
                 other = rows[r]
                 c = other.pop(j) * sign
-                for col, x in row.items():
+                for col, x in entries:
                     y = other.get(col, 0) - c * x
                     if y:
                         if col not in other:
@@ -234,15 +258,15 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix
                     else:
                         del other[col]
                         col_rows[col].discard(r)
-                touched.add(r)
+            touched.update(others)
             for col in row:
                 col_rows[col].discard(i)
             rows[i] = {}
             pivots += 1
         todo = sorted(touched)
     cols = [j for j in range(g) if col_rows[j]]
-    core = [[row.get(j, 0) for j in cols] for row in rows if row]
-    return pivots, IntMatrix(core, cols=len(cols))
+    core = tuple(tuple([row.get(j, 0) for j in cols]) for row in rows if row)
+    return pivots, IntMatrix.from_checked(core, len(cols))
 
 
 def abelianization(pres) -> AbelianGroup:
@@ -255,13 +279,14 @@ def abelianization(pres) -> AbelianGroup:
     """
     rows = []
     for w in pres.relators:
-        row: dict[int, int] = {}  # nonzero exponent sums only
-        for gen, exp in w.letters:
-            x = row.get(gen, 0) + exp
-            if x:
-                row[gen] = x
-            else:
-                del row[gen]
+        letters = w.letters
+        row = dict(letters)  # the exponent sums, unless a generator repeats
+        if len(row) < len(letters):
+            row = {}
+            for gen, exp in letters:
+                row[gen] = row.get(gen, 0) + exp
+            if 0 in row.values():  # nonzero exponent sums only
+                row = {gen: x for gen, x in row.items() if x}
         rows.append(row)
     pivots, core = _unit_pivot_core(rows, pres.g)
     snf = smith_normal_form(core)

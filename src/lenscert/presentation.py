@@ -9,8 +9,11 @@ yields at most t+1 generators and 2t relators.
 `fundamental_group` reads the generators, the maximal tree and every
 relator letter straight off `Triangulation.orbit_roots` (one walk per
 directed-edge orbit): a generator's letter is the directed-edge orbit
-it runs along.  The cell structure pi1 was once read from is kept as a
-reference oracle in `tests/oracles.py`.
+it runs along.  Every letter comes from that letter table, a
+(generator below g, +-1) pair, so the relators and the presentation are
+built by `Word.from_checked` and `GroupPresentation.from_checked` and
+checked once, where the table is made.  The cell structure pi1 was once
+read from is kept as a reference oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -90,12 +93,6 @@ class Word:
                 raise ValueError(f"generator {gen} out of range for g={g}")
             sums[gen] += exp
         return sums
-
-
-def word_power(base: Word, n: int) -> Word:
-    if n < 0:
-        return word_power(base.inverse(), -n)
-    return Word(base.letters * n)
 
 
 def default_labels(g: int) -> tuple[str, ...]:
@@ -252,19 +249,22 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
         raise TriangulationError("edge glued to itself in reverse; no orientation")
 
     relators = []
+    letter_of = letter.get
     for tet, row in enumerate(tri.gluings):
+        base = 12 * tet
         for face, (tet2, face2, _) in enumerate(row):
             if 4 * tet + face > 4 * tet2 + face2:
                 continue
             word: list[tuple[int, int]] = []  # reduced as it grows
             for d in _FACE_BOUNDARY[face]:
-                x = letter.get(droot[12 * tet + d])
+                x = letter_of(droot[base + d])
                 if x is None:
                     continue
                 if word and word[-1][0] == x[0] and word[-1][1] != x[1]:
                     word.pop()
                 else:
                     word.append(x)
-            relators.append(Word(tuple(word)))
+            relators.append(Word.from_checked(tuple(word)))
 
-    return GroupPresentation(g=g, relators=tuple(relators))
+    # every letter comes from the letter table: (generator below g, +-1)
+    return GroupPresentation.from_checked(g, tuple(relators), default_labels(g))

@@ -8,10 +8,16 @@ vertex.  Everything here is an immutable value; all operations are pure.
 
 The 24 permutations are interned at import with int tables (inverse,
 parity, induced map on directed edges), so parsing and the orbit pass do
-no per-gluing validation.  ``Triangulation.orbit_roots`` computes the
-vertex, edge and directed-edge orbits once per instance: one depth-first
-pass over vertices, and one walk around each directed-edge orbit, from
-which the edge orbits are read.  ``validate`` and
+no per-gluing validation.  ``parse_triangulation`` reads the lines after
+the header in one pass: one ``findall`` over the text, and each gluing
+written both ways straight into a flat list of face slots.  A text that
+pass refuses is read again line by line by ``_diagnose``, only to name
+the first error; it always raises.
+
+``Triangulation.orbit_roots`` computes the vertex, edge and
+directed-edge orbits once per instance: one depth-first pass over
+vertices, and one walk around each directed-edge orbit, from which the
+edge orbits are read.  ``validate`` and
 ``presentation.fundamental_group`` share them; they are derived from the
 gluings alone, so the memo never changes a value.  ``orientation_check``
 is one breadth-first pass from tetrahedron 0.  The dual spanning graph
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, permutations
 from operator import eq
-from typing import Optional
+from typing import NoReturn, Optional
 
 
 class TriangulationError(ValueError):
@@ -103,7 +109,6 @@ class Permutation4:
 
 
 _PERMS = tuple(Permutation4(images) for images in _PERM_IMAGES)
-_PERM_BY_TEXT = {str(perm): perm for perm in _PERMS}
 
 
 @dataclass(frozen=True)
@@ -273,10 +278,20 @@ def _assemble(t: int, gluings: list[_Gluing]) -> Triangulation:
     return Triangulation(t, tuple(zip(*[iter(rows)] * 4)))  # one row of four per tetrahedron
 
 
-_GLUING_RE = re.compile(
-    r"^\s*(\d+)\s*:\s*([0-3])\s*->\s*(\d+)\s*:\s*([0-3])\s*perm\s*=\s*([0-3]{4})\s*$"
-)
 _HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
+# One line of gluings text: a gluing, or a blank or comment line with no
+# group set.  Blanks are whitespace other than a newline, so in MULTILINE
+# mode over many lines joined by newlines each match is one whole line.
+_BLANK = r"[^\S\n]*"
+_GLUING_LINES_RE = re.compile(
+    rf"^{_BLANK}(?:(\d+){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d+){_BLANK}:{_BLANK}([0-3])"
+    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$",
+    re.MULTILINE,
+)
+_NO_GLUING = ("",) * 5  # findall's groups for a blank or comment line
+_FACE_OF_TEXT = {str(face): face for face in range(4)}
+# perm text -> (perm, inverse)
+_PERM_PAIR = {str(perm): (perm, _PERMS[_PERM_INVERSE[perm.index]]) for perm in _PERMS}
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -288,6 +303,13 @@ def parse_triangulation(text: str) -> Triangulation:
     but they must be mutually inverse.  Fewer than 2t gluing lines leave
     a face unpaired, and that is reported after work of the order of the
     lines, whatever t is.
+
+    The lines after the header are read in one pass: rejoined with
+    newlines (so line boundaries are those of ``str.splitlines``),
+    matched by one ``findall``, and each gluing written both ways
+    straight into its two face slots.  A text that pass refuses goes to
+    ``_diagnose``, which reads it line by line only to name the first
+    error, and always raises.
     """
     lines = text.splitlines()
     t = None
@@ -303,24 +325,62 @@ def parse_triangulation(text: str) -> Triangulation:
             break
     if t is None:
         raise TriangulationError("missing 't=<N>' header")
+    body = lines[lineno:]
+    found = _GLUING_LINES_RE.findall("\n".join(body))
+    # every line matched, and enough gluings to fill the 4t face slots:
+    # so the slot list below costs no more than the text
+    if len(found) != len(body) or len(found) - found.count(_NO_GLUING) < 2 * t:
+        _diagnose(t, lineno, body)
+    faces = _FACE_OF_TEXT
+    perm_pair = _PERM_PAIR.get
+    slots: list = [None] * (4 * t)
+    for tet, face, tet2, face2, perm_text in found:
+        if not perm_text:
+            continue  # a blank or comment line
+        pair = perm_pair(perm_text)
+        tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
+        slot, slot2 = 4 * tet + face, 4 * tet2 + face2
+        if pair is None or tet >= t or tet2 >= t or slot == slot2:
+            break
+        perm, inverse = pair
+        if perm.images[face] != face2:
+            break
+        entry, back = (tet2, face2, perm), (tet, face, inverse)
+        prev = slots[slot]
+        if prev is None:
+            slots[slot] = entry
+        elif prev != entry:
+            break
+        prev = slots[slot2]
+        if prev is None:
+            slots[slot2] = back
+        elif prev != back:
+            break
+    else:
+        if None not in slots:
+            # one row of four per tetrahedron
+            return Triangulation(t, tuple(zip(*[iter(slots)] * 4)))
+    _diagnose(t, lineno, body)
+
+
+def _diagnose(t: int, header_lineno: int, body: list[str]) -> NoReturn:
+    """Raise the error parse_triangulation names for the gluing lines
+    body, which follow the header on line header_lineno: the first line
+    that does not parse or holds a bad gluing, else the assembly error."""
     gluings: list[_Gluing] = []
-    match = _GLUING_RE.match
-    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
-        # a gluing line matches as it stands; others lose comment and blanks
-        m = match(raw)
+    for lineno, raw in enumerate(body, start=header_lineno + 1):
+        m = _GLUING_LINES_RE.match(raw)
         if m is None:
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = match(line)
-            if m is None:
-                raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
+            raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
         tet, face, tet2, face2, perm_text = m.groups()
+        if perm_text is None:
+            continue  # a blank or comment line
         tet, face, tet2, face2 = int(tet), int(face), int(tet2), int(face2)
-        perm = _PERM_BY_TEXT.get(perm_text)
-        if perm is None:
+        if perm_text not in _PERM_PAIR:
             images = tuple(int(ch) for ch in perm_text)
             raise TriangulationError(f"not a permutation of 0..3: {images}")
+        perm = _PERM_PAIR[perm_text][0]
         if not (0 <= tet < t and 0 <= tet2 < t):
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
         if perm.images[face] != face2:
@@ -329,11 +389,12 @@ def parse_triangulation(text: str) -> Triangulation:
             )
         gluings.append((tet, face, tet2, face2, perm))
     try:
-        return _assemble(t, gluings)
+        _assemble(t, gluings)
     except TriangulationError:
         # Distinguish the involution failure for better messages.
         _check_involution(gluings)
         raise
+    raise AssertionError("gluing lines the whole-text pass refused were accepted")
 
 
 def _check_involution(gluings: list[_Gluing]) -> None:

@@ -8,8 +8,9 @@ counts.  Slow is fine; these only run at fixture scale.  The exceptions
 are the triangle cosines, solve_r and subgroup invariants below: they
 are the library's earlier FieldElement and Smith-normal-form versions,
 kept as references for the int code that replaced them; the earlier
-Fraction classification, matrix-power order check and dense abelian
-verification loop, kept for the same reason; and the
+Fraction classification, matrix-power order check, dense abelian
+verification loop and min()-pivot sparse elimination, kept for the same
+reason; and the
 triangulation chain's earlier stages: the three-pass orbit search, the
 dual spanning graph with its tree-sign orientation check, and the cell
 structure that pi1 was read from, and the gluing-table assembly with
@@ -17,7 +18,7 @@ its per-gluing closure.  The
 spherical-pair search is the one the library's fixed spherical images
 came from; psl_group_order, element_order and exponent_matrix are
 helpers that only tests call, as are perm_is_odd, is_connected,
-reduced_word, int_matmul, int_identity and field_elements.
+reduced_word, word_power, int_matmul, int_identity and field_elements.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from lenscert.certificate import (
     NON_CYCLIC,
@@ -942,6 +944,74 @@ def element_order(x: FieldElement) -> int:
         while n % q == 0 and x ** (n // q) == one:
             n //= q
     return n
+
+
+def word_power(base: Word, n: int) -> Word:
+    if n < 0:
+        return word_power(base.inverse(), -n)
+    return Word(base.letters * n)
+
+
+def min_unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix]:
+    """The library's earlier `_unit_pivot_core`, which picks each pivot by
+    min() over a generator of (column count, column) pairs.
+
+    Eliminate +-1 pivots from sparse rows {col: value} over g columns.
+
+    A pivot (i, j) with entry +-1 is cleared from the rest of column j by
+    row operations; then row i's other entries can be cleared by column
+    operations that touch no other row, so row i and column j split off
+    as an invariant factor 1.  Rows are swept in index order, each taking
+    its unit column with the fewest entries (ties to the lower column);
+    later sweeps revisit only rows changed since they were last looked
+    at.  Returns the pivot count k and the dense core of the nonzero rows
+    and columns left, whose SNF together with k ones is that of `rows`.
+    The row dicts are updated in place.
+    """
+    col_rows: list[set[int]] = [set() for _ in range(g)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    pivots = 0
+    todo: Sequence[int] = range(len(rows))
+    while todo:
+        touched: set[int] = set()
+        for i in todo:
+            touched.discard(i)
+            row = rows[i]
+            best = min(
+                ((len(col_rows[j]), j) for j, x in row.items() if x == 1 or x == -1),
+                default=None,
+            )
+            if best is None:
+                continue
+            j = best[1]
+            sign = row.pop(j)
+            # every other row loses column j, and row i goes
+            others = col_rows[j]
+            col_rows[j] = set()
+            others.discard(i)
+            for r in others:
+                other = rows[r]
+                c = other.pop(j) * sign
+                for col, x in row.items():
+                    y = other.get(col, 0) - c * x
+                    if y:
+                        if col not in other:
+                            col_rows[col].add(r)
+                        other[col] = y
+                    else:
+                        del other[col]
+                        col_rows[col].discard(r)
+                touched.add(r)
+            for col in row:
+                col_rows[col].discard(i)
+            rows[i] = {}
+            pivots += 1
+        todo = sorted(touched)
+    cols = [j for j in range(g) if col_rows[j]]
+    core = [[row.get(j, 0) for j in cols] for row in rows if row]
+    return pivots, IntMatrix(core, cols=len(cols))
 
 
 def exponent_matrix(pres: GroupPresentation) -> IntMatrix:

@@ -24,9 +24,9 @@ from lenscert.certificate import (
 )
 from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec, quadratic_extension
-from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
+from lenscert.presentation import GroupPresentation, Word, parse_word
 from lenscert.projmat import ProjMatrix
-from oracles import dense_abelian_report, reduced_word, snf_subgroup_invariants
+from oracles import dense_abelian_report, reduced_word, snf_subgroup_invariants, word_power
 
 
 def fig8_certificate() -> Certificate:

@@ -16,7 +16,7 @@ from lenscert.intlinalg import (
     is_cyclic,
     smith_normal_form,
 )
-from lenscert.presentation import GroupPresentation, Word, parse_word, word_power
+from lenscert.presentation import GroupPresentation, Word, parse_word
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
 from oracles import (
@@ -24,7 +24,9 @@ from oracles import (
     int_identity,
     int_matmul,
     invariant_factors_by_minors,
+    min_unit_pivot_core,
     random_presentation,
+    word_power,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
@@ -311,6 +313,23 @@ def test_unit_pivot_core_revisits_changed_rows():
     assert (pivots, core.rows, core.cols) == (2, 0, 0)
     pivots, core = _unit_pivot_core([{0: 2, 1: 4}, {0: 1, 1: 1}], 2)
     assert (pivots, core.entries) == (1, ((2,),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_pivot_core_matches_min_pivot_oracle(data):
+    # relators of at most three letters, at sizes beyond the minors oracle;
+    # squares and cubes leave entries +-2 and +-3, so a core often remains
+    # and a pivot taken in another column shows in it
+    g = data.draw(st.integers(1, 40))
+    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+    power = st.builds(lambda x, k: [x] * k, letter, st.integers(2, 3))
+    relators = data.draw(
+        st.lists(st.one_of(st.lists(letter, min_size=1, max_size=3), power), max_size=2 * g + 2)
+    )
+    rows = [{j: x for j, x in enumerate(Word(tuple(w)).exponent_sums(g)) if x} for w in relators]
+    expected = min_unit_pivot_core([dict(row) for row in rows], g)
+    assert _unit_pivot_core(rows, g) == expected
 
 
 def test_snf_diagonal_matches_sympy():

@@ -14,7 +14,6 @@ from lenscert.presentation import (
     format_word,
     fundamental_group,
     parse_word,
-    word_power,
 )
 from lenscert.triangulation import parse_triangulation, validate
 from oracles import (
@@ -23,6 +22,7 @@ from oracles import (
     exponent_matrix,
     random_gluing_table,
     reduced_word,
+    word_power,
 )
 
 MINIMAL_ONE_TET = """

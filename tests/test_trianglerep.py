@@ -3,7 +3,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenscert.galois import FieldSpec, euler_phi, is_quadratic_residue
-from lenscert.presentation import GroupPresentation, Word, word_power
+from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
 from lenscert import trianglerep
 from lenscert.trianglerep import (
@@ -32,6 +32,7 @@ from oracles import (
     fraction_classify,
     primes_in_progression_by_scan,
     spherical_pair_by_search,
+    word_power,
 )
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import random
+import re
 import sys
 import time
 from math import gcd
@@ -9,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, load_fixture
+from lenscert.intlinalg import AbelianGroup, abelianization
+from lenscert.presentation import fundamental_group
 from lenscert.triangulation import (
     DisconnectedError,
     FacePairing,
@@ -97,11 +101,126 @@ def test_few_gluings_name_the_first_unpaired_face():
         parse_triangulation(text)
 
 
+def test_homology_chain_is_linear_at_ten_thousand_tetrahedra():
+    # the chain takes about 0.5 s on a 2-vCPU x86 VM, so work of order t
+    # per gluing line (4 * 10**4 slots times 2 * 10**4 lines) overruns the
+    # bound
+    text = format_triangulation(lens_space(10000, 3001))
+    start = time.perf_counter()
+    tri = parse_triangulation(text)
+    assert validate(tri).passed
+    assert orientation_check(tri).orientable
+    assert abelianization(fundamental_group(tri)) == AbelianGroup(0, (10000,))
+    assert time.perf_counter() - start < 6.0
+
+
 def _outcome_of(fn, *args):
     try:
         return fn(*args)
     except TriangulationError as exc:
         return type(exc), str(exc)
+
+
+# sha256 over parse_triangulation's outcome on every text of
+# _digest_corpus(), computed on the line-by-line parser that preceded the
+# whole-text pass, so a rewrite that moves one accepted text or one error
+# message fails here
+TRIANGULATION_PARSE_SHA256 = "c334421067503fc6dc1b146b6e1b67cd4e556d095c948d0c5e5195dd7108cb7a"
+
+_GLUING_LINE = re.compile(r"(\d+):([0-3]) -> (\d+):([0-3]) perm=([0-3]{4})")
+
+
+def _digest_bases() -> list[str]:
+    """format_triangulation of every fixture, every L(p,q) with p < 30 and
+    100 seeded random tables."""
+    tris = [load_fixture(name) for name in [*MANIFOLD_FIXTURES, "badlink_torus.tri"]]
+    tris += [lens_space(p, q) for p in range(2, 30) for q in range(1, p) if gcd(p, q) == 1]
+    rng = random.Random(14)
+    tris += [random_gluing_table(rng.randint(1, 8), rng, connected=False) for _ in range(100)]
+    return [format_triangulation(tri) for tri in tris]
+
+
+def _perm_text(f: int, g: int, rng) -> str:
+    """A random permutation of 0..3 sending f to g, as a perm= field."""
+    rest = [v for v in range(4) if v != g]
+    rng.shuffle(rest)
+    images = rest[:f] + [g] + rest[f:]
+    return "".join(map(str, images))
+
+
+def _gluing_edits(line: str, other: str, t: int, rng) -> list[str]:
+    """A gluing line reversed, pointed out of range, glued to itself or to
+    the face other glues, given a perm that misses the face or a
+    non-permutation, or overwritten by other."""
+    a, f, b, g, images = _GLUING_LINE.fullmatch(line).groups()
+    c, h = _GLUING_LINE.fullmatch(other).groups()[:2]
+    inverse = "".join(str(images.index(str(v))) for v in range(4))
+    miss = rng.choice([v for v in range(4) if v != int(g)])
+    return [
+        f"{b}:{g} -> {a}:{f} perm={inverse}",
+        f"{a}:{f} -> {t}:{g} perm={images}",
+        f"{a}:{f} -> {a}:{f} perm=0123",
+        f"{a}:{f} -> {c}:{h} perm={_perm_text(int(f), int(h), rng)}",
+        f"{a}:{f} -> {b}:{g} perm={_perm_text(int(f), miss, rng)}",
+        f"{a}:{f} -> {b}:{g} perm={g * 4}",
+        other,
+    ]
+
+
+def _edited_texts(text: str, rng):
+    """Each text that one single-line edit makes of text: a line ending,
+    a number form, spacing or a comment at a random line; a gluing line
+    dropped, duplicated or changed (_gluing_edits); or the header
+    changed or gone."""
+    lines = text.split("\n")[:-1]
+    t = int(lines[0][2:])
+    k = rng.randrange(1, len(lines))  # a gluing line
+    j = rng.randrange(len(lines))  # any line
+    line = lines[j]
+    for end in ("\r\n", "\x0c", "\u2028"):
+        yield "".join(x + (end if i == j else "\n") for i, x in enumerate(lines))
+    edited = []
+    digits = [m.start() for m in re.finditer(r"\d", line)]
+    at = rng.choice(digits)
+    edited.append(line[:at] + chr(0x660 + int(line[at])) + line[at + 1:])  # Arabic-Indic
+    at = rng.choice([m.start() for m in re.finditer(r"\d+", line)])
+    edited.append(line[:at] + "0" + line[at:])  # leading zero
+    for blank in ("\t", "\xa0"):  # a tab, a no-break space
+        at = rng.randrange(len(line) + 1)
+        edited.append(line[:at] + blank + line[at:])
+    edited.append(line + " # note")
+    for new in edited:
+        yield "\n".join(lines[:j] + [new] + lines[j + 1:]) + "\n"
+    for new in ("", "# comment"):
+        yield "\n".join(lines[:j] + [new] + lines[j:]) + "\n"
+    yield "\n".join(lines[:k] + lines[k + 1:]) + "\n"  # dropped
+    yield "\n".join(lines[:k + 1] + lines[k:]) + "\n"  # duplicated
+    other = lines[rng.randrange(1, len(lines))]
+    for new in _gluing_edits(lines[k], other, t, rng):
+        yield "\n".join(lines[:k] + [new] + lines[k + 1:]) + "\n"
+    for header in ("t=0", None, f"t={10**12}"):
+        yield "\n".join(([header] if header else []) + lines[1:]) + "\n"
+
+
+def _digest_corpus() -> list[str]:
+    rng = random.Random(2014)
+    out = []
+    for text in _digest_bases():
+        out.append(text)
+        out.extend(_edited_texts(text, rng))
+    return out
+
+
+def test_parse_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for text in _digest_corpus():
+        try:
+            outcome = repr(parse_triangulation(text))
+        except Exception as exc:  # the class and message are the outcome
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(outcome.encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == TRIANGULATION_PARSE_SHA256
 
 
 def _decorated_gluing_text(rnd):

@@ -689,7 +689,7 @@ def verify(cert: Certificate) -> VerificationReport:
     return report(True, None, 0)
 
 
-def noncyclic_certificate(pres: GroupPresentation, level: Optional[str] = None) -> Certificate:
+def noncyclic_certificate(pres: GroupPresentation) -> Certificate:
     """Build the homology certificate from the Smith normal form.
 
     Generator k has coordinates given by row k of the column transform V;
@@ -715,9 +715,7 @@ def noncyclic_certificate(pres: GroupPresentation, level: Optional[str] = None) 
     else:
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
     images = tuple((v[k, i1] % a, v[k, i2] % b) for k in range(pres.g))
-    cert = Certificate(
-        kind=NON_CYCLIC, presentation=pres, level=level, target=(a, b), abelian_images=images
-    )
+    cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(a, b), abelian_images=images)
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built abelian certificate fails: {outcome.reason}")
@@ -786,9 +784,7 @@ def triangle_certificate(
     return cert, info
 
 
-def parse_surjection(
-    text: str, pres_labels: tuple[str, ...], rep_labels: tuple[str, ...] = ("x", "y")
-) -> tuple[Word, ...]:
+def parse_surjection(text: str, pres_labels: tuple[str, ...]) -> tuple[Word, ...]:
     """Read 'gen <name> -> <word in x,y>' lines; every generator must appear."""
     words: dict[str, Word] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -804,7 +800,7 @@ def parse_surjection(
         if name in words:
             raise CertificateSyntaxError(f"line {lineno}: generator {name!r} mapped twice")
         try:
-            word = parse_word(m.group(2) or "", rep_labels)
+            word = parse_word(m.group(2) or "", ("x", "y"))
         except ValueError as exc:
             raise CertificateSyntaxError(f"line {lineno}: {exc}") from None
         if not word.is_reduced():
@@ -828,9 +824,12 @@ def pipeline(
     Step 1 computes homology from the triangulation's own presentation
     and emits a non-cyclic abelian certificate when possible.  Step 2
     builds the image of the caller-asserted base orbifold's triangle
-    group once.  A user-supplied surjection carries it to the
-    triangulation's presentation; without one the certificate is about
-    the triangle group itself and is marked level orbifold.  Passing
+    group once.  A user-supplied surjection carries a non-abelian image
+    to the triangulation's presentation.  It cannot carry the abelian
+    (Z/d)^2 image of a base with common divisor d > 1: every abelian
+    image of the group factors through H1, which is cyclic in step 2, so
+    that case is an error.  Without a surjection the certificate is
+    about the triangle group itself and is marked level orbifold.  Passing
     level="triangulation" makes the missing-surjection case an error
     instead of a downgrade.
     """
@@ -874,15 +873,11 @@ def pipeline(
 
     surj = parse_surjection(surjection_text, pres.labels)
     if image.kind == "abelian":
-        # abelian target: push exponent sums through the surjection
-        d = image.d
-        images = tuple(tuple(e % d for e in w.exponent_sums(2)) for w in surj)
-        cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(d, d), abelian_images=images)
-        outcome = verify(cert)
-        if not outcome.accepted:
-            raise PipelineError(f"surjection gives no valid certificate: {outcome.reason}")
-        info.update(level="triangulation")
-        return cert, info
+        raise PipelineError(
+            f"a surjection cannot carry the abelian image (Z/{image.d})^2 of base "
+            f"{t_type.triple}: every abelian image of the group factors through "
+            f"H1 = {info['h1']}, which is cyclic"
+        )
     x_img, y_img = image.x_image, image.y_image
     images = [evaluate_word([x_img, y_img], w) for w in surj]
     witness = None

@@ -100,7 +100,10 @@ def linnik_ratio(p: int, l: int) -> float:
     return p / l**5.18
 
 
-def _pollard_rho(n: int, max_iter: int = 10**7) -> int:
+_RHO_MAX_ITER = 10**7  # steps per constant c before factorize gives up
+
+
+def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
@@ -113,7 +116,7 @@ def _pollard_rho(n: int, max_iter: int = 10**7) -> int:
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
             count += 1
-            if count > max_iter:
+            if count > _RHO_MAX_ITER:
                 raise FactorizationError(f"factorization budget exhausted on {n}")
         if d != n:
             return d

@@ -12,7 +12,7 @@ for the dense SNF is a small core.  Each row takes its pivot by one
 scan of its entries, at most three on a relator row.
 `certificate.noncyclic_certificate` needs the column transform V, so it
 calls the dense SNF on the whole matrix, since the sparse pass tracks no
-transforms.  Matrices this module computes (the core, U and V) are built
+transforms.  Matrices this module computes (the core and V) are built
 by `IntMatrix.from_checked`, without the int() per entry that the public
 constructor runs.
 """
@@ -37,8 +37,6 @@ class IntMatrix:
             width = cols if cols is not None else 0
         if cols is not None and rows and width != cols:
             raise ValueError("explicit column count disagrees with row width")
-        if cols is not None:
-            width = cols if not rows else width
         frozen = tuple(tuple(int(x) for x in row) for row in entries)
         for row in frozen:
             if len(row) != width:
@@ -65,7 +63,6 @@ class IntMatrix:
 class SNFResult:
     diag: tuple[int, ...]
     rank: int
-    u: Optional[IntMatrix] = None
     v: Optional[IntMatrix] = None
 
 
@@ -73,18 +70,15 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
     """Diagonalize over Z with the divisibility chain d1 | d2 | ...
 
     Pivot is the smallest nonzero absolute value, ties broken row-major.
-    When requested, unimodular U (rows x rows) and V (cols x cols) with
-    N = U*A*V are returned.
+    When requested, the unimodular column transform V (cols x cols) is
+    returned, with N = U*A*V for some unimodular U that is not tracked.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -98,10 +92,6 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
         drow, srow = d[dst], d[src]
         for j in range(n):
             drow[j] += c * srow[j]
-        if u is not None:
-            urow, usrc = u[dst], u[src]
-            for j in range(m):
-                urow[j] += c * usrc[j]
 
     def add_col(dst, src, c):
         for row in d:
@@ -112,8 +102,6 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
         best = None
@@ -168,13 +156,8 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
 
     diag = tuple(d[i][i] for i in range(min(m, n)))
     rank = sum(1 for x in diag if x != 0)
-    if want_transforms:
-        return SNFResult(
-            diag,
-            rank,
-            IntMatrix.from_checked(tuple(map(tuple, u)), m),
-            IntMatrix.from_checked(tuple(map(tuple, v)), n),
-        )
+    if v is not None:
+        return SNFResult(diag, rank, IntMatrix.from_checked(tuple(map(tuple, v)), n))
     return SNFResult(diag, rank)
 
 

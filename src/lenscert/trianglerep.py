@@ -383,7 +383,7 @@ class FieldDegreeReport:
     variant_disagrees: bool
 
 
-def field_degree_report(t: TriangleType, margin: float = 1e-9) -> FieldDegreeReport:
+def field_degree_report(t: TriangleType) -> FieldDegreeReport:
     """Scan l coprime to ell for a non-real embedding witness.
 
     The inequality tested is the published one, indexed by (n2, n3); the
@@ -394,8 +394,8 @@ def field_degree_report(t: TriangleType, margin: float = 1e-9) -> FieldDegreeRep
     if t.curvature != HYPERBOLIC:
         raise ValueError("field degree scan applies to hyperbolic triples")
     phi = euler_phi(t.ell)
-    witness = _embedding_witness(t.ell, t.n2, t.n3, t.n3, margin)
-    variant = _embedding_witness(t.ell, t.n1, t.n2, t.n3, margin)
+    witness = _embedding_witness(t.ell, t.n2, t.n3, t.n3)
+    variant = _embedding_witness(t.ell, t.n1, t.n2, t.n3)
     if witness[0] is not None:
         verdict = "degree_phi"
     elif witness[1]:
@@ -413,9 +413,12 @@ def field_degree_report(t: TriangleType, margin: float = 1e-9) -> FieldDegreeRep
     )
 
 
-def _embedding_witness(
-    ell: int, na: int, nb: int, nc: int, margin: float
-) -> tuple[Optional[int], bool]:
+# float slack around 2 in the embedding inequality: a value within it of
+# 2 is neither a witness nor a clear non-witness
+_EMBEDDING_MARGIN = 1e-9
+
+
+def _embedding_witness(ell: int, na: int, nb: int, nc: int) -> tuple[Optional[int], bool]:
     """First l with (cos(pi l/na) + cos(pi l/nb))^2 + 2cos(pi l/nc) < 2,
     and whether every non-witness cleared the far side of the margin."""
     all_clear = True
@@ -425,9 +428,9 @@ def _embedding_witness(
         value = (
             math.cos(math.pi * l / na) + math.cos(math.pi * l / nb)
         ) ** 2 + 2 * math.cos(math.pi * l / nc)
-        if value < 2 - margin:
+        if value < 2 - _EMBEDDING_MARGIN:
             return l, all_clear
-        if value <= 2 + margin:
+        if value <= 2 + _EMBEDDING_MARGIN:
             all_clear = False
     return None, all_clear
 

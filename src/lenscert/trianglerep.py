@@ -6,8 +6,16 @@ c = cos(pi/n1), y to a conjugate of the same shape, and everything is
 reduced modulo a prime p = 1 (mod 2*lcm(n1,n2,n3)) so the cosines become
 explicit roots of unity sums in F_p.  The parameter r solves a quadratic
 whose discriminant decides whether F_p suffices or F_{p^2} is needed.
-That construction runs on plain ints modulo p over one FieldSpec per
-triple; FieldElement appears only in the returned ReducedRepData.
+
+The prime field and zeta depend on ell = 2*lcm(n1,n2,n3) alone, so the
+prime search (with its primality proof) and root_of_unity (with its
+order check) run once per ell, in _cyclotomic_field, and every triple of
+that ell shares the FieldSpec it returns.  The build per triple then
+runs on plain ints modulo p: the cosines by pow, r by solve_r, x and
+y = T S T^-1 (T = [[1, r], [0, 1]], S = [[C2, 1], [-1, 0]]) written out
+in closed form, [[C2 - r, 1 - r(C2 - r)], [-1, r]], each with its det
+checked once by ProjMatrix.from_reduced.  FieldElement appears only in
+the returned ReducedRepData.
 Each postcondition is checked once, on ints: the orders of x, y and xy
 by projmat.has_order's trace walk, the trace of xy against +-C3 on its
 coordinates, and xy != yx.  Facts true by construction are not
@@ -93,20 +101,17 @@ def triangle_presentation(t: TriangleType) -> GroupPresentation:
 
 
 def reduced_cosines(
-    spec: FieldSpec, ell: int, triple: tuple[int, int, int]
-) -> tuple[int, int, int, int]:
-    """(zeta, C1, C2, C3) as ints in [0, p): zeta of exact order ell in the
-    prime field spec and C_k = zeta^(ell/2n_k) + zeta^(-ell/2n_k), the
-    image of 2cos(pi/n_k)."""
+    spec: FieldSpec, ell: int, zeta: int, triple: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """(C1, C2, C3) as ints in [0, p) for zeta of exact order ell in the
+    prime field spec: C_k = zeta^(ell/2n_k) + zeta^(-ell/2n_k), the image
+    of 2cos(pi/n_k)."""
     p = spec.p
-    if (p - 1) % ell != 0:
-        raise ValueError(f"p={p} is not 1 mod ell={ell}")
-    z = root_of_unity(spec, ell).a
     # zeta^-k = zeta^(ell-k), as zeta has order ell
     c1, c2, c3 = (
-        (pow(z, k, p) + pow(z, ell - k, p)) % p for k in (ell // (2 * n) for n in triple)
+        (pow(zeta, k, p) + pow(zeta, ell - k, p)) % p for k in (ell // (2 * n) for n in triple)
     )
-    return (z, c1, c2, c3)
+    return (c1, c2, c3)
 
 
 def solve_r(spec: FieldSpec, c1: int, c2: int, c3: int) -> tuple[FieldSpec, tuple[int, int]]:
@@ -141,9 +146,14 @@ def _standard_matrix(spec: FieldSpec, c: int) -> ProjMatrix:
     return ProjMatrix.from_reduced(spec, (c, 0, 1, 0, spec.p - 1, 0, 0, 0))
 
 
-def _translation(spec: FieldSpec, r0: int, r1: int) -> ProjMatrix:
-    """[[1, r], [0, 1]] for r = r0 + r1*w reduced, as solve_r gives it."""
-    return ProjMatrix.from_reduced(spec, (1, 0, r0, r1, 0, 0, 1, 0))
+def _conjugated_standard(spec: FieldSpec, c: int, r0: int, r1: int) -> ProjMatrix:
+    """T [[C, 1], [-1, 0]] T^-1 for T = [[1, r], [0, 1]], r = r0 + r1*w
+    reduced as solve_r gives it: [[C - r, 1 - r(C - r)], [-1, r]]."""
+    p, s = spec.p, spec.s or 0
+    # C - r = d0 + d1*w, and r(C - r) = (r0*d0 + s*r1*d1) + (r0*d1 + r1*d0)*w
+    d0, d1 = (c - r0) % p, -r1 % p
+    b0, b1 = (1 - r0 * d0 - s * r1 * d1) % p, -(r0 * d1 + r1 * d0) % p
+    return ProjMatrix.from_reduced(spec, (d0, d1, b0, b1, p - 1, 0, r0, r1))
 
 
 def _prime_field(p: int) -> FieldSpec:
@@ -154,6 +164,15 @@ def _prime_field(p: int) -> FieldSpec:
     object.__setattr__(spec, "degree", 1)
     object.__setattr__(spec, "s", None)
     return spec
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_field(ell: int, ceiling: int) -> tuple[FieldSpec, int]:
+    """F_p for the least prime p = 1 (mod ell) up to ceiling, and zeta of
+    exact order ell in it as an int: the prime search and root_of_unity,
+    with their primality proof and order check, run once per ell."""
+    spec = _prime_field(smallest_prime_in_progression(ell, ceiling))
+    return spec, root_of_unity(spec, ell).a
 
 
 @dataclass(frozen=True)
@@ -182,14 +201,13 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
         raise ValueError("build_hyperbolic_rep needs a hyperbolic triple")
     if t.d != 1:
         raise ValueError("triple has a common divisor; use the abelian certificate")
-    p = smallest_prime_in_progression(t.ell, ceiling)
-    base = _prime_field(p)
-    _, c1, c2, c3 = reduced_cosines(base, t.ell, t.triple)
+    base, zeta = _cyclotomic_field(t.ell, ceiling)
+    p = base.p
+    c1, c2, c3 = reduced_cosines(base, t.ell, zeta, t.triple)
     spec, r = solve_r(base, c1, c2, c3)
 
     x_img = _standard_matrix(spec, c1)
-    t_r = _translation(spec, *r)
-    y_img = t_r.mul(_standard_matrix(spec, c2)).mul(t_r.inverse())
+    y_img = _conjugated_standard(spec, c2, *r)
 
     v = _checked_xy(x_img, y_img, t.triple).coords
     if (v[1] + v[7]) % p or (v[0] + v[6]) % p not in (c3, -c3 % p):

@@ -341,7 +341,7 @@ def parse_triangulation(text: str) -> Triangulation:
         pair = perm_pair(perm_text)
         if pair is None:
             images = tuple(int(ch) for ch in perm_text)
-            raise TriangulationError(f"not a permutation of 0..3: {images}")
+            raise TriangulationError(f"line {lineno}: not a permutation of 0..3: {images}")
         tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
         if tet >= t or tet2 >= t:
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")

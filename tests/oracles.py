@@ -687,6 +687,8 @@ def closure_parse_triangulation(text: str) -> Triangulation:
             raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
         tet, face, tet2, face2 = (int(x) for x in m.groups()[:4])
         images = tuple(int(ch) for ch in m.group(5))
+        if sorted(images) != [0, 1, 2, 3]:
+            raise TriangulationError(f"line {lineno}: not a permutation of 0..3: {images}")
         perm = Permutation4(images)
         if not (0 <= tet < t and 0 <= tet2 < t):
             raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
@@ -928,6 +930,14 @@ def field_solve_r(spec: FieldSpec, c1, c2, c3):
     r = (sqrt_disc - lin) * out_spec.element(2).inverse()
     assert (r * r + r * lin + (out_spec.element(2) - c1 * c2 - c3)).is_zero()
     return out_spec, r
+
+
+def conjugate_by_translation(spec: FieldSpec, c, r) -> ProjMatrix:
+    """T [[C, 1], [-1, 0]] T^-1 with T = [[1, r], [0, 1]], for field
+    elements c and r of spec, by two ProjMatrix products and an inverse."""
+    one, zero = spec.one(), spec.zero()
+    t_r = ProjMatrix(one, r, zero, one)
+    return t_r.mul(ProjMatrix(c, one, -one, zero)).mul(t_r.inverse())
 
 
 def dense_abelian_report(cert: Certificate) -> VerificationReport:

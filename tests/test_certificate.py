@@ -381,6 +381,44 @@ def test_text_bytes_is_recorded_by_parse_only():
         Certificate(kind=NON_ABELIAN, presentation=parsed.presentation, text_bytes=1)
 
 
+def test_serialize_keeps_its_text_on_the_certificate_it_was_given():
+    """verify's byte count and a later serialize share one text; the
+    stored text is not an init argument, not compared and not in repr."""
+    cert = replace(fig8_certificate())  # built in code: no text_bytes
+    assert cert.text_bytes is None and cert._text is None
+    report = verify(cert)
+    text = cert._text
+    assert text == fixture_text("fig8.cert") and report.cert_bits == 8 * len(text.encode())
+    assert serialize(cert) is text
+    assert cert == fig8_certificate() and repr(cert) == repr(fig8_certificate())
+    assert hash(cert) == hash(fig8_certificate())
+    with pytest.raises(TypeError):
+        Certificate(kind=NON_ABELIAN, presentation=cert.presentation, _text=text)
+
+
+def test_replace_never_returns_the_stored_text():
+    cert = fig8_certificate()
+    text = serialize(cert)
+    same = replace(cert)
+    assert same._text is None and serialize(same) == text and serialize(same) is not text
+    w1, w2 = cert.witness
+    swapped = replace(cert, witness=(w2, w1))
+    assert swapped._text is None
+    assert serialize(swapped) != text
+    assert serialize(swapped) == serialize(replace(fig8_certificate(), witness=(w2, w1)))
+
+
+def test_parse_never_sets_the_stored_text():
+    text = fixture_text("fig8.cert")
+    parsed = parse(text)
+    assert parsed._text is None
+    assert serialize(parsed) == text and parsed._text == text
+    built, _ = triangle_certificate(2, 3, 7)
+    reparsed = parse(serialize(built))
+    assert reparsed._text is None
+    assert serialize(reparsed) == serialize(built) and serialize(reparsed) is not built._text
+
+
 def test_direct_construction_keeps_every_check():
     cert = fig8_certificate()
     labels = cert.presentation.labels

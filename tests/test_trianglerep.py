@@ -2,10 +2,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lenscert.galois import FieldSpec, euler_phi, is_quadratic_residue
+from lenscert.galois import (
+    FieldSpec,
+    euler_phi,
+    is_quadratic_residue,
+    quadratic_extension,
+    root_of_unity,
+)
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
 from lenscert import trianglerep
+from lenscert.certificate import serialize, triangle_certificate
+from lenscert.cli import main as cli_main
 from lenscert.trianglerep import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -25,6 +33,7 @@ from lenscert.trianglerep import (
     triangle_presentation,
 )
 from oracles import (
+    conjugate_by_translation,
     cyclotomic_closed_form,
     field_reduced_cosines,
     field_solve_r,
@@ -106,8 +115,15 @@ def test_triangle_presentation_shape():
 # reduced cosines and the quadratic
 
 
+def _zeta_and_cosines(spec, ell, triple):
+    """(zeta, C1, C2, C3) for zeta the root_of_unity of order ell in the
+    prime field spec."""
+    zeta = root_of_unity(spec, ell).a
+    return (zeta, *reduced_cosines(spec, ell, zeta, triple))
+
+
 def test_cosine_images_small_orders():
-    zeta, c1, c2, c3 = reduced_cosines(FieldSpec(337), 84, (2, 3, 7))
+    zeta, c1, c2, c3 = _zeta_and_cosines(FieldSpec(337), 84, (2, 3, 7))
     assert c1 == 0  # 2cos(pi/2) = 0
     assert c2 == 1  # 2cos(pi/3) = 1
     assert c3 != 2
@@ -120,7 +136,7 @@ def test_cosine_images_never_two_unless_power_of_two():
         from lenscert.galois import smallest_prime_in_progression
 
         p = smallest_prime_in_progression(t.ell)
-        _, c1, c2, c3 = reduced_cosines(FieldSpec(p), t.ell, t.triple)
+        _, c1, c2, c3 = _zeta_and_cosines(FieldSpec(p), t.ell, t.triple)
         for n, c in zip(t.triple, (c1, c2, c3)):
             if n & (n - 1) != 0:
                 assert c != 2
@@ -129,7 +145,7 @@ def test_cosine_images_never_two_unless_power_of_two():
 def test_solve_r_replay():
     p = 337
     spec = FieldSpec(p)
-    _, c1, c2, c3 = reduced_cosines(spec, 84, (2, 3, 7))
+    _, c1, c2, c3 = _zeta_and_cosines(spec, 84, (2, 3, 7))
     out_spec, r = solve_r(spec, c1, c2, c3)
     lifted = [out_spec.element(c) for c in (c1, c2, c3)]
     r = out_spec.element(*r)
@@ -152,7 +168,7 @@ def test_solve_r_degenerate_zero():
 def test_solve_r_residue_verdict_recorded():
     p = 337
     spec = FieldSpec(p)
-    _, c1, c2, c3 = (spec.element(c) for c in reduced_cosines(spec, 84, (2, 3, 7)))
+    _, c1, c2, c3 = (spec.element(c) for c in _zeta_and_cosines(spec, 84, (2, 3, 7)))
     lin = c1 - c2
     disc = lin * lin - spec.element(4) * (spec.element(2) - c1 * c2 - c3)
     out_spec, _ = solve_r(spec, c1.a, c2.a, c3.a)
@@ -170,7 +186,7 @@ def test_int_construction_matches_field_oracles(entries, k):
     assume(t.curvature == HYPERBOLIC)
     p = primes_in_progression_by_scan(t.ell, k + 1)[-1]
     spec = FieldSpec(p)
-    cosines = reduced_cosines(spec, t.ell, t.triple)
+    cosines = _zeta_and_cosines(spec, t.ell, t.triple)
     expected = field_reduced_cosines(p, t.ell, t.triple)
     assert cosines == tuple(x.a for x in expected)
     out_spec, r = solve_r(spec, *cosines[1:])
@@ -195,7 +211,7 @@ def test_oracle_examples_reach_both_degrees():
     for triple in ((2, 3, 7), (2, 3, 8)):
         t = classify(*triple)
         spec = FieldSpec(primes_in_progression_by_scan(t.ell)[0])
-        degrees.add(solve_r(spec, *reduced_cosines(spec, t.ell, t.triple)[1:])[0].degree)
+        degrees.add(solve_r(spec, *_zeta_and_cosines(spec, t.ell, t.triple)[1:])[0].degree)
     assert degrees == {1, 2}
 
 
@@ -246,7 +262,7 @@ def test_build_with_alternate_root_of_unity():
     t = classify(2, 3, 7)
     rep = build_hyperbolic_rep(t)
     p, ell = rep.p, t.ell
-    base = FieldSpec(p).element(reduced_cosines(FieldSpec(p), ell, t.triple)[0])
+    base = FieldSpec(p).element(_zeta_and_cosines(FieldSpec(p), ell, t.triple)[0])
     alt = base**5  # gcd(5,84)=1, so another valid generator choice
     cs = []
     for n in t.triple:
@@ -292,6 +308,79 @@ def test_small_sweep_builds_and_verifies():
             projective_order(rep.y_image, 2 * t.ell),
             projective_order(xy, 2 * t.ell),
         ) == t.triple
+
+
+# ----------------------------------------------------------------------
+# the per-ell field cache and the closed-form y
+
+
+def _certificates(triples):
+    out = []
+    for triple in triples:
+        cert, info = triangle_certificate(*triple)
+        out.append((serialize(cert), info))
+    return out
+
+
+def test_field_cache_gives_the_same_certificates_cold_and_warm():
+    triples = [
+        (a, b, c) for a in range(2, 20) for b in range(a, 20) for c in range(b, 20)
+    ]
+    cold = []
+    for triple in triples:
+        trianglerep._cyclotomic_field.cache_clear()
+        cold += _certificates([triple])
+    _certificates(triples)  # every ell is in the cache from here on
+    assert _certificates(triples) == cold
+
+
+def test_sweep_sets_up_each_field_once_per_ell(monkeypatch, capsys):
+    """A count, not a timing: the prime search and root_of_unity run once
+    per distinct ell of the coprime hyperbolic triples in the sweep."""
+    primes, roots = [], []
+    search, root = trianglerep.smallest_prime_in_progression, trianglerep.root_of_unity
+
+    def counted_search(ell, ceiling):
+        primes.append(ell)
+        return search(ell, ceiling)
+
+    def counted_root(spec, ell):
+        roots.append(ell)
+        return root(spec, ell)
+
+    monkeypatch.setattr(trianglerep, "smallest_prime_in_progression", counted_search)
+    monkeypatch.setattr(trianglerep, "root_of_unity", counted_root)
+    trianglerep._cyclotomic_field.cache_clear()
+    assert cli_main(["sweep", "--max-n", "19", "--json"]) == 0
+    capsys.readouterr()
+    ells = sorted({t.ell for t in hyperbolic_triples(19) if t.d == 1})
+    assert len(ells) == 301
+    assert sorted(primes) == ells
+    assert sorted(roots) == ells
+
+
+def test_closed_form_y_matches_the_product_oracle():
+    """y = T S T^-1 in closed form is the product the oracle multiplies
+    out, for every coprime hyperbolic triple up to 19, over F_p and
+    F_{p^2} alike."""
+    degrees = set()
+    for t in hyperbolic_triples(19):
+        if t.d != 1:
+            continue
+        rep = build_hyperbolic_rep(t)
+        assert rep.y_image == conjugate_by_translation(rep.spec, rep.c2, rep.r), t.triple
+        degrees.add(rep.spec.degree)
+    assert degrees == {1, 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 13, 97, 337, 65537]), st.booleans(), st.data())
+def test_closed_form_conjugate_matches_the_product_oracle_on_any_c_and_r(p, extend, data):
+    spec = quadratic_extension(FieldSpec(p)) if extend else FieldSpec(p)
+    c, r0 = (data.draw(st.integers(0, p - 1)) for _ in range(2))
+    r1 = data.draw(st.integers(0, p - 1)) if extend else 0
+    expected = conjugate_by_translation(spec, spec.element(c), spec.element(r0, r1))
+    assert trianglerep._conjugated_standard(spec, c, r0, r1) == expected
 
 
 # ----------------------------------------------------------------------

@@ -45,8 +45,12 @@ Each invariant is checked once, where a certificate comes in:
   serialize after verify reuses that text; dataclasses.replace and parse
   never carry it, so serialize(parse(text)) writes the text anew.  The
   images' coordinates and inverses are taken once per certificate
-  (projmat.letter_coords), every word is one projmat.fold_letters, and
-  without a surjection a generator's image is read from its coordinates.
+  (projmat.letter_coords), and every word is one projmat.fold_letters.
+  Without a surjection a generator's image is read from its coordinates;
+  with one, each surjection word is folded once, into the image of its
+  presentation generator (projmat.coord_table).  The relators and the
+  witness are then folded over the generators' images, so verify charges
+  at most one multiply per letter of the certificate's words.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import re
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
-from .galois import FieldSpec, parse_coords, parse_decimal
+from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
 from .intlinalg import IntMatrix, abelianization, format_abelian, is_cyclic, smith_normal_form
 from .presentation import (
     GroupPresentation,
@@ -73,6 +77,7 @@ from .projmat import (
     OpCounter,
     ProjMatrix,
     bit_size_spec,
+    coord_table,
     evaluate_word,
     fold_letters,
     letter_coords,
@@ -490,7 +495,7 @@ def _parse_rep(
         p, deg = parse_decimal(m.group(1)), parse_decimal(m.group(2))
         s = parse_decimal(m.group(3)) if m.group(3) else None
         spec = FieldSpec(p, deg, s)
-    except ValueError as exc:
+    except (ValueError, PrimalityBoundError) as exc:
         raise reader.error(str(exc)) from None
 
     rep_gens: list[str] = []
@@ -611,13 +616,16 @@ def _is_rotation(w1: Word, w2: Word) -> bool:
 def verify(cert: Certificate) -> VerificationReport:
     """Check a certificate; accept iff every check passes.
 
-    Representation path: every relator (pushed through the surjection if
-    present) evaluates to the identity, some generator image is
-    non-trivial, and the witness is a pair w1 = uv, w2 = vu (a cyclic
-    rotation) with distinct images, so the images of u and v do not
-    commute and the image is non-abelian.  Abelian
-    path: relator exponent images vanish in Z/a x Z/b and the generator
-    images span a non-cyclic subgroup.
+    Representation path: each surjection word, if present, is folded once
+    into its presentation generator's image; every relator evaluates to
+    the identity over the generators' images; and the witness is a pair
+    w1 = uv, w2 = vu (a cyclic rotation) with distinct images, so the
+    images of u and v do not commute and the image is non-abelian, which
+    also makes some generator image non-trivial.  Every surjection,
+    relator and witness word is charged once, letter by letter, and
+    relator_mat_mults counts the relators' letters alone.  Abelian path:
+    relator exponent images vanish in Z/a x Z/b and the generator images
+    span a non-cyclic subgroup.
     """
     counter = OpCounter()
     text_bytes = cert.text_bytes
@@ -642,39 +650,21 @@ def verify(cert: Certificate) -> VerificationReport:
     if cert.kind == NON_ABELIAN:
         spec = cert.field
         table = letter_coords(images)
-        # the rep-generator letters of each presentation letter, as table[exp][gen]
-        pushed = None
         if cert.surjection is not None:
-            pushed = (
-                None,
-                [w.letters for w in cert.surjection],
-                [w.inverse().letters for w in cert.surjection],
+            # generator i's image is its surjection word, folded once
+            table = coord_table(
+                spec.p, [fold_letters(spec, table, w.letters, counter) for w in cert.surjection]
             )
-
-        def value(letters) -> tuple:
-            if pushed is not None:
-                letters = [x for gen, exp in letters for x in pushed[exp][gen]]
-            return fold_letters(spec, table, letters, counter)
-
-        # the relators are charged first, so their multiplies are the
-        # counter's until the generators are charged
+        surjection_mults = counter.mat_mults
         for k, rel in enumerate(pres.relators):
-            if value(rel.letters) != _IDENTITY:
+            if fold_letters(spec, table, rel.letters, counter) != _IDENTITY:
                 reason = f"relator {k} does not map to the identity"
-                return report(False, reason, counter.mat_mults)
-        relator_mults = counter.mat_mults
-        if pushed is None:
-            # generator i's image is image i, whose coordinates are already
-            # sign-normalized; it is charged as the one-letter fold it is
-            gen_images = table[1]
-            counter.mat_mults += pres.g
-            counter.field_ops += 12 * pres.g
-        else:
-            gen_images = [value(((i, 1),)) for i in range(pres.g)]
-        if gen_images.count(_IDENTITY) == pres.g:
-            return report(False, "every generator maps to the identity", relator_mults)
+                return report(False, reason, counter.mat_mults - surjection_mults)
+        relator_mults = counter.mat_mults - surjection_mults
         w1, w2 = cert.witness  # type: ignore[misc]
-        if value(w1.letters) == value(w2.letters):
+        if fold_letters(spec, table, w1.letters, counter) == fold_letters(
+            spec, table, w2.letters, counter
+        ):
             return report(False, "witness words have equal images", relator_mults)
         if not _is_rotation(w1, w2):
             return report(
@@ -780,12 +770,10 @@ def _image_info(t: TriangleType, image: TriangleCertData) -> dict:
     return info
 
 
-def triangle_certificate(
-    n1: int, n2: int, n3: int, ceiling: int = 10**9
-) -> tuple[Certificate, dict]:
+def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     """Certificate for the triangle group itself, plus build metadata."""
     t = classify(n1, n2, n3)
-    image = triangle_image(t, ceiling)
+    image = triangle_image(t)
     cert = _image_certificate(triangle_presentation(t), image)
     info = {
         "triple": t.triple,
@@ -834,7 +822,6 @@ def pipeline(
     tri,
     base: tuple[int, int, int],
     surjection_text: Optional[str] = None,
-    ceiling: int = 10**9,
     level: str = "auto",
 ) -> tuple[Certificate, dict]:
     """Produce a certificate for a triangulated Seifert fiber space.
@@ -877,7 +864,7 @@ def pipeline(
 
     t_type = classify(*base)
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    image = triangle_image(t_type, ceiling)
+    image = triangle_image(t_type)
     info.update(_image_info(t_type, image))
 
     if surjection_text is None:

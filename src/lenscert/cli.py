@@ -166,7 +166,7 @@ def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
 
 
 def cmd_trianglecert(args) -> int:
-    cert, info = certmod.triangle_certificate(args.n1, args.n2, args.n3, ceiling=args.ceiling)
+    cert, info = certmod.triangle_certificate(args.n1, args.n2, args.n3)
     out = args.output or f"t_{args.n1}_{args.n2}_{args.n3}.cert"
     _write_atomic(out, certmod.serialize(cert))
     doc, lines = _cert_summary(cert, info)
@@ -209,9 +209,7 @@ def cmd_pipeline(args) -> int:
     if len(base) != 3:
         raise CliError("--base needs exactly three integers")
     surjection_text = _read(args.surjection) if args.surjection else None
-    cert, info = certmod.pipeline(
-        tri, base, surjection_text, ceiling=args.ceiling, level=args.level
-    )
+    cert, info = certmod.pipeline(tri, base, surjection_text, level=args.level)
     out = args.output or "pipeline.cert"
     _write_atomic(out, certmod.serialize(cert))
     doc, lines = _cert_summary(cert, info)
@@ -235,7 +233,7 @@ def cmd_sweep(args) -> int:
         }
         try:
             # raises unless the certificate it builds verifies
-            cert, info = certmod.triangle_certificate(*t.triple, ceiling=args.ceiling)
+            cert, info = certmod.triangle_certificate(*t.triple)
             built += 1
             row["kind"] = cert.kind
             if cert.kind == certmod.NON_ABELIAN:
@@ -353,7 +351,7 @@ def cmd_bounds(args) -> int:
     t = classify(args.n1, args.n2, args.n3)
     spec = None
     if t.curvature == HYPERBOLIC and t.d == 1:
-        spec = build_hyperbolic_rep(t, ceiling=args.ceiling).spec
+        spec = build_hyperbolic_rep(t).spec
     report = bound_report(t, t=args.tetrahedra, spec=spec)
     doc = {}
     for k, v in report.__dict__.items():
@@ -398,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2", type=int)
     p.add_argument("n3", type=int)
     p.add_argument("-o", "--output")
-    p.add_argument("--ceiling", type=int, default=10**9, help="prime search ceiling")
 
     p = add("verify", cmd_verify, help="verify a certificate file")
     p.add_argument("certificate")
@@ -414,11 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="demand a certificate tier; triangulation needs --surjection",
     )
     p.add_argument("-o", "--output")
-    p.add_argument("--ceiling", type=int, default=10**9)
 
     p = add("sweep", cmd_sweep, help="build and verify all hyperbolic triples up to a bound")
     p.add_argument("--max-n", type=int, default=19)
-    p.add_argument("--ceiling", type=int, default=10**9)
     p.add_argument("--verbose", action="store_true", help="one line per triple")
 
     p = add("degree-report", cmd_degree_report, help="trace-field degree and embedding scan")
@@ -435,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n2", type=int)
     p.add_argument("n3", type=int)
     p.add_argument("-t", "--tetrahedra", type=int)
-    p.add_argument("--ceiling", type=int, default=10**9)
 
     return parser
 

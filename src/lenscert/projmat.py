@@ -17,9 +17,10 @@ multiplies in the same order: the kernel _mul_coords, which mul and
 power call, and fold_letters, which multiplies a word's letters inline,
 on 4 ints over F_p and 8 over F_{p^2}, to save a call and a tuple per
 letter.  A word is one fold_letters over the coordinates of the images
-and their inverses (letter_coords), which evaluate_word takes per call
-and a verifier once per certificate; an inverse is taken only for a
-generator that a fold reads with exponent -1.
+and their inverses (letter_coords, or coord_table for images given by
+their coordinates), which evaluate_word takes per call and a verifier
+once per certificate; an inverse is taken only for a generator that a
+fold reads with exponent -1.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -58,10 +59,11 @@ class OpCounter:
     fold_letters charges each letter of a word one matrix multiply and 12
     field ops (8 multiplications and 4 additions), and each ^-1 letter 2
     more field ops for the inverse's negations.  certificate.verify
-    charges 4 field ops per nonzero exponent sum of a relator on the
-    abelian path.  Nothing else is charged: not sign normalization, not
-    the inverses letter_coords takes once, and not ProjMatrix.mul,
-    inverse or power.
+    folds each surjection word, relator and witness word it reads once,
+    with no generator check, and charges 4 field ops per nonzero exponent
+    sum of a relator on the abelian path.  Nothing else is charged: not
+    sign normalization, not the inverses letter_coords and coord_table
+    take once, and not ProjMatrix.mul, inverse or power.
     """
 
     mat_mults: int = 0
@@ -330,10 +332,15 @@ def letter_coords(images: Sequence[ProjMatrix]) -> tuple:
     folds: table[1][k] is image k and table[-1][k] its inverse, taken
     once and only when a fold first reads it.  The images must share one
     field."""
-    coords = [m.coords for m in images]
+    return coord_table(images[0].spec.p, [m.coords for m in images])
+
+
+def coord_table(p: int, coords: list) -> tuple:
+    """letter_coords for images given by their coordinates over F_p or
+    F_{p^2}, as fold_letters returns them; the list may be empty."""
     # set after construction: an __init__ would cost more than the inverses
     inverses = _Inverses()
-    inverses.p, inverses.coords = images[0].spec.p, coords
+    inverses.p, inverses.coords = p, coords
     return (None, coords, inverses)
 
 

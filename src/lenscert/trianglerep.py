@@ -53,6 +53,7 @@ from .projmat import ProjMatrix, has_order
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
+PRIME_CEILING = 10**9
 
 
 class RepVerificationError(AssertionError):
@@ -167,11 +168,12 @@ def _prime_field(p: int) -> FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_field(ell: int, ceiling: int) -> tuple[FieldSpec, int]:
-    """F_p for the least prime p = 1 (mod ell) up to ceiling, and zeta of
-    exact order ell in it as an int: the prime search and root_of_unity,
-    with their primality proof and order check, run once per ell."""
-    spec = _prime_field(smallest_prime_in_progression(ell, ceiling))
+def _cyclotomic_field(ell: int) -> tuple[FieldSpec, int]:
+    """F_p for the least prime p = 1 (mod ell) up to PRIME_CEILING, and
+    zeta of exact order ell in it as an int: the prime search and
+    root_of_unity, with their primality proof and order check, run once
+    per ell."""
+    spec = _prime_field(smallest_prime_in_progression(ell, PRIME_CEILING))
     return spec, root_of_unity(spec, ell).a
 
 
@@ -189,7 +191,7 @@ class ReducedRepData:
     y_image: ProjMatrix
 
 
-def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepData:
+def build_hyperbolic_rep(t: TriangleType) -> ReducedRepData:
     """Construct and verify the mod-p image for a coprime hyperbolic triple.
 
     Postconditions are checked computationally: images of x, y, xy have
@@ -201,7 +203,7 @@ def build_hyperbolic_rep(t: TriangleType, ceiling: int = 10**9) -> ReducedRepDat
         raise ValueError("build_hyperbolic_rep needs a hyperbolic triple")
     if t.d != 1:
         raise ValueError("triple has a common divisor; use the abelian certificate")
-    base, zeta = _cyclotomic_field(t.ell, ceiling)
+    base, zeta = _cyclotomic_field(t.ell)
     p = base.p
     c1, c2, c3 = reduced_cosines(base, t.ell, zeta, t.triple)
     spec, r = solve_r(base, c1, c2, c3)
@@ -265,11 +267,11 @@ def _checked_xy(
     return xy
 
 
-def triangle_image(t: TriangleType, ceiling: int = 10**9) -> TriangleCertData:
+def triangle_image(t: TriangleType) -> TriangleCertData:
     """The certificate image of T(n1, n2, n3): the mod-p representation
     for a coprime hyperbolic triple, build_nonhyperbolic_cert otherwise."""
     if t.curvature == HYPERBOLIC and t.d == 1:
-        rep = build_hyperbolic_rep(t, ceiling)
+        rep = build_hyperbolic_rep(t)
         return TriangleCertData(
             triple=t.triple, kind="rep", spec=rep.spec, x_image=rep.x_image, y_image=rep.y_image
         )

@@ -10,8 +10,9 @@ are the library's earlier FieldElement and Smith-normal-form versions,
 kept as references for the int code that replaced them; the earlier
 two-sided Smith normal form, which also tracked the row transform U,
 Fraction classification, matrix-power order check, dense abelian
-verification loop and min()-pivot sparse elimination, kept for the same
-reason; and the
+verification loop, verification of representation certificates with
+every word spelled out through the surjection, and min()-pivot sparse
+elimination, kept for the same reason; and the
 triangulation chain's earlier stages: the three-pass orbit search, the
 dual spanning graph with its tree-sign orientation check, and the cell
 structure that pi1 was read from, and the gluing-table assembly with
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from lenscert.certificate import (
+    NON_ABELIAN,
     NON_CYCLIC,
     Certificate,
     VerificationReport,
@@ -982,6 +984,55 @@ def dense_abelian_report(cert: Certificate) -> VerificationReport:
     if s1 <= 1:
         return report(False, "generator images span a cyclic subgroup")
     return report(True, None)
+
+
+def spliced_word_image(cert: Certificate, word: Word):
+    """The entries (a, b, c, d) of a presentation word's image, with each
+    letter spelled out through its surjection word (inverted for a ^-1
+    letter), if the certificate has one, and the matrix letters multiplied
+    one by one with matrix_product: correct up to sign."""
+    spec = cert.field
+    one, zero = spec.one(), spec.zero()
+    mats = [m.entries() for m in cert.rep_images]
+    out = (one, zero, zero, one)
+    for gen, exp in word.letters:
+        if cert.surjection is None:
+            letters = ((gen, exp),)
+        else:
+            pushed = cert.surjection[gen]
+            letters = (pushed if exp == 1 else pushed.inverse()).letters
+        for k, e in letters:
+            out = matrix_product(out, mats[k] if e == 1 else matrix_inverse(mats[k]))
+    return out
+
+
+def spliced_rep_verdict(cert: Certificate) -> tuple[bool, str | None]:
+    """verify's verdict and reason on a NonAbelianRep certificate, by the
+    checks the library made before it folded each surjection word once:
+    every relator and witness letter spelled out through the surjection
+    (spliced_word_image), and a check that some generator's image is
+    non-trivial between the relators and the witness."""
+    assert cert.kind == NON_ABELIAN
+    pres = cert.presentation
+    spec = cert.field
+    identity = (spec.one(), spec.zero(), spec.zero(), spec.one())
+    for k, rel in enumerate(pres.relators):
+        if not equal_up_to_sign(spliced_word_image(cert, rel), identity):
+            return False, f"relator {k} does not map to the identity"
+    if all(
+        equal_up_to_sign(spliced_word_image(cert, Word(((i, 1),))), identity)
+        for i in range(pres.g)
+    ):
+        return False, "every generator maps to the identity"
+    w1, w2 = cert.witness
+    if equal_up_to_sign(spliced_word_image(cert, w1), spliced_word_image(cert, w2)):
+        return False, "witness words have equal images"
+    n = len(w1.letters)
+    if len(w2.letters) != n or not any(
+        w2.letters == w1.letters[k:] + w1.letters[:k] for k in range(1, n)
+    ):
+        return False, "witness words are not cyclic rotations uv, vu of each other"
+    return True, None
 
 
 def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:

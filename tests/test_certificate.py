@@ -26,7 +26,15 @@ from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec, quadratic_extension
 from lenscert.presentation import GroupPresentation, Word, parse_word
 from lenscert.projmat import ProjMatrix
-from oracles import dense_abelian_report, reduced_word, snf_subgroup_invariants, word_power
+from oracles import (
+    dense_abelian_report,
+    equal_up_to_sign,
+    reduced_word,
+    snf_subgroup_invariants,
+    spliced_rep_verdict,
+    spliced_word_image,
+    word_power,
+)
 
 
 def fig8_certificate() -> Certificate:
@@ -670,13 +678,14 @@ def test_trivial_image_rejected():
     )
     report = verify(cert)
     assert not report.accepted
-    assert "identity" in report.reason
+    # a trivial image gives every word the same image
+    assert report.reason == "witness words have equal images"
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(5), quadratic_extension(FieldSpec(3))])
 def test_all_identity_images_rejected_with_their_charge(spec):
-    # without a surjection every generator's image is read from its
-    # coordinates, and still charged as one one-letter fold per generator
+    # no generator check is made or charged: the witness words, whose
+    # images agree, reject it after the relators, at one fold each
     labels = ("x", "y")
     relators = (parse_word("x y x^-1 y^-1", labels), parse_word("x x x", labels))
     identity = ProjMatrix.identity(spec)
@@ -690,9 +699,9 @@ def test_all_identity_images_rejected_with_their_charge(spec):
     )
     for report in (verify(cert), verify(parse(serialize(cert)))):
         assert not report.accepted
-        assert report.reason == "every generator maps to the identity"
+        assert report.reason == "witness words have equal images"
         assert report.relator_mat_mults == 7
-        assert (report.mat_mults, report.field_ops) == (7 + 2, 12 * 7 + 2 * 2 + 12 * 2)
+        assert (report.mat_mults, report.field_ops) == (7 + 4, 12 * 7 + 2 * 2 + 12 * 4)
 
 
 # Z/5 = <x | x^5> is a lens space group; x and x x have distinct images
@@ -706,6 +715,17 @@ field p=5 deg=1
 gen x = [[1,1],[0,1]]
 witness x | x x
 """
+
+
+@pytest.mark.parametrize("deg", ["deg=1", "deg=2 s=2"])
+def test_field_prime_beyond_the_primality_range_is_a_syntax_error(deg):
+    # from psi_13 up no primality test is deterministic, so no field is read
+    text = Z5_CERT.replace("field p=5 deg=1", f"field p=3317044064679887385961991 {deg}")
+    with pytest.raises(CertificateSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == (
+        "line 6: 3317044064679887385961991 exceeds the deterministic primality range"
+    )
 
 
 def test_cyclic_group_certificate_rejected():
@@ -1017,8 +1037,10 @@ def test_surjection_certificate_verifies():
     cert = synthetic_surjection_cert()
     report = verify(cert)
     assert report.accepted
-    # pushed relator lengths: 2, 3, 14, and c b^-1 a^-1 -> 4 letters
-    assert report.relator_mat_mults == 2 + 3 + 14 + 4
+    # the relators are folded over the generators' images, one multiply a
+    # letter; the surjection words x, y, x y are folded once each
+    assert report.relator_mat_mults == 2 + 3 + 7 + 3
+    assert report.mat_mults == (1 + 1 + 2) + 15 + (2 + 2)
 
 
 def test_surjection_certificate_roundtrip():
@@ -1055,6 +1077,103 @@ def test_broken_surjection_rejected_by_verifier():
     bad_surjection = (cert.surjection[0], cert.surjection[0], cert.surjection[2])
     bad = replace(cert, surjection=bad_surjection)
     assert not verify(bad).accepted
+
+
+@st.composite
+def rep_certificates(draw):
+    """A NonAbelianRep certificate over F_p, p <= 13, on g <= 3
+    presentation generators, with a surjection block of random, possibly
+    empty, words onto one to three matrices, or none.  Each matrix is the
+    identity one time in five.  The relators are random words and powers
+    of short words, in half the draws only those that map to the
+    identity, and the witness is a rotation of a random word or a second
+    random word: so some certificates are accepted and each rejection
+    occurs."""
+    spec = FieldSpec(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    entries = st.integers(0, spec.p - 1)
+
+    def matrix():
+        if not draw(st.integers(0, 4)):
+            return ProjMatrix.identity(spec)
+        return _det_one_matrix(spec, *(draw(entries) for _ in range(4)))
+
+    def word(g, max_size):
+        if not g:
+            return Word()
+        letters = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+        return reduced_word(Word(tuple(draw(st.lists(letters, max_size=max_size)))))
+
+    if draw(st.booleans()):
+        g = draw(st.integers(0, 3))
+        rep_gens = ("x", "y", "z")[: draw(st.integers(1, 3))]
+        surjection = tuple(word(len(rep_gens), 4) for _ in range(g))
+    else:
+        g = draw(st.integers(1, 3))
+        rep_gens, surjection = None, None
+    labels = ("a", "b", "c")[:g]
+    rep_gens = rep_gens or labels
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            relators.append(word(g, 8))
+        else:
+            relators.append(reduced_word(word_power(word(g, 2), draw(st.integers(1, 13)))))
+    relators = [w for w in relators if w.letters]
+    w1 = word(g, 6)
+    if len(w1) >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, len(w1) - 1))
+        w2 = reduced_word(Word(w1.letters[k:] + w1.letters[:k]))
+    else:
+        w2 = word(g, 6)
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=GroupPresentation(g, tuple(relators), labels),
+        field=spec,
+        rep_gens=rep_gens,
+        rep_images=tuple(matrix() for _ in rep_gens),
+        surjection=surjection,
+        witness=(w1, w2),
+    )
+    if draw(st.booleans()):
+        identity = (spec.one(), spec.zero(), spec.zero(), spec.one())
+        trivial = tuple(
+            w for w in relators if equal_up_to_sign(spliced_word_image(cert, w), identity)
+        )
+        cert = replace(cert, presentation=GroupPresentation(g, trivial, labels))
+    return cert
+
+
+def test_verify_matches_the_spliced_surjection_oracle():
+    """verify folds each surjection word once and makes no generator
+    check; the oracle spells every letter out through the surjection and
+    checks the generators.  The verdicts agree, and so do the reasons but
+    for the generator check's, whose certificates the witness rejects.
+    The charge is at most one multiply per letter of the relator,
+    surjection and witness words, and exactly that on acceptance."""
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(rep_certificates())
+    def check(cert):
+        accepted, reason = spliced_rep_verdict(cert)
+        seen.add(reason)
+        if reason == "every generator maps to the identity":
+            reason = "witness words have equal images"
+        report = verify(cert)
+        assert (report.accepted, report.reason) == (accepted, reason)
+        assert verify(parse(serialize(cert))) == report
+        words = (*cert.presentation.relators, *(cert.surjection or ()), *cert.witness)
+        letters = sum(len(w) for w in words)
+        assert report.mat_mults <= letters
+        assert report.mat_mults == letters or not report.accepted
+
+    check()
+    assert None in seen and "every generator maps to the identity" in seen
+    assert any(reason and reason.startswith("relator") for reason in seen)
+    assert {
+        "witness words have equal images",
+        "witness words are not cyclic rotations uv, vu of each other",
+    } <= seen
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 from conftest import fixture_path
+from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -133,6 +135,41 @@ def test_verify_huge_unlabelled_generator_count_exits_two(tmp_path):
     out = run_cli("verify", str(path))
     assert out.returncode == 2
     assert "generator count" in out.stderr
+
+
+def test_verify_surjection_cost_is_linear_in_the_words(tmp_path):
+    # the relator a^20000 with a -> (x y)^10000: spelling each relator
+    # letter out through the surjection took 4 * 10^8 multiplies, hours
+    cert = triangle_certificate(2, 3, 7)[0]
+    x, y = cert.rep_images
+    text = "\n".join([
+        "lenscert v1", "kind NonAbelianRep", "gens 1 a", "rels 1", " ".join(["a"] * 20000),
+        f"field p={cert.field.p} deg=1", f"gen x = {x}", f"gen y = {y}",
+        "surjection", "gen a -> " + " ".join(["x y"] * 10000), "witness a | a",
+    ]) + "\n"
+    path = tmp_path / "long.cert"
+    path.write_text(text)
+    start = time.monotonic()
+    out = run_cli("verify", str(path), "--json")
+    assert time.monotonic() - start < 1.0
+    assert out.returncode == 1
+    report = json.loads(out.stdout)
+    # x y has order 7 and 20000 * 10000 is 4 mod 7: the relator fails
+    assert report["reason"] == "relator 0 does not map to the identity"
+    assert (report["mat_mults"], report["total_mat_mults"]) == (20000, 40000)
+
+
+def test_verify_prime_beyond_the_primality_range_exits_two(tmp_path):
+    path = tmp_path / "psi13.cert"
+    path.write_text(
+        "lenscert v1\nkind NonAbelianRep\ngens 1 x\nrels 0\n"
+        "field p=3317044064679887385961991 deg=1\ngen x = [[1,1],[0,1]]\nwitness x | x\n"
+    )
+    out = run_cli("verify", str(path))
+    assert out.returncode == 2
+    assert out.stderr == (
+        "error: line 5: 3317044064679887385961991 exceeds the deterministic primality range\n"
+    )
 
 
 def test_pipeline_step1(tmp_path):

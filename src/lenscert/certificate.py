@@ -31,9 +31,9 @@ Each invariant is checked once, where a certificate comes in:
   Word.from_checked and GroupPresentation.from_checked, which trust the
   letter table and the gens regex, and Certificate._check_fields checks
   the rest once the text is read: the level, the kind's fields, target
-  moduli above 1, distinct matrix names, and matrix names equal to the
-  labels when there is no surjection.  parse records the bytes of the
-  text it read as text_bytes.
+  moduli above 1, at least one matrix, distinct matrix names, and matrix
+  names equal to the labels when there is no surjection.  parse records
+  the bytes of the text it read as text_bytes.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
   as parse does; Word checks its letters and GroupPresentation its labels
@@ -194,6 +194,8 @@ class Certificate:
                 raise CertificateSyntaxError("representation certificate with abelian fields")
             if len(self.rep_gens) != len(self.rep_images):
                 raise CertificateSyntaxError("matrix count does not match matrix generators")
+            if not self.rep_images:
+                raise CertificateSyntaxError("representation certificate needs a matrix")
             if len(set(self.rep_gens)) != len(self.rep_gens):
                 raise CertificateSyntaxError("duplicate matrix generator names")
             if self.surjection is None:

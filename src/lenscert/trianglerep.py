@@ -14,8 +14,9 @@ that ell shares the FieldSpec it returns.  The build per triple then
 runs on plain ints modulo p: the cosines by pow, r by solve_r, x and
 y = T S T^-1 (T = [[1, r], [0, 1]], S = [[C2, 1], [-1, 0]]) written out
 in closed form, [[C2 - r, 1 - r(C2 - r)], [-1, r]], each with its det
-checked once by ProjMatrix.from_reduced.  FieldElement appears only in
-the returned ReducedRepData.
+checked once by ProjMatrix.from_reduced.  C1, C2, C3 and r stay local
+ints, and the build returns the same TriangleCertData as every other
+triangle image.
 Each postcondition is checked once, on ints: the orders of x, y and xy
 by projmat.has_order's trace walk, the trace of xy against +-C3 on its
 coordinates, and xy != yx.  Facts true by construction are not
@@ -36,7 +37,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .galois import (
-    FieldElement,
     FieldSpec,
     euler_phi,
     factorize,
@@ -178,20 +178,20 @@ def _cyclotomic_field(ell: int) -> tuple[FieldSpec, int]:
 
 
 @dataclass(frozen=True)
-class ReducedRepData:
+class TriangleCertData:
+    """What a triangle-group certificate needs, before serialization."""
+
     triple: tuple[int, int, int]
-    ell: int
-    p: int
-    spec: FieldSpec
-    c1: FieldElement
-    c2: FieldElement
-    c3: FieldElement
-    r: FieldElement
-    x_image: ProjMatrix
-    y_image: ProjMatrix
+    kind: str  # "abelian" or "rep"
+    # abelian: surject (Z/d)^2 by x -> (1,0), y -> (0,1)
+    d: Optional[int] = None
+    # rep: matrices for x and y over spec
+    spec: Optional[FieldSpec] = None
+    x_image: Optional[ProjMatrix] = None
+    y_image: Optional[ProjMatrix] = None
 
 
-def build_hyperbolic_rep(t: TriangleType) -> ReducedRepData:
+def build_hyperbolic_rep(t: TriangleType) -> TriangleCertData:
     """Construct and verify the mod-p image for a coprime hyperbolic triple.
 
     Postconditions are checked computationally: images of x, y, xy have
@@ -214,32 +214,7 @@ def build_hyperbolic_rep(t: TriangleType) -> ReducedRepData:
     v = _checked_xy(x_img, y_img, t.triple).coords
     if (v[1] + v[7]) % p or (v[0] + v[6]) % p not in (c3, -c3 % p):
         raise RepVerificationError("trace of xy image is not +-C3")
-    return ReducedRepData(
-        triple=t.triple,
-        ell=t.ell,
-        p=p,
-        spec=spec,
-        c1=FieldElement(spec, c1),
-        c2=FieldElement(spec, c2),
-        c3=FieldElement(spec, c3),
-        r=FieldElement(spec, *r),
-        x_image=x_img,
-        y_image=y_img,
-    )
-
-
-@dataclass(frozen=True)
-class TriangleCertData:
-    """What a triangle-group certificate needs, before serialization."""
-
-    triple: tuple[int, int, int]
-    kind: str  # "abelian" or "rep"
-    # abelian: surject (Z/d)^2 by x -> (1,0), y -> (0,1)
-    d: Optional[int] = None
-    # rep: matrices for x and y over spec
-    spec: Optional[FieldSpec] = None
-    x_image: Optional[ProjMatrix] = None
-    y_image: Optional[ProjMatrix] = None
+    return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
 
 
 # x and y images for the spherical triples over F_p, entries (a, b, c, d):
@@ -271,10 +246,7 @@ def triangle_image(t: TriangleType) -> TriangleCertData:
     """The certificate image of T(n1, n2, n3): the mod-p representation
     for a coprime hyperbolic triple, build_nonhyperbolic_cert otherwise."""
     if t.curvature == HYPERBOLIC and t.d == 1:
-        rep = build_hyperbolic_rep(t)
-        return TriangleCertData(
-            triple=t.triple, kind="rep", spec=rep.spec, x_image=rep.x_image, y_image=rep.y_image
-        )
+        return build_hyperbolic_rep(t)
     return build_nonhyperbolic_cert(t)
 
 
@@ -317,9 +289,9 @@ def _dihedral_cert(t: TriangleType) -> TriangleCertData:
     p = min(factorize(m))
     spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(FieldSpec(p))
     i = imaginary_unit(spec)
-    zero = spec.zero()
-    x_img = ProjMatrix(i, zero, zero, -i)
-    y_img = ProjMatrix(i, i, zero, -i)
+    i0, i1, j0, j1 = i.a, i.b, -i.a % p, -i.b % p  # i and -i
+    x_img = ProjMatrix.from_reduced(spec, (i0, i1, 0, 0, 0, 0, j0, j1))
+    y_img = ProjMatrix.from_reduced(spec, (i0, i1, i0, i1, 0, 0, j0, j1))
     # xy has order p, which divides m, so (xy)^m = 1 follows
     _checked_xy(x_img, y_img, (2, 2, p))
     return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
@@ -484,7 +456,7 @@ def bound_report(
     t: Optional[int] = None,
     spec: Optional[FieldSpec] = None,
 ) -> BoundReport:
-    """spec is the field of the triple's image, as in ReducedRepData.spec
+    """spec is the field of the triple's image, as in TriangleCertData.spec
     or a certificate's field; without it the field rows stay None.  t, the
     tetrahedron count, must be at least 1."""
     if t is not None and t < 1:

@@ -5,11 +5,11 @@ the library: invariant factors come from gcds of minors, orientability
 from trying all 2^t sign assignments, homology from cellular boundary
 matrices, link Euler characteristics from explicit corner-piece orbit
 counts.  Slow is fine; these only run at fixture scale.  The exceptions
-are the triangle cosines, solve_r and subgroup invariants below: they
-are the library's earlier FieldElement and Smith-normal-form versions,
-kept as references for the int code that replaced them; the earlier
-two-sided Smith normal form, which also tracked the row transform U,
-Fraction classification, matrix-power order check, dense abelian
+are the triangle cosines, solve_r, the dihedral images and subgroup
+invariants below: they are the library's earlier FieldElement and
+Smith-normal-form versions, kept as references for the int code that
+replaced them; the earlier two-sided Smith normal form, which also
+tracked the row transform U, Fraction classification, matrix-power order check, dense abelian
 verification loop, verification of representation certificates with
 every word spelled out through the surjection, and min()-pivot sparse
 elimination, kept for the same reason; and the
@@ -20,7 +20,9 @@ its per-gluing closure.  The
 spherical-pair search is the one the library's fixed spherical images
 came from; psl_group_order, element_order and exponent_matrix are
 helpers that only tests call, as are perm_is_odd, is_connected,
-reduced_word, word_power, int_matmul, int_identity and field_elements.
+reduced_word, word_power, int_matmul, int_identity, field_elements and
+hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
+r through the library's public steps.
 """
 
 from __future__ import annotations
@@ -46,15 +48,24 @@ from lenscert.galois import (
     FieldElement,
     FieldSpec,
     factorize,
+    imaginary_unit,
     is_quadratic_residue,
     quadratic_extension,
     root_of_unity,
+    smallest_prime_in_progression,
     sqrt_mod_p,
 )
 from lenscert.intlinalg import IntMatrix, smith_normal_form
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, projective_order
-from lenscert.trianglerep import EUCLIDEAN, HYPERBOLIC, SPHERICAL, TriangleType
+from lenscert.trianglerep import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    SPHERICAL,
+    TriangleType,
+    reduced_cosines,
+    solve_r,
+)
 from lenscert.triangulation import (
     DIRECTED_INDEX,
     DIRECTED_PAIRS,
@@ -635,8 +646,11 @@ def cell_fundamental_group(tri: Triangulation) -> GroupPresentation:
 
 def closure_assemble(t: int, gluings) -> Triangulation:
     """Gluings (tet, face, tet2, face2, perm) recorded both ways into a
-    dense t x 4 table by a per-gluing closure, then checked for gaps."""
-    table = [[None] * 4 for _ in range(t)]
+    dict keyed by (tet, face) by a per-gluing closure, then checked for
+    gaps.  The first unpaired face in the order 4*tet + face lies among
+    the first len(table) + 1 of them, so only those are looked at, and a
+    large t costs no work of order t."""
+    table = {}
 
     def record(tet, face, tet2, face2, perm):
         for tt, ff in ((tet, face), (tet2, face2)):
@@ -645,22 +659,21 @@ def closure_assemble(t: int, gluings) -> Triangulation:
         if (tet, face) == (tet2, face2):
             raise TriangulationError(f"face {tet}:{face} glued to itself")
         entry = (tet2, face2, perm)
-        prev = table[tet][face]
+        prev = table.get((tet, face))
         if prev is not None and prev != entry:
             raise TriangulationError(
                 f"face {tet}:{face} glued twice, inconsistently "
                 f"({prev[0]}:{prev[1]} vs {tet2}:{face2})"
             )
-        table[tet][face] = entry
+        table[tet, face] = entry
 
     for tet, face, tet2, face2, perm in gluings:
         record(tet, face, tet2, face2, perm)
         record(tet2, face2, tet, face, perm.inverse())
-    for tet in range(t):
-        for face in range(4):
-            if table[tet][face] is None:
-                raise TriangulationError(f"face {tet}:{face} is unpaired")
-    return Triangulation(t, tuple(tuple(row) for row in table))
+    for slot in range(min(4 * t, len(table) + 1)):
+        if divmod(slot, 4) not in table:
+            raise TriangulationError("face {}:{} is unpaired".format(*divmod(slot, 4)))
+    return Triangulation(t, tuple(tuple(table[tet, face] for face in range(4)) for tet in range(t)))
 
 
 def closure_parse_triangulation(text: str) -> Triangulation:
@@ -932,6 +945,41 @@ def field_solve_r(spec: FieldSpec, c1, c2, c3):
     r = (sqrt_disc - lin) * out_spec.element(2).inverse()
     assert (r * r + r * lin + (out_spec.element(2) - c1 * c2 - c3)).is_zero()
     return out_spec, r
+
+
+@dataclass(frozen=True)
+class HyperbolicParameters:
+    """What a coprime hyperbolic build computes on the way to its
+    matrices: the image's field, and C1, C2, C3 and r as elements of it."""
+
+    spec: FieldSpec
+    c1: FieldElement
+    c2: FieldElement
+    c3: FieldElement
+    r: FieldElement
+
+
+def hyperbolic_parameters(t: TriangleType) -> HyperbolicParameters:
+    """C1, C2, C3 and r for the coprime hyperbolic triple t, recomputed
+    through the public smallest_prime_in_progression, root_of_unity,
+    reduced_cosines and solve_r, in the order the build takes them."""
+    base = FieldSpec(smallest_prime_in_progression(t.ell))
+    zeta = root_of_unity(base, t.ell).a
+    cosines = reduced_cosines(base, t.ell, zeta, t.triple)
+    spec, r = solve_r(base, *cosines)
+    c1, c2, c3 = (spec.element(c) for c in cosines)
+    return HyperbolicParameters(spec, c1, c2, c3, spec.element(*r))
+
+
+def field_dihedral_pair(m: int) -> tuple[ProjMatrix, ProjMatrix]:
+    """x = diag(i, -i) and y = [[i, i], [0, -i]] for odd m, built from
+    FieldElements over F_p, or F_p[i] when p = 3 (mod 4), for the
+    smallest prime divisor p of m."""
+    p = min(factorize(m))
+    spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(FieldSpec(p))
+    i = imaginary_unit(spec)
+    zero = spec.zero()
+    return ProjMatrix(i, zero, zero, -i), ProjMatrix(i, i, zero, -i)
 
 
 def conjugate_by_translation(spec: FieldSpec, c, r) -> ProjMatrix:

@@ -38,6 +38,7 @@ from oracles import (
     cyclotomic_closed_form,
     exhaustive_orientation,
     float_cosine_norm,
+    hyperbolic_parameters,
     invariant_factors_by_minors,
     random_gluing_table,
     random_presentation,
@@ -88,20 +89,23 @@ def test_criterion_2_hyperbolic_sweep():
     sampled_order_check = 0
     for index, t in enumerate(triples):
         if t.d == 1:
-            rep = build_hyperbolic_rep(t)
+            rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
             x, y = rep.x_image, rep.y_image
             xy = x.mul(y)
-            # exact orders, non-abelian witness, r satisfies its quadratic
+            # exact orders, non-abelian witness, traces +-C_k, r satisfies
+            # its quadratic
             assert (
                 projective_order(x, 2 * t.ell),
                 projective_order(y, 2 * t.ell),
                 projective_order(xy, 2 * t.ell),
             ) == t.triple
             assert xy != y.mul(x)
-            assert xy.trace() in (rep.c3, -rep.c3)
-            check = rep.r * rep.r + rep.r * (rep.c1 - rep.c2) + (
-                rep.spec.element(2) - rep.c1 * rep.c2 - rep.c3
-            )
+            c1, c2, c3, r = params.c1, params.c2, params.c3, params.r
+            assert params.spec == rep.spec
+            assert x.trace() in (c1, -c1)
+            assert y.trace() in (c2, -c2)
+            assert xy.trace() in (c3, -c3)
+            check = r * r + r * (c1 - c2) + (rep.spec.element(2) - c1 * c2 - c3)
             assert check.is_zero()
             cert = Certificate(
                 kind=NON_ABELIAN,
@@ -328,6 +332,6 @@ def test_criterion_9_bound_reports():
     assert out.ell_within_bound  # 84 <= 2^20 * 3^120, exact big-int comparison
     assert out.field_within_ell10  # |F| < 84^10
     assert 0 <= out.field_ratio_ell10 < 1
-    assert out.linnik_ratio == rep.p / t_type.ell**5.18  # reported, never asserted
+    assert out.linnik_ratio == rep.spec.p / t_type.ell**5.18  # reported, never asserted
     assert out.degree_within_bound  # phi(84)/2 = 12 <= 2^9 * 3^60
     report(9, "bound report for (2,3,7) at t=10", time.monotonic() - start, 1)

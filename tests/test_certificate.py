@@ -322,6 +322,25 @@ def test_matrix_generator_names_are_distinct():
             parse(text)
 
 
+@pytest.mark.parametrize("surjection", [None, ()], ids=["plain", "surjection"])
+def test_representation_certificate_without_a_matrix_is_a_syntax_error(surjection):
+    """On 0 generators a certificate with no matrix passes the name
+    checks, but verify would index its first image and parse refuses the
+    text serialize would write, so the constructor refuses it too."""
+    with pytest.raises(CertificateSyntaxError, match="needs a matrix"):
+        Certificate(
+            kind=NON_ABELIAN,
+            presentation=GroupPresentation(g=0, relators=()),
+            field=FieldSpec(5),
+            rep_gens=(),
+            rep_images=(),
+            surjection=surjection,
+            witness=(Word(()), Word(())),
+        )
+    with pytest.raises(CertificateSyntaxError, match="line 5: expected at least one 'gen"):
+        parse("lenscert v1\nkind NonAbelianRep\ngens 0\nrels 0\nfield p=5 deg=1\nwitness  | \n")
+
+
 @pytest.mark.parametrize(
     "labels,message",
     [

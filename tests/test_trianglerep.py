@@ -35,10 +35,12 @@ from lenscert.trianglerep import (
 from oracles import (
     conjugate_by_translation,
     cyclotomic_closed_form,
+    field_dihedral_pair,
     field_reduced_cosines,
     field_solve_r,
     float_cosine_norm,
     fraction_classify,
+    hyperbolic_parameters,
     primes_in_progression_by_scan,
     spherical_pair_by_search,
     word_power,
@@ -226,7 +228,7 @@ def test_solve_r_needs_a_prime_field():
 
 def test_build_237():
     rep = build_hyperbolic_rep(classify(2, 3, 7))
-    assert rep.p == 337
+    assert rep.spec.p == 337
     assert rep.spec.order in (337, 337**2)
     # independent order check by naive matrix powering
     for matrix, n in ((rep.x_image, 2), (rep.y_image, 3), (rep.x_image.mul(rep.y_image), 7)):
@@ -243,7 +245,7 @@ def test_build_345():
     t = classify(3, 4, 5)
     assert t.ell == 120
     rep = build_hyperbolic_rep(t)
-    assert rep.p == 241  # smallest prime = 1 mod 120
+    assert rep.spec.p == 241  # smallest prime = 1 mod 120
     orders = tuple(
         projective_order(m, 1000)
         for m in (rep.x_image, rep.y_image, rep.x_image.mul(rep.y_image))
@@ -261,7 +263,7 @@ def test_build_with_alternate_root_of_unity():
     """Any exact-order-ell root gives a valid (conjugate) build."""
     t = classify(2, 3, 7)
     rep = build_hyperbolic_rep(t)
-    p, ell = rep.p, t.ell
+    p, ell = rep.spec.p, t.ell
     base = FieldSpec(p).element(_zeta_and_cosines(FieldSpec(p), ell, t.triple)[0])
     alt = base**5  # gcd(5,84)=1, so another valid generator choice
     cs = []
@@ -292,9 +294,10 @@ def test_build_rejects_wrong_curvature():
 
 def test_trace_of_xy_is_plus_minus_c3():
     for triple in [(2, 3, 7), (3, 4, 5), (2, 4, 5)]:
-        rep = build_hyperbolic_rep(classify(*triple))
+        t = classify(*triple)
+        rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
         trace = rep.x_image.mul(rep.y_image).trace()
-        assert trace in (rep.c3, -rep.c3)
+        assert trace in (params.c3, -params.c3)
 
 
 def test_small_sweep_builds_and_verifies():
@@ -367,8 +370,9 @@ def test_closed_form_y_matches_the_product_oracle():
     for t in hyperbolic_triples(19):
         if t.d != 1:
             continue
-        rep = build_hyperbolic_rep(t)
-        assert rep.y_image == conjugate_by_translation(rep.spec, rep.c2, rep.r), t.triple
+        rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
+        assert params.spec == rep.spec, t.triple
+        assert rep.y_image == conjugate_by_translation(rep.spec, params.c2, params.r), t.triple
         degrees.add(rep.spec.degree)
     assert degrees == {1, 2}
 
@@ -396,6 +400,19 @@ def test_dihedral_2_2_15():
     relator = word_power(Word(((0, 1), (1, 1))), 15)
     assert evaluate_word([data.x_image, data.y_image], relator).is_identity()
     assert xy != data.y_image.mul(data.x_image)
+
+
+def test_dihedral_images_match_the_field_element_construction():
+    """The int-built x = diag(i, -i) and y = [[i, i], [0, -i]] are the
+    matrices the FieldElement construction gives, for every odd m up to
+    99: over F_p when p = 1 (mod 4) and over F_{p^2} when p = 3 (mod 4)."""
+    degrees = set()
+    for m in range(3, 100, 2):
+        data = build_nonhyperbolic_cert(classify(2, 2, m))
+        x, y = field_dihedral_pair(m)
+        assert (data.spec, data.x_image, data.y_image) == (x.spec, x, y), m
+        degrees.add(data.spec.degree)
+    assert degrees == {1, 2}
 
 
 def test_spherical_235_lands_in_psl25():

@@ -275,8 +275,9 @@ def _decorated_gluing_text(rnd):
     elif fault == 6:  # a clash, then a line that does not parse
         lines += [f"0:0 -> 0:0 perm={_SELF_GLUE_PERM[0]}", rnd.choice(["0:0 -> 0:1", "t=2", "x"])]
     elif fault in (7, 8):  # more tetrahedra than the lines can fill
-        # small enough for the line-by-line parse's dense t x 4 table
-        lines[head] = f"t={tri.t + rnd.randint(len(lines), 4 * len(lines))}"
+        # any size up to 10**12, as parse_triangulation accepts: neither
+        # parse does work of order t when the lines cannot fill the table
+        lines[head] = f"t={tri.t + rnd.randint(len(lines), 10 ** rnd.randint(2, 12))}"
         if fault == 8:  # two faces of an unfilled tetrahedron glued to themselves
             for f in rnd.sample(range(4), 2):
                 lines.append(f"{tri.t}:{f} -> {tri.t}:{f} perm={_SELF_GLUE_PERM[f]}")

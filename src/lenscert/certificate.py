@@ -911,6 +911,6 @@ def pipeline(
     )
     outcome = verify(cert)
     if not outcome.accepted:
-        raise PipelineError(f"surjection kills no relators: {outcome.reason}")
+        raise PipelineError(f"certificate through the surjection fails verify: {outcome.reason}")
     info.update(level="triangulation")
     return cert, info

@@ -23,11 +23,11 @@ from .presentation import format_presentation, fundamental_group
 from .trianglerep import (
     HYPERBOLIC,
     bound_report,
-    build_hyperbolic_rep,
     classify,
     cosine_norm,
     field_degree_report,
     hyperbolic_triples,
+    triangle_image,
 )
 from .triangulation import orientation_check, parse_triangulation, validate
 
@@ -349,9 +349,7 @@ def _float_norm(n: int, shift: float) -> float:
 
 def cmd_bounds(args) -> int:
     t = classify(args.n1, args.n2, args.n3)
-    spec = None
-    if t.curvature == HYPERBOLIC and t.d == 1:
-        spec = build_hyperbolic_rep(t).spec
+    spec = triangle_image(t).spec if t.curvature == HYPERBOLIC and t.d == 1 else None
     report = bound_report(t, t=args.tetrahedra, spec=spec)
     doc = {}
     for k, v in report.__dict__.items():

@@ -15,9 +15,9 @@ same pass names every error: a bad line at once, a pairing error once
 the last line has been read.
 
 ``Triangulation.orbit_roots`` computes the vertex, edge and
-directed-edge orbits once per instance: one depth-first pass over
-vertices, and one walk around each directed-edge orbit, from which the
-edge orbits are read.  ``validate`` and
+directed-edge orbits once per instance, in one walk around each
+directed-edge orbit: the edge orbits are read off the walks, and the
+vertex classes are the walks' tails, joined.  ``validate`` and
 ``presentation.fundamental_group`` share them; they are derived from the
 gluings alone, so the memo never changes a value.  ``orientation_check``
 is one breadth-first pass from tetrahedron 0.  The dual spanning graph
@@ -71,10 +71,9 @@ _GLUING_SIGN = tuple(
     for images in _PERM_IMAGES
 )
 
-# The faces (numbered by their opposite vertex) that hold each vertex and
-# directed edge of a tetrahedron; the undirected edge of each directed
-# edge; and, for a directed edge s and one of its two faces g, the other.
-_VERTEX_FACES = tuple(tuple(f for f in range(4) if f != v) for v in range(4))
+# The faces (numbered by their opposite vertex) that hold each directed
+# edge of a tetrahedron; the undirected edge of each directed edge; and,
+# for a directed edge s and one of its two faces g, the other.
 _DIRECTED_FACES = tuple(
     tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS
 )
@@ -156,42 +155,15 @@ class Triangulation:
 
         Slots are 4*tet + vertex, 6*tet + EDGE_INDEX and 12*tet +
         DIRECTED_INDEX; each list maps a slot to the smallest slot of its
-        orbit.  Computed on first use and kept on this instance only.
+        orbit.  All three come from one walk around each directed-edge
+        orbit (`_walk_orbits`).  Computed on first use and kept on this
+        instance only.
         """
-        droot, eroot = _directed_roots(self.gluings)
-        return _vertex_roots(self.gluings), eroot, droot
+        return _walk_orbits(self.gluings)
 
 
-def _vertex_roots(gluings) -> tuple[int, ...]:
-    """Vertex slot -> smallest slot of its orbit.
-
-    Vertex v lies on the three faces other than face v; across a face
-    glued by a permutation p it goes to vertex p(v) of the other
-    tetrahedron.  Orbits are labelled by depth-first search from each
-    unlabelled slot in increasing order, so the first slot of an orbit
-    reached is its smallest.
-    """
-    across = [[(4 * tet2, perm.images) for tet2, _, perm in row] for row in gluings]
-    root = [-1] * (4 * len(gluings))
-    for start in range(len(root)):
-        if root[start] >= 0:
-            continue
-        root[start] = start
-        stack = [start]
-        while stack:
-            tet, v = divmod(stack.pop(), 4)
-            row = across[tet]
-            for f in _VERTEX_FACES[v]:
-                base, images = row[f]
-                other = base + images[v]
-                if root[other] < 0:
-                    root[other] = start
-                    stack.append(other)
-    return tuple(root)
-
-
-def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Directed-edge slot and edge slot -> smallest slot of its orbit.
+def _walk_orbits(gluings) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Vertex, edge and directed-edge slot -> smallest slot of its orbit.
 
     A directed edge lies on the two faces that miss both its ends, so its
     orbit is a cycle: leave through one face, and from each directed edge
@@ -205,20 +177,41 @@ def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (low end, high end), so the union's smallest directed slot, where the
     first of its walks starts, lies on its smallest edge slot.  The walk
     over the reverse directions finds that root already set.
+
+    The same order puts three directed slots on each tail, so directed
+    slot x has its tail at vertex slot x // 3.  A gluing keeps a directed
+    edge's tail in its vertex class, and each vertex of a face is the
+    tail of a directed edge on that face, whose walk crosses the face;
+    so the vertex classes are the walks' tails, joined.  Joins link a
+    root to the smaller root, so every link points to a smaller slot and
+    one pass in increasing order resolves each slot to its class's
+    smallest.
     """
     droot = [-1] * (12 * len(gluings))
     eroot = [-1] * (6 * len(gluings))
+    vlink = list(range(4 * len(gluings)))  # vertex slot -> smaller slot of its class, or itself
     for start in range(len(droot)):
         if droot[start] >= 0:
             continue
         tet, s = divmod(start, 12)
         edge = 6 * tet + _EDGE_OF_DIRECTED[s]
         low = eroot[edge] if eroot[edge] >= 0 else edge
+        vlow = start // 3
+        while vlink[vlow] != vlow:
+            vlink[vlow] = vlow = vlink[vlink[vlow]]  # path halving
         face = _DIRECTED_FACES[s][0]
         x = start
         while True:
             droot[x] = start
             eroot[6 * tet + _EDGE_OF_DIRECTED[s]] = low
+            v = x // 3
+            if vlink[v] != vlow:  # else joined already
+                while vlink[v] != v:
+                    vlink[v] = v = vlink[vlink[v]]
+                if v < vlow:
+                    vlink[vlow] = vlow = v
+                elif v > vlow:
+                    vlink[v] = vlow
             tet, entered, perm = gluings[tet][face]
             s = _DIRECTED_MAP[perm.index][s]
             x = 12 * tet + s
@@ -229,7 +222,9 @@ def _directed_roots(gluings) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 # both ways, as make_triangulation and the parser ensure
                 raise TriangulationError("gluings do not pair the faces both ways")
             face = _OTHER_FACE[s][entered]
-    return tuple(droot), tuple(eroot)
+    for v, up in enumerate(vlink):
+        vlink[v] = vlink[up]  # up <= v is resolved already
+    return tuple(vlink), tuple(eroot), tuple(droot)
 
 
 def root_slots(roots: tuple[int, ...]) -> list[int]:
@@ -429,8 +424,9 @@ def validate(tri: Triangulation) -> ValidationReport:
     # Link of a vertex class: corner triangles are its faces, corner
     # sides are glued in face-pairing pairs, corner tips are the directed
     # edge orbits leaving it (a gluing keeps an edge's tail in its vertex
-    # class).  chi(link) = (#tip orbits) - (#corners)/2.
-    tips = Counter(vroot[4 * (x // 12) + DIRECTED_PAIRS[x % 12][0]] for x in root_slots(droot))
+    # class, and directed slot x has its tail at vertex slot x // 3).
+    # chi(link) = (#tip orbits) - (#corners)/2.
+    tips = Counter(vroot[x // 3] for x in root_slots(droot))
     # 3*f_v corner sides glued in pairs
     link_eulers = [tips[root] - (3 * f_v) // 2 + f_v for root, f_v in sorted(corners.items())]
 

@@ -248,6 +248,26 @@ def test_pipeline_surjection_onto_an_abelian_base_is_error(tmp_path):
     assert not (tmp_path / "prism.cert").exists()
 
 
+def test_pipeline_names_the_check_a_surjection_fails(tmp_path):
+    # the prism_q12 surjection kills every relator of T(2,3,7) but the first
+    out = run_cli(
+        "pipeline",
+        fixture_path("prism_q12.tri"),
+        "--base",
+        "2,3,7",
+        "--surjection",
+        fixture_path("prism_q12.surj"),
+        "-o",
+        str(tmp_path / "prism.cert"),
+    )
+    assert out.returncode == 2
+    assert out.stderr == (
+        "error: certificate through the surjection fails verify: "
+        "relator 0 does not map to the identity\n"
+    )
+    assert not (tmp_path / "prism.cert").exists()
+
+
 def test_pipeline_nonorientable_is_error():
     out = run_cli("pipeline", fixture_path("s2xs1_twisted.tri"), "--base", "2,3,7")
     assert out.returncode == 2
@@ -452,3 +472,32 @@ def test_verify_writes_nothing(tmp_path):
     before = set(os.listdir(tmp_path))
     run_cli("verify", fixture_path("fig8.cert"), cwd=str(tmp_path))
     assert set(os.listdir(tmp_path)) == before
+
+
+def _readme_commands():
+    """(arguments, output tokens) for each command of README's command-line
+    block whose comment shows key=value output; '...' is not a token."""
+    with open(os.path.join(PKG_ROOT, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        tokens = comment.split()
+        if any("=" in token for token in tokens):
+            program, *args = command.split()
+            assert program == "lenscert"
+            commands.append((args, [token for token in tokens if token != "..."]))
+    return commands
+
+
+def test_readme_command_outputs(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert [args[0] for args, _ in commands] == ["homology", "trianglecert", "verify"]
+    (tmp_path / "fixtures").symlink_to(os.path.abspath(os.path.join(PKG_ROOT, "fixtures")))
+    monkeypatch.chdir(tmp_path)
+    for args, tokens in commands:
+        assert cli_main(args) == 0
+        stdout = capsys.readouterr().out.split()
+        for token in tokens:
+            assert token in stdout, (args, token)

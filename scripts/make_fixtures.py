@@ -379,12 +379,10 @@ def figure8_certificate() -> Certificate:
 def brute_force_surjection(tri: Triangulation, base: tuple[int, int, int]) -> str:
     """Find generator images in the (small) triangle-group matrix image by
     exhaustive search, then express them as words in x and y."""
-    data = build_nonhyperbolic_cert(classify(*base))
-    assert data.kind == "rep"
-    x_img, y_img = data.x_image, data.y_image
+    x_img, y_img = build_nonhyperbolic_cert(classify(*base))
 
     # closure of the image group, with shortest words
-    identity = ProjMatrix.identity(data.spec)
+    identity = ProjMatrix.identity(x_img.spec)
     words = {identity: ""}
     frontier = [identity]
     gens = [(x_img, "x"), (y_img, "y"), (x_img.inverse(), "x^-1"), (y_img.inverse(), "y^-1")]

@@ -51,6 +51,12 @@ Each invariant is checked once, where a certificate comes in:
   presentation generator (projmat.coord_table).  The relators and the
   witness are then folded over the generators' images, so verify charges
   at most one multiply per letter of the certificate's words.
+
+The producers, triangle_certificate and pipeline, build a triangle
+group's certificate in one helper, _triangle_group_certificate: the
+abelian image (Z/d)^2 when the triple's entries share a factor d > 1,
+else the matrix pair trianglerep.triangle_image returns.  trianglerep
+decides a triangle's matrices and this module its certificate kind.
 """
 
 from __future__ import annotations
@@ -84,7 +90,6 @@ from .projmat import (
 )
 from .trianglerep import (
     HYPERBOLIC,
-    TriangleCertData,
     TriangleType,
     classify,
     triangle_image,
@@ -682,15 +687,11 @@ def verify(cert: Certificate) -> VerificationReport:
         # only the generators a relator touches get a sum, so the pass is
         # linear in the relator's letters, not in g; the presentation
         # holds its relators to generators below g
-        sums: dict[int, int] = {}
-        for gen, exp in rel.letters:
-            sums[gen] = sums.get(gen, 0) + exp
         u = v = 0
-        for i, e in sums.items():
-            if e:
-                u += e * images_ab[i][0]
-                v += e * images_ab[i][1]
-                counter.field_ops += 4
+        for i, e in rel.nonzero_exponent_sums().items():
+            u += e * images_ab[i][0]
+            v += e * images_ab[i][1]
+            counter.field_ops += 4
         if u % a or v % b:
             return report(False, f"relator {k} image is nonzero in the target", 0)
     s1, _s2 = subgroup_invariants(a, b, images_ab)
@@ -706,8 +707,9 @@ def noncyclic_certificate(pres: GroupPresentation) -> Certificate:
     two coordinates whose moduli share a factor give a surjection onto a
     non-cyclic Z/a x Z/b.  Raises if the abelianization is cyclic.
     """
-    a_matrix = IntMatrix(pres.exponent_rows(), cols=pres.g)
-    snf = smith_normal_form(a_matrix, want_transforms=True)
+    sums = [w.nonzero_exponent_sums() for w in pres.relators]
+    rows = [[s.get(j, 0) for j in range(pres.g)] for s in sums]
+    snf = smith_normal_form(IntMatrix(rows, cols=pres.g), want_transforms=True)
     v = snf.v
     assert v is not None
     diag, rank = snf.diag, snf.rank
@@ -735,57 +737,49 @@ def noncyclic_certificate(pres: GroupPresentation) -> Certificate:
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
 
 
-def _image_certificate(
-    pres: GroupPresentation, image: TriangleCertData, level: Optional[str] = None
-) -> Certificate:
-    """The triangle group presentation pres with its image: (Z/d)^2 by
-    x -> (1,0), y -> (0,1), or the x, y matrices with witness xy | yx."""
-    if image.kind == "abelian":
-        assert image.d is not None
-        return Certificate(
+def _triangle_group_certificate(
+    t: TriangleType, level: Optional[str] = None
+) -> tuple[Certificate, dict]:
+    """The triangle group's certificate, unverified, and what both
+    producers report about it: (Z/d)^2 by x -> (1,0), y -> (0,1) when
+    t.d > 1, else triangle_image's x and y matrices with witness xy | yx.
+    The orders of x, y and xy are exactly the triple only on the
+    hyperbolic path."""
+    pres = triangle_presentation(t)
+    if t.d > 1:
+        target = (t.d, t.d)
+        cert = Certificate(
             kind=NON_CYCLIC,
             presentation=pres,
             level=level,
-            target=(image.d, image.d),
+            target=target,
             abelian_images=((1, 0), (0, 1)),
         )
-    return Certificate(
+        return cert, {"kind": NON_CYCLIC, "target": target}
+    images = triangle_image(t)
+    spec = images[0].spec
+    cert = Certificate(
         kind=NON_ABELIAN,
         presentation=pres,
         level=level,
-        field=image.spec,
+        field=spec,
         rep_gens=("x", "y"),
-        rep_images=(image.x_image, image.y_image),
+        rep_images=images,
         witness=_XY_WITNESS,
     )
-
-
-def _image_info(t: TriangleType, image: TriangleCertData) -> dict:
-    """What both producers report about a triangle image; the orders of
-    x, y and xy are exactly the triple only on the hyperbolic path."""
-    if image.kind == "abelian":
-        return {"kind": NON_CYCLIC, "target": (image.d, image.d)}
-    assert image.spec is not None
-    info = {"kind": NON_ABELIAN, "p": image.spec.p, "field_degree": image.spec.degree}
+    info = {"kind": NON_ABELIAN, "p": spec.p, "field_degree": spec.degree}
     if t.curvature == HYPERBOLIC:
         info["orders"] = t.triple
-    return info
+    return cert, info
 
 
 def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     """Certificate for the triangle group itself, plus build metadata."""
     t = classify(n1, n2, n3)
-    image = triangle_image(t)
-    cert = _image_certificate(triangle_presentation(t), image)
-    info = {
-        "triple": t.triple,
-        "ell": t.ell,
-        "gcd": t.d,
-        "curvature": t.curvature,
-        **_image_info(t, image),
-    }
-    if image.spec is not None:
-        info["field_size"] = image.spec.order
+    cert, image_info = _triangle_group_certificate(t)
+    info = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature, **image_info}
+    if cert.field is not None:
+        info["field_size"] = cert.field.order
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built certificate fails verification: {outcome.reason}")
@@ -866,27 +860,25 @@ def pipeline(
 
     t_type = classify(*base)
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    image = triangle_image(t_type)
-    info.update(_image_info(t_type, image))
+    orbifold_cert, image_info = _triangle_group_certificate(t_type, ORBIFOLD)
+    info.update(image_info)
 
     if surjection_text is None:
         # Orbifold-level: certificate about the triangle group itself.
-        cert = _image_certificate(triangle_presentation(t_type), image, ORBIFOLD)
-        outcome = verify(cert)
+        outcome = verify(orbifold_cert)
         if not outcome.accepted:
             raise ArithmeticError(f"orbifold certificate fails: {outcome.reason}")
         info.update(level=ORBIFOLD)
-        return cert, info
+        return orbifold_cert, info
 
     surj = parse_surjection(surjection_text, pres.labels)
-    if image.kind == "abelian":
+    if orbifold_cert.kind == NON_CYCLIC:
         raise PipelineError(
-            f"a surjection cannot carry the abelian image (Z/{image.d})^2 of base "
+            f"a surjection cannot carry the abelian image (Z/{t_type.d})^2 of base "
             f"{t_type.triple}: every abelian image of the group factors through "
             f"H1 = {info['h1']}, which is cyclic"
         )
-    x_img, y_img = image.x_image, image.y_image
-    images = [evaluate_word([x_img, y_img], w) for w in surj]
+    images = [evaluate_word(orbifold_cert.rep_images, w) for w in surj]
     witness = None
     for i in range(pres.g):
         for j in range(i + 1, pres.g):
@@ -900,14 +892,9 @@ def pipeline(
             "pushed generator images all commute; surjection does not "
             "carry a non-abelian image"
         )
-    cert = Certificate(
-        kind=NON_ABELIAN,
-        presentation=pres,
-        field=image.spec,
-        rep_gens=("x", "y"),
-        rep_images=(x_img, y_img),
-        surjection=surj,
-        witness=witness,
+    # the triangle group's matrices, carried to pres by the surjection
+    cert = dataclasses.replace(
+        orbifold_cert, presentation=pres, level=None, surjection=surj, witness=witness
     )
     outcome = verify(cert)
     if not outcome.accepted:

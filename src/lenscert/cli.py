@@ -349,15 +349,10 @@ def _float_norm(n: int, shift: float) -> float:
 
 def cmd_bounds(args) -> int:
     t = classify(args.n1, args.n2, args.n3)
-    spec = triangle_image(t).spec if t.curvature == HYPERBOLIC and t.d == 1 else None
-    report = bound_report(t, t=args.tetrahedra, spec=spec)
-    doc = {}
-    for k, v in report.__dict__.items():
-        # the two bounds have thousands of digits for large t, more than
-        # Python converts to decimal, so they are written as bit lengths
-        if k in ("ell_bound", "degree_bound"):
-            k, v = f"{k}_bits", None if v is None else v.bit_length()
-        doc[k] = v
+    spec = triangle_image(t)[0].spec if t.curvature == HYPERBOLIC and t.d == 1 else None
+    # the fields only: the two bounds are there as bit lengths, as the
+    # bounds themselves can have billions of bits
+    doc = dict(bound_report(t, t=args.tetrahedra, spec=spec).__dict__)
     doc["triple"] = list(doc["triple"])
     lines = [f"{k}={v}" for k, v in doc.items()]
     _emit(doc, args.json, lines)

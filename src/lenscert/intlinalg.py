@@ -260,17 +260,7 @@ def abelianization(pres) -> AbelianGroup:
     only on the core that is left.  G^ab = Z^(g - k - core rank) plus the
     core's factors above 1, with k the number of unit pivots.
     """
-    rows = []
-    for w in pres.relators:
-        letters = w.letters
-        row = dict(letters)  # the exponent sums, unless a generator repeats
-        if len(row) < len(letters):
-            row = {}
-            for gen, exp in letters:
-                row[gen] = row.get(gen, 0) + exp
-            if 0 in row.values():  # nonzero exponent sums only
-                row = {gen: x for gen, x in row.items() if x}
-        rows.append(row)
+    rows = [w.nonzero_exponent_sums() for w in pres.relators]
     pivots, core = _unit_pivot_core(rows, pres.g)
     snf = smith_normal_form(core)
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)

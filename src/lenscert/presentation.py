@@ -86,12 +86,18 @@ class Word:
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=-1)
 
-    def exponent_sums(self, g: int) -> list[int]:
-        sums = [0] * g
-        for gen, exp in self.letters:
-            if gen >= g:
-                raise ValueError(f"generator {gen} out of range for g={g}")
-            sums[gen] += exp
+    def nonzero_exponent_sums(self) -> dict[int, int]:
+        """{generator: its exponent sum} over the generators whose sum is
+        nonzero, in order of first occurrence: a new dict on each call,
+        which the caller may edit."""
+        letters = self.letters
+        sums = dict(letters)  # the exponent sums, unless a generator repeats
+        if len(sums) < len(letters):
+            sums = {}
+            for gen, exp in letters:
+                sums[gen] = sums.get(gen, 0) + exp
+            if 0 in sums.values():
+                sums = {gen: x for gen, x in sums.items() if x}
         return sums
 
 
@@ -146,10 +152,6 @@ class GroupPresentation:
     def size(self) -> int:
         """Total symbol length: all generators plus all relator letters."""
         return self.g + sum(len(w) for w in self.relators)
-
-    def exponent_rows(self) -> list[list[int]]:
-        """Row j holds the signed exponent sums of relator j."""
-        return [w.exponent_sums(self.g) for w in self.relators]
 
 
 def format_word(word: Word, labels: tuple[str, ...]) -> str:

@@ -15,8 +15,7 @@ runs on plain ints modulo p: the cosines by pow, r by solve_r, x and
 y = T S T^-1 (T = [[1, r], [0, 1]], S = [[C2, 1], [-1, 0]]) written out
 in closed form, [[C2 - r, 1 - r(C2 - r)], [-1, r]], each with its det
 checked once by ProjMatrix.from_reduced.  C1, C2, C3 and r stay local
-ints, and the build returns the same TriangleCertData as every other
-triangle image.
+ints.
 Each postcondition is checked once, on ints: the orders of x, y and xy
 by projmat.has_order's trace walk, the trace of xy against +-C3 on its
 coordinates, and xy != yx.  Facts true by construction are not
@@ -24,9 +23,12 @@ rechecked: p is prime because the prime search proved it, (xy)^m = 1
 in the dihedral image because xy has order p dividing m, and the
 relator words are well formed because they are built from constants.
 classify compares n2*n3 + n1*n3 + n1*n2 with n1*n2*n3 as ints.
-Non-hyperbolic triples get either a (Z/d)^2 abelian image, a dihedral
-image, or one of three fixed spherical matrix pairs over F_3, F_5, F_7.
-triangle_image is the one place that chooses between the two builders.
+Non-hyperbolic triples get a dihedral image or one of three fixed
+spherical matrix pairs over F_3, F_5, F_7.
+Every image is the pair (x_image, y_image), over the field x_image.spec.
+triangle_image is the one place that chooses between the two builders,
+and both refuse a triple with a common divisor d > 1: its certificate is
+the abelian (Z/d)^2 image, which certificate.py decides from d alone.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 PRIME_CEILING = 10**9
+# what both builders raise for a triple with a common divisor d > 1, whose
+# certificate is the abelian (Z/d)^2 image instead of a matrix pair
+_COMMON_DIVISOR = "triple has a common divisor; use the abelian certificate"
 
 
 class RepVerificationError(AssertionError):
@@ -157,52 +162,29 @@ def _conjugated_standard(spec: FieldSpec, c: int, r0: int, r1: int) -> ProjMatri
     return ProjMatrix.from_reduced(spec, (d0, d1, b0, b1, p - 1, 0, r0, r1))
 
 
-def _prime_field(p: int) -> FieldSpec:
-    """FieldSpec(p) for a p that smallest_prime_in_progression has just
-    proved prime, so is_prime is not run a second time."""
-    spec = object.__new__(FieldSpec)
-    object.__setattr__(spec, "p", p)
-    object.__setattr__(spec, "degree", 1)
-    object.__setattr__(spec, "s", None)
-    return spec
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_field(ell: int) -> tuple[FieldSpec, int]:
     """F_p for the least prime p = 1 (mod ell) up to PRIME_CEILING, and
     zeta of exact order ell in it as an int: the prime search and
     root_of_unity, with their primality proof and order check, run once
     per ell."""
-    spec = _prime_field(smallest_prime_in_progression(ell, PRIME_CEILING))
+    spec = FieldSpec(smallest_prime_in_progression(ell, PRIME_CEILING))
     return spec, root_of_unity(spec, ell).a
 
 
-@dataclass(frozen=True)
-class TriangleCertData:
-    """What a triangle-group certificate needs, before serialization."""
-
-    triple: tuple[int, int, int]
-    kind: str  # "abelian" or "rep"
-    # abelian: surject (Z/d)^2 by x -> (1,0), y -> (0,1)
-    d: Optional[int] = None
-    # rep: matrices for x and y over spec
-    spec: Optional[FieldSpec] = None
-    x_image: Optional[ProjMatrix] = None
-    y_image: Optional[ProjMatrix] = None
-
-
-def build_hyperbolic_rep(t: TriangleType) -> TriangleCertData:
-    """Construct and verify the mod-p image for a coprime hyperbolic triple.
+def build_hyperbolic_rep(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
+    """The images of x and y in the mod-p image of a coprime hyperbolic
+    triple.
 
     Postconditions are checked computationally: images of x, y, xy have
     projective orders exactly n1, n2, n3, the trace of the xy image is
     +-C3, and xy, yx have distinct images.  Any failure is a bug, not a
     math failure, and raises RepVerificationError.
     """
+    if t.d != 1:
+        raise ValueError(_COMMON_DIVISOR)
     if t.curvature != HYPERBOLIC:
         raise ValueError("build_hyperbolic_rep needs a hyperbolic triple")
-    if t.d != 1:
-        raise ValueError("triple has a common divisor; use the abelian certificate")
     base, zeta = _cyclotomic_field(t.ell)
     p = base.p
     c1, c2, c3 = reduced_cosines(base, t.ell, zeta, t.triple)
@@ -214,7 +196,7 @@ def build_hyperbolic_rep(t: TriangleType) -> TriangleCertData:
     v = _checked_xy(x_img, y_img, t.triple).coords
     if (v[1] + v[7]) % p or (v[0] + v[6]) % p not in (c3, -c3 % p):
         raise RepVerificationError("trace of xy image is not +-C3")
-    return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
+    return x_img, y_img
 
 
 # x and y images for the spherical triples over F_p, entries (a, b, c, d):
@@ -242,36 +224,38 @@ def _checked_xy(
     return xy
 
 
-def triangle_image(t: TriangleType) -> TriangleCertData:
-    """The certificate image of T(n1, n2, n3): the mod-p representation
-    for a coprime hyperbolic triple, build_nonhyperbolic_cert otherwise."""
+def triangle_image(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
+    """The images of x and y in a non-abelian image of T(n1, n2, n3), over
+    the field of x's image: the mod-p representation for a coprime
+    hyperbolic triple, build_nonhyperbolic_cert otherwise.  Both refuse a
+    triple with a common divisor."""
     if t.curvature == HYPERBOLIC and t.d == 1:
         return build_hyperbolic_rep(t)
     return build_nonhyperbolic_cert(t)
 
 
-def build_nonhyperbolic_cert(t: TriangleType) -> TriangleCertData:
-    """Certificate data for non-hyperbolic triples (and d > 1 in general).
+def build_nonhyperbolic_cert(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
+    """The images of x and y for a non-hyperbolic triple without a common
+    divisor.
 
-    d > 1 gives the abelian image in (Z/d)^2; the spherical triples get
-    the fixed matrix pairs of _SPHERICAL; (2,3,6) reuses the (2,3,3)
-    images since (xy)^3 = 1 kills (xy)^6; odd (2,2,m) gets the dihedral
-    image over the smallest prime divisor of m.
+    The spherical triples get the fixed matrix pairs of _SPHERICAL;
+    (2,3,6) reuses the (2,3,3) images since (xy)^3 = 1 kills (xy)^6; odd
+    (2,2,m) gets the dihedral image over the smallest prime divisor of m.
     """
-    if t.curvature == HYPERBOLIC and t.d == 1:
+    if t.d != 1:
+        raise ValueError(_COMMON_DIVISOR)
+    if t.curvature == HYPERBOLIC:
         raise ValueError("coprime hyperbolic triples use build_hyperbolic_rep")
-    if t.d > 1:
-        return TriangleCertData(triple=t.triple, kind="abelian", d=t.d)
     if t.triple in _SPHERICAL:
-        return _spherical_cert(t, t.triple)
+        return _spherical_pair(t.triple)
     if t.triple == (2, 3, 6):
-        return _spherical_cert(t, (2, 3, 3))
+        return _spherical_pair((2, 3, 3))
     if t.n1 == 2 and t.n2 == 2 and t.n3 % 2 == 1:
-        return _dihedral_cert(t)
+        return _dihedral_pair(t.n3)
     raise ValueError(f"no construction for triple {t.triple}")
 
 
-def _spherical_cert(t: TriangleType, orders: tuple[int, int, int]) -> TriangleCertData:
+def _spherical_pair(orders: tuple[int, int, int]) -> tuple[ProjMatrix, ProjMatrix]:
     """The _SPHERICAL pair for orders, checked by _checked_xy."""
     p, x, y = _SPHERICAL[orders]
     spec = FieldSpec(p)
@@ -279,13 +263,12 @@ def _spherical_cert(t: TriangleType, orders: tuple[int, int, int]) -> TriangleCe
         ProjMatrix.from_coords(spec, (m[0], 0, m[1], 0, m[2], 0, m[3], 0)) for m in (x, y)
     )
     _checked_xy(x_img, y_img, orders)
-    return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
+    return x_img, y_img
 
 
-def _dihedral_cert(t: TriangleType) -> TriangleCertData:
+def _dihedral_pair(m: int) -> tuple[ProjMatrix, ProjMatrix]:
     """x -> diag(i, -i), y -> [[i, i], [0, -i]] over F_p or F_p[i] for the
     smallest prime divisor p of m, so xy is unipotent of order p."""
-    m = t.n3
     p = min(factorize(m))
     spec = FieldSpec(p) if p % 4 == 1 else quadratic_extension(FieldSpec(p))
     i = imaginary_unit(spec)
@@ -294,7 +277,7 @@ def _dihedral_cert(t: TriangleType) -> TriangleCertData:
     y_img = ProjMatrix.from_reduced(spec, (i0, i1, i0, i1, 0, 0, j0, j1))
     # xy has order p, which divides m, so (xy)^m = 1 follows
     _checked_xy(x_img, y_img, (2, 2, p))
-    return TriangleCertData(triple=t.triple, kind="rep", spec=spec, x_image=x_img, y_image=y_img)
+    return x_img, y_img
 
 
 def cosine_norm(n: int, variant: str = "plain") -> int:
@@ -427,22 +410,42 @@ def _embedding_witness(ell: int, na: int, nb: int, nc: int) -> tuple[Optional[in
     return None, all_clear
 
 
+# floor(log2(3) * 10^80): log2(3) lies strictly between _LOG2_3 / 10^80
+# and (_LOG2_3 + 1) / 10^80, as it is irrational
+_LOG2_3 = 158496250072115618145373894394781650875981440769248106045575265454109822779435856
+
+
+def _at_most_power(n: int, a: int, b: int) -> tuple[int, bool]:
+    """The bit length of 2^a * 3^b, a + floor(b log2 3) + 1, and whether
+    n <= 2^a * 3^b.  floor(b log2 3) is read off both ends of the bracket
+    on log2 3, and 3^b is formed only when they disagree, that is when
+    b log2 3 lies within b / 10^80 of an integer; the power is formed
+    only when n has its bit length."""
+    low, high = (b * k // 10**80 for k in (_LOG2_3, _LOG2_3 + 1))
+    bits = a + low + 1 if low == high else a + (3**b).bit_length()
+    n_bits = n.bit_length()
+    return bits, n_bits < bits or (n_bits == bits and n <= 2**a * 3**b)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Big-integer comparisons against the certificate-size bounds.
 
     Everything here is reported, never asserted: the absolute constant in
-    the prime-search bound is effectively computable but unknown.
+    the prime-search bound is effectively computable but unknown.  The
+    bounds 2^(2t) * 3^(12t) and 2^(t-1) * 3^(6t) have about 21t and 10.5t
+    bits, so the report holds their bit lengths; ell_bound and
+    degree_bound form them only when read.
     """
 
     triple: tuple[int, int, int]
     ell: int
     d: int
     t: Optional[int] = None
-    ell_bound: Optional[int] = None  # 2^(2t) * 3^(12t)
+    ell_bound_bits: Optional[int] = None  # of 2^(2t) * 3^(12t)
     ell_within_bound: Optional[bool] = None
     trace_degree: Optional[int] = None  # phi(ell)/2
-    degree_bound: Optional[int] = None  # 2^(t-1) * 3^(6t)
+    degree_bound_bits: Optional[int] = None  # of 2^(t-1) * 3^(6t)
     degree_within_bound: Optional[bool] = None
     field_size: Optional[int] = None
     field_within_ell10: Optional[bool] = None
@@ -450,30 +453,41 @@ class BoundReport:
     prime: Optional[int] = None
     linnik_ratio: Optional[float] = None
 
+    @property
+    def ell_bound(self) -> Optional[int]:
+        """2^(2t) * 3^(12t)."""
+        return None if self.t is None else 2 ** (2 * self.t) * 3 ** (12 * self.t)
+
+    @property
+    def degree_bound(self) -> Optional[int]:
+        """2^(t-1) * 3^(6t)."""
+        return None if self.t is None else 2 ** (self.t - 1) * 3 ** (6 * self.t)
+
 
 def bound_report(
     t_type: TriangleType,
     t: Optional[int] = None,
     spec: Optional[FieldSpec] = None,
 ) -> BoundReport:
-    """spec is the field of the triple's image, as in TriangleCertData.spec
-    or a certificate's field; without it the field rows stay None.  t, the
-    tetrahedron count, must be at least 1."""
+    """spec is the field of the triple's image, as in the field of its x
+    image or a certificate's field; without it the field rows stay None.
+    t, the tetrahedron count, must be at least 1."""
     if t is not None and t < 1:
         raise ValueError(f"tetrahedron count t={t} must be at least 1")
     ell = t_type.ell
     phi_half = euler_phi(ell) // 2
     kwargs: dict = {}
     if t is not None:
-        ell_bound = 2 ** (2 * t) * 3 ** (12 * t)
-        degree_bound = 2 ** (t - 1) * 3 ** (6 * t)
+        # the exponents of the two bounds, as in BoundReport's fields
+        ell_bits, ell_within = _at_most_power(ell, 2 * t, 12 * t)
+        degree_bits, degree_within = _at_most_power(phi_half, t - 1, 6 * t)
         kwargs.update(
             t=t,
-            ell_bound=ell_bound,
-            ell_within_bound=ell <= ell_bound,
+            ell_bound_bits=ell_bits,
+            ell_within_bound=ell_within,
             trace_degree=phi_half,
-            degree_bound=degree_bound,
-            degree_within_bound=phi_half <= degree_bound,
+            degree_bound_bits=degree_bits,
+            degree_within_bound=degree_within,
         )
     if spec is not None:
         size, budget = spec.order, ell**10

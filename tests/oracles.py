@@ -1199,8 +1199,15 @@ def min_unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMat
 
 
 def exponent_matrix(pres: GroupPresentation) -> IntMatrix:
-    """r x g integer matrix of signed exponent sums."""
-    return IntMatrix(pres.exponent_rows(), cols=pres.g)
+    """r x g integer matrix of signed exponent sums, counted letter by
+    letter."""
+    rows = []
+    for w in pres.relators:
+        row = [0] * pres.g
+        for gen, exp in w.letters:
+            row[gen] += exp
+        rows.append(row)
+    return IntMatrix(rows, cols=pres.g)
 
 
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -89,8 +89,8 @@ def test_criterion_2_hyperbolic_sweep():
     sampled_order_check = 0
     for index, t in enumerate(triples):
         if t.d == 1:
-            rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
-            x, y = rep.x_image, rep.y_image
+            (x, y), params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
+            assert y.spec == x.spec
             xy = x.mul(y)
             # exact orders, non-abelian witness, traces +-C_k, r satisfies
             # its quadratic
@@ -101,16 +101,16 @@ def test_criterion_2_hyperbolic_sweep():
             ) == t.triple
             assert xy != y.mul(x)
             c1, c2, c3, r = params.c1, params.c2, params.c3, params.r
-            assert params.spec == rep.spec
+            assert params.spec == x.spec
             assert x.trace() in (c1, -c1)
             assert y.trace() in (c2, -c2)
             assert xy.trace() in (c3, -c3)
-            check = r * r + r * (c1 - c2) + (rep.spec.element(2) - c1 * c2 - c3)
+            check = r * r + r * (c1 - c2) + (x.spec.element(2) - c1 * c2 - c3)
             assert check.is_zero()
             cert = Certificate(
                 kind=NON_ABELIAN,
                 presentation=triangle_presentation(t),
-                field=rep.spec,
+                field=x.spec,
                 rep_gens=("x", "y"),
                 rep_images=(x, y),
                 witness=(parse_word("x y", ("x", "y")), parse_word("y x", ("x", "y"))),
@@ -326,12 +326,13 @@ def test_criterion_8_tamper_soundness():
 def test_criterion_9_bound_reports():
     start = time.monotonic()
     t_type = classify(2, 3, 7)
-    rep = build_hyperbolic_rep(t_type)
-    out = bound_report(t_type, t=10, spec=rep.spec)
+    spec = build_hyperbolic_rep(t_type)[0].spec
+    out = bound_report(t_type, t=10, spec=spec)
     assert out.ell_bound == 2**20 * 3**120
     assert out.ell_within_bound  # 84 <= 2^20 * 3^120, exact big-int comparison
     assert out.field_within_ell10  # |F| < 84^10
     assert 0 <= out.field_ratio_ell10 < 1
-    assert out.linnik_ratio == rep.spec.p / t_type.ell**5.18  # reported, never asserted
+    assert out.linnik_ratio == spec.p / t_type.ell**5.18  # reported, never asserted
     assert out.degree_within_bound  # phi(84)/2 = 12 <= 2^9 * 3^60
+    assert out.degree_bound == 2**9 * 3**60
     report(9, "bound report for (2,3,7) at t=10", time.monotonic() - start, 1)

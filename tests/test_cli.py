@@ -376,6 +376,19 @@ def test_bounds_at_large_t_write_bit_lengths():
             assert f"ell_bound_bits={expected}" in out.stdout.splitlines()
 
 
+def test_bounds_at_a_billion_tetrahedra_need_no_power(capsys):
+    # 2^(2t) * 3^(12t) at t = 10^9 has about 2.1e10 bits; its bit length
+    # is read off log2 3; forming the power would not finish, so the loose
+    # time bound only catches a return to forming it
+    start = time.monotonic()
+    assert cli_main(["bounds", "2", "3", "7", "-t", "1000000000", "--json"]) == 0
+    elapsed = time.monotonic() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["ell_bound_bits"], doc["degree_bound_bits"]) == (21019550009, 10509775004)
+    assert doc["ell_within_bound"] and doc["degree_within_bound"]
+    assert elapsed < 30
+
+
 def test_bounds_tetrahedron_count_below_one_exits_two():
     for count in ("0", "-2"):
         out = run_cli("bounds", "2", "3", "7", "-t", count)

@@ -21,6 +21,7 @@ from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
 from oracles import (
     det_int,
+    exponent_matrix,
     int_identity,
     int_matmul,
     invariant_factors_by_minors,
@@ -264,7 +265,7 @@ def test_hadamard_bound_property(data):
 
 def dense_abelianization(pres) -> AbelianGroup:
     """G^ab from the dense SNF of the whole exponent matrix."""
-    snf = smith_normal_form(IntMatrix(pres.exponent_rows(), cols=pres.g))
+    snf = smith_normal_form(exponent_matrix(pres))
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
     return AbelianGroup(free_rank=pres.g - snf.rank, torsion=torsion)
 
@@ -289,7 +290,7 @@ def test_abelianization_matches_minors_oracle(data):
         for rel in relators
     )
     pres = GroupPresentation(g, words)
-    factors = invariant_factors_by_minors(pres.exponent_rows())
+    factors = invariant_factors_by_minors([list(row) for row in exponent_matrix(pres).entries])
     expected = AbelianGroup(g - len(factors), tuple(d for d in factors if d > 1))
     assert abelianization(pres) == expected
 
@@ -312,7 +313,7 @@ def test_large_lens_space_homology(p, q):
     pres = fundamental_group(lens_space(p, q))
     assert abelianization(pres) == AbelianGroup(0, (p,))
     # every generator but one is a unit pivot: the dense SNF sees one column
-    rows = [{j: x for j, x in enumerate(row) if x} for row in pres.exponent_rows()]
+    rows = [w.nonzero_exponent_sums() for w in pres.relators]
     pivots, core = _unit_pivot_core(rows, pres.g)
     assert (pivots, core.cols) == (pres.g - 1, 1)
 
@@ -337,7 +338,7 @@ def test_unit_pivot_core_matches_min_pivot_oracle(data):
     relators = data.draw(
         st.lists(st.one_of(st.lists(letter, min_size=1, max_size=3), power), max_size=2 * g + 2)
     )
-    rows = [{j: x for j, x in enumerate(Word(tuple(w)).exponent_sums(g)) if x} for w in relators]
+    rows = [Word(tuple(w)).nonzero_exponent_sums() for w in relators]
     expected = min_unit_pivot_core([dict(row) for row in rows], g)
     assert _unit_pivot_core(rows, g) == expected
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, load_fixture
@@ -278,6 +278,29 @@ def test_exponent_matrix_no_relators():
     pres = GroupPresentation(3, ())
     matrix = exponent_matrix(pres)
     assert matrix.rows == 0 and matrix.cols == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=24))
+@example([])
+@example([(0, 1), (0, 1), (2, -1)])  # a repeated letter
+@example([(1, 1), (0, 1), (1, -1)])  # a sum that cancels
+@example([(3, -1), (1, 1), (3, 1), (1, -1)])  # every sum cancels
+def test_nonzero_exponent_sums_match_a_letter_count(letters):
+    # five generators and up to 24 letters, so letters repeat and cancel
+    counts = [0] * 5
+    first_seen: list[int] = []
+    for gen, exp in letters:
+        counts[gen] += exp
+        if gen not in first_seen:
+            first_seen.append(gen)
+    expected = [(gen, counts[gen]) for gen in first_seen if counts[gen]]
+    word = Word(tuple(letters))
+    sums = word.nonzero_exponent_sums()
+    assert list(sums.items()) == expected
+    # each call returns a new dict, so a caller's edits do not leak
+    sums[0] = 99
+    assert list(word.nonzero_exponent_sums().items()) == expected
 
 
 def test_presentation_size():

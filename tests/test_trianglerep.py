@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,13 @@ from lenscert.galois import (
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
 from lenscert import trianglerep
-from lenscert.certificate import serialize, triangle_certificate
+from lenscert.certificate import (
+    NON_ABELIAN,
+    NON_CYCLIC,
+    Certificate,
+    serialize,
+    triangle_certificate,
+)
 from lenscert.cli import main as cli_main
 from lenscert.trianglerep import (
     EUCLIDEAN,
@@ -227,29 +235,26 @@ def test_solve_r_needs_a_prime_field():
 
 
 def test_build_237():
-    rep = build_hyperbolic_rep(classify(2, 3, 7))
-    assert rep.spec.p == 337
-    assert rep.spec.order in (337, 337**2)
+    x, y = build_hyperbolic_rep(classify(2, 3, 7))
+    assert x.spec.p == 337 and y.spec == x.spec
+    assert x.spec.order in (337, 337**2)
     # independent order check by naive matrix powering
-    for matrix, n in ((rep.x_image, 2), (rep.y_image, 3), (rep.x_image.mul(rep.y_image), 7)):
+    for matrix, n in ((x, 2), (y, 3), (x.mul(y), 7)):
         power = matrix
         count = 1
         while not power.is_identity():
             power = power.mul(matrix)
             count += 1
         assert count == n
-    assert rep.x_image.mul(rep.y_image) != rep.y_image.mul(rep.x_image)
+    assert x.mul(y) != y.mul(x)
 
 
 def test_build_345():
     t = classify(3, 4, 5)
     assert t.ell == 120
-    rep = build_hyperbolic_rep(t)
-    assert rep.spec.p == 241  # smallest prime = 1 mod 120
-    orders = tuple(
-        projective_order(m, 1000)
-        for m in (rep.x_image, rep.y_image, rep.x_image.mul(rep.y_image))
-    )
+    x, y = build_hyperbolic_rep(t)
+    assert x.spec.p == 241  # smallest prime = 1 mod 120
+    orders = tuple(projective_order(m, 1000) for m in (x, y, x.mul(y)))
     assert orders == (3, 4, 5)
 
 
@@ -262,8 +267,7 @@ def test_build_deterministic():
 def test_build_with_alternate_root_of_unity():
     """Any exact-order-ell root gives a valid (conjugate) build."""
     t = classify(2, 3, 7)
-    rep = build_hyperbolic_rep(t)
-    p, ell = rep.spec.p, t.ell
+    p, ell = build_hyperbolic_rep(t)[0].spec.p, t.ell
     base = FieldSpec(p).element(_zeta_and_cosines(FieldSpec(p), ell, t.triple)[0])
     alt = base**5  # gcd(5,84)=1, so another valid generator choice
     cs = []
@@ -295,8 +299,8 @@ def test_build_rejects_wrong_curvature():
 def test_trace_of_xy_is_plus_minus_c3():
     for triple in [(2, 3, 7), (3, 4, 5), (2, 4, 5)]:
         t = classify(*triple)
-        rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
-        trace = rep.x_image.mul(rep.y_image).trace()
+        (x, y), params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
+        trace = x.mul(y).trace()
         assert trace in (params.c3, -params.c3)
 
 
@@ -304,11 +308,11 @@ def test_small_sweep_builds_and_verifies():
     for t in hyperbolic_triples(8):
         if t.d != 1:
             continue
-        rep = build_hyperbolic_rep(t)
-        xy = rep.x_image.mul(rep.y_image)
+        x, y = build_hyperbolic_rep(t)
+        xy = x.mul(y)
         assert (
-            projective_order(rep.x_image, 2 * t.ell),
-            projective_order(rep.y_image, 2 * t.ell),
+            projective_order(x, 2 * t.ell),
+            projective_order(y, 2 * t.ell),
             projective_order(xy, 2 * t.ell),
         ) == t.triple
 
@@ -370,10 +374,10 @@ def test_closed_form_y_matches_the_product_oracle():
     for t in hyperbolic_triples(19):
         if t.d != 1:
             continue
-        rep, params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
-        assert params.spec == rep.spec, t.triple
-        assert rep.y_image == conjugate_by_translation(rep.spec, params.c2, params.r), t.triple
-        degrees.add(rep.spec.degree)
+        (x, y), params = build_hyperbolic_rep(t), hyperbolic_parameters(t)
+        assert params.spec == x.spec, t.triple
+        assert y == conjugate_by_translation(x.spec, params.c2, params.r), t.triple
+        degrees.add(x.spec.degree)
     assert degrees == {1, 2}
 
 
@@ -392,14 +396,14 @@ def test_closed_form_conjugate_matches_the_product_oracle_on_any_c_and_r(p, exte
 
 
 def test_dihedral_2_2_15():
-    data = build_nonhyperbolic_cert(classify(2, 2, 15))
-    assert data.kind == "rep"
-    assert data.spec.p == 3 and data.spec.degree == 2  # F_9 adjoining i
-    xy = data.x_image.mul(data.y_image)
+    x, y = build_nonhyperbolic_cert(classify(2, 2, 15))
+    assert y.spec == x.spec
+    assert x.spec.p == 3 and x.spec.degree == 2  # F_9 adjoining i
+    xy = x.mul(y)
     assert projective_order(xy, 100) == 3
     relator = word_power(Word(((0, 1), (1, 1))), 15)
-    assert evaluate_word([data.x_image, data.y_image], relator).is_identity()
-    assert xy != data.y_image.mul(data.x_image)
+    assert evaluate_word([x, y], relator).is_identity()
+    assert xy != y.mul(x)
 
 
 def test_dihedral_images_match_the_field_element_construction():
@@ -408,46 +412,43 @@ def test_dihedral_images_match_the_field_element_construction():
     99: over F_p when p = 1 (mod 4) and over F_{p^2} when p = 3 (mod 4)."""
     degrees = set()
     for m in range(3, 100, 2):
-        data = build_nonhyperbolic_cert(classify(2, 2, m))
+        built = build_nonhyperbolic_cert(classify(2, 2, m))
         x, y = field_dihedral_pair(m)
-        assert (data.spec, data.x_image, data.y_image) == (x.spec, x, y), m
-        degrees.add(data.spec.degree)
+        assert (built[0].spec, *built) == (x.spec, x, y), m
+        degrees.add(built[0].spec.degree)
     assert degrees == {1, 2}
 
 
 def test_spherical_235_lands_in_psl25():
-    data = build_nonhyperbolic_cert(classify(2, 3, 5))
-    assert data.kind == "rep"
-    assert data.spec.order == 5
-    orders = (
-        projective_order(data.x_image, 100),
-        projective_order(data.y_image, 100),
-        projective_order(data.x_image.mul(data.y_image), 100),
-    )
+    x, y = build_nonhyperbolic_cert(classify(2, 3, 5))
+    assert y.spec == x.spec
+    assert x.spec.order == 5
+    orders = (projective_order(x, 100), projective_order(y, 100), projective_order(x.mul(y), 100))
     assert orders == (2, 3, 5)
 
 
 def test_euclidean_244_abelian():
-    data = build_nonhyperbolic_cert(classify(2, 4, 4))
-    assert data.kind == "abelian"
-    assert data.d == 2
+    with pytest.raises(ValueError, match="common divisor"):
+        build_nonhyperbolic_cert(classify(2, 4, 4))
+    cert = triangle_certificate(2, 4, 4)[0]
+    assert cert.kind == NON_CYCLIC
+    assert cert.target == (2, 2)
 
 
 def test_field_small_for_all_nonhyperbolic():
     triples = [(2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6)]
     triples += [(2, 2, m) for m in range(3, 100, 2)]
     for triple in triples:
-        data = build_nonhyperbolic_cert(classify(*triple))
-        assert data.kind == "rep"
-        assert data.spec.order <= triple[2] ** 2
+        x, y = build_nonhyperbolic_cert(classify(*triple))
+        assert y.spec == x.spec
+        assert x.spec.order <= triple[2] ** 2
 
 
 def test_236_relators_die_on_reused_images():
-    data = build_nonhyperbolic_cert(classify(2, 3, 6))
-    images = [data.x_image, data.y_image]
+    x, y = build_nonhyperbolic_cert(classify(2, 3, 6))
     for relator in triangle_presentation(classify(2, 3, 6)).relators:
-        assert evaluate_word(images, relator).is_identity()
-    assert data.x_image.mul(data.y_image) != data.y_image.mul(data.x_image)
+        assert evaluate_word([x, y], relator).is_identity()
+    assert x.mul(y) != y.mul(x)
 
 
 @pytest.mark.parametrize(
@@ -472,8 +473,11 @@ def test_commuting_images_fail_the_postcondition(monkeypatch):
 
 
 def test_hyperbolic_gcd_goes_abelian():
-    data = build_nonhyperbolic_cert(classify(2, 4, 6))
-    assert data.kind == "abelian" and data.d == 2
+    for build in (build_hyperbolic_rep, build_nonhyperbolic_cert):
+        with pytest.raises(ValueError, match="common divisor"):
+            build(classify(2, 4, 6))
+    cert = triangle_certificate(2, 4, 6)[0]
+    assert cert.kind == NON_CYCLIC and cert.target == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -486,8 +490,8 @@ def test_spherical_table_is_first_pair_of_search(triple, searched):
     # first, q = 3, 5, 7 in turn; it never reaches F_9
     a, b = spherical_pair_by_search(*searched)
     assert a.spec.degree == 1
-    data = build_nonhyperbolic_cert(classify(*triple))
-    assert (data.spec, data.x_image, data.y_image) == (a.spec, a, b)
+    x, y = build_nonhyperbolic_cert(classify(*triple))
+    assert (x.spec, x, y) == (a.spec, a, b)
 
 
 def test_triangle_image_dispatch(monkeypatch):
@@ -499,12 +503,46 @@ def test_triangle_image_dispatch(monkeypatch):
         monkeypatch.setattr(
             trianglerep, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
         )
-    hyperbolic = triangle_image(classify(2, 3, 7))
-    assert hyperbolic.kind == "rep" and hyperbolic.spec.p == 337
-    assert triangle_image(classify(2, 4, 6)).kind == "abelian"
-    assert triangle_image(classify(2, 3, 5)).spec.p == 5
-    assert triangle_image(classify(2, 2, 7)).kind == "rep"
+    x, y = triangle_image(classify(2, 3, 7))
+    assert x.spec.p == 337 and y.spec == x.spec
+    with pytest.raises(ValueError, match="common divisor"):
+        triangle_image(classify(2, 4, 6))
+    assert triangle_image(classify(2, 3, 5))[0].spec.p == 5
+    x, y = triangle_image(classify(2, 2, 7))
+    assert y.spec == x.spec
     assert calls == ["build_hyperbolic_rep"] + ["build_nonhyperbolic_cert"] * 3
+    # every triple with entries up to 19 and no common divisor gets a pair
+    # over one field, the matrices of its triangle certificate; a triple
+    # with common divisor d > 1 gets no pair from either builder, and its
+    # certificate is the (Z/d)^2 image
+    witness = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
+    coprime = 0
+    for triple in itertools.combinations_with_replacement(range(2, 20), 3):
+        t = classify(*triple)
+        cert = triangle_certificate(*triple)[0]
+        if t.d > 1:
+            for build in (build_hyperbolic_rep, build_nonhyperbolic_cert):
+                with pytest.raises(ValueError, match="common divisor"):
+                    build(t)
+            assert cert == Certificate(
+                kind=NON_CYCLIC,
+                presentation=triangle_presentation(t),
+                target=(t.d, t.d),
+                abelian_images=((1, 0), (0, 1)),
+            ), triple
+            continue
+        x, y = triangle_image(t)
+        assert y.spec == x.spec, triple
+        assert cert == Certificate(
+            kind=NON_ABELIAN,
+            presentation=triangle_presentation(t),
+            field=x.spec,
+            rep_gens=("x", "y"),
+            rep_images=(x, y),
+            witness=witness,
+        ), triple
+        coprime += 1
+    assert coprime == 914
 
 
 # ----------------------------------------------------------------------
@@ -609,11 +647,11 @@ def test_phi_inequality_with_documented_exception():
 
 def test_bound_report_237_t10():
     t = classify(2, 3, 7)
-    rep = build_hyperbolic_rep(t)
-    report = bound_report(t, t=10, spec=rep.spec)
+    report = bound_report(t, t=10, spec=build_hyperbolic_rep(t)[0].spec)
     assert report.ell_bound == 2**20 * 3**120
     assert report.ell_within_bound
     assert report.degree_bound == 2**9 * 3**60
+    assert report.degree_bound_bits == (2**9 * 3**60).bit_length()
     assert report.degree_within_bound
     assert report.field_size in (337, 337**2)
     assert report.field_within_ell10
@@ -627,9 +665,47 @@ def test_bound_report_needs_a_positive_tetrahedron_count():
         with pytest.raises(ValueError, match="must be at least 1"):
             bound_report(t, t=count)
     assert bound_report(t, t=1).degree_bound == 3**6
+    assert bound_report(t, t=1).degree_bound_bits == (3**6).bit_length()
 
 
 def test_bound_report_without_optionals():
     report = bound_report(classify(2, 3, 7))
     assert report.t is None and report.field_size is None
     assert report.ell == 84 and report.d == 1
+
+
+@pytest.mark.parametrize("t", [*range(1, 65), 1000])
+def test_bound_bits_and_verdicts_equal_the_big_int_computation(t):
+    ell_bound, degree_bound = 2 ** (2 * t) * 3 ** (12 * t), 2 ** (t - 1) * 3 ** (6 * t)
+    for triple in ((2, 3, 7), (2, 4, 6), (3, 4, 5), (17, 18, 19)):
+        t_type = classify(*triple)
+        report = bound_report(t_type, t=t)
+        assert report.ell_bound == ell_bound
+        assert report.ell_bound_bits == ell_bound.bit_length()
+        assert report.degree_bound == degree_bound
+        assert report.degree_bound_bits == degree_bound.bit_length()
+        assert report.ell_within_bound == (t_type.ell <= ell_bound)
+        assert report.degree_within_bound == (report.trace_degree <= degree_bound)
+    # the verdicts where they are decided: around each bound and at the
+    # ends of its bit length
+    for (a, b), bound in (((2 * t, 12 * t), ell_bound), ((t - 1, 6 * t), degree_bound)):
+        bits = bound.bit_length()
+        for n in (1, 2 ** (bits - 1), bound - 1, bound, bound + 1, 2**bits - 1, 2**bits):
+            assert trianglerep._at_most_power(n, a, b) == (bits, n <= bound), (n, a, b)
+
+
+def test_bound_bits_form_the_power_where_the_bracket_straddles_an_integer(monkeypatch):
+    # with log2 3 bracketed by [1 - 10^-80, 1], b = 1 has no floor from the
+    # bracket, so 3^1 is formed and the bit length is still exact
+    monkeypatch.setattr(trianglerep, "_LOG2_3", 10**80 - 1)
+    assert trianglerep._at_most_power(96, 5, 1) == ((2**5 * 3).bit_length(), True)
+    assert trianglerep._at_most_power(97, 5, 1) == (7, False)
+
+
+def test_log2_3_bracket_holds():
+    from decimal import Context
+
+    ctx = Context(prec=100)
+    log2_3 = ctx.divide(ctx.ln(3), ctx.ln(2))
+    assert int(ctx.multiply(log2_3, 10**80)) == trianglerep._LOG2_3
+

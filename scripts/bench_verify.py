@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Time certificate verification over the `lenscert sweep` triples.
+
+Builds the certificate of every hyperbolic triple with entries up to
+--max-n (1116 of them at 19), serializes each once, then times two
+things per certificate, grouped by kind and field degree:
+
+  * verify_us: parse of the certificate text plus verify;
+  * relator_fold_us: the relators x^n1, y^n2, (xy)^n3 folded with
+    projmat.fold_letters over the images' coordinate table (matrix
+    certificates only), the part of verify that a faster fold moves.
+
+One measurement is the median, over --repeats passes, of a pass's mean
+microseconds per certificate.  Each source tree named by --tree is
+measured in a fresh process once per round, and the trees take turns
+going first, so that a drift in machine speed falls on both alike; a
+figure is the median over --rounds.  The cost-model means (relator and
+total mat_mults, field_ops, cert_bits) come from the verify reports and
+must not change with a speed-up.
+
+  python3 scripts/bench_verify.py --tree parent=OLD/src --tree change=src \\
+      --out BENCH_verify.json
+
+A tree is NAME=SRC, SRC a directory holding the lenscert package
+(default: change=this checkout's src).  The JSON holds one column per
+tree, with each round's figures, plus the machine and Python version.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+GROUPS = ("abelian", "F_p", "F_p2")
+
+
+def _group(cert) -> str:
+    if cert.field is None:
+        return "abelian"
+    return "F_p" if cert.field.degree == 1 else "F_p2"
+
+
+def _median_pass_us(items, run, repeats: int) -> float:
+    """Median over repeats of one pass's mean microseconds per item."""
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for item in items:
+            run(item)
+        samples.append((time.perf_counter() - start) / len(items) * 1e6)
+    return statistics.median(samples)
+
+
+def measure(max_n: int, repeats: int) -> dict:
+    """One measurement of the lenscert package on sys.path."""
+    from lenscert.certificate import parse, serialize, triangle_certificate, verify
+    from lenscert.projmat import fold_letters, letter_coords
+    from lenscert.trianglerep import hyperbolic_triples
+
+    texts: dict[str, list[str]] = {g: [] for g in GROUPS}
+    folds: dict[str, list[tuple]] = {g: [] for g in GROUPS[1:]}
+    for t in hyperbolic_triples(max_n):
+        cert, _ = triangle_certificate(*t.triple)
+        group = _group(cert)
+        texts[group].append(serialize(cert))
+        if cert.field is not None:
+            relators = tuple(rel.letters for rel in cert.presentation.relators)
+            folds[group].append((cert.field, letter_coords(cert.rep_images), relators))
+
+    reports = [verify(parse(text)) for group in GROUPS for text in texts[group]]
+    if not all(r.accepted for r in reports):
+        raise SystemExit("error: a sweep certificate was rejected")
+
+    def verify_text(text: str) -> None:
+        verify(parse(text))
+
+    def fold_relators(item) -> None:
+        spec, table, relators = item
+        for letters in relators:
+            fold_letters(spec, table, letters)
+
+    return {
+        "certificates": {g: len(texts[g]) for g in GROUPS},
+        "verify_us": {g: _median_pass_us(texts[g], verify_text, repeats) for g in GROUPS},
+        "relator_fold_us": {g: _median_pass_us(folds[g], fold_relators, repeats) for g in folds},
+        "cost_model_means": {
+            key: statistics.fmean(getattr(r, key) for r in reports)
+            for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
+        },
+    }
+
+
+def _measure_in_process(src: str, max_n: int, repeats: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--measure", src,
+         "--max-n", str(max_n), "--repeats", str(repeats)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def _column(runs: list[dict]) -> dict:
+    """Median of each timing over the rounds, each round's timings, and
+    the cost-model means, which every round must repeat exactly."""
+    first = runs[0]
+    if any(run["cost_model_means"] != first["cost_model_means"] for run in runs):
+        raise SystemExit("error: the cost-model means differ between rounds")
+    column = {"certificates": first["certificates"], "cost_model_means": {
+        key: round(value, 4) for key, value in first["cost_model_means"].items()
+    }}
+    for metric in ("verify_us", "relator_fold_us"):
+        rounds = {g: [round(run[metric][g], 2) for run in runs] for g in first[metric]}
+        column[metric] = {g: round(statistics.median(v), 2) for g, v in rounds.items()}
+        column[metric + "_rounds"] = rounds
+    return column
+
+
+def _machine() -> str:
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{model}, {os.cpu_count()} logical CPUs, {platform.system()} {platform.machine()}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", metavar="NAME=SRC",
+                        help="a lenscert source tree to measure, repeatable")
+    parser.add_argument("--max-n", type=int, default=19)
+    parser.add_argument("--repeats", type=int, default=5, help="passes per measurement")
+    parser.add_argument("--rounds", type=int, default=5, help="measurements per tree")
+    parser.add_argument("--out", help="JSON file to write (default: print it)")
+    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.measure:
+        sys.path.insert(0, args.measure)
+        print(json.dumps(measure(args.max_n, args.repeats)))
+        return 0
+
+    trees = []
+    for tree in args.tree or [f"change={os.path.join(HERE, '..', 'src')}"]:
+        name, sep, src = tree.partition("=")
+        if not sep or not name or not os.path.isdir(os.path.join(src, "lenscert")):
+            parser.error(f"--tree {tree!r}: expected NAME=SRC with SRC/lenscert")
+        trees.append((name, os.path.abspath(src)))
+    runs: dict[str, list[dict]] = {name: [] for name, _ in trees}
+    for k in range(args.rounds):
+        for name, src in trees if k % 2 == 0 else trees[::-1]:
+            runs[name].append(_measure_in_process(src, args.max_n, args.repeats))
+
+    doc = {
+        "command": (
+            f"scripts/bench_verify.py --max-n {args.max_n} --repeats {args.repeats} "
+            f"--rounds {args.rounds}"
+        ),
+        "machine": _machine(),
+        "python": platform.python_version(),
+        "columns": {name: _column(runs[name]) for name, _ in trees},
+    }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,12 +45,19 @@ Each invariant is checked once, where a certificate comes in:
   serialize after verify reuses that text; dataclasses.replace and parse
   never carry it, so serialize(parse(text)) writes the text anew.  The
   images' coordinates and inverses are taken once per certificate
-  (projmat.letter_coords), and every word is one projmat.fold_letters.
-  Without a surjection a generator's image is read from its coordinates;
-  with one, each surjection word is folded once, into the image of its
-  presentation generator (projmat.coord_table).  The relators and the
-  witness are then folded over the generators' images, so verify charges
-  at most one multiply per letter of the certificate's words.
+  (projmat.letter_coords), and every word is one projmat.fold_letters,
+  which takes a word with a short period, such as x^n or (xy)^n, by
+  square-and-multiply.  Without a surjection a generator's image is
+  read from its coordinates; with one, each surjection word is folded
+  once, into the image of its presentation generator
+  (projmat.coord_table).  The relators and the witness are then folded
+  over the generators' images, so verify charges at most one multiply
+  per letter of the certificate's words: the paper's letter-count
+  model, which counts the letters a word spells out, not the products
+  performed.
+- verify_bound checks, before verify, that the certificate is about a
+  given triangulation: a closed connected 3-manifold, no level line, and
+  the triangulation's own fundamental group as the presentation.
 
 The producers, triangle_certificate and pipeline, build a triangle
 group's certificate in one helper, _triangle_group_certificate: the
@@ -95,7 +102,7 @@ from .trianglerep import (
     triangle_image,
     triangle_presentation,
 )
-from .triangulation import orientation_check, validate
+from .triangulation import DisconnectedError, Triangulation, orientation_check, validate
 
 NON_ABELIAN = "NonAbelianRep"
 NON_CYCLIC = "NonCyclicAbelian"
@@ -607,6 +614,33 @@ def subgroup_invariants(
     return order // exponent, exponent
 
 
+def _report(
+    cert: Certificate,
+    accepted: bool,
+    reason: Optional[str],
+    relator_mults: int = 0,
+    counter: Optional[OpCounter] = None,
+) -> VerificationReport:
+    """cert's verification report with the tallies of counter (0 without
+    one); only a certificate built in code is serialized to count its
+    bytes."""
+    counter = counter or OpCounter()
+    text_bytes = cert.text_bytes
+    if text_bytes is None:
+        text_bytes = len(serialize(cert).encode())
+    images = cert.rep_images or ()
+    return VerificationReport(
+        accepted=accepted,
+        kind=cert.kind,
+        reason=reason,
+        relator_mat_mults=relator_mults,
+        mat_mults=counter.mat_mults,
+        field_ops=counter.field_ops,
+        cert_bits=8 * text_bytes,
+        matrix_bits=(bit_size_spec(cert.field),) * len(images) if images else (),
+    )
+
+
 def _is_rotation(w1: Word, w2: Word) -> bool:
     """True iff w1 = uv and w2 = vu as letter sequences, u and v non-empty.
 
@@ -629,34 +663,22 @@ def verify(cert: Certificate) -> VerificationReport:
     w1 = uv, w2 = vu (a cyclic rotation) with distinct images, so the
     images of u and v do not commute and the image is non-abelian, which
     also makes some generator image non-trivial.  Every surjection,
-    relator and witness word is charged once, letter by letter, and
-    relator_mat_mults counts the relators' letters alone.  Abelian path:
+    relator and witness word is charged once, one multiply per letter
+    (the paper's letter-count model, whatever products fold_letters
+    performs), and relator_mat_mults counts the relators' letters alone.
+    Abelian path:
     relator exponent images vanish in Z/a x Z/b and the generator images
     span a non-cyclic subgroup.
     """
     counter = OpCounter()
-    text_bytes = cert.text_bytes
-    if text_bytes is None:
-        text_bytes = len(serialize(cert).encode())
-    images = cert.rep_images or ()
-    matrix_bits = (bit_size_spec(cert.field),) * len(images) if images else ()
 
     def report(accepted: bool, reason: Optional[str], relator_mults: int) -> VerificationReport:
-        return VerificationReport(
-            accepted=accepted,
-            kind=cert.kind,
-            reason=reason,
-            relator_mat_mults=relator_mults,
-            mat_mults=counter.mat_mults,
-            field_ops=counter.field_ops,
-            cert_bits=8 * text_bytes,
-            matrix_bits=matrix_bits,
-        )
+        return _report(cert, accepted, reason, relator_mults, counter)
 
     pres = cert.presentation
     if cert.kind == NON_ABELIAN:
         spec = cert.field
-        table = letter_coords(images)
+        table = letter_coords(cert.rep_images)
         if cert.surjection is not None:
             # generator i's image is its surjection word, folded once
             table = coord_table(
@@ -698,6 +720,30 @@ def verify(cert: Certificate) -> VerificationReport:
     if s1 <= 1:
         return report(False, "generator images span a cyclic subgroup", 0)
     return report(True, None, 0)
+
+
+def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
+    """verify, bound to the triangulation the claim is about: accept iff
+    tri is a closed connected 3-manifold, the certificate has no level
+    line, its presentation is fundamental_group(tri) (the labels, and
+    each relator word in order), and verify accepts it.  A closed
+    3-manifold whose fundamental group is not cyclic is not a lens space,
+    so orientability is not checked.  A rejection before verify reports
+    no operations."""
+    checked = validate(tri)
+    if not checked.passed:
+        failures = "; ".join(checked.failures)
+        return _report(cert, False, f"triangulation is not a closed 3-manifold: {failures}")
+    try:
+        pres = fundamental_group(tri)
+    except DisconnectedError:
+        return _report(cert, False, "triangulation is not a closed 3-manifold: not connected")
+    if cert.level is not None:
+        reason = f"level {cert.level}: the certificate is not about a triangulation"
+        return _report(cert, False, reason)
+    if cert.presentation != pres:
+        return _report(cert, False, "presentation is not the triangulation's fundamental group")
+    return verify(cert)
 
 
 def noncyclic_certificate(pres: GroupPresentation) -> Certificate:

@@ -177,7 +177,11 @@ def cmd_trianglecert(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = certmod.parse(_read(args.certificate))
-    report = certmod.verify(cert)
+    if args.triangulation is None:
+        report = certmod.verify(cert)
+    else:
+        tri = _load_triangulation(args.triangulation)
+        report = certmod.verify_bound(cert, tri)
     doc = {
         "accepted": report.accepted,
         "kind": report.kind,
@@ -196,6 +200,13 @@ def cmd_verify(args) -> int:
     lines = [line]
     if report.reason:
         lines.append(f"reason: {report.reason}")
+    if args.triangulation is not None:
+        # the paper's field budget |F| <= 2^(20t) * 3^(120t), in bits;
+        # reported, not gated on, as the paper's constant is not explicit
+        budget = round(tri.t * (20 + 120 * math.log2(3)), 1)
+        bits = cert.field.order.bit_length() if cert.field else None
+        doc.update(t=tri.t, field_bits=bits, field_budget_bits=budget)
+        lines.append(f"t={tri.t} field_bits={bits} field_budget_bits={budget}")
     _emit(doc, args.json, lines)
     return 0 if report.accepted else 1
 
@@ -392,6 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="verify a certificate file")
     p.add_argument("certificate")
+    p.add_argument(
+        "--triangulation",
+        help="also require the certificate to be about this closed 3-manifold's own group",
+    )
 
     p = add("pipeline", cmd_pipeline, help="homology check, then triangle-group certificate")
     p.add_argument("triangulation")

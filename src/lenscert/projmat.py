@@ -13,14 +13,19 @@ checked.  A product or inverse of determinant-1 matrices has
 determinant 1, so results are built without a recheck.
 
 Products run on raw 8-int tuples in two places that do the same
-multiplies in the same order: the kernel _mul_coords, which mul and
-power call, and fold_letters, which multiplies a word's letters inline,
-on 4 ints over F_p and 8 over F_{p^2}, to save a call and a tuple per
-letter.  A word is one fold_letters over the coordinates of the images
-and their inverses (letter_coords, or coord_table for images given by
-their coordinates), which evaluate_word takes per call and a verifier
-once per certificate; an inverse is taken only for a generator that a
-fold reads with exponent -1.
+multiplies: the kernel _mul_coords, which mul and _power_coords (the
+square-and-multiply loop of power) call, and fold_letters, which
+multiplies a word's letters inline, on 4 ints over F_p and 8 over
+F_{p^2}, to save a call and a tuple per letter.  A word is one
+fold_letters over the coordinates of the images and their inverses
+(letter_coords, or coord_table for images given by their coordinates),
+which evaluate_word takes per call and a verifier once per certificate;
+an inverse is taken only for a generator that a fold reads with
+exponent -1.  fold_letters multiplies letter by letter unless the word
+has a period d <= 4, as the relators x^n and (xy)^n of a triangle group
+do: then it is w^k u, and w^k costs O(d + log k) products instead of
+n.  Either way it charges the paper's letter-count model, not the
+products it performs.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -54,7 +59,9 @@ class OrderCeilingExceeded(RuntimeError):
 
 @dataclass
 class OpCounter:
-    """Exact tallies for verification cost accounting.
+    """Exact tallies for verification cost accounting, in the paper's
+    letter-count model: what a letter-by-letter fold would multiply, not
+    the products fold_letters performs (fewer, for a periodic word).
 
     fold_letters charges each letter of a word one matrix multiply and 12
     field ops (8 multiplications and 4 additions), and each ^-1 letter 2
@@ -98,6 +105,19 @@ def _inverse_coords(p: int, v: tuple) -> tuple:
     """The adjugate (d, -b, -c, a): the inverse of a determinant-1 matrix."""
     a0, a1, b0, b1, c0, c1, d0, d1 = v
     return (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1)
+
+
+def _power_coords(p: int, s: int, v: tuple, k: int) -> tuple:
+    """Coordinates of v^k for k >= 0 by square-and-multiply: at most
+    2*log2(k) products, reduced but not sign-normalized."""
+    out = None  # the identity, which the first factor replaces unmultiplied
+    while k:
+        if k & 1:
+            out = v if out is None else _mul_coords(p, s, out, v)
+        k >>= 1
+        if k:
+            v = _mul_coords(p, s, v, v)
+    return out or _IDENTITY
 
 
 def _sign_normalized(p: int, v: tuple) -> tuple:
@@ -195,15 +215,7 @@ class ProjMatrix:
     def power(self, n: int) -> "ProjMatrix":
         p, s = self.spec.p, self.spec.s or 0
         base = self.coords if n >= 0 else _inverse_coords(p, self.coords)
-        n = abs(n)
-        out = _IDENTITY
-        while n:
-            if n & 1:
-                out = _mul_coords(p, s, out, base)
-            n >>= 1
-            if n:
-                base = _mul_coords(p, s, base, base)
-        return _from_coords(self.spec, out)
+        return _from_coords(self.spec, _power_coords(p, s, base, abs(n)))
 
     def _entry(self, k: int) -> FieldElement:
         return FieldElement(self.spec, self.coords[2 * k], self.coords[2 * k + 1])
@@ -253,7 +265,7 @@ def has_order(m: ProjMatrix, n: int) -> bool:
     with det 1), and V_k = 2 iff (x^k - 1)^2 = 0, V_k = -2 iff
     (x^k + 1)^2 = 0: so M^k = +-I iff V_k = +-2.  The order is n iff V_n
     is +-2 and no earlier V_k is, which the walk decides in at most n - 1
-    scalar multiply-adds: linear in n, as is the letter-by-letter fold of
+    scalar multiply-adds: linear in n, as is the charge of the fold of
     x^n that verifies the certificate afterwards."""
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -344,6 +356,16 @@ def coord_table(p: int, coords: list) -> tuple:
     return (None, coords, inverses)
 
 
+def _period(letters: Sequence[tuple[int, int]]) -> int:
+    """The least d <= 4 with letters[i] == letters[i + d] for every i, or
+    0; each test is two slices and one compare, run in C."""
+    for d in range(1, 5):
+        # the one-letter compare refuses most aperiodic words unsliced
+        if letters[d] == letters[0] and letters[d:] == letters[:-d]:
+            return d
+    return 0
+
+
 def fold_letters(
     spec: FieldSpec,
     table: tuple,
@@ -351,11 +373,25 @@ def fold_letters(
     counter: Optional[OpCounter] = None,
 ) -> tuple:
     """Sign-normalized coordinates of the left-to-right product of
-    table[exp][gen] over the letters (gen, exp): per letter the multiplies
-    of one _mul_coords, charged to counter by the OpCounter rule."""
+    table[exp][gen] over the letters (gen, exp), charged to counter by
+    the OpCounter rule.  A word of n >= 6 letters with a period d <= 4
+    (letters[i] == letters[i + d] throughout) is w^k u, with w its first
+    d letters, k = n // d and u = w[:n % d]: w and u are folded letter by
+    letter and w^k is taken by square-and-multiply, the same product of
+    the same factors up to sign.  Any other word takes the multiplies of
+    one _mul_coords per letter, inline."""
     p, s = spec.p, spec.s or 0
+    n = len(letters)
+    period = _period(letters) if n >= 6 else 0
     exponent_sum = 0
-    if not s:
+    if period:
+        # w and u have fewer than 6 letters, so they are folded inline
+        k, r = divmod(n, period)
+        out = _power_coords(p, s, fold_letters(spec, table, letters[:period]), k)
+        if r:
+            out = _mul_coords(p, s, out, fold_letters(spec, table, letters[:r]))
+        exponent_sum = k * sum(e for _, e in letters[:period]) + sum(e for _, e in letters[:r])
+    elif not s:
         a, b, c, d = 1, 0, 0, 1
         for gen, exp in letters:
             exponent_sum += exp
@@ -381,7 +417,6 @@ def fold_letters(
             )
         out = (a0, a1, b0, b1, c0, c1, d0, d1)
     if counter is not None:
-        n = len(letters)
         # exponents are +-1, so the ^-1 letters number (n - their sum) / 2
         counter.mat_mults += n
         counter.field_ops += 13 * n - exponent_sum

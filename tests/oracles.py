@@ -22,7 +22,9 @@ came from; psl_group_order, element_order and exponent_matrix are
 helpers that only tests call, as are perm_is_odd, is_connected,
 reduced_word, word_power, int_matmul, int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
-r through the library's public steps.
+r through the library's public steps.  letter_by_letter_fold is the
+plain one-product-per-letter word fold that fold_letters' period
+shortcut is checked against.
 """
 
 from __future__ import annotations
@@ -863,6 +865,44 @@ def matrix_inverse(m):
     """Adjugate of a determinant-1 entry tuple."""
     a, b, c, d = m
     return (d, -b, -c, a)
+
+
+def letter_by_letter_fold(p: int, s: int, images: Sequence[tuple], letters) -> tuple:
+    """fold_letters' value and charges, one plain 2x2 product per letter:
+    images[gen] holds the 8 coordinates (a0, a1, ..., d1) of a
+    determinant-1 matrix over F_p[w]/(w^2 - s) (s = 0 for F_p), a ^-1
+    letter reads the adjugate.  Returns (coords, mat_mults, field_ops):
+    the product's coordinates with the first nonzero one in
+    [0, (p-1)/2], one multiply and 12 field ops per letter, and 2 more
+    field ops per ^-1 letter."""
+
+    def times(x, y):
+        return ((x[0] * y[0] + s * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def plus(x, y):
+        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+
+    def minus(x):
+        return (-x[0] % p, -x[1] % p)
+
+    rows = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
+    field_ops = 0
+    for gen, exp in letters:
+        v = images[gen]
+        m = [[(v[0], v[1]), (v[2], v[3])], [(v[4], v[5]), (v[6], v[7])]]
+        if exp == -1:
+            m = [[m[1][1], minus(m[0][1])], [minus(m[1][0]), m[0][0]]]
+            field_ops += 2
+        rows = [
+            [plus(times(rows[i][0], m[0][j]), times(rows[i][1], m[1][j])) for j in range(2)]
+            for i in range(2)
+        ]
+        field_ops += 12
+    coords = [c for row in rows for entry in row for c in entry]
+    first = next((c for c in coords if c), 0)
+    if 2 * first > p - 1:
+        coords = [-c % p for c in coords]
+    return tuple(coords), len(letters), field_ops
 
 
 def equal_up_to_sign(m, n) -> bool:

@@ -16,9 +16,11 @@ from lenscert.certificate import (
     Certificate,
     CertificateSyntaxError,
     parse,
+    pipeline,
     serialize,
     triangle_certificate,
     verify,
+    verify_bound,
 )
 from lenscert.intlinalg import IntMatrix, abelianization, hadamard_torsion_bound, smith_normal_form
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
@@ -319,8 +321,30 @@ def test_criterion_8_tamper_soundness():
             except (CertificateSyntaxError, ValueError):
                 continue  # parse error: detected
             assert not verify(candidate).accepted, mutated
+    # triangulation swapped: a certificate about one manifold's group is
+    # accepted, bound, on that triangulation and on no other fixture
+    bound = {
+        "prism_q8.tri": pipeline(load_fixture("prism_q8.tri"), (2, 2, 2))[0],
+        "t3_torus.tri": pipeline(load_fixture("t3_torus.tri"), (2, 2, 2))[0],
+        "prism_q12.tri": pipeline(
+            load_fixture("prism_q12.tri"), (2, 2, 3), fixture_text("prism_q12.surj")
+        )[0],
+    }
+    swaps = 0
+    for own, cert in bound.items():
+        cert = parse(serialize(cert))
+        assert verify_bound(cert, load_fixture(own)).accepted
+        for name in MANIFOLD_FIXTURES:
+            if name != own:
+                swaps += 1
+                assert not verify_bound(cert, load_fixture(name)).accepted, (own, name)
     assert total >= 100
-    report(8, f"{total} single-field mutations all rejected or parse errors", time.monotonic() - start, 60)
+    report(
+        8,
+        f"{total} single-field mutations and {swaps} triangulation swaps all rejected or parse errors",
+        time.monotonic() - start,
+        60,
+    )
 
 
 def test_criterion_9_bound_reports():

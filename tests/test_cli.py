@@ -193,6 +193,51 @@ def test_pipeline_orbifold_level(tmp_path):
     assert run_cli("verify", str(target)).returncode == 0
 
 
+def test_verify_bound_rejects_the_orbifold_certificate_of_a_lens_space(tmp_path):
+    target = tmp_path / "p237.cert"
+    run_cli("pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7", "-o", str(target))
+    out = run_cli("verify", str(target), "--triangulation", fixture_path("lens_7_2.tri"))
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[1:] == [
+        "reason: level orbifold: the certificate is not about a triangulation",
+        "t=7 field_bits=9 field_budget_bits=1471.4",
+    ]
+
+
+def test_verify_bound_json_adds_the_size_report(tmp_path):
+    target = tmp_path / "prism.cert"
+    run_cli(
+        "pipeline", fixture_path("prism_q12.tri"), "--base", "2,2,3",
+        "--surjection", fixture_path("prism_q12.surj"), "-o", str(target),
+    )
+    unbound = json.loads(run_cli("verify", str(target), "--json").stdout)
+    out = run_cli("verify", str(target), "--json", "--triangulation", fixture_path("prism_q12.tri"))
+    assert out.returncode == 0
+    # F_9 has 4 bits; the budget is log2(2^(20t) * 3^(120t)) at t = 3
+    assert json.loads(out.stdout) == {
+        **unbound, "t": 3, "field_bits": 4, "field_budget_bits": 630.6,
+    }
+    swapped = run_cli("verify", str(target), "--triangulation", fixture_path("prism_q8.tri"))
+    assert swapped.returncode == 1
+    assert "reason: presentation is not the triangulation's fundamental group" in swapped.stdout
+
+
+def test_verify_bound_names_a_non_manifold_and_refuses_a_malformed_one(tmp_path):
+    cert = fixture_path("fig8.cert")
+    out = run_cli("verify", cert, "--triangulation", fixture_path("badlink_torus.tri"))
+    assert out.returncode == 1
+    assert (
+        "reason: triangulation is not a closed 3-manifold: euler characteristic 1 != 0; "
+        "vertex link 0 has euler characteristic 0"
+    ) in out.stdout
+    bad = tmp_path / "bad.tri"
+    bad.write_text("not a triangulation\n")
+    out = run_cli("verify", cert, "--triangulation", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+
+
 def test_pipeline_level_orbifold_is_not_a_choice(tmp_path):
     target = tmp_path / "p237.cert"
     out = run_cli(

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenscert import projmat
 from lenscert.galois import FieldSpec, factorize, quadratic_extension, sqrt_mod_p
 from lenscert.presentation import Word, parse_word
 from lenscert.projmat import (
@@ -24,6 +26,7 @@ from lenscert.projmat import (
 from oracles import (
     equal_up_to_sign,
     field_elements,
+    letter_by_letter_fold,
     matrix_inverse,
     matrix_product,
     naive_projective_order,
@@ -73,9 +76,13 @@ def order_limit(spec):
 
 
 def random_matrix(spec, rng):
-    """Random element of PSL(2, F) for a prime field."""
+    """Random element of PSL(2, F) with a != 0."""
+
+    def coord():
+        return rng.randrange(spec.p) if spec.degree == 2 else 0
+
     while True:
-        a, b, c = (spec.element(rng.randrange(spec.p)) for _ in range(3))
+        a, b, c = (spec.element(rng.randrange(spec.p), coord()) for _ in range(3))
         if not a.is_zero():
             d = (spec.one() + b * c) * a.inverse()
             return ProjMatrix(a, b, c, d)
@@ -278,6 +285,69 @@ def test_fold_letters_matches_a_mul_coords_fold_beyond_64_bits(data):
     inverse_letters = sum(e == -1 for _, e in letters)
     assert counter.mat_mults == len(letters)
     assert counter.field_ops == 12 * len(letters) + 2 * inverse_letters
+
+
+FOLD_SPECS = (
+    SPEC337,
+    quadratic_extension(SPEC337),
+    MERSENNE_61,
+    quadratic_extension(MERSENNE_61),
+)
+
+
+@st.composite
+def periodic_words(draw):
+    """1-3 images over one field and a word w^k u, with |w| <= 6, k <= 60
+    and u a proper prefix of w, in mixed +-1 exponents; near-periodic
+    with one letter changed when the drawn flag says so."""
+    spec = draw(st.sampled_from(FOLD_SPECS))
+    g = draw(st.integers(1, 3))
+    images = [ProjMatrix(*draw(sl2_entries(specs=(spec,)))) for _ in range(g)]
+    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
+    w = draw(st.lists(letter, min_size=1, max_size=6))
+    letters = w * draw(st.integers(0, 60)) + w[: draw(st.integers(0, len(w) - 1))]
+    if letters and draw(st.booleans()):
+        i = draw(st.integers(0, len(letters) - 1))
+        gen, exp = letters[i]
+        letters[i] = draw(st.sampled_from([(gen, -exp)] + [(h, exp) for h in range(g) if h != gen]))
+    return spec, images, tuple(letters)
+
+
+@settings(max_examples=400, deadline=None)
+@given(periodic_words())
+def test_fold_letters_matches_the_letter_by_letter_oracle_on_periodic_words(case):
+    """A word with a short period is folded as w^k u by square-and-multiply;
+    its coordinates and both charges equal a plain fold's, letter by
+    letter, and so do a near-periodic word's."""
+    spec, images, letters = case
+    counter = OpCounter()
+    value = fold_letters(spec, letter_coords(images), letters, counter)
+    expected = letter_by_letter_fold(spec.p, spec.s or 0, [m.coords for m in images], letters)
+    assert (value, counter.mat_mults, counter.field_ops) == expected
+
+
+@pytest.mark.parametrize("spec", (SPEC337, quadratic_extension(SPEC337)), ids=("F_p", "F_p2"))
+@pytest.mark.parametrize("k", (3, 4, 7, 64, 1000, 4097))
+@pytest.mark.parametrize("tail", ((), ((0, 1),)), ids=("", "x"))
+def test_period_two_word_costs_logarithmic_products(monkeypatch, spec, k, tail):
+    """(x y)^k, and (x y)^k x, take at most d + 2*log2(k) + 2 products for
+    the period d = 2, while still charged one multiply per letter."""
+    calls = []
+    kernel = projmat._mul_coords
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(projmat, "_mul_coords", counted)
+    rng = random.Random(k)
+    images = [random_matrix(spec, rng) for _ in range(2)]
+    letters = ((0, 1), (1, 1)) * k + tail
+    counter = OpCounter()
+    value = fold_letters(spec, letter_coords(images), letters, counter)
+    assert len(calls) <= 2 + 2 * math.log2(k) + 2
+    expected = letter_by_letter_fold(spec.p, spec.s or 0, [m.coords for m in images], letters)
+    assert (value, counter.mat_mults, counter.field_ops) == expected
 
 
 @settings(max_examples=200, deadline=None)

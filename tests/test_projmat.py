@@ -331,21 +331,31 @@ def test_fold_letters_matches_the_letter_by_letter_oracle_on_periodic_words(case
 @pytest.mark.parametrize("tail", ((), ((0, 1),)), ids=("", "x"))
 def test_period_two_word_costs_logarithmic_products(monkeypatch, spec, k, tail):
     """(x y)^k, and (x y)^k x, take at most d + 2*log2(k) + 2 products for
-    the period d = 2, while still charged one multiply per letter."""
-    calls = []
-    kernel = projmat._mul_coords
+    the period d = 2: the letters of the inline folds of w = x y and u,
+    plus the kernel's products.  Each is still charged one multiply per
+    letter."""
+    kernel_calls, inner_folds = [], []
+    kernel, fold = projmat._mul_coords, projmat.fold_letters
 
-    def counted(*args):
-        calls.append(None)
+    def counted_kernel(*args):
+        kernel_calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(projmat, "_mul_coords", counted)
+    def counted_fold(spec, table, letters, counter=None):
+        inner_folds.append(len(letters))
+        return fold(spec, table, letters, counter)
+
+    monkeypatch.setattr(projmat, "_mul_coords", counted_kernel)
+    # the outer call below is this module's fold_letters, so only the
+    # folds it makes of w and u are counted
+    monkeypatch.setattr(projmat, "fold_letters", counted_fold)
     rng = random.Random(k)
     images = [random_matrix(spec, rng) for _ in range(2)]
     letters = ((0, 1), (1, 1)) * k + tail
     counter = OpCounter()
     value = fold_letters(spec, letter_coords(images), letters, counter)
-    assert len(calls) <= 2 + 2 * math.log2(k) + 2
+    assert inner_folds == [2] + [1] * len(tail)  # w^k u, not letter by letter
+    assert len(kernel_calls) + sum(inner_folds) <= 2 + 2 * math.log2(k) + 2
     expected = letter_by_letter_fold(spec.p, spec.s or 0, [m.coords for m in images], letters)
     assert (value, counter.mat_mults, counter.field_ops) == expected
 

@@ -11,12 +11,17 @@ things per certificate, grouped by kind and field degree:
     certificates only), the part of verify that a faster fold moves.
 
 One measurement is the median, over --repeats passes, of a pass's mean
-microseconds per certificate.  Each source tree named by --tree is
-measured in a fresh process once per round, and the trees take turns
-going first, so that a drift in machine speed falls on both alike; a
-figure is the median over --rounds.  The cost-model means (relator and
-total mat_mults, field_ops, cert_bits) come from the verify reports and
-must not change with a speed-up.
+microseconds per certificate.  Each pass is calibrated for machine speed
+as perfbench/run.py calibrates its timings: perfbench's reference_work()
+is timed CALIBRATION_SAMPLES times just before the pass and as many just
+after, and the pass's figure is scaled by REFERENCE_NS over the median of
+those samples, so it reads in microseconds at perfbench's nominal speed.
+The raw figure is kept beside it (verify_us_raw, relator_fold_us_raw).
+Each source tree named by --tree is measured in a fresh process once per
+round, and the trees take turns going first, so that a drift in machine
+speed falls on both alike; a figure is the median over --rounds.  The
+cost-model means (relator and total mat_mults, field_ops, cert_bits) come
+from the verify reports and must not change with a speed-up.
 
   python3 scripts/bench_verify.py --tree parent=OLD/src --tree change=src \\
       --out BENCH_verify.json
@@ -38,8 +43,11 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.append(os.path.join(HERE, "..", "perfbench"))
+from run import REFERENCE_NS, reference_work  # noqa: E402
 
 GROUPS = ("abelian", "F_p", "F_p2")
+CALIBRATION_SAMPLES = 3  # reference_work() timings on each side of a pass
 
 
 def _group(cert) -> str:
@@ -48,15 +56,30 @@ def _group(cert) -> str:
     return "F_p" if cert.field.degree == 1 else "F_p2"
 
 
-def _median_pass_us(items, run, repeats: int) -> float:
-    """Median over repeats of one pass's mean microseconds per item."""
+def _reference_ns() -> list[int]:
+    """CALIBRATION_SAMPLES timings of reference_work(), in ns."""
     samples = []
+    for _ in range(CALIBRATION_SAMPLES):
+        start = time.perf_counter_ns()
+        reference_work()
+        samples.append(time.perf_counter_ns() - start)
+    return samples
+
+
+def _median_pass_us(items, run, repeats: int) -> tuple[float, float]:
+    """Median over repeats of one pass's mean microseconds per item:
+    calibrated by the reference samples taken around the pass, and raw."""
+    calibrated, raw = [], []
     for _ in range(repeats):
+        before = _reference_ns()
         start = time.perf_counter()
         for item in items:
             run(item)
-        samples.append((time.perf_counter() - start) / len(items) * 1e6)
-    return statistics.median(samples)
+        us = (time.perf_counter() - start) / len(items) * 1e6
+        reference = statistics.median(before + _reference_ns())
+        calibrated.append(us * REFERENCE_NS / reference)
+        raw.append(us)
+    return statistics.median(calibrated), statistics.median(raw)
 
 
 def measure(max_n: int, repeats: int) -> dict:
@@ -87,15 +110,19 @@ def measure(max_n: int, repeats: int) -> dict:
         for letters in relators:
             fold_letters(spec, table, letters)
 
-    return {
-        "certificates": {g: len(texts[g]) for g in GROUPS},
-        "verify_us": {g: _median_pass_us(texts[g], verify_text, repeats) for g in GROUPS},
-        "relator_fold_us": {g: _median_pass_us(folds[g], fold_relators, repeats) for g in folds},
-        "cost_model_means": {
-            key: statistics.fmean(getattr(r, key) for r in reports)
-            for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
-        },
+    doc = {"certificates": {g: len(texts[g]) for g in GROUPS}}
+    for metric, groups, run in (
+        ("verify_us", texts, verify_text),
+        ("relator_fold_us", folds, fold_relators),
+    ):
+        figures = {g: _median_pass_us(items, run, repeats) for g, items in groups.items()}
+        doc[metric] = {g: us for g, (us, _) in figures.items()}
+        doc[metric + "_raw"] = {g: raw for g, (_, raw) in figures.items()}
+    doc["cost_model_means"] = {
+        key: statistics.fmean(getattr(r, key) for r in reports)
+        for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
     }
+    return doc
 
 
 def _measure_in_process(src: str, max_n: int, repeats: int) -> dict:
@@ -116,7 +143,7 @@ def _column(runs: list[dict]) -> dict:
     column = {"certificates": first["certificates"], "cost_model_means": {
         key: round(value, 4) for key, value in first["cost_model_means"].items()
     }}
-    for metric in ("verify_us", "relator_fold_us"):
+    for metric in ("verify_us", "verify_us_raw", "relator_fold_us", "relator_fold_us_raw"):
         rounds = {g: [round(run[metric][g], 2) for run in runs] for g in first[metric]}
         column[metric] = {g: round(statistics.median(v), 2) for g, v in rounds.items()}
         column[metric + "_rounds"] = rounds

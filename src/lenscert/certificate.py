@@ -30,9 +30,9 @@ Each invariant is checked once, where a certificate comes in:
   raises.  Words and the presentation are then built by
   Word.from_checked and GroupPresentation.from_checked, which trust the
   letter table and the gens regex, and Certificate._check_fields checks
-  the rest once the text is read: the level, the kind's fields, target
-  moduli above 1, at least one matrix, distinct matrix names, and matrix
-  names equal to the labels when there is no surjection.  parse records
+  the rest once the text is read: the kind's fields, target moduli above
+  1, at least one matrix, distinct matrix names, and matrix names equal
+  to the labels when there is no surjection.  parse records
   the bytes of the text it read as text_bytes.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
@@ -56,14 +56,18 @@ Each invariant is checked once, where a certificate comes in:
   model, which counts the letters a word spells out, not the products
   performed.
 - verify_bound checks, before verify, that the certificate is about a
-  given triangulation: a closed connected 3-manifold, no level line, and
-  the triangulation's own fundamental group as the presentation.
+  given triangulation: a closed connected 3-manifold whose own
+  fundamental group is the certificate's presentation.
 
 The producers, triangle_certificate and pipeline, build a triangle
 group's certificate in one helper, _triangle_group_certificate: the
 abelian image (Z/d)^2 when the triple's entries share a factor d > 1,
 else the matrix pair trianglerep.triangle_image returns.  trianglerep
 decides a triangle's matrices and this module its certificate kind.
+triangle_certificate states the triangle group's own claim; pipeline
+states every claim about the triangulation's own presentation, so at
+step 2 it carries the triangle group's matrices there by a surjection,
+and without one it emits nothing.
 """
 
 from __future__ import annotations
@@ -108,9 +112,6 @@ NON_ABELIAN = "NonAbelianRep"
 NON_CYCLIC = "NonCyclicAbelian"
 
 HEADER = "lenscert v1"
-# the one level the producer writes: a certificate about the base
-# orbifold's triangle group, not about the triangulation
-ORBIFOLD = "orbifold"
 
 
 class CertificateSyntaxError(ValueError):
@@ -125,7 +126,6 @@ class PipelineError(RuntimeError):
 class Certificate:
     kind: str
     presentation: GroupPresentation
-    level: Optional[str] = None
     # NonCyclicAbelian
     target: Optional[tuple[int, int]] = None
     abelian_images: Optional[tuple[tuple[int, int], ...]] = None
@@ -179,13 +179,9 @@ class Certificate:
                 raise CertificateSyntaxError("witness word uses unknown generator")
 
     def _check_fields(self) -> None:
-        """The checks parse makes once the text is read: the level, the
-        kind and which fields it needs, the target moduli, and the matrix
-        names against each other and against the presentation."""
-        if self.level not in (None, ORBIFOLD):
-            raise CertificateSyntaxError(
-                f"unknown level {self.level!r}; the only level is {ORBIFOLD!r}"
-            )
+        """The checks parse makes once the text is read: the kind and
+        which fields it needs, the target moduli, and the matrix names
+        against each other and against the presentation."""
         pres = self.presentation
         if self.kind == NON_CYCLIC:
             if self.target is None or self.abelian_images is None:
@@ -250,8 +246,6 @@ def serialize(cert: Certificate) -> str:
 
 def _format_certificate(cert: Certificate) -> str:
     lines = [HEADER, f"kind {cert.kind}"]
-    if cert.level:
-        lines.append(f"level {cert.level}")
     lines.extend(format_presentation(cert.presentation))
     labels = cert.presentation.labels
     if cert.kind == NON_CYCLIC:
@@ -409,12 +403,7 @@ def parse(text: str) -> Certificate:
         raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
     kind = line[5:]
 
-    level = None
     line = reader.next()
-    if line.startswith("level "):
-        level = line[6:]
-        line = reader.next()
-
     if _GENS_RE.fullmatch(line) is None:
         _diagnose_gens(reader, line)
     parts = line.split(" ")
@@ -447,7 +436,6 @@ def parse(text: str) -> Certificate:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
     fields.update(
         presentation=pres,
-        level=level,
         text_bytes=len(text) if text.isascii() else len(text.encode()),
     )
     return _parsed_certificate(fields)
@@ -724,11 +712,11 @@ def verify(cert: Certificate) -> VerificationReport:
 
 def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
     """verify, bound to the triangulation the claim is about: accept iff
-    tri is a closed connected 3-manifold, the certificate has no level
-    line, its presentation is fundamental_group(tri) (the labels, and
-    each relator word in order), and verify accepts it.  A closed
-    3-manifold whose fundamental group is not cyclic is not a lens space,
-    so orientability is not checked.  A rejection before verify reports
+    tri is a closed connected 3-manifold, the certificate's presentation
+    is fundamental_group(tri) (the labels, and each relator word in
+    order), and verify accepts it.  A closed 3-manifold whose fundamental
+    group is not cyclic is not a lens space, so orientability is not
+    checked.  A rejection before verify reports
     no operations."""
     checked = validate(tri)
     if not checked.passed:
@@ -738,9 +726,6 @@ def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
         pres = fundamental_group(tri)
     except DisconnectedError:
         return _report(cert, False, "triangulation is not a closed 3-manifold: not connected")
-    if cert.level is not None:
-        reason = f"level {cert.level}: the certificate is not about a triangulation"
-        return _report(cert, False, reason)
     if cert.presentation != pres:
         return _report(cert, False, "presentation is not the triangulation's fundamental group")
     return verify(cert)
@@ -783,9 +768,7 @@ def noncyclic_certificate(pres: GroupPresentation) -> Certificate:
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
 
 
-def _triangle_group_certificate(
-    t: TriangleType, level: Optional[str] = None
-) -> tuple[Certificate, dict]:
+def _triangle_group_certificate(t: TriangleType) -> tuple[Certificate, dict]:
     """The triangle group's certificate, unverified, and what both
     producers report about it: (Z/d)^2 by x -> (1,0), y -> (0,1) when
     t.d > 1, else triangle_image's x and y matrices with witness xy | yx.
@@ -797,7 +780,6 @@ def _triangle_group_certificate(
         cert = Certificate(
             kind=NON_CYCLIC,
             presentation=pres,
-            level=level,
             target=target,
             abelian_images=((1, 0), (0, 1)),
         )
@@ -807,7 +789,6 @@ def _triangle_group_certificate(
     cert = Certificate(
         kind=NON_ABELIAN,
         presentation=pres,
-        level=level,
         field=spec,
         rep_gens=("x", "y"),
         rep_images=images,
@@ -864,29 +845,20 @@ def pipeline(
     tri,
     base: tuple[int, int, int],
     surjection_text: Optional[str] = None,
-    level: str = "auto",
 ) -> tuple[Certificate, dict]:
-    """Produce a certificate for a triangulated Seifert fiber space.
+    """Produce a certificate about a triangulated Seifert fiber space.
 
     Step 1 computes homology from the triangulation's own presentation
-    and emits a non-cyclic abelian certificate when possible.  Step 2
-    builds the image of the caller-asserted base orbifold's triangle
-    group once.  A user-supplied surjection carries a non-abelian image
-    to the triangulation's presentation.  It cannot carry the abelian
-    (Z/d)^2 image of a base with common divisor d > 1: every abelian
-    image of the group factors through H1, which is cyclic in step 2, so
-    that case is an error.  Without a surjection the certificate is
-    about the triangle group itself and is marked level orbifold.  Passing
-    level="triangulation" makes the missing-surjection case an error
-    instead of a downgrade.
+    and emits a non-cyclic abelian certificate when possible.  Step 2,
+    when H1 is cyclic, needs a user-supplied surjection from the
+    presentation onto the caller-asserted base orbifold's triangle group:
+    without one it is an error, raised before the triangle group's image
+    is built.  The surjection carries the image, built once, to the
+    triangulation's presentation.  It cannot carry the abelian (Z/d)^2
+    image of a base with common divisor d > 1: every abelian image of
+    the group factors through H1, which is cyclic in step 2, so that case
+    is an error too.
     """
-    if level not in ("auto", "triangulation"):
-        raise ValueError(f"unknown level {level!r}")
-    if level == "triangulation" and surjection_text is None:
-        raise PipelineError(
-            "a triangulation-level certificate needs a surjection file "
-            "mapping the presentation generators into the triangle group"
-        )
     report = validate(tri)
     if not report.passed:
         raise PipelineError(
@@ -905,26 +877,23 @@ def pipeline(
         return cert, info
 
     t_type = classify(*base)
+    if surjection_text is None:
+        raise PipelineError(
+            f"H1 = {info['h1']} is cyclic, so step 2 needs a surjection file (--surjection) "
+            f"mapping the presentation generators onto the triangle group of base {t_type.triple}"
+        )
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    orbifold_cert, image_info = _triangle_group_certificate(t_type, ORBIFOLD)
+    triangle_cert, image_info = _triangle_group_certificate(t_type)
     info.update(image_info)
 
-    if surjection_text is None:
-        # Orbifold-level: certificate about the triangle group itself.
-        outcome = verify(orbifold_cert)
-        if not outcome.accepted:
-            raise ArithmeticError(f"orbifold certificate fails: {outcome.reason}")
-        info.update(level=ORBIFOLD)
-        return orbifold_cert, info
-
     surj = parse_surjection(surjection_text, pres.labels)
-    if orbifold_cert.kind == NON_CYCLIC:
+    if triangle_cert.kind == NON_CYCLIC:
         raise PipelineError(
             f"a surjection cannot carry the abelian image (Z/{t_type.d})^2 of base "
             f"{t_type.triple}: every abelian image of the group factors through "
             f"H1 = {info['h1']}, which is cyclic"
         )
-    images = [evaluate_word(orbifold_cert.rep_images, w) for w in surj]
+    images = [evaluate_word(triangle_cert.rep_images, w) for w in surj]
     witness = None
     for i in range(pres.g):
         for j in range(i + 1, pres.g):
@@ -939,11 +908,8 @@ def pipeline(
             "carry a non-abelian image"
         )
     # the triangle group's matrices, carried to pres by the surjection
-    cert = dataclasses.replace(
-        orbifold_cert, presentation=pres, level=None, surjection=surj, witness=witness
-    )
+    cert = dataclasses.replace(triangle_cert, presentation=pres, surjection=surj, witness=witness)
     outcome = verify(cert)
     if not outcome.accepted:
         raise PipelineError(f"certificate through the surjection fails verify: {outcome.reason}")
-    info.update(level="triangulation")
     return cert, info

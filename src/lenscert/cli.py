@@ -220,14 +220,12 @@ def cmd_pipeline(args) -> int:
     if len(base) != 3:
         raise CliError("--base needs exactly three integers")
     surjection_text = _read(args.surjection) if args.surjection else None
-    cert, info = certmod.pipeline(tri, base, surjection_text, level=args.level)
+    cert, info = certmod.pipeline(tri, base, surjection_text)
     out = args.output or "pipeline.cert"
     _write_atomic(out, certmod.serialize(cert))
     doc, lines = _cert_summary(cert, info)
     doc.update(output=out, step=info["step"], h1=info["h1"])
     lines.insert(0, f"step={info['step']} h1={info['h1']}")
-    if info.get("level"):
-        lines.append(f"level={info['level']}")
     _emit(doc, args.json, lines)
     return 0
 
@@ -408,15 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also require the certificate to be about this closed 3-manifold's own group",
     )
 
-    p = add("pipeline", cmd_pipeline, help="homology check, then triangle-group certificate")
+    p = add("pipeline", cmd_pipeline, help="homology, else --surjection to a triangle group")
     p.add_argument("triangulation")
     p.add_argument("--base", required=True, help="base orbifold cone orders n1,n2,n3")
-    p.add_argument("--surjection", help="file mapping presentation generators to words in x,y")
     p.add_argument(
-        "--level",
-        choices=("auto", "triangulation"),
-        default="auto",
-        help="demand a certificate tier; triangulation needs --surjection",
+        "--surjection", help="file mapping presentation generators to words in x,y (cyclic H1)"
     )
     p.add_argument("-o", "--output")
 

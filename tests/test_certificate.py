@@ -21,6 +21,7 @@ from lenscert.certificate import (
     subgroup_invariants,
     triangle_certificate,
     verify,
+    verify_bound,
 )
 from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec, quadratic_extension
@@ -157,16 +158,6 @@ def test_unknown_kind_rejected():
     text = fixture_text("fig8.cert").replace("NonAbelianRep", "Something")
     with pytest.raises(CertificateSyntaxError):
         parse(text)
-
-
-def test_level_line_roundtrip():
-    cert, _ = triangle_certificate(2, 3, 7)
-    from dataclasses import replace
-
-    marked = replace(cert, level="orbifold")
-    text = serialize(marked)
-    assert "level orbifold" in text.splitlines()[2]
-    assert parse(text) == marked
 
 
 # The (2,3,7) certificate over F_337 and the (7,7,7) one onto Z/7 x Z/7.
@@ -488,7 +479,7 @@ EMITTED_TEXTS = [
     DEG1_CERT,
     Z7_CERT,
     SURJ_CERT,
-    serialize(replace(triangle_certificate(3, 4, 5)[0], level="orbifold")),
+    serialize(triangle_certificate(3, 4, 5)[0]),
     serialize(pipeline(load_fixture("prism_q8.tri"), (2, 2, 2))[0]),
     serialize(_empty_words_certificate()),
 ]
@@ -1253,23 +1244,18 @@ def test_pipeline_step1_t3():
     assert cert.kind == NON_CYCLIC
 
 
-def test_pipeline_step2_hyperbolic_orbifold_level():
-    # cyclic homology, caller-asserted hyperbolic base: orbifold-level cert
-    cert, info = pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
-    assert info["step"] == 2
-    assert cert.kind == NON_ABELIAN
-    assert cert.level == "orbifold"
-    assert cert.field.p == 337
-    assert cert.field.order in (337, 337**2)
-    assert verify(cert).accepted
-
-
 def test_pipeline_step2_abelian_base():
-    cert, info = pipeline(load_fixture("lens_5_2.tri"), (2, 4, 4))
-    assert info["step"] == 2
-    assert cert.kind == NON_CYCLIC
-    assert cert.target == (2, 2)
-    assert cert.level == "orbifold"
+    # the (Z/2)^2 image of (2,4,4) is the triangle group's own claim; a
+    # lens space gets no certificate from it, with or without a surjection
+    cert, _ = triangle_certificate(2, 4, 4)
+    assert (cert.kind, cert.target) == (NON_CYCLIC, (2, 2))
+    tri = load_fixture("lens_5_2.tri")
+    with pytest.raises(PipelineError, match=r"H1 = Z\^0 \+ Z/5 is cyclic"):
+        pipeline(tri, (2, 4, 4))
+    g = tri.t + 1
+    surjection = "".join(f"gen x{k} -> x\n" for k in range(g))
+    with pytest.raises(PipelineError, match="cannot carry the abelian image"):
+        pipeline(tri, (2, 4, 4), surjection_text=surjection)
 
 
 def test_pipeline_with_surjection():
@@ -1278,7 +1264,7 @@ def test_pipeline_with_surjection():
     cert, info = pipeline(tri, (2, 2, 3), surjection_text=surj)
     assert info["step"] == 2
     assert cert.kind == NON_ABELIAN
-    assert cert.level is None  # triangulation-level
+    assert "level" not in info
     assert cert.surjection is not None
     assert cert.presentation.g == tri.t + 1
     report = verify(cert)
@@ -1304,15 +1290,14 @@ def test_pipeline_rejects_nonorientable():
 
 
 def test_pipeline_triangulation_level_requires_surjection():
-    with pytest.raises(PipelineError, match="surjection"):
-        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7), level="triangulation")
-    # with the surjection supplied, the demanded level succeeds
+    # every certificate pipeline emits is about the triangulation, so a
+    # cyclic H1 with no surjection is an error, not a downgrade
+    with pytest.raises(PipelineError, match="needs a surjection file"):
+        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
     tri = load_fixture("prism_q12.tri")
-    cert, _ = pipeline(
-        tri, (2, 2, 3), surjection_text=fixture_text("prism_q12.surj"),
-        level="triangulation",
-    )
+    cert, _ = pipeline(tri, (2, 2, 3), surjection_text=fixture_text("prism_q12.surj"))
     assert cert.surjection is not None
+    assert verify_bound(cert, tri).accepted
 
 
 def test_pipeline_rejects_invalid():
@@ -1321,16 +1306,17 @@ def test_pipeline_rejects_invalid():
 
 
 def test_pipeline_has_no_orbifold_level_option():
-    with pytest.raises(ValueError, match="unknown level"):
+    with pytest.raises(TypeError, match="level"):
         pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7), level="orbifold")
+    with pytest.raises(TypeError, match="level"):
+        replace(parse(fixture_text("fig8.cert")), level="orbifold")
 
 
 def test_pipeline_builds_and_verifies_once(monkeypatch):
     import lenscert.certificate as certmod
-    import lenscert.trianglerep as trianglerep
 
     counts = {"build": 0, "verify": 0}
-    build, check = trianglerep.build_hyperbolic_rep, certmod.verify
+    build, check = certmod.triangle_image, certmod.verify
 
     def counted_build(*args):
         counts["build"] += 1
@@ -1340,28 +1326,28 @@ def test_pipeline_builds_and_verifies_once(monkeypatch):
         counts["verify"] += 1
         return check(cert)
 
-    monkeypatch.setattr(trianglerep, "build_hyperbolic_rep", counted_build)
+    monkeypatch.setattr(certmod, "triangle_image", counted_build)
     monkeypatch.setattr(certmod, "verify", counted_verify)
-    cert, info = pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
-    assert (cert.level, info["p"]) == ("orbifold", 337)
+    # no surjection: refused before the triangle group's image is built
+    with pytest.raises(PipelineError, match="needs a surjection file"):
+        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
+    assert counts == {"build": 0, "verify": 0}
+    surjection = fixture_text("prism_q12.surj")
+    cert, info = pipeline(load_fixture("prism_q12.tri"), (2, 2, 3), surjection)
+    assert (cert.field.p, info["p"]) == (3, 3)
     assert counts == {"build": 1, "verify": 1}
 
 
 def test_level_other_than_orbifold_is_a_syntax_error():
-    text = fixture_text("fig8.cert")
-    junk = text.replace("kind NonAbelianRep\n", "kind NonAbelianRep\nlevel whatever junk\n")
-    with pytest.raises(CertificateSyntaxError, match="level"):
-        parse(junk)
-    with pytest.raises(CertificateSyntaxError, match="level"):
-        replace(parse(fixture_text("fig8.cert")), level="triangulation")
-    # the level the producer writes still round-trips, on both kinds
-    for cert in (
-        pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))[0],
-        pipeline(load_fixture("lens_5_2.tri"), (2, 4, 4))[0],
-    ):
-        assert cert.level == "orbifold"
-        text = serialize(cert)
-        assert serialize(parse(text)) == text and parse(text) == cert
+    # a certificate has no level line: `level orbifold`, the line pipeline
+    # once wrote for a triangle group's own claim, is refused where the
+    # gens line belongs, as any other level line is, on both kinds
+    for text in (fixture_text("fig8.cert"), DEG1_CERT, Z7_CERT):
+        kind = text.splitlines()[1]
+        for level in ("orbifold", "whatever junk"):
+            marked = text.replace(f"{kind}\n", f"{kind}\nlevel {level}\n", 1)
+            with pytest.raises(CertificateSyntaxError, match="^line 3: expected 'gens "):
+                parse(marked)
 
 
 # ----------------------------------------------------------------------

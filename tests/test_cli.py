@@ -182,24 +182,16 @@ def test_pipeline_step1(tmp_path):
     assert run_cli("verify", str(target)).returncode == 0
 
 
-def test_pipeline_orbifold_level(tmp_path):
-    target = tmp_path / "p237.cert"
-    out = run_cli(
-        "pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7", "-o", str(target)
-    )
-    assert out.returncode == 0
-    assert "step=2" in out.stdout
-    assert "level=orbifold" in out.stdout
-    assert run_cli("verify", str(target)).returncode == 0
-
-
 def test_verify_bound_rejects_the_orbifold_certificate_of_a_lens_space(tmp_path):
-    target = tmp_path / "p237.cert"
-    run_cli("pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7", "-o", str(target))
+    # the triangle group's own certificate, which pipeline once emitted for
+    # L(7,2) marked `level orbifold`, is not about L(7,2)'s presentation
+    target = tmp_path / "t237.cert"
+    run_cli("trianglecert", "2", "3", "7", "-o", str(target))
+    assert run_cli("verify", str(target)).returncode == 0
     out = run_cli("verify", str(target), "--triangulation", fixture_path("lens_7_2.tri"))
     assert out.returncode == 1
     assert out.stdout.splitlines()[1:] == [
-        "reason: level orbifold: the certificate is not about a triangulation",
+        "reason: presentation is not the triangulation's fundamental group",
         "t=7 field_bits=9 field_budget_bits=1471.4",
     ]
 
@@ -239,23 +231,30 @@ def test_verify_bound_names_a_non_manifold_and_refuses_a_malformed_one(tmp_path)
 
 
 def test_pipeline_level_orbifold_is_not_a_choice(tmp_path):
+    # pipeline has no --level option: every certificate is about the triangulation
     target = tmp_path / "p237.cert"
-    out = run_cli(
-        "pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7",
-        "--level", "orbifold", "-o", str(target),
-    )
-    assert out.returncode == 2
-    assert "invalid choice" in out.stderr
-    assert not target.exists()
+    for level in ("orbifold", "triangulation"):
+        out = run_cli(
+            "pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7",
+            "--level", level, "-o", str(target),
+        )
+        assert out.returncode == 2
+        assert f"unrecognized arguments: --level {level}" in out.stderr
+        assert not target.exists()
 
 
 def test_verify_unknown_level_exits_two(tmp_path):
+    # a level line is a syntax error, `level orbifold` included, with or
+    # without --triangulation
     text = open(fixture_path("fig8.cert")).read()
     path = tmp_path / "level.cert"
-    path.write_text(text.replace("kind NonAbelianRep\n", "kind NonAbelianRep\nlevel whatever junk\n"))
-    out = run_cli("verify", str(path))
-    assert out.returncode == 2
-    assert "level" in out.stderr
+    for level in ("orbifold", "whatever junk"):
+        path.write_text(text.replace("gens ", f"level {level}\ngens ", 1))
+        for bound in ((), ("--triangulation", fixture_path("lens_7_2.tri"))):
+            out = run_cli("verify", str(path), *bound)
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert out.stderr == "error: line 3: expected 'gens <g> <labels...>'\n"
 
 
 def test_pipeline_with_surjection(tmp_path):
@@ -319,17 +318,24 @@ def test_pipeline_nonorientable_is_error():
     assert "non-orientable" in out.stderr
 
 
-def test_pipeline_triangulation_level_needs_surjection():
+def test_pipeline_triangulation_level_needs_surjection(tmp_path):
+    # every certificate pipeline writes is about the triangulation: with a
+    # cyclic H1, step 2 needs --surjection and writes nothing without it
+    target = tmp_path / "p237.cert"
     out = run_cli(
-        "pipeline",
-        fixture_path("lens_7_2.tri"),
-        "--base",
-        "2,3,7",
-        "--level",
-        "triangulation",
+        "pipeline", fixture_path("lens_7_2.tri"), "--base", "2,3,7", "-o", str(target)
     )
     assert out.returncode == 2
-    assert "surjection" in out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: H1 = Z^0 + Z/7 is cyclic, ")
+    assert "needs a surjection file (--surjection)" in out.stderr
+    assert not target.exists()
+    # step 1 needs no surjection, so the refusal comes after homology
+    for name in ("prism_q8.tri", "t3_torus.tri"):
+        out = run_cli("pipeline", fixture_path(name), "--base", "2,3,7", "-o", str(target))
+        assert out.returncode == 0
+        assert out.stdout.startswith("step=1 ")
+        assert run_cli("verify", str(target), "--triangulation", fixture_path(name)).returncode == 0
 
 
 def test_degree_report():

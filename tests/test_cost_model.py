@@ -11,7 +11,7 @@ A second digest pins what the producers report: the info dict of every
 triangle certificate, and the certificate and info (or the exception
 class) of `pipeline` over every fixture triangulation, a set of bases
 that reaches each branch of the triangle dispatch, with and without a
-surjection file, at levels auto and triangulation.
+surjection file.
 """
 
 import glob
@@ -77,8 +77,11 @@ def test_parsed_certificate_verifies_as_built():
     assert count == 1140 + 1 + len(PIPELINE_CASES)
 
 
-# computed on the code before the triangle dispatch was merged into one function
-BUILD_INFO_SHA256 = "0c774e1a589c64412cd0602b868dab38029331ea7a2803c6bafa583d049e1cc5"
+# re-pinned when pipeline lost its level parameter: against the earlier
+# digest's level="auto" records, with their info level key dropped, only
+# the 99 records with a `level orbifold` certificate moved, each to raise
+# PipelineError
+BUILD_INFO_SHA256 = "98450db766b265e053455e69920715fee4896ed6544899ccbc42dc9241126ec0"
 
 BASES = (
     (2, 3, 7),  # hyperbolic, coprime
@@ -94,7 +97,6 @@ BASES = (
     (3, 3, 3),
     (1, 2, 3),  # not a triangle group
 )
-LEVELS = ("auto", "triangulation")
 
 
 def build_info_records():
@@ -105,10 +107,10 @@ def build_info_records():
     for path in sorted(glob.glob(os.path.join(FIXTURES, "*.tri"))):
         name = os.path.basename(path)
         tri = load_fixture(name)
-        for base, surj, level in itertools.product(BASES, (None, surj_text), LEVELS):
-            head = f"pipeline {name} {base} {surj is not None} {level}"
+        for base, surj in itertools.product(BASES, (None, surj_text)):
+            head = f"pipeline {name} {base} {surj is not None}"
             try:
-                cert, info = pipeline(tri, base, surjection_text=surj, level=level)
+                cert, info = pipeline(tri, base, surjection_text=surj)
             except Exception as exc:
                 yield f"{head} raises {type(exc).__name__}\n"
                 continue
@@ -121,5 +123,5 @@ def test_build_info_digest_is_pinned():
     for record in build_info_records():
         digest.update(record.encode())
         count += 1
-    assert count == 1140 + 13 * len(BASES) * 2 * len(LEVELS)
+    assert count == 1140 + 13 * len(BASES) * 2
     assert digest.hexdigest() == BUILD_INFO_SHA256

@@ -57,7 +57,9 @@ def _group(cert) -> str:
 
 
 def _reference_ns() -> list[int]:
-    """CALIBRATION_SAMPLES timings of reference_work(), in ns."""
+    """CALIBRATION_SAMPLES timings of reference_work(), in ns, after one
+    untimed call: the first call after a pass runs slower than the next."""
+    reference_work()
     samples = []
     for _ in range(CALIBRATION_SAMPLES):
         start = time.perf_counter_ns()
@@ -173,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="JSON file to write (default: print it)")
     parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.max_n < 4:
+        parser.error("--max-n must be at least 4: no triple with entries up to 3 is hyperbolic")
 
     if args.measure:
         sys.path.insert(0, args.measure)

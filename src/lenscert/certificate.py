@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
-from .intlinalg import IntMatrix, abelianization, format_abelian, is_cyclic, smith_normal_form
+from .intlinalg import AbelianGroup, abelianization, format_abelian, is_cyclic
 from .presentation import (
     GroupPresentation,
     Word,
@@ -731,34 +731,52 @@ def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
     return verify(cert)
 
 
-def noncyclic_certificate(pres: GroupPresentation) -> Certificate:
-    """Build the homology certificate from the Smith normal form.
+def noncyclic_certificate(pres: GroupPresentation, h1: AbelianGroup) -> Certificate:
+    """The step-1 certificate onto (Z/n)^2, given H1 = abelianization(pres).
 
-    Generator k has coordinates given by row k of the column transform V;
-    two coordinates whose moduli share a factor give a surjection onto a
-    non-cyclic Z/a x Z/b.  Raises if the abelianization is cyclic.
-    """
-    sums = [w.nonzero_exponent_sums() for w in pres.relators]
-    rows = [[s.get(j, 0) for j in range(pres.g)] for s in sums]
-    snf = smith_normal_form(IntMatrix(rows, cols=pres.g), want_transforms=True)
-    v = snf.v
-    assert v is not None
-    diag, rank = snf.diag, snf.rank
-    torsion_idx = [i for i in range(rank) if diag[i] > 1]
-    free_idx = list(range(rank, pres.g))
-    if len(torsion_idx) >= 2:
-        i1, i2 = torsion_idx[-2], torsion_idx[-1]
-        a, b = diag[i1], diag[i2]
-    elif torsion_idx and free_idx:
-        i1, i2 = torsion_idx[-1], free_idx[0]
-        a = b = diag[i1]
-    elif len(free_idx) >= 2:
-        i1, i2 = free_idx[0], free_idx[1]
-        a = b = 2
-    else:
+    n is 2 if H1 has free rank >= 2, else its first torsion factor, so n
+    and each divisor of n divide two invariant factors.  The relators'
+    exponent sums are reduced mod n by Gauss-Jordan on unit pivots, each
+    row's lowest unit column first; a nonzero row with no unit replaces n
+    by gcd(n, its lowest column's entry) and elimination restarts (the D5
+    principle).  The two lowest free columns map to (1,0) and (0,1), the
+    other free columns to 0, each pivot column to minus its row's entries
+    at those two.  Raises if H1 is cyclic."""
+    if is_cyclic(h1):
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
-    images = tuple((v[k, i1] % a, v[k, i2] % b) for k in range(pres.g))
-    cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(a, b), abelian_images=images)
+    n = 2 if h1.free_rank >= 2 else h1.torsion[0]
+    sums = [w.nonzero_exponent_sums() for w in pres.relators]
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row on free columns
+    k = 0
+    while k < len(sums):
+        row = dict(sums[k])
+        for j in row.keys() & pivots.keys():
+            e = row.pop(j)
+            for c, x in pivots[j].items():
+                row[c] = row.get(c, 0) - e * x
+        row = {c: x % n for c, x in row.items() if x % n}
+        units = [c for c, x in row.items() if math.gcd(x, n) == 1]
+        k += 1
+        if units:
+            j = min(units)
+            inverse = pow(row.pop(j), -1, n)
+            pivot = {c: x * inverse % n for c, x in row.items()}
+            for other in pivots.values():
+                e = other.pop(j, 0)
+                if e:  # entries left at 0 here are harmless
+                    for c, x in pivot.items():
+                        other[c] = (other.get(c, 0) - e * x) % n
+            pivots[j] = pivot
+        elif row:  # no unit: split n and start again
+            n, pivots, k = math.gcd(n, row[min(row)]), {}, 0
+    free = [j for j in range(pres.g) if j not in pivots]
+    images = [(0, 0)] * pres.g
+    images[free[0]], images[free[1]] = (1, 0), (0, 1)
+    for j, row in pivots.items():
+        images[j] = (-row.get(free[0], 0) % n, -row.get(free[1], 0) % n)
+    cert = Certificate(
+        kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=tuple(images)
+    )
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built abelian certificate fails: {outcome.reason}")
@@ -872,7 +890,7 @@ def pipeline(
     h1 = abelianization(pres)
     info: dict = {"h1": format_abelian(h1), "t": tri.t}
     if not is_cyclic(h1):
-        cert = noncyclic_certificate(pres)
+        cert = noncyclic_certificate(pres, h1)
         info.update(step=1, kind=NON_CYCLIC, target=cert.target)
         return cert, info
 

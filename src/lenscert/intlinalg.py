@@ -3,18 +3,15 @@
 Entries are Python ints throughout: SNF intermediates overflow any fixed
 word size, so arbitrary precision is not optional here.
 
-`smith_normal_form` is dense: every step scans the remaining matrix for
-its pivot, so it costs about n^3 on an n x n matrix.  `abelianization`
-therefore first eliminates +-1 pivots sparsely (Dumas, Saunders and
-Villard, J. Symb. Comput. 2001): the exponent matrix of a triangulation's
-presentation has at most 3 nonzeros per row, mostly +-1, and what is left
-for the dense SNF is a small core.  Each row takes its pivot by one
-scan of its entries, at most three on a relator row.
-`certificate.noncyclic_certificate` needs the column transform V, so it
-calls the dense SNF on the whole matrix, since the sparse pass tracks no
-transforms.  Matrices this module computes (the core and V) are built
-by `IntMatrix.from_checked`, without the int() per entry that the public
-constructor runs.
+`smith_normal_form` is dense and tracks no transform: every step scans
+the remaining matrix for its pivot, so it costs about n^3 on an n x n
+matrix.  `abelianization` therefore first eliminates +-1 pivots sparsely
+(Dumas, Saunders and Villard, J. Symb. Comput. 2001): the exponent matrix
+of a triangulation's presentation has at most 3 nonzeros per row, mostly
++-1, and what is left for the dense SNF is a small core, built by
+`IntMatrix.from_checked` without the int() per entry of the public
+constructor.  Each row takes its pivot by one scan of its entries, at
+most three on a relator row.
 """
 
 from __future__ import annotations
@@ -55,27 +52,20 @@ class IntMatrix:
         object.__setattr__(matrix, "cols", cols)
         return matrix
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        return self.entries[idx[0]][idx[1]]
-
 
 @dataclass(frozen=True)
 class SNFResult:
     diag: tuple[int, ...]
     rank: int
-    v: Optional[IntMatrix] = None
 
 
-def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
+def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Diagonalize over Z with the divisibility chain d1 | d2 | ...
 
     Pivot is the smallest nonzero absolute value, ties broken row-major.
-    When requested, the unimodular column transform V (cols x cols) is
-    returned, with N = U*A*V for some unimodular U that is not tracked.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -83,9 +73,6 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
@@ -96,9 +83,6 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
     def add_col(dst, src, c):
         for row in d:
             row[dst] += c * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += c * row[src]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -156,8 +140,6 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SNFResult:
 
     diag = tuple(d[i][i] for i in range(min(m, n)))
     rank = sum(1 for x in diag if x != 0)
-    if v is not None:
-        return SNFResult(diag, rank, IntMatrix.from_checked(tuple(map(tuple, v)), n))
     return SNFResult(diag, rank)
 
 

@@ -57,7 +57,7 @@ from lenscert.galois import (
     smallest_prime_in_progression,
     sqrt_mod_p,
 )
-from lenscert.intlinalg import IntMatrix, smith_normal_form
+from lenscert.intlinalg import IntMatrix
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, projective_order
 from lenscert.trianglerep import (
@@ -146,9 +146,9 @@ def invariant_factors_by_minors(rows) -> list[int]:
 
 def two_sided_smith_normal_form(a: IntMatrix):
     """(diag, rank, U, V) with N = U*A*V: the library's earlier dense SNF,
-    which tracked the row transform U as well as V.  Same pivot rule,
-    smallest nonzero absolute value with ties broken row-major, so its
-    diag and V are the library's."""
+    which tracked both transforms.  Same pivot rule, smallest nonzero
+    absolute value with ties broken row-major, so its diag is the
+    library's."""
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -1127,15 +1127,15 @@ def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:
     """Invariant factors (s1 | s2) of the subgroup of Z/a x Z/b generated by
     the images, from two Smith normal forms: one gives a basis C of the
     lattice L spanned by the images, (a,0) and (0,b); the other the
-    invariant factors of a*Z + b*Z in the coordinates of C."""
+    invariant factors of a*Z + b*Z in the coordinates of C.  Both are
+    two_sided_smith_normal_form, which shares no code with the library."""
     rows = [list(img) for img in images] + [[a, 0], [0, b]]
-    snf = smith_normal_form(IntMatrix(rows, cols=2), want_transforms=True)
-    d1, d2 = snf.diag[0], snf.diag[1]
-    v = snf.v
-    det_v = det_int(v.entries)
+    (d1, d2), _, _, v_matrix = two_sided_smith_normal_form(IntMatrix(rows, cols=2))
+    v = v_matrix.entries
+    det_v = det_int(v)
     vinv = [
-        [det_v * v[1, 1], -det_v * v[0, 1]],
-        [-det_v * v[1, 0], det_v * v[0, 0]],
+        [det_v * v[1][1], -det_v * v[0][1]],
+        [-det_v * v[1][0], det_v * v[0][0]],
     ]
     c = [[d1 * vinv[0][0], d1 * vinv[0][1]], [d2 * vinv[1][0], d2 * vinv[1][1]]]
     det_c = c[0][0] * c[1][1] - c[0][1] * c[1][0]
@@ -1145,8 +1145,8 @@ def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:
         for j in range(2):
             assert w[i][j] % det_c == 0
             w[i][j] //= det_c
-    inner = smith_normal_form(IntMatrix(w))
-    return inner.diag[0], inner.diag[1]
+    s1, s2 = two_sided_smith_normal_form(IntMatrix(w))[0]
+    return s1, s2
 
 
 # ----------------------------------------------------------------------
@@ -1255,7 +1255,7 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError("dimension mismatch")
     data = [
-        [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+        [sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) for j in range(b.cols)]
         for i in range(a.rows)
     ]
     return IntMatrix(data, cols=b.cols)

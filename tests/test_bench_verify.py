@@ -1,0 +1,50 @@
+"""scripts/bench_verify.py runs end to end on a small sweep and writes
+the JSON its docstring describes."""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+from lenscert.certificate import parse, serialize, triangle_certificate, verify
+from lenscert.trianglerep import hyperbolic_triples
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_verify.py")
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, SCRIPT, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_bench_verify_small_sweep_writes_one_column():
+    out = _run("--max-n", "5", "--repeats", "1", "--rounds", "1")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["command"] == "scripts/bench_verify.py --max-n 5 --repeats 1 --rounds 1"
+    assert list(doc["columns"]) == ["change"]
+    column = doc["columns"]["change"]
+    assert column["certificates"] == {"abelian": 2, "F_p": 2, "F_p2": 7}
+    for metric in ("verify_us", "verify_us_raw"):
+        assert set(column[metric]) == {"abelian", "F_p", "F_p2"}
+        assert all(us > 0 for us in column[metric].values())
+    for metric in ("relator_fold_us", "relator_fold_us_raw"):
+        assert set(column[metric]) == {"F_p", "F_p2"}
+        assert all(us > 0 for us in column[metric].values())
+    reports = [
+        verify(parse(serialize(triangle_certificate(*t.triple)[0])))
+        for t in hyperbolic_triples(5)
+    ]
+    assert column["cost_model_means"] == {
+        key: round(statistics.fmean(getattr(r, key) for r in reports), 4)
+        for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
+    }
+
+
+def test_bench_verify_refuses_a_sweep_without_hyperbolic_triples():
+    out = _run("--max-n", "3", "--repeats", "1", "--rounds", "1")
+    assert out.returncode == 2
+    assert "--max-n must be at least 4" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -25,11 +25,13 @@ from lenscert.certificate import (
 )
 from lenscert.cli import main as cli_main
 from lenscert.galois import FieldSpec, quadratic_extension
-from lenscert.presentation import GroupPresentation, Word, parse_word
+from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic
+from lenscert.presentation import GroupPresentation, Word, fundamental_group, parse_word
 from lenscert.projmat import ProjMatrix
 from oracles import (
     dense_abelian_report,
     equal_up_to_sign,
+    random_presentation,
     reduced_word,
     snf_subgroup_invariants,
     spliced_rep_verdict,
@@ -1187,42 +1189,88 @@ def test_verify_matches_the_spliced_surjection_oracle():
 
 
 # ----------------------------------------------------------------------
-# homology certificates from the Smith normal form
+# step-1 certificates by elimination mod n
+
+
+def _noncyclic(pres: GroupPresentation) -> Certificate:
+    return noncyclic_certificate(pres, abelianization(pres))
+
+
+def _check_fixture_step1(name):
+    tri = load_fixture(name)
+    cert = _noncyclic(fundamental_group(tri))
+    assert cert.kind == NON_CYCLIC
+    assert cert.target == (2, 2)
+    assert verify(cert).accepted
+    assert verify_bound(cert, tri).accepted
 
 
 def test_noncyclic_certificate_t3():
-    tri = load_fixture("t3_torus.tri")
-    from lenscert.presentation import fundamental_group
-
-    cert = noncyclic_certificate(fundamental_group(tri))
-    assert cert.kind == NON_CYCLIC
-    assert cert.target == (2, 2)  # free rank 3 reduced mod 2
-    assert verify(cert).accepted
+    _check_fixture_step1("t3_torus.tri")  # free rank 3 reduced mod 2
 
 
 def test_noncyclic_certificate_prism_q8():
-    tri = load_fixture("prism_q8.tri")
-    from lenscert.presentation import fundamental_group
-
-    cert = noncyclic_certificate(fundamental_group(tri))
-    assert cert.target == (2, 2)
-    assert verify(cert).accepted
+    _check_fixture_step1("prism_q8.tri")  # H1 = (Z/2)^2
 
 
 def test_noncyclic_certificate_rejects_cyclic():
     tri = load_fixture("lens_5_2.tri")
-    from lenscert.presentation import fundamental_group
-
     with pytest.raises(ValueError, match="cyclic"):
-        noncyclic_certificate(fundamental_group(tri))
+        _noncyclic(fundamental_group(tri))
+
+
+def _check_target(powers, h1, target):
+    """x_i^e for each (i, e) in powers, over as many generators as h1
+    has factors: the certificate lands in target."""
+    g = h1.free_rank + len(h1.torsion)
+    pres = GroupPresentation(g, tuple(Word(((i, 1),) * e) for i, e in powers))
+    assert abelianization(pres) == h1
+    cert = noncyclic_certificate(pres, h1)
+    assert cert.target == target
+    assert verify(cert).accepted
+    assert snf_subgroup_invariants(*target, cert.abelian_images) == target
 
 
 def test_noncyclic_certificate_mixed_rank():
-    # Z + Z/4: certificate should land in Z/4 x Z/4
-    pres = GroupPresentation(2, (Word(((0, 1),) * 4),), ("x", "y"))
-    cert = noncyclic_certificate(pres)
-    assert cert.target == (4, 4)
+    _check_target([(0, 4)], AbelianGroup(1, (4,)), (4, 4))  # Z + Z/4
+    _check_target([(2, 8)], AbelianGroup(2, (8,)), (2, 2))  # Z^2 + Z/8: n = 2
+
+
+def test_noncyclic_certificate_takes_the_first_torsion_factor():
+    # Z/4 + Z/12: n = 4, which divides 12, not (4, 12)
+    _check_target([(0, 4), (1, 12)], AbelianGroup(0, (4, 12)), (4, 4))
+
+
+def test_noncyclic_certificate_splits_the_modulus():
+    # H1 = Z + Z/6 starts at n = 6, but x0^2 x1^3 has no unit entry mod 6:
+    # n becomes gcd(6, 2) = 2, and x1 is then a pivot
+    pres = GroupPresentation(3, (parse_word("x0^2 x1^3", ("x0", "x1", "x2")),
+                                 parse_word("x2^6", ("x0", "x1", "x2"))))
+    h1 = abelianization(pres)
+    assert h1 == AbelianGroup(1, (6,))
+    cert = noncyclic_certificate(pres, h1)
+    assert cert.target == (2, 2)
+    assert cert.abelian_images == ((1, 0), (0, 0), (0, 1))
     assert verify(cert).accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_noncyclic_certificate_on_random_presentations(rng):
+    """Freely reduced random relators with a non-cyclic H1: the
+    certificate verifies onto (n, n), n divides the starting modulus, and
+    the images generate all of (Z/n)^2."""
+    drawn = random_presentation(rng)
+    relators = tuple(w for w in map(reduced_word, drawn.relators) if w.letters)
+    pres = GroupPresentation(drawn.g, relators)
+    h1 = abelianization(pres)
+    assume(not is_cyclic(h1))
+    start = 2 if h1.free_rank >= 2 else h1.torsion[0]
+    cert = noncyclic_certificate(pres, h1)
+    n = cert.target[0]
+    assert cert.target == (n, n) and start % n == 0
+    assert verify(cert).accepted
+    assert snf_subgroup_invariants(n, n, cert.abelian_images) == (n, n)
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,11 @@ from dataclasses import replace
 from conftest import FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import parse, pipeline, serialize, triangle_certificate, verify
 
-# re-pinned when verify came to fold each surjection word once and to make
-# no generator check: the texts and relator_mat_mults of the triangle and
-# fig8 certificates are those of the earlier digest
-COST_MODEL_SHA256 = "95e501771a97a2fc1b813bd4f90eb87659507bc7474a06b72f307fc3358ac2e3"
+# re-pinned when step 1 came to eliminate mod n instead of reading the
+# Smith normal form's column transform: against the earlier digest only
+# the prism_q8 record moved, its x1 and x2 images swapped, with the same
+# bytes and the same four costs
+COST_MODEL_SHA256 = "86fdbfa5327b19e8d766082bbe48ed3f67ed194b9d055e4bf44a1d5d20e3698a"
 
 PIPELINE_CASES = (
     ("prism_q8.tri", (2, 2, 2), None),
@@ -77,11 +78,11 @@ def test_parsed_certificate_verifies_as_built():
     assert count == 1140 + 1 + len(PIPELINE_CASES)
 
 
-# re-pinned when pipeline lost its level parameter: against the earlier
-# digest's level="auto" records, with their info level key dropped, only
-# the 99 records with a `level orbifold` certificate moved, each to raise
-# PipelineError
-BUILD_INFO_SHA256 = "98450db766b265e053455e69920715fee4896ed6544899ccbc42dc9241126ec0"
+# re-pinned when step 1 came to eliminate mod n: against the earlier
+# digest only the 24 prism_q8 records (12 bases, with and without a
+# surjection) moved, each certificate's x1 and x2 images swapped with the
+# same byte count; t3_torus's step-1 records did not move
+BUILD_INFO_SHA256 = "f27672bb8290ff5b7b9c216f44dc5891943e31af7d42f306a543edaf5e889215"
 
 BASES = (
     (2, 3, 7),  # hyperbolic, coprime

@@ -84,19 +84,14 @@ def _random_matrices():
 
 def test_snf_diag_and_v_equal_the_two_sided_oracle():
     for a in _random_matrices():
-        result = smith_normal_form(a, want_transforms=True)
+        result = smith_normal_form(a)
         diag, rank, u, v = two_sided_smith_normal_form(a)
-        assert (result.diag, result.rank, result.v) == (diag, rank, v)
+        assert (result.diag, result.rank) == (diag, rank)
         # and the oracle's transforms do diagonalize a: N = U*A*V
         n = int_matmul(int_matmul(u, a), v)
         for i in range(a.rows):
             for j in range(a.cols):
-                assert n[i, j] == (diag[i] if i == j else 0)
-
-
-def test_snf_column_transform_is_unimodular():
-    for a in _random_matrices():
-        assert abs(det_int(smith_normal_form(a, want_transforms=True).v.entries)) == 1
+                assert n.entries[i][j] == (diag[i] if i == j else 0)
 
 
 def test_snf_matches_minors_oracle_500_random():

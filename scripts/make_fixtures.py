@@ -18,6 +18,13 @@ orientability) is ground truth independent of the library:
                                                       a Seifert fiber space over
                                                       S^2(2,2,m)
 
+The two quotients are written as closed-form gluing tables, linear in
+t.  Tetrahedron j is the orbit representative (x_0, x_1, y_j, y_{j+1});
+its faces 0 and 2 meet (x_1, x_2, y_j, y_{j+1}) and (x_0, x_1, y_{j+1},
+y_{j+2}), which the group carries back to representatives: for L(p,q)
+to j-q and j+1, for S^3/Q_{4m} by alpha^-1 to j+1 and, at j = m-1, by
+beta^-1, which swaps the circles, round to 0.
+
 Two small fixtures are found by exhaustive search over gluing tables and
 carry no name; their expected values are recomputed by the test suite's
 independent oracles.  Also writes the figure-eight knot certificate and
@@ -30,6 +37,7 @@ import itertools
 import json
 import os
 import sys
+from math import gcd
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -81,10 +89,17 @@ def boundary_4_simplex() -> Triangulation:
 def lens_space(p: int, q: int) -> Triangulation:
     """L(p,q) as the Z/p quotient of the join of two p-gon circles.
 
-    Tetrahedron j is the join cell (a0, a1, b_j, b_{j+1}); transporting
-    neighbours back to these representatives gives two gluing families.
+    The join of the a- and b-circles is S^3 with p^2 tetrahedra
+    (a_k, a_{k+1}, b_l, b_{l+1}), on which g(a_k, b_l) = (a_{k+1}, b_{l+q})
+    acts freely.  Tetrahedron j is the orbit representative
+    (a_0, a_1, b_j, b_{j+1}).  Its face 0 meets (a_1, a_2, b_j, b_{j+1}),
+    which g^-1 carries to representative j-q: (j,0) -> (j-q,1), perm
+    1023.  Its face 2 meets representative j+1: (j,2) -> (j+1,3), perm
+    0132.  Each face slot is a source (faces 0, 2) or a target (faces 1,
+    3) exactly once, so every gluing is listed once.
     """
-    assert p >= 2 and 0 < q < p and __import__("math").gcd(p, q) == 1
+    if not (p >= 2 and 0 < q < p and gcd(p, q) == 1):
+        raise ValueError(f"L(p,q) needs p >= 2 and 0 < q < p coprime to p, got ({p}, {q})")
     pairings = []
     for j in range(p):
         pairings.append(
@@ -93,13 +108,7 @@ def lens_space(p: int, q: int) -> Triangulation:
         pairings.append(
             FacePairing((j, 2), ((j + 1) % p, 3), Permutation4((0, 1, 3, 2)))
         )
-    # both directions are listed once p is small enough to overlap; dedupe
-    unique = {}
-    for fp in pairings:
-        key = min(fp.source, fp.target)
-        canon = fp if fp.source <= fp.target else fp.reverse()
-        unique.setdefault((key, max(fp.source, fp.target)), canon)
-    return make_triangulation(p, list(unique.values()))
+    return make_triangulation(p, pairings)
 
 
 def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
@@ -201,98 +210,32 @@ def sphere_bundle(twisted: bool) -> Triangulation:
     return _match_faces(tets, boundary_partner)
 
 
-def quotient_of_free_action(tets: list[tuple], group: list[dict]) -> Triangulation:
-    """Quotient of a closed triangulation (tets as 4-tuples of vertex tokens,
-    every face shared by exactly two tets) by a group of simplicial
-    symmetries given as vertex maps.  The action must be free on tets."""
-    index_of = {frozenset(t): i for i, t in enumerate(tets)}
-    if len(index_of) != len(tets):
-        raise ValueError("tetrahedra must have distinct vertex sets")
-
-    def image_tet(g: dict, i: int) -> int:
-        return index_of[frozenset(g[v] for v in tets[i])]
-
-    reps = {}
-    for i in range(len(tets)):
-        orbit = {image_tet(g, i) for g in group}
-        if len(orbit) != len(group):
-            raise ValueError("action is not free on tetrahedra")
-        reps[i] = min(orbit)
-    rep_list = sorted(set(reps.values()))
-    new_index = {r: k for k, r in enumerate(rep_list)}
-    transport = {}
-    for i in range(len(tets)):
-        transport[i] = next(g for g in group if image_tet(g, i) == reps[i])
-
-    location: dict[frozenset, list[tuple[int, int]]] = {}
-    for i, tet in enumerate(tets):
-        for local in range(4):
-            pts = frozenset(v for k, v in enumerate(tet) if k != local)
-            location.setdefault(pts, []).append((i, local))
-
-    pairings = []
-    seen = set()
-    for r in rep_list:
-        tet_r = tets[r]
-        for local in range(4):
-            pts = frozenset(v for k, v in enumerate(tet_r) if k != local)
-            slots = location[pts]
-            if len(slots) != 2:
-                raise ValueError("upstairs complex is not closed")
-            j, local2 = slots[0] if slots[0] != (r, local) else slots[1]
-            g = transport[j]
-            tet_t = tets[reps[j]]
-            images = [0] * 4
-            for k, v in enumerate(tet_r):
-                source = tets[j][local2] if k == local else v
-                images[k] = tet_t.index(g[source])
-            fp = FacePairing(
-                (new_index[r], local),
-                (new_index[reps[j]], images[local]),
-                Permutation4(tuple(images)),
-            )
-            key = frozenset((fp.source, fp.target))
-            if key not in seen:
-                seen.add(key)
-                pairings.append(fp)
-    return make_triangulation(len(rep_list), pairings)
-
-
 def prism_manifold(m: int) -> Triangulation:
-    """S^3/Q_{4m}: the binary dihedral group acts on the join of the z- and
-    w-circles (2m points each) by alpha(z_k, w_l) = (z_{k+1}, w_{l-1}) and
-    beta(z_k) = w_{k+m}, beta(w_l) = z_l; the action is free, so the
-    quotient triangulates the prism manifold with m tetrahedra."""
-    n = 2 * m
-    tets = [
-        (("z", k), ("z", (k + 1) % n), ("w", l), ("w", (l + 1) % n))
-        for k in range(n)
-        for l in range(n)
-    ]
-    alpha = {}
-    beta = {}
-    for k in range(n):
-        alpha[("z", k)] = ("z", (k + 1) % n)
-        alpha[("w", k)] = ("w", (k - 1) % n)
-        beta[("z", k)] = ("w", (k + m) % n)
-        beta[("w", k)] = ("z", k)
+    """S^3/Q_{4m}, the prism manifold, Seifert fibered over S^2(2,2,m).
 
-    def compose_maps(g, h):
-        return {v: g[h[v]] for v in h}
-
-    identity = {v: v for v in alpha}
-    group = [identity]
-    frontier = [identity]
-    while frontier:
-        current = frontier.pop()
-        for gen in (alpha, beta):
-            nxt = compose_maps(gen, current)
-            if nxt not in group:
-                group.append(nxt)
-                frontier.append(nxt)
-    if len(group) != 4 * m:
-        raise RuntimeError(f"Q_{{4m}} closure has {len(group)} elements")
-    return quotient_of_free_action(tets, group)
+    The join of the z- and w-circles (2m points each) is S^3 with (2m)^2
+    tetrahedra (z_k, z_{k+1}, w_l, w_{l+1}), on which the binary dihedral
+    group Q_{4m} acts freely through alpha(z_k, w_l) = (z_{k+1}, w_{l-1})
+    and beta(z_k) = w_{k+m}, beta(w_l) = z_l.  alpha keeps k + l mod 2m
+    and beta adds m, so the m orbits are the classes of k + l mod m, and
+    tetrahedron j is the representative (z_0, z_1, w_j, w_{j+1}).  Its
+    face 0 meets (z_1, z_2, w_j, w_{j+1}), which alpha^-1 carries to
+    (z_0, z_1, w_{j+1}, w_{j+2}); its face 2 meets that tetrahedron
+    itself.  For j < m-1 it is representative j+1: (j,0) -> (j+1,1),
+    perm 1023, and (j,2) -> (j+1,3), perm 0132.  At j = m-1 it is
+    (z_0, z_1, w_m, w_{m+1}), which beta^-1 carries to (w_0, w_1, z_0,
+    z_1), representative 0 reordered: (m-1,0) -> (0,3), perm 3201, and
+    (m-1,2) -> (0,1), perm 2310.  S^3/Q_4 is L(4,1), so m starts at 2.
+    """
+    if m < 2:
+        raise ValueError(f"prism_manifold needs m >= 2 (S^3/Q_4 is L(4,1)), got {m}")
+    pairings = []
+    for j in range(m - 1):
+        pairings.append(FacePairing((j, 0), (j + 1, 1), Permutation4((1, 0, 2, 3))))
+        pairings.append(FacePairing((j, 2), (j + 1, 3), Permutation4((0, 1, 3, 2))))
+    pairings.append(FacePairing((m - 1, 0), (0, 3), Permutation4((3, 2, 0, 1))))
+    pairings.append(FacePairing((m - 1, 2), (0, 1), Permutation4((2, 3, 1, 0))))
+    return make_triangulation(m, pairings)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 import time
 from dataclasses import replace
 
@@ -38,6 +40,9 @@ from oracles import (
     spliced_word_image,
     word_power,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from make_fixtures import prism_manifold  # noqa: E402
 
 
 def fig8_certificate() -> Certificate:
@@ -1271,6 +1276,28 @@ def test_noncyclic_certificate_on_random_presentations(rng):
     assert cert.target == (n, n) and start % n == 0
     assert verify(cert).accepted
     assert snf_subgroup_invariants(n, n, cert.abelian_images) == (n, n)
+
+
+def test_noncyclic_certificate_at_t_160():
+    # step 1 on a 160-tetrahedron prism manifold, H1 = (Z/2)^2: about
+    # 7 ms on a 2-vCPU x86 VM, so cubic work overruns the bound
+    tri = prism_manifold(160)
+    pres = fundamental_group(tri)
+    h1 = abelianization(pres)
+    start = time.perf_counter()
+    cert = noncyclic_certificate(pres, h1)
+    assert time.perf_counter() - start < 0.2
+    assert cert.target == (2, 2)
+    assert verify_bound(cert, tri).accepted
+    other = verify_bound(cert, prism_manifold(158))
+    assert not other.accepted
+    assert other.reason == "presentation is not the triangulation's fundamental group"
+
+
+def test_pipeline_refuses_a_large_prism_manifold_without_surjection():
+    # odd m: H1 = Z/4 is cyclic, so step 1 does not apply
+    with pytest.raises(PipelineError, match=r"H1 = Z\^0 \+ Z/4 is cyclic"):
+        pipeline(prism_manifold(161), (2, 2, 161))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""scripts/make_fixtures.py regenerates fixtures/ byte for byte, and
-every public name of the library, down to the methods and properties of
-its classes, has a caller outside the unit tests."""
+"""scripts/make_fixtures.py regenerates fixtures/ byte for byte, its
+parametric builders check their arguments and give the manifolds they
+name, and every public name of the library, down to the methods and
+properties of its classes, has a caller outside the unit tests."""
 
 import ast
 import os
@@ -8,7 +9,12 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES
+from lenscert.intlinalg import AbelianGroup, abelianization
+from lenscert.presentation import fundamental_group
+from lenscert.triangulation import orientation_check, validate
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 import make_fixtures  # noqa: E402
@@ -23,6 +29,31 @@ def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeyp
     for name in names:
         with open(os.path.join(FIXTURES, name), "rb") as handle:
             assert (tmp_path / name).read_bytes() == handle.read(), name
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (4, 0), (4, 4), (4, 5), (4, 2), (6, -1)])
+def test_lens_space_refuses_bad_parameters(p, q):
+    with pytest.raises(ValueError, match=r"L\(p,q\)"):
+        make_fixtures.lens_space(p, q)
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_prism_manifold_refuses_m_below_two(m):
+    # S^3/Q_4 is L(4,1), and smaller m names no group
+    with pytest.raises(ValueError, match="m >= 2"):
+        make_fixtures.prism_manifold(m)
+
+
+@pytest.mark.parametrize("m", [*range(2, 41), 97, 160, 1000])
+def test_prism_manifold_is_the_prism_manifold(m):
+    # H1(S^3/Q_{4m}) is Z/4 for odd m and (Z/2)^2 for even m (Orlik,
+    # Seifert Manifolds, LNM 291, 1972), a fact independent of this code
+    tri = make_fixtures.prism_manifold(m)
+    assert tri.t == m
+    assert validate(tri).passed
+    assert orientation_check(tri).orientable
+    h1 = AbelianGroup(0, (4,) if m % 2 else (2, 2))
+    assert abelianization(fundamental_group(tri)) == h1
 
 
 def test_every_public_name_has_a_product_caller():

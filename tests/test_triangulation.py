@@ -36,7 +36,7 @@ from oracles import (
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space  # noqa: E402
+from make_fixtures import lens_space, prism_manifold  # noqa: E402
 
 MINIMAL_ONE_TET = """
 # two self-gluings of a single tetrahedron
@@ -102,16 +102,20 @@ def test_few_gluings_name_the_first_unpaired_face():
 
 
 def test_homology_chain_is_linear_at_ten_thousand_tetrahedra():
-    # the chain takes about 0.5 s on a 2-vCPU x86 VM, so work of order t
+    # each chain takes about 0.5 s on a 2-vCPU x86 VM, so work of order t
     # per gluing line (4 * 10**4 slots times 2 * 10**4 lines) overruns the
     # bound
-    text = format_triangulation(lens_space(10000, 3001))
-    start = time.perf_counter()
-    tri = parse_triangulation(text)
-    assert validate(tri).passed
-    assert orientation_check(tri).orientable
-    assert abelianization(fundamental_group(tri)) == AbelianGroup(0, (10000,))
-    assert time.perf_counter() - start < 6.0
+    for built, h1 in (
+        (lens_space(10000, 3001), AbelianGroup(0, (10000,))),
+        (prism_manifold(10000), AbelianGroup(0, (2, 2))),
+    ):
+        text = format_triangulation(built)
+        start = time.perf_counter()
+        tri = parse_triangulation(text)
+        assert validate(tri).passed
+        assert orientation_check(tri).orientable
+        assert abelianization(fundamental_group(tri)) == h1
+        assert time.perf_counter() - start < 6.0
 
 
 def _outcome_of(fn, *args):

@@ -65,9 +65,10 @@ abelian image (Z/d)^2 when the triple's entries share a factor d > 1,
 else the matrix pair trianglerep.triangle_image returns.  trianglerep
 decides a triangle's matrices and this module its certificate kind.
 triangle_certificate states the triangle group's own claim; pipeline
-states every claim about the triangulation's own presentation, so at
-step 2 it carries the triangle group's matrices there by a surjection,
-and without one it emits nothing.
+states every claim about the triangulation's own presentation: at step
+1 the (Z/n)^2 image noncyclic_certificate solves for by intlinalg's
+sparse elimination mod n, at step 2 the triangle group's matrices,
+carried there by a surjection, and without one nothing.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
-from .intlinalg import AbelianGroup, abelianization, format_abelian, is_cyclic
+from .intlinalg import AbelianGroup, _unit_pivot_core, abelianization, format_abelian, is_cyclic
 from .presentation import (
     GroupPresentation,
     Word,
@@ -736,44 +737,32 @@ def noncyclic_certificate(pres: GroupPresentation, h1: AbelianGroup) -> Certific
 
     n is 2 if H1 has free rank >= 2, else its first torsion factor, so n
     and each divisor of n divide two invariant factors.  The relators'
-    exponent sums are reduced mod n by Gauss-Jordan on unit pivots, each
-    row's lowest unit column first; a nonzero row with no unit replaces n
-    by gcd(n, its lowest column's entry) and elimination restarts (the D5
-    principle).  The two lowest free columns map to (1,0) and (0,1), the
-    other free columns to 0, each pivot column to minus its row's entries
-    at those two.  Raises if H1 is cyclic."""
+    exponent sums are reduced mod n and go through the sparse unit-pivot
+    eliminator over Z/n; if rows are left, none holds a unit, so n becomes
+    gcd(n, the first one's lowest-column entry) and elimination restarts
+    (the D5 principle).  The two lowest free columns map to (1,0) and (0,1), the
+    other free columns to 0, and the pivot columns, in reverse pivot
+    order, by back-substitution.  Raises ValueError if H1 is cyclic or
+    leaves fewer than two free columns, as an H1 not of pres can."""
     if is_cyclic(h1):
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
     n = 2 if h1.free_rank >= 2 else h1.torsion[0]
     sums = [w.nonzero_exponent_sums() for w in pres.relators]
-    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row on free columns
-    k = 0
-    while k < len(sums):
-        row = dict(sums[k])
-        for j in row.keys() & pivots.keys():
-            e = row.pop(j)
-            for c, x in pivots[j].items():
-                row[c] = row.get(c, 0) - e * x
-        row = {c: x % n for c, x in row.items() if x % n}
-        units = [c for c, x in row.items() if math.gcd(x, n) == 1]
-        k += 1
-        if units:
-            j = min(units)
-            inverse = pow(row.pop(j), -1, n)
-            pivot = {c: x * inverse % n for c, x in row.items()}
-            for other in pivots.values():
-                e = other.pop(j, 0)
-                if e:  # entries left at 0 here are harmless
-                    for c, x in pivot.items():
-                        other[c] = (other.get(c, 0) - e * x) % n
-            pivots[j] = pivot
-        elif row:  # no unit: split n and start again
-            n, pivots, k = math.gcd(n, row[min(row)]), {}, 0
-    free = [j for j in range(pres.g) if j not in pivots]
+    while True:
+        rows = [{c: x % n for c, x in row.items() if x % n} for row in sums]
+        pivots, left = _unit_pivot_core(rows, pres.g, n)
+        if not left:
+            break
+        n = math.gcd(n, left[0][min(left[0])])  # no unit left: split n
+    free = sorted(set(range(pres.g)).difference(j for j, _, _ in pivots))
+    if len(free) < 2:
+        raise ValueError(f"h1 = {format_abelian(h1)} is not the presentation's abelianization")
     images = [(0, 0)] * pres.g
     images[free[0]], images[free[1]] = (1, 0), (0, 1)
-    for j, row in pivots.items():
-        images[j] = (-row.get(free[0], 0) % n, -row.get(free[1], 0) % n)
+    for j, inverse, row in reversed(pivots):
+        u = sum(x * images[c][0] for c, x in row.items())
+        v = sum(x * images[c][1] for c, x in row.items())
+        images[j] = (-inverse * u % n, -inverse * v % n)
     cert = Certificate(
         kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=tuple(images)
     )

@@ -5,17 +5,20 @@ word size, so arbitrary precision is not optional here.
 
 `smith_normal_form` is dense and tracks no transform: every step scans
 the remaining matrix for its pivot, so it costs about n^3 on an n x n
-matrix.  `abelianization` therefore first eliminates +-1 pivots sparsely
+matrix.  `abelianization` therefore first eliminates unit pivots sparsely
 (Dumas, Saunders and Villard, J. Symb. Comput. 2001): the exponent matrix
 of a triangulation's presentation has at most 3 nonzeros per row, mostly
 +-1, and what is left for the dense SNF is a small core, built by
 `IntMatrix.from_checked` without the int() per entry of the public
 constructor.  Each row takes its pivot by one scan of its entries, at
-most three on a relator row.
+most three on a relator row.  The eliminator, `_unit_pivot_core`, works
+over Z and over Z/n and records each pivot's row, so the step-1
+certificate solves the relators mod n by back-substitution through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -170,24 +173,27 @@ def format_abelian(group: AbelianGroup) -> str:
     return " + ".join(parts)
 
 
-def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix]:
-    """Eliminate +-1 pivots from sparse rows {col: value} over g columns.
+def _unit_pivot_core(rows: list[dict[int, int]], g: int, n: int = 0) -> tuple[list, list]:
+    """Eliminate unit pivots from sparse rows {col: value} over g columns,
+    over Z when n = 0 (units +-1, as gcd(x, 0) = |x|), else over Z/n on
+    rows reduced mod n (units prime to n).  A pivot (i, j) with unit u
+    clears column j from the other rows, and row i goes.  Rows are swept
+    in index order, each taking its unit column with the fewest entries
+    (ties to the lower column); later sweeps revisit only rows changed
+    since they were last looked at.  The row dicts are updated in place.
 
-    A pivot (i, j) with entry +-1 is cleared from the rest of column j by
-    row operations; then row i's other entries can be cleared by column
-    operations that touch no other row, so row i and column j split off
-    as an invariant factor 1.  Rows are swept in index order, each taking
-    its unit column with the fewest entries (ties to the lower column);
-    later sweeps revisit only rows changed since they were last looked
-    at.  Returns the pivot count k and the dense core of the nonzero rows
-    and columns left, whose SNF together with k ones is that of `rows`.
-    The row dicts are updated in place.
+    Returns the pivots in order, each (j, u^-1, row i without column j as
+    it stood when taken), and the nonzero rows left, which hold no unit.
+    A pivot's row names only columns pivoted later or never: once the
+    other columns kill the rows left, x_j = -u^-1 * sum(row[c] * x_c) in
+    reverse pivot order kills every row.  Over Z each pivot splits off an
+    invariant factor 1, so the SNF of `rows` is the rows left's plus ones.
     """
     col_rows: list[set[int]] = [set() for _ in range(g)]
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
-    pivots = 0
+    pivots = []
     todo: Sequence[int] = range(len(rows))
     while todo:
         touched: set[int] = set()
@@ -199,13 +205,14 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix
             j = -1
             fewest = 0
             for col, x in row.items():
-                if x == 1 or x == -1:
-                    n = len(col_rows[col])
-                    if j < 0 or n < fewest or (n == fewest and col < j):
-                        j, fewest = col, n
+                if math.gcd(x, n) == 1:
+                    k = len(col_rows[col])
+                    if j < 0 or k < fewest or (k == fewest and col < j):
+                        j, fewest = col, k
             if j < 0:
                 continue
-            sign = row.pop(j)
+            unit = row.pop(j)
+            inverse = pow(unit, -1, n) if n else unit
             # every other row loses column j, and row i goes
             others = col_rows[j]
             col_rows[j] = set()
@@ -213,25 +220,25 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix
             entries = row.items()
             for r in others:
                 other = rows[r]
-                c = other.pop(j) * sign
+                c = other.pop(j) * inverse
                 for col, x in entries:
                     y = other.get(col, 0) - c * x
+                    if n:
+                        y %= n
                     if y:
                         if col not in other:
                             col_rows[col].add(r)
                         other[col] = y
-                    else:
-                        del other[col]
+                    else:  # mod n, c * x may vanish where other has no col
+                        other.pop(col, None)
                         col_rows[col].discard(r)
             touched.update(others)
             for col in row:
                 col_rows[col].discard(i)
             rows[i] = {}
-            pivots += 1
+            pivots.append((j, inverse, row))
         todo = sorted(touched)
-    cols = [j for j in range(g) if col_rows[j]]
-    core = tuple(tuple([row.get(j, 0) for j in cols]) for row in rows if row)
-    return pivots, IntMatrix.from_checked(core, len(cols))
+    return pivots, [row for row in rows if row]
 
 
 def abelianization(pres) -> AbelianGroup:
@@ -239,14 +246,16 @@ def abelianization(pres) -> AbelianGroup:
 
     Unit pivots are eliminated sparsely first (`_unit_pivot_core`); each
     adds an invariant factor 1, and the dense `smith_normal_form` runs
-    only on the core that is left.  G^ab = Z^(g - k - core rank) plus the
-    core's factors above 1, with k the number of unit pivots.
+    only on the rows left.  G^ab = Z^(g - k - core rank) plus the core's
+    factors above 1, with k the number of unit pivots.
     """
     rows = [w.nonzero_exponent_sums() for w in pres.relators]
-    pivots, core = _unit_pivot_core(rows, pres.g)
-    snf = smith_normal_form(core)
+    pivots, left = _unit_pivot_core(rows, pres.g)
+    cols = sorted({j for row in left for j in row})
+    core = tuple(tuple([row.get(j, 0) for j in cols]) for row in left)
+    snf = smith_normal_form(IntMatrix.from_checked(core, len(cols)))
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
-    return AbelianGroup(free_rank=pres.g - pivots - snf.rank, torsion=torsion)
+    return AbelianGroup(free_rank=pres.g - len(pivots) - snf.rank, torsion=torsion)
 
 
 def is_cyclic(group: AbelianGroup) -> bool:

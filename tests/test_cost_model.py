@@ -24,11 +24,11 @@ from dataclasses import replace
 from conftest import FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import parse, pipeline, serialize, triangle_certificate, verify
 
-# re-pinned when step 1 came to eliminate mod n instead of reading the
-# Smith normal form's column transform: against the earlier digest only
-# the prism_q8 record moved, its x1 and x2 images swapped, with the same
-# bytes and the same four costs
-COST_MODEL_SHA256 = "86fdbfa5327b19e8d766082bbe48ed3f67ed194b9d055e4bf44a1d5d20e3698a"
+# re-pinned when step 1 came to take its pivots by the sparse eliminator's
+# fewest-entries rule: against the earlier digest only the t3_torus record
+# moved, four of its seven images changed, with the same bytes and the
+# same four costs (0 0 144 2688)
+COST_MODEL_SHA256 = "ff7851e20dd2f6d452629791ba07a5815041d50a019a7c69dff8d663c92c9bbb"
 
 PIPELINE_CASES = (
     ("prism_q8.tri", (2, 2, 2), None),
@@ -78,11 +78,11 @@ def test_parsed_certificate_verifies_as_built():
     assert count == 1140 + 1 + len(PIPELINE_CASES)
 
 
-# re-pinned when step 1 came to eliminate mod n: against the earlier
-# digest only the 24 prism_q8 records (12 bases, with and without a
-# surjection) moved, each certificate's x1 and x2 images swapped with the
-# same byte count; t3_torus's step-1 records did not move
-BUILD_INFO_SHA256 = "f27672bb8290ff5b7b9c216f44dc5891943e31af7d42f306a543edaf5e889215"
+# re-pinned when step 1 came to take its pivots by the sparse eliminator's
+# fewest-entries rule: against the earlier digest only the 24 t3_torus
+# records (12 bases, with and without a surjection) moved, each with new
+# step-1 images, the same byte count and the same target (2, 2)
+BUILD_INFO_SHA256 = "007018c7e0587ee13efebb29a360e47543ce00ebd48dd32849dc2de79956e6d1"
 
 BASES = (
     (2, 3, 7),  # hyperbolic, coprime

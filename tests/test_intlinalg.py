@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import sys
@@ -309,33 +310,87 @@ def test_large_lens_space_homology(p, q):
     assert abelianization(pres) == AbelianGroup(0, (p,))
     # every generator but one is a unit pivot: the dense SNF sees one column
     rows = [w.nonzero_exponent_sums() for w in pres.relators]
-    pivots, core = _unit_pivot_core(rows, pres.g)
-    assert (pivots, core.cols) == (pres.g - 1, 1)
+    pivots, left = _unit_pivot_core(rows, pres.g)
+    assert (len(pivots), _core(left).cols) == (pres.g - 1, 1)
+
+
+def _core(left):
+    """The dense core of the rows left, as abelianization builds it."""
+    cols = sorted({j for row in left for j in row})
+    return IntMatrix([[row.get(j, 0) for j in cols] for row in left], cols=len(cols))
 
 
 def test_unit_pivot_core_revisits_changed_rows():
     # row 0 has no unit until row 1's pivot clears column 0 from it
-    pivots, core = _unit_pivot_core([{0: 2, 1: 3}, {0: 1, 1: 1}], 2)
-    assert (pivots, core.rows, core.cols) == (2, 0, 0)
-    pivots, core = _unit_pivot_core([{0: 2, 1: 4}, {0: 1, 1: 1}], 2)
-    assert (pivots, core.entries) == (1, ((2,),))
+    pivots, left = _unit_pivot_core([{0: 2, 1: 3}, {0: 1, 1: 1}], 2)
+    core = _core(left)
+    assert (len(pivots), core.rows, core.cols) == (2, 0, 0)
+    pivots, left = _unit_pivot_core([{0: 2, 1: 4}, {0: 1, 1: 1}], 2)
+    assert (len(pivots), _core(left).entries) == (1, ((2,),))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_unit_pivot_core_matches_min_pivot_oracle(data):
-    # relators of at most three letters, at sizes beyond the minors oracle;
-    # squares and cubes leave entries +-2 and +-3, so a core often remains
-    # and a pivot taken in another column shows in it
-    g = data.draw(st.integers(1, 40))
+def _short_relator_rows(data, g):
+    """Exponent rows of relators of at most three letters over g
+    generators, or squares and cubes of one letter, which leave entries
+    +-2 and +-3."""
     letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
     power = st.builds(lambda x, k: [x] * k, letter, st.integers(2, 3))
     relators = data.draw(
         st.lists(st.one_of(st.lists(letter, min_size=1, max_size=3), power), max_size=2 * g + 2)
     )
-    rows = [Word(tuple(w)).nonzero_exponent_sums() for w in relators]
+    return [Word(tuple(w)).nonzero_exponent_sums() for w in relators]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_pivot_core_matches_min_pivot_oracle(data):
+    # at sizes beyond the minors oracle; a core often remains, and a
+    # pivot taken in another column shows in it
+    g = data.draw(st.integers(1, 40))
+    rows = _short_relator_rows(data, g)
     expected = min_unit_pivot_core([dict(row) for row in rows], g)
-    assert _unit_pivot_core(rows, g) == expected
+    pivots, left = _unit_pivot_core(rows, g)
+    assert (len(pivots), _core(left)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((0, 2, 3, 4, 5, 6, 12)))
+def test_unit_pivot_core_contract(data, n):
+    """Over Z (n = 0) and Z/n: no row left holds a unit, each pivot's row
+    names only columns pivoted later or never, and every assignment of
+    the columns that are neither pivoted nor in a row left, lifted
+    through the pivots in reverse, kills every original row mod n
+    (exactly, for n = 0).  Every unit mod 12 is its own inverse, so only
+    n = 5 tells a pivot's recorded inverse from its unit."""
+    g = data.draw(st.integers(1, 40))
+    original = _short_relator_rows(data, g)
+    if n:
+        rows = [{c: x % n for c, x in row.items() if x % n} for row in original]
+    else:
+        rows = [dict(row) for row in original]
+    pivots, left = _unit_pivot_core(rows, g, n)
+    for row in left:
+        assert row and all(math.gcd(x, n) != 1 for x in row.values())
+        if n:
+            assert all(0 < x < n for x in row.values())
+    pivoted = [j for j, _, _ in pivots]
+    for k, (j, inverse, row) in enumerate(pivots):
+        assert math.gcd(inverse, n) == 1
+        assert not row.keys() & set(pivoted[: k + 1])
+    named = {c for row in left for c in row}
+    assert not named & set(pivoted)
+    free = [c for c in range(g) if c not in named and c not in pivoted]
+    # the lift is linear, so the unit vectors stand for every assignment
+    for c0 in free:
+        x = [0] * g
+        x[c0] = 1
+        for j, inverse, row in reversed(pivots):
+            x[j] = -inverse * sum(v * x[c] for c, v in row.items())
+            if n:
+                x[j] %= n
+        for row in original:
+            value = sum(v * x[c] for c, v in row.items())
+            assert (value % n if n else value) == 0
 
 
 def test_snf_diagonal_matches_sympy():

@@ -30,10 +30,11 @@ from lenscert.certificate import (
     triangle_certificate,
 )
 
-# re-pinned when step 1 came to eliminate mod n: the prism_q8 base text
-# has its x1 and x2 images swapped, so the 5 outcomes that serialize it
-# or one of its edits moved the same way; every error outcome is unchanged
-PARSE_OUTCOME_SHA256 = "2430a7d79707a9ef703e790319d906f3caae2f043702dded5027f004251500da"
+# re-pinned when step 1 came to take its pivots by the sparse eliminator's
+# fewest-entries rule: the t3_torus base text has new step-1 images, so
+# the 13 outcomes that serialize it or one of its edits moved the same
+# way; every error outcome is unchanged
+PARSE_OUTCOME_SHA256 = "b70a3ff08533f1948ab02b439eefd773472f5579610fe5c5be041efa8a6f66f4"
 
 SEIFERT = (
     ("prism_q8.tri", (2, 2, 2), None),

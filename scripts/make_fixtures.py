@@ -29,15 +29,21 @@ Two small fixtures are found by exhaustive search over gluing tables and
 carry no name; their expected values are recomputed by the test suite's
 independent oracles.  Also writes the figure-eight knot certificate and
 a brute-forced surjection file for the connected-sum fixture.
+
+  python3 scripts/make_fixtures.py
+
+takes no options; --help prints this usage and writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import os
 import sys
 from math import gcd
+from typing import Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -381,7 +387,8 @@ def h1_dict(tri: Triangulation) -> dict:
     return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
 
-def main() -> None:
+def main(argv: Sequence[str] = ()) -> None:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     os.makedirs(FIXTURES, exist_ok=True)
     metadata = {}
 
@@ -532,4 +539,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,26 +1,33 @@
 """Integer matrices, Smith normal form, and abelianizations.
 
-Entries are Python ints throughout: SNF intermediates overflow any fixed
-word size, so arbitrary precision is not optional here.
+Entries are Python ints throughout: SNF intermediates and the images a
+presentation's generators lift to overflow any fixed word size, so
+arbitrary precision is not optional here.
 
 `smith_normal_form` is dense and tracks no transform: every step scans
 the remaining matrix for its pivot, so it costs about n^3 on an n x n
-matrix.  `abelianization` therefore first eliminates unit pivots sparsely
-(Dumas, Saunders and Villard, J. Symb. Comput. 2001): the exponent matrix
-of a triangulation's presentation has at most 3 nonzeros per row, mostly
-+-1, and what is left for the dense SNF is a small core, built by
-`IntMatrix.from_checked` without the int() per entry of the public
-constructor.  Each row takes its pivot by one scan of its entries, at
-most three on a relator row.  The eliminator, `_unit_pivot_core`, works
-over Z and over Z/n and records each pivot's row, so the step-1
-certificate solves the relators mod n by back-substitution through it.
+matrix.  `abelianization` gives it at most k x k entries, k the number
+of seeds: H1 is closure -> lift -> folded core -> one SNF.
+`presentation.closure` writes every generator in k seeds (one on a lens
+space, two on a prism manifold, three on the 3-torus),
+`presentation.lift` sends the seeds to the unit vectors of Z^k, and the
+left-over relators' images are folded into at most k rows by gcd row
+operations before the one SNF.
+
+`_unit_pivot_core` eliminates unit pivots sparsely (Dumas, Saunders and
+Villard, J. Symb. Comput. 2001) over Z/n, or over Z when n = 0, and
+records each pivot's row, so the step-1 certificate solves the relators
+mod n by back-substitution through it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .presentation import closure, lift
 
 
 @dataclass(frozen=True)
@@ -241,21 +248,61 @@ def _unit_pivot_core(rows: list[dict[int, int]], g: int, n: int = 0) -> tuple[li
     return pivots, [row for row in rows if row]
 
 
-def abelianization(pres) -> AbelianGroup:
-    """Structure of G^ab from the Smith normal form of the exponent matrix.
+def _fold(rows: list, v: tuple) -> None:
+    """Fold v into the echelon rows, in place: rows[c] is None or a row
+    whose first nonzero entry is at column c.  Euclid on the entries at c,
+    by row operations, leaves their gcd in rows[c] and clears v there."""
+    for c, row in enumerate(rows):
+        if not v[c]:
+            continue
+        if row is None:
+            rows[c] = v
+            return
+        while v[c]:
+            q = row[c] // v[c]
+            row, v = v, tuple([x - q * y for x, y in zip(row, v)])
+        rows[c] = row
 
-    Unit pivots are eliminated sparsely first (`_unit_pivot_core`); each
-    adds an invariant factor 1, and the dense `smith_normal_form` runs
-    only on the rows left.  G^ab = Z^(g - k - core rank) plus the core's
-    factors above 1, with k the number of unit pivots.
+
+def _exponent_image(letters, images: list[int]) -> int:
+    """A word's image in Z, from its generators' images."""
+    x = 0
+    for gen, exp in letters:
+        x += images[gen] if exp == 1 else -images[gen]
+    return x
+
+
+def abelianization(pres) -> AbelianGroup:
+    """G^ab by closure, lift, a folded core and one Smith normal form.
+
+    `presentation.closure` writes every generator in k seeds, and G^ab is
+    Z^k modulo the images of the left-over relators under the `lift` that
+    sends the seeds to the unit vectors.  That lift is taken one
+    coordinate at a time, in plain ints: coordinate i sends seed i to 1
+    and the other seeds to 0.  The left-over images are folded into at
+    most k rows by gcd row operations (into one gcd when k = 1), and
+    `smith_normal_form` runs once on that core of at most k x k: G^ab =
+    Z^(k - core rank) plus the core's factors above 1.
     """
-    rows = [w.nonzero_exponent_sums() for w in pres.relators]
-    pivots, left = _unit_pivot_core(rows, pres.g)
-    cols = sorted({j for row in left for j in row})
-    core = tuple(tuple([row.get(j, 0) for j in cols]) for row in left)
-    snf = smith_normal_form(IntMatrix.from_checked(core, len(cols)))
+    closed = closure(pres)
+    k = len(closed.seeds)
+    coords = [
+        lift(pres, closed, [int(i == j) for j in range(k)], operator.add, operator.neg, 0)
+        for i in range(k)
+    ]
+    words = [pres.relators[r].letters for r in closed.left]
+    columns = [[_exponent_image(letters, images) for letters in words] for images in coords]
+    if k == 1:
+        d = math.gcd(*columns[0])
+        core: tuple = ((d,),) if d else ()
+    else:
+        rows: list = [None] * k
+        for v in zip(*columns):
+            _fold(rows, v)
+        core = tuple(row for row in rows if row is not None)
+    snf = smith_normal_form(IntMatrix.from_checked(core, k))
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
-    return AbelianGroup(free_rank=pres.g - len(pivots) - snf.rank, torsion=torsion)
+    return AbelianGroup(free_rank=k - snf.rank, torsion=torsion)
 
 
 def is_cyclic(group: AbelianGroup) -> bool:

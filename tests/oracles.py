@@ -24,7 +24,8 @@ reduced_word, word_power, int_matmul, int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
 r through the library's public steps.  letter_by_letter_fold is the
 plain one-product-per-letter word fold that fold_letters' period
-shortcut is checked against.
+shortcut is checked against, and closure_by_rescan is the presentation
+closure's stated order, recounted from the words at every step.
 """
 
 from __future__ import annotations
@@ -794,6 +795,37 @@ def random_presentation(rng: random.Random):
         )
         relators.append(Word(letters))
     return GroupPresentation(g=g, relators=tuple(relators))
+
+
+def closure_by_rescan(pres: GroupPresentation) -> tuple:
+    """(seeds, program, left) of `presentation.closure`, in the order its
+    docstring states, with every relator's undetermined letters
+    recounted from its word at each step: quadratic, and sharing no
+    counter or occurrence index with the library's pass."""
+    relators = range(len(pres.relators))
+    determined: set[int] = set()
+
+    def undetermined(r: int) -> int:
+        return sum(1 for gen, _ in pres.relators[r].letters if gen not in determined)
+
+    seeds, program = [], []
+    queue = deque(r for r in relators if undetermined(r) == 1)
+    while len(determined) < pres.g:
+        if queue:
+            r = queue.popleft()
+            if undetermined(r) != 1:
+                continue
+            gen = next(x for x, _ in pres.relators[r].letters if x not in determined)
+            program.append((gen, r))
+        else:
+            gen = min(set(range(pres.g)) - determined)
+            seeds.append(gen)
+        before = [undetermined(r) for r in relators]
+        determined.add(gen)
+        # the relators whose count passes through 1, in index order
+        queue.extend(r for r in relators if before[r] > 1 >= undetermined(r))
+    defining = {r for _, r in program}
+    return tuple(seeds), tuple(program), tuple(r for r in relators if r not in defining)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,41 @@
+"""scripts/bench_homology.py runs end to end and writes the JSON its
+docstring describes."""
+
+import json
+import os
+import subprocess
+import sys
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_homology.py")
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, SCRIPT, *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_bench_homology_one_round_writes_one_column():
+    out = _run("--repeats", "1", "--rounds", "1")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["command"] == "scripts/bench_homology.py --repeats 1 --rounds 1"
+    assert list(doc["columns"]) == ["change"]
+    column = doc["columns"]["change"]
+    lens = {f"L({p},{q})": p for p, q in ((40, 11), (120, 37), (240, 61), (1000, 331), (10000, 3001))}
+    assert column["h1"] == {
+        **{name: f"Z^0 + Z/{p}" for name, p in lens.items()},
+        "prism_manifold(101)": "Z^0 + Z/4",
+        "prism_manifold(10000)": "Z^0 + Z/2 + Z/2",
+    }
+    for metric in ("pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw"):
+        assert set(column[metric]) == set(column["h1"])
+        assert all(us > 0 for us in column[metric].values())
+        assert all(len(v) == 1 for v in column[metric + "_rounds"].values())
+
+
+def test_bench_homology_refuses_a_tree_without_lenscert(tmp_path):
+    out = _run("--tree", f"old={tmp_path}", "--rounds", "1")
+    assert out.returncode == 2
+    assert "expected NAME=SRC with SRC/lenscert" in out.stderr
+    assert "Traceback" not in out.stderr

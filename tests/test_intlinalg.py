@@ -17,7 +17,8 @@ from lenscert.intlinalg import (
     is_cyclic,
     smith_normal_form,
 )
-from lenscert.presentation import GroupPresentation, Word, parse_word
+import lenscert.intlinalg as intlinalg
+from lenscert.presentation import GroupPresentation, Word, closure, parse_word
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
 from oracles import (
@@ -308,10 +309,35 @@ def test_abelianization_matches_dense_snf_on_fixtures(name):
 def test_large_lens_space_homology(p, q):
     pres = fundamental_group(lens_space(p, q))
     assert abelianization(pres) == AbelianGroup(0, (p,))
+    # one seed writes every generator, so H1 is one gcd
+    assert len(closure(pres).seeds) == 1
     # every generator but one is a unit pivot: the dense SNF sees one column
     rows = [w.nonzero_exponent_sums() for w in pres.relators]
     pivots, left = _unit_pivot_core(rows, pres.g)
     assert (len(pivots), _core(left).cols) == (pres.g - 1, 1)
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_abelianization_runs_one_snf_on_the_seed_core(name, monkeypatch):
+    # one call, through the module-level name perfbench traces, on at
+    # most k x k entries for k seeds; the sparse eliminator is step 1's
+    pres = fundamental_group(load_fixture(name))
+    k = len(closure(pres).seeds)
+    calls = []
+
+    def counted(a):
+        calls.append((a.rows, a.cols))
+        return smith_normal_form(a)
+
+    def refused(*args):
+        raise AssertionError("abelianization called _unit_pivot_core")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    monkeypatch.setattr(intlinalg, "_unit_pivot_core", refused)
+    assert abelianization(pres) == dense_abelianization(pres)
+    assert len(calls) == 1
+    rows, cols = calls[0]
+    assert rows <= k and cols == k
 
 
 def _core(left):

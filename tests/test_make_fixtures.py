@@ -31,6 +31,20 @@ def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeyp
             assert (tmp_path / name).read_bytes() == handle.read(), name
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), (["--bogus"], 2), (["x"], 2)])
+def test_make_fixtures_arguments_write_nothing(argv, code, tmp_path, monkeypatch, capsys):
+    # --help prints usage and an unknown argument is refused, both
+    # before any fixture is built or written
+    out = tmp_path / "fixtures"
+    monkeypatch.setattr(make_fixtures, "FIXTURES", str(out))
+    with pytest.raises(SystemExit) as exit_info:
+        make_fixtures.main(argv)
+    assert exit_info.value.code == code
+    assert not out.exists()
+    printed = capsys.readouterr()
+    assert "usage: " in (printed.out if code == 0 else printed.err)
+
+
 @pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (4, 0), (4, 4), (4, 5), (4, 2), (6, -1)])
 def test_lens_space_refuses_bad_parameters(p, q):
     with pytest.raises(ValueError, match=r"L\(p,q\)"):

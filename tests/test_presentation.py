@@ -1,29 +1,45 @@
+import functools
+import math
+import os
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, load_fixture
-from lenscert.intlinalg import abelianization
+from lenscert.galois import FieldSpec
+from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import (
     MAX_WORD_EXPONENT,
+    Closure,
     GroupPresentation,
     Word,
+    closure,
     format_presentation,
     format_word,
     fundamental_group,
+    lift,
     parse_word,
 )
+from lenscert.projmat import ProjMatrix
 from lenscert.triangulation import parse_triangulation, validate
 from oracles import (
     cell_structure,
     chain_complex_h1,
+    closure_by_rescan,
     exponent_matrix,
+    psl_elements,
     random_gluing_table,
+    random_presentation,
     reduced_word,
     word_power,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+from make_fixtures import lens_space, prism_manifold  # noqa: E402
 
 MINIMAL_ONE_TET = """
 t=1
@@ -312,3 +328,194 @@ def test_presentation_size():
 def test_format_presentation_block():
     pres = GroupPresentation(2, (Word(((0, 1), (1, -1))),), labels=("a", "b"))
     assert format_presentation(pres) == ["gens 2 a b", "rels 1", "a b^-1"]
+
+
+# ----------------------------------------------------------------------
+# closure and lift
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closure_follows_its_stated_order(seed):
+    pres = random_presentation(random.Random(seed))
+    assert closure(pres) == Closure(*closure_by_rescan(pres))
+
+
+@pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
+def test_closure_of_fixtures_follows_its_stated_order(name):
+    pres = fundamental_group(load_fixture(name))
+    assert closure(pres) == Closure(*closure_by_rescan(pres))
+
+
+def test_closure_edge_cases():
+    # no relators: every generator is a seed
+    assert closure(GroupPresentation(3, ())) == Closure((0, 1, 2), (), ())
+    # a one-letter relator defines its generator before any seed, and an
+    # empty relator is left over
+    pres = GroupPresentation(2, (Word(), Word(((1, 1), (0, -1))), Word(((1, -1),))))
+    assert closure(pres) == Closure((), ((1, 2), (0, 1)), (0,))
+    # a square never defines: its generator is a seed, the square left over
+    pres = GroupPresentation(1, (Word(((0, 1), (0, 1))),))
+    assert closure(pres) == Closure((0,), (), (0,))
+
+
+@functools.cache
+def _psl25_table() -> tuple[list[list[int]], list[int], int]:
+    """PSL(2,5) as the indices of `psl_elements`: its multiplication
+    table, each element's inverse and the identity's index."""
+    elements = psl_elements(FieldSpec(5))
+    index = {m: i for i, m in enumerate(elements)}
+    table = [[index[a.mul(b)] for b in elements] for a in elements]
+    inverse = [index[a.inverse()] for a in elements]
+    return table, inverse, index[ProjMatrix.identity(FieldSpec(5))]
+
+
+def _psl25_word(images, word: Word) -> int:
+    table, inverse, one = _psl25_table()
+    value = one
+    for gen, exp in word.letters:
+        value = table[value][images[gen] if exp == 1 else inverse[images[gen]]]
+    return value
+
+
+def _psl25_homomorphisms(pres, order: list[int], limit: int, budget: int) -> list[tuple]:
+    """Up to `limit` homomorphisms of pres into PSL(2,5), by backtracking
+    over the generators in index order and the elements in `order`: a
+    relator is checked once its top generator has an image.  Stops after
+    `budget` partial assignments."""
+    one = _psl25_table()[2]
+    by_top: list[list[Word]] = [[] for _ in range(pres.g)]
+    for word in pres.relators:
+        if word.letters:
+            by_top[word.max_generator()].append(word)
+    found: list[tuple] = []
+    images: list[int] = []
+    visits = 0
+
+    def extend() -> None:
+        nonlocal visits
+        if len(images) == pres.g:
+            found.append(tuple(images))
+            return
+        for m in order:
+            if len(found) == limit or visits == budget:
+                return
+            visits += 1
+            images.append(m)
+            if all(_psl25_word(images, w) == one for w in by_top[len(images) - 1]):
+                extend()
+            images.pop()
+
+    extend()
+    return found
+
+
+def _check_lift_into_psl25(pres, rng) -> int:
+    """lift rebuilds every homomorphism into PSL(2,5) that a seeded search
+    finds from its seed images, and kills every defining relator for any
+    seed images; returns the number of non-trivial homomorphisms checked."""
+    table, inverse, one = _psl25_table()
+    closed = closure(pres)
+
+    def lifted(seed_images):
+        return lift(pres, closed, seed_images, lambda a, b: table[a][b], inverse.__getitem__, one)
+
+    order = list(range(len(table)))
+    rng.shuffle(order)
+    homs = _psl25_homomorphisms(pres, order, limit=20, budget=2000)
+    homs.append((one,) * pres.g)  # the trivial one, which the search may not reach
+    for hom in homs:
+        images = lifted([hom[s] for s in closed.seeds])
+        assert images == list(hom)
+        assert all(_psl25_word(images, pres.relators[r]) == one for r in closed.left)
+    # so a choice of seed images is a homomorphism iff it kills the
+    # relators left over
+    for _ in range(5):
+        images = lifted([rng.choice(order) for _ in closed.seeds])
+        for _, r in closed.program:
+            assert _psl25_word(images, pres.relators[r]) == one
+    return len({hom for hom in homs if hom != (one,) * pres.g})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_lift_rebuilds_every_homomorphism_into_psl_2_5(rng):
+    # PSL(2,5) is non-abelian, so a lift that multiplied B and A in the
+    # wrong order, or inverted u^e wrongly, would show here
+    _check_lift_into_psl25(random_presentation(rng), rng)
+
+
+def test_lift_rebuilds_homomorphisms_of_the_235_triangle_group():
+    # T(2,3,5) = <x, y | x^2, y^3, (xy)^5> is A5 = PSL(2,5): the search
+    # finds many non-trivial homomorphisms, all rebuilt from the seeds
+    x, y = Word(((0, 1),)), Word(((1, 1),))
+    pres = GroupPresentation(2, (word_power(x, 2), word_power(y, 3), word_power(x * y, 5)))
+    assert len(closure(pres).seeds) == 2
+    assert _check_lift_into_psl25(pres, random.Random(235)) == 20
+
+
+def test_every_small_lens_space_has_one_seed():
+    for p in range(2, 60):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                pres = fundamental_group(lens_space(p, q))
+                assert len(closure(pres).seeds) == 1, (p, q)
+                assert abelianization(pres) == AbelianGroup(0, (p,))
+
+
+def test_prism_manifolds_have_two_seeds_and_the_3_torus_three():
+    for name in ("prism_q8.tri", "prism_q12.tri"):
+        assert len(closure(fundamental_group(load_fixture(name))).seeds) == 2, name
+    for m in range(2, 41):
+        assert len(closure(fundamental_group(prism_manifold(m))).seeds) == 2, m
+    assert len(closure(fundamental_group(load_fixture("t3_torus.tri"))).seeds) == 3
+
+
+def _best_of(repeats: int, run) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [((lens_space, 2500, 751), (lens_space, 10000, 3001)),
+     ((prism_manifold, 2500), (prism_manifold, 10000))],
+    ids=["lens_space", "prism_manifold"],
+)
+def test_closure_takes_linear_time(small, large):
+    # four times the generators: about four times the time when linear,
+    # sixteen when quadratic; the constant covers timer noise at the
+    # small size
+    pres_small, pres_large = (fundamental_group(build(*args)) for build, *args in (small, large))
+    t_small = _best_of(3, lambda: closure(pres_small))
+    t_large = _best_of(3, lambda: closure(pres_large))
+    assert t_large < 8 * t_small + 0.02
+    assert t_large < 1.0
+
+
+def fibonacci_chain(n: int) -> GroupPresentation:
+    """x1 = x0, x(i+2) = x(i) x(i+1) and x(n-1) = 1 on n generators:
+    x(i) is F(i+1) times x0 in H1, so H1 = Z/F(n), F(1) = F(2) = 1."""
+    relators = [Word(((1, 1), (0, -1)))]
+    relators += [Word(((i, 1), (i + 1, 1), (i + 2, -1))) for i in range(n - 2)]
+    relators.append(Word(((n - 1, 1),)))
+    return GroupPresentation(n, tuple(relators))
+
+
+@pytest.mark.parametrize("n", [3, 10, 2000])
+def test_fibonacci_chain_homology_grows_past_any_word_size(n):
+    # the lift's images are F(1), F(2), ..., F(n - 1): about 1390 bits at
+    # n = 2000, so exponent growth in lift is measured, not assumed small
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    pres = fibonacci_chain(n)
+    start = time.perf_counter()
+    group = abelianization(pres)
+    assert time.perf_counter() - start < 1.0
+    assert group == AbelianGroup(0, (a,))
+    assert len(closure(pres).seeds) == 1

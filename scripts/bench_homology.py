@@ -1,16 +1,28 @@
 #!/usr/bin/env python3
-"""Time first homology, H1, of lens spaces and prism manifolds.
+"""Time first homology, H1, of lens spaces and prism manifolds, the
+step-1 certificate and pipeline.
 
 For each input, the triangulation is built by scripts/make_fixtures.py
 and two things are timed:
 
   * pi1_h1_us: abelianization(fundamental_group(tri)), from the
     triangulation;
-  * h1_us: abelianization(pres) alone, on the presentation built once.
+  * h1_us: abelianization(pres) alone, on a fresh copy of the
+    presentation built once, so nothing a presentation keeps from an
+    earlier call is reused.
 
 The inputs are lens_space(p, q) for p in 40, 120, 240, 1000 and 10000,
-q about 0.3 p, and prism_manifold(m) for m = 101 and 10000.  One
-measurement is the median, over --repeats passes, of a pass's mean
+q about 0.3 p, and prism_manifold(m) for m = 101 and 10000.  Two more
+figures are timed on their own inputs:
+
+  * step1_us: noncyclic_certificate(pres, h1) on prism_manifold(m) for
+    m = 160 and 10000, H1 = (Z/2)^2, on a presentation whose H1
+    abelianization has computed, as pipeline calls it;
+  * pipeline_us: pipeline on the fixtures prism_q8 (base 2,2,2) and
+    t3_torus (base 2,3,7), both step 1, and prism_q12 (base 2,2,3, with
+    its surjection file), step 2.
+
+One measurement is the median, over --repeats passes, of a pass's mean
 microseconds per call, calibrated for machine speed by
 bench_verify._median_pass_us (perfbench's reference loop timed around
 each pass), with the raw figure beside it.  Each source tree named by
@@ -42,16 +54,37 @@ from bench_verify import _machine, _median_pass_us  # noqa: E402
 LENS = ((40, 11), (120, 37), (240, 61), (1000, 331), (10000, 3001))
 PRISM = (101, 10000)
 GENERATORS_PER_PASS = 40_000  # small inputs repeat within a pass
-METRICS = ("pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw")
+STEP1_PRISM = (160, 10000)
+PIPELINE = (
+    ("prism_q8", (2, 2, 2), None),
+    ("t3_torus", (2, 3, 7), None),
+    ("prism_q12", (2, 2, 3), "prism_q12.surj"),
+)
+PIPELINES_PER_PASS = 400
+METRICS = (
+    "pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw",
+    "step1_us", "step1_us_raw", "pipeline_us", "pipeline_us_raw",
+)
+
+
+def _fixture_text(name: str) -> str:
+    with open(os.path.join(HERE, "..", "fixtures", name), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def measure(repeats: int) -> dict:
     """One measurement of the lenscert package first on sys.path."""
-    # the tree's lenscert is imported before make_fixtures, which puts
-    # this checkout's src on sys.path
+    from lenscert.certificate import noncyclic_certificate, pipeline
     from lenscert.intlinalg import abelianization, format_abelian
-    from lenscert.presentation import fundamental_group
+    from lenscert.presentation import GroupPresentation, fundamental_group
+    from lenscert.triangulation import parse_triangulation
     from make_fixtures import lens_space, prism_manifold
+
+    def fresh_h1(pres):
+        return abelianization(GroupPresentation.from_checked(pres.g, pres.relators, pres.labels))
+
+    def timed(metric, name, items, run):
+        doc[metric][name], doc[metric + "_raw"][name] = _median_pass_us(items, run, repeats)
 
     inputs = [(f"L({p},{q})", lens_space(p, q)) for p, q in LENS]
     inputs += [(f"prism_manifold({m})", prism_manifold(m)) for m in PRISM]
@@ -60,11 +93,19 @@ def measure(repeats: int) -> dict:
         pres = fundamental_group(tri)
         doc["h1"][name] = format_abelian(abelianization(pres))
         copies = max(1, GENERATORS_PER_PASS // pres.g)
-        for metric, items, run in (
-            ("pi1_h1_us", [tri] * copies, lambda t: abelianization(fundamental_group(t))),
-            ("h1_us", [pres] * copies, abelianization),
-        ):
-            doc[metric][name], doc[metric + "_raw"][name] = _median_pass_us(items, run, repeats)
+        timed("pi1_h1_us", name, [tri] * copies, lambda t: abelianization(fundamental_group(t)))
+        timed("h1_us", name, [pres] * copies, fresh_h1)
+    for m in STEP1_PRISM:
+        pres = fundamental_group(prism_manifold(m))
+        h1 = abelianization(pres)
+        copies = max(1, GENERATORS_PER_PASS // pres.g)
+        timed("step1_us", f"prism_manifold({m})", [pres] * copies,
+              lambda p: noncyclic_certificate(p, h1))
+    for name, base, surj in PIPELINE:
+        tri = parse_triangulation(_fixture_text(name + ".tri"))
+        surj_text = _fixture_text(surj) if surj else None
+        timed("pipeline_us", name, [tri] * PIPELINES_PER_PASS,
+              lambda t: pipeline(t, base, surjection_text=surj_text))
     return doc
 
 

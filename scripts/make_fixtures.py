@@ -32,7 +32,9 @@ a brute-forced surjection file for the connected-sum fixture.
 
   python3 scripts/make_fixtures.py
 
-takes no options; --help prints this usage and writes nothing.
+takes no options; --help prints this usage and writes nothing.  Run as
+a script, it builds with this checkout's src/lenscert; imported, it
+uses whatever lenscert its importer's sys.path finds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import sys
 from math import gcd
 from typing import Sequence
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+if __name__ == "__main__":  # run as a script, build with this checkout's package
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from lenscert.certificate import (
     Certificate,

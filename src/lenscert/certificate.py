@@ -66,21 +66,23 @@ else the matrix pair trianglerep.triangle_image returns.  trianglerep
 decides a triangle's matrices and this module its certificate kind.
 triangle_certificate states the triangle group's own claim; pipeline
 states every claim about the triangulation's own presentation: at step
-1 the (Z/n)^2 image noncyclic_certificate solves for by intlinalg's
-sparse elimination mod n, at step 2 the triangle group's matrices,
-carried there by a surjection, and without one nothing.
+1 the (Z/n)^2 image noncyclic_certificate reads off the Smith normal
+form of the seed core that H1 is computed from, at step 2 the triangle
+group's matrices, carried there by a surjection, and without one
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
-from .intlinalg import AbelianGroup, _unit_pivot_core, abelianization, format_abelian, is_cyclic
+from .intlinalg import AbelianGroup, abelianization, format_abelian, is_cyclic
 from .presentation import (
     GroupPresentation,
     Word,
@@ -736,36 +738,29 @@ def noncyclic_certificate(pres: GroupPresentation, h1: AbelianGroup) -> Certific
     """The step-1 certificate onto (Z/n)^2, given H1 = abelianization(pres).
 
     n is 2 if H1 has free rank >= 2, else its first torsion factor, so n
-    and each divisor of n divide two invariant factors.  The relators'
-    exponent sums are reduced mod n and go through the sparse unit-pivot
-    eliminator over Z/n; if rows are left, none holds a unit, so n becomes
-    gcd(n, the first one's lowest-column entry) and elimination restarts
-    (the D5 principle).  The two lowest free columns map to (1,0) and (0,1), the
-    other free columns to 0, and the pivot columns, in reverse pivot
-    order, by back-substitution.  Raises ValueError if H1 is cyclic or
-    leaves fewer than two free columns, as an H1 not of pres can."""
+    divides two invariant factors.  They are read off the Smith normal
+    form U C V = D of the seed core C that H1 came from, over k seeds
+    (GroupPresentation.seed_core): at the first two indices j where n
+    divides d_j (a free factor counts as 0), column j of V is a
+    functional on Z^k that kills C mod n, and, V being unimodular, the
+    two map Z^k onto (Z/n)^2.  A generator's image is its coordinates in
+    Z^k paired with them, mod n.  Raises ValueError if H1 is cyclic or if fewer than two such
+    indices exist, as an H1 not of pres can give."""
     if is_cyclic(h1):
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
     n = 2 if h1.free_rank >= 2 else h1.torsion[0]
-    sums = [w.nonzero_exponent_sums() for w in pres.relators]
-    while True:
-        rows = [{c: x % n for c, x in row.items() if x % n} for row in sums]
-        pivots, left = _unit_pivot_core(rows, pres.g, n)
-        if not left:
-            break
-        n = math.gcd(n, left[0][min(left[0])])  # no unit left: split n
-    free = sorted(set(range(pres.g)).difference(j for j, _, _ in pivots))
-    if len(free) < 2:
+    seed = pres.seed_core
+    snf = seed.snf
+    diag = snf.diag + (0,) * (snf.v.cols - len(snf.diag))
+    picked = [j for j, d in enumerate(diag) if d % n == 0][:2]
+    if len(picked) < 2:
         raise ValueError(f"h1 = {format_abelian(h1)} is not the presentation's abelianization")
-    images = [(0, 0)] * pres.g
-    images[free[0]], images[free[1]] = (1, 0), (0, 1)
-    for j, inverse, row in reversed(pivots):
-        u = sum(x * images[c][0] for c, x in row.items())
-        v = sum(x * images[c][1] for c, x in row.items())
-        images[j] = (-inverse * u % n, -inverse * v % n)
-    cert = Certificate(
-        kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=tuple(images)
+    a, b = ([row[j] for row in snf.v.entries] for j in picked)
+    images = tuple(
+        (sum(map(operator.mul, x, a)) % n, sum(map(operator.mul, x, b)) % n)
+        for x in zip(*seed.coordinates)
     )
+    cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=images)
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built abelian certificate fails: {outcome.reason}")

@@ -4,30 +4,26 @@ Entries are Python ints throughout: SNF intermediates and the images a
 presentation's generators lift to overflow any fixed word size, so
 arbitrary precision is not optional here.
 
-`smith_normal_form` is dense and tracks no transform: every step scans
-the remaining matrix for its pivot, so it costs about n^3 on an n x n
-matrix.  `abelianization` gives it at most k x k entries, k the number
-of seeds: H1 is closure -> lift -> folded core -> one SNF.
-`presentation.closure` writes every generator in k seeds (one on a lens
-space, two on a prism manifold, three on the 3-torus),
-`presentation.lift` sends the seeds to the unit vectors of Z^k, and the
-left-over relators' images are folded into at most k rows by gcd row
-operations before the one SNF.
-
-`_unit_pivot_core` eliminates unit pivots sparsely (Dumas, Saunders and
-Villard, J. Symb. Comput. 2001) over Z/n, or over Z when n = 0, and
-records each pivot's row, so the step-1 certificate solves the relators
-mod n by back-substitution through it.
+`smith_normal_form` is dense and tracks the column transform V: every
+step scans the remaining matrix for its pivot, so it costs about n^3 on
+an n x n matrix.  The library runs it only on a presentation's seed
+core, of at most k x k entries for k seeds: `presentation.closure`
+writes every generator in k seeds (one on a lens space, two on a prism
+manifold, three on the 3-torus), `presentation.lift` sends the seeds
+to the unit vectors of Z^k, and `seed_core_snf` folds the left-over
+relators' images into at most k rows by gcd row operations.  The
+presentation keeps that core's Smith normal form with the closure and
+the coordinates (`GroupPresentation.seed_core`): H1 is its diagonal,
+and the step-1 certificate reads its functionals mod n off V
+(`certificate.noncyclic_certificate`), so one closure -> lift -> core
+path serves both.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-from .presentation import closure, lift
 
 
 @dataclass(frozen=True)
@@ -67,90 +63,76 @@ class IntMatrix:
 class SNFResult:
     diag: tuple[int, ...]
     rank: int
+    v: IntMatrix  # the column transform: U * A * V = diag for some unimodular U
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Diagonalize over Z with the divisibility chain d1 | d2 | ...
+    """Diagonalize over Z with the divisibility chain d1 | d2 | ..., and
+    the unimodular column transform V (cols x cols), which every column
+    swap and column addition is applied to.
 
     Pivot is the smallest nonzero absolute value, ties broken row-major.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            drow[j] += c * srow[j]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1
     t = 0
+    search = True
     while t < min(m, n):
-        pivot = find_pivot(t)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
-            # clear column t, then row t, with floor-division remainders
-            dirty = False
-            for i in range(m):
-                if i != t and d[i][t] != 0:
-                    add_row(i, t, -(d[i][t] // p))
-                    if d[i][t] != 0:
-                        dirty = True
-            for j in range(n):
-                if j != t and d[t][j] != 0:
-                    add_col(j, t, -(d[t][j] // p))
-                    if d[t][j] != 0:
-                        dirty = True
-            if dirty:
-                pivot = find_pivot(t)
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
-                continue
-            # pivot must divide everything below-right for the chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+        if search:
+            # the pivot: smallest nonzero |x| below-right of (t, t), row-major
+            best = pi = pj = 0
+            for i in range(t, m):
+                row = d[i]
+                for j in range(t, n):
+                    x = abs(row[j])
+                    if x and (not best or x < best):
+                        best, pi, pj = x, i, j
+            if not best:
                 break
-            add_row(t, offender, 1)
-        t += 1
+            d[t], d[pi] = d[pi], d[t]
+            if pj != t:
+                for row in d + v:
+                    row[t], row[pj] = row[pj], row[t]
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        top = d[t]
+        p = top[t]
+        # clear column t, then row t, with floor-division remainders
+        dirty = False
+        for i in range(m):
+            row = d[i]
+            if i != t and row[t] != 0:
+                c = row[t] // p
+                for j in range(n):
+                    row[j] -= c * top[j]
+                dirty = dirty or row[t] != 0
+        for j in range(n):
+            if j != t and top[j] != 0:
+                c = top[j] // p
+                for row in d + v:
+                    row[j] -= c * row[t]
+                dirty = dirty or top[j] != 0
+        if dirty:  # a remainder is the next pivot's candidate
+            search = True
+            continue
+        # the pivot must divide everything below-right for the chain;
+        # an offender's row is added to row t, which the next pass clears
+        for i in range(t + 1, m):
+            row = d[i]
+            if any(x % p for x in row[t + 1 :]):
+                d[t] = [x + y for x, y in zip(top, row)]
+                search = False
+                break
+        else:
+            t += 1
+            search = True
 
-    diag = tuple(d[i][i] for i in range(min(m, n)))
-    rank = sum(1 for x in diag if x != 0)
-    return SNFResult(diag, rank)
+    diag = tuple([d[i][i] for i in range(min(m, n))])
+    v_matrix = IntMatrix.from_checked(tuple(map(tuple, v)), n)
+    return SNFResult(diag, len(diag) - diag.count(0), v_matrix)
 
 
 @dataclass(frozen=True)
@@ -180,74 +162,6 @@ def format_abelian(group: AbelianGroup) -> str:
     return " + ".join(parts)
 
 
-def _unit_pivot_core(rows: list[dict[int, int]], g: int, n: int = 0) -> tuple[list, list]:
-    """Eliminate unit pivots from sparse rows {col: value} over g columns,
-    over Z when n = 0 (units +-1, as gcd(x, 0) = |x|), else over Z/n on
-    rows reduced mod n (units prime to n).  A pivot (i, j) with unit u
-    clears column j from the other rows, and row i goes.  Rows are swept
-    in index order, each taking its unit column with the fewest entries
-    (ties to the lower column); later sweeps revisit only rows changed
-    since they were last looked at.  The row dicts are updated in place.
-
-    Returns the pivots in order, each (j, u^-1, row i without column j as
-    it stood when taken), and the nonzero rows left, which hold no unit.
-    A pivot's row names only columns pivoted later or never: once the
-    other columns kill the rows left, x_j = -u^-1 * sum(row[c] * x_c) in
-    reverse pivot order kills every row.  Over Z each pivot splits off an
-    invariant factor 1, so the SNF of `rows` is the rows left's plus ones.
-    """
-    col_rows: list[set[int]] = [set() for _ in range(g)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
-    pivots = []
-    todo: Sequence[int] = range(len(rows))
-    while todo:
-        touched: set[int] = set()
-        for i in todo:
-            touched.discard(i)
-            row = rows[i]
-            # fewest entries, ties to the lower column, by a plain scan:
-            # a relator row holds at most three entries
-            j = -1
-            fewest = 0
-            for col, x in row.items():
-                if math.gcd(x, n) == 1:
-                    k = len(col_rows[col])
-                    if j < 0 or k < fewest or (k == fewest and col < j):
-                        j, fewest = col, k
-            if j < 0:
-                continue
-            unit = row.pop(j)
-            inverse = pow(unit, -1, n) if n else unit
-            # every other row loses column j, and row i goes
-            others = col_rows[j]
-            col_rows[j] = set()
-            others.discard(i)
-            entries = row.items()
-            for r in others:
-                other = rows[r]
-                c = other.pop(j) * inverse
-                for col, x in entries:
-                    y = other.get(col, 0) - c * x
-                    if n:
-                        y %= n
-                    if y:
-                        if col not in other:
-                            col_rows[col].add(r)
-                        other[col] = y
-                    else:  # mod n, c * x may vanish where other has no col
-                        other.pop(col, None)
-                        col_rows[col].discard(r)
-            touched.update(others)
-            for col in row:
-                col_rows[col].discard(i)
-            rows[i] = {}
-            pivots.append((j, inverse, row))
-        todo = sorted(touched)
-    return pivots, [row for row in rows if row]
-
-
 def _fold(rows: list, v: tuple) -> None:
     """Fold v into the echelon rows, in place: rows[c] is None or a row
     whose first nonzero entry is at column c.  Euclid on the entries at c,
@@ -264,12 +178,32 @@ def _fold(rows: list, v: tuple) -> None:
         rows[c] = row
 
 
-def _exponent_image(letters, images: list[int]) -> int:
-    """A word's image in Z, from its generators' images."""
-    x = 0
-    for gen, exp in letters:
-        x += images[gen] if exp == 1 else -images[gen]
-    return x
+def seed_core_snf(relators, left, coordinates) -> SNFResult:
+    """The Smith normal form of the relations among k seeds, by one
+    `smith_normal_form` call through its module-level name: the images
+    of the left-over relators (indices `left`) under the lift that gives
+    each generator its `coordinates` in Z^k, folded by gcd row operations
+    into a core of at most k rows (one gcd when k = 1).
+    `GroupPresentation.seed_core` keeps it."""
+    words = [relators[r].letters for r in left]
+    columns = []
+    for images in coordinates:  # the words' images, one coordinate at a time
+        column = []
+        for letters in words:
+            x = 0
+            for gen, exp in letters:
+                x += images[gen] if exp == 1 else -images[gen]
+            column.append(x)
+        columns.append(column)
+    if len(coordinates) == 1:
+        d = math.gcd(*columns[0])
+        core: tuple = ((d,),) if d else ()
+    else:
+        rows: list = [None] * len(coordinates)
+        for v in zip(*columns):
+            _fold(rows, v)
+        core = tuple(row for row in rows if row is not None)
+    return smith_normal_form(IntMatrix.from_checked(core, len(coordinates)))
 
 
 def abelianization(pres) -> AbelianGroup:
@@ -277,32 +211,14 @@ def abelianization(pres) -> AbelianGroup:
 
     `presentation.closure` writes every generator in k seeds, and G^ab is
     Z^k modulo the images of the left-over relators under the `lift` that
-    sends the seeds to the unit vectors.  That lift is taken one
-    coordinate at a time, in plain ints: coordinate i sends seed i to 1
-    and the other seeds to 0.  The left-over images are folded into at
-    most k rows by gcd row operations (into one gcd when k = 1), and
-    `smith_normal_form` runs once on that core of at most k x k: G^ab =
-    Z^(k - core rank) plus the core's factors above 1.
+    sends the seeds to the unit vectors.  `seed_core_snf` folds those
+    images into a core of at most k x k, and `pres.seed_core.snf` is its
+    Smith normal form: G^ab = Z^(k - core rank) plus the core's factors
+    above 1.
     """
-    closed = closure(pres)
-    k = len(closed.seeds)
-    coords = [
-        lift(pres, closed, [int(i == j) for j in range(k)], operator.add, operator.neg, 0)
-        for i in range(k)
-    ]
-    words = [pres.relators[r].letters for r in closed.left]
-    columns = [[_exponent_image(letters, images) for letters in words] for images in coords]
-    if k == 1:
-        d = math.gcd(*columns[0])
-        core: tuple = ((d,),) if d else ()
-    else:
-        rows: list = [None] * k
-        for v in zip(*columns):
-            _fold(rows, v)
-        core = tuple(row for row in rows if row is not None)
-    snf = smith_normal_form(IntMatrix.from_checked(core, k))
+    snf = pres.seed_core.snf
     torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
-    return AbelianGroup(free_rank=k - snf.rank, torsion=torsion)
+    return AbelianGroup(free_rank=snf.v.cols - snf.rank, torsion=torsion)
 
 
 def is_cyclic(group: AbelianGroup) -> bool:

@@ -1208,68 +1208,6 @@ def word_power(base: Word, n: int) -> Word:
     return Word(base.letters * n)
 
 
-def min_unit_pivot_core(rows: list[dict[int, int]], g: int) -> tuple[int, IntMatrix]:
-    """The library's earlier `_unit_pivot_core`, which picks each pivot by
-    min() over a generator of (column count, column) pairs.
-
-    Eliminate +-1 pivots from sparse rows {col: value} over g columns.
-
-    A pivot (i, j) with entry +-1 is cleared from the rest of column j by
-    row operations; then row i's other entries can be cleared by column
-    operations that touch no other row, so row i and column j split off
-    as an invariant factor 1.  Rows are swept in index order, each taking
-    its unit column with the fewest entries (ties to the lower column);
-    later sweeps revisit only rows changed since they were last looked
-    at.  Returns the pivot count k and the dense core of the nonzero rows
-    and columns left, whose SNF together with k ones is that of `rows`.
-    The row dicts are updated in place.
-    """
-    col_rows: list[set[int]] = [set() for _ in range(g)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
-    pivots = 0
-    todo: Sequence[int] = range(len(rows))
-    while todo:
-        touched: set[int] = set()
-        for i in todo:
-            touched.discard(i)
-            row = rows[i]
-            best = min(
-                ((len(col_rows[j]), j) for j, x in row.items() if x == 1 or x == -1),
-                default=None,
-            )
-            if best is None:
-                continue
-            j = best[1]
-            sign = row.pop(j)
-            # every other row loses column j, and row i goes
-            others = col_rows[j]
-            col_rows[j] = set()
-            others.discard(i)
-            for r in others:
-                other = rows[r]
-                c = other.pop(j) * sign
-                for col, x in row.items():
-                    y = other.get(col, 0) - c * x
-                    if y:
-                        if col not in other:
-                            col_rows[col].add(r)
-                        other[col] = y
-                    else:
-                        del other[col]
-                        col_rows[col].discard(r)
-                touched.add(r)
-            for col in row:
-                col_rows[col].discard(i)
-            rows[i] = {}
-            pivots += 1
-        todo = sorted(touched)
-    cols = [j for j in range(g) if col_rows[j]]
-    core = [[row.get(j, 0) for j in cols] for row in rows if row]
-    return pivots, IntMatrix(core, cols=len(cols))
-
-
 def exponent_matrix(pres: GroupPresentation) -> IntMatrix:
     """r x g integer matrix of signed exponent sums, counted letter by
     letter."""

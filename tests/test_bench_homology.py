@@ -28,10 +28,15 @@ def test_bench_homology_one_round_writes_one_column():
         "prism_manifold(101)": "Z^0 + Z/4",
         "prism_manifold(10000)": "Z^0 + Z/2 + Z/2",
     }
-    for metric in ("pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw"):
-        assert set(column[metric]) == set(column["h1"])
-        assert all(us > 0 for us in column[metric].values())
-        assert all(len(v) == 1 for v in column[metric + "_rounds"].values())
+    inputs = {
+        "step1_us": {"prism_manifold(160)", "prism_manifold(10000)"},
+        "pipeline_us": {"prism_q8", "t3_torus", "prism_q12"},
+    }
+    for metric in ("pi1_h1_us", "h1_us", "step1_us", "pipeline_us"):
+        for timing in (metric, metric + "_raw"):
+            assert set(column[timing]) == inputs.get(metric, set(column["h1"]))
+            assert all(us > 0 for us in column[timing].values())
+            assert all(len(v) == 1 for v in column[timing + "_rounds"].values())
 
 
 def test_bench_homology_refuses_a_tree_without_lenscert(tmp_path):

@@ -1194,7 +1194,7 @@ def test_verify_matches_the_spliced_surjection_oracle():
 
 
 # ----------------------------------------------------------------------
-# step-1 certificates by elimination mod n
+# step-1 certificates read off the seed core's Smith normal form
 
 
 def _noncyclic(pres: GroupPresentation) -> Certificate:
@@ -1247,30 +1247,32 @@ def test_noncyclic_certificate_takes_the_first_torsion_factor():
 
 
 def test_noncyclic_certificate_splits_the_modulus():
-    # H1 = Z + Z/6 starts at n = 6, but x0^2 x1^3 has no unit entry mod 6:
-    # n becomes gcd(6, 2) = 2, and x1 is then a pivot
-    pres = GroupPresentation(3, (parse_word("x0^2 x1^3", ("x0", "x1", "x2")),
-                                 parse_word("x2^6", ("x0", "x1", "x2"))))
+    # H1 = Z + Z/6 keeps n = 6, though x0^2 x1^3 has no unit entry mod 6
+    # (the earlier eliminator split n to gcd(6, 2) = 2 there): the seed
+    # core's V gives two functionals that kill it mod 6
+    labels = ("x0", "x1", "x2")
+    pres = GroupPresentation(3, (parse_word("x0^2 x1^3", labels), parse_word("x2^6", labels)))
     h1 = abelianization(pres)
     assert h1 == AbelianGroup(1, (6,))
     cert = noncyclic_certificate(pres, h1)
-    assert cert.target == (2, 2)
-    assert cert.abelian_images == ((1, 0), (0, 0), (0, 1))
+    assert cert.target == (6, 6)
     assert verify(cert).accepted
+    assert snf_subgroup_invariants(6, 6, cert.abelian_images) == (6, 6)
 
 
 def test_noncyclic_certificate_splits_the_modulus_only_without_a_unit_pivot():
-    # H1 = Z + Z/8 starts at n = 8.  x1^4 has no unit entry mod 8, but x2^2 x1
-    # pivots on x1 and clears it, so n stays 8; splitting at the first row
-    # with no unit would give n = gcd(8, 4) = 4
+    # H1 = Z + Z/8 keeps n = 8: x1^4 has no unit entry mod 8, and n is
+    # never split, whatever order the relators come in
     labels = ("x0", "x1", "x2")
-    pres = GroupPresentation(3, (parse_word("x1^4", labels), parse_word("x2^2 x1", labels)))
-    h1 = abelianization(pres)
-    assert h1 == AbelianGroup(1, (8,))
-    cert = noncyclic_certificate(pres, h1)
-    assert cert.target == (8, 8)
-    assert cert.abelian_images == ((1, 0), (0, 6), (0, 1))
-    assert verify(cert).accepted
+    rels = (parse_word("x1^4", labels), parse_word("x2^2 x1", labels))
+    for relators in (rels, rels[::-1]):
+        pres = GroupPresentation(3, relators)
+        h1 = abelianization(pres)
+        assert h1 == AbelianGroup(1, (8,))
+        cert = noncyclic_certificate(pres, h1)
+        assert cert.target == (8, 8)
+        assert verify(cert).accepted
+        assert snf_subgroup_invariants(8, 8, cert.abelian_images) == (8, 8)
 
 
 @pytest.mark.parametrize(
@@ -1291,8 +1293,8 @@ def test_noncyclic_certificate_refuses_an_h1_not_of_the_presentation(pres, h1):
 @given(st.randoms(use_true_random=False))
 def test_noncyclic_certificate_on_random_presentations(rng):
     """Freely reduced random relators with a non-cyclic H1: the
-    certificate verifies onto (n, n), n divides the starting modulus, and
-    the images generate all of (Z/n)^2."""
+    certificate verifies onto (n, n), n is the starting modulus, and the
+    images generate all of (Z/n)^2."""
     drawn = random_presentation(rng)
     relators = tuple(w for w in map(reduced_word, drawn.relators) if w.letters)
     pres = GroupPresentation(drawn.g, relators)
@@ -1301,9 +1303,39 @@ def test_noncyclic_certificate_on_random_presentations(rng):
     start = 2 if h1.free_rank >= 2 else h1.torsion[0]
     cert = noncyclic_certificate(pres, h1)
     n = cert.target[0]
-    assert cert.target == (n, n) and start % n == 0
+    assert cert.target == (n, n) and n == start
     assert verify(cert).accepted
     assert snf_subgroup_invariants(n, n, cert.abelian_images) == (n, n)
+
+
+@pytest.mark.parametrize("name, base", [("prism_q8.tri", (2, 2, 2)), ("t3_torus.tri", (2, 3, 7))])
+def test_pipeline_step1_shares_one_closure_and_one_snf(name, base, monkeypatch):
+    # H1 and the step-1 certificate read one closure and one Smith normal
+    # form, which the presentation keeps; a fresh presentation of the same
+    # triangulation computes its own
+    import lenscert.intlinalg as intlinalg
+    import lenscert.presentation as presentation
+
+    calls = {"closure": 0, "snf": 0}
+    closure, snf = presentation.closure, intlinalg.smith_normal_form
+
+    def counted_closure(pres):
+        calls["closure"] += 1
+        return closure(pres)
+
+    def counted_snf(a):
+        calls["snf"] += 1
+        return snf(a)
+
+    monkeypatch.setattr(presentation, "closure", counted_closure)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted_snf)
+    tri = load_fixture(name)
+    cert, info = pipeline(tri, base)
+    assert info["step"] == 1 and calls == {"closure": 1, "snf": 1}
+    assert verify_bound(cert, tri).accepted
+    pres = fundamental_group(tri)
+    assert noncyclic_certificate(pres, abelianization(pres)) == cert
+    assert calls == {"closure": 2, "snf": 2}
 
 
 def test_noncyclic_certificate_at_t_160():

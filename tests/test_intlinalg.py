@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import sys
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from lenscert.intlinalg import (
     AbelianGroup,
     IntMatrix,
-    _unit_pivot_core,
     abelianization,
     format_abelian,
     hadamard_torsion_bound,
@@ -27,7 +25,6 @@ from oracles import (
     int_identity,
     int_matmul,
     invariant_factors_by_minors,
-    min_unit_pivot_core,
     random_presentation,
     two_sided_smith_normal_form,
     word_power,
@@ -94,6 +91,35 @@ def test_snf_diag_and_v_equal_the_two_sided_oracle():
         for i in range(a.rows):
             for j in range(a.cols):
                 assert n.entries[i][j] == (diag[i] if i == j else 0)
+
+
+def _int_matrices():
+    """Integer matrices of 0 to 5 columns and 0 to 6 rows, some of them
+    rows of zeros."""
+    def rows_of(cols):
+        row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+        rows = st.lists(st.one_of(st.just([0] * cols), row), max_size=6)
+        return rows.map(lambda entries: IntMatrix(entries, cols=cols))
+
+    return st.integers(0, 5).flatmap(rows_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_snf_v_is_a_unimodular_column_transform(a):
+    """V is unimodular, column j of a*V is 0 beyond the rank and divisible
+    by diag j below it, and diag is the two-sided oracle's."""
+    result = smith_normal_form(a)
+    assert (result.v.rows, result.v.cols) == (a.cols, a.cols)
+    assert det_int(result.v.entries) in (1, -1)
+    av = int_matmul(a, result.v)
+    for j in range(a.cols):
+        column = [row[j] for row in av.entries]
+        if j < result.rank:
+            assert all(x % result.diag[j] == 0 for x in column)
+        else:
+            assert not any(column)
+    assert result.diag == two_sided_smith_normal_form(a)[0]
 
 
 def test_snf_matches_minors_oracle_500_random():
@@ -257,7 +283,7 @@ def test_hadamard_bound_property(data):
 
 
 # ----------------------------------------------------------------------
-# sparse unit-pivot elimination in abelianization
+# abelianization through the seed core
 
 
 def dense_abelianization(pres) -> AbelianGroup:
@@ -311,16 +337,14 @@ def test_large_lens_space_homology(p, q):
     assert abelianization(pres) == AbelianGroup(0, (p,))
     # one seed writes every generator, so H1 is one gcd
     assert len(closure(pres).seeds) == 1
-    # every generator but one is a unit pivot: the dense SNF sees one column
-    rows = [w.nonzero_exponent_sums() for w in pres.relators]
-    pivots, left = _unit_pivot_core(rows, pres.g)
-    assert (len(pivots), _core(left).cols) == (pres.g - 1, 1)
+    # the dense SNF sees one entry: the gcd of the left-over images
+    assert pres.seed_core.snf.diag == (p,)
 
 
 @pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
 def test_abelianization_runs_one_snf_on_the_seed_core(name, monkeypatch):
     # one call, through the module-level name perfbench traces, on at
-    # most k x k entries for k seeds; the sparse eliminator is step 1's
+    # most k x k entries for k seeds
     pres = fundamental_group(load_fixture(name))
     k = len(closure(pres).seeds)
     calls = []
@@ -329,94 +353,11 @@ def test_abelianization_runs_one_snf_on_the_seed_core(name, monkeypatch):
         calls.append((a.rows, a.cols))
         return smith_normal_form(a)
 
-    def refused(*args):
-        raise AssertionError("abelianization called _unit_pivot_core")
-
     monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-    monkeypatch.setattr(intlinalg, "_unit_pivot_core", refused)
     assert abelianization(pres) == dense_abelianization(pres)
     assert len(calls) == 1
     rows, cols = calls[0]
     assert rows <= k and cols == k
-
-
-def _core(left):
-    """The dense core of the rows left, as abelianization builds it."""
-    cols = sorted({j for row in left for j in row})
-    return IntMatrix([[row.get(j, 0) for j in cols] for row in left], cols=len(cols))
-
-
-def test_unit_pivot_core_revisits_changed_rows():
-    # row 0 has no unit until row 1's pivot clears column 0 from it
-    pivots, left = _unit_pivot_core([{0: 2, 1: 3}, {0: 1, 1: 1}], 2)
-    core = _core(left)
-    assert (len(pivots), core.rows, core.cols) == (2, 0, 0)
-    pivots, left = _unit_pivot_core([{0: 2, 1: 4}, {0: 1, 1: 1}], 2)
-    assert (len(pivots), _core(left).entries) == (1, ((2,),))
-
-
-def _short_relator_rows(data, g):
-    """Exponent rows of relators of at most three letters over g
-    generators, or squares and cubes of one letter, which leave entries
-    +-2 and +-3."""
-    letter = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
-    power = st.builds(lambda x, k: [x] * k, letter, st.integers(2, 3))
-    relators = data.draw(
-        st.lists(st.one_of(st.lists(letter, min_size=1, max_size=3), power), max_size=2 * g + 2)
-    )
-    return [Word(tuple(w)).nonzero_exponent_sums() for w in relators]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_unit_pivot_core_matches_min_pivot_oracle(data):
-    # at sizes beyond the minors oracle; a core often remains, and a
-    # pivot taken in another column shows in it
-    g = data.draw(st.integers(1, 40))
-    rows = _short_relator_rows(data, g)
-    expected = min_unit_pivot_core([dict(row) for row in rows], g)
-    pivots, left = _unit_pivot_core(rows, g)
-    assert (len(pivots), _core(left)) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from((0, 2, 3, 4, 5, 6, 12)))
-def test_unit_pivot_core_contract(data, n):
-    """Over Z (n = 0) and Z/n: no row left holds a unit, each pivot's row
-    names only columns pivoted later or never, and every assignment of
-    the columns that are neither pivoted nor in a row left, lifted
-    through the pivots in reverse, kills every original row mod n
-    (exactly, for n = 0).  Every unit mod 12 is its own inverse, so only
-    n = 5 tells a pivot's recorded inverse from its unit."""
-    g = data.draw(st.integers(1, 40))
-    original = _short_relator_rows(data, g)
-    if n:
-        rows = [{c: x % n for c, x in row.items() if x % n} for row in original]
-    else:
-        rows = [dict(row) for row in original]
-    pivots, left = _unit_pivot_core(rows, g, n)
-    for row in left:
-        assert row and all(math.gcd(x, n) != 1 for x in row.values())
-        if n:
-            assert all(0 < x < n for x in row.values())
-    pivoted = [j for j, _, _ in pivots]
-    for k, (j, inverse, row) in enumerate(pivots):
-        assert math.gcd(inverse, n) == 1
-        assert not row.keys() & set(pivoted[: k + 1])
-    named = {c for row in left for c in row}
-    assert not named & set(pivoted)
-    free = [c for c in range(g) if c not in named and c not in pivoted]
-    # the lift is linear, so the unit vectors stand for every assignment
-    for c0 in free:
-        x = [0] * g
-        x[c0] = 1
-        for j, inverse, row in reversed(pivots):
-            x[j] = -inverse * sum(v * x[c] for c, v in row.items())
-            if n:
-                x[j] %= n
-        for row in original:
-            value = sum(v * x[c] for c, v in row.items())
-            assert (value % n if n else value) == 0
 
 
 def test_snf_diagonal_matches_sympy():

@@ -6,6 +6,8 @@ properties of its classes, has a caller outside the unit tests."""
 import ast
 import os
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,6 +45,26 @@ def test_make_fixtures_arguments_write_nothing(argv, code, tmp_path, monkeypatch
     assert not out.exists()
     printed = capsys.readouterr()
     assert "usage: " in (printed.out if code == 0 else printed.err)
+
+
+def test_importing_make_fixtures_keeps_the_importers_lenscert(tmp_path):
+    # a copied tree first on sys.path, this checkout's src on PYTHONPATH:
+    # imported, make_fixtures builds with the copy, as a bench script
+    # measuring another tree needs
+    root = Path(__file__).resolve().parent.parent
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src" / "lenscert", copy / "lenscert")
+    code = (
+        f"import sys; sys.path[:0] = [{str(copy)!r}, {str(root / 'scripts')!r}]\n"
+        "import make_fixtures\n"
+        "print(make_fixtures.abelianization.__code__.co_filename)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert Path(out.stdout.strip()) == copy / "lenscert" / "intlinalg.py"
 
 
 @pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (4, 0), (4, 4), (4, 5), (4, 2), (6, -1)])

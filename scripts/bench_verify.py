@@ -27,7 +27,8 @@ from the verify reports and must not change with a speed-up.
       --out BENCH_verify.json
 
 A tree is NAME=SRC, SRC a directory holding the lenscert package
-(default: change=this checkout's src).  The JSON holds one column per
+(default: change=this checkout's src); a NAME may be given once,
+and --repeats and --rounds are at least 1.  The JSON holds one column per
 tree, with each round's figures, plus the machine and Python version.
 """
 
@@ -127,15 +128,6 @@ def measure(max_n: int, repeats: int) -> dict:
     return doc
 
 
-def _measure_in_process(src: str, max_n: int, repeats: int) -> dict:
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure", src,
-         "--max-n", str(max_n), "--repeats", str(repeats)],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout)
-
-
 def _column(runs: list[dict]) -> dict:
     """Median of each timing over the rounds, each round's timings, and
     the cost-model means, which every round must repeat exactly."""
@@ -165,43 +157,69 @@ def _machine() -> str:
     return f"{model}, {os.cpu_count()} logical CPUs, {platform.system()} {platform.machine()}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def driver_parser(description: str) -> argparse.ArgumentParser:
+    """The options every bench script shares: --tree, --repeats, --rounds
+    and --out, plus the hidden --measure a round's child process gets."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--tree", action="append", metavar="NAME=SRC",
                         help="a lenscert source tree to measure, repeatable")
-    parser.add_argument("--max-n", type=int, default=19)
     parser.add_argument("--repeats", type=int, default=5, help="passes per measurement")
     parser.add_argument("--rounds", type=int, default=5, help="measurements per tree")
     parser.add_argument("--out", help="JSON file to write (default: print it)")
     parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.max_n < 4:
-        parser.error("--max-n must be at least 4: no triple with entries up to 3 is hyperbolic")
+    return parser
 
+
+def drive(parser, args, script: str, options: list[str], measure, column, same=None) -> int:
+    """Run a bench script's rounds and write its JSON document.
+
+    With --measure SRC, print measure()'s figures for the lenscert package
+    in SRC.  Otherwise measure each --tree in a fresh process, running
+    script with options and --repeats, once per round, the trees taking
+    turns to go first, and write one column(runs) per tree.  Every run of
+    every tree must give the same value for the key same, if one is named.
+    Zero repeats or rounds and a repeated tree NAME are usage errors, and
+    a failed measurement ends the run with the child's error output."""
+    for flag in ("repeats", "rounds"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1")
     if args.measure:
         sys.path.insert(0, args.measure)
-        print(json.dumps(measure(args.max_n, args.repeats)))
+        print(json.dumps(measure()))
         return 0
 
-    trees = []
+    trees: dict[str, str] = {}
     for tree in args.tree or [f"change={os.path.join(HERE, '..', 'src')}"]:
         name, sep, src = tree.partition("=")
         if not sep or not name or not os.path.isdir(os.path.join(src, "lenscert")):
             parser.error(f"--tree {tree!r}: expected NAME=SRC with SRC/lenscert")
-        trees.append((name, os.path.abspath(src)))
-    runs: dict[str, list[dict]] = {name: [] for name, _ in trees}
+        if name in trees:
+            parser.error(f"--tree {tree!r}: the name {name!r} is given twice")
+        trees[name] = os.path.abspath(src)
+    options = [*options, "--repeats", str(args.repeats)]
+    order = list(trees.items())
+    runs: dict[str, list[dict]] = {name: [] for name in trees}
     for k in range(args.rounds):
-        for name, src in trees if k % 2 == 0 else trees[::-1]:
-            runs[name].append(_measure_in_process(src, args.max_n, args.repeats))
+        for name, src in order if k % 2 == 0 else order[::-1]:
+            out = subprocess.run(
+                [sys.executable, script, "--measure", src, *options],
+                capture_output=True, text=True,
+            )
+            if out.returncode:
+                raise SystemExit(f"error: measuring tree {name!r} failed:\n{out.stderr}")
+            runs[name].append(json.loads(out.stdout))
+    if same is not None:
+        first = runs[order[0][0]][0][same]
+        if any(run[same] != first for column_runs in runs.values() for run in column_runs):
+            raise SystemExit(f"error: the trees or rounds disagree on {same}")
 
     doc = {
-        "command": (
-            f"scripts/bench_verify.py --max-n {args.max_n} --repeats {args.repeats} "
-            f"--rounds {args.rounds}"
+        "command": " ".join(
+            [f"scripts/{os.path.basename(script)}", *options, "--rounds", str(args.rounds)]
         ),
         "machine": _machine(),
         "python": platform.python_version(),
-        "columns": {name: _column(runs[name]) for name, _ in trees},
+        "columns": {name: column(runs[name]) for name in trees},
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -210,6 +228,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = driver_parser(__doc__.split("\n\n")[0])
+    parser.add_argument("--max-n", type=int, default=19)
+    args = parser.parse_args(argv)
+    if args.max_n < 4:
+        parser.error("--max-n must be at least 4: no triple with entries up to 3 is hyperbolic")
+    return drive(
+        parser, args, os.path.abspath(__file__), ["--max-n", str(args.max_n)],
+        lambda: measure(args.max_n, args.repeats), _column,
+    )
 
 
 if __name__ == "__main__":

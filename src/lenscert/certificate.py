@@ -67,9 +67,9 @@ decides a triangle's matrices and this module its certificate kind.
 triangle_certificate states the triangle group's own claim; pipeline
 states every claim about the triangulation's own presentation: at step
 1 the (Z/n)^2 image noncyclic_certificate reads off the Smith normal
-form of the seed core that H1 is computed from, at step 2 the triangle
-group's matrices, carried there by a surjection, and without one
-nothing.
+form of the one intlinalg.seed_core that pipeline computes and reads
+H1 off, at step 2 the triangle group's matrices, carried there by a
+surjection, and without one nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
-from .intlinalg import AbelianGroup, abelianization, format_abelian, is_cyclic
+from .intlinalg import SeedCore, format_abelian, is_cyclic, seed_core
 from .presentation import (
     GroupPresentation,
     Word,
@@ -734,31 +734,28 @@ def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
     return verify(cert)
 
 
-def noncyclic_certificate(pres: GroupPresentation, h1: AbelianGroup) -> Certificate:
-    """The step-1 certificate onto (Z/n)^2, given H1 = abelianization(pres).
+def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificate:
+    """The step-1 certificate onto (Z/n)^2, given core = seed_core(pres).
 
-    n is 2 if H1 has free rank >= 2, else its first torsion factor, so n
-    divides two invariant factors.  They are read off the Smith normal
-    form U C V = D of the seed core C that H1 came from, over k seeds
-    (GroupPresentation.seed_core): at the first two indices j where n
-    divides d_j (a free factor counts as 0), column j of V is a
-    functional on Z^k that kills C mod n, and, V being unimodular, the
-    two map Z^k onto (Z/n)^2.  A generator's image is its coordinates in
-    Z^k paired with them, mod n.  Raises ValueError if H1 is cyclic or if fewer than two such
-    indices exist, as an H1 not of pres can give."""
+    n is 2 if H1 = core.h1() has free rank >= 2, else its first torsion
+    factor, so n divides two invariant factors.  They are read off the
+    Smith normal form U C V = D of the seed core C over k seeds: at the
+    first two indices j where n divides d_j (a free factor counts as 0),
+    column j of V is a functional on Z^k that kills C mod n, and, V being
+    unimodular, the two map Z^k onto (Z/n)^2.  A generator's image is its
+    coordinates in Z^k paired with them, mod n.  Raises ValueError if H1
+    is cyclic."""
+    h1 = core.h1()
     if is_cyclic(h1):
         raise ValueError("abelianization is cyclic; no non-cyclic abelian certificate")
     n = 2 if h1.free_rank >= 2 else h1.torsion[0]
-    seed = pres.seed_core
-    snf = seed.snf
+    snf = core.snf
     diag = snf.diag + (0,) * (snf.v.cols - len(snf.diag))
     picked = [j for j, d in enumerate(diag) if d % n == 0][:2]
-    if len(picked) < 2:
-        raise ValueError(f"h1 = {format_abelian(h1)} is not the presentation's abelianization")
     a, b = ([row[j] for row in snf.v.entries] for j in picked)
     images = tuple(
         (sum(map(operator.mul, x, a)) % n, sum(map(operator.mul, x, b)) % n)
-        for x in zip(*seed.coordinates)
+        for x in zip(*core.coordinates)
     )
     cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=images)
     outcome = verify(cert)
@@ -871,10 +868,11 @@ def pipeline(
         raise PipelineError("triangulation is non-orientable (already not a lens space)")
 
     pres = fundamental_group(tri)
-    h1 = abelianization(pres)
+    core = seed_core(pres)
+    h1 = core.h1()
     info: dict = {"h1": format_abelian(h1), "t": tri.t}
     if not is_cyclic(h1):
-        cert = noncyclic_certificate(pres, h1)
+        cert = noncyclic_certificate(pres, core)
         info.update(step=1, kind=NON_CYCLIC, target=cert.target)
         return cert, info
 

@@ -10,20 +10,24 @@ an n x n matrix.  The library runs it only on a presentation's seed
 core, of at most k x k entries for k seeds: `presentation.closure`
 writes every generator in k seeds (one on a lens space, two on a prism
 manifold, three on the 3-torus), `presentation.lift` sends the seeds
-to the unit vectors of Z^k, and `seed_core_snf` folds the left-over
-relators' images into at most k rows by gcd row operations.  The
-presentation keeps that core's Smith normal form with the closure and
-the coordinates (`GroupPresentation.seed_core`): H1 is its diagonal,
-and the step-1 certificate reads its functionals mod n off V
-(`certificate.noncyclic_certificate`), so one closure -> lift -> core
-path serves both.
+to the unit vectors of Z^k, and `seed_core` folds the left-over
+relators' images into at most k rows by gcd row operations and returns
+that core's Smith normal form with the closure and the coordinates.  H1
+is its diagonal (`SeedCore.h1`), and the step-1 certificate reads its
+functionals mod n off V (`certificate.noncyclic_certificate`), so a
+caller that computes one core gets both from one closure -> lift ->
+core path.  Nothing is kept on the presentation: each `seed_core` call
+computes the core anew.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+from . import presentation
 
 
 @dataclass(frozen=True)
@@ -178,14 +182,36 @@ def _fold(rows: list, v: tuple) -> None:
         rows[c] = row
 
 
-def seed_core_snf(relators, left, coordinates) -> SNFResult:
-    """The Smith normal form of the relations among k seeds, by one
-    `smith_normal_form` call through its module-level name: the images
-    of the left-over relators (indices `left`) under the lift that gives
-    each generator its `coordinates` in Z^k, folded by gcd row operations
-    into a core of at most k rows (one gcd when k = 1).
-    `GroupPresentation.seed_core` keeps it."""
-    words = [relators[r].letters for r in left]
+class SeedCore(NamedTuple):
+    """A presentation's closure, every generator's coordinates in Z^k,
+    and the Smith normal form of the relations among the k seeds."""
+
+    closed: presentation.Closure
+    coordinates: tuple[tuple[int, ...], ...]  # entry i: coordinate i of each generator
+    snf: SNFResult  # of the relations among the seeds, with V
+
+    def h1(self) -> AbelianGroup:
+        """G^ab = Z^(k - core rank) plus the core's factors above 1."""
+        snf = self.snf
+        torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
+        return AbelianGroup(free_rank=snf.v.cols - snf.rank, torsion=torsion)
+
+
+def seed_core(pres) -> SeedCore:
+    """The presentation's closure, every generator's coordinates in Z^k
+    under the lift that sends seed i to the i-th unit vector (one `lift`
+    per coordinate, in plain ints), and the Smith normal form, by one
+    `smith_normal_form` call through its module-level name, of the
+    left-over relators' images folded by gcd row operations into a core
+    of at most k rows (one gcd when k = 1)."""
+    closed = presentation.closure(pres)
+    k = len(closed.seeds)
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    coordinates = tuple(
+        tuple(presentation.lift(pres, closed, unit, operator.add, operator.neg, 0))
+        for unit in units
+    )
+    words = [pres.relators[r].letters for r in closed.left]
     columns = []
     for images in coordinates:  # the words' images, one coordinate at a time
         column = []
@@ -195,30 +221,24 @@ def seed_core_snf(relators, left, coordinates) -> SNFResult:
                 x += images[gen] if exp == 1 else -images[gen]
             column.append(x)
         columns.append(column)
-    if len(coordinates) == 1:
+    if k == 1:
         d = math.gcd(*columns[0])
         core: tuple = ((d,),) if d else ()
     else:
-        rows: list = [None] * len(coordinates)
+        rows: list = [None] * k
         for v in zip(*columns):
             _fold(rows, v)
         core = tuple(row for row in rows if row is not None)
-    return smith_normal_form(IntMatrix.from_checked(core, len(coordinates)))
+    snf = smith_normal_form(IntMatrix.from_checked(core, k))
+    return SeedCore(closed, coordinates, snf)
 
 
 def abelianization(pres) -> AbelianGroup:
-    """G^ab by closure, lift, a folded core and one Smith normal form.
-
-    `presentation.closure` writes every generator in k seeds, and G^ab is
-    Z^k modulo the images of the left-over relators under the `lift` that
-    sends the seeds to the unit vectors.  `seed_core_snf` folds those
-    images into a core of at most k x k, and `pres.seed_core.snf` is its
-    Smith normal form: G^ab = Z^(k - core rank) plus the core's factors
-    above 1.
-    """
-    snf = pres.seed_core.snf
-    torsion = tuple(d for d in snf.diag[: snf.rank] if d > 1)
-    return AbelianGroup(free_rank=snf.v.cols - snf.rank, torsion=torsion)
+    """G^ab by closure, lift, a folded core and one Smith normal form:
+    `presentation.closure` writes every generator in k seeds, and G^ab
+    is Z^k modulo the images of the left-over relators under the `lift`
+    that sends the seeds to the unit vectors (`seed_core`)."""
+    return seed_core(pres).h1()
 
 
 def is_cyclic(group: AbelianGroup) -> bool:

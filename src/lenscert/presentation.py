@@ -19,25 +19,21 @@ read from is kept as a reference oracle in `tests/oracles.py`.
 generators, a straight-line program that writes every other generator
 in them, and the relators left over; `lift` runs that program over any
 group, so a homomorphism is fixed by the seeds' images and checked on
-the left-over relators alone.  A presentation keeps its closure, its
-lift into Z^k and the Smith normal form of the relations among its seeds
-(`GroupPresentation.seed_core`), so H1 (`intlinalg.abelianization`) and
-the step-1 certificate (`certificate.noncyclic_certificate`) compute
-them once between them.
+the left-over relators alone.  A presentation keeps nothing but its
+generators, relators and labels: `intlinalg.seed_core` runs `closure`
+and `lift` into Z^k for H1 and the step-1 certificate, and this module
+imports nothing of `intlinalg`.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .galois import parse_decimal
-from .intlinalg import SNFResult, seed_core_snf
 from .triangulation import (
     DIRECTED_INDEX,
     EDGE_DIRECTIONS,
@@ -167,22 +163,6 @@ class GroupPresentation:
         """Total symbol length: all generators plus all relator letters."""
         return self.g + sum(len(w) for w in self.relators)
 
-    @cached_property
-    def seed_core(self) -> "SeedCore":
-        """This presentation's closure, every generator's coordinates in
-        Z^k under the lift that sends seed i to the i-th unit vector (one
-        `lift` per coordinate, in plain ints), and the Smith normal form
-        of the relations among the seeds.  Computed on first use and kept,
-        so H1 and the step-1 certificate share one closure and one SNF."""
-        closed = closure(self)
-        k = len(closed.seeds)
-        units = [[int(i == j) for j in range(k)] for i in range(k)]
-        coordinates = tuple(
-            tuple(lift(self, closed, unit, operator.add, operator.neg, 0)) for unit in units
-        )
-        snf = seed_core_snf(self.relators, closed.left, coordinates)
-        return SeedCore(closed, coordinates, snf)
-
 
 def format_word(word: Word, labels: tuple[str, ...]) -> str:
     return " ".join(
@@ -299,14 +279,6 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
 
     # every letter comes from the letter table: (generator below g, +-1)
     return GroupPresentation.from_checked(g, tuple(relators), default_labels(g))
-
-
-class SeedCore(NamedTuple):
-    """What `GroupPresentation.seed_core` keeps."""
-
-    closed: "Closure"
-    coordinates: tuple[tuple[int, ...], ...]  # entry i: coordinate i of each generator
-    snf: SNFResult  # of the relations among the seeds, with V
 
 
 class Closure(NamedTuple):

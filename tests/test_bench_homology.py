@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_homology.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
@@ -43,4 +46,19 @@ def test_bench_homology_refuses_a_tree_without_lenscert(tmp_path):
     out = _run("--tree", f"old={tmp_path}", "--rounds", "1")
     assert out.returncode == 2
     assert "expected NAME=SRC with SRC/lenscert" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--rounds", "0"), "--rounds must be at least 1"),
+        (("--repeats", "0"), "--repeats must be at least 1"),
+        (("--tree", f"a={SRC}", "--tree", f"a={SRC}"), "the name 'a' is given twice"),
+    ],
+)
+def test_bench_homology_refuses_an_empty_or_merged_measurement(args, message):
+    out = _run(*args)
+    assert out.returncode == 2
+    assert message in out.stderr
     assert "Traceback" not in out.stderr

@@ -7,10 +7,13 @@ import statistics
 import subprocess
 import sys
 
+import pytest
+
 from lenscert.certificate import parse, serialize, triangle_certificate, verify
 from lenscert.trianglerep import hyperbolic_triples
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_verify.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
@@ -47,4 +50,19 @@ def test_bench_verify_refuses_a_sweep_without_hyperbolic_triples():
     out = _run("--max-n", "3", "--repeats", "1", "--rounds", "1")
     assert out.returncode == 2
     assert "--max-n must be at least 4" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--rounds", "0"), "--rounds must be at least 1"),
+        (("--repeats", "0"), "--repeats must be at least 1"),
+        (("--tree", f"a={SRC}", "--tree", f"a={SRC}"), "the name 'a' is given twice"),
+    ],
+)
+def test_bench_verify_refuses_an_empty_or_merged_measurement(args, message):
+    out = _run("--max-n", "5", *args)
+    assert out.returncode == 2
+    assert message in out.stderr
     assert "Traceback" not in out.stderr

@@ -50,13 +50,8 @@ from typing import Sequence
 if __name__ == "__main__":  # run as a script, build with this checkout's package
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from lenscert.certificate import (
-    Certificate,
-    NON_ABELIAN,
-    pipeline,
-    serialize,
-    verify,
-)
+from lenscert.certificate import pipeline
+from lenscert.checker import Certificate, NON_ABELIAN, serialize, verify
 from lenscert.galois import FieldSpec, quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word

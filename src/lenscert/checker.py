@@ -1,0 +1,711 @@
+"""Serialize, parse and verify "not a lens space" certificates: the checker.
+
+
+Two kinds of witness exist: a surjection onto a non-cyclic abelian group
+Z/a x Z/b, or a non-abelian image in PSL(2, F).  Verification is
+polynomial with exact operation tallies; a malformed file is an error
+while a well-formed but false certificate is a rejection.  The text form
+is canonical: parse accepts exactly the texts serialize writes, so
+serialize(parse(text)) == text for every text parse accepts.  parse
+reads every line exactly as written, each ended by a newline.  A blank,
+padded or comment line is not skipped but read as the line it stands in
+for, so it is a syntax error there, and so is a gens line without its
+labels.
+
+Each invariant is checked once, where a certificate comes in:
+
+- parse checks line by line: spelling and spacing, canonical decimals
+  (galois.parse_decimal), every word letter against the letter table of
+  the names it is over (so each letter is a known generator with
+  exponent +-1) and free reduction, reduced abelian images, and image
+  and surjection lines in the order of the gens line.  The gens line and
+  each matrix line are accepted by one regex matched against the whole
+  line, whose groups are canonical decimals and labels
+  (presentation.is_label's pattern): so the labels need no other check
+  than distinctness, and a matrix's coordinates go straight to ints, in
+  range when their max is below p, with det 1 checked by
+  ProjMatrix.from_reduced and the sign normalization serialize writes by
+  one compare.  A line either regex refuses goes to a diagnose function
+  (_diagnose_gens, _diagnose_matrix) that runs the per-field checks
+  (galois.parse_coords, is_label) only to name the error, and always
+  raises.  Words and the presentation are then built by
+  Word.from_checked and GroupPresentation.from_checked, which trust the
+  letter table and the gens regex, and Certificate._check_fields checks
+  the rest once the text is read: the kind's fields, target moduli above
+  1, at least one matrix, distinct matrix names, and matrix names equal
+  to the labels when there is no surjection.  parse records the length
+  of the text it read as text_bytes, which is its byte count: every line
+  it accepts is an exact string or is made of `[0-9]` and
+  galois.parse_decimal numbers and ASCII labels and letter-table tokens.
+- The constructors check a certificate built in code: Certificate runs
+  _check_fields and then checks every word, matrix name and image field
+  as parse does; Word checks its letters and GroupPresentation its labels
+  and relator generators.
+- verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
+  certificate built in code is serialized to count its bytes.  serialize
+  keeps the text it writes on the certificate (Certificate._text, which
+  is not an init argument, not compared and not in repr), so a caller's
+  serialize after verify reuses that text; dataclasses.replace and parse
+  never carry it, so serialize(parse(text)) writes the text anew.  The
+  images' coordinates and inverses are taken once per certificate
+  (projmat.letter_coords), and every word is one projmat.fold_letters,
+  which takes a word with a short period, such as x^n or (xy)^n, by
+  square-and-multiply.  Without a surjection a generator's image is
+  read from its coordinates; with one, each surjection word is folded
+  once, into the image of its presentation generator
+  (projmat.coord_table).  The relators and the witness are then folded
+  over the generators' images, so verify charges at most one multiply
+  per letter of the certificate's words: the paper's letter-count
+  model, which counts the letters a word spells out, not the products
+  performed.
+- verify_bound checks, before verify, that the certificate is about a
+  given triangulation: a closed connected 3-manifold whose own
+  fundamental group is the certificate's presentation.
+
+This module is the trusted part of the package: it imports galois,
+presentation, projmat and triangulation, and nothing else.  The
+producers in certificate import it, never the reverse.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import re
+from dataclasses import dataclass
+from typing import NoReturn, Optional
+
+from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
+from .presentation import (
+    GroupPresentation,
+    Word,
+    format_presentation,
+    format_word,
+    fundamental_group,
+    is_label,
+)
+from .projmat import (
+    _IDENTITY,
+    OpCounter,
+    ProjMatrix,
+    bit_size_spec,
+    coord_table,
+    fold_letters,
+    letter_coords,
+)
+from .triangulation import DisconnectedError, Triangulation, validate
+
+NON_ABELIAN = "NonAbelianRep"
+NON_CYCLIC = "NonCyclicAbelian"
+
+HEADER = "lenscert v1"
+
+
+class CertificateSyntaxError(ValueError):
+    """Malformed certificate text (distinct from a verification rejection)."""
+
+@dataclass(frozen=True)
+class Certificate:
+    kind: str
+    presentation: GroupPresentation
+    # NonCyclicAbelian
+    target: Optional[tuple[int, int]] = None
+    abelian_images: Optional[tuple[tuple[int, int], ...]] = None
+    # NonAbelianRep
+    field: Optional[FieldSpec] = None
+    rep_gens: Optional[tuple[str, ...]] = None
+    rep_images: Optional[tuple[ProjMatrix, ...]] = None
+    surjection: Optional[tuple[Word, ...]] = None  # per presentation generator
+    witness: Optional[tuple[Word, Word]] = None  # words over presentation gens
+    # bytes of the canonical text, recorded by parse from the text it read;
+    # None for a certificate built in code, whose verify serializes it
+    text_bytes: Optional[int] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # the text serialize wrote for this certificate, kept so that verify's
+    # byte count and a later serialize share one serialization; not an
+    # init argument, so neither dataclasses.replace nor parse carries it
+    _text: Optional[str] = dataclasses.field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._check_fields()
+        pres = self.presentation
+        for w in pres.relators:
+            if not w.is_reduced():
+                raise CertificateSyntaxError("relator word is not freely reduced")
+        if self.kind == NON_CYCLIC:
+            a, b = self.target  # type: ignore[misc]
+            object.__setattr__(
+                self,
+                "abelian_images",
+                tuple((u % a, v % b) for u, v in self.abelian_images),  # type: ignore[union-attr]
+            )
+            return
+        for m in self.rep_images:  # type: ignore[union-attr]
+            if m.spec != self.field:
+                raise CertificateSyntaxError("matrix over the wrong field")
+        # without a surjection the names are the presentation's labels
+        if self.surjection is not None:
+            for name in self.rep_gens:  # type: ignore[union-attr]
+                if not is_label(name):
+                    raise CertificateSyntaxError(f"bad generator label {name!r}")
+            for w in self.surjection:
+                if not w.is_reduced():
+                    raise CertificateSyntaxError("surjection word is not freely reduced")
+                if w.max_generator() >= len(self.rep_gens):  # type: ignore[arg-type]
+                    raise CertificateSyntaxError("surjection word uses unknown generator")
+        for w in self.witness:  # type: ignore[union-attr]
+            if not w.is_reduced():
+                raise CertificateSyntaxError("witness word is not freely reduced")
+            if w.max_generator() >= pres.g:
+                raise CertificateSyntaxError("witness word uses unknown generator")
+
+    def _check_fields(self) -> None:
+        """The checks parse makes once the text is read: the kind and
+        which fields it needs, the target moduli, and the matrix names
+        against each other and against the presentation."""
+        pres = self.presentation
+        if self.kind == NON_CYCLIC:
+            if self.target is None or self.abelian_images is None:
+                raise CertificateSyntaxError("abelian certificate needs target and images")
+            if self.field or self.rep_gens or self.rep_images or self.surjection or self.witness:
+                raise CertificateSyntaxError("abelian certificate with representation fields")
+            a, b = self.target
+            if a <= 1 or b <= 1:
+                raise CertificateSyntaxError("abelian target moduli must exceed 1")
+            if len(self.abelian_images) != pres.g:
+                raise CertificateSyntaxError("need one abelian image per generator")
+        elif self.kind == NON_ABELIAN:
+            if self.field is None or self.rep_gens is None or self.rep_images is None:
+                raise CertificateSyntaxError("representation certificate needs field and images")
+            if self.witness is None:
+                raise CertificateSyntaxError("representation certificate needs a witness pair")
+            if self.target is not None or self.abelian_images is not None:
+                raise CertificateSyntaxError("representation certificate with abelian fields")
+            if len(self.rep_gens) != len(self.rep_images):
+                raise CertificateSyntaxError("matrix count does not match matrix generators")
+            if not self.rep_images:
+                raise CertificateSyntaxError("representation certificate needs a matrix")
+            if len(set(self.rep_gens)) != len(self.rep_gens):
+                raise CertificateSyntaxError("duplicate matrix generator names")
+            if self.surjection is None:
+                if self.rep_gens != pres.labels:
+                    raise CertificateSyntaxError(
+                        "without a surjection the matrices must be indexed by the "
+                        "presentation generators"
+                    )
+            elif len(self.surjection) != pres.g:
+                raise CertificateSyntaxError("need one surjection word per generator")
+        else:
+            raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
+
+
+def _parsed_certificate(fields: dict) -> Certificate:
+    """The certificate parse read, text_bytes included.  Its words, matrix
+    names and images were checked line by line as they were read, so of
+    the constructor's checks only _check_fields runs.  A field parse did
+    not read keeps its class default, None.  The fields go into the
+    instance dict one by one, not by dict.update, which would give every
+    certificate its own copy of the keys instead of the class's shared
+    ones."""
+    cert = object.__new__(Certificate)
+    state = cert.__dict__
+    for name, value in fields.items():
+        state[name] = value
+    cert._check_fields()
+    return cert
+
+
+def serialize(cert: Certificate) -> str:
+    """The canonical text of cert, written once per certificate and kept
+    on it: a certificate is immutable, so its text cannot go stale."""
+    text = cert._text
+    if text is None:
+        text = _format_certificate(cert)
+        object.__setattr__(cert, "_text", text)
+    return text
+
+
+def _format_certificate(cert: Certificate) -> str:
+    lines = [HEADER, f"kind {cert.kind}"]
+    lines.extend(format_presentation(cert.presentation))
+    labels = cert.presentation.labels
+    if cert.kind == NON_CYCLIC:
+        a, b = cert.target  # type: ignore[misc]
+        lines.append(f"target Z/{a} x Z/{b}")
+        for lab, (u, v) in zip(labels, cert.abelian_images):  # type: ignore[arg-type]
+            lines.append(f"gen {lab} = ({u},{v})")
+    else:
+        spec = cert.field
+        assert spec is not None
+        field_line = f"field p={spec.p} deg={spec.degree}"
+        if spec.degree == 2:
+            field_line += f" s={spec.s}"
+        lines.append(field_line)
+        for name, m in zip(cert.rep_gens, cert.rep_images):  # type: ignore[arg-type]
+            lines.append(f"gen {name} = {m}")
+        if cert.surjection is not None:
+            lines.append("surjection")
+            for lab, w in zip(labels, cert.surjection):
+                lines.append(f"gen {lab} -> {format_word(w, cert.rep_gens)}")
+        w1, w2 = cert.witness  # type: ignore[misc]
+        lines.append(
+            f"witness {format_word(w1, labels)} | {format_word(w2, labels)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+# Tokens are separated by single spaces, as serialize writes them.  The gens
+# line and each degree's matrix line are accepted by one regex, matched
+# against the whole line (fullmatch), whose groups are canonical decimals
+# (as galois.parse_decimal reads them) and labels (as presentation.is_label
+# reads them); a line the regex refuses goes to a diagnose function that
+# names the error and always raises.
+_DECIMAL = "(0|[1-9][0-9]*)"
+_LABEL = "[A-Za-z_][A-Za-z0-9_]*"
+_GENS_RE = re.compile(rf"gens {_DECIMAL}(?: {_LABEL})*")
+_MATRIX_RES = {
+    deg: re.compile(rf"gen ({_LABEL}) = \[\[{e},{e}\],\[{e},{e}\]\]")
+    for deg, e in ((1, _DECIMAL), (2, rf"{_DECIMAL}\+{_DECIMAL}\*w"))
+}
+# what the matrix block takes for a matrix line at all: the first line it
+# does not take ends the block
+_MATRIX_LINE_RE = re.compile(
+    r"^gen (\w+) = \[\[([^\],]+),([^\],]+)\],\[([^\],]+),([^\],]+)\]\]$"
+)
+_ABELIAN_RE = re.compile(r"^gen (\w+) = \(([0-9]+),([0-9]+)\)$")
+_TARGET_RE = re.compile(r"^target Z/([0-9]+) x Z/([0-9]+)$")
+_FIELD_RE = re.compile(r"^field p=([0-9]+) deg=([0-9]+)(?: s=([0-9]+))?$")
+# serialize writes an empty word as "gen <name> -> "
+_SURJ_RE = re.compile(r"^gen (\w+) -> (.*)$")
+
+
+class _Reader:
+    """The certificate's lines exactly as written, each ended by '\\n'."""
+
+    def __init__(self, text: str):
+        self.lines = text.split("\n")
+        if self.lines.pop():
+            raise CertificateSyntaxError(f"line {len(self.lines) + 1}: no newline at end of line")
+        self.pos = 0
+
+    def peek(self) -> Optional[str]:
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def next(self) -> str:
+        if self.pos >= len(self.lines):
+            raise CertificateSyntaxError(f"line {self.pos + 1}: unexpected end of file")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def error(self, message: str) -> CertificateSyntaxError:
+        return CertificateSyntaxError(f"line {self.pos}: {message}")
+
+
+def _letter_table(labels: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """Token -> letter for the canonical spellings `label` and `label^-1`."""
+    table = {}
+    for k, lab in enumerate(labels):
+        table[lab] = (k, 1)
+        table[lab + "^-1"] = (k, -1)
+    return table
+
+
+def _parse_reduced_word(
+    reader: _Reader, text: str, letters: dict[str, tuple[int, int]]
+) -> Word:
+    """A certificate word: one letter per single-space-separated token, so
+    parse and evaluation cost stay linear in the text.  Any exponent other
+    than `^-1` is a syntax error."""
+    try:
+        word = Word.from_checked(tuple(map(letters.__getitem__, text.split(" ") if text else ())))
+    except KeyError as exc:
+        token = exc.args[0]
+        name, caret, _ = token.partition("^")
+        if caret and name + "^-1" in letters:
+            raise reader.error(
+                f"exponent in {token!r}: certificate words allow only '^-1'"
+            ) from None
+        raise reader.error(f"unknown generator {name!r} in word") from None
+    if not word.is_reduced():
+        raise reader.error(f"word {text!r} is not freely reduced")
+    return word
+
+
+def _expect_name(reader: _Reader, name: str, label: str) -> None:
+    if name != label:
+        raise reader.error(
+            f"expected generator {label!r}, not {name!r}: these lines follow the gens line's order"
+        )
+
+
+def _read_relators(reader: _Reader, letters: dict[str, tuple[int, int]]) -> tuple[Word, ...]:
+    """The rels line and the relator words after it."""
+    line = reader.next()
+    if not line.startswith("rels "):
+        raise reader.error("expected 'rels <r>'")
+    try:
+        r = parse_decimal(line[5:])
+    except ValueError:
+        raise reader.error("bad relator count") from None
+    return tuple(_parse_reduced_word(reader, reader.next(), letters) for _ in range(r))
+
+
+def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
+    """Raise the error parse names for a gens line _GENS_RE refused, or
+    whose count int() refuses: a bad count at once; a malformed label
+    once the relators are read, as a label error is named after any
+    relator error."""
+    if not line.startswith("gens "):
+        raise reader.error("expected 'gens <g> <labels...>'")
+    parts = line.split(" ")
+    try:
+        g = parse_decimal(parts[1])
+    except ValueError:
+        raise reader.error("bad generator count") from None
+    labels = tuple(parts[2:])
+    if len(labels) != g:
+        raise reader.error("label count does not match generator count")
+    relators = _read_relators(reader, _letter_table(labels))
+    try:
+        GroupPresentation(g, relators, labels)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    raise AssertionError(f"gens line {line!r} fails _GENS_RE but no check")
+
+
+def parse(text: str) -> Certificate:
+    reader = _Reader(text)
+    if reader.next() != HEADER:
+        raise reader.error(f"expected header {HEADER!r}")
+    line = reader.next()
+    if not line.startswith("kind "):
+        raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
+    kind = line[5:]
+
+    line = reader.next()
+    if _GENS_RE.fullmatch(line) is None:
+        _diagnose_gens(reader, line)
+    parts = line.split(" ")
+    labels = tuple(parts[2:])
+    try:
+        g = int(parts[1])
+    except ValueError:  # more digits than int() converts
+        _diagnose_gens(reader, line)
+    if len(labels) != g:
+        raise reader.error("label count does not match generator count")
+    letters = _letter_table(labels)
+    relators = _read_relators(reader, letters)
+    try:
+        pres = GroupPresentation.from_checked(g, relators, labels)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+
+    try:
+        if kind == NON_CYCLIC:
+            fields = _parse_abelian(reader, labels)
+        elif kind == NON_ABELIAN:
+            fields = _parse_rep(reader, labels, letters)
+        else:
+            raise reader.error(f"unknown certificate kind {kind!r}")
+    except ValueError as exc:
+        if isinstance(exc, CertificateSyntaxError):
+            raise
+        raise reader.error(str(exc)) from None
+    if reader.peek() is not None:
+        raise reader.error(f"unexpected trailing line {reader.peek()!r}")
+    fields.update(
+        presentation=pres,
+        text_bytes=len(text),
+    )
+    return _parsed_certificate(fields)
+
+
+def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
+    m = _TARGET_RE.match(reader.next())
+    if not m:
+        raise reader.error("expected 'target Z/<a> x Z/<b>'")
+    a, b = parse_decimal(m.group(1)), parse_decimal(m.group(2))
+    images = []
+    for label in labels:
+        gm = _ABELIAN_RE.match(reader.next())
+        if not gm:
+            raise reader.error("expected 'gen <name> = (<u>,<v>)'")
+        _expect_name(reader, gm.group(1), label)
+        u, v = parse_decimal(gm.group(2)), parse_decimal(gm.group(3))
+        if u >= a or v >= b:
+            raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
+        images.append((u, v))
+    return {"kind": NON_CYCLIC, "target": (a, b), "abelian_images": tuple(images)}
+
+
+def _unnormalized(reader: _Reader, matrix: ProjMatrix) -> CertificateSyntaxError:
+    return reader.error(
+        f"matrix is not sign-normalized: its first nonzero coordinate "
+        f"exceeds {(matrix.spec.p - 1) // 2}; write it as {matrix}"
+    )
+
+
+def _diagnose_matrix(reader: _Reader, line: str, spec: FieldSpec) -> NoReturn:
+    """Raise the error parse names for a matrix line: one _MATRIX_LINE_RE
+    takes but the field's regex refuses, or with a coordinate out of
+    range or with more digits than int() converts.  The checks run in
+    the order they name errors: each entry's syntax and range
+    (galois.parse_coords), det 1, sign normalization, the label."""
+    gm = _MATRIX_LINE_RE.match(line)
+    try:
+        a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
+        coords = (*a, *b, *c, *d)
+        matrix = ProjMatrix.from_reduced(spec, coords)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    if matrix.coords != coords:
+        raise _unnormalized(reader, matrix)
+    name = gm.group(1)
+    if not is_label(name):
+        raise reader.error(f"bad generator label {name!r}")
+    raise AssertionError(f"matrix line {line!r} fails its regex but no check")
+
+
+def _parse_rep(
+    reader: _Reader, labels: tuple[str, ...], letters: dict[str, tuple[int, int]]
+) -> dict:
+    m = _FIELD_RE.match(reader.next())
+    if not m:
+        raise reader.error("expected 'field p=<p> deg=<d> [s=<s>]'")
+    try:
+        p, deg = parse_decimal(m.group(1)), parse_decimal(m.group(2))
+        s = parse_decimal(m.group(3)) if m.group(3) else None
+        spec = FieldSpec(p, deg, s)
+    except (ValueError, PrimalityBoundError) as exc:
+        raise reader.error(str(exc)) from None
+
+    rep_gens: list[str] = []
+    rep_images: list[ProjMatrix] = []
+    matrix_re = _MATRIX_RES[deg]
+    while True:
+        line = reader.peek()
+        if line is None:
+            break
+        gm = matrix_re.fullmatch(line)
+        if gm is None and _MATRIX_LINE_RE.match(line) is None:
+            break
+        reader.next()
+        if gm is None:
+            _diagnose_matrix(reader, line, spec)
+        try:
+            if deg == 1:
+                a, b, c, d = map(int, gm.group(2, 3, 4, 5))
+                coords = (a, 0, b, 0, c, 0, d, 0)
+            else:
+                coords = tuple(map(int, gm.group(2, 3, 4, 5, 6, 7, 8, 9)))
+        except ValueError:  # more digits than int() converts
+            _diagnose_matrix(reader, line, spec)
+        if max(coords) >= p:
+            _diagnose_matrix(reader, line, spec)
+        try:
+            matrix = ProjMatrix.from_reduced(spec, coords)
+        except ValueError as exc:
+            raise reader.error(str(exc)) from None
+        if matrix.coords != coords:
+            raise _unnormalized(reader, matrix)
+        rep_gens.append(gm.group(1))
+        rep_images.append(matrix)
+    if not rep_images:
+        raise reader.error("expected at least one 'gen <name> = [[..],[..]]' line")
+
+    surjection = None
+    if reader.peek() == "surjection":
+        reader.next()
+        rep_letters = _letter_table(tuple(rep_gens))
+        words = []
+        for label in labels:
+            sm = _SURJ_RE.match(reader.next())
+            if not sm:
+                raise reader.error("expected 'gen <name> -> <word>'")
+            _expect_name(reader, sm.group(1), label)
+            words.append(_parse_reduced_word(reader, sm.group(2), rep_letters))
+        surjection = tuple(words)
+
+    line = reader.next()
+    if not line.startswith("witness "):
+        raise reader.error("expected 'witness <word1> | <word2>'")
+    left, bar, right = line[len("witness "):].partition(" | ")
+    if not bar:
+        raise reader.error("witness needs two words separated by ' | '")
+    witness = (
+        _parse_reduced_word(reader, left, letters),
+        _parse_reduced_word(reader, right, letters),
+    )
+    return {
+        "kind": NON_ABELIAN,
+        "field": spec,
+        "rep_gens": tuple(rep_gens),
+        "rep_images": tuple(rep_images),
+        "surjection": surjection,
+        "witness": witness,
+    }
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    accepted: bool
+    kind: str
+    reason: Optional[str]
+    relator_mat_mults: int
+    mat_mults: int
+    field_ops: int
+    cert_bits: int
+    matrix_bits: tuple[int, ...]
+
+
+def subgroup_invariants(
+    a: int, b: int, images: tuple[tuple[int, int], ...]
+) -> tuple[int, int]:
+    """Invariant factors (s1 | s2) of the subgroup H of Z/a x Z/b generated
+    by the images.  The lattice L spanned by the images, (a,0) and (0,b)
+    is kept as a Hermite basis (x, y), (0, z), one Euclid run per image;
+    then |H| = ab / det L = ab / xz, s2 is the exponent of H (the lcm of
+    the images' orders) and s1 = |H| / s2."""
+    x, y, z = a, 0, b
+    exponent = 1
+    for u, v in images:
+        u, v = u % a, v % b
+        exponent = math.lcm(exponent, a // math.gcd(u, a), b // math.gcd(v, b))
+        # Euclid on the first coordinates of (x, y) and (u, v), rows kept mod (0, z)
+        while u:
+            q = x // u
+            x, y, u, v = u, v, x - q * u, (y - q * v) % z
+        z = math.gcd(z, v)
+        y %= z
+    order = a * b // (x * z)
+    return order // exponent, exponent
+
+
+def _report(
+    cert: Certificate,
+    accepted: bool,
+    reason: Optional[str],
+    relator_mults: int = 0,
+    counter: Optional[OpCounter] = None,
+) -> VerificationReport:
+    """cert's verification report with the tallies of counter (0 without
+    one); only a certificate built in code is serialized to count its
+    bytes."""
+    counter = counter or OpCounter()
+    text_bytes = cert.text_bytes
+    if text_bytes is None:
+        text_bytes = len(serialize(cert).encode())
+    images = cert.rep_images or ()
+    return VerificationReport(
+        accepted=accepted,
+        kind=cert.kind,
+        reason=reason,
+        relator_mat_mults=relator_mults,
+        mat_mults=counter.mat_mults,
+        field_ops=counter.field_ops,
+        cert_bits=8 * text_bytes,
+        matrix_bits=(bit_size_spec(cert.field),) * len(images) if images else (),
+    )
+
+
+def _is_rotation(w1: Word, w2: Word) -> bool:
+    """True iff w1 = uv and w2 = vu as letter sequences, u and v non-empty.
+
+    Each letter becomes a token that starts with the only ',' in it, so a
+    match inside w1 w1 starts on a letter boundary; str.find keeps the
+    test linear in the words' length.
+    """
+    if len(w1) != len(w2) or len(w1) < 2:
+        return False
+    s1, s2 = ("".join(f",{g}:{e}" for g, e in w.letters) for w in (w1, w2))
+    return 0 < (s1 + s1).find(s2, 1) < len(s1)
+
+
+def verify(cert: Certificate) -> VerificationReport:
+    """Check a certificate; accept iff every check passes.
+
+    Representation path: each surjection word, if present, is folded once
+    into its presentation generator's image; every relator evaluates to
+    the identity over the generators' images; and the witness is a pair
+    w1 = uv, w2 = vu (a cyclic rotation) with distinct images, so the
+    images of u and v do not commute and the image is non-abelian, which
+    also makes some generator image non-trivial.  Every surjection,
+    relator and witness word is charged once, one multiply per letter
+    (the paper's letter-count model, whatever products fold_letters
+    performs), and relator_mat_mults counts the relators' letters alone.
+    Abelian path:
+    relator exponent images vanish in Z/a x Z/b and the generator images
+    span a non-cyclic subgroup.
+    """
+    counter = OpCounter()
+
+    def report(accepted: bool, reason: Optional[str], relator_mults: int) -> VerificationReport:
+        return _report(cert, accepted, reason, relator_mults, counter)
+
+    pres = cert.presentation
+    if cert.kind == NON_ABELIAN:
+        spec = cert.field
+        table = letter_coords(cert.rep_images)
+        if cert.surjection is not None:
+            # generator i's image is its surjection word, folded once
+            table = coord_table(
+                spec.p, [fold_letters(spec, table, w.letters, counter) for w in cert.surjection]
+            )
+        surjection_mults = counter.mat_mults
+        for k, rel in enumerate(pres.relators):
+            if fold_letters(spec, table, rel.letters, counter) != _IDENTITY:
+                reason = f"relator {k} does not map to the identity"
+                return report(False, reason, counter.mat_mults - surjection_mults)
+        relator_mults = counter.mat_mults - surjection_mults
+        w1, w2 = cert.witness  # type: ignore[misc]
+        if fold_letters(spec, table, w1.letters, counter) == fold_letters(
+            spec, table, w2.letters, counter
+        ):
+            return report(False, "witness words have equal images", relator_mults)
+        if not _is_rotation(w1, w2):
+            return report(
+                False, "witness words are not cyclic rotations uv, vu of each other", relator_mults
+            )
+        return report(True, None, relator_mults)
+
+    # NonCyclicAbelian
+    a, b = cert.target  # type: ignore[misc]
+    images_ab = cert.abelian_images
+    assert images_ab is not None
+    for k, rel in enumerate(pres.relators):
+        # only the generators a relator touches get a sum, so the pass is
+        # linear in the relator's letters, not in g; the presentation
+        # holds its relators to generators below g
+        u = v = 0
+        for i, e in rel.nonzero_exponent_sums().items():
+            u += e * images_ab[i][0]
+            v += e * images_ab[i][1]
+            counter.field_ops += 4
+        if u % a or v % b:
+            return report(False, f"relator {k} image is nonzero in the target", 0)
+    s1, _s2 = subgroup_invariants(a, b, images_ab)
+    if s1 <= 1:
+        return report(False, "generator images span a cyclic subgroup", 0)
+    return report(True, None, 0)
+
+
+def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:
+    """verify, bound to the triangulation the claim is about: accept iff
+    tri is a closed connected 3-manifold, the certificate's presentation
+    is fundamental_group(tri) (the labels, and each relator word in
+    order), and verify accepts it.  A closed 3-manifold whose fundamental
+    group is not cyclic is not a lens space, so orientability is not
+    checked.  A rejection before verify reports
+    no operations."""
+    checked = validate(tri)
+    if not checked.passed:
+        failures = "; ".join(checked.failures)
+        return _report(cert, False, f"triangulation is not a closed 3-manifold: {failures}")
+    try:
+        pres = fundamental_group(tri)
+    except DisconnectedError:
+        return _report(cert, False, "triangulation is not a closed 3-manifold: not connected")
+    if cert.presentation != pres:
+        return _report(cert, False, "presentation is not the triangulation's fundamental group")
+    return verify(cert)

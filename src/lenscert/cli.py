@@ -17,6 +17,7 @@ import tempfile
 from typing import Optional
 
 from . import certificate as certmod
+from . import checker
 from .galois import euler_phi
 from .intlinalg import abelianization, format_abelian, is_cyclic
 from .presentation import format_presentation, fundamental_group
@@ -151,7 +152,7 @@ def cmd_homology(args) -> int:
 
 
 def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
-    if cert.kind == certmod.NON_ABELIAN:
+    if cert.kind == checker.NON_ABELIAN:
         orders = info.get("orders")
         parts = [f"p={info['p']}", f"field_deg={info['field_degree']}"]
         if orders:
@@ -168,7 +169,7 @@ def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
 def cmd_trianglecert(args) -> int:
     cert, info = certmod.triangle_certificate(args.n1, args.n2, args.n3)
     out = args.output or f"t_{args.n1}_{args.n2}_{args.n3}.cert"
-    _write_atomic(out, certmod.serialize(cert))
+    _write_atomic(out, checker.serialize(cert))
     doc, lines = _cert_summary(cert, info)
     doc["output"] = out
     _emit(doc, args.json, lines)
@@ -176,12 +177,12 @@ def cmd_trianglecert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = certmod.parse(_read(args.certificate))
+    cert = checker.parse(_read(args.certificate))
     if args.triangulation is None:
-        report = certmod.verify(cert)
+        report = checker.verify(cert)
     else:
         tri = _load_triangulation(args.triangulation)
-        report = certmod.verify_bound(cert, tri)
+        report = checker.verify_bound(cert, tri)
     doc = {
         "accepted": report.accepted,
         "kind": report.kind,
@@ -222,7 +223,7 @@ def cmd_pipeline(args) -> int:
     surjection_text = _read(args.surjection) if args.surjection else None
     cert, info = certmod.pipeline(tri, base, surjection_text)
     out = args.output or "pipeline.cert"
-    _write_atomic(out, certmod.serialize(cert))
+    _write_atomic(out, checker.serialize(cert))
     doc, lines = _cert_summary(cert, info)
     doc.update(output=out, step=info["step"], h1=info["h1"])
     lines.insert(0, f"step={info['step']} h1={info['h1']}")
@@ -245,7 +246,7 @@ def cmd_sweep(args) -> int:
             cert, info = certmod.triangle_certificate(*t.triple)
             built += 1
             row["kind"] = cert.kind
-            if cert.kind == certmod.NON_ABELIAN:
+            if cert.kind == checker.NON_ABELIAN:
                 bounds = bound_report(t, spec=cert.field)
                 row["p"] = info["p"]
                 row["field_deg"] = info["field_degree"]

@@ -65,8 +65,8 @@ class OpCounter:
 
     fold_letters charges each letter of a word one matrix multiply and 12
     field ops (8 multiplications and 4 additions), and each ^-1 letter 2
-    more field ops for the inverse's negations.  certificate.verify
-    folds each surjection word, relator and witness word it reads once,
+    more field ops for the inverse's negations.  checker.verify folds
+    each surjection word, relator and witness word it reads once,
     with no generator check, and charges 4 field ops per nonzero exponent
     sum of a relator on the abelian path.  Nothing else is charged: not
     sign normalization, not the inverses letter_coords and coord_table

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from lenscert.certificate import (
+from lenscert.checker import (
     NON_ABELIAN,
     NON_CYCLIC,
     Certificate,

@@ -11,14 +11,13 @@ import re
 import time
 
 from conftest import MANIFOLD_FIXTURES, fixture_text, load_fixture
-from lenscert.certificate import (
+from lenscert.certificate import pipeline, triangle_certificate
+from lenscert.checker import (
     NON_ABELIAN,
     Certificate,
     CertificateSyntaxError,
     parse,
-    pipeline,
     serialize,
-    triangle_certificate,
     verify,
     verify_bound,
 )

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from lenscert.certificate import parse, serialize, triangle_certificate, verify
+from lenscert.certificate import triangle_certificate
+from lenscert.checker import parse, serialize, verify
 from lenscert.trianglerep import hyperbolic_triples
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_verify.py")

@@ -12,15 +12,8 @@ import sys
 import pytest
 
 from conftest import MANIFOLD_FIXTURES, ORIENTABLE_FIXTURES, fixture_text, load_fixture
-from lenscert.certificate import (
-    PipelineError,
-    parse,
-    pipeline,
-    serialize,
-    triangle_certificate,
-    verify,
-    verify_bound,
-)
+from lenscert.certificate import PipelineError, pipeline, triangle_certificate
+from lenscert.checker import parse, serialize, verify, verify_bound
 from lenscert.intlinalg import abelianization, format_abelian, is_cyclic
 from lenscert.presentation import fundamental_group
 from oracles import disjoint_union

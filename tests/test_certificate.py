@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 
 from conftest import fixture_text, load_fixture
 from lenscert.certificate import (
+    PipelineError,
+    noncyclic_certificate,
+    parse_surjection,
+    pipeline,
+    triangle_certificate,
+)
+from lenscert.checker import (
     NON_ABELIAN,
     NON_CYCLIC,
     Certificate,
     CertificateSyntaxError,
-    PipelineError,
-    noncyclic_certificate,
     parse,
-    parse_surjection,
-    pipeline,
     serialize,
     subgroup_invariants,
-    triangle_certificate,
     verify,
     verify_bound,
 )

@@ -22,7 +22,8 @@ import os
 from dataclasses import replace
 
 from conftest import FIXTURES, fixture_text, load_fixture
-from lenscert.certificate import parse, pipeline, serialize, triangle_certificate, verify
+from lenscert.certificate import pipeline, triangle_certificate
+from lenscert.checker import parse, serialize, verify
 
 # re-pinned when step 1 came to read its images off the seed core's
 # column transform V: with the earlier step-1 texts put back in place of

@@ -2,26 +2,28 @@
 
 The graph is read from the modules' own import statements with `ast`,
 so nothing is imported to draw it, and followed transitively inside the
-lenscert package.  The package's `__init__` re-exports every module and
-is not a node: a checker that loads these modules by path reads only
-the modules the graph reaches.
+lenscert package.  The package's `__init__` is a node too, one that
+imports no lenscert module, so `import lenscert.checker` loads only the
+modules the graph reaches from checker; a subprocess checks that it
+does.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "lenscert")
-CHECKER = ("galois", "triangulation", "unionfind", "presentation", "projmat")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+PACKAGE = os.path.join(SRC, "lenscert")
+CHECKER = ("galois", "triangulation", "unionfind", "presentation", "projmat", "checker")
 PRODUCERS = {"intlinalg", "trianglerep", "certificate", "cli"}
+TRUSTED = {"galois", "presentation", "projmat", "triangulation", "unionfind"}
 
 
 def _modules() -> set[str]:
-    return {
-        name[:-3] for name in os.listdir(PACKAGE)
-        if name.endswith(".py") and name != "__init__.py"
-    }
+    return {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")}
 
 
 def _imports(module: str, modules: set[str]) -> set[str]:
@@ -68,3 +70,22 @@ def test_the_graph_reads_every_kind_of_import_statement():
 @pytest.mark.parametrize("module", CHECKER)
 def test_checker_modules_reach_no_producer(module):
     assert not _reach(module) & PRODUCERS
+
+
+def test_the_checker_reaches_only_the_trusted_modules():
+    modules = _modules()
+    assert _reach("checker") == TRUSTED
+    assert "checker" in _imports("certificate", modules)
+    assert not _imports("__init__", modules)
+
+
+def test_importing_the_checker_loads_only_the_trusted_modules():
+    script = (
+        "import sys, lenscert.checker; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert')))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == sorted({"lenscert", "lenscert.checker"} | {f"lenscert.{m}" for m in TRUSTED})

@@ -21,14 +21,9 @@ import re
 import pytest
 
 from conftest import fixture_text, load_fixture
-from lenscert import certificate
-from lenscert.certificate import (
-    CertificateSyntaxError,
-    parse,
-    pipeline,
-    serialize,
-    triangle_certificate,
-)
+from lenscert import checker
+from lenscert.certificate import pipeline, triangle_certificate
+from lenscert.checker import HEADER, CertificateSyntaxError, parse, serialize
 
 # re-pinned when step 1 came to read its images off the seed core's
 # column transform V: the prism_q8 and t3_torus base texts have new
@@ -130,6 +125,8 @@ def test_parse_outcomes_are_pinned():
         result = outcome(text)
         if is_base:
             assert result == text
+        if result.startswith(HEADER):  # accepted: so its length is its byte count
+            assert result.isascii()
         digest.update(result.encode())
         digest.update(b"\0")
     assert digest.hexdigest() == PARSE_OUTCOME_SHA256
@@ -139,7 +136,7 @@ def test_parse_outcomes_are_pinned():
 def test_diagnose_fallback_always_raises(monkeypatch, name):
     """A line the accepting regex refuses is only diagnosed: the fallback
     raises a syntax error on every corpus text that reaches it."""
-    diagnose = getattr(certificate, name)
+    diagnose = getattr(checker, name)
     calls, raised = [], []
 
     def recorded(*args):
@@ -150,7 +147,7 @@ def test_diagnose_fallback_always_raises(monkeypatch, name):
             raised.append(args)
             raise
 
-    monkeypatch.setattr(certificate, name, recorded)
+    monkeypatch.setattr(checker, name, recorded)
     for text, _ in corpus():
         try:
             parse(text)

@@ -14,13 +14,8 @@ from lenscert.galois import (
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
 from lenscert import trianglerep
-from lenscert.certificate import (
-    NON_ABELIAN,
-    NON_CYCLIC,
-    Certificate,
-    serialize,
-    triangle_certificate,
-)
+from lenscert.certificate import triangle_certificate
+from lenscert.checker import NON_ABELIAN, NON_CYCLIC, Certificate, serialize
 from lenscert.cli import main as cli_main
 from lenscert.trianglerep import (
     EUCLIDEAN,

@@ -54,10 +54,22 @@ Each invariant is checked once, where a certificate comes in:
   read from its coordinates; with one, each surjection word is folded
   once, into the image of its presentation generator
   (projmat.coord_table).  The relators and the witness are then folded
-  over the generators' images, so verify charges at most one multiply
-  per letter of the certificate's words: the paper's letter-count
-  model, which counts the letters a word spells out, not the products
-  performed.
+  over the generators' images.
+- verify reports the paper's cost model, which this module alone
+  applies.  It charges each word it reads from the word itself, in the
+  letter-count model: the letters a word spells out, not the products
+  fold_letters performs (fewer, for a periodic word).  The words read
+  are every surjection word, the relators up to and including the first
+  that fails, and both witness words once verify reaches them.  A letter
+  costs one matrix multiply and 12 field ops (8 multiplications and 4
+  additions), and a ^-1 letter 2 more field ops for the inverse's
+  negations: as exponents are +-1, a word w costs len(w) multiplies and
+  13*len(w) - (its exponent sum) field ops.  relator_mat_mults counts
+  the relators' letters alone.  The abelian path charges 4 field ops per
+  nonzero exponent sum of each relator it reads, and no multiply.
+  Nothing else is charged: not sign normalization, not the inverses
+  letter_coords and coord_table take once, and not ProjMatrix.mul,
+  inverse or power.  Each matrix is reported as bit_size_spec bits.
 - verify_bound checks, before verify, that the certificate is about a
   given triangulation: a closed connected 3-manifold whose own
   fundamental group is the certificate's presentation.
@@ -73,7 +85,9 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import NoReturn, Optional, Sequence
 
 from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
 from .presentation import (
@@ -84,15 +98,7 @@ from .presentation import (
     fundamental_group,
     is_label,
 )
-from .projmat import (
-    _IDENTITY,
-    OpCounter,
-    ProjMatrix,
-    bit_size_spec,
-    coord_table,
-    fold_letters,
-    letter_coords,
-)
+from .projmat import _IDENTITY, ProjMatrix, coord_table, fold_letters, letter_coords
 from .triangulation import DisconnectedError, Triangulation, validate
 
 NON_ABELIAN = "NonAbelianRep"
@@ -582,17 +588,30 @@ def subgroup_invariants(
     return order // exponent, exponent
 
 
+def bit_size_spec(spec: FieldSpec) -> int:
+    """Bits to encode a matrix over spec: 4 * degree * ceil(log2(p-1))."""
+    ceil_log = (spec.p - 2).bit_length()
+    return 4 * spec.degree * ceil_log
+
+
+def _letter_charge(words: Sequence[Word]) -> tuple[int, int]:
+    """The letter-count charge (mat_mults, field_ops) of folding words:
+    one C-level pass over their exponents."""
+    letters = [w.letters for w in words]
+    n = sum(map(len, letters))
+    return n, 13 * n - sum(map(itemgetter(1), chain.from_iterable(letters)))
+
+
 def _report(
     cert: Certificate,
     accepted: bool,
     reason: Optional[str],
     relator_mults: int = 0,
-    counter: Optional[OpCounter] = None,
+    mat_mults: int = 0,
+    field_ops: int = 0,
 ) -> VerificationReport:
-    """cert's verification report with the tallies of counter (0 without
-    one); only a certificate built in code is serialized to count its
-    bytes."""
-    counter = counter or OpCounter()
+    """cert's verification report with the given tallies; only a
+    certificate built in code is serialized to count its bytes."""
     text_bytes = cert.text_bytes
     if text_bytes is None:
         text_bytes = len(serialize(cert).encode())
@@ -602,8 +621,8 @@ def _report(
         kind=cert.kind,
         reason=reason,
         relator_mat_mults=relator_mults,
-        mat_mults=counter.mat_mults,
-        field_ops=counter.field_ops,
+        mat_mults=mat_mults,
+        field_ops=field_ops,
         cert_bits=8 * text_bytes,
         matrix_bits=(bit_size_spec(cert.field),) * len(images) if images else (),
     )
@@ -623,71 +642,67 @@ def _is_rotation(w1: Word, w2: Word) -> bool:
 
 
 def verify(cert: Certificate) -> VerificationReport:
-    """Check a certificate; accept iff every check passes.
+    """Check a certificate; accept iff every check passes, and charge the
+    words read as the module docstring states.
 
     Representation path: each surjection word, if present, is folded once
     into its presentation generator's image; every relator evaluates to
     the identity over the generators' images; and the witness is a pair
     w1 = uv, w2 = vu (a cyclic rotation) with distinct images, so the
     images of u and v do not commute and the image is non-abelian, which
-    also makes some generator image non-trivial.  Every surjection,
-    relator and witness word is charged once, one multiply per letter
-    (the paper's letter-count model, whatever products fold_letters
-    performs), and relator_mat_mults counts the relators' letters alone.
+    also makes some generator image non-trivial.
     Abelian path:
     relator exponent images vanish in Z/a x Z/b and the generator images
     span a non-cyclic subgroup.
     """
-    counter = OpCounter()
-
-    def report(accepted: bool, reason: Optional[str], relator_mults: int) -> VerificationReport:
-        return _report(cert, accepted, reason, relator_mults, counter)
-
     pres = cert.presentation
     if cert.kind == NON_ABELIAN:
         spec = cert.field
         table = letter_coords(cert.rep_images)
+        surjection = cert.surjection or ()
         if cert.surjection is not None:
             # generator i's image is its surjection word, folded once
-            table = coord_table(
-                spec.p, [fold_letters(spec, table, w.letters, counter) for w in cert.surjection]
-            )
-        surjection_mults = counter.mat_mults
-        for k, rel in enumerate(pres.relators):
-            if fold_letters(spec, table, rel.letters, counter) != _IDENTITY:
+            table = coord_table(spec.p, [fold_letters(spec, table, w.letters) for w in surjection])
+        relators, witness = pres.relators, cert.witness
+        reason = None
+        for k, rel in enumerate(relators):
+            if fold_letters(spec, table, rel.letters) != _IDENTITY:
                 reason = f"relator {k} does not map to the identity"
-                return report(False, reason, counter.mat_mults - surjection_mults)
-        relator_mults = counter.mat_mults - surjection_mults
-        w1, w2 = cert.witness  # type: ignore[misc]
-        if fold_letters(spec, table, w1.letters, counter) == fold_letters(
-            spec, table, w2.letters, counter
-        ):
-            return report(False, "witness words have equal images", relator_mults)
-        if not _is_rotation(w1, w2):
-            return report(
-                False, "witness words are not cyclic rotations uv, vu of each other", relator_mults
-            )
-        return report(True, None, relator_mults)
+                relators, witness = relators[: k + 1], ()
+                break
+        else:
+            w1, w2 = witness  # type: ignore[misc]
+            if fold_letters(spec, table, w1.letters) == fold_letters(spec, table, w2.letters):
+                reason = "witness words have equal images"
+            elif not _is_rotation(w1, w2):
+                reason = "witness words are not cyclic rotations uv, vu of each other"
+        mat_mults, field_ops = _letter_charge((*surjection, *relators, *witness))
+        return _report(cert, reason is None, reason, sum(map(len, relators)), mat_mults, field_ops)
 
     # NonCyclicAbelian
     a, b = cert.target  # type: ignore[misc]
     images_ab = cert.abelian_images
     assert images_ab is not None
+    field_ops = 0
+    reason = None
     for k, rel in enumerate(pres.relators):
         # only the generators a relator touches get a sum, so the pass is
         # linear in the relator's letters, not in g; the presentation
         # holds its relators to generators below g
+        sums = rel.nonzero_exponent_sums()
+        field_ops += 4 * len(sums)
         u = v = 0
-        for i, e in rel.nonzero_exponent_sums().items():
+        for i, e in sums.items():
             u += e * images_ab[i][0]
             v += e * images_ab[i][1]
-            counter.field_ops += 4
         if u % a or v % b:
-            return report(False, f"relator {k} image is nonzero in the target", 0)
-    s1, _s2 = subgroup_invariants(a, b, images_ab)
-    if s1 <= 1:
-        return report(False, "generator images span a cyclic subgroup", 0)
-    return report(True, None, 0)
+            reason = f"relator {k} image is nonzero in the target"
+            break
+    else:
+        s1, _s2 = subgroup_invariants(a, b, images_ab)
+        if s1 <= 1:
+            reason = "generator images span a cyclic subgroup"
+    return _report(cert, reason is None, reason, field_ops=field_ops)
 
 
 def verify_bound(cert: Certificate, tri: Triangulation) -> VerificationReport:

@@ -7,10 +7,10 @@ powers run on these ints; FieldElement appears only at the boundary
 (the public constructor and the a, b, c, d, entries and trace views).
 
 det = 1 is checked once, when a matrix is built from outside data:
-ProjMatrix(a, b, c, d) from field elements, ProjMatrix.from_coords from
-ints, or ProjMatrix.from_reduced from ints a parser has already range
-checked.  A product or inverse of determinant-1 matrices has
-determinant 1, so results are built without a recheck.
+ProjMatrix(a, b, c, d) from field elements, or ProjMatrix.from_reduced
+from ints already reduced mod p.  A product or inverse of
+determinant-1 matrices has determinant 1, so results are built without
+a recheck.
 
 Products run on raw 8-int tuples in two places that do the same
 multiplies: the kernel _mul_coords, which mul and _power_coords (the
@@ -24,8 +24,7 @@ an inverse is taken only for a generator that a fold reads with
 exponent -1.  fold_letters multiplies letter by letter unless the word
 has a period d <= 4, as the relators x^n and (xy)^n of a triangle group
 do: then it is w^k u, and w^k costs O(d + log k) products instead of
-n.  Either way it charges the paper's letter-count model, not the
-products it performs.
+n.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], so equal group elements
@@ -44,8 +43,7 @@ trace class's order bound by matrix powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .galois import FieldElement, FieldSpec, factorize, is_quadratic_residue
 from .presentation import Word
@@ -55,26 +53,6 @@ _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 class OrderCeilingExceeded(RuntimeError):
     """projective_order found an order above the caller's ceiling."""
-
-
-@dataclass
-class OpCounter:
-    """Exact tallies for verification cost accounting, in the paper's
-    letter-count model: what a letter-by-letter fold would multiply, not
-    the products fold_letters performs (fewer, for a periodic word).
-
-    fold_letters charges each letter of a word one matrix multiply and 12
-    field ops (8 multiplications and 4 additions), and each ^-1 letter 2
-    more field ops for the inverse's negations.  checker.verify folds
-    each surjection word, relator and witness word it reads once,
-    with no generator check, and charges 4 field ops per nonzero exponent
-    sum of a relator on the abelian path.  Nothing else is charged: not
-    sign normalization, not the inverses letter_coords and coord_table
-    take once, and not ProjMatrix.mul, inverse or power.
-    """
-
-    mat_mults: int = 0
-    field_ops: int = 0
 
 
 def _mul_coords(p: int, s: int, u: tuple, v: tuple) -> tuple:
@@ -162,23 +140,11 @@ class ProjMatrix:
         object.__setattr__(self, "coords", _sign_normalized(spec.p, v))
 
     @staticmethod
-    def from_coords(spec: FieldSpec, v: Sequence[int]) -> "ProjMatrix":
-        """The matrix with coordinates (a0, a1, b0, b1, c0, c1, d0, d1),
-        each reduced mod p and every odd one 0 over a prime field;
-        raises ValueError unless its determinant is 1."""
-        v = tuple(v)
-        p = spec.p
-        if len(v) != 8 or not all(0 <= x < p for x in v):
-            raise ValueError(f"matrix needs 8 coordinates in [0, {p})")
-        if spec.degree == 1 and any(v[1::2]):
-            raise ValueError("degree-1 matrix with a w coordinate")
-        return ProjMatrix.from_reduced(spec, v)
-
-    @staticmethod
     def from_reduced(spec: FieldSpec, v: tuple) -> "ProjMatrix":
-        """from_coords for 8 coordinates already known to be reduced, the
-        odd ones 0 over a prime field, as galois.parse_coords gives them:
-        only the determinant is checked."""
+        """The matrix with coordinates (a0, a1, b0, b1, c0, c1, d0, d1),
+        already reduced mod p and the odd ones 0 over a prime field, as
+        galois.parse_coords gives them: only the determinant is checked,
+        and ValueError is raised unless it is 1."""
         _check_det(spec, v)
         return _from_coords(spec, v)
 
@@ -366,35 +332,27 @@ def _period(letters: Sequence[tuple[int, int]]) -> int:
     return 0
 
 
-def fold_letters(
-    spec: FieldSpec,
-    table: tuple,
-    letters: Sequence[tuple[int, int]],
-    counter: Optional[OpCounter] = None,
-) -> tuple:
+def fold_letters(spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int]]) -> tuple:
     """Sign-normalized coordinates of the left-to-right product of
-    table[exp][gen] over the letters (gen, exp), charged to counter by
-    the OpCounter rule.  A word of n >= 6 letters with a period d <= 4
-    (letters[i] == letters[i + d] throughout) is w^k u, with w its first
-    d letters, k = n // d and u = w[:n % d]: w and u are folded letter by
-    letter and w^k is taken by square-and-multiply, the same product of
-    the same factors up to sign.  Any other word takes the multiplies of
-    one _mul_coords per letter, inline."""
+    table[exp][gen] over the letters (gen, exp).  A word of n >= 6
+    letters with a period d <= 4 (letters[i] == letters[i + d]
+    throughout) is w^k u, with w its first d letters, k = n // d and
+    u = w[:n % d]: w and u are folded letter by letter and w^k is taken
+    by square-and-multiply, the same product of the same factors up to
+    sign.  Any other word takes the multiplies of one _mul_coords per
+    letter, inline."""
     p, s = spec.p, spec.s or 0
     n = len(letters)
     period = _period(letters) if n >= 6 else 0
-    exponent_sum = 0
     if period:
         # w and u have fewer than 6 letters, so they are folded inline
         k, r = divmod(n, period)
         out = _power_coords(p, s, fold_letters(spec, table, letters[:period]), k)
         if r:
             out = _mul_coords(p, s, out, fold_letters(spec, table, letters[:r]))
-        exponent_sum = k * sum(e for _, e in letters[:period]) + sum(e for _, e in letters[:r])
     elif not s:
         a, b, c, d = 1, 0, 0, 1
         for gen, exp in letters:
-            exponent_sum += exp
             e, _, f, _, g, _, h, _ = table[exp][gen]
             # a row of the product needs only that row of the left factor
             a, b = (a * e + b * g) % p, (a * f + b * h) % p
@@ -403,7 +361,6 @@ def fold_letters(
     else:
         a0, a1, b0, b1, c0, c1, d0, d1 = _IDENTITY
         for gen, exp in letters:
-            exponent_sum += exp
             e0, e1, f0, f1, g0, g1, h0, h1 = table[exp][gen]
             a0, a1, b0, b1, c0, c1, d0, d1 = (
                 (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
@@ -416,10 +373,6 @@ def fold_letters(
                 (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
             )
         out = (a0, a1, b0, b1, c0, c1, d0, d1)
-    if counter is not None:
-        # exponents are +-1, so the ^-1 letters number (n - their sum) / 2
-        counter.mat_mults += n
-        counter.field_ops += 13 * n - exponent_sum
     return _sign_normalized(p, out)
 
 
@@ -435,8 +388,3 @@ def evaluate_word(images: Sequence[ProjMatrix], word: Word) -> ProjMatrix:
         raise ValueError(f"no image for generator {top}")
     return _from_coords(spec, fold_letters(spec, letter_coords(images), word.letters))
 
-
-def bit_size_spec(spec: FieldSpec) -> int:
-    """Bits to encode a matrix over spec: 4 * degree * ceil(log2(p-1))."""
-    ceil_log = (spec.p - 2).bit_length()
-    return 4 * spec.degree * ceil_log

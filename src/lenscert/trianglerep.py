@@ -260,7 +260,7 @@ def _spherical_pair(orders: tuple[int, int, int]) -> tuple[ProjMatrix, ProjMatri
     p, x, y = _SPHERICAL[orders]
     spec = FieldSpec(p)
     x_img, y_img = (
-        ProjMatrix.from_coords(spec, (m[0], 0, m[1], 0, m[2], 0, m[3], 0)) for m in (x, y)
+        ProjMatrix.from_reduced(spec, (m[0], 0, m[1], 0, m[2], 0, m[3], 0)) for m in (x, y)
     )
     _checked_xy(x_img, y_img, orders)
     return x_img, y_img

@@ -119,6 +119,9 @@ class FacePairing:
     perm: Permutation4
 
     def __post_init__(self) -> None:
+        for tet, face in (self.source, self.target):
+            if not 0 <= face < 4:
+                raise TriangulationError(f"face index out of range: {tet}:{face}")
         if self.perm(self.source[1]) != self.target[1]:
             raise TriangulationError(
                 f"pairing {self.source} -> {self.target} does not map the "
@@ -243,9 +246,10 @@ def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
     table: dict[int, tuple[int, int, Permutation4]] = {}
     for fp in pairings:
         (tet, face), (tet2, face2), perm = fp.source, fp.target, fp.perm
-        if not (0 <= tet < t and 0 <= face < 4):
+        # FacePairing holds each face to 0..3
+        if not 0 <= tet < t:
             raise TriangulationError(f"face index out of range: {tet}:{face}")
-        if not (0 <= tet2 < t and 0 <= face2 < 4):
+        if not 0 <= tet2 < t:
             raise TriangulationError(f"face index out of range: {tet2}:{face2}")
         if tet == tet2 and face == face2:
             raise TriangulationError(f"face {tet}:{face} glued to itself")

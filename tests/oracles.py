@@ -24,7 +24,8 @@ reduced_word, word_power, int_matmul, int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
 r through the library's public steps.  letter_by_letter_fold is the
 plain one-product-per-letter word fold that fold_letters' period
-shortcut is checked against, and closure_by_rescan is the presentation
+shortcut and verify's letter-count charge are checked against, and
+closure_by_rescan is the presentation
 closure's stated order, recounted from the words at every step.
 """
 
@@ -900,7 +901,7 @@ def matrix_inverse(m):
 
 
 def letter_by_letter_fold(p: int, s: int, images: Sequence[tuple], letters) -> tuple:
-    """fold_letters' value and charges, one plain 2x2 product per letter:
+    """fold_letters' value and verify's charge, one plain 2x2 product per letter:
     images[gen] holds the 8 coordinates (a0, a1, ..., d1) of a
     determinant-1 matrix over F_p[w]/(w^2 - s) (s = 0 for F_p), a ^-1
     letter reads the adjugate.  Returns (coords, mat_mults, field_ops):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import os
 import random
 import sys
@@ -35,6 +37,7 @@ from lenscert.projmat import ProjMatrix
 from oracles import (
     dense_abelian_report,
     equal_up_to_sign,
+    letter_by_letter_fold,
     random_presentation,
     reduced_word,
     snf_subgroup_invariants,
@@ -455,8 +458,8 @@ def test_direct_construction_keeps_every_check():
         replace(cert, witness=(Word(((2, 1),)), cert.witness[1]))
     with pytest.raises(CertificateSyntaxError, match="matrix over the wrong field"):
         replace(cert, rep_images=(ProjMatrix.identity(FieldSpec(7)), cert.rep_images[1]))
-    with pytest.raises(ValueError, match="coordinates"):
-        ProjMatrix.from_coords(FieldSpec(5), (5, 0, 0, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match="determinant"):
+        ProjMatrix.from_reduced(FieldSpec(5), (1, 0, 0, 0, 0, 0, 2, 0))
     with pytest.raises(ValueError, match="relator references unknown generator"):
         GroupPresentation(2, (Word(((2, 1),)),), labels)
     with pytest.raises(ValueError, match="exponent"):
@@ -1098,23 +1101,31 @@ def test_broken_surjection_rejected_by_verifier():
     assert not verify(bad).accepted
 
 
+PRIME_FIELDS = tuple(FieldSpec(p) for p in (3, 5, 7, 11, 13))
+
+
 @st.composite
-def rep_certificates(draw):
-    """A NonAbelianRep certificate over F_p, p <= 13, on g <= 3
-    presentation generators, with a surjection block of random, possibly
-    empty, words onto one to three matrices, or none.  Each matrix is the
-    identity one time in five.  The relators are random words and powers
+def rep_certificates(draw, fields=PRIME_FIELDS):
+    """A NonAbelianRep certificate over one of fields (F_p, p <= 13, by
+    default) on g <= 3 presentation generators, with a surjection block
+    of random, possibly empty, words onto one to three matrices, or none.
+    Each matrix is the identity one time in five, and over F_{p^2} its
+    entries range over all of F_{p^2}.  The relators are random words and powers
     of short words, in half the draws only those that map to the
     identity, and the witness is a rotation of a random word or a second
     random word: so some certificates are accepted and each rejection
     occurs."""
-    spec = FieldSpec(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    spec = draw(st.sampled_from(fields))
     entries = st.integers(0, spec.p - 1)
 
     def matrix():
         if not draw(st.integers(0, 4)):
             return ProjMatrix.identity(spec)
-        return _det_one_matrix(spec, *(draw(entries) for _ in range(4)))
+        if spec.degree == 1:
+            return _det_one_matrix(spec, *(draw(entries) for _ in range(4)))
+        a, b, c = (spec.element(draw(entries), draw(entries)) for _ in range(3))
+        a = spec.one() if a.is_zero() else a
+        return ProjMatrix(a, b, c, (spec.one() + b * c) / a)
 
     def word(g, max_size):
         if not g:
@@ -1193,6 +1204,93 @@ def test_verify_matches_the_spliced_surjection_oracle():
         "witness words have equal images",
         "witness words are not cyclic rotations uv, vu of each other",
     } <= seen
+
+
+def _oracle_charge(cert: Certificate) -> tuple[int, int, int]:
+    """(relator_mat_mults, mat_mults, field_ops) that verify must report
+    for a NonAbelianRep certificate: letter_by_letter_fold's counts over
+    the words verify reads, found by folding them letter by letter.  The
+    surjection words come first; the relators follow up to and including
+    the first whose image is not the identity; both witness words follow
+    only if every relator passes."""
+    p, s = cert.field.p, cert.field.s or 0
+    images = [m.coords for m in cert.rep_images]
+    counts = [0, 0]
+
+    def fold(word: Word) -> tuple:
+        value, mat_mults, field_ops = letter_by_letter_fold(p, s, images, word.letters)
+        counts[0] += mat_mults
+        counts[1] += field_ops
+        return value
+
+    if cert.surjection is not None:
+        images = [fold(w) for w in cert.surjection]
+    relator_mults = 0
+    for rel in cert.presentation.relators:
+        relator_mults += len(rel)
+        if fold(rel) != (1, 0, 0, 0, 0, 0, 1, 0):
+            return relator_mults, counts[0], counts[1]
+    for w in cert.witness:
+        fold(w)
+    return relator_mults, counts[0], counts[1]
+
+
+def test_verify_charges_exactly_the_words_it_reads():
+    """The report's letter-count charge equals letter_by_letter_fold's
+    counts over the surjection words, the relators up to and including
+    the first that fails and, once every relator passes, both witness
+    words: over F_p and F_{p^2}, with and without a surjection, whether
+    the certificate is accepted or rejected at a relator or by equal
+    witness images.  A NonCyclicAbelian text rejected at relator k is
+    charged 4 field ops per nonzero exponent sum of relators 0..k."""
+    fields = PRIME_FIELDS[2:] + tuple(quadratic_extension(FieldSpec(p)) for p in (3, 5, 7))
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(rep_certificates(fields=fields), st.booleans(), st.booleans())
+    def check_rep(cert, rotate_ab, lift):
+        g = cert.presentation.g
+        if rotate_ab and g >= 2:
+            # the rotation pair a b | b a, accepted once a and b do not commute
+            ab, ba = Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1)))
+            cert = replace(cert, witness=(ab, ba))
+        if lift and cert.surjection is None:
+            # the same images, read through a surjection of one-letter words
+            words = tuple(Word(((i, 1),)) for i in range(g))
+            cert = replace(cert, rep_gens=("x", "y", "z")[:g], surjection=words)
+        report = verify(parse(serialize(cert)))
+        charge = (report.relator_mat_mults, report.mat_mults, report.field_ops)
+        assert charge == _oracle_charge(cert)
+        assert verify(cert) == report
+        outcome = report.reason.split(" ")[0] if report.reason else "accepted"
+        if report.reason == "witness words have equal images":
+            outcome = "equal"
+        seen.add((cert.field.degree, cert.surjection is not None, outcome))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(abelian_certificates())
+    def check_abelian(cert):
+        report = verify(parse(serialize(cert)))
+        if not report.reason or not report.reason.startswith("relator"):
+            return
+        k = int(report.reason.split(" ")[1])
+        nonzero = 0
+        for rel in cert.presentation.relators[: k + 1]:
+            sums = collections.Counter()
+            for gen, exp in rel.letters:
+                sums[gen] += exp
+            nonzero += sum(1 for x in sums.values() if x)
+        assert (report.relator_mat_mults, report.mat_mults) == (0, 0)
+        assert report.field_ops == 4 * nonzero
+        seen.add(("abelian", k))
+
+    check_rep()
+    check_abelian()
+    for degree, surjection, outcome in itertools.product(
+        (1, 2), (False, True), ("accepted", "relator", "equal")
+    ):
+        assert (degree, surjection, outcome) in seen
+    assert ("abelian", 0) in seen and ("abelian", 1) in seen
 
 
 # ----------------------------------------------------------------------

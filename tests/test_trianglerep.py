@@ -462,7 +462,7 @@ def test_wrong_order_fails_the_postcondition(monkeypatch, build, triple):
 
 def test_commuting_images_fail_the_postcondition(monkeypatch):
     monkeypatch.setattr(trianglerep, "has_order", lambda m, n: True)
-    x = ProjMatrix.from_coords(FieldSpec(5), (0, 0, 1, 0, 4, 0, 0, 0))
+    x = ProjMatrix.from_reduced(FieldSpec(5), (0, 0, 1, 0, 4, 0, 0, 0))
     with pytest.raises(RepVerificationError, match="abelian"):
         trianglerep._checked_xy(x, x, (2, 2, 2))
 

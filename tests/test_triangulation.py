@@ -331,6 +331,21 @@ def test_perm_must_send_face_to_face():
         parse_triangulation("t=1\n0:0 -> 0:1 perm=2103\n")
 
 
+@pytest.mark.parametrize(
+    "source, target, bad",
+    [
+        ((0, 7), (0, 1), "0:7"),
+        ((0, 1), (0, 7), "0:7"),
+        ((0, -1), (0, 1), "0:-1"),
+        ((0, 0), (1, 4), "1:4"),
+    ],
+)
+def test_face_pairing_refuses_a_face_out_of_range(source, target, bad):
+    """Either end's face is checked before the permutation reads it."""
+    with pytest.raises(TriangulationError, match=f"^face index out of range: {bad}$"):
+        FacePairing(source, target, Permutation4((0, 1, 2, 3)))
+
+
 @pytest.mark.parametrize("name", MANIFOLD_FIXTURES)
 def test_fixtures_parse_with_recorded_t(name, fixture_metadata):
     tri = load_fixture(name)

@@ -70,9 +70,18 @@ def _fixture_text(name: str) -> str:
 
 
 def measure(repeats: int) -> dict:
-    """One measurement of the lenscert package first on sys.path."""
-    from lenscert.certificate import noncyclic_certificate, pipeline
-    from lenscert.intlinalg import abelianization, format_abelian, seed_core
+    """One measurement of the lenscert package first on sys.path, which
+    must have the step-1 API this script times."""
+    try:
+        from lenscert.certificate import noncyclic_certificate, pipeline
+        from lenscert.intlinalg import abelianization, format_abelian, seed_core
+    except ImportError as exc:
+        if "seed_core" not in str(exc):
+            raise
+        raise SystemExit(
+            "error: the tree has no lenscert.intlinalg.seed_core, the step-1 API "
+            "(noncyclic_certificate(pres, seed_core(pres))) this script times"
+        ) from None
     from lenscert.presentation import fundamental_group
     from lenscert.triangulation import parse_triangulation
     from make_fixtures import lens_space, prism_manifold

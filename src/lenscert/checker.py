@@ -1,16 +1,18 @@
 """Serialize, parse and verify "not a lens space" certificates: the checker.
 
-
 Two kinds of witness exist: a surjection onto a non-cyclic abelian group
-Z/a x Z/b, or a non-abelian image in PSL(2, F).  Verification is
-polynomial with exact operation tallies; a malformed file is an error
-while a well-formed but false certificate is a rejection.  The text form
-is canonical: parse accepts exactly the texts serialize writes, so
-serialize(parse(text)) == text for every text parse accepts.  parse
-reads every line exactly as written, each ended by a newline.  A blank,
-padded or comment line is not skipped but read as the line it stands in
-for, so it is a syntax error there, and so is a gens line without its
-labels.
+Z/a x Z/b, or a non-abelian image in SL(2, R)/{+-I}, where the field line
+names R = Z/p[w]/(w^2 - s) (galois.FieldSpec).  For any odd p >= 3 and
+0 < s < p that is a group in which I != -I, which is all soundness needs:
+so parse checks the line's shape, and R need not be a field.
+Verification is polynomial with exact operation tallies; a malformed
+file is an error while a well-formed but false certificate is a
+rejection.  The text form is canonical: parse accepts exactly the texts
+serialize writes, so serialize(parse(text)) == text for every text parse
+accepts.  parse reads every line exactly as written, each ended by a
+newline.  A blank, padded or comment line is not skipped but read as
+the line it stands in for, so it is a syntax error there, and so is a
+gens line without its labels.
 
 Each invariant is checked once, where a certificate comes in:
 
@@ -89,7 +91,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NoReturn, Optional, Sequence
 
-from .galois import FieldSpec, PrimalityBoundError, parse_coords, parse_decimal
+from .galois import FieldSpec, parse_coords, parse_decimal
 from .presentation import (
     GroupPresentation,
     Word,
@@ -483,7 +485,7 @@ def _parse_rep(
         p, deg = parse_decimal(m.group(1)), parse_decimal(m.group(2))
         s = parse_decimal(m.group(3)) if m.group(3) else None
         spec = FieldSpec(p, deg, s)
-    except (ValueError, PrimalityBoundError) as exc:
+    except ValueError as exc:
         raise reader.error(str(exc)) from None
 
     rep_gens: list[str] = []

@@ -1,8 +1,8 @@
-"""Arithmetic in F_p and F_{p^2}, prime search in arithmetic progressions.
+"""Arithmetic in Z/p[w]/(w^2 - s), prime search in arithmetic progressions.
 
-F_{p^2} is realized as F_p[w] with w^2 = s for the smallest positive
-quadratic nonresidue s, so serialized elements are reproducible
-bit-for-bit.
+A FieldSpec names that ring, a field when a producer builds it: F_p from
+a p it proved prime, F_{p^2} as F_p[w] with w^2 = s, the smallest positive
+nonresidue, so serialized elements are reproducible bit-for-bit.
 
 Primality is decided by strong probable-prime tests to the first k prime
 bases, which are deterministic below psi_k, the least strong pseudoprime
@@ -208,25 +208,26 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """F_p (degree 1) or F_{p^2} = F_p[w], w^2 = s (degree 2)."""
+    """Z/p (degree 1) or Z/p[w]/(w^2 - s) (degree 2): a field when a
+    producer builds it, from a p it proved prime and a nonresidue s.  Only
+    the shape is checked here, so the checker trusts a ring, not a field."""
 
     p: int
     degree: int = 1
     s: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"field characteristic must be an odd prime, got {self.p}")
+        if self.p < 3 or not self.p & 1:
+            raise ValueError(f"field modulus must be odd and at least 3, got {self.p}")
         if self.degree not in (1, 2):
             raise ValueError("only degree 1 and 2 fields are supported")
         if self.degree == 1:
             if self.s is not None:
-                raise ValueError("nonresidue only makes sense for degree 2")
-        else:
-            if self.s is None:
-                raise ValueError("degree 2 needs the defining nonresidue s")
-            if not 0 < self.s < self.p or is_quadratic_residue(self.s, self.p):
-                raise ValueError(f"s={self.s} is not a nonresidue modulo {self.p}")
+                raise ValueError("s only makes sense for degree 2")
+        elif self.s is None:
+            raise ValueError("degree 2 needs s, the square of w")
+        elif not 0 < self.s < self.p:
+            raise ValueError(f"s={self.s} is not in [1, {self.p})")
 
     @property
     def order(self) -> int:
@@ -243,15 +244,10 @@ class FieldSpec:
 
 
 def quadratic_extension(base: FieldSpec) -> FieldSpec:
-    """F_{p^2} over the prime field base.  p was checked when base was
-    built and s is a nonresidue by construction, so nothing is retested."""
+    """F_{p^2} over the prime field base, with w^2 the smallest nonresidue."""
     if base.degree != 1:
         raise ValueError("quadratic_extension needs a prime field")
-    ext = object.__new__(FieldSpec)
-    object.__setattr__(ext, "p", base.p)
-    object.__setattr__(ext, "degree", 2)
-    object.__setattr__(ext, "s", smallest_nonresidue(base.p))
-    return ext
+    return FieldSpec(base.p, 2, smallest_nonresidue(base.p))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ do: then it is w^k u, and w^k costs O(d + log k) products instead of
 n.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
-eight coordinates is forced into [0, (p-1)/2], so equal group elements
-have equal representatives and equality is coordinate equality.  A fold
-of unnormalized representatives is the product up to sign, so it is
+eight coordinates is forced into [0, (p-1)/2], which holds one of x and
+-x as p is odd, so equality is coordinate equality.  A fold of
+unnormalized representatives is the product up to sign, so it is
 normalized once, at the end.
 
 has_order, the builders' order check, multiplies no matrices: by
@@ -38,7 +38,9 @@ V_(k+1) = tr(M)*V_k - V_(k-1), and M^k = +-I iff V_k = +-2 when
 tr(M) != +-2.  So "order exactly n" is a walk of at most n - 1 scalar
 multiply-adds, with no factorization of n; a trace of +-2 means order 1
 or p.  projective_order, which finds an unknown order, descends from the
-trace class's order bound by matrix powers.
+trace class's order bound by matrix powers.  Both order checks, like
+galois.root_of_unity, imaginary_unit and FieldElement.inverse, assume a
+field, and only producers call them; the rest holds over any FieldSpec.
 """
 
 from __future__ import annotations

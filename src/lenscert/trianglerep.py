@@ -19,9 +19,9 @@ ints.
 Each postcondition is checked once, on ints: the orders of x, y and xy
 by projmat.has_order's trace walk, the trace of xy against +-C3 on its
 coordinates, and xy != yx.  Facts true by construction are not
-rechecked: p is prime because the prime search proved it, (xy)^m = 1
-in the dihedral image because xy has order p dividing m, and the
-relator words are well formed because they are built from constants.
+rechecked: p is prime because the prime search proved it (FieldSpec
+checks only its shape), (xy)^m = 1 in the dihedral image because xy has
+order p dividing m, and the relator words are built from constants.
 classify compares n2*n3 + n1*n3 + n1*n2 with n1*n2*n3 as ints.
 Non-hyperbolic triples get a dihedral image or one of three fixed
 spherical matrix pairs over F_3, F_5, F_7.

@@ -49,3 +49,28 @@ MANIFOLD_FIXTURES = [
 ]
 
 ORIENTABLE_FIXTURES = [n for n in MANIFOLD_FIXTURES if n != "s2xs1_twisted.tri"]
+
+# Mersenne primes, the second of 2203 bits: both lie beyond the
+# deterministic Miller-Rabin range that galois.is_prime covers
+MERSENNE_PRIMES = (2**127 - 1, 2**2203 - 1)
+
+
+def toy_certificate_text(p: int, s=None, relators: bool = False) -> str:
+    """The rotation witness x y | y x for <x, y> (or <x, y | x^p, y^p>
+    with relators) over Z/p, x -> [[1,1],[0,1]] and y -> [[1,0],[1,1]];
+    given s, over Z/p[w]/(w^2 - s) with y -> [[1,0],[w,1]].  Both images
+    are unipotent of order p, and x y != +-y x for every odd p >= 3, so
+    verify accepts it whether or not p is prime or s a nonresidue."""
+    if s is None:
+        field, one, zero, corner = f"field p={p} deg=1", "1", "0", "1"
+    else:
+        field, one, zero, corner = f"field p={p} deg=2 s={s}", "1+0*w", "0+0*w", "0+1*w"
+    rels = [" ".join([g] * p) for g in "xy"] if relators else []
+    lines = ["lenscert v1", "kind NonAbelianRep", "gens 2 x y", f"rels {len(rels)}", *rels]
+    lines += [
+        field,
+        f"gen x = [[{one},{one}],[{zero},{one}]]",
+        f"gen y = [[{one},{zero}],[{corner},{one}]]",
+        "witness x y | y x",
+    ]
+    return "\n".join(lines) + "\n"

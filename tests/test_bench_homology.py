@@ -3,6 +3,7 @@ docstring describes."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -40,6 +41,24 @@ def test_bench_homology_one_round_writes_one_column():
             assert set(column[timing]) == inputs.get(metric, set(column["h1"]))
             assert all(us > 0 for us in column[timing].values())
             assert all(len(v) == 1 for v in column[timing + "_rounds"].values())
+
+
+def test_bench_homology_names_a_tree_without_seed_core(tmp_path):
+    """A tree from before intlinalg.seed_core ends its child with one
+    line naming the missing step-1 API, not an ImportError traceback."""
+    shutil.copytree(
+        os.path.join(SRC, "lenscert"), tmp_path / "lenscert",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    intlinalg = tmp_path / "lenscert" / "intlinalg.py"
+    intlinalg.write_text(intlinalg.read_text().replace("def seed_core(", "def _seed_core("))
+    out = _run("--tree", f"old={tmp_path}", "--rounds", "1", "--repeats", "1")
+    assert out.returncode == 1
+    assert out.stderr.rstrip("\n").splitlines() == [
+        "error: measuring tree 'old' failed:",
+        "error: the tree has no lenscert.intlinalg.seed_core, the step-1 API "
+        "(noncyclic_certificate(pres, seed_core(pres))) this script times",
+    ]
 
 
 def test_bench_homology_refuses_a_tree_without_lenscert(tmp_path):

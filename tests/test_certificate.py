@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text, load_fixture
+from conftest import MERSENNE_PRIMES, fixture_text, load_fixture, toy_certificate_text
 from lenscert.certificate import (
     PipelineError,
     noncyclic_certificate,
@@ -30,7 +30,7 @@ from lenscert.checker import (
     verify_bound,
 )
 from lenscert.cli import main as cli_main
-from lenscert.galois import FieldSpec, quadratic_extension
+from lenscert.galois import FieldSpec, is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
 from lenscert.presentation import GroupPresentation, Word, fundamental_group, parse_word
 from lenscert.projmat import ProjMatrix
@@ -146,17 +146,39 @@ def test_gens_line_of_many_labels():
         parse(text(labels[:-1] + ["9z"]))
 
 
-def test_composite_characteristic_exits_two(tmp_path, capsys):
-    # 399165290221 * 798330580441: a strong pseudoprime to every prime base
-    # up to 37, so only base 41 shows it composite
-    psi_12 = 318665857834031151167461
-    text = LABELLED_CERT.replace("field p=5 deg=1", f"field p={psi_12} deg=1")
-    with pytest.raises(CertificateSyntaxError, match="odd prime"):
+def test_composite_modulus_certificate_is_accepted(tmp_path):
+    """Non-commuting images over the rings Z/N and Z/N[w]/(w^2 - s) for
+    odd composite N, s a square or not: SL(2, R)/{+-I} is a group, and
+    x y != +-y x there, so the certificate is accepted, relators or not."""
+    path = tmp_path / "ring.cert"
+    for n, s, relators in itertools.product((15, 105), (None, 1, 2, 14), (False, True)):
+        text = toy_certificate_text(n, s, relators)
+        cert = parse(text)
+        assert (cert.field.p, cert.field.s) == (n, s)
+        assert serialize(cert) == text
+        assert verify(cert).accepted
+        # 4 letters of witness and 2n of relators, each charged one multiply
+        assert verify(cert).mat_mults == 4 + 2 * n * relators
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["field p=15 deg=2 s=0", "field p=16 deg=1", "field p=1 deg=1", "field p=15 deg=2 s=15"],
+    ids=["deg=2 s=0", "even p", "p=1", "s=p"],
+)
+def test_field_line_of_the_wrong_shape_exits_two(field, tmp_path, capsys):
+    """The field line names Z/p[w]/(w^2 - s) with p odd and at least 3
+    and 0 < s < p.  s = 0 stays a syntax error: the fold reads s = 0 as a
+    prime field and would drop the w coordinates."""
+    text = toy_certificate_text(15).replace("field p=15 deg=1", field)
+    with pytest.raises(CertificateSyntaxError, match="^line 5: "):
         parse(text)
-    path = tmp_path / "composite.cert"
+    path = tmp_path / "shape.cert"
     path.write_text(text, encoding="utf-8")
     assert cli_main(["verify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: line 5: " in capsys.readouterr().err
 
 
 def test_surjection_file_exponent_is_capped():
@@ -739,15 +761,20 @@ witness x | x x
 """
 
 
-@pytest.mark.parametrize("deg", ["deg=1", "deg=2 s=2"])
-def test_field_prime_beyond_the_primality_range_is_a_syntax_error(deg):
-    # from psi_13 up no primality test is deterministic, so no field is read
-    text = Z5_CERT.replace("field p=5 deg=1", f"field p=3317044064679887385961991 {deg}")
-    with pytest.raises(CertificateSyntaxError) as info:
-        parse(text)
-    assert str(info.value) == (
-        "line 6: 3317044064679887385961991 exceeds the deterministic primality range"
-    )
+@pytest.mark.parametrize("s", [None, 2], ids=["deg=1", "deg=2 s=2"])
+def test_toy_certificate_verifies_beyond_the_primality_range(s, tmp_path):
+    # no primality test is deterministic from psi_13 up, and parse makes
+    # none: the toy certificate verifies over 2^127 - 1 and 2^2203 - 1
+    path = tmp_path / "toy.cert"
+    for p in MERSENNE_PRIMES:
+        text = toy_certificate_text(p, s)
+        cert = parse(text)
+        assert serialize(cert) == text
+        report = verify(cert)
+        assert report.accepted
+        assert report.matrix_bits == (4 * (1 if s is None else 2) * p.bit_length(),) * 2
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["verify", str(path)]) == 0
 
 
 def test_cyclic_group_certificate_rejected():
@@ -1102,30 +1129,48 @@ def test_broken_surjection_rejected_by_verifier():
 
 
 PRIME_FIELDS = tuple(FieldSpec(p) for p in (3, 5, 7, 11, 13))
+ODD_COMPOSITES = tuple(n for n in range(9, 106, 2) if any(n % d == 0 for d in (3, 5, 7)))
+# the rings Z/N and Z/N[w]/(w^2 - s), N odd and composite, 0 < s < N
+RINGS = st.sampled_from(ODD_COMPOSITES).flatmap(
+    lambda n: st.one_of(
+        st.just(FieldSpec(n)), st.integers(1, n - 1).map(lambda s: FieldSpec(n, 2, s))
+    )
+)
+SPECS = st.one_of(st.sampled_from(PRIME_FIELDS), RINGS)
 
 
 @st.composite
-def rep_certificates(draw, fields=PRIME_FIELDS):
-    """A NonAbelianRep certificate over one of fields (F_p, p <= 13, by
-    default) on g <= 3 presentation generators, with a surjection block
-    of random, possibly empty, words onto one to three matrices, or none.
-    Each matrix is the identity one time in five, and over F_{p^2} its
-    entries range over all of F_{p^2}.  The relators are random words and powers
-    of short words, in half the draws only those that map to the
-    identity, and the witness is a rotation of a random word or a second
-    random word: so some certificates are accepted and each rejection
-    occurs."""
-    spec = draw(st.sampled_from(fields))
-    entries = st.integers(0, spec.p - 1)
+def rep_certificates(draw, specs=SPECS):
+    """A NonAbelianRep certificate over a spec drawn from specs (F_p,
+    p <= 13, or a ring Z/N or Z/N[w]/(w^2 - s), N odd, composite and at
+    most 105, by default) on g <= 3 presentation generators, with a
+    surjection block onto one to three matrices in half the draws.  The
+    surjection words are random, possibly empty, or in half of those one
+    letter each, over a pair of images x, y that do not commute.  Each
+    other matrix is the identity one time in five, and otherwise a
+    product of four elementary matrices whose entries range over the
+    whole ring.  The relators are random words and powers of short
+    words, in half the draws only those that map to the identity, and
+    the witness is a rotation of a random word or a second random word:
+    so some certificates are accepted, some through a surjection, and
+    each rejection occurs."""
+    spec = draw(specs)
+    one, zero = spec.one(), spec.zero()
+
+    def element():
+        b = draw(st.integers(0, spec.p - 1)) if spec.degree == 2 else 0
+        return spec.element(draw(st.integers(0, spec.p - 1)), b)
+
+    def upper(t):
+        return ProjMatrix(one, t, zero, one)
+
+    def lower(t):
+        return ProjMatrix(one, zero, t, one)
 
     def matrix():
         if not draw(st.integers(0, 4)):
             return ProjMatrix.identity(spec)
-        if spec.degree == 1:
-            return _det_one_matrix(spec, *(draw(entries) for _ in range(4)))
-        a, b, c = (spec.element(draw(entries), draw(entries)) for _ in range(3))
-        a = spec.one() if a.is_zero() else a
-        return ProjMatrix(a, b, c, (spec.one() + b * c) / a)
+        return upper(element()).mul(lower(element())).mul(upper(element())).mul(lower(element()))
 
     def word(g, max_size):
         if not g:
@@ -1133,7 +1178,23 @@ def rep_certificates(draw, fields=PRIME_FIELDS):
         letters = st.tuples(st.integers(0, g - 1), st.sampled_from((1, -1)))
         return reduced_word(Word(tuple(draw(st.lists(letters, max_size=max_size)))))
 
-    if draw(st.booleans()):
+    images = None
+    surjection_kind = draw(st.integers(0, 3))
+    if surjection_kind == 3:
+        # x = E(t) and y = L(u) commute up to sign iff t u = 0; conjugated
+        # by one matrix, they still do not commute
+        t, u = element(), element()
+        if (t * u).is_zero():
+            t = u = one
+        conj = matrix()
+        images = tuple(conj.mul(m).mul(conj.inverse()) for m in (upper(t), lower(u)))
+        g = draw(st.integers(2, 3))
+        rep_gens = ("x", "y")
+        exps = st.sampled_from((1, -1))
+        letters = [(0, draw(exps)), (1, draw(exps))]
+        letters += [(draw(st.integers(0, 1)), draw(exps)) for _ in range(g - 2)]
+        surjection = tuple(Word((letter,)) for letter in letters)
+    elif surjection_kind == 2:
         g = draw(st.integers(0, 3))
         rep_gens = ("x", "y", "z")[: draw(st.integers(1, 3))]
         surjection = tuple(word(len(rep_gens), 4) for _ in range(g))
@@ -1150,7 +1211,10 @@ def rep_certificates(draw, fields=PRIME_FIELDS):
             relators.append(reduced_word(word_power(word(g, 2), draw(st.integers(1, 13)))))
     relators = [w for w in relators if w.letters]
     w1 = word(g, 6)
-    if len(w1) >= 2 and draw(st.booleans()):
+    if images and draw(st.booleans()):
+        # a b | b a, whose images differ as a -> x^+-1 and b -> y^+-1
+        w1, w2 = Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1)))
+    elif len(w1) >= 2 and draw(st.booleans()):
         k = draw(st.integers(1, len(w1) - 1))
         w2 = reduced_word(Word(w1.letters[k:] + w1.letters[:k]))
     else:
@@ -1160,7 +1224,7 @@ def rep_certificates(draw, fields=PRIME_FIELDS):
         presentation=GroupPresentation(g, tuple(relators), labels),
         field=spec,
         rep_gens=rep_gens,
-        rep_images=tuple(matrix() for _ in rep_gens),
+        rep_images=images or tuple(matrix() for _ in rep_gens),
         surjection=surjection,
         witness=(w1, w2),
     )
@@ -1179,8 +1243,11 @@ def test_verify_matches_the_spliced_surjection_oracle():
     checks the generators.  The verdicts agree, and so do the reasons but
     for the generator check's, whose certificates the witness rejects.
     The charge is at most one multiply per letter of the relator,
-    surjection and witness words, and exactly that on acceptance."""
+    surjection and witness words, and exactly that on acceptance.  Over
+    F_p and over rings of both degrees, some certificates are accepted
+    through a surjection."""
     seen = set()
+    accepted_through_surjection = set()
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(rep_certificates())
@@ -1196,8 +1263,11 @@ def test_verify_matches_the_spliced_surjection_oracle():
         letters = sum(len(w) for w in words)
         assert report.mat_mults <= letters
         assert report.mat_mults == letters or not report.accepted
+        if report.accepted and cert.surjection is not None:
+            accepted_through_surjection.add((is_prime(cert.field.p), cert.field.degree))
 
     check()
+    assert accepted_through_surjection == {(True, 1), (False, 1), (False, 2)}
     assert None in seen and "every generator maps to the identity" in seen
     assert any(reason and reason.startswith("relator") for reason in seen)
     assert {
@@ -1239,15 +1309,16 @@ def test_verify_charges_exactly_the_words_it_reads():
     """The report's letter-count charge equals letter_by_letter_fold's
     counts over the surjection words, the relators up to and including
     the first that fails and, once every relator passes, both witness
-    words: over F_p and F_{p^2}, with and without a surjection, whether
-    the certificate is accepted or rejected at a relator or by equal
-    witness images.  A NonCyclicAbelian text rejected at relator k is
-    charged 4 field ops per nonzero exponent sum of relators 0..k."""
+    words: over F_p and F_{p^2} with and without a surjection, and over
+    rings Z/N[w]/(w^2 - s) of both degrees through one, whether the
+    certificate is accepted or rejected at a relator or by equal witness
+    images.  A NonCyclicAbelian text rejected at relator k is charged 4
+    field ops per nonzero exponent sum of relators 0..k."""
     fields = PRIME_FIELDS[2:] + tuple(quadratic_extension(FieldSpec(p)) for p in (3, 5, 7))
     seen = set()
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-    @given(rep_certificates(fields=fields), st.booleans(), st.booleans())
+    @given(rep_certificates(st.one_of(st.sampled_from(fields), RINGS)), st.booleans(), st.booleans())
     def check_rep(cert, rotate_ab, lift):
         g = cert.presentation.g
         if rotate_ab and g >= 2:
@@ -1265,7 +1336,7 @@ def test_verify_charges_exactly_the_words_it_reads():
         outcome = report.reason.split(" ")[0] if report.reason else "accepted"
         if report.reason == "witness words have equal images":
             outcome = "equal"
-        seen.add((cert.field.degree, cert.surjection is not None, outcome))
+        seen.add((is_prime(cert.field.p), cert.field.degree, cert.surjection is not None, outcome))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(abelian_certificates())
@@ -1286,10 +1357,12 @@ def test_verify_charges_exactly_the_words_it_reads():
 
     check_rep()
     check_abelian()
-    for degree, surjection, outcome in itertools.product(
-        (1, 2), (False, True), ("accepted", "relator", "equal")
-    ):
-        assert (degree, surjection, outcome) in seen
+    outcomes = ("accepted", "relator", "equal")
+    for key in itertools.product((True,), (1, 2), (False, True), outcomes):
+        assert key in seen, key
+    # over the rings, every outcome through a surjection
+    for key in itertools.product((False,), (1, 2), (True,), outcomes):
+        assert key in seen, key
     assert ("abelian", 0) in seen and ("abelian", 1) in seen
 
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 
-from conftest import fixture_path
+from conftest import MERSENNE_PRIMES, fixture_path, toy_certificate_text
 from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
 
@@ -159,17 +159,13 @@ def test_verify_surjection_cost_is_linear_in_the_words(tmp_path):
     assert (report["mat_mults"], report["total_mat_mults"]) == (20000, 40000)
 
 
-def test_verify_prime_beyond_the_primality_range_exits_two(tmp_path):
-    path = tmp_path / "psi13.cert"
-    path.write_text(
-        "lenscert v1\nkind NonAbelianRep\ngens 1 x\nrels 0\n"
-        "field p=3317044064679887385961991 deg=1\ngen x = [[1,1],[0,1]]\nwitness x | x\n"
-    )
-    out = run_cli("verify", str(path))
-    assert out.returncode == 2
-    assert out.stderr == (
-        "error: line 5: 3317044064679887385961991 exceeds the deterministic primality range\n"
-    )
+def test_verify_prime_beyond_the_primality_range_exits_zero(tmp_path):
+    path = tmp_path / "toy.cert"
+    for p in MERSENNE_PRIMES:
+        path.write_text(toy_certificate_text(p))
+        out = run_cli("verify", str(path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("accepted=yes kind=NonAbelianRep mat_mults=0 ")
 
 
 def test_pipeline_step1(tmp_path):

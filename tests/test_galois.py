@@ -86,8 +86,7 @@ def test_is_prime_rejects_psi_k(k):
 
 def test_is_prime_range_ends_at_psi_13():
     assert PSI[12] == 399165290221 * 798330580441
-    with pytest.raises(ValueError, match="odd prime"):
-        FieldSpec(PSI[12])
+    assert not is_prime(PSI[12])
     with pytest.raises(PrimalityBoundError):
         is_prime(PSI[13])
 
@@ -135,15 +134,28 @@ def test_linnik_ratio_is_reported_value():
 
 
 def test_field_spec_validation():
-    with pytest.raises(ValueError):
-        FieldSpec(4)
+    for p in (-3, 0, 1, 2, 4, 2**127):
+        with pytest.raises(ValueError, match="odd and at least 3"):
+            FieldSpec(p)
     with pytest.raises(ValueError):
         FieldSpec(5, 2, None)
-    with pytest.raises(ValueError):
-        FieldSpec(5, 2, 4)  # 4 is a square mod 5
+    for s in (0, 5, 6, -1):
+        with pytest.raises(ValueError, match=r"is not in \[1, 5\)"):
+            FieldSpec(5, 2, s)
     with pytest.raises(ValueError):
         FieldSpec(5, 1, 2)
+    with pytest.raises(ValueError):
+        FieldSpec(5, 3, 2)
     assert FieldSpec(5, 2, 2).order == 25
+
+
+def test_field_spec_checks_its_shape_only():
+    """A spec names the ring Z/p[w]/(w^2 - s): a composite p, a p beyond
+    the deterministic primality range and a square s are all accepted."""
+    for p in (9, 15, 105, PSI[12], PSI[13], 2**127 - 1, 2**2203 - 1):
+        assert FieldSpec(p).p == p
+        assert FieldSpec(p, 2, 1).s == 1
+    assert FieldSpec(5, 2, 4).order == 25  # 4 is a square mod 5
 
 
 def test_smallest_nonresidue_values():

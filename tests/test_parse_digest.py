@@ -17,20 +17,25 @@ import functools
 import hashlib
 import itertools
 import re
+import sys
 
 import pytest
 
-from conftest import fixture_text, load_fixture
+from conftest import MERSENNE_PRIMES, fixture_text, load_fixture, toy_certificate_text
 from lenscert import checker
 from lenscert.certificate import pipeline, triangle_certificate
-from lenscert.checker import HEADER, CertificateSyntaxError, parse, serialize
+from lenscert.checker import HEADER, CertificateSyntaxError, parse, serialize, verify, verify_bound
 
 # re-pinned when step 1 came to read its images off the seed core's
 # column transform V: the prism_q8 and t3_torus base texts have new
 # step-1 images, and with the earlier texts put back in their place the
 # earlier digest comes out again, so only outcomes of those two bases and
-# their edits moved
-PARSE_OUTCOME_SHA256 = "d34fee6532c0af5735ca994e1d60fea1dcf25b7435d3025cd776a774bef2c76e"
+# their edits moved.  Re-pinned again when the field line came to be
+# read as the ring Z/p[w]/(w^2 - s): only the 211 "+p" edits of a field
+# line moved, each an even modulus 2p whose message went from "field
+# characteristic must be an odd prime" to "field modulus must be odd and
+# at least 3"; no text went from refused to accepted or back
+PARSE_OUTCOME_SHA256 = "15da8cb538ee1a3fb6695a1228fc7f544ad7c9291ba6aa71dd67a3b1866f8c60"
 
 SEIFERT = (
     ("prism_q8.tri", (2, 2, 2), None),
@@ -154,3 +159,44 @@ def test_diagnose_fallback_always_raises(monkeypatch, name):
         except CertificateSyntaxError:
             pass
     assert calls and raised == calls
+
+
+def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
+    """parse, verify and verify_bound trust the field line's shape alone.
+    With every binding of galois.is_prime, is_quadratic_residue and
+    smallest_nonresidue made to raise, each base text, the toy
+    certificate over Mersenne primes beyond the primality range and over
+    the rings Z/15 and Z/105 (with w^2 = s or not) gets the reports it
+    gets unpatched; verify_bound runs against the Seifert texts' own
+    triangulations, and the other texts against L(7,2), whose group
+    none of them is about."""
+    # built unpatched, as the producers prove their primes
+    bases = [text for text, is_base in corpus() if is_base]
+    own = dict(zip(bases[-len(SEIFERT):], (load_fixture(name) for name, _, _ in SEIFERT)))
+    lens = load_fixture("lens_7_2.tri")
+    texts = bases + [toy_certificate_text(p) for p in MERSENNE_PRIMES]
+    texts += [toy_certificate_text(n, s, True) for n in (15, 105) for s in (None, 1, 2)]
+
+    def reports():
+        out = []
+        for text in texts:
+            cert = parse(text)
+            out.append((serialize(cert), verify(cert), verify_bound(cert, own.get(text, lens))))
+        return out
+
+    expected = reports()
+
+    def refuse(*args):
+        raise AssertionError("the checker called a primality or residue test")
+
+    patched = 0
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("lenscert"):
+            for name in ("is_prime", "is_quadratic_residue", "smallest_nonresidue"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+                    patched += 1
+    assert patched >= 4  # galois' three, and projmat's is_quadratic_residue
+    assert reports() == expected
+    assert all(report.accepted for _, report, _ in expected[len(bases):])
+    assert [bound.accepted for _, _, bound in expected].count(True) == len(SEIFERT)

@@ -3,12 +3,22 @@
 step-1 certificate and pipeline.
 
 For each input, the triangulation is built by scripts/make_fixtures.py
-and two things are timed:
+and three things are timed:
 
-  * pi1_h1_us: abelianization(fundamental_group(tri)), from the
-    triangulation;
+  * build_us: format_triangulation(lens_space(p, q)), or of
+    prism_manifold(m): the builder's gluing table assembled by
+    make_triangulation, then written as text;
+  * pi1_h1_us: abelianization(fundamental_group(tri)), each call on a
+    fresh Triangulation(tri.t, tri.gluings), so the orbit walk that an
+    instance keeps after its first use is timed in every call (with
+    the instance's construction, about a microsecond);
   * h1_us: abelianization(pres) alone, on the presentation built
     once (a presentation keeps nothing between calls).
+
+make_fixtures is imported from this checkout's scripts/ whatever tree is
+measured, and builds with that tree's lenscert, so build_us compares
+the library side only (FacePairing, make_triangulation and
+format_triangulation).
 
 The inputs are lens_space(p, q) for p in 40, 120, 240, 1000 and 10000,
 q about 0.3 p, and prism_manifold(m) for m = 101 and 10000.  Two more
@@ -43,6 +53,7 @@ from __future__ import annotations
 import os
 import statistics
 import sys
+from functools import partial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -59,7 +70,7 @@ PIPELINE = (
 )
 PIPELINES_PER_PASS = 400
 METRICS = (
-    "pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw",
+    "build_us", "build_us_raw", "pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw",
     "step1_us", "step1_us_raw", "pipeline_us", "pipeline_us_raw",
 )
 
@@ -83,20 +94,23 @@ def measure(repeats: int) -> dict:
             "(noncyclic_certificate(pres, seed_core(pres))) this script times"
         ) from None
     from lenscert.presentation import fundamental_group
-    from lenscert.triangulation import parse_triangulation
+    from lenscert.triangulation import Triangulation, format_triangulation, parse_triangulation
     from make_fixtures import lens_space, prism_manifold
 
     def timed(metric, name, items, run):
         doc[metric][name], doc[metric + "_raw"][name] = _median_pass_us(items, run, repeats)
 
-    inputs = [(f"L({p},{q})", lens_space(p, q)) for p, q in LENS]
-    inputs += [(f"prism_manifold({m})", prism_manifold(m)) for m in PRISM]
+    builds = [(f"L({p},{q})", partial(lens_space, p, q)) for p, q in LENS]
+    builds += [(f"prism_manifold({m})", partial(prism_manifold, m)) for m in PRISM]
     doc: dict = {"h1": {}, **{metric: {} for metric in METRICS}}
-    for name, tri in inputs:
+    for name, build in builds:
+        tri = build()
         pres = fundamental_group(tri)
         doc["h1"][name] = format_abelian(abelianization(pres))
         copies = max(1, GENERATORS_PER_PASS // pres.g)
-        timed("pi1_h1_us", name, [tri] * copies, lambda t: abelianization(fundamental_group(t)))
+        timed("build_us", name, [build] * copies, lambda b: format_triangulation(b()))
+        timed("pi1_h1_us", name, [tri] * copies,
+              lambda t: abelianization(fundamental_group(Triangulation(t.t, t.gluings))))
         timed("h1_us", name, [pres] * copies, abelianization)
     for m in STEP1_PRISM:
         pres = fundamental_group(prism_manifold(m))

@@ -104,14 +104,11 @@ def lens_space(p: int, q: int) -> Triangulation:
     """
     if not (p >= 2 and 0 < q < p and gcd(p, q) == 1):
         raise ValueError(f"L(p,q) needs p >= 2 and 0 < q < p coprime to p, got ({p}, {q})")
+    down, up = Permutation4((1, 0, 2, 3)), Permutation4((0, 1, 3, 2))
     pairings = []
     for j in range(p):
-        pairings.append(
-            FacePairing((j, 0), ((j - q) % p, 1), Permutation4((1, 0, 2, 3)))
-        )
-        pairings.append(
-            FacePairing((j, 2), ((j + 1) % p, 3), Permutation4((0, 1, 3, 2)))
-        )
+        pairings.append(FacePairing((j, 0), ((j - q) % p, 1), down))
+        pairings.append(FacePairing((j, 2), ((j + 1) % p, 3), up))
     return make_triangulation(p, pairings)
 
 
@@ -233,10 +230,11 @@ def prism_manifold(m: int) -> Triangulation:
     """
     if m < 2:
         raise ValueError(f"prism_manifold needs m >= 2 (S^3/Q_4 is L(4,1)), got {m}")
+    down, up = Permutation4((1, 0, 2, 3)), Permutation4((0, 1, 3, 2))
     pairings = []
     for j in range(m - 1):
-        pairings.append(FacePairing((j, 0), (j + 1, 1), Permutation4((1, 0, 2, 3))))
-        pairings.append(FacePairing((j, 2), (j + 1, 3), Permutation4((0, 1, 3, 2))))
+        pairings.append(FacePairing((j, 0), (j + 1, 1), down))
+        pairings.append(FacePairing((j, 2), (j + 1, 3), up))
     pairings.append(FacePairing((m - 1, 0), (0, 3), Permutation4((3, 2, 0, 1))))
     pairings.append(FacePairing((m - 1, 2), (0, 1), Permutation4((2, 3, 1, 0))))
     return make_triangulation(m, pairings)

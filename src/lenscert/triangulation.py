@@ -7,8 +7,11 @@ target face and the source's opposite vertex onto the target's opposite
 vertex.  Everything here is an immutable value; all operations are pure.
 
 The 24 permutations are interned at import with int tables (inverse,
-parity, induced map on directed edges), so parsing and the orbit pass do
-no per-gluing validation.  ``parse_triangulation`` reads the lines after
+parity, induced map on directed edges) and their text, so parsing and
+the orbit pass do no per-gluing validation, and ``format_triangulation``
+writes each line straight from the gluing table, the permutation's four
+digits read from the interned text.  ``make_triangulation`` writes both
+slots of each pairing into one table keyed by slot.  ``parse_triangulation`` reads the lines after
 the header once: one ``findall`` gives every line one match, and each
 gluing is written both ways straight into a list of face slots.  The
 same pass names every error: a bad line at once, a pairing error once
@@ -70,6 +73,8 @@ _GLUING_SIGN = tuple(
     1 if sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4)) % 2 else -1
     for images in _PERM_IMAGES
 )
+# the text of each permutation, its images written as four digits
+_PERM_TEXT = tuple("".join(map(str, images)) for images in _PERM_IMAGES)
 
 # The faces (numbered by their opposite vertex) that hold each directed
 # edge of a tetrahedron; the undirected edge of each directed edge; and,
@@ -104,7 +109,7 @@ class Permutation4:
         return _PERMS[_PERM_INVERSE[self.index]]
 
     def __str__(self) -> str:
-        return "".join(str(v) for v in self.images)
+        return _PERM_TEXT[self.index]
 
 
 _PERMS = tuple(Permutation4(images) for images in _PERM_IMAGES)
@@ -253,22 +258,27 @@ def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
             raise TriangulationError(f"face index out of range: {tet2}:{face2}")
         if tet == tet2 and face == face2:
             raise TriangulationError(f"face {tet}:{face} glued to itself")
-        for slot, entry in (
-            (4 * tet + face, (tet2, face2, perm)),
-            (4 * tet2 + face2, (tet, face, _PERMS[_PERM_INVERSE[perm.index]])),
-        ):
-            prev = table.setdefault(slot, entry)
-            if prev is not entry and prev != entry:
-                raise TriangulationError(
-                    "face {}:{} glued twice, inconsistently ({}:{} vs {}:{})".format(
-                        *divmod(slot, 4), *prev[:2], *entry[:2]
-                    )
-                )
+        slot, entry = 4 * tet + face, (tet2, face2, perm)
+        prev = table.setdefault(slot, entry)
+        if prev is not entry and prev != entry:
+            raise _glued_twice(slot, prev, entry)
+        slot, entry = 4 * tet2 + face2, (tet, face, _PERMS[_PERM_INVERSE[perm.index]])
+        prev = table.setdefault(slot, entry)
+        if prev is not entry and prev != entry:
+            raise _glued_twice(slot, prev, entry)
     if len(table) < 4 * t:
         first = next(slot for slot in range(4 * t) if slot not in table)
         raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
     rows = [table[slot] for slot in range(4 * t)]
     return Triangulation(t, tuple(zip(*[iter(rows)] * 4)))  # one row of four per tetrahedron
+
+
+def _glued_twice(slot: int, prev: tuple, entry: tuple) -> TriangulationError:
+    return TriangulationError(
+        "face {}:{} glued twice, inconsistently ({}:{} vs {}:{})".format(
+            *divmod(slot, 4), *prev[:2], *entry[:2]
+        )
+    )
 
 
 _HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
@@ -376,13 +386,18 @@ def parse_triangulation(text: str) -> Triangulation:
 
 
 def format_triangulation(tri: Triangulation, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {row}" for row in comment.splitlines())
+    """The text parse_triangulation reads: each comment line after ``# ``,
+    the header, then one line per gluing, from its smaller face slot, in
+    slot order (the order of ``Triangulation.pairings``).  The lines are
+    read straight off the gluing table, which make_triangulation or the
+    parser has checked, so no gluing is checked again here."""
+    lines = [f"# {row}" for row in comment.splitlines()]
     lines.append(f"t={tri.t}")
-    for fp in tri.pairings():
-        (a, f), (b, g) = fp.source, fp.target
-        lines.append(f"{a}:{f} -> {b}:{g} perm={fp.perm}")
+    perm_text = _PERM_TEXT
+    for tet, row in enumerate(tri.gluings):
+        for face, (tet2, face2, perm) in enumerate(row):
+            if (tet, face) <= (tet2, face2):
+                lines.append(f"{tet}:{face} -> {tet2}:{face2} perm={perm_text[perm.index]}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,12 +15,14 @@ every word spelled out through the surjection, and min()-pivot sparse
 elimination, kept for the same reason; and the
 triangulation chain's earlier stages: the three-pass orbit search, the
 dual spanning graph with its tree-sign orientation check, and the cell
-structure that pi1 was read from, and the gluing-table assembly with
-its per-gluing closure.  The
+structure that pi1 was read from, the gluing-table assembly with
+its per-gluing closure, and the writer that built one FacePairing per
+gluing.  The
 spherical-pair search is the one the library's fixed spherical images
 came from; psl_group_order, element_order and exponent_matrix are
 helpers that only tests call, as are perm_is_odd, is_connected,
-reduced_word, word_power, int_matmul, int_identity, field_elements and
+table_built_directly, reduced_word, word_power, int_matmul,
+int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
 r through the library's public steps.  letter_by_letter_fold is the
 plain one-product-per-letter word fold that fold_letters' period
@@ -680,6 +682,20 @@ def closure_assemble(t: int, gluings) -> Triangulation:
     return Triangulation(t, tuple(tuple(table[tet, face] for face in range(4)) for tet in range(t)))
 
 
+def pairings_format_triangulation(tri: Triangulation, comment: str = "") -> str:
+    """The gluing text as format_triangulation wrote it before it read
+    the table itself: one checked FacePairing per gluing, through
+    Triangulation.pairings(), and each perm's digits joined one by one."""
+    lines = []
+    if comment:
+        lines.extend(f"# {row}" for row in comment.splitlines())
+    lines.append(f"t={tri.t}")
+    for fp in tri.pairings():
+        (a, f), (b, g) = fp.source, fp.target
+        lines.append(f"{a}:{f} -> {b}:{g} perm={''.join(str(v) for v in fp.perm.images)}")
+    return "\n".join(lines) + "\n"
+
+
 def closure_parse_triangulation(text: str) -> Triangulation:
     """The gluing format read line by line, each line stripped of its
     comment and blanks first, then assembled by `closure_assemble`."""
@@ -761,6 +777,25 @@ def random_gluing_table(t: int, rng: random.Random, connected: bool = True) -> T
         if connected and not is_connected(tri):
             continue
         return tri
+
+
+def table_built_directly(rng: random.Random, sends_faces: bool = False) -> Triangulation:
+    """Rows of random (tet, face, perm) entries on 1 to 3 tetrahedra,
+    skipping make_triangulation, so faces need not pair both ways.  With
+    sends_faces, each entry's perm sends its own face to the entry's
+    face, as a FacePairing needs; else it is any of the 24."""
+    t = rng.randint(1, 3)
+    perms = [Permutation4(images) for images in itertools.permutations(range(4))]
+    rows = []
+    for _ in range(t):
+        row = []
+        for face in range(4):
+            tet2, face2 = rng.randrange(t), rng.randrange(4)
+            row.append((tet2, face2, rng.choice(
+                [perm for perm in perms if perm(face) == face2] if sends_faces else perms
+            )))
+        rows.append(tuple(row))
+    return Triangulation(t, tuple(rows))
 
 
 def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:

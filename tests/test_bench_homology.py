@@ -36,7 +36,7 @@ def test_bench_homology_one_round_writes_one_column():
         "step1_us": {"prism_manifold(160)", "prism_manifold(10000)"},
         "pipeline_us": {"prism_q8", "t3_torus", "prism_q12"},
     }
-    for metric in ("pi1_h1_us", "h1_us", "step1_us", "pipeline_us"):
+    for metric in ("build_us", "pi1_h1_us", "h1_us", "step1_us", "pipeline_us"):
         for timing in (metric, metric + "_raw"):
             assert set(column[timing]) == inputs.get(metric, set(column["h1"]))
             assert all(us > 0 for us in column[timing].values())

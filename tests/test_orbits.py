@@ -24,7 +24,6 @@ from lenscert.triangulation import (
     DisconnectedError,
     OrientationResult,
     Permutation4,
-    Triangulation,
     TriangulationError,
     format_triangulation,
     make_triangulation,
@@ -44,6 +43,7 @@ from oracles import (
     perm_is_odd,
     random_gluing_table,
     relabel_triangulation,
+    table_built_directly,
     three_pass_orbit_roots,
     tree_orientation_check,
 )
@@ -257,17 +257,6 @@ def test_empty_triangulation_is_orientable():
     assert orientation_check(empty) == OrientationResult(True, (), None)
 
 
-def _table_built_directly(rng):
-    """Rows of random (tet, face, perm) entries, skipping make_triangulation."""
-    t = rng.randint(1, 3)
-    perms = [Permutation4(images) for images in itertools.permutations(range(4))]
-    rows = tuple(
-        tuple((rng.randrange(t), rng.randrange(4), rng.choice(perms)) for _ in range(4))
-        for _ in range(t)
-    )
-    return Triangulation(t, rows)
-
-
 def test_walk_stops_on_gluings_that_do_not_pair_faces_both_ways():
     """A walk round such a table can cycle without meeting its start; it
     must stop at the first slot labelled before.  The alarm turns a
@@ -283,7 +272,7 @@ def test_walk_stops_on_gluings_that_do_not_pair_faces_both_ways():
     try:
         for _ in range(50):
             try:
-                _table_built_directly(rng).orbit_roots
+                table_built_directly(rng).orbit_roots
             except TriangulationError as exc:
                 assert "both ways" in str(exc)
                 rejected += 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -30,9 +31,11 @@ from oracles import (
     dual_graph,
     exhaustive_orientation,
     link_euler_characteristics,
+    pairings_format_triangulation,
     perm_is_odd,
     random_gluing_table,
     relabel_triangulation,
+    table_built_directly,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
@@ -92,6 +95,16 @@ def test_bare_header_fails_without_work_of_order_t():
     start = time.perf_counter()
     with pytest.raises(TriangulationError, match="face 0:0 is unpaired"):
         parse_triangulation(f"t={10**12}\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_one_pairing_assembles_without_work_of_order_t():
+    # make_triangulation's counterpart of the bare header: its table
+    # holds the two slots the pairing fills, not 4 * 10**12
+    pairing = FacePairing((0, 0), (0, 1), Permutation4((1, 0, 2, 3)))
+    start = time.perf_counter()
+    with pytest.raises(TriangulationError, match="face 0:2 is unpaired"):
+        make_triangulation(10**12, [pairing])
     assert time.perf_counter() - start < 0.1
 
 
@@ -356,6 +369,42 @@ def test_fixtures_parse_with_recorded_t(name, fixture_metadata):
 def test_fixture_roundtrip(name):
     tri = load_fixture(name)
     assert parse_triangulation(format_triangulation(tri)) == tri
+
+
+def test_permutation_text_is_its_images_digits():
+    for images in itertools.permutations(range(4)):
+        perm = Permutation4(images)
+        assert str(perm) == "".join(map(str, perm.images))
+
+
+def test_format_equals_pairings_format_on_fixtures_and_parametric_builds():
+    tris = [load_fixture(name) for name in MANIFOLD_FIXTURES + ["badlink_torus.tri"]]
+    tris += [lens_space(p, q) for p in range(2, 60) for q in range(1, p) if gcd(p, q) == 1]
+    tris += [prism_manifold(m) for m in range(2, 41)]
+    assert len(tris) == 13 + 1085 + 39
+    for tri in tris:
+        assert format_triangulation(tri) == pairings_format_triangulation(tri)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.text(max_size=30), st.randoms(use_true_random=False))
+def test_format_equals_pairings_format_on_random_tables(t, comment, rnd):
+    # the rows built directly need not pair faces both ways; their perms
+    # send each face to its entry's face, as pairings() checks
+    for tri in (
+        random_gluing_table(t, rnd, connected=False),
+        table_built_directly(rnd, sends_faces=True),
+    ):
+        assert format_triangulation(tri, comment) == pairings_format_triangulation(tri, comment)
+
+
+def test_format_writes_each_comment_line_after_a_hash():
+    tri = lens_space(5, 2)
+    comment = "L(5,2)\n\n  indented, then CRLF\r\nlast line\n"
+    text = format_triangulation(tri, comment)
+    assert text == pairings_format_triangulation(tri, comment)
+    assert text.startswith("# L(5,2)\n# \n#   indented, then CRLF\n# last line\nt=5\n")
+    assert parse_triangulation(text) == tri
 
 
 def test_permutation_parity():

@@ -6,7 +6,7 @@ For each input, the triangulation is built by scripts/make_fixtures.py
 and three things are timed:
 
   * build_us: format_triangulation(lens_space(p, q)), or of
-    prism_manifold(m): the builder's gluing table assembled by
+    prism_manifold(m): the builder's gluing tuples assembled by
     make_triangulation, then written as text;
   * pi1_h1_us: abelianization(fundamental_group(tri)), each call on a
     fresh Triangulation(tri.t, tri.gluings), so the orbit walk that an
@@ -15,10 +15,11 @@ and three things are timed:
   * h1_us: abelianization(pres) alone, on the presentation built
     once (a presentation keeps nothing between calls).
 
-make_fixtures is imported from this checkout's scripts/ whatever tree is
-measured, and builds with that tree's lenscert, so build_us compares
-the library side only (FacePairing, make_triangulation and
-format_triangulation).
+make_fixtures is imported from the scripts/ beside the measured SRC (from
+this checkout's scripts/ when SRC has none), and builds with that tree's
+lenscert, so build_us compares each tree's builders together with its
+make_triangulation and format_triangulation.  A builder passes plain
+gluing tuples and constructs no FacePairing.
 
 The inputs are lens_space(p, q) for p in 40, 120, 240, 1000 and 10000,
 q about 0.3 p, and prism_manifold(m) for m = 101 and 10000.  Two more
@@ -80,9 +81,9 @@ def _fixture_text(name: str) -> str:
         return handle.read()
 
 
-def measure(repeats: int) -> dict:
-    """One measurement of the lenscert package first on sys.path, which
-    must have the step-1 API this script times."""
+def measure(repeats: int, src: str) -> dict:
+    """One measurement of the lenscert package in src, first on sys.path,
+    which must have the step-1 API this script times."""
     try:
         from lenscert.certificate import noncyclic_certificate, pipeline
         from lenscert.intlinalg import abelianization, format_abelian, seed_core
@@ -95,6 +96,8 @@ def measure(repeats: int) -> dict:
         ) from None
     from lenscert.presentation import fundamental_group
     from lenscert.triangulation import Triangulation, format_triangulation, parse_triangulation
+
+    sys.path.insert(0, os.path.join(src, "..", "scripts"))
     from make_fixtures import lens_space, prism_manifold
 
     def timed(metric, name, items, run):
@@ -141,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     return drive(
         parser, args, os.path.abspath(__file__), [],
-        lambda: measure(args.repeats), _column, same="h1",
+        lambda: measure(args.repeats, args.measure), _column, same="h1",
     )
 
 

@@ -57,7 +57,6 @@ from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
 from lenscert.projmat import ProjMatrix
 from lenscert.triangulation import (
-    FacePairing,
     Permutation4,
     Triangulation,
     format_triangulation,
@@ -77,7 +76,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 def boundary_4_simplex() -> Triangulation:
     """S^3 as the boundary of the 4-simplex on vertices 0..4."""
     tets = [tuple(v for v in range(5) if v != i) for i in range(5)]
-    pairings = []
+    gluings = []
     for i, tet in enumerate(tets):
         for local, g in enumerate(tet):
             other = tets[g]
@@ -86,8 +85,8 @@ def boundary_4_simplex() -> Triangulation:
                 images[m] = other.index(i) if m == local else other.index(vertex)
             src, dst = (i, local), (g, other.index(i))
             if src <= dst:
-                pairings.append(FacePairing(src, dst, Permutation4(tuple(images))))
-    return make_triangulation(5, pairings)
+                gluings.append((*src, *dst, Permutation4(tuple(images))))
+    return make_triangulation(5, gluings)
 
 
 def lens_space(p: int, q: int) -> Triangulation:
@@ -105,11 +104,11 @@ def lens_space(p: int, q: int) -> Triangulation:
     if not (p >= 2 and 0 < q < p and gcd(p, q) == 1):
         raise ValueError(f"L(p,q) needs p >= 2 and 0 < q < p coprime to p, got ({p}, {q})")
     down, up = Permutation4((1, 0, 2, 3)), Permutation4((0, 1, 3, 2))
-    pairings = []
+    gluings = []
     for j in range(p):
-        pairings.append(FacePairing((j, 0), ((j - q) % p, 1), down))
-        pairings.append(FacePairing((j, 2), ((j + 1) % p, 3), up))
-    return make_triangulation(p, pairings)
+        gluings.append((j, 0, (j - q) % p, 1, down))
+        gluings.append((j, 2, (j + 1) % p, 3, up))
+    return make_triangulation(p, gluings)
 
 
 def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
@@ -117,7 +116,9 @@ def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
 
     Faces whose vertex set occurs twice are glued to each other; a face
     occurring once is passed to boundary_partner(face_points) which must
-    return the matched points in corresponding order.
+    return the matched points in corresponding order.  So each boundary
+    gluing is listed from both its faces, and make_triangulation checks
+    that the two listings agree.
     """
     location: dict[frozenset, list[tuple[int, int]]] = {}
     for t_index, tet in enumerate(tets):
@@ -125,7 +126,7 @@ def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
             pts = frozenset(v for m, v in enumerate(tet) if m != local)
             location.setdefault(pts, []).append((t_index, local))
 
-    def pairing(src: tuple[int, int], point_map: dict) -> FacePairing:
+    def gluing(src: tuple[int, int], point_map: dict) -> tuple:
         t_index, local = src
         tet = tets[t_index]
         target_pts = frozenset(point_map.values())
@@ -139,26 +140,18 @@ def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
         images = [0] * 4
         for m, vertex in enumerate(tet):
             images[m] = local2 if m == local else other.index(point_map[vertex])
-        return FacePairing(src, (t2, local2), Permutation4(tuple(images)))
+        return (t_index, local, t2, local2, Permutation4(tuple(images)))
 
-    pairings = []
-    seen = set()
+    gluings = []
     for pts, slots in location.items():
         if len(slots) == 2:
-            src = slots[0]
             point_map = {v: v for v in pts}
-            fp = pairing(src, point_map)
         elif len(slots) == 1:
-            src = slots[0]
             point_map = boundary_partner(pts)
-            fp = pairing(src, point_map)
         else:
             raise RuntimeError(f"face shared by {len(slots)} tetrahedra")
-        key = frozenset((fp.source, fp.target))
-        if key not in seen:
-            seen.add(key)
-            pairings.append(fp)
-    return make_triangulation(len(tets), pairings)
+        gluings.append(gluing(slots[0], point_map))
+    return make_triangulation(len(tets), gluings)
 
 
 def three_torus() -> Triangulation:
@@ -231,13 +224,13 @@ def prism_manifold(m: int) -> Triangulation:
     if m < 2:
         raise ValueError(f"prism_manifold needs m >= 2 (S^3/Q_4 is L(4,1)), got {m}")
     down, up = Permutation4((1, 0, 2, 3)), Permutation4((0, 1, 3, 2))
-    pairings = []
+    gluings = []
     for j in range(m - 1):
-        pairings.append(FacePairing((j, 0), (j + 1, 1), down))
-        pairings.append(FacePairing((j, 2), (j + 1, 3), up))
-    pairings.append(FacePairing((m - 1, 0), (0, 3), Permutation4((3, 2, 0, 1))))
-    pairings.append(FacePairing((m - 1, 2), (0, 1), Permutation4((2, 3, 1, 0))))
-    return make_triangulation(m, pairings)
+        gluings.append((j, 0, j + 1, 1, down))
+        gluings.append((j, 2, j + 1, 3, up))
+    gluings.append((m - 1, 0, 0, 3, Permutation4((3, 2, 0, 1))))
+    gluings.append((m - 1, 2, 0, 1, Permutation4((2, 3, 1, 0))))
+    return make_triangulation(m, gluings)
 
 
 # ----------------------------------------------------------------------
@@ -270,14 +263,7 @@ def enumerate_tables(t: int):
     for matching in matchings(slots):
         per_pair = [perms_by_faces[(a[1], b[1])] for a, b in matching]
         for choice in itertools.product(*per_pair):
-            pairings = [
-                FacePairing(a, b, perm)
-                for (a, b), perm in zip(matching, choice)
-            ]
-            try:
-                yield make_triangulation(t, pairings)
-            except Exception:
-                continue
+            yield make_triangulation(t, [(*a, *b, perm) for (a, b), perm in zip(matching, choice)])
 
 
 def find_bad_link() -> Triangulation:

@@ -10,12 +10,14 @@ The 24 permutations are interned at import with int tables (inverse,
 parity, induced map on directed edges) and their text, so parsing and
 the orbit pass do no per-gluing validation, and ``format_triangulation``
 writes each line straight from the gluing table, the permutation's four
-digits read from the interned text.  ``make_triangulation`` writes both
-slots of each pairing into one table keyed by slot.  ``parse_triangulation`` reads the lines after
-the header once: one ``findall`` gives every line one match, and each
-gluing is written both ways straight into a list of face slots.  The
-same pass names every error: a bad line at once, a pairing error once
-the last line has been read.
+digits read from the interned text.  ``make_triangulation`` takes plain
+gluing tuples (tet, face, tet2, face2, perm); ``parse_triangulation``
+reads the lines after the header in one ``findall``, one match per
+line.  Each names a bad gluing at once, and both hand the gluings to
+one assembler, ``_assemble``, which writes each both ways into the face
+slots, the first write standing, and then names a clash ("pairing not
+an involution"), else a face glued to itself, else the first unpaired
+face.
 
 ``Triangulation.orbit_roots`` computes the vertex, edge and
 directed-edge orbits once per instance, in one walk around each
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, permutations
 from operator import eq
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class TriangulationError(ValueError):
@@ -240,129 +242,46 @@ def root_slots(roots: tuple[int, ...]) -> list[int]:
     return list(compress(count(), map(eq, roots, count())))
 
 
-def make_triangulation(t: int, pairings: list[FacePairing]) -> Triangulation:
-    """Assemble a Triangulation from pairings, enforcing the involution.
+def make_triangulation(t: int, gluings: Sequence[tuple]) -> Triangulation:
+    """Assemble a Triangulation from gluings (tet, face, tet2, face2, perm).
 
-    Both directions of every pairing go into one table, checked as they
-    go in.  The table is keyed by face slot 4*tet + face and holds only
-    what the pairings fill, so a large t with few pairings costs no work
-    of order t: the first unpaired slot lies within the filled ones.
+    The first gluing with a face out of range, or whose perm does not
+    send face to face2, is named at once; `_assemble` names the rest.
     """
-    table: dict[int, tuple[int, int, Permutation4]] = {}
-    for fp in pairings:
-        (tet, face), (tet2, face2), perm = fp.source, fp.target, fp.perm
-        # FacePairing holds each face to 0..3
-        if not 0 <= tet < t:
+    for tet, face, tet2, face2, perm in gluings:
+        if not (0 <= tet < t and 0 <= face < 4):
             raise TriangulationError(f"face index out of range: {tet}:{face}")
-        if not 0 <= tet2 < t:
+        if not (0 <= tet2 < t and 0 <= face2 < 4):
             raise TriangulationError(f"face index out of range: {tet2}:{face2}")
-        if tet == tet2 and face == face2:
-            raise TriangulationError(f"face {tet}:{face} glued to itself")
-        slot, entry = 4 * tet + face, (tet2, face2, perm)
-        prev = table.setdefault(slot, entry)
-        if prev is not entry and prev != entry:
-            raise _glued_twice(slot, prev, entry)
-        slot, entry = 4 * tet2 + face2, (tet, face, _PERMS[_PERM_INVERSE[perm.index]])
-        prev = table.setdefault(slot, entry)
-        if prev is not entry and prev != entry:
-            raise _glued_twice(slot, prev, entry)
-    if len(table) < 4 * t:
-        first = next(slot for slot in range(4 * t) if slot not in table)
-        raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
-    rows = [table[slot] for slot in range(4 * t)]
-    return Triangulation(t, tuple(zip(*[iter(rows)] * 4)))  # one row of four per tetrahedron
-
-
-def _glued_twice(slot: int, prev: tuple, entry: tuple) -> TriangulationError:
-    return TriangulationError(
-        "face {}:{} glued twice, inconsistently ({}:{} vs {}:{})".format(
-            *divmod(slot, 4), *prev[:2], *entry[:2]
-        )
-    )
-
-
-_HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
-# One line of gluings text: a gluing, a blank or comment line with no
-# group set, or else any other line, caught whole by the last group.
-# Blanks are whitespace other than a newline, so in MULTILINE mode over
-# lines joined by newlines each match is one whole line.
-_BLANK = r"[^\S\n]*"
-_GLUING_LINES_RE = re.compile(
-    rf"^{_BLANK}(?:(\d+){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d+){_BLANK}:{_BLANK}([0-3])"
-    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
-    re.MULTILINE,
-)
-_FACE_OF_TEXT = {str(face): face for face in range(4)}
-# perm text -> (perm, inverse)
-_PERM_PAIR = {str(perm): (perm, _PERMS[_PERM_INVERSE[perm.index]]) for perm in _PERMS}
-
-
-def parse_triangulation(text: str) -> Triangulation:
-    """Parse the line-based gluing format.
-
-    First non-comment line is ``t=<N>``; each following line is
-    ``<tet>:<face> -> <tet>:<face> perm=<abcd>`` where abcd is the image
-    of 0123.  ``#`` starts a comment.  Listing both directions is allowed
-    but they must be mutually inverse.  Fewer than 2t gluing lines leave
-    a face unpaired, and that is reported after work of the order of the
-    lines, whatever t is.
-
-    The lines after the header are read in one pass: rejoined with
-    newlines (so line boundaries are those of ``str.splitlines``) and
-    matched by one ``findall``, one match per line.  A line that does
-    not parse, or whose gluing is not a permutation, leaves the
-    tetrahedra or misses its face, is an error at once, so the first
-    such line is named.  Each gluing is written both ways into its two
-    face slots, the first write to a slot standing.  Pairing errors are
-    named once every line has been read: the first write that disagrees
-    with its slot ("pairing not an involution"), else the first face
-    glued to itself, else the first unpaired face.
-    """
-    lines = text.splitlines()
-    t = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            m = _HEADER_RE.match(line)
-            if not m:
-                raise TriangulationError(f"line {lineno}: expected 't=<N>' header")
-            t = int(m.group(1))
-            if t <= 0:
-                raise TriangulationError(f"line {lineno}: need at least one tetrahedron")
-            break
-    if t is None:
-        raise TriangulationError("missing 't=<N>' header")
-    found = _GLUING_LINES_RE.findall("\n".join(lines[lineno:]))
-    # a flat list of the 4t face slots costs no more than the text when
-    # the lines could fill it; when they cannot, a sparse map holds what
-    # they write, so a bare header costs no work of order t
-    dense = len(found) >= 2 * t
-    slots = [None] * (4 * t) if dense else defaultdict(lambda: None)
-    faces = _FACE_OF_TEXT
-    perm_pair = _PERM_PAIR.get
-    clash = self_glued = None
-    for lineno, (tet, face, tet2, face2, perm_text, other) in enumerate(found, start=lineno + 1):
-        if not perm_text:
-            if other:
-                line = other.split("#", 1)[0].strip()
-                raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
-            continue  # a blank or comment line
-        pair = perm_pair(perm_text)
-        if pair is None:
-            images = tuple(int(ch) for ch in perm_text)
-            raise TriangulationError(f"line {lineno}: not a permutation of 0..3: {images}")
-        tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
-        if tet >= t or tet2 >= t:
-            raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
-        perm, inverse = pair
         if perm.images[face] != face2:
             raise TriangulationError(
-                f"line {lineno}: perm does not send face {face} to face {face2}"
+                f"pairing {(tet, face)} -> {(tet2, face2)} does not map the "
+                f"opposite vertex correctly (perm={perm})"
             )
+    return _assemble(t, gluings)
+
+
+def _assemble(t: int, rows: Sequence[tuple]) -> Triangulation:
+    """The gluing table of t tetrahedra from checked rows (tet, face,
+    tet2, face2, perm), each written both ways into its face slots
+    4*tet + face, the first write to a slot standing.  Then the first
+    write that disagrees with its slot is named ("pairing not an
+    involution"), else the first face glued to itself, else the first
+    unpaired face.  A flat list of the 4t slots is used when the rows
+    could fill it; else a sparse map, so a large t with few rows costs no
+    work of order t: the first unpaired slot lies within the filled ones.
+    """
+    if t < 0:
+        raise TriangulationError(f"negative tetrahedron count: {t}")
+    dense = 2 * len(rows) >= 4 * t
+    slots = [None] * (4 * t) if dense else defaultdict(lambda: None)
+    perms, inverse = _PERMS, _PERM_INVERSE
+    clash = self_glued = None
+    for tet, face, tet2, face2, perm in rows:
         slot, slot2 = 4 * tet + face, 4 * tet2 + face2
         if slot == slot2 and self_glued is None:
             self_glued = slot
-        entry, back = (tet2, face2, perm), (tet, face, inverse)
+        entry, back = (tet2, face2, perm), (tet, face, perms[inverse[perm.index]])
         prev = slots[slot]
         if prev is None:
             slots[slot] = entry
@@ -383,6 +302,78 @@ def parse_triangulation(text: str) -> Triangulation:
         return Triangulation(t, tuple(zip(*[iter(slots)] * 4)))  # one row of four per tetrahedron
     first = next(slot for slot in count() if slots[slot] is None)
     raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
+
+
+_HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
+# One line of gluings text: a gluing, a blank or comment line with no
+# group set, or else any other line, caught whole by the last group.
+# Blanks are whitespace other than a newline, so in MULTILINE mode over
+# lines joined by newlines each match is one whole line.
+_BLANK = r"[^\S\n]*"
+_GLUING_LINES_RE = re.compile(
+    rf"^{_BLANK}(?:(\d+){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d+){_BLANK}:{_BLANK}([0-3])"
+    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
+    re.MULTILINE,
+)
+_FACE_OF_TEXT = {str(face): face for face in range(4)}
+_PERM_OF_TEXT = {str(perm): perm for perm in _PERMS}
+
+
+def parse_triangulation(text: str) -> Triangulation:
+    """Parse the line-based gluing format.
+
+    First non-comment line is ``t=<N>``; each following line is
+    ``<tet>:<face> -> <tet>:<face> perm=<abcd>`` where abcd is the image
+    of 0123.  ``#`` starts a comment.  Listing both directions is allowed
+    but they must be mutually inverse.  Fewer than 2t gluing lines leave
+    a face unpaired, and that is reported after work of the order of the
+    lines, whatever t is.
+
+    The lines after the header are read in one pass: rejoined with
+    newlines (so line boundaries are those of ``str.splitlines``) and
+    matched by one ``findall``, one match per line.  A line that does
+    not parse, or whose gluing is not a permutation, leaves the
+    tetrahedra or misses its face, is an error at once, so the first
+    such line is named.  The gluings are then assembled by `_assemble`,
+    as make_triangulation's are, which names the pairing errors.
+    """
+    lines = text.splitlines()
+    t = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            m = _HEADER_RE.match(line)
+            if not m:
+                raise TriangulationError(f"line {lineno}: expected 't=<N>' header")
+            t = int(m.group(1))
+            if t <= 0:
+                raise TriangulationError(f"line {lineno}: need at least one tetrahedron")
+            break
+    if t is None:
+        raise TriangulationError("missing 't=<N>' header")
+    found = _GLUING_LINES_RE.findall("\n".join(lines[lineno:]))
+    faces = _FACE_OF_TEXT
+    perm_of = _PERM_OF_TEXT.get
+    rows = []
+    for lineno, (tet, face, tet2, face2, perm_text, other) in enumerate(found, start=lineno + 1):
+        if not perm_text:
+            if other:
+                line = other.split("#", 1)[0].strip()
+                raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
+            continue  # a blank or comment line
+        perm = perm_of(perm_text)
+        if perm is None:
+            images = tuple(int(ch) for ch in perm_text)
+            raise TriangulationError(f"line {lineno}: not a permutation of 0..3: {images}")
+        tet, face, tet2, face2 = int(tet), faces[face], int(tet2), faces[face2]
+        if tet >= t or tet2 >= t:
+            raise TriangulationError(f"line {lineno}: tetrahedron index out of range")
+        if perm.images[face] != face2:
+            raise TriangulationError(
+                f"line {lineno}: perm does not send face {face} to face {face2}"
+            )
+        rows.append((tet, face, tet2, face2, perm))
+    return _assemble(t, rows)
 
 
 def format_triangulation(tri: Triangulation, comment: str = "") -> str:

@@ -29,10 +29,15 @@ plain one-product-per-letter word fold that fold_letters' period
 shortcut and verify's letter-count charge are checked against, and
 closure_by_rescan is the presentation
 closure's stated order, recounted from the words at every step.
+dual_presentation reads pi1 off the dual cell complex, its own walk
+around each edge sharing nothing with the library's orbit walk or
+fundamental_group, and s4_homomorphism_count compares two
+presentations by their number of homomorphisms into S4.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -650,32 +655,144 @@ def cell_fundamental_group(tri: Triangulation) -> GroupPresentation:
     return GroupPresentation(g=len(gen_index), relators=tuple(relators))
 
 
-def closure_assemble(t: int, gluings) -> Triangulation:
-    """Gluings (tet, face, tet2, face2, perm) recorded both ways into a
-    dict keyed by (tet, face) by a per-gluing closure, then checked for
-    gaps.  The first unpaired face in the order 4*tet + face lies among
-    the first len(table) + 1 of them, so only those are looked at, and a
-    large t costs no work of order t."""
-    table = {}
+def dual_presentation(tri: Triangulation) -> GroupPresentation:
+    """pi1 read off the dual cell complex: a generator per face pairing
+    off the breadth-first tree of `dual_graph`, and a relator per edge
+    class, the pairings crossed in one walk around the edge.
 
-    def record(tet, face, tet2, face2, perm):
+    The walk starts at the first (tet, edge) of the class and leaves
+    through the edge's smaller face; in each tetrahedron reached it
+    leaves through the edge's face other than the one it entered by,
+    until it is back at the start.  Crossing a pairing from its source
+    reads its generator, from its target the inverse.  For a closed
+    3-manifold the dual complex is a cell structure of it, so this
+    presents its fundamental group."""
+    graph = dual_graph(tri)
+    letter = {}  # (tet, face) -> (generator, +-1) when crossed from there
+    for fp in graph.non_tree_edges():
+        letter[fp.source] = (len(letter) // 2, 1)
+        letter[fp.target] = (len(letter) // 2, -1)
+    seen = set()  # (tet, edge as a set) already walked round
+    relators = []
+    for tet in range(tri.t):
+        for edge in EDGE_PAIRS:
+            if (tet, frozenset(edge)) in seen:
+                continue
+            here, face = tet, min(f for f in range(4) if f not in edge)
+            start = (here, frozenset(edge), face)
+            letters = []
+            while True:
+                seen.add((here, frozenset(edge)))
+                if (here, face) in letter:
+                    letters.append(letter[here, face])
+                here, entered, perm = tri.gluings[here][face]
+                edge = (perm(edge[0]), perm(edge[1]))
+                face = next(f for f in range(4) if f not in edge and f != entered)
+                if (here, frozenset(edge), face) == start:
+                    break
+            relators.append(reduced_word(Word(tuple(letters))))
+    return GroupPresentation(g=len(letter) // 2, relators=tuple(relators))
+
+
+def s4_homomorphism_count(pres: GroupPresentation) -> int:
+    """|Hom(G, S4)| for the group G that pres presents, by depth-first
+    search over the generators' images.
+
+    The order of the search is fixed first: a generator that occurs once
+    in a relator whose other generators come before it is solved from
+    that relator; else the one in most relator letters is tried as each
+    of the 24 elements.  Each relator is checked as soon as its last
+    generator has an image."""
+    elements = list(itertools.permutations(range(4)))
+    index = {x: k for k, x in enumerate(elements)}
+    mul = [[index[tuple(x[i] for i in y)] for y in elements] for x in elements]
+    inv = [index[tuple(x.index(v) for v in range(4))] for x in elements]
+    words = [w.letters for w in pres.relators]
+    steps = []  # (generator, (relator, position) or None, relators it completes)
+    known: set[int] = set()
+    pending = list(range(len(words)))
+    while len(known) < pres.g:
+        solve = None
+        for r in pending:
+            unknown = [k for k, (gen, _) in enumerate(words[r]) if gen not in known]
+            if len(unknown) == 1:
+                solve = (r, unknown[0])
+                break
+        if solve is not None:
+            gen = words[solve[0]][solve[1]][0]
+        else:
+            counts = collections.Counter(g for w in words for g, _ in w if g not in known)
+            gen = max(range(pres.g), key=lambda g: (g not in known, counts[g]))
+        known.add(gen)
+        done = [r for r in pending if all(g in known for g, _ in words[r])]
+        pending = [r for r in pending if r not in done]
+        steps.append((gen, solve, done))
+
+    def value(letters, images) -> int:
+        x = 0  # the identity is the first permutation
+        for gen, e in letters:
+            x = mul[x][images[gen] if e == 1 else inv[images[gen]]]
+        return x
+
+    images = {}
+
+    def search(i: int) -> int:
+        if i == len(steps):
+            return 1
+        gen, solve, done = steps[i]
+        if solve is None:
+            candidates = range(24)
+        else:  # u x^e v = 1, so x^e = u^-1 v^-1
+            letters, k = words[solve[0]], solve[1]
+            x = mul[inv[value(letters[:k], images)]][inv[value(letters[k + 1:], images)]]
+            candidates = [x if letters[k][1] == 1 else inv[x]]
+        total = 0
+        for x in candidates:
+            images[gen] = x
+            if all(value(words[r], images) == 0 for r in done):
+                total += search(i + 1)
+        del images[gen]
+        return total
+
+    return search(0)
+
+
+def closure_assemble(t: int, gluings) -> Triangulation:
+    """Gluings (tet, face, tet2, face2, perm) checked one by one, then
+    recorded both ways into a dict keyed by (tet, face) by a per-gluing
+    closure, the first record of a face standing.  Errors are named in
+    the parser's order: the first gluing out of range or whose perm
+    misses its face, then the first record that disagrees with its
+    face's, then the first face glued to itself, then the first unpaired
+    face.  That face lies among the first len(table) + 1 in the order
+    4*tet + face, so only those are looked at, and a large t costs no
+    work of order t.  A negative t with no gluing is refused."""
+    for tet, face, tet2, face2, perm in gluings:
         for tt, ff in ((tet, face), (tet2, face2)):
             if not (0 <= tt < t and 0 <= ff < 4):
                 raise TriangulationError(f"face index out of range: {tt}:{ff}")
-        if (tet, face) == (tet2, face2):
-            raise TriangulationError(f"face {tet}:{face} glued to itself")
-        entry = (tet2, face2, perm)
-        prev = table.get((tet, face))
-        if prev is not None and prev != entry:
+        if perm(face) != face2:
             raise TriangulationError(
-                f"face {tet}:{face} glued twice, inconsistently "
-                f"({prev[0]}:{prev[1]} vs {tet2}:{face2})"
+                f"pairing {(tet, face)} -> {(tet2, face2)} does not map the "
+                f"opposite vertex correctly (perm={perm})"
             )
-        table[tet, face] = entry
+    if t < 0:
+        raise TriangulationError(f"negative tetrahedron count: {t}")
+    table = {}
+    clashes = []
+
+    def record(tet, face, tet2, face2, perm):
+        if table.setdefault((tet, face), (tet2, face2, perm)) != (tet2, face2, perm):
+            clashes.append((tet, face))
 
     for tet, face, tet2, face2, perm in gluings:
         record(tet, face, tet2, face2, perm)
         record(tet2, face2, tet, face, perm.inverse())
+    if clashes:
+        raise TriangulationError("pairing not an involution at face {}:{}".format(*clashes[0]))
+    for tet, face, tet2, face2, _ in gluings:
+        if (tet, face) == (tet2, face2):
+            raise TriangulationError(f"face {tet}:{face} glued to itself")
     for slot in range(min(4 * t, len(table) + 1)):
         if divmod(slot, 4) not in table:
             raise TriangulationError("face {}:{} is unpaired".format(*divmod(slot, 4)))
@@ -732,17 +849,7 @@ def closure_parse_triangulation(text: str) -> Triangulation:
         gluings.append((tet, face, tet2, face2, perm))
     if t is None:
         raise TriangulationError("missing 't=<N>' header")
-    try:
-        return closure_assemble(t, gluings)
-    except TriangulationError:
-        seen = {}
-        for tet, face, tet2, face2, perm in gluings:
-            for source, target in (((tet, face), ((tet2, face2), perm)), ((tet2, face2), ((tet, face), perm.inverse()))):
-                if seen.setdefault(source, target) != target:
-                    raise TriangulationError(
-                        f"pairing not an involution at face {source[0]}:{source[1]}"
-                    ) from None
-        raise
+    return closure_assemble(t, gluings)
 
 
 # ----------------------------------------------------------------------
@@ -755,8 +862,7 @@ def random_gluing_table(t: int, rng: random.Random, connected: bool = True) -> T
     while True:
         slots = [(tet, face) for tet in range(t) for face in range(4)]
         rng.shuffle(slots)
-        pairings = []
-        ok = True
+        gluings = []
         for k in range(0, len(slots), 2):
             (tet, f), (tet2, g) = slots[k], slots[k + 1]
             others = [v for v in range(4) if v != f]
@@ -766,14 +872,8 @@ def random_gluing_table(t: int, rng: random.Random, connected: bool = True) -> T
             images[f] = g
             for v, w in zip(others, targets):
                 images[v] = w
-            try:
-                pairings.append(FacePairing((tet, f), (tet2, g), Permutation4(tuple(images))))
-            except Exception:
-                ok = False
-                break
-        if not ok:
-            continue
-        tri = make_triangulation(t, pairings)
+            gluings.append((tet, f, tet2, g, Permutation4(tuple(images))))
+        tri = make_triangulation(t, gluings)
         if connected and not is_connected(tri):
             continue
         return tri
@@ -800,24 +900,22 @@ def table_built_directly(rng: random.Random, sends_faces: bool = False) -> Trian
 
 def disjoint_union(a: Triangulation, b: Triangulation) -> Triangulation:
     """Tetrahedra of b renumbered after those of a, no gluing between them."""
-    shifted = [
-        FacePairing((fp.source[0] + a.t, fp.source[1]), (fp.target[0] + a.t, fp.target[1]), fp.perm)
-        for fp in b.pairings()
-    ]
-    return make_triangulation(a.t + b.t, a.pairings() + shifted)
+    shifted = relabeled_gluings(b, range(a.t, a.t + b.t))
+    return make_triangulation(a.t + b.t, relabeled_gluings(a, range(a.t)) + shifted)
 
 
 def relabel_triangulation(tri: Triangulation, perm: list[int]) -> Triangulation:
     """Rename tetrahedron i to perm[i]."""
-    pairings = [
-        FacePairing(
-            (perm[fp.source[0]], fp.source[1]),
-            (perm[fp.target[0]], fp.target[1]),
-            fp.perm,
-        )
+    return make_triangulation(tri.t, relabeled_gluings(tri, perm))
+
+
+def relabeled_gluings(tri: Triangulation, perm) -> list[tuple]:
+    """Each gluing of tri once, as (tet, face, tet2, face2, perm), with
+    tetrahedron i renamed perm[i]."""
+    return [
+        (perm[fp.source[0]], fp.source[1], perm[fp.target[0]], fp.target[1], fp.perm)
         for fp in tri.pairings()
     ]
-    return make_triangulation(tri.t, pairings)
 
 
 def random_presentation(rng: random.Random):

@@ -5,8 +5,9 @@ import stat
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from conftest import MERSENNE_PRIMES, fixture_path, toy_certificate_text
+from conftest import MERSENNE_PRIMES, fixture_path, fixture_text, toy_certificate_text
 from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
 
@@ -102,7 +103,7 @@ def test_verify_fig8():
 
 
 def test_verify_rejection_exits_one(tmp_path):
-    text = open(fixture_path("fig8.cert")).read()
+    text = fixture_text("fig8.cert")
     bad = text.replace("witness a b | b a", "witness a | a")
     path = tmp_path / "bad.cert"
     path.write_text(bad)
@@ -113,7 +114,7 @@ def test_verify_rejection_exits_one(tmp_path):
 
 def test_verify_powered_witness_exits_two(tmp_path):
     # x^100000 is 8 bytes; expanding it would cost 100000 multiplies
-    text = open(fixture_path("fig8.cert")).read()
+    text = fixture_text("fig8.cert")
     path = tmp_path / "powered.cert"
     path.write_text(text.replace("witness a b | b a", "witness a^100000 | b a"))
     out = run_cli("verify", str(path))
@@ -242,7 +243,7 @@ def test_pipeline_level_orbifold_is_not_a_choice(tmp_path):
 def test_verify_unknown_level_exits_two(tmp_path):
     # a level line is a syntax error, `level orbifold` included, with or
     # without --triangulation
-    text = open(fixture_path("fig8.cert")).read()
+    text = fixture_text("fig8.cert")
     path = tmp_path / "level.cert"
     for level in ("orbifold", "whatever junk"):
         path.write_text(text.replace("gens ", f"level {level}\ngens ", 1))
@@ -478,11 +479,11 @@ def test_deterministic_output(tmp_path):
     ):
         written = [args[args.index("-o") + 1]] if "-o" in args else []
         first = run_cli(*args)
-        first_bytes = [open(path, "rb").read() for path in written]
+        first_bytes = [Path(path).read_bytes() for path in written]
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0, args
         assert first.stdout == second.stdout, args
-        assert first_bytes == [open(path, "rb").read() for path in written]
+        assert first_bytes == [Path(path).read_bytes() for path in written]
         if "--json" in args:
             json.loads(first.stdout)
 

@@ -92,6 +92,12 @@ def test_prism_manifold_is_the_prism_manifold(m):
     assert abelianization(fundamental_group(tri)) == h1
 
 
+def test_enumerate_tables_yields_every_table_on_one_tetrahedron():
+    # 3 ways to pair the 4 faces, and 6 perms sending one face to another
+    # for each of the 2 pairs
+    assert sum(1 for _ in make_fixtures.enumerate_tables(1)) == 3 * 6 * 6 == 108
+
+
 def test_every_public_name_has_a_product_caller():
     # product callers: the library itself, scripts/, perfbench/ and the
     # acceptance tests; a name only unit tests or oracles use belongs there

@@ -30,16 +30,19 @@ from oracles import (
     cell_structure,
     chain_complex_h1,
     closure_by_rescan,
+    dual_presentation,
     exponent_matrix,
+    is_connected,
     psl_elements,
     random_gluing_table,
     random_presentation,
     reduced_word,
+    s4_homomorphism_count,
     word_power,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space, prism_manifold  # noqa: E402
+from make_fixtures import enumerate_tables, lens_space, prism_manifold  # noqa: E402
 
 MINIMAL_ONE_TET = """
 t=1
@@ -251,6 +254,26 @@ def test_lens_space_homology_is_cyclic_of_order_p():
         group = abelianization(fundamental_group(load_fixture(name)))
         assert group.free_rank == 0
         assert group.torsion == (p,)
+
+
+def test_pi1_has_as_many_homomorphisms_into_s4_as_the_dual_presentation():
+    """On every fixture, every L(p,q) with p < 30, prism_manifold(2..15)
+    and a seeded sample of the closed connected tables on two
+    tetrahedra, the presentation read off the edges and the one read off
+    the dual complex have the same number of homomorphisms into S4."""
+    tris = [load_fixture(name) for name in MANIFOLD_FIXTURES]
+    tris += [lens_space(p, q) for p in range(2, 30) for q in range(1, p) if math.gcd(p, q) == 1]
+    tris += [prism_manifold(m) for m in range(2, 16)]
+    rng = random.Random(2)
+    sample = [tri for tri in enumerate_tables(2) if rng.random() < 0.01]
+    tris += [tri for tri in sample if validate(tri).passed and is_connected(tri)]
+    assert len(tris) == 12 + 269 + 14 + 44
+    counts = set()
+    for tri in tris:
+        count = s4_homomorphism_count(fundamental_group(tri))
+        assert count == s4_homomorphism_count(dual_presentation(tri))
+        counts.add(count)
+    assert counts == {1, 9, 10, 16, 18, 24, 40, 52, 76, 100, 504}
 
 
 def test_relator_lengths_on_random_legal_tables():

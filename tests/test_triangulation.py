@@ -100,12 +100,19 @@ def test_bare_header_fails_without_work_of_order_t():
 
 def test_one_pairing_assembles_without_work_of_order_t():
     # make_triangulation's counterpart of the bare header: its table
-    # holds the two slots the pairing fills, not 4 * 10**12
-    pairing = FacePairing((0, 0), (0, 1), Permutation4((1, 0, 2, 3)))
+    # holds the two slots the gluing fills, not 4 * 10**12
+    gluing = (0, 0, 0, 1, Permutation4((1, 0, 2, 3)))
     start = time.perf_counter()
     with pytest.raises(TriangulationError, match="face 0:2 is unpaired"):
-        make_triangulation(10**12, [pairing])
+        make_triangulation(10**12, [gluing])
     assert time.perf_counter() - start < 0.1
+
+
+def test_negative_tetrahedron_count_is_refused():
+    with pytest.raises(TriangulationError, match="^negative tetrahedron count: -3$"):
+        make_triangulation(-3, [])
+    empty = make_triangulation(0, [])
+    assert (empty.t, empty.gluings) == (0, ())
 
 
 def test_few_gluings_name_the_first_unpaired_face():
@@ -308,24 +315,31 @@ def test_parse_equals_line_by_line_parse(rnd):
     assert _outcome_of(parse_triangulation, text) == _outcome_of(closure_parse_triangulation, text)
 
 
+_ALL_PERMS = [Permutation4(images) for images in itertools.permutations(range(4))]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.randoms(use_true_random=False))
+@given(st.integers(-1, 4), st.randoms(use_true_random=False))
 def test_assembly_equals_closure_assembly(t, rnd):
+    """Random gluings on t tetrahedra, each now and then with a face out
+    of range or a perm that misses its face; or a whole table with one
+    gluing more."""
     gluings = []
     for _ in range(rnd.randint(0, 2 * t + 3)):
-        tet, tet2 = rnd.randint(-1, t), rnd.randint(-1, t)
-        face, face2 = rnd.randrange(4), rnd.randrange(4)
-        rest = [v for v in range(4) if v != face2]
-        rnd.shuffle(rest)
-        images = [0] * 4
-        images[face] = face2
-        for v, w in zip([v for v in range(4) if v != face], rest):
-            images[v] = w
-        gluings.append(FacePairing((tet, face), (tet2, face2), Permutation4(tuple(images))))
-    if rnd.random() < 0.3:
-        gluings = random_gluing_table(t, rnd, connected=False).pairings() + gluings[:1]
-    tuples = [(*fp.source, *fp.target, fp.perm) for fp in gluings]
-    assert _outcome_of(make_triangulation, t, gluings) == _outcome_of(closure_assemble, t, tuples)
+        (tet, face), (tet2, face2) = (divmod(rnd.randrange(max(4 * t, 1)), 4) for _ in range(2))
+        perm = rnd.choice([perm for perm in _ALL_PERMS if perm(face) == face2])
+        fault = rnd.random()
+        if fault < 0.05:
+            tet = rnd.choice((-1, t))
+        elif fault < 0.1:
+            face2 = rnd.choice((-1, 4))
+        elif fault < 0.15:
+            perm = rnd.choice(_ALL_PERMS)
+        gluings.append((tet, face, tet2, face2, perm))
+    if t > 0 and rnd.random() < 0.3:
+        table = random_gluing_table(t, rnd, connected=False)
+        gluings = [(*fp.source, *fp.target, fp.perm) for fp in table.pairings()] + gluings[:1]
+    assert _outcome_of(make_triangulation, t, gluings) == _outcome_of(closure_assemble, t, gluings)
 
 
 def test_syntax_error_reports_line():

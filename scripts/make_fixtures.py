@@ -55,7 +55,7 @@ from lenscert.checker import Certificate, NON_ABELIAN, serialize, verify
 from lenscert.galois import FieldSpec, quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
-from lenscert.projmat import ProjMatrix
+from lenscert.projmat import ProjMatrix, evaluate_word
 from lenscert.triangulation import (
     Permutation4,
     Triangulation,
@@ -74,19 +74,13 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def boundary_4_simplex() -> Triangulation:
-    """S^3 as the boundary of the 4-simplex on vertices 0..4."""
-    tets = [tuple(v for v in range(5) if v != i) for i in range(5)]
-    gluings = []
-    for i, tet in enumerate(tets):
-        for local, g in enumerate(tet):
-            other = tets[g]
-            images = [0] * 4
-            for m, vertex in enumerate(tet):
-                images[m] = other.index(i) if m == local else other.index(vertex)
-            src, dst = (i, local), (g, other.index(i))
-            if src <= dst:
-                gluings.append((*src, *dst, Permutation4(tuple(images))))
-    return make_triangulation(5, gluings)
+    """S^3 as the boundary of the 4-simplex on vertices 0..4: every face
+    lies in two of its tetrahedra, so none has a boundary partner."""
+
+    def no_partner(pts):
+        raise RuntimeError(f"face {sorted(pts)} lies in one tetrahedron")
+
+    return _match_faces([tuple(v for v in range(5) if v != i) for i in range(5)], no_partner)
 
 
 def lens_space(p: int, q: int) -> Triangulation:
@@ -327,17 +321,8 @@ def brute_force_surjection(tri: Triangulation, base: tuple[int, int, int]) -> st
     elements = sorted(words, key=lambda m: (len(words[m].split()), words[m]))
 
     pres = fundamental_group(tri)
-    relator_sums = [w.letters for w in pres.relators]
     for assignment in itertools.product(elements, repeat=pres.g):
-        ok = True
-        for letters in relator_sums:
-            value = identity
-            for gen, exp in letters:
-                value = value.mul(assignment[gen] if exp == 1 else assignment[gen].inverse())
-            if not value.is_identity():
-                ok = False
-                break
-        if not ok:
+        if not all(evaluate_word(assignment, w).is_identity() for w in pres.relators):
             continue
         nonabelian = any(
             assignment[i].mul(assignment[j]) != assignment[j].mul(assignment[i])

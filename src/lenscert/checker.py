@@ -17,14 +17,15 @@ gens line without its labels.
 Each invariant is checked once, where a certificate comes in:
 
 - parse checks line by line: spelling and spacing, canonical decimals
-  (galois.parse_decimal), every word letter against the letter table of
-  the names it is over (so each letter is a known generator with
-  exponent +-1) and free reduction, reduced abelian images, and image
-  and surjection lines in the order of the gens line.  The gens line and
-  each matrix line are accepted by one regex matched against the whole
-  line, whose groups are canonical decimals and labels
-  (presentation.is_label's pattern): so the labels need no other check
-  than distinctness, and a matrix's coordinates go straight to ints, in
+  (galois.parse_decimal), every word token against the letter table of
+  the names it is over (presentation.letter_table and read_word, the one
+  word reader: a token is `label` or `label^-1`, so each letter is a
+  known generator with exponent +-1) and free reduction, reduced abelian
+  images, and image and surjection lines in the order of the gens line.
+  The gens line and each matrix line are accepted by one regex matched
+  against the whole line, built from galois.DECIMAL_PATTERN and
+  presentation.LABEL_PATTERN: so the labels need no other check than
+  distinctness, and a matrix's coordinates go straight to ints, in
   range when their max is below p, with det 1 checked by
   ProjMatrix.from_reduced and the sign normalization serialize writes by
   one compare.  A line either regex refuses goes to a diagnose function
@@ -91,14 +92,17 @@ from itertools import chain
 from operator import itemgetter
 from typing import NoReturn, Optional, Sequence
 
-from .galois import FieldSpec, parse_coords, parse_decimal
+from .galois import DECIMAL_PATTERN, FieldSpec, parse_coords, parse_decimal
 from .presentation import (
+    LABEL_PATTERN,
     GroupPresentation,
     Word,
     format_presentation,
     format_word,
     fundamental_group,
     is_label,
+    letter_table,
+    read_word,
 )
 from .projmat import _IDENTITY, ProjMatrix, coord_table, fold_letters, letter_coords
 from .triangulation import DisconnectedError, Triangulation, validate
@@ -266,15 +270,14 @@ def _format_certificate(cert: Certificate) -> str:
 # Tokens are separated by single spaces, as serialize writes them.  The gens
 # line and each degree's matrix line are accepted by one regex, matched
 # against the whole line (fullmatch), whose groups are canonical decimals
-# (as galois.parse_decimal reads them) and labels (as presentation.is_label
-# reads them); a line the regex refuses goes to a diagnose function that
-# names the error and always raises.
-_DECIMAL = "(0|[1-9][0-9]*)"
-_LABEL = "[A-Za-z_][A-Za-z0-9_]*"
-_GENS_RE = re.compile(rf"gens {_DECIMAL}(?: {_LABEL})*")
+# (galois.DECIMAL_PATTERN) and labels (presentation.LABEL_PATTERN); a line
+# the regex refuses goes to a diagnose function that names the error and
+# always raises.
+_NUMBER = f"({DECIMAL_PATTERN})"
+_GENS_RE = re.compile(rf"gens {_NUMBER}(?: {LABEL_PATTERN})*")
 _MATRIX_RES = {
-    deg: re.compile(rf"gen ({_LABEL}) = \[\[{e},{e}\],\[{e},{e}\]\]")
-    for deg, e in ((1, _DECIMAL), (2, rf"{_DECIMAL}\+{_DECIMAL}\*w"))
+    deg: re.compile(rf"gen ({LABEL_PATTERN}) = \[\[{e},{e}\],\[{e},{e}\]\]")
+    for deg, e in ((1, _NUMBER), (2, rf"{_NUMBER}\+{_NUMBER}\*w"))
 }
 # what the matrix block takes for a matrix line at all: the first line it
 # does not take ends the block
@@ -310,31 +313,15 @@ class _Reader:
         return CertificateSyntaxError(f"line {self.pos}: {message}")
 
 
-def _letter_table(labels: tuple[str, ...]) -> dict[str, tuple[int, int]]:
-    """Token -> letter for the canonical spellings `label` and `label^-1`."""
-    table = {}
-    for k, lab in enumerate(labels):
-        table[lab] = (k, 1)
-        table[lab + "^-1"] = (k, -1)
-    return table
-
-
 def _parse_reduced_word(
     reader: _Reader, text: str, letters: dict[str, tuple[int, int]]
 ) -> Word:
-    """A certificate word: one letter per single-space-separated token, so
-    parse and evaluation cost stay linear in the text.  Any exponent other
-    than `^-1` is a syntax error."""
+    """A certificate word, read by presentation.read_word, that is freely
+    reduced."""
     try:
-        word = Word.from_checked(tuple(map(letters.__getitem__, text.split(" ") if text else ())))
-    except KeyError as exc:
-        token = exc.args[0]
-        name, caret, _ = token.partition("^")
-        if caret and name + "^-1" in letters:
-            raise reader.error(
-                f"exponent in {token!r}: certificate words allow only '^-1'"
-            ) from None
-        raise reader.error(f"unknown generator {name!r} in word") from None
+        word = read_word(text, letters)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
     if not word.is_reduced():
         raise reader.error(f"word {text!r} is not freely reduced")
     return word
@@ -374,7 +361,7 @@ def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
     labels = tuple(parts[2:])
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
-    relators = _read_relators(reader, _letter_table(labels))
+    relators = _read_relators(reader, letter_table(labels))
     try:
         GroupPresentation(g, relators, labels)
     except ValueError as exc:
@@ -402,7 +389,7 @@ def parse(text: str) -> Certificate:
         _diagnose_gens(reader, line)
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
-    letters = _letter_table(labels)
+    letters = letter_table(labels)
     relators = _read_relators(reader, letters)
     try:
         pres = GroupPresentation.from_checked(g, relators, labels)
@@ -525,7 +512,7 @@ def _parse_rep(
     surjection = None
     if reader.peek() == "surjection":
         reader.next()
-        rep_letters = _letter_table(tuple(rep_gens))
+        rep_letters = letter_table(rep_gens)
         words = []
         for label in labels:
             sm = _SURJ_RE.match(reader.next())

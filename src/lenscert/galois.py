@@ -26,6 +26,7 @@ Anything from psi_13 up is an error, never a probabilistic accept.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -322,10 +323,14 @@ class FieldElement:
         return f"{self.a}+{self.b}*w"
 
 
+# a canonical decimal: ASCII, no sign, no leading zero, so str() gives it back
+DECIMAL_PATTERN = "(?:0|[1-9][0-9]*)"
+_DECIMAL_RE = re.compile(DECIMAL_PATTERN)
+
+
 def parse_decimal(text: str) -> int:
-    """A canonical decimal, 0|[1-9][0-9]* in ASCII: no sign, no leading
-    zero, no '_' and no other script's digits, so str() gives text back."""
-    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+    """The int a canonical decimal (DECIMAL_PATTERN) spells."""
+    if _DECIMAL_RE.fullmatch(text):
         return int(text)
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 

@@ -23,6 +23,10 @@ the left-over relators alone.  A presentation keeps nothing but its
 generators, relators and labels: `intlinalg.seed_core` runs `closure`
 and `lift` into Z^k for H1 and the step-1 certificate, and this module
 imports nothing of `intlinalg`.
+
+`read_word` is the one reader of words in text, certificates' and
+surjection files' alike: it reads exactly the tokens `format_word`
+writes, `label` and `label^-1` separated by single spaces.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .galois import parse_decimal
 from .triangulation import (
     DIRECTED_INDEX,
     EDGE_DIRECTIONS,
@@ -46,7 +49,8 @@ from .triangulation import (
 from .unionfind import UnionFind
 
 # a generator label: ASCII, a letter or '_' first, then letters, digits or '_'
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+LABEL_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
+_LABEL_RE = re.compile(LABEL_PATTERN)
 
 
 def is_label(text: str) -> bool:
@@ -170,39 +174,33 @@ def format_word(word: Word, labels: tuple[str, ...]) -> str:
     )
 
 
-# Largest |k| accepted in a token x^k.  The word is expanded letter by
-# letter, so the cap bounds the letters (and later the matrix products)
-# that one short token can cost.
-MAX_WORD_EXPONENT = 100
+def letter_table(labels: Sequence[str]) -> dict[str, tuple[int, int]]:
+    """Token -> letter for the two spellings format_word writes of a
+    label's letters, `label` and `label^-1`: the only tokens a word has."""
+    table = {}
+    for k, lab in enumerate(labels):
+        table[lab] = (k, 1)
+        table[lab + "^-1"] = (k, -1)
+    return table
 
 
-def parse_word(text: str, labels: tuple[str, ...]) -> Word:
-    """Tokens `label` or `label^k` with |k| <= MAX_WORD_EXPONENT, k a
-    canonical decimal (galois.parse_decimal) after an optional '-'."""
-    # one shared (gen, +1) and (gen, -1) tuple per label, not one per letter
-    letter_of = {lab: ((k, 1), (k, -1)) for k, lab in enumerate(labels)}
-    letters: list[tuple[int, int]] = []
-    for token in text.split():
-        name, caret, exp_text = token.partition("^")
-        if name not in letter_of:
-            raise ValueError(f"unknown generator {name!r} in word")
-        exp = 1
-        if caret:
-            try:
-                if exp_text[:1] == "-":
-                    exp = -parse_decimal(exp_text[1:])
-                else:
-                    exp = parse_decimal(exp_text)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-            if abs(exp) > MAX_WORD_EXPONENT:
-                raise ValueError(
-                    f"exponent in token {token!r} exceeds {MAX_WORD_EXPONENT} in absolute value"
-                )
-        if exp == 0:
-            continue
-        letters.extend([letter_of[name][exp < 0]] * abs(exp))
-    return Word(tuple(letters))
+def read_word(text: str, table: dict[str, tuple[int, int]]) -> Word:
+    """The word of text's single-space-separated tokens, one table lookup
+    each, so reading is linear in the text; a token not in the table is
+    a ValueError that names it."""
+    try:
+        return Word.from_checked(tuple(map(table.__getitem__, text.split(" ") if text else ())))
+    except KeyError as exc:
+        token = exc.args[0]
+        name, caret, _ = token.partition("^")
+        if caret and name + "^-1" in table:
+            raise ValueError(f"exponent in {token!r}: certificate words allow only '^-1'") from None
+        raise ValueError(f"unknown generator {name!r} in word") from None
+
+
+def parse_word(text: str, labels: Sequence[str]) -> Word:
+    """read_word over labels, with the tokens separated by any whitespace."""
+    return read_word(" ".join(text.split()), letter_table(labels))
 
 
 def format_presentation(pres: GroupPresentation) -> list[str]:

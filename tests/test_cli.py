@@ -309,6 +309,22 @@ def test_pipeline_names_the_check_a_surjection_fails(tmp_path):
     assert not (tmp_path / "prism.cert").exists()
 
 
+def test_pipeline_surjection_file_allows_only_the_inverse_exponent(tmp_path, capsys):
+    # a surjection file spells its words as a certificate does: x^2 is a
+    # syntax error, not x x
+    surj = tmp_path / "prism.surj"
+    surj.write_text(
+        fixture_text("prism_q12.surj").replace("gen x1 -> x\n", "gen x1 -> x^2\n"), encoding="utf-8"
+    )
+    target = tmp_path / "prism.cert"
+    args = ["pipeline", fixture_path("prism_q12.tri"), "--base", "2,2,3"]
+    assert cli_main([*args, "--surjection", str(surj), "-o", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: exponent in 'x^2': certificate words allow only '^-1'\n"
+    )
+    assert not target.exists()
+
+
 def test_pipeline_nonorientable_is_error():
     out = run_cli("pipeline", fixture_path("s2xs1_twisted.tri"), "--base", "2,3,7")
     assert out.returncode == 2

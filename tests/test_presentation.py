@@ -13,7 +13,7 @@ from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.galois import FieldSpec
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import (
-    MAX_WORD_EXPONENT,
+    LABEL_PATTERN,
     Closure,
     GroupPresentation,
     Word,
@@ -21,8 +21,10 @@ from lenscert.presentation import (
     format_presentation,
     format_word,
     fundamental_group,
+    letter_table,
     lift,
     parse_word,
+    read_word,
 )
 from lenscert.projmat import ProjMatrix
 from lenscert.triangulation import parse_triangulation, validate
@@ -104,24 +106,42 @@ def test_word_format_roundtrip():
     labels = ("a", "b")
     w = parse_word("a b^-1 a a", labels)
     assert format_word(w, labels) == "a b^-1 a a"
-    assert parse_word("a^3", labels) == Word(((0, 1),) * 3)
-    assert parse_word("b^-2", labels) == Word(((1, -1),) * 2)
+    # a surjection file may space its tokens freely
+    assert parse_word(" a\tb^-1  a\na ", labels) == w
+    assert parse_word("", labels) == parse_word("  ", labels) == Word()
 
 
-@pytest.mark.parametrize("token", ["x^+3", "y^0_2", "x^٣", "x^03", "x^", "x^-", "x^--1"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_word_reads_back_format_word(data):
+    label = st.from_regex(LABEL_PATTERN, fullmatch=True)
+    labels = tuple(data.draw(st.lists(label, min_size=1, max_size=5, unique=True)))
+    letters = st.tuples(st.integers(0, len(labels) - 1), st.sampled_from((1, -1)))
+    w = Word(tuple(data.draw(st.lists(letters, max_size=12))))
+    text = format_word(w, labels)
+    assert parse_word(text, labels) == w
+    assert read_word(text, letter_table(labels)) == w
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["x^2", "x^0", "x^1", "x^-2", "x^+1", "x^+3", "y^0_2", "x^٣", "x^03", "x^", "x^-", "x^--1"],
+)
 def test_parse_word_exponent_is_a_canonical_decimal(token):
-    with pytest.raises(ValueError, match="bad exponent"):
-        parse_word(token, ("x", "y"))
-    assert parse_word("x^3 y^-2 x^0 y^-0", ("x", "y")) == Word(((0, 1),) * 3 + ((1, -1),) * 2)
+    # the one exponent a word spells is '^-1': every other, canonical
+    # decimal or not, is refused by name
+    with pytest.raises(ValueError) as raised:
+        parse_word(f"y {token} y", ("x", "y"))
+    assert str(raised.value) == f"exponent in {token!r}: certificate words allow only '^-1'"
 
 
-def test_parse_word_caps_exponent_before_expanding():
-    labels = ("a",)
-    limit = MAX_WORD_EXPONENT
-    assert len(parse_word(f"a^{limit} a^-{limit}", labels)) == 2 * limit
-    for token in (f"a^{limit + 1}", f"a^-{limit + 1}", "a^100000000000000"):
-        with pytest.raises(ValueError, match="exceeds"):
-            parse_word(token, labels)
+def test_read_word_names_an_unknown_generator():
+    table = letter_table(("x", "y"))
+    for text in ("x z", "x z^-1", "x z^2", "x  y", "x "):
+        name = text.split(" ")[1].partition("^")[0]
+        with pytest.raises(ValueError) as raised:
+            read_word(text, table)
+        assert str(raised.value) == f"unknown generator {name!r} in word"
 
 
 # ----------------------------------------------------------------------

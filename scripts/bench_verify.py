@@ -7,7 +7,7 @@ things per certificate, grouped by kind and field degree:
 
   * verify_us: parse of the certificate text plus verify;
   * relator_fold_us: the relators x^n1, y^n2, (xy)^n3 folded with
-    projmat.fold_letters over the images' coordinate table (matrix
+    fold_letters over the images' coordinate table (matrix
     certificates only), the part of verify that a faster fold moves.
 
 One measurement is the median, over --repeats passes, of a pass's mean
@@ -88,6 +88,7 @@ def _median_pass_us(items, run, repeats: int) -> tuple[float, float]:
 def measure(max_n: int, repeats: int) -> dict:
     """One measurement of the lenscert package on sys.path."""
     from lenscert.certificate import parse, serialize, triangle_certificate, verify
+    # projmat defines these in older trees and imports them from psl in this one
     from lenscert.projmat import fold_letters, letter_coords
     from lenscert.trianglerep import hyperbolic_triples
 

@@ -52,10 +52,11 @@ if __name__ == "__main__":  # run as a script, build with this checkout's packag
 
 from lenscert.certificate import pipeline
 from lenscert.checker import Certificate, NON_ABELIAN, serialize, verify
-from lenscert.galois import FieldSpec, quadratic_extension, sqrt_mod_p
+from lenscert.galois import quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
-from lenscert.projmat import ProjMatrix, evaluate_word
+from lenscert.projmat import evaluate_word
+from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert.triangulation import (
     Permutation4,
     Triangulation,

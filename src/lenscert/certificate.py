@@ -124,7 +124,7 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     cert, image_info = _triangle_group_certificate(t)
     info = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature, **image_info}
     if cert.field is not None:
-        info["field_size"] = cert.field.order
+        info["field_size"] = cert.field.p**cert.field.degree
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built certificate fails verification: {outcome.reason}")

@@ -2,7 +2,7 @@
 
 Two kinds of witness exist: a surjection onto a non-cyclic abelian group
 Z/a x Z/b, or a non-abelian image in SL(2, R)/{+-I}, where the field line
-names R = Z/p[w]/(w^2 - s) (galois.FieldSpec).  For any odd p >= 3 and
+names R = Z/p[w]/(w^2 - s) (psl.FieldSpec).  For any odd p >= 3 and
 0 < s < p that is a group in which I != -I, which is all soundness needs:
 so parse checks the line's shape, and R need not be a field.
 Verification is polynomial with exact operation tallies; a malformed
@@ -17,20 +17,20 @@ gens line without its labels.
 Each invariant is checked once, where a certificate comes in:
 
 - parse checks line by line: spelling and spacing, canonical decimals
-  (galois.parse_decimal), every word token against the letter table of
+  (psl.parse_decimal), every word token against the letter table of
   the names it is over (presentation.letter_table and read_word, the one
   word reader: a token is `label` or `label^-1`, so each letter is a
   known generator with exponent +-1) and free reduction, reduced abelian
   images, and image and surjection lines in the order of the gens line.
   The gens line and each matrix line are accepted by one regex matched
-  against the whole line, built from galois.DECIMAL_PATTERN and
+  against the whole line, built from psl.DECIMAL_PATTERN and
   presentation.LABEL_PATTERN: so the labels need no other check than
   distinctness, and a matrix's coordinates go straight to ints, in
   range when their max is below p, with det 1 checked by
   ProjMatrix.from_reduced and the sign normalization serialize writes by
   one compare.  A line either regex refuses goes to a diagnose function
   (_diagnose_gens, _diagnose_matrix) that runs the per-field checks
-  (galois.parse_coords, is_label) only to name the error, and always
+  (psl.parse_coords, is_label) only to name the error, and always
   raises.  Words and the presentation are then built by
   Word.from_checked and GroupPresentation.from_checked, which trust the
   letter table and the gens regex, and Certificate._check_fields checks
@@ -39,7 +39,7 @@ Each invariant is checked once, where a certificate comes in:
   to the labels when there is no surjection.  parse records the length
   of the text it read as text_bytes, which is its byte count: every line
   it accepts is an exact string or is made of `[0-9]` and
-  galois.parse_decimal numbers and ASCII labels and letter-table tokens.
+  psl.parse_decimal numbers and ASCII labels and letter-table tokens.
 - The constructors check a certificate built in code: Certificate runs
   _check_fields and then checks every word, matrix name and image field
   as parse does; Word checks its letters and GroupPresentation its labels
@@ -51,12 +51,12 @@ Each invariant is checked once, where a certificate comes in:
   serialize after verify reuses that text; dataclasses.replace and parse
   never carry it, so serialize(parse(text)) writes the text anew.  The
   images' coordinates and inverses are taken once per certificate
-  (projmat.letter_coords), and every word is one projmat.fold_letters,
+  (psl.letter_coords), and every word is one psl.fold_letters,
   which takes a word with a short period, such as x^n or (xy)^n, by
   square-and-multiply.  Without a surjection a generator's image is
   read from its coordinates; with one, each surjection word is folded
   once, into the image of its presentation generator
-  (projmat.coord_table).  The relators and the witness are then folded
+  (psl.coord_table).  The relators and the witness are then folded
   over the generators' images.
 - verify reports the paper's cost model, which this module alone
   applies.  It charges each word it reads from the word itself, in the
@@ -77,9 +77,9 @@ Each invariant is checked once, where a certificate comes in:
   given triangulation: a closed connected 3-manifold whose own
   fundamental group is the certificate's presentation.
 
-This module is the trusted part of the package: it imports galois,
-presentation, projmat and triangulation, and nothing else.  The
-producers in certificate import it, never the reverse.
+This module is the trusted part of the package: it imports psl,
+presentation and triangulation, and nothing else.  The producers in
+certificate import it, never the reverse.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ from itertools import chain
 from operator import itemgetter
 from typing import NoReturn, Optional, Sequence
 
-from .galois import DECIMAL_PATTERN, FieldSpec, parse_coords, parse_decimal
 from .presentation import (
     LABEL_PATTERN,
     GroupPresentation,
@@ -104,7 +103,8 @@ from .presentation import (
     letter_table,
     read_word,
 )
-from .projmat import _IDENTITY, ProjMatrix, coord_table, fold_letters, letter_coords
+from .psl import DECIMAL_PATTERN, FieldSpec, parse_coords, parse_decimal
+from .psl import _IDENTITY, ProjMatrix, coord_table, fold_letters, letter_coords
 from .triangulation import DisconnectedError, Triangulation, validate
 
 NON_ABELIAN = "NonAbelianRep"
@@ -270,7 +270,7 @@ def _format_certificate(cert: Certificate) -> str:
 # Tokens are separated by single spaces, as serialize writes them.  The gens
 # line and each degree's matrix line are accepted by one regex, matched
 # against the whole line (fullmatch), whose groups are canonical decimals
-# (galois.DECIMAL_PATTERN) and labels (presentation.LABEL_PATTERN); a line
+# (psl.DECIMAL_PATTERN) and labels (presentation.LABEL_PATTERN); a line
 # the regex refuses goes to a diagnose function that names the error and
 # always raises.
 _NUMBER = f"({DECIMAL_PATTERN})"
@@ -446,7 +446,7 @@ def _diagnose_matrix(reader: _Reader, line: str, spec: FieldSpec) -> NoReturn:
     takes but the field's regex refuses, or with a coordinate out of
     range or with more digits than int() converts.  The checks run in
     the order they name errors: each entry's syntax and range
-    (galois.parse_coords), det 1, sign normalization, the label."""
+    (psl.parse_coords), det 1, sign normalization, the label."""
     gm = _MATRIX_LINE_RE.match(line)
     try:
         a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))

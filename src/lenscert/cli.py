@@ -127,13 +127,15 @@ def cmd_pi1(args) -> int:
     tri = _load_triangulation(args.triangulation)
     pres = fundamental_group(tri)
     block = format_presentation(pres)
+    # total symbol length: all generators plus all relator letters
+    size = pres.g + sum(len(w) for w in pres.relators)
     doc = {
         "generators": pres.g,
         "relators": len(pres.relators),
-        "size": pres.size(),
+        "size": size,
         "presentation": block,
     }
-    _emit(doc, args.json, block + [f"size={pres.size()}"])
+    _emit(doc, args.json, block + [f"size={size}"])
     return 0
 
 
@@ -205,7 +207,7 @@ def cmd_verify(args) -> int:
         # the paper's field budget |F| <= 2^(20t) * 3^(120t), in bits;
         # reported, not gated on, as the paper's constant is not explicit
         budget = round(tri.t * (20 + 120 * math.log2(3)), 1)
-        bits = cert.field.order.bit_length() if cert.field else None
+        bits = (cert.field.p**cert.field.degree).bit_length() if cert.field else None
         doc.update(t=tri.t, field_bits=bits, field_budget_bits=budget)
         lines.append(f"t={tri.t} field_bits={bits} field_budget_bits={budget}")
     _emit(doc, args.json, lines)

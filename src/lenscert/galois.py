@@ -1,8 +1,8 @@
-"""Arithmetic in Z/p[w]/(w^2 - s), prime search in arithmetic progressions.
+"""The producers' number theory: prime search, factoring, roots mod p.
 
-A FieldSpec names that ring, a field when a producer builds it: F_p from
-a p it proved prime, F_{p^2} as F_p[w] with w^2 = s, the smallest positive
-nonresidue, so serialized elements are reproducible bit-for-bit.
+A producer makes a psl.FieldSpec a field: F_p from a p it proved prime,
+F_{p^2} as F_p[w] with w^2 = s, the smallest positive nonresidue, so
+serialized elements are reproducible bit-for-bit.
 
 Primality is decided by strong probable-prime tests to the first k prime
 bases, which are deterministic below psi_k, the least strong pseudoprime
@@ -26,10 +26,10 @@ Anything from psi_13 up is an error, never a probabilistic accept.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+
+from .psl import FieldElement, FieldSpec
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, the first k bases), from the table above
@@ -207,147 +207,11 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     return min(x, p - x)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Z/p (degree 1) or Z/p[w]/(w^2 - s) (degree 2): a field when a
-    producer builds it, from a p it proved prime and a nonresidue s.  Only
-    the shape is checked here, so the checker trusts a ring, not a field."""
-
-    p: int
-    degree: int = 1
-    s: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.p < 3 or not self.p & 1:
-            raise ValueError(f"field modulus must be odd and at least 3, got {self.p}")
-        if self.degree not in (1, 2):
-            raise ValueError("only degree 1 and 2 fields are supported")
-        if self.degree == 1:
-            if self.s is not None:
-                raise ValueError("s only makes sense for degree 2")
-        elif self.s is None:
-            raise ValueError("degree 2 needs s, the square of w")
-        elif not 0 < self.s < self.p:
-            raise ValueError(f"s={self.s} is not in [1, {self.p})")
-
-    @property
-    def order(self) -> int:
-        return self.p**self.degree
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1, 0)
-
-    def element(self, a: int, b: int = 0) -> "FieldElement":
-        return FieldElement(self, a, b)
-
-
 def quadratic_extension(base: FieldSpec) -> FieldSpec:
     """F_{p^2} over the prime field base, with w^2 the smallest nonresidue."""
     if base.degree != 1:
         raise ValueError("quadratic_extension needs a prime field")
     return FieldSpec(base.p, 2, smallest_nonresidue(base.p))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """a (degree 1) or a + b*w (degree 2), coordinates reduced mod p."""
-
-    spec: FieldSpec
-    a: int
-    b: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", self.a % self.spec.p)
-        object.__setattr__(self, "b", self.b % self.spec.p)
-        if self.spec.degree == 1 and self.b:
-            raise ValueError("degree-1 element with a w coordinate")
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("field spec mismatch")
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, -self.a, -self.b)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.spec.p
-        if self.spec.degree == 1:
-            return FieldElement(self.spec, self.a * other.a % p)
-        s = self.spec.s
-        a = (self.a * other.a + s * self.b * other.b) % p
-        b = (self.a * other.b + self.b * other.a) % p
-        return FieldElement(self.spec, a, b)
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.spec.p
-        if self.spec.degree == 1:
-            return FieldElement(self.spec, pow(self.a, p - 2, p))
-        norm = (self.a * self.a - self.spec.s * self.b * self.b) % p
-        ninv = pow(norm, p - 2, p)
-        return FieldElement(self.spec, self.a * ninv, -self.b * ninv)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = self.spec.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __str__(self) -> str:
-        if self.spec.degree == 1:
-            return str(self.a)
-        return f"{self.a}+{self.b}*w"
-
-
-# a canonical decimal: ASCII, no sign, no leading zero, so str() gives it back
-DECIMAL_PATTERN = "(?:0|[1-9][0-9]*)"
-_DECIMAL_RE = re.compile(DECIMAL_PATTERN)
-
-
-def parse_decimal(text: str) -> int:
-    """The int a canonical decimal (DECIMAL_PATTERN) spells."""
-    if _DECIMAL_RE.fullmatch(text):
-        return int(text)
-    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-
-
-def parse_coords(text: str, spec: FieldSpec) -> tuple[int, int]:
-    """The coordinates (a, b) of a field element written canonically:
-    "a" over F_p, "a+b*w" over F_{p^2}, each coordinate in [0, p)."""
-    if spec.degree == 1:
-        a, b = parse_decimal(text), 0
-    else:
-        main, _, wpart = text.partition("+")
-        if not wpart.endswith("*w"):
-            raise ValueError(f"bad degree-2 element syntax: {text!r}")
-        a, b = parse_decimal(main), parse_decimal(wpart[:-2])
-    if a >= spec.p or b >= spec.p:
-        raise ValueError(f"coordinate {a if a >= spec.p else b} out of range for p={spec.p}")
-    return a, b
 
 
 def primitive_root(p: int) -> int:

@@ -81,12 +81,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
-
     def is_reduced(self) -> bool:
         """No letter is followed by its inverse: one scan over adjacent
         pairs that allocates nothing."""
@@ -162,10 +156,6 @@ class GroupPresentation:
             for lab in self.labels:
                 if not is_label(lab):
                     raise ValueError(f"bad generator label {lab!r}")
-
-    def size(self) -> int:
-        """Total symbol length: all generators plus all relator letters."""
-        return self.g + sum(len(w) for w in self.relators)
 
 
 def format_word(word: Word, labels: tuple[str, ...]) -> str:

@@ -1,0 +1,424 @@
+"""The ring Z/p[w]/(w^2 - s) and PSL(2) over it: the arithmetic the checker runs.
+
+A FieldSpec names that ring and checks only its shape, so the checker
+trusts a ring, not a field; the producers make it one with galois.
+
+A matrix is stored as its field spec and eight reduced ints
+(a0, a1, b0, b1, c0, c1, d0, d1): entry k is v[2k] + v[2k+1]*w, and the
+odd coordinates are 0 over a prime field.  Products, inverses and
+powers run on these ints; FieldElement appears only at the boundary
+(the public constructor and the a, b, c, d, entries and trace views).
+
+det = 1 is checked once, when a matrix is built from outside data:
+ProjMatrix(a, b, c, d) from field elements, or ProjMatrix.from_reduced
+from ints already reduced mod p.  A product or inverse of
+determinant-1 matrices has determinant 1, so results are built without
+a recheck.
+
+Products run on raw 8-int tuples in two places that do the same
+multiplies: the kernel _mul_coords, which mul and _power_coords (the
+square-and-multiply loop of power) call, and fold_letters, which
+multiplies a word's letters inline, on 4 ints over F_p and 8 over
+F_{p^2}, to save a call and a tuple per letter.  A word is one
+fold_letters over the coordinates of the images and their inverses
+(letter_coords, or coord_table for images given by their coordinates),
+which projmat.evaluate_word takes per call and a verifier once per
+certificate; an inverse is taken only for a generator that a fold reads
+with exponent -1.  fold_letters multiplies letter by letter unless the
+word has a period d <= 4, as the relators x^n and (xy)^n of a triangle
+group do: then it is w^k u, and w^k costs O(d + log k) products instead
+of n.
+
+The +-M ambiguity is resolved at construction: the first nonzero of the
+eight coordinates is forced into [0, (p-1)/2], which holds one of x and
+-x as p is odd, so equality is coordinate equality.  A fold of
+unnormalized representatives is the product up to sign, so it is
+normalized once, at the end.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+_IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """Z/p (degree 1) or Z/p[w]/(w^2 - s) (degree 2): p odd and at least
+    3, and 0 < s < p."""
+
+    p: int
+    degree: int = 1
+    s: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.p < 3 or not self.p & 1:
+            raise ValueError(f"field modulus must be odd and at least 3, got {self.p}")
+        if self.degree not in (1, 2):
+            raise ValueError("only degree 1 and 2 fields are supported")
+        if self.degree == 1:
+            if self.s is not None:
+                raise ValueError("s only makes sense for degree 2")
+        elif self.s is None:
+            raise ValueError("degree 2 needs s, the square of w")
+        elif not 0 < self.s < self.p:
+            raise ValueError(f"s={self.s} is not in [1, {self.p})")
+
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, 0, 0)
+
+    def one(self) -> "FieldElement":
+        return FieldElement(self, 1, 0)
+
+    def element(self, a: int, b: int = 0) -> "FieldElement":
+        return FieldElement(self, a, b)
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """a (degree 1) or a + b*w (degree 2), coordinates reduced mod p."""
+
+    spec: FieldSpec
+    a: int
+    b: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", self.a % self.spec.p)
+        object.__setattr__(self, "b", self.b % self.spec.p)
+        if self.spec.degree == 1 and self.b:
+            raise ValueError("degree-1 element with a w coordinate")
+
+    def _check(self, other: "FieldElement") -> None:
+        if self.spec != other.spec:
+            raise ValueError("field spec mismatch")
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        self._check(other)
+        return FieldElement(self.spec, self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        self._check(other)
+        return FieldElement(self.spec, self.a - other.a, self.b - other.b)
+
+    def __neg__(self) -> "FieldElement":
+        return FieldElement(self.spec, -self.a, -self.b)
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        self._check(other)
+        p = self.spec.p
+        if self.spec.degree == 1:
+            return FieldElement(self.spec, self.a * other.a % p)
+        s = self.spec.s
+        a = (self.a * other.a + s * self.b * other.b) % p
+        b = (self.a * other.b + self.b * other.a) % p
+        return FieldElement(self.spec, a, b)
+
+    def inverse(self) -> "FieldElement":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero field element")
+        p = self.spec.p
+        if self.spec.degree == 1:
+            return FieldElement(self.spec, pow(self.a, p - 2, p))
+        norm = (self.a * self.a - self.spec.s * self.b * self.b) % p
+        ninv = pow(norm, p - 2, p)
+        return FieldElement(self.spec, self.a * ninv, -self.b * ninv)
+
+    def __truediv__(self, other: "FieldElement") -> "FieldElement":
+        return self * other.inverse()
+
+    def __pow__(self, n: int) -> "FieldElement":
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        out = self.spec.one()
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __str__(self) -> str:
+        if self.spec.degree == 1:
+            return str(self.a)
+        return f"{self.a}+{self.b}*w"
+
+
+# a canonical decimal: ASCII, no sign, no leading zero, so str() gives it back
+DECIMAL_PATTERN = "(?:0|[1-9][0-9]*)"
+_DECIMAL_RE = re.compile(DECIMAL_PATTERN)
+
+
+def parse_decimal(text: str) -> int:
+    """The int a canonical decimal (DECIMAL_PATTERN) spells."""
+    if _DECIMAL_RE.fullmatch(text):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+def parse_coords(text: str, spec: FieldSpec) -> tuple[int, int]:
+    """The coordinates (a, b) of a field element written canonically:
+    "a" over F_p, "a+b*w" over F_{p^2}, each coordinate in [0, p)."""
+    if spec.degree == 1:
+        a, b = parse_decimal(text), 0
+    else:
+        main, _, wpart = text.partition("+")
+        if not wpart.endswith("*w"):
+            raise ValueError(f"bad degree-2 element syntax: {text!r}")
+        a, b = parse_decimal(main), parse_decimal(wpart[:-2])
+    if a >= spec.p or b >= spec.p:
+        raise ValueError(f"coordinate {a if a >= spec.p else b} out of range for p={spec.p}")
+    return a, b
+
+
+def _mul_coords(p: int, s: int, u: tuple, v: tuple) -> tuple:
+    """Coordinates of the product of u and v, reduced but not
+    sign-normalized; s is the nonresidue, 0 over a prime field."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = u
+    e0, e1, f0, f1, g0, g1, h0, h1 = v
+    if not s:
+        return (
+            (a0 * e0 + b0 * g0) % p, 0,
+            (a0 * f0 + b0 * h0) % p, 0,
+            (c0 * e0 + d0 * g0) % p, 0,
+            (c0 * f0 + d0 * h0) % p, 0,
+        )
+    return (
+        (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
+        (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
+        (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
+        (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
+        (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
+        (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
+        (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
+        (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
+    )
+
+
+def _inverse_coords(p: int, v: tuple) -> tuple:
+    """The adjugate (d, -b, -c, a): the inverse of a determinant-1 matrix."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = v
+    return (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1)
+
+
+def _power_coords(p: int, s: int, v: tuple, k: int) -> tuple:
+    """Coordinates of v^k for k >= 0 by square-and-multiply: at most
+    2*log2(k) products, reduced but not sign-normalized."""
+    out = None  # the identity, which the first factor replaces unmultiplied
+    while k:
+        if k & 1:
+            out = v if out is None else _mul_coords(p, s, out, v)
+        k >>= 1
+        if k:
+            v = _mul_coords(p, s, v, v)
+    return out or _IDENTITY
+
+
+def _sign_normalized(p: int, v: tuple) -> tuple:
+    for x in v:
+        if x:
+            if x > (p - 1) >> 1:
+                a0, a1, b0, b1, c0, c1, d0, d1 = v
+                return (-a0 % p, -a1 % p, -b0 % p, -b1 % p, -c0 % p, -c1 % p, -d0 % p, -d1 % p)
+            break
+    return v
+
+
+def _check_det(spec: FieldSpec, v: tuple) -> None:
+    p, s = spec.p, spec.s or 0
+    a0, a1, b0, b1, c0, c1, d0, d1 = v
+    det = (
+        (a0 * d0 + s * a1 * d1 - b0 * c0 - s * b1 * c1) % p,
+        (a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0) % p,
+    )
+    if det != (1, 0):
+        raise ValueError(f"matrix determinant is {spec.element(*det)}, not 1")
+
+
+def _from_coords(spec: FieldSpec, v: tuple) -> "ProjMatrix":
+    """The matrix with coordinates v, known to have determinant 1."""
+    m = object.__new__(ProjMatrix)
+    object.__setattr__(m, "spec", spec)
+    object.__setattr__(m, "coords", _sign_normalized(spec.p, v))
+    return m
+
+
+class ProjMatrix:
+    __slots__ = ("spec", "coords")
+
+    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement) -> None:
+        spec = a.spec
+        if b.spec != spec or c.spec != spec or d.spec != spec:
+            raise ValueError("matrix entries from different fields")
+        v = (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
+        _check_det(spec, v)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coords", _sign_normalized(spec.p, v))
+
+    @staticmethod
+    def from_reduced(spec: FieldSpec, v: tuple) -> "ProjMatrix":
+        """The matrix with coordinates (a0, a1, b0, b1, c0, c1, d0, d1),
+        already reduced mod p and the odd ones 0 over a prime field, as
+        parse_coords gives them: only the determinant is checked, and
+        ValueError is raised unless it is 1."""
+        _check_det(spec, v)
+        return _from_coords(spec, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ProjMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjMatrix):
+            return NotImplemented
+        return self.coords == other.coords and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    @staticmethod
+    def identity(spec: FieldSpec) -> "ProjMatrix":
+        return _from_coords(spec, _IDENTITY)
+
+    def is_identity(self) -> bool:
+        return self.coords == _IDENTITY
+
+    def mul(self, other: "ProjMatrix") -> "ProjMatrix":
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise ValueError("field spec mismatch")
+        return _from_coords(spec, _mul_coords(spec.p, spec.s or 0, self.coords, other.coords))
+
+    def inverse(self) -> "ProjMatrix":
+        return _from_coords(self.spec, _inverse_coords(self.spec.p, self.coords))
+
+    def power(self, n: int) -> "ProjMatrix":
+        p, s = self.spec.p, self.spec.s or 0
+        base = self.coords if n >= 0 else _inverse_coords(p, self.coords)
+        return _from_coords(self.spec, _power_coords(p, s, base, abs(n)))
+
+    def _entry(self, k: int) -> FieldElement:
+        return FieldElement(self.spec, self.coords[2 * k], self.coords[2 * k + 1])
+
+    @property
+    def a(self) -> FieldElement:
+        return self._entry(0)
+
+    @property
+    def b(self) -> FieldElement:
+        return self._entry(1)
+
+    @property
+    def c(self) -> FieldElement:
+        return self._entry(2)
+
+    @property
+    def d(self) -> FieldElement:
+        return self._entry(3)
+
+    def trace(self) -> FieldElement:
+        """Trace of the normalized representative (defined up to sign)."""
+        v = self.coords
+        return FieldElement(self.spec, v[0] + v[6], v[1] + v[7])
+
+    def entries(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
+        return (self.a, self.b, self.c, self.d)
+
+    def __str__(self) -> str:
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
+        if self.spec.degree == 1:
+            return f"[[{a0},{b0}],[{c0},{d0}]]"
+        return f"[[{a0}+{a1}*w,{b0}+{b1}*w],[{c0}+{c1}*w,{d0}+{d1}*w]]"
+
+    def __repr__(self) -> str:
+        return f"ProjMatrix({self})"
+
+
+class _Inverses(dict):
+    """Generator -> the coordinates of its image's inverse, each taken the
+    first time a fold reads it, so a generator with no ^-1 letter costs
+    no inverse."""
+
+    __slots__ = ("p", "coords")
+
+    def __missing__(self, gen: int) -> tuple:
+        v = self[gen] = _inverse_coords(self.p, self.coords[gen])
+        return v
+
+
+def letter_coords(images: Sequence[ProjMatrix]) -> tuple:
+    """The coordinates of the images and of their inverses, for many
+    folds: table[1][k] is image k and table[-1][k] its inverse, taken
+    once and only when a fold first reads it.  The images must share one
+    field."""
+    return coord_table(images[0].spec.p, [m.coords for m in images])
+
+
+def coord_table(p: int, coords: list) -> tuple:
+    """letter_coords for images given by their coordinates over F_p or
+    F_{p^2}, as fold_letters returns them; the list may be empty."""
+    # set after construction: an __init__ would cost more than the inverses
+    inverses = _Inverses()
+    inverses.p, inverses.coords = p, coords
+    return (None, coords, inverses)
+
+
+def _period(letters: Sequence[tuple[int, int]]) -> int:
+    """The least d <= 4 with letters[i] == letters[i + d] for every i, or
+    0; each test is two slices and one compare, run in C."""
+    for d in range(1, 5):
+        # the one-letter compare refuses most aperiodic words unsliced
+        if letters[d] == letters[0] and letters[d:] == letters[:-d]:
+            return d
+    return 0
+
+
+def fold_letters(spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int]]) -> tuple:
+    """Sign-normalized coordinates of the left-to-right product of
+    table[exp][gen] over the letters (gen, exp).  A word of n >= 6
+    letters with a period d <= 4 (letters[i] == letters[i + d]
+    throughout) is w^k u, with w its first d letters, k = n // d and
+    u = w[:n % d]: w and u are folded letter by letter and w^k is taken
+    by square-and-multiply, the same product of the same factors up to
+    sign.  Any other word takes the multiplies of one _mul_coords per
+    letter, inline."""
+    p, s = spec.p, spec.s or 0
+    n = len(letters)
+    period = _period(letters) if n >= 6 else 0
+    if period:
+        # w and u have fewer than 6 letters, so they are folded inline
+        k, r = divmod(n, period)
+        out = _power_coords(p, s, fold_letters(spec, table, letters[:period]), k)
+        if r:
+            out = _mul_coords(p, s, out, fold_letters(spec, table, letters[:r]))
+    elif not s:
+        a, b, c, d = 1, 0, 0, 1
+        for gen, exp in letters:
+            e, _, f, _, g, _, h, _ = table[exp][gen]
+            # a row of the product needs only that row of the left factor
+            a, b = (a * e + b * g) % p, (a * f + b * h) % p
+            c, d = (c * e + d * g) % p, (c * f + d * h) % p
+        out = (a, 0, b, 0, c, 0, d, 0)
+    else:
+        a0, a1, b0, b1, c0, c1, d0, d1 = _IDENTITY
+        for gen, exp in letters:
+            e0, e1, f0, f1, g0, g1, h0, h1 = table[exp][gen]
+            a0, a1, b0, b1, c0, c1, d0, d1 = (
+                (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
+                (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
+                (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
+                (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
+                (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
+                (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
+                (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
+                (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
+            )
+        out = (a0, a1, b0, b1, c0, c1, d0, d1)
+    return _sign_normalized(p, out)

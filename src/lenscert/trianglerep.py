@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .galois import (
-    FieldSpec,
     euler_phi,
     factorize,
     imaginary_unit,
@@ -50,7 +49,8 @@ from .galois import (
     sqrt_mod_p,
 )
 from .presentation import GroupPresentation, Word
-from .projmat import ProjMatrix, has_order
+from .projmat import has_order
+from .psl import FieldSpec, ProjMatrix
 
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
@@ -490,7 +490,7 @@ def bound_report(
             degree_within_bound=degree_within,
         )
     if spec is not None:
-        size, budget = spec.order, ell**10
+        size, budget = spec.p**spec.degree, ell**10
         try:
             ratio = size / budget
         except OverflowError:

@@ -56,8 +56,6 @@ from lenscert.checker import (
     subgroup_invariants,
 )
 from lenscert.galois import (
-    FieldElement,
-    FieldSpec,
     factorize,
     imaginary_unit,
     is_quadratic_residue,
@@ -68,7 +66,8 @@ from lenscert.galois import (
 )
 from lenscert.intlinalg import IntMatrix
 from lenscert.presentation import GroupPresentation, Word
-from lenscert.projmat import ProjMatrix, projective_order
+from lenscert.projmat import projective_order
+from lenscert.psl import FieldElement, FieldSpec, ProjMatrix
 from lenscert.trianglerep import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -618,6 +617,11 @@ def _skeleton_tree(cs: CellStructure) -> set[int]:
             uf.union(va, vb)
             tree.add(cls)
     return tree
+
+
+def inverse_word(w: Word) -> Word:
+    """The inverse of w: its letters reversed, each exponent negated."""
+    return Word(tuple((g, -e) for g, e in reversed(w.letters)))
 
 
 def reduced_word(w: Word) -> Word:
@@ -1254,7 +1258,7 @@ def spliced_word_image(cert: Certificate, word: Word):
             letters = ((gen, exp),)
         else:
             pushed = cert.surjection[gen]
-            letters = (pushed if exp == 1 else pushed.inverse()).letters
+            letters = (pushed if exp == 1 else inverse_word(pushed)).letters
         for k, e in letters:
             out = matrix_product(out, mats[k] if e == 1 else matrix_inverse(mats[k]))
     return out
@@ -1320,7 +1324,7 @@ def snf_subgroup_invariants(a: int, b: int, images) -> tuple[int, int]:
 
 
 def psl_group_order(spec: FieldSpec) -> int:
-    q = spec.order
+    q = spec.p**spec.degree
     return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
@@ -1329,7 +1333,7 @@ def element_order(x: FieldElement) -> int:
     if x.is_zero():
         raise ValueError("zero has no multiplicative order")
     one = x.spec.one()
-    n = x.spec.order - 1
+    n = x.spec.p**x.spec.degree - 1
     for q in factorize(n):
         while n % q == 0 and x ** (n // q) == one:
             n //= q
@@ -1338,7 +1342,7 @@ def element_order(x: FieldElement) -> int:
 
 def word_power(base: Word, n: int) -> Word:
     if n < 0:
-        return word_power(base.inverse(), -n)
+        return word_power(inverse_word(base), -n)
     return Word(base.letters * n)
 
 

@@ -31,10 +31,10 @@ from lenscert.checker import (
     verify_bound,
 )
 from lenscert.cli import main as cli_main
-from lenscert.galois import FieldSpec, is_prime, quadratic_extension
+from lenscert.galois import is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
 from lenscert.presentation import GroupPresentation, Word, fundamental_group, parse_word
-from lenscert.projmat import ProjMatrix
+from lenscert.psl import FieldSpec, ProjMatrix
 from oracles import (
     dense_abelian_report,
     equal_up_to_sign,
@@ -864,7 +864,7 @@ def test_commuting_images_never_accepted(data):
         field=spec,
         rep_gens=labels,
         rep_images=mats,
-        witness=(u * v, v * u),
+        witness=(Word(u.letters + v.letters), Word(v.letters + u.letters)),
     )
     assert not verify(cert).accepted
 
@@ -1233,6 +1233,46 @@ def rep_certificates(draw, specs=SPECS):
     return cert
 
 
+# Toy certificates without a surjection over F_7, F_49 = F_7[w]/(w^2 - 3),
+# Z/105 and Z/15[w]/(w^2 - 2): accepted, rejected at relator 0, and
+# rejected by equal witness images.  Derandomized draws take their seed
+# from the drawing function's source text, so the cells the tests below
+# assert are each given one of these, lifted or not, as an example.
+TOY_EXAMPLES = tuple(
+    parse(text)
+    for base in (
+        toy_certificate_text(7),
+        toy_certificate_text(7, s=3),
+        toy_certificate_text(105),
+        toy_certificate_text(15, s=2),
+    )
+    for text in (
+        base,
+        base.replace("rels 0\n", "rels 1\nx\n"),
+        base.replace("witness x y | y x", "witness x y | x y"),
+    )
+)
+# NonCyclicAbelian certificates onto Z/2 x Z/2 with a -> (1,0): rejected
+# at relator 0 (a) and at relator 1 (a a, then a)
+ABELIAN_EXAMPLES = tuple(
+    Certificate(
+        kind=NON_CYCLIC,
+        presentation=GroupPresentation(2, relators, ("a", "b")),
+        target=(2, 2),
+        abelian_images=((1, 0), (0, 1)),
+    )
+    for relators in ((Word(((0, 1),)),), (Word(((0, 1), (0, 1))), Word(((0, 1),))))
+)
+
+
+def lifted(cert: Certificate) -> Certificate:
+    """cert with the same images read through a surjection of one-letter
+    words."""
+    g = cert.presentation.g
+    words = tuple(Word(((i, 1),)) for i in range(g))
+    return replace(cert, rep_gens=("x", "y", "z")[:g], surjection=words)
+
+
 def test_verify_matches_the_spliced_surjection_oracle():
     """verify folds each surjection word once and makes no generator
     check; the oracle spells every letter out through the surjection and
@@ -1262,6 +1302,17 @@ def test_verify_matches_the_spliced_surjection_oracle():
         if report.accepted and cert.surjection is not None:
             accepted_through_surjection.add((is_prime(cert.field.p), cert.field.degree))
 
+    # whatever the draws give, each reason asserted below has an example,
+    # and so has acceptance through a surjection over F_7, Z/105 and
+    # Z/15[w]/(w^2 - 2)
+    toy = toy_certificate_text(7)
+    identity = "[[1,0],[0,1]]"
+    trivial = toy.replace("[[1,1],[0,1]]", identity).replace("[[1,0],[1,1]]", identity)
+    not_rotations = toy.replace("witness x y | y x", "witness x | y")
+    examples = [*TOY_EXAMPLES[:3], parse(trivial), parse(not_rotations)]
+    examples += [lifted(cert) for cert in TOY_EXAMPLES[::3] if cert.field != FieldSpec(7, 2, 3)]
+    for cert in examples:
+        check = example(cert)(check)
     check()
     assert accepted_through_surjection == {(True, 1), (False, 1), (False, 2)}
     assert None in seen and "every generator maps to the identity" in seen
@@ -1301,20 +1352,6 @@ def _oracle_charge(cert: Certificate) -> tuple[int, int, int]:
     return relator_mults, counts[0], counts[1]
 
 
-# Ring certificates without a surjection, over Z/15[w]/(w^2 - 2) and Z/105:
-# accepted, rejected at relator 0, and rejected by equal witness images.
-# Derandomized draws almost never give the first of these.
-RING_EXAMPLES = tuple(
-    parse(text)
-    for base in (toy_certificate_text(15, s=2), toy_certificate_text(105))
-    for text in (
-        base,
-        base.replace("rels 0\n", "rels 1\nx\n"),
-        base.replace("witness x y | y x", "witness x y | x y"),
-    )
-)
-
-
 def test_verify_charges_exactly_the_words_it_reads():
     """The report's letter-count charge equals letter_by_letter_fold's
     counts over the surjection words, the relators up to and including
@@ -1336,9 +1373,7 @@ def test_verify_charges_exactly_the_words_it_reads():
             ab, ba = Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1)))
             cert = replace(cert, witness=(ab, ba))
         if lift and cert.surjection is None:
-            # the same images, read through a surjection of one-letter words
-            words = tuple(Word(((i, 1),)) for i in range(g))
-            cert = replace(cert, rep_gens=("x", "y", "z")[:g], surjection=words)
+            cert = lifted(cert)
         report = verify(parse(serialize(cert)))
         charge = (report.relator_mat_mults, report.mat_mults, report.field_ops)
         assert charge == _oracle_charge(cert)
@@ -1365,10 +1400,13 @@ def test_verify_charges_exactly_the_words_it_reads():
         assert report.field_ops == 4 * nonzero
         seen.add(("abelian", k))
 
-    # added after the definition, so check_rep's source, which seeds its
-    # derandomized draws, stays as it was
-    for cert in RING_EXAMPLES:
-        check_rep = example(cert, False, False)(check_rep)
+    # each cell asserted below has an explicit example, with and without a
+    # surjection, whatever the draws give
+    for cert in TOY_EXAMPLES:
+        for lift in (False, True):
+            check_rep = example(cert, False, lift)(check_rep)
+    for cert in ABELIAN_EXAMPLES:
+        check_abelian = example(cert)(check_abelian)
     check_rep()
     check_abelian()
     outcomes = ("accepted", "relator", "equal")
@@ -1688,7 +1726,9 @@ def test_costs_monotone_in_presentation_size():
     sizes = []
     for m in (3, 9, 27, 81):
         cert, _ = triangle_certificate(2, 2, m)
-        sizes.append((cert.presentation.size(), verify(cert).relator_mat_mults))
+        pres = cert.presentation
+        size = pres.g + sum(len(w) for w in pres.relators)
+        sizes.append((size, verify(cert).relator_mat_mults))
     assert sizes == sorted(sizes)
     for size, cost in sizes:
         assert cost == size - 2  # total relator letters

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenscert.galois import (
-    FieldSpec,
     PrimalityBoundError,
     SearchLimitExceeded,
     euler_phi,
@@ -15,8 +14,6 @@ from lenscert.galois import (
     is_prime,
     is_quadratic_residue,
     linnik_ratio,
-    parse_coords,
-    parse_decimal,
     primitive_root,
     quadratic_extension,
     root_of_unity,
@@ -24,6 +21,7 @@ from lenscert.galois import (
     smallest_prime_in_progression,
     sqrt_mod_p,
 )
+from lenscert.psl import FieldSpec, parse_coords, parse_decimal
 from oracles import element_order, primes_in_progression_by_scan
 
 
@@ -146,7 +144,7 @@ def test_field_spec_validation():
         FieldSpec(5, 1, 2)
     with pytest.raises(ValueError):
         FieldSpec(5, 3, 2)
-    assert FieldSpec(5, 2, 2).order == 25
+    assert FieldSpec(5, 2, 2).s == 2
 
 
 def test_field_spec_checks_its_shape_only():
@@ -155,7 +153,7 @@ def test_field_spec_checks_its_shape_only():
     for p in (9, 15, 105, PSI[12], PSI[13], 2**127 - 1, 2**2203 - 1):
         assert FieldSpec(p).p == p
         assert FieldSpec(p, 2, 1).s == 1
-    assert FieldSpec(5, 2, 4).order == 25  # 4 is a square mod 5
+    assert FieldSpec(5, 2, 4).s == 4  # 4 is a square mod 5
 
 
 def test_smallest_nonresidue_values():

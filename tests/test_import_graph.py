@@ -5,7 +5,7 @@ so nothing is imported to draw it, and followed transitively inside the
 lenscert package.  The package's `__init__` is a node too, one that
 imports no lenscert module, so `import lenscert.checker` loads only the
 modules the graph reaches from checker; a subprocess checks that it
-does.
+does, and that README states how many lines those modules hold.
 """
 
 import ast
@@ -16,10 +16,11 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 PACKAGE = os.path.join(SRC, "lenscert")
-CHECKER = ("galois", "triangulation", "unionfind", "presentation", "projmat", "checker")
-PRODUCERS = {"intlinalg", "trianglerep", "certificate", "cli"}
-TRUSTED = {"galois", "presentation", "projmat", "triangulation", "unionfind"}
+CHECKER = ("psl", "triangulation", "unionfind", "presentation", "checker")
+PRODUCERS = {"galois", "projmat", "intlinalg", "trianglerep", "certificate", "cli"}
+TRUSTED = {"psl", "presentation", "triangulation", "unionfind"}
 
 
 def _modules() -> set[str]:
@@ -80,12 +81,22 @@ def test_the_checker_reaches_only_the_trusted_modules():
 
 
 def test_importing_the_checker_loads_only_the_trusted_modules():
+    """The loaded-line count is the physical lines of every lenscert file
+    that a fresh `import lenscert.checker` loads, __init__ included."""
     script = (
-        "import sys, lenscert.checker; "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert')))"
+        "import sys, lenscert.checker\n"
+        "names = sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert')\n"
+        "lines = 0\n"
+        "for name in names:\n"
+        "    with open(sys.modules[name].__file__, encoding='utf-8') as handle:\n"
+        "        lines += len(handle.read().splitlines())\n"
+        "print(lines, *names)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
+    lines, *out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert out == sorted({"lenscert", "lenscert.checker"} | {f"lenscert.{m}" for m in TRUSTED})
+    with open(README, encoding="utf-8") as handle:
+        readme = " ".join(handle.read().split())
+    assert f"`import lenscert.checker` loads {int(lines):,} source lines" in readme

@@ -36,9 +36,9 @@ from make_fixtures import lens_space  # noqa: E402
 
 
 def triangle_presentation_333():
-    x, y = Word(((0, 1),)), Word(((1, 1),))
+    x, y, xy = Word(((0, 1),)), Word(((1, 1),)), Word(((0, 1), (1, 1)))
     return GroupPresentation(
-        2, (word_power(x, 3), word_power(y, 3), word_power(x * y, 3)), labels=("x", "y")
+        2, (word_power(x, 3), word_power(y, 3), word_power(xy, 3)), labels=("x", "y")
     )
 
 

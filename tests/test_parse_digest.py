@@ -8,16 +8,19 @@ each way that applies to it (see edited_texts), one edit per text.  The
 digest covers, for every base and edited text, serialize(parse(text)) or
 the class and message of the exception parse raised.
 PARSE_OUTCOME_SHA256 was computed on the parser that read every matrix
-coordinate with galois.parse_coords and every label with
+coordinate with parse_coords (now psl's) and every label with
 presentation.is_label, so a rewrite of the parse path that moves one
 accepted byte or one error message fails here.
 """
 
 import functools
 import hashlib
+import importlib
+import inspect
 import itertools
 import re
 import sys
+import types
 
 import pytest
 
@@ -25,6 +28,8 @@ from conftest import MERSENNE_PRIMES, fixture_text, load_fixture, toy_certificat
 from lenscert import checker
 from lenscert.certificate import pipeline, triangle_certificate
 from lenscert.checker import HEADER, CertificateSyntaxError, parse, serialize, verify, verify_bound
+from lenscert.triangulation import parse_triangulation
+from test_import_graph import CHECKER
 
 # re-pinned when step 1 came to read its images off the seed core's
 # column transform V: the prism_q8 and t3_torus base texts have new
@@ -163,13 +168,13 @@ def test_diagnose_fallback_always_raises(monkeypatch, name):
 
 def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
     """parse, verify and verify_bound trust the field line's shape alone.
-    With every binding of galois.is_prime, is_quadratic_residue and
-    smallest_nonresidue made to raise, each base text, the toy
-    certificate over Mersenne primes beyond the primality range and over
-    the rings Z/15 and Z/105 (with w^2 = s or not) gets the reports it
-    gets unpatched; verify_bound runs against the Seifert texts' own
-    triangulations, and the other texts against L(7,2), whose group
-    none of them is about."""
+    With every binding of the producers' is_prime, is_quadratic_residue
+    and smallest_nonresidue (galois, which the checker does not load)
+    made to raise, each base text, the toy certificate over Mersenne
+    primes beyond the primality range and over the rings Z/15 and Z/105
+    (with w^2 = s or not) gets the reports it gets unpatched;
+    verify_bound runs against the Seifert texts' own triangulations, and
+    the other texts against L(7,2), whose group none of them is about."""
     # built unpatched, as the producers prove their primes
     bases = [text for text, is_base in corpus() if is_base]
     own = dict(zip(bases[-len(SEIFERT):], (load_fixture(name) for name, _, _ in SEIFERT)))
@@ -200,3 +205,111 @@ def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
     assert reports() == expected
     assert all(report.accepted for _, report, _ in expected[len(bases):])
     assert [bound.accepted for _, _, bound in expected].count(True) == len(SEIFERT)
+
+
+# Why a function of the checker's modules stays there although the
+# checker never runs it; any other function the checker does not run
+# belongs in a producer module.
+ITEM_15 = "perfbench reads it, so it moves with perfbench's rewrite (ROADMAP item 15)"
+BUILT = "a certificate built in code needs it"
+ITEM_1 = "the cyclic certificate (ROADMAP item 1) makes it trusted"
+NOT_RUN = {
+    "checker.Certificate.__post_init__": BUILT,
+    **{f"psl.FieldSpec.{name}": ITEM_15 for name in ("zero", "one")},
+    **{
+        f"psl.FieldElement.{name}": ITEM_15
+        for name in (
+            "_check", "is_zero", "__add__", "__sub__", "__neg__", "__mul__", "inverse",
+            "__truediv__", "__pow__",
+        )
+    },
+    **{
+        f"psl.ProjMatrix.{name}": ITEM_15
+        for name in (
+            "__init__", "is_identity", "mul", "inverse", "power",
+            "_entry", "a", "b", "c", "d", "trace", "entries",
+        )
+    },
+    **{
+        f"psl.ProjMatrix.{name}": BUILT
+        for name in ("__setattr__", "__delattr__", "__eq__", "__hash__", "identity", "__repr__")
+    },
+    "presentation.Word.__post_init__": BUILT,
+    "presentation.Word.max_generator": BUILT,
+    "presentation.GroupPresentation.__post_init__": BUILT,
+    "presentation.parse_word": BUILT,
+    "presentation.closure": ITEM_1,
+    "presentation.closure.determine": ITEM_1,
+    "presentation.lift": ITEM_1,
+    **{
+        f"triangulation.{name}": ITEM_15
+        for name in (
+            "Permutation4.__post_init__", "Permutation4.__call__", "Permutation4.inverse",
+            "Permutation4.__str__", "FacePairing.__post_init__", "FacePairing.reverse",
+            "Triangulation.pairings", "make_triangulation", "format_triangulation",
+            "orientation_check",
+        )
+    },
+}
+
+
+def _defined_functions(module) -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) of each def in module's source, nested
+    ones included, mapped to its dotted name under the module's."""
+    with open(module.__file__, encoding="utf-8") as handle:
+        code = compile(handle.read(), module.__file__, "exec")
+    found = {}
+    todo = [(code, module.__name__.split(".")[-1])]
+    while todo:
+        code, prefix = todo.pop()
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                name = f"{prefix}.{const.co_name}"
+                if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                    found[(const.co_filename, const.co_firstlineno, const.co_name)] = name
+                todo.append((const, name))
+    return found
+
+
+def test_the_checker_runs_every_function_of_its_modules():
+    """Under sys.setprofile, the checker's real work runs every def in the
+    modules `import lenscert.checker` loads, except those in NOT_RUN,
+    and none of those: serialize(parse(text)) over the corpus, verify on
+    every text that parses, and verify_bound of each base text against
+    its own triangulation, read from its fixture (L(7,2) for a text
+    without one).  So producer code cannot drift back into a trusted
+    module, and an entry of NOT_RUN that the checker comes to run must
+    go."""
+    texts = corpus()
+    bases = [text for text, is_base in texts if is_base]
+    own = dict(zip(bases[-len(SEIFERT):], (name for name, _, _ in SEIFERT)))
+    tri_texts = {name: fixture_text(name) for name in [*own.values(), "lens_7_2.tri"]}
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        tris = {name: parse_triangulation(text) for name, text in tri_texts.items()}
+        for text, is_base in texts:
+            try:
+                cert = parse(text)
+            except CertificateSyntaxError:
+                continue
+            serialize(cert)
+            verify(cert)
+            if is_base:
+                verify_bound(cert, tris[own.get(text, "lens_7_2.tri")])
+    finally:
+        sys.setprofile(previous)
+    ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in called}
+    defined = {}
+    for module in CHECKER:
+        defined.update(_defined_functions(importlib.import_module(f"lenscert.{module}")))
+    not_run = {name for key, name in defined.items() if key not in ran}
+    assert set(NOT_RUN) <= set(defined.values())  # every entry names a def
+    assert not_run - set(NOT_RUN) == set()
+    assert set(NOT_RUN) - not_run == set()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MANIFOLD_FIXTURES, load_fixture
-from lenscert.galois import FieldSpec
+from conftest import MANIFOLD_FIXTURES, fixture_path, load_fixture
+from lenscert.cli import main as cli_main
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import (
     LABEL_PATTERN,
@@ -26,7 +26,7 @@ from lenscert.presentation import (
     parse_word,
     read_word,
 )
-from lenscert.projmat import ProjMatrix
+from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert.triangulation import parse_triangulation, validate
 from oracles import (
     cell_structure,
@@ -34,6 +34,7 @@ from oracles import (
     closure_by_rescan,
     dual_presentation,
     exponent_matrix,
+    inverse_word,
     is_connected,
     psl_elements,
     random_gluing_table,
@@ -81,7 +82,7 @@ def test_reduction_idempotent(letters):
 )
 def test_word_inverse_cancels(letters):
     w = Word(tuple(letters))
-    assert reduced_word(w * w.inverse()) == Word()
+    assert reduced_word(Word(w.letters + inverse_word(w).letters)) == Word()
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,10 +318,10 @@ def test_relator_lengths_on_random_legal_tables():
 
 
 def test_exponent_matrix_triangle_group():
-    x, y = Word(((0, 1),)), Word(((1, 1),))
+    x, y, xy = Word(((0, 1),)), Word(((1, 1),)), Word(((0, 1), (1, 1)))
     pres = GroupPresentation(
         2,
-        (word_power(x, 3), word_power(y, 3), word_power(x * y, 3)),
+        (word_power(x, 3), word_power(y, 3), word_power(xy, 3)),
         labels=("x", "y"),
     )
     assert exponent_matrix(pres).entries == ((3, 0), (0, 3), (3, 3))
@@ -362,10 +363,11 @@ def test_nonzero_exponent_sums_match_a_letter_count(letters):
     assert list(word.nonzero_exponent_sums().items()) == expected
 
 
-def test_presentation_size():
-    labels = ("x", "y")
-    pres = GroupPresentation(2, (parse_word("x x", labels),), labels)
-    assert pres.size() == 4  # two generators plus a length-2 relator
+def test_presentation_size(capsys):
+    """lenscert pi1 reports the presentation's size: its generators plus
+    its relator letters, 3 + 4 * 2 on L(2,1)."""
+    assert cli_main(["pi1", fixture_path("lens_2_1.tri")]) == 0
+    assert capsys.readouterr().out.endswith("x0 x1^-1\nx0 x1\nsize=11\n")
 
 
 def test_format_presentation_block():
@@ -492,7 +494,8 @@ def test_lift_rebuilds_homomorphisms_of_the_235_triangle_group():
     # T(2,3,5) = <x, y | x^2, y^3, (xy)^5> is A5 = PSL(2,5): the search
     # finds many non-trivial homomorphisms, all rebuilt from the seeds
     x, y = Word(((0, 1),)), Word(((1, 1),))
-    pres = GroupPresentation(2, (word_power(x, 2), word_power(y, 3), word_power(x * y, 5)))
+    xy = Word(((0, 1), (1, 1)))
+    pres = GroupPresentation(2, (word_power(x, 2), word_power(y, 3), word_power(xy, 5)))
     assert len(closure(pres).seeds) == 2
     assert _check_lift_into_psl25(pres, random.Random(235)) == 20
 

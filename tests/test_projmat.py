@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenscert import projmat
+from lenscert import psl
 from lenscert.checker import bit_size_spec
-from lenscert.galois import FieldSpec, factorize, quadratic_extension, sqrt_mod_p
+from lenscert.galois import factorize, quadratic_extension, sqrt_mod_p
 from lenscert.presentation import Word, parse_word
-from lenscert.projmat import (
+from lenscert.projmat import OrderCeilingExceeded, evaluate_word, has_order, projective_order
+from lenscert.psl import (
     _IDENTITY,
     _mul_coords,
     _sign_normalized,
-    OrderCeilingExceeded,
+    FieldSpec,
     ProjMatrix,
-    evaluate_word,
     fold_letters,
-    has_order,
     letter_coords,
-    projective_order,
 )
 
 from oracles import (
@@ -71,7 +69,7 @@ def sl2_entries(draw, specs=SPECS):
 
 
 def order_limit(spec):
-    return max(spec.p, (spec.order + 1) // 2)
+    return max(spec.p, (spec.p**spec.degree + 1) // 2)
 
 
 def random_matrix(spec, rng):
@@ -316,7 +314,7 @@ def test_period_two_word_costs_logarithmic_products(monkeypatch, spec, k, tail):
     the period d = 2: the letters of the inline folds of w = x y and u,
     plus the kernel's products."""
     kernel_calls, inner_folds = [], []
-    kernel, fold = projmat._mul_coords, projmat.fold_letters
+    kernel, fold = psl._mul_coords, psl.fold_letters
 
     def counted_kernel(*args):
         kernel_calls.append(None)
@@ -326,10 +324,10 @@ def test_period_two_word_costs_logarithmic_products(monkeypatch, spec, k, tail):
         inner_folds.append(len(letters))
         return fold(spec, table, letters)
 
-    monkeypatch.setattr(projmat, "_mul_coords", counted_kernel)
+    monkeypatch.setattr(psl, "_mul_coords", counted_kernel)
     # the outer call below is this module's fold_letters, so only the
     # folds it makes of w and u are counted
-    monkeypatch.setattr(projmat, "fold_letters", counted_fold)
+    monkeypatch.setattr(psl, "fold_letters", counted_fold)
     rng = random.Random(k)
     images = [random_matrix(spec, rng) for _ in range(2)]
     letters = ((0, 1), (1, 1)) * k + tail
@@ -609,7 +607,7 @@ def test_word_evaluation_is_multiplicative():
     for _ in range(50):
         u = Word(tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))))
         v = Word(tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))))
-        assert evaluate_word(images, u * v) == evaluate_word(images, u).mul(
+        assert evaluate_word(images, Word(u.letters + v.letters)) == evaluate_word(images, u).mul(
             evaluate_word(images, v)
         )
 

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lenscert.galois import (
-    FieldSpec,
-    euler_phi,
-    is_quadratic_residue,
-    quadratic_extension,
-    root_of_unity,
-)
+from lenscert.galois import euler_phi, is_quadratic_residue, quadratic_extension, root_of_unity
 from lenscert.presentation import GroupPresentation, Word
-from lenscert.projmat import ProjMatrix, evaluate_word, projective_order
+from lenscert.projmat import evaluate_word, projective_order
+from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert import trianglerep
 from lenscert.certificate import triangle_certificate
 from lenscert.checker import NON_ABELIAN, NON_CYCLIC, Certificate, serialize
@@ -105,7 +100,8 @@ def test_triangle_presentation_equals_checked_construction():
     for triple in [(2, 3, 7), (2, 2, 5), (3, 3, 3), (4, 5, 19)]:
         t = classify(*triple)
         x, y = Word(((0, 1),)), Word(((1, 1),))
-        relators = (word_power(x, t.n1), word_power(y, t.n2), word_power(x * y, t.n3))
+        xy = Word(((0, 1), (1, 1)))
+        relators = (word_power(x, t.n1), word_power(y, t.n2), word_power(xy, t.n3))
         expected = GroupPresentation(g=2, relators=relators, labels=("x", "y"))
         assert triangle_presentation(t) == expected
 
@@ -232,7 +228,7 @@ def test_solve_r_needs_a_prime_field():
 def test_build_237():
     x, y = build_hyperbolic_rep(classify(2, 3, 7))
     assert x.spec.p == 337 and y.spec == x.spec
-    assert x.spec.order in (337, 337**2)
+    assert x.spec.p**x.spec.degree in (337, 337**2)
     # independent order check by naive matrix powering
     for matrix, n in ((x, 2), (y, 3), (x.mul(y), 7)):
         power = matrix
@@ -417,7 +413,7 @@ def test_dihedral_images_match_the_field_element_construction():
 def test_spherical_235_lands_in_psl25():
     x, y = build_nonhyperbolic_cert(classify(2, 3, 5))
     assert y.spec == x.spec
-    assert x.spec.order == 5
+    assert x.spec.p**x.spec.degree == 5
     orders = (projective_order(x, 100), projective_order(y, 100), projective_order(x.mul(y), 100))
     assert orders == (2, 3, 5)
 
@@ -436,7 +432,7 @@ def test_field_small_for_all_nonhyperbolic():
     for triple in triples:
         x, y = build_nonhyperbolic_cert(classify(*triple))
         assert y.spec == x.spec
-        assert x.spec.order <= triple[2] ** 2
+        assert x.spec.p**x.spec.degree <= triple[2] ** 2
 
 
 def test_236_relators_die_on_reused_images():

@@ -52,16 +52,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", width)
 
-    @classmethod
-    def from_checked(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """The matrix on rows already known to be tuples of cols ints, as
-        this module's own computations give them: no int() per entry."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        object.__setattr__(matrix, "rows", len(entries))
-        object.__setattr__(matrix, "cols", cols)
-        return matrix
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -135,8 +125,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             search = True
 
     diag = tuple([d[i][i] for i in range(min(m, n))])
-    v_matrix = IntMatrix.from_checked(tuple(map(tuple, v)), n)
-    return SNFResult(diag, len(diag) - diag.count(0), v_matrix)
+    return SNFResult(diag, len(diag) - diag.count(0), IntMatrix(v, cols=n))
 
 
 @dataclass(frozen=True)
@@ -229,7 +218,7 @@ def seed_core(pres) -> SeedCore:
         for v in zip(*columns):
             _fold(rows, v)
         core = tuple(row for row in rows if row is not None)
-    snf = smith_normal_form(IntMatrix.from_checked(core, k))
+    snf = smith_normal_form(IntMatrix(core, cols=k))
     return SeedCore(closed, coordinates, snf)
 
 

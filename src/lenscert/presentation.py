@@ -46,7 +46,6 @@ from .triangulation import (
     TriangulationError,
     root_slots,
 )
-from .unionfind import UnionFind
 
 # a generator label: ASCII, a letter or '_' first, then letters, digits or '_'
 LABEL_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
@@ -122,12 +121,14 @@ class GroupPresentation:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        supplied = bool(self.labels)
-        if not supplied:
+        if not self.labels:
             object.__setattr__(self, "labels", default_labels(self.g))
         if len(self.labels) != self.g:
             raise ValueError("label count does not match generator count")
-        self._check_labels(supplied)
+        self._check_distinct()
+        for lab in self.labels:
+            if not is_label(lab):
+                raise ValueError(f"bad generator label {lab!r}")
         # letters compare by generator first: the largest names the top one
         top = max(chain.from_iterable(map(attrgetter("letters"), self.relators)), default=(-1, 0))
         if top[0] >= self.g:
@@ -145,17 +146,12 @@ class GroupPresentation:
         object.__setattr__(pres, "g", g)
         object.__setattr__(pres, "relators", relators)
         object.__setattr__(pres, "labels", labels)
-        pres._check_labels(False)
+        pres._check_distinct()
         return pres
 
-    def _check_labels(self, check_spelling: bool) -> None:
+    def _check_distinct(self) -> None:
         if len(set(self.labels)) != self.g:
             raise ValueError("duplicate generator labels")
-        # the default labels x0, x1, ... are well formed
-        if check_spelling:
-            for lab in self.labels:
-                if not is_label(lab):
-                    raise ValueError(f"bad generator label {lab!r}")
 
 
 def format_word(word: Word, labels: tuple[str, ...]) -> str:
@@ -221,7 +217,7 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     of its smaller side.
     """
     vroot, eroot, droot = tri.orbit_roots
-    components = UnionFind(len(vroot))
+    link = list(range(len(vroot)))  # vertex class -> a class of its component, or itself
     joined = 0  # tree edges
     g = 0  # generators
     reversed_edge = False
@@ -233,8 +229,13 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
         reversed_edge = reversed_edge or positive == negative
         a, b = EDGE_PAIRS[k]
         va, vb = vroot[4 * tet + a], vroot[4 * tet + b]
-        if va != vb and components.find(va) != components.find(vb):
-            components.union(va, vb)
+        if va != vb:  # the classes' components, by path halving
+            while link[va] != va:
+                link[va] = va = link[link[va]]
+            while link[vb] != vb:
+                link[vb] = vb = link[link[vb]]
+        if va != vb:
+            link[va] = vb
             joined += 1
         else:
             letter[positive] = (g, 1)

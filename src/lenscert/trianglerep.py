@@ -55,7 +55,6 @@ from .psl import FieldSpec, ProjMatrix
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
-PRIME_CEILING = 10**9
 # what both builders raise for a triple with a common divisor d > 1, whose
 # certificate is the abelian (Z/d)^2 image instead of a matrix pair
 _COMMON_DIVISOR = "triple has a common divisor; use the abelian certificate"
@@ -164,11 +163,11 @@ def _conjugated_standard(spec: FieldSpec, c: int, r0: int, r1: int) -> ProjMatri
 
 @lru_cache(maxsize=None)
 def _cyclotomic_field(ell: int) -> tuple[FieldSpec, int]:
-    """F_p for the least prime p = 1 (mod ell) up to PRIME_CEILING, and
-    zeta of exact order ell in it as an int: the prime search and
-    root_of_unity, with their primality proof and order check, run once
-    per ell."""
-    spec = FieldSpec(smallest_prime_in_progression(ell, PRIME_CEILING))
+    """F_p for the least prime p = 1 (mod ell), up to the prime search's
+    default ceiling, and zeta of exact order ell in it as an int: the
+    prime search and root_of_unity, with their primality proof and order
+    check, run once per ell."""
+    spec = FieldSpec(smallest_prime_in_progression(ell))
     return spec, root_of_unity(spec, ell).a
 
 

@@ -90,7 +90,6 @@ from lenscert.triangulation import (
     TriangulationError,
     make_triangulation,
 )
-from lenscert.unionfind import UnionFind
 
 
 def det_int(rows) -> int:
@@ -607,14 +606,17 @@ def cell_structure(tri: Triangulation) -> CellStructure:
 
 
 def _skeleton_tree(cs: CellStructure) -> set[int]:
-    """Maximal tree in the identified 1-skeleton, as edge class indices."""
-    uf = UnionFind(cs.n_vertices)
+    """Maximal tree in the identified 1-skeleton, as edge class indices:
+    each vertex class carries its component's label, and a tree edge
+    relabels the whole of one component with the other's."""
+    component = list(range(cs.n_vertices))
     tree: set[int] = set()
     for cls, (tet, eidx) in enumerate(cs.edge_reps):
         a, b = EDGE_PAIRS[eidx]
-        va, vb = cs.vertex_class[4 * tet + a], cs.vertex_class[4 * tet + b]
-        if uf.find(va) != uf.find(vb):
-            uf.union(va, vb)
+        ca = component[cs.vertex_class[4 * tet + a]]
+        cb = component[cs.vertex_class[4 * tet + b]]
+        if ca != cb:
+            component = [ca if c == cb else c for c in component]
             tree.add(cls)
     return tree
 

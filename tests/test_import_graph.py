@@ -5,11 +5,12 @@ so nothing is imported to draw it, and followed transitively inside the
 lenscert package.  The package's `__init__` is a node too, one that
 imports no lenscert module, so `import lenscert.checker` loads only the
 modules the graph reaches from checker; a subprocess checks that it
-does, and that README states how many lines those modules hold.
+does, and that README states how many lines each of those modules holds.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -18,9 +19,9 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 PACKAGE = os.path.join(SRC, "lenscert")
-CHECKER = ("psl", "triangulation", "unionfind", "presentation", "checker")
+CHECKER = ("psl", "triangulation", "presentation", "checker")
 PRODUCERS = {"galois", "projmat", "intlinalg", "trianglerep", "certificate", "cli"}
-TRUSTED = {"psl", "presentation", "triangulation", "unionfind"}
+TRUSTED = {"psl", "presentation", "triangulation"}
 
 
 def _modules() -> set[str]:
@@ -81,22 +82,25 @@ def test_the_checker_reaches_only_the_trusted_modules():
 
 
 def test_importing_the_checker_loads_only_the_trusted_modules():
-    """The loaded-line count is the physical lines of every lenscert file
-    that a fresh `import lenscert.checker` loads, __init__ included."""
+    """A file's line count is its physical lines; the loaded-line count
+    sums them over every lenscert file that a fresh `import
+    lenscert.checker` loads, __init__ included.  README states each
+    file's count and the total."""
     script = (
         "import sys, lenscert.checker\n"
-        "names = sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert')\n"
-        "lines = 0\n"
-        "for name in names:\n"
+        "for name in sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert'):\n"
         "    with open(sys.modules[name].__file__, encoding='utf-8') as handle:\n"
-        "        lines += len(handle.read().splitlines())\n"
-        "print(lines, *names)\n"
+        "        print(name, len(handle.read().splitlines()))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    lines, *out = subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert out == sorted({"lenscert", "lenscert.checker"} | {f"lenscert.{m}" for m in TRUSTED})
+    ).stdout
+    counts = {name: int(lines) for name, lines in map(str.split, out.splitlines())}
+    assert set(counts) == {"lenscert", "lenscert.checker"} | {f"lenscert.{m}" for m in TRUSTED}
     with open(README, encoding="utf-8") as handle:
         readme = " ".join(handle.read().split())
-    assert f"`import lenscert.checker` loads {int(lines):,} source lines" in readme
+    for name, lines in counts.items():
+        file = name.partition(".")[2] or "__init__"
+        assert re.search(rf"`{file}` \({lines}(?!\d)", readme), (file, lines)
+    assert f"`import lenscert.checker` loads {sum(counts.values()):,} source lines" in readme

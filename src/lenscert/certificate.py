@@ -34,13 +34,7 @@ from .checker import (
 from .intlinalg import SeedCore, format_abelian, is_cyclic, seed_core
 from .presentation import GroupPresentation, Word, fundamental_group, parse_word
 from .projmat import evaluate_word
-from .trianglerep import (
-    HYPERBOLIC,
-    TriangleType,
-    classify,
-    triangle_image,
-    triangle_presentation,
-)
+from .trianglerep import TriangleType, classify, triangle_image, triangle_presentation
 from .triangulation import orientation_check, validate
 
 
@@ -86,45 +80,35 @@ def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificat
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
 
 
-def _triangle_group_certificate(t: TriangleType) -> tuple[Certificate, dict]:
-    """The triangle group's certificate, unverified, and what both
-    producers report about it: (Z/d)^2 by x -> (1,0), y -> (0,1) when
-    t.d > 1, else triangle_image's x and y matrices with witness xy | yx.
-    The orders of x, y and xy are exactly the triple only on the
-    hyperbolic path."""
+def _triangle_group_certificate(t: TriangleType) -> Certificate:
+    """The triangle group's certificate, unverified: (Z/d)^2 by
+    x -> (1,0), y -> (0,1) when t.d > 1, else triangle_image's x and y
+    matrices with witness xy | yx."""
     pres = triangle_presentation(t)
     if t.d > 1:
-        target = (t.d, t.d)
-        cert = Certificate(
+        return Certificate(
             kind=NON_CYCLIC,
             presentation=pres,
-            target=target,
+            target=(t.d, t.d),
             abelian_images=((1, 0), (0, 1)),
         )
-        return cert, {"kind": NON_CYCLIC, "target": target}
     images = triangle_image(t)
-    spec = images[0].spec
-    cert = Certificate(
+    return Certificate(
         kind=NON_ABELIAN,
         presentation=pres,
-        field=spec,
+        field=images[0].spec,
         rep_gens=("x", "y"),
         rep_images=images,
         witness=_XY_WITNESS,
     )
-    info = {"kind": NON_ABELIAN, "p": spec.p, "field_degree": spec.degree}
-    if t.curvature == HYPERBOLIC:
-        info["orders"] = t.triple
-    return cert, info
 
 
 def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
-    """Certificate for the triangle group itself, plus build metadata."""
+    """Certificate for the triangle group itself, plus the triangle's
+    type; what the certificate holds is read off the certificate."""
     t = classify(n1, n2, n3)
-    cert, image_info = _triangle_group_certificate(t)
-    info = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature, **image_info}
-    if cert.field is not None:
-        info["field_size"] = cert.field.p**cert.field.degree
+    cert = _triangle_group_certificate(t)
+    info = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature}
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built certificate fails verification: {outcome.reason}")
@@ -192,7 +176,7 @@ def pipeline(
     info: dict = {"h1": format_abelian(h1), "t": tri.t}
     if not is_cyclic(h1):
         cert = noncyclic_certificate(pres, core)
-        info.update(step=1, kind=NON_CYCLIC, target=cert.target)
+        info["step"] = 1
         return cert, info
 
     t_type = classify(*base)
@@ -202,8 +186,7 @@ def pipeline(
             f"mapping the presentation generators onto the triangle group of base {t_type.triple}"
         )
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    triangle_cert, image_info = _triangle_group_certificate(t_type)
-    info.update(image_info)
+    triangle_cert = _triangle_group_certificate(t_type)
 
     surj = parse_surjection(surjection_text, pres.labels)
     if triangle_cert.kind == NON_CYCLIC:

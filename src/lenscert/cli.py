@@ -154,18 +154,18 @@ def cmd_homology(args) -> int:
 
 
 def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
-    if cert.kind == checker.NON_ABELIAN:
-        orders = info.get("orders")
-        parts = [f"p={info['p']}", f"field_deg={info['field_degree']}"]
-        if orders:
-            parts.append("orders=" + ",".join(str(n) for n in orders))
-        parts.append("nonabelian=yes")
-        line = " ".join(parts)
-    else:
-        a, b = info["target"]
-        line = f"kind=NonCyclicAbelian target=Z/{a}xZ/{b}"
-    # json.dumps writes the tuples in info as lists
-    return {"kind": cert.kind, **info}, [line]
+    # json.dumps writes the tuples in doc as lists
+    doc = {"kind": cert.kind, **info}
+    if cert.field is None:
+        a, b = doc["target"] = cert.target
+        return doc, [f"kind=NonCyclicAbelian target=Z/{a}xZ/{b}"]
+    doc.update(p=cert.field.p, field_degree=cert.field.degree)
+    line = f"p={cert.field.p} field_deg={cert.field.degree}"
+    # the orders of x, y and xy are exactly the triple only on the hyperbolic path
+    if info.get("curvature") == HYPERBOLIC:
+        doc["orders"] = info["triple"]
+        line += " orders=" + ",".join(map(str, info["triple"]))
+    return doc, [line + " nonabelian=yes"]
 
 
 def cmd_trianglecert(args) -> int:
@@ -173,6 +173,8 @@ def cmd_trianglecert(args) -> int:
     out = args.output or f"t_{args.n1}_{args.n2}_{args.n3}.cert"
     _write_atomic(out, checker.serialize(cert))
     doc, lines = _cert_summary(cert, info)
+    if cert.field is not None:
+        doc["field_size"] = cert.field.p**cert.field.degree
     doc["output"] = out
     _emit(doc, args.json, lines)
     return 0
@@ -245,17 +247,17 @@ def cmd_sweep(args) -> int:
         }
         try:
             # raises unless the certificate it builds verifies
-            cert, info = certmod.triangle_certificate(*t.triple)
+            cert = certmod.triangle_certificate(*t.triple)[0]
             built += 1
             row["kind"] = cert.kind
             if cert.kind == checker.NON_ABELIAN:
                 bounds = bound_report(t, spec=cert.field)
-                row["p"] = info["p"]
-                row["field_deg"] = info["field_degree"]
+                row["p"] = cert.field.p
+                row["field_deg"] = cert.field.degree
                 row["linnik_ratio"] = bounds.linnik_ratio
                 row["field_ratio_ell10"] = bounds.field_ratio_ell10
             else:
-                row["target"] = list(info["target"])
+                row["target"] = list(cert.target)
             scan = field_degree_report(t)
             row["witness_l"] = scan.witness_l
             row["trace_degree"] = scan.trace_degree

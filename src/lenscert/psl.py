@@ -15,11 +15,9 @@ from ints already reduced mod p.  A product or inverse of
 determinant-1 matrices has determinant 1, so results are built without
 a recheck.
 
-Products run on raw 8-int tuples in two places that do the same
-multiplies: the kernel _mul_coords, which mul and _power_coords (the
-square-and-multiply loop of power) call, and fold_letters, which
-multiplies a word's letters inline, on 4 ints over F_p and 8 over
-F_{p^2}, to save a call and a tuple per letter.  A word is one
+Products run on raw 8-int tuples in one kernel, _mul_coords, which
+mul, _power_coords (the square-and-multiply loop of power) and
+fold_letters (one product per letter of a word) call.  A word is one
 fold_letters over the coordinates of the images and their inverses
 (letter_coords, or coord_table for images given by their coordinates),
 which projmat.evaluate_word takes per call and a verifier once per
@@ -387,38 +385,22 @@ def fold_letters(spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int
     throughout) is w^k u, with w its first d letters, k = n // d and
     u = w[:n % d]: w and u are folded letter by letter and w^k is taken
     by square-and-multiply, the same product of the same factors up to
-    sign.  Any other word takes the multiplies of one _mul_coords per
-    letter, inline."""
+    sign.  Any other word starts from its first letter and takes one
+    _mul_coords per later letter."""
     p, s = spec.p, spec.s or 0
     n = len(letters)
     period = _period(letters) if n >= 6 else 0
     if period:
-        # w and u have fewer than 6 letters, so they are folded inline
+        # w and u have fewer than 6 letters, so they are folded letter by letter
         k, r = divmod(n, period)
         out = _power_coords(p, s, fold_letters(spec, table, letters[:period]), k)
         if r:
             out = _mul_coords(p, s, out, fold_letters(spec, table, letters[:r]))
-    elif not s:
-        a, b, c, d = 1, 0, 0, 1
-        for gen, exp in letters:
-            e, _, f, _, g, _, h, _ = table[exp][gen]
-            # a row of the product needs only that row of the left factor
-            a, b = (a * e + b * g) % p, (a * f + b * h) % p
-            c, d = (c * e + d * g) % p, (c * f + d * h) % p
-        out = (a, 0, b, 0, c, 0, d, 0)
+    elif letters:
+        gen, exp = letters[0]
+        out = table[exp][gen]
+        for gen, exp in letters[1:]:
+            out = _mul_coords(p, s, out, table[exp][gen])
     else:
-        a0, a1, b0, b1, c0, c1, d0, d1 = _IDENTITY
-        for gen, exp in letters:
-            e0, e1, f0, f1, g0, g1, h0, h1 = table[exp][gen]
-            a0, a1, b0, b1, c0, c1, d0, d1 = (
-                (a0 * e0 + b0 * g0 + s * (a1 * e1 + b1 * g1)) % p,
-                (a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0) % p,
-                (a0 * f0 + b0 * h0 + s * (a1 * f1 + b1 * h1)) % p,
-                (a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0) % p,
-                (c0 * e0 + d0 * g0 + s * (c1 * e1 + d1 * g1)) % p,
-                (c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0) % p,
-                (c0 * f0 + d0 * h0 + s * (c1 * f1 + d1 * h1)) % p,
-                (c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0) % p,
-            )
-        out = (a0, a1, b0, b1, c0, c1, d0, d1)
+        out = _IDENTITY
     return _sign_normalized(p, out)

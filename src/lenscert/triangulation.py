@@ -304,15 +304,15 @@ def _assemble(t: int, rows: Sequence[tuple]) -> Triangulation:
     raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
 
 
-_HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
-# One line of gluings text: a gluing, a blank or comment line with no
-# group set, or else any other line, caught whole by the last group.
-# Blanks are whitespace other than a newline, so in MULTILINE mode over
-# lines joined by newlines each match is one whole line.
+_HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d{1,4300})\s*$")
+# One line of gluings text: a gluing, a blank or comment line with no group
+# set, or else any other line, caught whole by the last group.  Blanks are
+# whitespace but a newline, so in MULTILINE mode over lines joined by newlines
+# each match is one whole line.  A number has at most 4300 digits, int()'s default limit.
 _BLANK = r"[^\S\n]*"
 _GLUING_LINES_RE = re.compile(
-    rf"^{_BLANK}(?:(\d+){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d+){_BLANK}:{_BLANK}([0-3])"
-    rf"{_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
+    rf"^{_BLANK}(?:(\d{{1,4300}}){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d{{1,4300}}){_BLANK}:"
+    rf"{_BLANK}([0-3]){_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
     re.MULTILINE,
 )
 _FACE_OF_TEXT = {str(face): face for face in range(4)}

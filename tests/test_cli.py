@@ -1,4 +1,6 @@
+import glob
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -10,6 +12,7 @@ from pathlib import Path
 from conftest import MERSENNE_PRIMES, fixture_path, fixture_text, toy_certificate_text
 from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
+from test_cost_model import BASES
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -420,6 +423,43 @@ def test_sweep_json_bytes_are_pinned():
     out = run_cli("sweep", "--max-n", "12", "--json")
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == SWEEP_12_JSON_SHA256
+
+
+# sha256 of what `trianglecert` and `pipeline` print and write, text and
+# --json: exit code, stdout, stderr and the certificate file of every
+# pipeline over the fixtures x BASES x (no surjection, prism_q12.surj)
+# grid and of trianglecert on every 20th triple with entries 2..19 and
+# on each base
+CERT_SUMMARY_SHA256 = "c001c742e950e1fff869b13775e980217c2842f2c9a228be7949b544d2f4835c"
+
+
+def cert_summary_runs():
+    triples = list(itertools.combinations_with_replacement(range(2, 20), 3))[::20]
+    for triple in triples + list(BASES):
+        yield ["trianglecert", *map(str, triple)]
+    surj = fixture_path("prism_q12.surj")
+    for path in sorted(glob.glob(fixture_path("*.tri"))):
+        for base, with_surj in itertools.product(BASES, (False, True)):
+            args = ["pipeline", path, "--base", ",".join(map(str, base))]
+            yield args + ["--surjection", surj] if with_surj else args
+
+
+def test_certificate_summaries_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    count = 0
+    for args in cert_summary_runs():
+        for mode in ([], ["--json"]):
+            target = tmp_path / "out.cert"
+            target.unlink(missing_ok=True)
+            code = cli_main([*args, "-o", "out.cert", *mode])
+            out = capsys.readouterr()
+            written = target.read_text(encoding="utf-8") if target.exists() else "-\n"
+            label = " ".join(map(os.path.basename, args))
+            digest.update(f"{label} {mode} {code}\n{out.out}{out.err}{written}".encode())
+            count += 1
+    assert count == 2 * (57 + len(BASES) + 13 * len(BASES) * 2)
+    assert digest.hexdigest() == CERT_SUMMARY_SHA256
 
 
 def test_bounds_subcommand():

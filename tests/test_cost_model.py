@@ -80,13 +80,13 @@ def test_parsed_certificate_verifies_as_built():
     assert count == 1140 + 1 + len(PIPELINE_CASES)
 
 
-# re-pinned when step 1 came to read its images off the seed core's
-# column transform V: with the earlier step-1 texts put back in place of
-# the new ones, the earlier digest comes out again, so only the 48
-# prism_q8 and t3_torus records (12 bases, with and without a
-# surjection) moved, each with new images, the same byte count and the
-# same target (2, 2)
-BUILD_INFO_SHA256 = "f68fb472031c8700a42bfdbaaa06955233956395fc6f7578702e1fcfa16f959a"
+# re-pinned when the info dicts stopped copying what the certificate
+# holds (kind, p, field_degree, target, orders, field_size): every
+# serialized certificate and every raised exception is as before; only
+# the info JSON of the 1,140 triangle records and of the 49 pipeline
+# records that build a certificate (48 at step 1, prism_q12 over
+# (2, 2, 3) at step 2) moved
+BUILD_INFO_SHA256 = "f804d2fdb974ac0eb0521b75b73a84d89eed726a1eab23e9cf2dee22c9f1e29d"
 
 BASES = (
     (2, 3, 7),  # hyperbolic, coprime

@@ -98,6 +98,21 @@ def test_bare_header_fails_without_work_of_order_t():
     assert time.perf_counter() - start < 0.1
 
 
+def test_over_long_numbers_name_their_line():
+    # int() refuses more than 4300 digits by default; the parser refuses
+    # a longer number as any line it cannot read, naming the line
+    big = "1" * 5000
+    with pytest.raises(TriangulationError, match=r"^line 2: expected 't=<N>' header$"):
+        parse_triangulation(f"# a comment\nt={big}\n")
+    with pytest.raises(TriangulationError, match=rf"^line 3: cannot parse gluing: '0:0 -> {big}:1 "):
+        parse_triangulation(f"t=1\n\n0:0 -> {big}:1 perm=1023\n")
+    with pytest.raises(TriangulationError, match=rf"^line 2: cannot parse gluing: '{big}:0 "):
+        parse_triangulation(f"t=1\n{big}:0 -> 0:1 perm=1023\n")
+    # 4300 digits are read
+    with pytest.raises(TriangulationError, match="^face 0:0 is unpaired$"):
+        parse_triangulation(f"t={'9' * 4300}\n")
+
+
 def test_one_pairing_assembles_without_work_of_order_t():
     # make_triangulation's counterpart of the bare header: its table
     # holds the two slots the gluing fills, not 4 * 10**12

@@ -347,10 +347,9 @@ def _read_relators(reader: _Reader, letters: dict[str, tuple[int, int]]) -> tupl
 
 
 def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
-    """Raise the error parse names for a gens line _GENS_RE refused, or
-    whose count int() refuses: a bad count at once; a malformed label
-    once the relators are read, as a label error is named after any
-    relator error."""
+    """Raise the error parse names for a gens line _GENS_RE refused: a
+    bad count at once; a malformed label once the relators are read, as
+    a label error is named after any relator error."""
     if not line.startswith("gens "):
         raise reader.error("expected 'gens <g> <labels...>'")
     parts = line.split(" ")
@@ -383,10 +382,7 @@ def parse(text: str) -> Certificate:
         _diagnose_gens(reader, line)
     parts = line.split(" ")
     labels = tuple(parts[2:])
-    try:
-        g = int(parts[1])
-    except ValueError:  # more digits than int() converts
-        _diagnose_gens(reader, line)
+    g = int(parts[1])
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
     letters = letter_table(labels)
@@ -442,11 +438,10 @@ def _unnormalized(reader: _Reader, matrix: ProjMatrix) -> CertificateSyntaxError
 
 
 def _diagnose_matrix(reader: _Reader, line: str, spec: FieldSpec) -> NoReturn:
-    """Raise the error parse names for a matrix line: one _MATRIX_LINE_RE
-    takes but the field's regex refuses, or with a coordinate out of
-    range or with more digits than int() converts.  The checks run in
-    the order they name errors: each entry's syntax and range
-    (psl.parse_coords), det 1, sign normalization, the label."""
+    """Raise the error parse names for a matrix line _MATRIX_LINE_RE takes
+    but the field's regex refuses, or with a coordinate out of range.  The
+    checks run in the order they name errors: each entry's syntax and
+    range (psl.parse_coords), det 1, sign normalization, the label."""
     gm = _MATRIX_LINE_RE.match(line)
     try:
         a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
@@ -488,14 +483,11 @@ def _parse_rep(
         reader.next()
         if gm is None:
             _diagnose_matrix(reader, line, spec)
-        try:
-            if deg == 1:
-                a, b, c, d = map(int, gm.group(2, 3, 4, 5))
-                coords = (a, 0, b, 0, c, 0, d, 0)
-            else:
-                coords = tuple(map(int, gm.group(2, 3, 4, 5, 6, 7, 8, 9)))
-        except ValueError:  # more digits than int() converts
-            _diagnose_matrix(reader, line, spec)
+        if deg == 1:
+            a, b, c, d = map(int, gm.group(2, 3, 4, 5))
+            coords = (a, 0, b, 0, c, 0, d, 0)
+        else:
+            coords = tuple(map(int, gm.group(2, 3, 4, 5, 6, 7, 8, 9)))
         if max(coords) >= p:
             _diagnose_matrix(reader, line, spec)
         try:

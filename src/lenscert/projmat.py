@@ -20,10 +20,6 @@ from .presentation import Word
 from .psl import _IDENTITY, ProjMatrix, _from_coords, fold_letters, letter_coords
 
 
-class OrderCeilingExceeded(RuntimeError):
-    """projective_order found an order above the caller's ceiling."""
-
-
 def has_order(m: ProjMatrix, n: int) -> bool:
     """True iff M has projective order exactly n, decided from its trace t.
 
@@ -81,19 +77,15 @@ def _order_bound(m: ProjMatrix) -> int:
     return (q - 1) // 2 if is_quadratic_residue(disc, p) else (q + 1) // 2
 
 
-def projective_order(m: ProjMatrix, ceiling: int = 10**9) -> int:
+def projective_order(m: ProjMatrix) -> int:
     """Least k with M^k trivial in PSL, by divisor descent from the
     order bound of M's trace class rather than naive iteration."""
-    if ceiling < 1:
-        raise ValueError("ceiling must be at least 1")
     n = _order_bound(m)
     if not m.power(n).is_identity():
         raise ArithmeticError("matrix power of its order bound is not the identity")
     for q in factorize(n):
         while n % q == 0 and m.power(n // q).is_identity():
             n //= q
-    if n > ceiling:
-        raise OrderCeilingExceeded(f"projective order {n} exceeds ceiling {ceiling}")
     return n
 
 

@@ -147,8 +147,11 @@ class FieldElement:
         return f"{self.a}+{self.b}*w"
 
 
+# the most digits a number in a text may have: int()'s default limit, so
+# int() reads every such number under any setting of that limit or none
+MAX_DIGITS = 4300
 # a canonical decimal: ASCII, no sign, no leading zero, so str() gives it back
-DECIMAL_PATTERN = "(?:0|[1-9][0-9]*)"
+DECIMAL_PATTERN = f"(?:0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
 _DECIMAL_RE = re.compile(DECIMAL_PATTERN)
 
 
@@ -156,6 +159,8 @@ def parse_decimal(text: str) -> int:
     """The int a canonical decimal (DECIMAL_PATTERN) spells."""
     if _DECIMAL_RE.fullmatch(text):
         return int(text)
+    if text.isdigit() and text.isascii() and text[0] != "0":  # canonical but too long
+        raise ValueError(f"number has {len(text)} digits, more than {MAX_DIGITS}")
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 
 

@@ -40,6 +40,8 @@ from itertools import compress, count, permutations
 from operator import eq
 from typing import Optional, Sequence
 
+from .psl import MAX_DIGITS
+
 
 class TriangulationError(ValueError):
     """Malformed or inconsistent triangulation data."""
@@ -304,14 +306,15 @@ def _assemble(t: int, rows: Sequence[tuple]) -> Triangulation:
     raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
 
 
-_HEADER_RE = re.compile(r"^\s*t\s*=\s*(\d{1,4300})\s*$")
+_NUMBER = rf"(\d{{1,{MAX_DIGITS}}})"  # a number, as int() reads it under any digit limit
+_HEADER_RE = re.compile(rf"^\s*t\s*=\s*{_NUMBER}\s*$")
 # One line of gluings text: a gluing, a blank or comment line with no group
 # set, or else any other line, caught whole by the last group.  Blanks are
 # whitespace but a newline, so in MULTILINE mode over lines joined by newlines
-# each match is one whole line.  A number has at most 4300 digits, int()'s default limit.
+# each match is one whole line.
 _BLANK = r"[^\S\n]*"
 _GLUING_LINES_RE = re.compile(
-    rf"^{_BLANK}(?:(\d{{1,4300}}){_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}(\d{{1,4300}}){_BLANK}:"
+    rf"^{_BLANK}(?:{_NUMBER}{_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}{_NUMBER}{_BLANK}:"
     rf"{_BLANK}([0-3]){_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
     re.MULTILINE,
 )

@@ -74,3 +74,39 @@ def toy_certificate_text(p: int, s=None, relators: bool = False) -> str:
         "witness x y | y x",
     ]
     return "\n".join(lines) + "\n"
+
+
+# the modulus of numeric_field_texts' texts beside the field it sizes:
+# 10^4300 - 1, odd and of psl.MAX_DIGITS digits
+WIDE_MODULUS = 10**4300 - 1
+
+
+def _swapped(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def numeric_field_texts(digits: int) -> dict[str, str]:
+    """One certificate text per numeric field, that field written with
+    `digits` digits: the gens and rels counts, the field's p, deg and s,
+    a degree-1 and a degree-2 matrix coordinate, a target modulus and an
+    abelian image.  The field is 10^digits - 1 where it is a modulus and
+    10^digits - 2 elsewhere, spelled without int(); every other modulus
+    is WIDE_MODULUS, so at 4300 digits each value lies in its range."""
+    modulus, value = "9" * digits, "9" * (digits - 1) + "8"
+    deg1, deg2 = toy_certificate_text(WIDE_MODULUS), toy_certificate_text(WIDE_MODULUS, 1)
+    abelian = (
+        "lenscert v1\nkind NonCyclicAbelian\ngens 2 x y\nrels 0\n"
+        "target Z/{a} x Z/{a}\ngen x = ({u},0)\ngen y = (0,1)\n"
+    )
+    return {
+        "gens count": _swapped(deg1, "\ngens 2 ", f"\ngens {value} "),
+        "rels count": _swapped(deg1, "\nrels 0\n", f"\nrels {value}\n"),
+        "field p": _swapped(deg1, f" p={WIDE_MODULUS} ", f" p={modulus} "),
+        "field deg": _swapped(deg1, " deg=1\n", f" deg={value}\n"),
+        "field s": _swapped(deg2, " s=1\n", f" s={value}\n"),
+        "deg-1 coordinate": _swapped(deg1, ",[1,1]]\n", f",[{value},1]]\n"),
+        "deg-2 coordinate": _swapped(deg2, ",[0+1*w,", f",[0+{value}*w,"),
+        "target modulus": abelian.format(a=modulus, u=1),
+        "abelian image": abelian.format(a=WIDE_MODULUS, u=value),
+    }

@@ -1410,12 +1410,12 @@ def spherical_pair_by_search(n1: int, n2: int, n3: int):
     (n1, n2), order(AB) = n3 and AB != BA; None if there is none."""
     for spec in SPHERICAL_FIELDS:
         elements = psl_elements(spec)
-        orders = [projective_order(m, 10**6) for m in elements]
+        orders = [projective_order(m) for m in elements]
         a_candidates = [m for m, o in zip(elements, orders) if o == n1]
         b_candidates = [m for m, o in zip(elements, orders) if o == n2]
         for a in a_candidates:
             for b in b_candidates:
                 ab = a.mul(b)
-                if ab != b.mul(a) and projective_order(ab, 10**6) == n3:
+                if ab != b.mul(a) and projective_order(ab) == n3:
                     return (a, b)
     return None

@@ -97,9 +97,9 @@ def test_criterion_2_hyperbolic_sweep():
             # exact orders, non-abelian witness, traces +-C_k, r satisfies
             # its quadratic
             assert (
-                projective_order(x, 2 * t.ell),
-                projective_order(y, 2 * t.ell),
-                projective_order(xy, 2 * t.ell),
+                projective_order(x),
+                projective_order(y),
+                projective_order(xy),
             ) == t.triple
             assert xy != y.mul(x)
             c1, c2, c3, r = params.c1, params.c2, params.c3, params.r

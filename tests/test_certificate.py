@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MERSENNE_PRIMES, fixture_text, load_fixture, toy_certificate_text
+from conftest import (
+    MERSENNE_PRIMES,
+    fixture_text,
+    load_fixture,
+    numeric_field_texts,
+    toy_certificate_text,
+)
 from lenscert.certificate import (
     PipelineError,
     noncyclic_certificate,
@@ -769,6 +775,69 @@ def test_toy_certificate_verifies_beyond_the_primality_range(s, tmp_path):
         assert report.matrix_bits == (4 * (1 if s is None else 2) * p.bit_length(),) * 2
         path.write_text(text, encoding="utf-8")
         assert cli_main(["verify", str(path)]) == 0
+
+
+# what parse does with each numeric field at psl.MAX_DIGITS digits: the
+# error a value of that size meets after it is read, or None when the
+# certificate verifies
+READ_AT_THE_BOUND = {
+    "gens count": "line 3: label count does not match generator count",
+    "rels count": "line 5: unknown generator 'field' in word",
+    "field p": None,
+    "field deg": "line 5: only degree 1 and 2 fields are supported",
+    "field s": None,
+    "deg-1 coordinate": None,
+    "deg-2 coordinate": None,
+    "target modulus": None,
+    "abelian image": None,
+}
+# the line parse names for the field at one digit more, and its error
+OVER_THE_BOUND = {
+    "gens count": (3, "bad generator count"),
+    "rels count": (4, "bad relator count"),
+    "field p": (5, None),
+    "field deg": (5, None),
+    "field s": (5, None),
+    "deg-1 coordinate": (7, None),
+    "deg-2 coordinate": (7, None),
+    "target modulus": (5, None),
+    "abelian image": (6, None),
+}
+
+
+def _parse_outcome(text: str):
+    """The exception's class and message, or the text serialize writes
+    and the report verify gives."""
+    try:
+        cert = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return serialize(cert), verify(cert)
+
+
+@pytest.mark.parametrize("field", sorted(READ_AT_THE_BOUND))
+def test_numbers_are_bounded_by_the_grammar_not_by_int(field):
+    """A number of 4300 digits is read and one of 4301 is a syntax error
+    that names its line, whatever int()'s digit limit: the outcomes are
+    equal under the limits 0 (none), 4300 and 10^6."""
+    read, over = (numeric_field_texts(digits)[field] for digits in (4300, 4301))
+    default = sys.get_int_max_str_digits()
+    outcomes = []
+    try:
+        for limit in (0, 4300, 10**6):
+            sys.set_int_max_str_digits(limit)
+            outcomes.append((_parse_outcome(read), _parse_outcome(over)))
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    read_outcome, over_outcome = outcomes[0]
+    if READ_AT_THE_BOUND[field] is None:
+        assert read_outcome[0] == read and read_outcome[1].accepted
+    else:
+        assert read_outcome == (CertificateSyntaxError, READ_AT_THE_BOUND[field])
+    line, reason = OVER_THE_BOUND[field]
+    reason = reason or "number has 4301 digits, more than 4300"
+    assert over_outcome == (CertificateSyntaxError, f"line {line}: {reason}")
 
 
 def test_cyclic_group_certificate_rejected():

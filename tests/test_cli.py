@@ -9,7 +9,13 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import MERSENNE_PRIMES, fixture_path, fixture_text, toy_certificate_text
+from conftest import (
+    MERSENNE_PRIMES,
+    fixture_path,
+    fixture_text,
+    numeric_field_texts,
+    toy_certificate_text,
+)
 from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
 from test_cost_model import BASES
@@ -17,13 +23,13 @@ from test_cost_model import BASES
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "lenscert.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
-        env={**os.environ, "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+        env={**(os.environ if env is None else env), "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
     )
 
 
@@ -170,6 +176,20 @@ def test_verify_prime_beyond_the_primality_range_exits_zero(tmp_path):
         out = run_cli("verify", str(path))
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("accepted=yes kind=NonAbelianRep mat_mults=0 ")
+
+
+def test_verify_exits_two_on_a_number_over_the_bound_whatever_int_allows(tmp_path):
+    """Each numeric field at 4301 digits is a syntax error, exit 2, with
+    PYTHONINTMAXSTRDIGITS unset and with it 0 (no limit): the verdict
+    depends on the text alone, the abelian target modulus included."""
+    unset = {name: value for name, value in os.environ.items() if name != "PYTHONINTMAXSTRDIGITS"}
+    for field, text in numeric_field_texts(4301).items():
+        path = tmp_path / f"{field.replace(' ', '_')}.cert"
+        path.write_text(text, encoding="utf-8")
+        for env in (unset, {**unset, "PYTHONINTMAXSTRDIGITS": "0"}):
+            out = run_cli("verify", str(path), env=env)
+            assert (field, out.returncode, out.stdout) == (field, 2, "")
+            assert out.stderr.startswith("error: line ")
 
 
 def test_pipeline_step1(tmp_path):

@@ -39,8 +39,13 @@ from test_import_graph import CHECKER
 # read as the ring Z/p[w]/(w^2 - s): only the 211 "+p" edits of a field
 # line moved, each an even modulus 2p whose message went from "field
 # characteristic must be an odd prime" to "field modulus must be odd and
-# at least 3"; no text went from refused to accepted or back
-PARSE_OUTCOME_SHA256 = "15da8cb538ee1a3fb6695a1228fc7f544ad7c9291ba6aa71dd67a3b1866f8c60"
+# at least 3"; no text went from refused to accepted or back.  Re-pinned
+# when psl came to bound every number at psl.MAX_DIGITS digits: only the
+# 866 outcomes that were int()'s own refusal of a 5000-digit number
+# ("Exceeds the limit (4300 digits) ...") moved, each to parse_decimal's
+# message on the same line; mapping that message back to int()'s gives
+# the earlier digest, and no text went from refused to accepted or back
+PARSE_OUTCOME_SHA256 = "047669b267012d37640006339a14d9163af141e2bc6adb2646a3a010ec3e375b"
 
 SEIFERT = (
     ("prism_q8.tri", (2, 2, 2), None),
@@ -79,7 +84,7 @@ def line_edits(line: str, p: int, label: str):
         yield head + "0" + digits + tail  # leading zero
         yield head + str(int(digits) + p) + tail  # coordinate + p
         yield head + "٣" + digits[1:] + tail  # non-ASCII digit
-        yield head + "9" * 5000 + tail  # more digits than int() converts
+        yield head + "9" * 5000 + tail  # more digits than psl.MAX_DIGITS
     if line.startswith("gen ") and " = [[" in line:
         name, entries = line[4:].split(" = ")
         coords = [int(x) for x in _NUMBER.findall(entries)]

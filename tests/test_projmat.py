@@ -9,7 +9,7 @@ from lenscert import psl
 from lenscert.checker import bit_size_spec
 from lenscert.galois import factorize, quadratic_extension, sqrt_mod_p
 from lenscert.presentation import Word, parse_word
-from lenscert.projmat import OrderCeilingExceeded, evaluate_word, has_order, projective_order
+from lenscert.projmat import evaluate_word, has_order, projective_order
 from lenscert.psl import (
     _sign_normalized,
     FieldSpec,
@@ -492,12 +492,6 @@ def test_orders_with_repeated_prime_factors(spec, n):
     for ell in factorize(n):
         assert not has_order(m, n // ell)
         assert not has_order(m, n * ell)
-
-
-def test_order_ceiling():
-    m = ProjMatrix(SPEC337.one(), SPEC337.one(), SPEC337.zero(), SPEC337.one())
-    with pytest.raises(OrderCeilingExceeded):
-        projective_order(m, ceiling=100)
 
 
 # has_order walks the trace recurrence; power_has_order is the check by

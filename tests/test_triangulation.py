@@ -99,8 +99,8 @@ def test_bare_header_fails_without_work_of_order_t():
 
 
 def test_over_long_numbers_name_their_line():
-    # int() refuses more than 4300 digits by default; the parser refuses
-    # a longer number as any line it cannot read, naming the line
+    # a number has at most psl.MAX_DIGITS digits; the parser refuses a
+    # longer one as any line it cannot read, naming the line
     big = "1" * 5000
     with pytest.raises(TriangulationError, match=r"^line 2: expected 't=<N>' header$"):
         parse_triangulation(f"# a comment\nt={big}\n")

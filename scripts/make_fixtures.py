@@ -50,11 +50,11 @@ from typing import Sequence
 if __name__ == "__main__":  # run as a script, build with this checkout's package
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from lenscert.certificate import pipeline
+from lenscert.certificate import parse_word, pipeline
 from lenscert.checker import Certificate, NON_ABELIAN, serialize, verify
 from lenscert.galois import quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
-from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
+from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.projmat import evaluate_word
 from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert.triangulation import (

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import re
-from typing import Optional
+from typing import Optional, Sequence
 
 # perfbench and bench_verify.py read parse and serialize here, where older trees define them
 from .checker import (
@@ -32,7 +32,7 @@ from .checker import (
     verify,
 )
 from .intlinalg import SeedCore, format_abelian, is_cyclic, seed_core
-from .presentation import GroupPresentation, Word, fundamental_group, parse_word
+from .presentation import GroupPresentation, Word, fundamental_group, letter_table, read_word
 from .projmat import evaluate_word
 from .trianglerep import TriangleType, classify, triangle_image, triangle_presentation
 from .triangulation import orientation_check, validate
@@ -115,6 +115,11 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     return cert, info
 
 
+def parse_word(text: str, labels: Sequence[str]) -> Word:
+    """read_word over labels, with the tokens separated by any whitespace."""
+    return read_word(" ".join(text.split()), letter_table(labels))
+
+
 def parse_surjection(text: str, pres_labels: tuple[str, ...]) -> tuple[Word, ...]:
     """Read 'gen <name> -> <word in x,y>' lines; every generator must appear."""
     words: dict[str, Word] = {}
@@ -145,21 +150,21 @@ def parse_surjection(text: str, pres_labels: tuple[str, ...]) -> tuple[Word, ...
 
 def pipeline(
     tri,
-    base: tuple[int, int, int],
+    base: Optional[tuple[int, int, int]] = None,
     surjection_text: Optional[str] = None,
 ) -> tuple[Certificate, dict]:
     """Produce a certificate about a triangulated Seifert fiber space.
 
     Step 1 computes homology from the triangulation's own presentation
-    and emits a non-cyclic abelian certificate when possible.  Step 2,
-    when H1 is cyclic, needs a user-supplied surjection from the
-    presentation onto the caller-asserted base orbifold's triangle group:
-    without one it is an error, raised before the triangle group's image
-    is built.  The surjection carries the image, built once, to the
-    triangulation's presentation.  It cannot carry the abelian (Z/d)^2
-    image of a base with common divisor d > 1: every abelian image of
-    the group factors through H1, which is cyclic in step 2, so that case
-    is an error too.
+    and emits a non-cyclic abelian certificate when possible; it reads
+    no base.  Step 2, when H1 is cyclic, needs the caller-asserted base
+    orbifold and a user-supplied surjection from the presentation onto
+    its triangle group: without either it is an error, the base named
+    first, raised before the triangle group's image is built.  The
+    surjection carries the image, built once, to the triangulation's
+    presentation.  It cannot carry the abelian (Z/d)^2 image of a base
+    with common divisor d > 1: every abelian image of the group factors
+    through H1, which is cyclic in step 2, so that case is an error too.
     """
     report = validate(tri)
     if not report.passed:
@@ -179,6 +184,8 @@ def pipeline(
         info["step"] = 1
         return cert, info
 
+    if base is None:
+        raise PipelineError(f"H1 = {info['h1']} is cyclic, so step 2 needs a base (--base)")
     t_type = classify(*base)
     if surjection_text is None:
         raise PipelineError(

@@ -219,10 +219,10 @@ def cmd_verify(args) -> int:
 def cmd_pipeline(args) -> int:
     tri = _load_triangulation(args.triangulation)
     try:
-        base = tuple(int(x) for x in args.base.split(","))
+        base = tuple(int(x) for x in args.base.split(",")) if args.base is not None else None
     except ValueError:
         raise CliError(f"bad --base value {args.base!r}; expected n1,n2,n3") from None
-    if len(base) != 3:
+    if base is not None and len(base) != 3:
         raise CliError("--base needs exactly three integers")
     surjection_text = _read(args.surjection) if args.surjection else None
     cert, info = certmod.pipeline(tri, base, surjection_text)
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pipeline", cmd_pipeline, help="homology, else --surjection to a triangle group")
     p.add_argument("triangulation")
-    p.add_argument("--base", required=True, help="base orbifold cone orders n1,n2,n3")
+    p.add_argument("--base", help="base orbifold cone orders n1,n2,n3 (cyclic H1)")
     p.add_argument(
         "--surjection", help="file mapping presentation generators to words in x,y (cyclic H1)"
     )

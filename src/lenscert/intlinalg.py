@@ -1,23 +1,23 @@
-"""Integer matrices, Smith normal form, and abelianizations.
+"""Integer matrices, Smith normal form, abelianizations, and the closure
+that writes a presentation's generators in a few seeds.
 
 Entries are Python ints throughout: SNF intermediates and the images a
 presentation's generators lift to overflow any fixed word size, so
 arbitrary precision is not optional here.
 
-`smith_normal_form` is dense and tracks the column transform V: every
-step scans the remaining matrix for its pivot, so it costs about n^3 on
-an n x n matrix.  The library runs it only on a presentation's seed
-core, of at most k x k entries for k seeds: `presentation.closure`
-writes every generator in k seeds (one on a lens space, two on a prism
-manifold, three on the 3-torus), `presentation.lift` sends the seeds
-to the unit vectors of Z^k, and `seed_core` folds the left-over
-relators' images into at most k rows by gcd row operations and returns
-that core's Smith normal form with the closure and the coordinates.  H1
-is its diagonal (`SeedCore.h1`), and the step-1 certificate reads its
-functionals mod n off V (`certificate.noncyclic_certificate`), so a
-caller that computes one core gets both from one closure -> lift ->
-core path.  Nothing is kept on the presentation: each `seed_core` call
-computes the core anew.
+`closure` writes every generator, in one linear pass, in k seeds (one on
+a lens space, two on a prism manifold, three on the 3-torus) by a
+straight-line program, and leaves the other relators over; `lift` runs
+that program over any group.  `seed_core` lifts the seeds to the unit
+vectors of Z^k, folds the left-over relators' images into at most k rows
+by gcd row operations, and returns that core's Smith normal form with
+the closure and the coordinates.  `smith_normal_form` is dense and
+tracks the column transform V, at about n^3 on an n x n matrix.  H1 is
+the core's diagonal (`SeedCore.h1`), and the step-1 certificate reads
+its functionals mod n off V (`certificate.noncyclic_certificate`), so a
+caller that computes one core gets both from one closure -> lift -> core
+path.  Nothing is kept on the presentation.  All of this is producer
+code: the checker runs none of it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
-
-from . import presentation
+from typing import Callable, NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -171,11 +169,110 @@ def _fold(rows: list, v: tuple) -> None:
         rows[c] = row
 
 
+class Closure(NamedTuple):
+    """A presentation's seeds, straight-line program and left-over
+    relators, as `closure` finds them."""
+
+    seeds: tuple[int, ...]
+    program: tuple[tuple[int, int], ...]  # (generator, relator index) steps
+    left: tuple[int, ...]  # indices of the relators that define nothing
+
+
+def closure(pres) -> Closure:
+    """Every generator written in a few seed generators, in one linear pass.
+
+    A relator with exactly one letter whose generator is still
+    undetermined, A u^e B = 1, defines that generator: u^e = (B A)^-1.
+    Each relator keeps a count of such letters, and an occurrence index
+    finds the relators a newly determined generator touches.  The order is
+    fixed, so a checker can replay it:
+
+      * ready relators, those whose count is 1, are taken first in,
+        first out: the one-letter relators in index order, then, each
+        time a generator is determined, the relators whose count it
+        brings to 1, in index order;
+      * a ready relator whose count has fallen to 0 by its turn is
+        skipped;
+      * when no relator is ready, the lowest undetermined generator
+        becomes the next seed, until every generator is determined.
+
+    The relators that define nothing are left over: seed images give a
+    homomorphism iff their `lift` kills each of them.
+    """
+    relators, g = pres.relators, pres.g
+    occurrences: list[list[int]] = [[] for _ in range(g)]
+    for r, word in enumerate(relators):
+        for gen, _ in word.letters:
+            occurrences[gen].append(r)
+    # letters whose generator is still undetermined, per relator
+    count = [len(word.letters) for word in relators]
+    determined = bytearray(g)
+    defines = bytearray(len(relators))
+    seeds: list[int] = []
+    program: list[tuple[int, int]] = []
+    ready = [r for r, n in enumerate(count) if n == 1]
+
+    def determine(gen: int) -> None:
+        determined[gen] = 1
+        for s in occurrences[gen]:
+            count[s] -= 1
+            if count[s] == 1:
+                ready.append(s)
+
+    lowest = 0
+    while True:
+        for r in ready:  # the list grows as relators become ready
+            if count[r] != 1:
+                continue
+            for gen, _ in relators[r].letters:
+                if not determined[gen]:
+                    break
+            defines[r] = 1
+            program.append((gen, r))
+            determine(gen)
+        ready.clear()
+        while lowest < g and determined[lowest]:
+            lowest += 1
+        if lowest == g:
+            break
+        seeds.append(lowest)
+        determine(lowest)
+    left = tuple([r for r, used in enumerate(defines) if not used])
+    return Closure(tuple(seeds), tuple(program), left)
+
+
+def lift(
+    pres, closed: Closure, seed_images: Sequence,
+    mul: Callable, inv: Callable, one,
+) -> list:
+    """Every generator's image, from the seeds' images, by running the
+    closure's program over any group given by mul, inv and one.
+
+    A step (u, r) reads relator r as A u^e B = 1, so u^e = (B A)^-1; a
+    one-letter relator gives u = one.  The images define a homomorphism
+    iff they kill every left-over relator.
+    """
+    images: list = [None] * pres.g
+    for gen, image in zip(closed.seeds, seed_images, strict=True):
+        images[gen] = image
+    relators = pres.relators
+    for gen, r in closed.program:
+        letters = relators[r].letters
+        k = 0
+        while letters[k][0] != gen:
+            k += 1
+        value = one  # B A: the letters after u, then those before it
+        for x, e in letters[k + 1 :] + letters[:k]:
+            value = mul(value, images[x] if e == 1 else inv(images[x]))
+        images[gen] = inv(value) if letters[k][1] == 1 else value
+    return images
+
+
 class SeedCore(NamedTuple):
     """A presentation's closure, every generator's coordinates in Z^k,
     and the Smith normal form of the relations among the k seeds."""
 
-    closed: presentation.Closure
+    closed: Closure
     coordinates: tuple[tuple[int, ...], ...]  # entry i: coordinate i of each generator
     snf: SNFResult  # of the relations among the seeds, with V
 
@@ -193,11 +290,11 @@ def seed_core(pres) -> SeedCore:
     `smith_normal_form` call through its module-level name, of the
     left-over relators' images folded by gcd row operations into a core
     of at most k rows (one gcd when k = 1)."""
-    closed = presentation.closure(pres)
+    closed = closure(pres)
     k = len(closed.seeds)
     units = [[int(i == j) for j in range(k)] for i in range(k)]
     coordinates = tuple(
-        tuple(presentation.lift(pres, closed, unit, operator.add, operator.neg, 0))
+        tuple(lift(pres, closed, unit, operator.add, operator.neg, 0))
         for unit in units
     )
     words = [pres.relators[r].letters for r in closed.left]
@@ -224,7 +321,7 @@ def seed_core(pres) -> SeedCore:
 
 def abelianization(pres) -> AbelianGroup:
     """G^ab by closure, lift, a folded core and one Smith normal form:
-    `presentation.closure` writes every generator in k seeds, and G^ab
+    `closure` writes every generator in k seeds, and G^ab
     is Z^k modulo the images of the left-over relators under the `lift`
     that sends the seeds to the unit vectors (`seed_core`)."""
     return seed_core(pres).h1()

@@ -7,7 +7,7 @@ length at most 3.  A 1-vertex triangulation with t tetrahedra therefore
 yields at most t+1 generators and 2t relators.
 
 `fundamental_group` reads the generators, the maximal tree and every
-relator letter straight off `Triangulation.orbit_roots` (one walk per
+relator letter straight off `Triangulation.orbit_walk` (one walk per
 directed-edge orbit): a generator's letter is the directed-edge orbit
 it runs along.  Every letter comes from that letter table, a
 (generator below g, +-1) pair, so the relators and the presentation are
@@ -15,14 +15,11 @@ built by `Word.from_checked` and `GroupPresentation.from_checked` and
 checked once, where the table is made.  The cell structure pi1 was once
 read from is kept as a reference oracle in `tests/oracles.py`.
 
-`closure` reduces a presentation, in one linear pass, to a few seed
-generators, a straight-line program that writes every other generator
-in them, and the relators left over; `lift` runs that program over any
-group, so a homomorphism is fixed by the seeds' images and checked on
-the left-over relators alone.  A presentation keeps nothing but its
-generators, relators and labels: `intlinalg.seed_core` runs `closure`
-and `lift` into Z^k for H1 and the step-1 certificate, and this module
-imports nothing of `intlinalg`.
+A presentation keeps nothing but its generators, relators and labels.
+This module holds what the checker runs on them: the two dataclasses,
+the word and presentation writers, `read_word` and `fundamental_group`.
+The closure that writes every generator in a few seeds, and its `lift`,
+are producer code in `intlinalg`.
 
 `read_word` is the one reader of words in text, certificates' and
 surjection files' alike: it reads exactly the tokens `format_word`
@@ -35,7 +32,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .triangulation import (
     DIRECTED_INDEX,
@@ -44,7 +41,6 @@ from .triangulation import (
     DisconnectedError,
     Triangulation,
     TriangulationError,
-    root_slots,
 )
 
 # a generator label: ASCII, a letter or '_' first, then letters, digits or '_'
@@ -184,11 +180,6 @@ def read_word(text: str, table: dict[str, tuple[int, int]]) -> Word:
         raise ValueError(f"unknown generator {name!r} in word") from None
 
 
-def parse_word(text: str, labels: Sequence[str]) -> Word:
-    """read_word over labels, with the tokens separated by any whitespace."""
-    return read_word(" ".join(text.split()), letter_table(labels))
-
-
 def format_presentation(pres: GroupPresentation) -> list[str]:
     """Canonical text block: gens line with labels, rels count, one word per line."""
     lines = ["gens " + " ".join([str(pres.g), *pres.labels])]
@@ -207,7 +198,7 @@ _FACE_BOUNDARY = tuple(
 def fundamental_group(tri: Triangulation) -> GroupPresentation:
     """Edge-class generators, triangle-boundary relators, tree edges killed.
 
-    Read straight from `Triangulation.orbit_roots`.  Edge classes are
+    Read straight from `Triangulation.orbit_walk`.  Edge classes are
     taken in order of their root, the smallest edge slot: a class whose
     ends lie in two components of the classes taken so far joins the
     maximal tree of the 1-skeleton, and every other class is the next
@@ -216,13 +207,13 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     canonical (tet, face) order, gives the freely reduced boundary word
     of its smaller side.
     """
-    vroot, eroot, droot = tri.orbit_roots
+    (vroot, _, droot), edge_roots, _ = tri.orbit_walk
     link = list(range(len(vroot)))  # vertex class -> a class of its component, or itself
     joined = 0  # tree edges
     g = 0  # generators
     reversed_edge = False
     letter: dict[int, tuple[int, int]] = {}  # directed root -> (generator, +-1)
-    for root in root_slots(eroot):
+    for root in edge_roots:
         tet, k = divmod(root, 6)
         fwd, back = EDGE_DIRECTIONS[k]
         positive, negative = droot[12 * tet + fwd], droot[12 * tet + back]
@@ -269,101 +260,3 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     # every letter comes from the letter table: (generator below g, +-1)
     return GroupPresentation.from_checked(g, tuple(relators), default_labels(g))
 
-
-class Closure(NamedTuple):
-    """A presentation's seeds, straight-line program and left-over
-    relators, as `closure` finds them."""
-
-    seeds: tuple[int, ...]
-    program: tuple[tuple[int, int], ...]  # (generator, relator index) steps
-    left: tuple[int, ...]  # indices of the relators that define nothing
-
-
-def closure(pres: GroupPresentation) -> Closure:
-    """Every generator written in a few seed generators, in one linear pass.
-
-    A relator with exactly one letter whose generator is still
-    undetermined, A u^e B = 1, defines that generator: u^e = (B A)^-1.
-    Each relator keeps a count of such letters, and an occurrence index
-    finds the relators a newly determined generator touches.  The order is
-    fixed, so a checker can replay it:
-
-      * ready relators, those whose count is 1, are taken first in,
-        first out: the one-letter relators in index order, then, each
-        time a generator is determined, the relators whose count it
-        brings to 1, in index order;
-      * a ready relator whose count has fallen to 0 by its turn is
-        skipped;
-      * when no relator is ready, the lowest undetermined generator
-        becomes the next seed, until every generator is determined.
-
-    The relators that define nothing are left over: seed images give a
-    homomorphism iff their `lift` kills each of them.
-    """
-    relators, g = pres.relators, pres.g
-    occurrences: list[list[int]] = [[] for _ in range(g)]
-    for r, word in enumerate(relators):
-        for gen, _ in word.letters:
-            occurrences[gen].append(r)
-    # letters whose generator is still undetermined, per relator
-    count = [len(word.letters) for word in relators]
-    determined = bytearray(g)
-    defines = bytearray(len(relators))
-    seeds: list[int] = []
-    program: list[tuple[int, int]] = []
-    ready = [r for r, n in enumerate(count) if n == 1]
-
-    def determine(gen: int) -> None:
-        determined[gen] = 1
-        for s in occurrences[gen]:
-            count[s] -= 1
-            if count[s] == 1:
-                ready.append(s)
-
-    lowest = 0
-    while True:
-        for r in ready:  # the list grows as relators become ready
-            if count[r] != 1:
-                continue
-            for gen, _ in relators[r].letters:
-                if not determined[gen]:
-                    break
-            defines[r] = 1
-            program.append((gen, r))
-            determine(gen)
-        ready.clear()
-        while lowest < g and determined[lowest]:
-            lowest += 1
-        if lowest == g:
-            break
-        seeds.append(lowest)
-        determine(lowest)
-    left = tuple([r for r, used in enumerate(defines) if not used])
-    return Closure(tuple(seeds), tuple(program), left)
-
-
-def lift(
-    pres: GroupPresentation, closed: Closure, seed_images: Sequence,
-    mul: Callable, inv: Callable, one,
-) -> list:
-    """Every generator's image, from the seeds' images, by running the
-    closure's program over any group given by mul, inv and one.
-
-    A step (u, r) reads relator r as A u^e B = 1, so u^e = (B A)^-1; a
-    one-letter relator gives u = one.  The images define a homomorphism
-    iff they kill every left-over relator.
-    """
-    images: list = [None] * pres.g
-    for gen, image in zip(closed.seeds, seed_images, strict=True):
-        images[gen] = image
-    relators = pres.relators
-    for gen, r in closed.program:
-        letters = relators[r].letters
-        k = 0
-        while letters[k][0] != gen:
-            k += 1
-        value = one  # B A: the letters after u, then those before it
-        for x, e in letters[k + 1 :] + letters[:k]:
-            value = mul(value, images[x] if e == 1 else inv(images[x]))
-        images[gen] = inv(value) if letters[k][1] == 1 else value
-    return images

@@ -19,12 +19,12 @@ slots, the first write standing, and then names a clash ("pairing not
 an involution"), else a face glued to itself, else the first unpaired
 face.
 
-``Triangulation.orbit_roots`` computes the vertex, edge and
-directed-edge orbits once per instance, in one walk around each
-directed-edge orbit: the edge orbits are read off the walks, and the
-vertex classes are the walks' tails, joined.  ``validate`` and
-``presentation.fundamental_group`` share them; they are derived from the
-gluings alone, so the memo never changes a value.  ``orientation_check``
+``Triangulation.orbit_walk`` computes the vertex, edge and directed-edge
+orbits once per instance, in one walk around each directed-edge orbit:
+the edge orbits are read off the walks, and the vertex classes are the
+walks' tails, joined.  ``validate`` and ``presentation.fundamental_group``
+share it; it is derived from the gluings alone, so the memo never
+changes a value.  ``orientation_check``
 is one breadth-first pass from tetrahedron 0.  The dual spanning graph
 that the orientation check once built, and the earlier three-pass orbit
 search, are kept as reference oracles in ``tests/oracles.py``.
@@ -36,8 +36,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, permutations
-from operator import eq
+from itertools import count, permutations
 from typing import Optional, Sequence
 
 from .psl import MAX_DIGITS
@@ -162,20 +161,21 @@ class Triangulation:
         return out
 
     @cached_property
-    def orbit_roots(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def orbit_walk(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
         """Vertex, edge and directed-edge orbits under the gluings.
 
         Slots are 4*tet + vertex, 6*tet + EDGE_INDEX and 12*tet +
-        DIRECTED_INDEX; each list maps a slot to the smallest slot of its
-        orbit.  All three come from one walk around each directed-edge
-        orbit (`_walk_orbits`).  Computed on first use and kept on this
+        DIRECTED_INDEX; each root table maps a slot to the smallest slot
+        of its orbit.  One walk around each directed-edge orbit
+        (`_walk_orbits`) gives the three tables, the edge classes' roots
+        and the walks' tails.  Computed on first use and kept on this
         instance only.
         """
         return _walk_orbits(self.gluings)
 
 
-def _walk_orbits(gluings) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Vertex, edge and directed-edge slot -> smallest slot of its orbit.
+def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The root tables, and the edge roots and tail slots as the walks meet them.
 
     A directed edge lies on the two faces that miss both its ends, so its
     orbit is a cycle: leave through one face, and from each directed edge
@@ -188,7 +188,8 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     slots within a tetrahedron are ordered by (tail, head) and edges by
     (low end, high end), so the union's smallest directed slot, where the
     first of its walks starts, lies on its smallest edge slot.  The walk
-    over the reverse directions finds that root already set.
+    over the reverse directions finds that root already set, and the
+    edge roots are met in increasing order.
 
     The same order puts three directed slots on each tail, so directed
     slot x has its tail at vertex slot x // 3.  A gluing keeps a directed
@@ -202,13 +203,18 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     droot = [-1] * (12 * len(gluings))
     eroot = [-1] * (6 * len(gluings))
     vlink = list(range(4 * len(gluings)))  # vertex slot -> smaller slot of its class, or itself
+    edge_roots, tails = [], []  # as the walks meet them
     for start in range(len(droot)):
         if droot[start] >= 0:
             continue
         tet, s = divmod(start, 12)
         edge = 6 * tet + _EDGE_OF_DIRECTED[s]
-        low = eroot[edge] if eroot[edge] >= 0 else edge
+        low = eroot[edge]
+        if low < 0:
+            low = edge
+            edge_roots.append(edge)
         vlow = start // 3
+        tails.append(vlow)
         while vlink[vlow] != vlow:
             vlink[vlow] = vlow = vlink[vlink[vlow]]  # path halving
         face = _DIRECTED_FACES[s][0]
@@ -236,12 +242,7 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
             face = _OTHER_FACE[s][entered]
     for v, up in enumerate(vlink):
         vlink[v] = vlink[up]  # up <= v is resolved already
-    return tuple(vlink), tuple(eroot), tuple(droot)
-
-
-def root_slots(roots: tuple[int, ...]) -> list[int]:
-    """The slots that are their orbit's root, in increasing order."""
-    return list(compress(count(), map(eq, roots, count())))
+    return (tuple(vlink), tuple(eroot), tuple(droot)), tuple(edge_roots), tuple(tails)
 
 
 def make_triangulation(t: int, gluings: Sequence[tuple]) -> Triangulation:
@@ -306,13 +307,14 @@ def _assemble(t: int, rows: Sequence[tuple]) -> Triangulation:
     raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
 
 
-_NUMBER = rf"(\d{{1,{MAX_DIGITS}}})"  # a number, as int() reads it under any digit limit
-_HEADER_RE = re.compile(rf"^\s*t\s*=\s*{_NUMBER}\s*$")
+_NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"  # as many digits as int() reads under any limit
+_BLANKS = " \t"  # ASCII, as the certificate grammar is
+_BLANK = f"[{_BLANKS}]*"
+_HEADER_RE = re.compile(rf"^{_BLANK}t{_BLANK}={_BLANK}{_NUMBER}{_BLANK}$")
 # One line of gluings text: a gluing, a blank or comment line with no group
-# set, or else any other line, caught whole by the last group.  Blanks are
-# whitespace but a newline, so in MULTILINE mode over lines joined by newlines
-# each match is one whole line.
-_BLANK = r"[^\S\n]*"
+# set, or else any other line, caught whole by the last group.  Blanks hold
+# no newline, so in MULTILINE mode over lines joined by newlines each match
+# is one whole line.
 _GLUING_LINES_RE = re.compile(
     rf"^{_BLANK}(?:{_NUMBER}{_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}{_NUMBER}{_BLANK}:"
     rf"{_BLANK}([0-3]){_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
@@ -343,7 +345,7 @@ def parse_triangulation(text: str) -> Triangulation:
     lines = text.splitlines()
     t = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if line:
             m = _HEADER_RE.match(line)
             if not m:
@@ -361,7 +363,7 @@ def parse_triangulation(text: str) -> Triangulation:
     for lineno, (tet, face, tet2, face2, perm_text, other) in enumerate(found, start=lineno + 1):
         if not perm_text:
             if other:
-                line = other.split("#", 1)[0].strip()
+                line = other.split("#", 1)[0].strip(_BLANKS)
                 raise TriangulationError(f"line {lineno}: cannot parse gluing: {line!r}")
             continue  # a blank or comment line
         perm = perm_of(perm_text)
@@ -417,10 +419,9 @@ def validate(tri: Triangulation) -> ValidationReport:
     has chi = 2 and no edge is glued to itself in reverse.
     """
     t = tri.t
-    vroot, eroot, droot = tri.orbit_roots
+    (vroot, _, droot), edge_roots, tails = tri.orbit_walk
 
     corners = Counter(vroot)  # vertex class -> corners of its link
-    edge_roots = root_slots(eroot)
     v = len(corners)
     e = len(edge_roots)
     f = 2 * t
@@ -437,9 +438,9 @@ def validate(tri: Triangulation) -> ValidationReport:
     # Link of a vertex class: corner triangles are its faces, corner
     # sides are glued in face-pairing pairs, corner tips are the directed
     # edge orbits leaving it (a gluing keeps an edge's tail in its vertex
-    # class, and directed slot x has its tail at vertex slot x // 3).
+    # class, so each orbit's walk tail names its vertex class).
     # chi(link) = (#tip orbits) - (#corners)/2.
-    tips = Counter(vroot[x // 3] for x in root_slots(droot))
+    tips = Counter(vroot[x] for x in tails)
     # 3*f_v corner sides glued in pairs
     link_eulers = [tips[root] - (3 * f_v) // 2 + f_v for root, f_v in sorted(corners.items())]
 

@@ -821,15 +821,17 @@ def pairings_format_triangulation(tri: Triangulation, comment: str = "") -> str:
 
 def closure_parse_triangulation(text: str) -> Triangulation:
     """The gluing format read line by line, each line stripped of its
-    comment and blanks first, then assembled by `closure_assemble`."""
-    header = re.compile(r"^\s*t\s*=\s*(\d+)\s*$")
+    comment and blanks first, then assembled by `closure_assemble`.  The
+    grammar is ASCII: numbers are [0-9] and blanks are spaces and tabs."""
+    header = re.compile(r"^[ \t]*t[ \t]*=[ \t]*([0-9]+)[ \t]*$")
     gluing = re.compile(
-        r"^\s*(\d+)\s*:\s*([0-3])\s*->\s*(\d+)\s*:\s*([0-3])\s*perm\s*=\s*([0-3]{4})\s*$"
+        r"^[ \t]*([0-9]+)[ \t]*:[ \t]*([0-3])[ \t]*->[ \t]*([0-9]+)[ \t]*:[ \t]*([0-3])"
+        r"[ \t]*perm[ \t]*=[ \t]*([0-3]{4})[ \t]*$"
     )
     t = None
     gluings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         if t is None:
@@ -938,7 +940,7 @@ def random_presentation(rng: random.Random):
 
 
 def closure_by_rescan(pres: GroupPresentation) -> tuple:
-    """(seeds, program, left) of `presentation.closure`, in the order its
+    """(seeds, program, left) of `intlinalg.closure`, in the order its
     docstring states, with every relator's undetermined letters
     recounted from its word at each step: quadratic, and sharing no
     counter or occurrence index with the library's pass."""

@@ -11,7 +11,7 @@ import re
 import time
 
 from conftest import MANIFOLD_FIXTURES, fixture_text, load_fixture
-from lenscert.certificate import pipeline, triangle_certificate
+from lenscert.certificate import parse_word, pipeline, triangle_certificate
 from lenscert.checker import (
     NON_ABELIAN,
     Certificate,
@@ -22,7 +22,7 @@ from lenscert.checker import (
     verify_bound,
 )
 from lenscert.intlinalg import IntMatrix, abelianization, hadamard_torsion_bound, smith_normal_form
-from lenscert.presentation import GroupPresentation, fundamental_group, parse_word
+from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.projmat import projective_order
 from lenscert.psl import ProjMatrix
 from lenscert.trianglerep import (

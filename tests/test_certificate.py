@@ -22,6 +22,7 @@ from lenscert.certificate import (
     PipelineError,
     noncyclic_certificate,
     parse_surjection,
+    parse_word,
     pipeline,
     triangle_certificate,
 )
@@ -39,7 +40,7 @@ from lenscert.checker import (
 from lenscert.cli import main as cli_main
 from lenscert.galois import is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
-from lenscert.presentation import GroupPresentation, Word, fundamental_group, parse_word
+from lenscert.presentation import GroupPresentation, Word, fundamental_group
 from lenscert.psl import FieldSpec, ProjMatrix
 from oracles import (
     dense_abelian_report,
@@ -1598,10 +1599,9 @@ def test_pipeline_step1_shares_one_closure_and_one_snf(name, base, monkeypatch):
     # form, which pipeline computes once; the presentation keeps nothing,
     # so every later seed_core call computes its own
     import lenscert.intlinalg as intlinalg
-    import lenscert.presentation as presentation
 
     calls = {"closure": 0, "snf": 0}
-    closure, snf = presentation.closure, intlinalg.smith_normal_form
+    closure, snf = intlinalg.closure, intlinalg.smith_normal_form
 
     def counted_closure(pres):
         calls["closure"] += 1
@@ -1611,7 +1611,7 @@ def test_pipeline_step1_shares_one_closure_and_one_snf(name, base, monkeypatch):
         calls["snf"] += 1
         return snf(a)
 
-    monkeypatch.setattr(presentation, "closure", counted_closure)
+    monkeypatch.setattr(intlinalg, "closure", counted_closure)
     monkeypatch.setattr(intlinalg, "smith_normal_form", counted_snf)
     fields = {"g", "relators", "labels"}
     tri = load_fixture(name)

@@ -374,6 +374,26 @@ def test_pipeline_triangulation_level_needs_surjection(tmp_path):
         assert run_cli("verify", str(target), "--triangulation", fixture_path(name)).returncode == 0
 
 
+def test_pipeline_needs_base_only_at_step_2(tmp_path):
+    # step 1 reads no base, so --base changes nothing there; step 2
+    # without one is an error that names --base, before any surjection
+    outs = [
+        run_cli("pipeline", fixture_path("t3_torus.tri"), *base, "-o", str(tmp_path / f"{k}.cert"))
+        for k, base in enumerate([(), ("--base", "2,3,7")])
+    ]
+    assert [out.returncode for out in outs] == [0, 0]
+    step1 = "step=1 h1=Z^3\nkind=NonCyclicAbelian target=Z/2xZ/2\n"
+    assert outs[0].stdout == outs[1].stdout == step1
+    assert (tmp_path / "0.cert").read_bytes() == (tmp_path / "1.cert").read_bytes()
+    target = tmp_path / "prism.cert"
+    out = run_cli(
+        "pipeline", fixture_path("prism_q12.tri"),
+        "--surjection", fixture_path("prism_q12.surj"), "-o", str(target),
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: H1 = Z^0 + Z/4 is cyclic, so step 2 needs a base (--base)\n"
+    assert not target.exists()
+
 def test_degree_report():
     out = run_cli("degree-report", "2", "3", "7")
     assert out.returncode == 0
@@ -630,7 +650,7 @@ def _readme_commands():
 
 def test_readme_command_outputs(tmp_path, monkeypatch, capsys):
     commands = _readme_commands()
-    assert [args[0] for args, _ in commands] == ["homology", "trianglecert", "verify"]
+    assert [args[0] for args, _ in commands] == ["homology", "trianglecert", "verify", "pipeline"]
     (tmp_path / "fixtures").symlink_to(os.path.abspath(os.path.join(PKG_ROOT, "fixtures")))
     monkeypatch.chdir(tmp_path)
     for args, tokens in commands:

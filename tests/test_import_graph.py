@@ -28,13 +28,16 @@ def _modules() -> set[str]:
     return {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")}
 
 
+def _tree(module: str) -> ast.Module:
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
 def _imports(module: str, modules: set[str]) -> set[str]:
     """The lenscert modules that module's source imports, at any depth
     of its syntax tree."""
-    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names = [alias.name.split(".") for alias in node.names]
             found.update(parts[1] for parts in names if parts[0] == "lenscert" and len(parts) > 1)
@@ -65,8 +68,36 @@ def test_the_graph_reads_every_kind_of_import_statement():
     modules = _modules()
     assert set(CHECKER) | PRODUCERS <= modules
     assert _imports("certificate", modules) >= {"intlinalg", "presentation", "projmat"}
-    assert "presentation" in _imports("intlinalg", modules)  # from . import presentation
+    assert "certificate" in _imports("cli", modules)  # from . import certificate as certmod
     assert _reach("cli") >= PRODUCERS - {"cli"}
+
+
+def _defined_names(module: str) -> set[str]:
+    """The names module binds at its top level by def, class or
+    assignment; an imported name is not defined there."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    """A name moved from one module to another leaves no copy behind;
+    the other modules import it from its one home."""
+    homes: dict[str, list[str]] = {}
+    for module in sorted(_modules()):
+        for name in _defined_names(module):
+            homes.setdefault(name, []).append(module)
+    assert "parse_word" in _defined_names("certificate")
+    assert {"Closure", "closure", "lift"} <= _defined_names("intlinalg")
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {
+        "_NUMBER": ["checker", "triangulation"]  # private: each grammar's own
+    }
 
 
 @pytest.mark.parametrize("module", CHECKER)

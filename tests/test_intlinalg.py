@@ -10,6 +10,7 @@ from lenscert.intlinalg import (
     AbelianGroup,
     IntMatrix,
     abelianization,
+    closure,
     format_abelian,
     hadamard_torsion_bound,
     is_cyclic,
@@ -17,7 +18,8 @@ from lenscert.intlinalg import (
     smith_normal_form,
 )
 import lenscert.intlinalg as intlinalg
-from lenscert.presentation import GroupPresentation, Word, closure, parse_word
+from lenscert.certificate import parse_word
+from lenscert.presentation import GroupPresentation, Word
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
 from oracles import (

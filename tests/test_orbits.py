@@ -1,4 +1,4 @@
-"""The shared orbit pass (`Triangulation.orbit_roots`) and its readers,
+"""The shared orbit pass (`Triangulation.orbit_walk`) and its readers,
 checked against the independent orbit oracles in `oracles.py`, and
 against the chain they replaced (three orbit passes, the dual-graph
 orientation check, pi1 from a cell structure)."""
@@ -100,7 +100,7 @@ def _oracle_report(tri):
 def _check_against_oracles(tri, h1_oracle=True):
     vertices = _vertex_orbits(tri)
     edges, directed = _edge_orbits(tri)
-    vroot, eroot, droot = tri.orbit_roots
+    vroot, eroot, droot = tri.orbit_walk[0]
     assert list(vroot) == _min_slots(vertices, lambda m: 4 * m[0] + m[1])
     assert list(eroot) == _min_slots(edges, lambda m: 6 * m[0] + EDGE_INDEX[m[1:]])
     assert list(droot) == _min_slots(directed, lambda m: 12 * m[0] + DIRECTED_INDEX[m[1:]])
@@ -168,16 +168,16 @@ def test_memo_belongs_to_one_instance():
     rng = random.Random(4711)
     moved = 0
     for tri in _random_tables(60, 2718, 6):
-        roots = tri.orbit_roots
+        roots = tri.orbit_walk[0]
         twin = parse_triangulation(format_triangulation(tri))
-        assert twin == tri and "orbit_roots" not in vars(twin)
+        assert twin == tri and "orbit_walk" not in vars(twin)
         perm = list(range(tri.t))
         rng.shuffle(perm)
         relabelled = relabel_triangulation(tri, perm)
-        assert "orbit_roots" not in vars(relabelled)
+        assert "orbit_walk" not in vars(relabelled)
         _check_against_oracles(relabelled)
-        moved += relabelled.orbit_roots != roots
-        assert tri.orbit_roots is roots
+        moved += relabelled.orbit_walk[0] != roots
+        assert tri.orbit_walk[0] is roots
     assert moved >= 20  # a memo shared with the original would be caught
 
 
@@ -223,7 +223,12 @@ def _result(fn, tri):
 
 
 def _assert_chain_matches_replaced(tri):
-    assert tri.orbit_roots == three_pass_orbit_roots(tri)
+    roots, edge_roots, tails = tri.orbit_walk
+    vroot, eroot, droot = three_pass_orbit_roots(tri)
+    assert roots == (vroot, eroot, droot)
+    # the roots the walk lists as it meets them are the tables' own
+    assert edge_roots == tuple(x for x, root in enumerate(eroot) if x == root)
+    assert tails == tuple(x // 3 for x, root in enumerate(droot) if x == root)
     assert _result(orientation_check, tri) == _result(tree_orientation_check, tri)
     assert _result(fundamental_group, tri) == _result(cell_fundamental_group, tri)
 
@@ -246,7 +251,7 @@ def test_chain_equals_replaced_chain_on_disjoint_unions(t1, t2, rnd):
 def test_empty_triangulation_has_the_empty_presentation():
     empty = make_triangulation(0, [])
     assert fundamental_group(empty) == cell_fundamental_group(empty) == GroupPresentation(0, ())
-    assert validate(empty).v == 0 and empty.orbit_roots == ((), (), ())
+    assert validate(empty).v == 0 and empty.orbit_walk[0] == ((), (), ())
 
 
 def test_empty_triangulation_is_orientable():
@@ -272,7 +277,7 @@ def test_walk_stops_on_gluings_that_do_not_pair_faces_both_ways():
     try:
         for _ in range(50):
             try:
-                table_built_directly(rng).orbit_roots
+                table_built_directly(rng).orbit_walk
             except TriangulationError as exc:
                 assert "both ways" in str(exc)
                 rejected += 1

@@ -217,11 +217,6 @@ def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
 # belongs in a producer module.
 ITEM_15 = "perfbench reads it, so it moves with perfbench's rewrite (ROADMAP item 15)"
 BUILT = "a certificate built in code needs it"
-ITEM_1 = "the cyclic certificate (ROADMAP item 1) makes it trusted"
-ITEM_14 = (
-    "the surjection-file reader: its one product caller, certificate.parse_surjection,"
-    " goes with ROADMAP item 14"
-)
 TABLE = "the boundary check for a gluing table built in code"
 NOT_RUN = {
     "checker.Certificate.__post_init__": BUILT,
@@ -247,10 +242,6 @@ NOT_RUN = {
     "presentation.Word.__post_init__": BUILT,
     "presentation.Word.max_generator": BUILT,
     "presentation.GroupPresentation.__post_init__": BUILT,
-    "presentation.parse_word": ITEM_14,
-    "presentation.closure": ITEM_1,
-    "presentation.closure.determine": ITEM_1,
-    "presentation.lift": ITEM_1,
     **{
         f"triangulation.{name}": ITEM_15
         for name in (

@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, fixture_path, load_fixture
 from lenscert.cli import main as cli_main
-from lenscert.intlinalg import AbelianGroup, abelianization
+from lenscert.certificate import parse_word
+from lenscert.intlinalg import AbelianGroup, Closure, abelianization, closure, lift
 from lenscert.presentation import (
     LABEL_PATTERN,
-    Closure,
     GroupPresentation,
     Word,
-    closure,
     format_presentation,
     format_word,
     fundamental_group,
     letter_table,
-    lift,
-    parse_word,
     read_word,
 )
 from lenscert.psl import FieldSpec, ProjMatrix

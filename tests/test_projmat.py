@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from lenscert import psl
 from lenscert.checker import bit_size_spec
 from lenscert.galois import factorize, quadratic_extension, sqrt_mod_p
-from lenscert.presentation import Word, parse_word
+from lenscert.certificate import parse_word
+from lenscert.presentation import Word
 from lenscert.projmat import evaluate_word, has_order, projective_order
 from lenscert.psl import (
     _sign_normalized,

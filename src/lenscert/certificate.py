@@ -35,16 +35,17 @@ from .intlinalg import SeedCore, format_abelian, is_cyclic, seed_core
 from .presentation import GroupPresentation, Word, fundamental_group, letter_table, read_word
 from .projmat import evaluate_word
 from .trianglerep import TriangleType, classify, triangle_image, triangle_presentation
-from .triangulation import orientation_check, validate
+from .triangulation import _BLANKS, orientation_check, validate
 
 
 class PipelineError(RuntimeError):
     """The certificate producer cannot proceed on this input."""
 
 
-# a surjection-file line is stripped first, so an empty word leaves
-# "gen <name> ->"
-_SURJ_FILE_RE = re.compile(r"^gen (\w+) ->(?: (.*))?$")
+# Blanks in a surjection file are spaces and tabs, as in a triangulation.
+# A line is stripped of them first, so an empty word leaves "gen <name> ->".
+_BLANK_RUN = f"[{_BLANKS}]+"
+_SURJ_FILE_RE = re.compile(rf"^gen{_BLANK_RUN}(\w+){_BLANK_RUN}->(?:{_BLANK_RUN}(.*))?$")
 
 
 def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificate:
@@ -116,15 +117,15 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
 
 
 def parse_word(text: str, labels: Sequence[str]) -> Word:
-    """read_word over labels, with the tokens separated by any whitespace."""
-    return read_word(" ".join(text.split()), letter_table(labels))
+    """read_word over labels, with the tokens separated by spaces and tabs."""
+    return read_word(re.sub(_BLANK_RUN, " ", text.strip(_BLANKS)), letter_table(labels))
 
 
 def parse_surjection(text: str, pres_labels: tuple[str, ...]) -> tuple[Word, ...]:
     """Read 'gen <name> -> <word in x,y>' lines; every generator must appear."""
     words: dict[str, Word] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if not line or line == "surjection":
             continue
         m = _SURJ_FILE_RE.match(line)

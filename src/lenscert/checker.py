@@ -103,7 +103,7 @@ from .presentation import (
     letter_table,
     read_word,
 )
-from .psl import DECIMAL_PATTERN, FieldSpec, parse_coords, parse_decimal
+from .psl import DECIMAL_GROUP, FieldSpec, parse_coords, parse_decimal
 from .psl import _IDENTITY, ProjMatrix, coord_table, fold_letters, letter_coords
 from .triangulation import DisconnectedError, Triangulation, validate
 
@@ -270,14 +270,13 @@ def _format_certificate(cert: Certificate) -> str:
 # Tokens are separated by single spaces, as serialize writes them.  The gens
 # line and each degree's matrix line are accepted by one regex, matched
 # against the whole line (fullmatch), whose groups are canonical decimals
-# (psl.DECIMAL_PATTERN) and labels (presentation.LABEL_PATTERN); a line
+# (psl.DECIMAL_GROUP) and labels (presentation.LABEL_PATTERN); a line
 # the regex refuses goes to a diagnose function that names the error and
 # always raises.
-_NUMBER = f"({DECIMAL_PATTERN})"
-_GENS_RE = re.compile(rf"gens {_NUMBER}(?: {LABEL_PATTERN})*")
+_GENS_RE = re.compile(rf"gens {DECIMAL_GROUP}(?: {LABEL_PATTERN})*")
 _MATRIX_RES = {
     deg: re.compile(rf"gen ({LABEL_PATTERN}) = \[\[{e},{e}\],\[{e},{e}\]\]")
-    for deg, e in ((1, _NUMBER), (2, rf"{_NUMBER}\+{_NUMBER}\*w"))
+    for deg, e in ((1, DECIMAL_GROUP), (2, rf"{DECIMAL_GROUP}\+{DECIMAL_GROUP}\*w"))
 }
 # what the matrix block takes for a matrix line at all: the first line it
 # does not take ends the block

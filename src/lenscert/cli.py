@@ -21,6 +21,7 @@ from . import checker
 from .galois import euler_phi
 from .intlinalg import abelianization, format_abelian, is_cyclic
 from .presentation import format_presentation, fundamental_group
+from .psl import parse_decimal
 from .trianglerep import (
     HYPERBOLIC,
     bound_report,
@@ -65,6 +66,14 @@ def _write_atomic(path: str, text: str) -> None:
         # a replaced temp file is gone; a failed write leaves none behind
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _decimal(text: str) -> int:
+    """An integer argument: a canonical decimal, as every number lenscert reads."""
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -218,14 +227,10 @@ def cmd_verify(args) -> int:
 
 def cmd_pipeline(args) -> int:
     tri = _load_triangulation(args.triangulation)
-    try:
-        base = tuple(int(x) for x in args.base.split(",")) if args.base is not None else None
-    except ValueError:
-        raise CliError(f"bad --base value {args.base!r}; expected n1,n2,n3") from None
-    if base is not None and len(base) != 3:
+    if args.base is not None and len(args.base) != 3:
         raise CliError("--base needs exactly three integers")
     surjection_text = _read(args.surjection) if args.surjection else None
-    cert, info = certmod.pipeline(tri, base, surjection_text)
+    cert, info = certmod.pipeline(tri, args.base, surjection_text)
     out = args.output or "pipeline.cert"
     _write_atomic(out, checker.serialize(cert))
     doc, lines = _cert_summary(cert, info)
@@ -399,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("triangulation")
 
     p = add("trianglecert", cmd_trianglecert, help="certificate for a triangle group")
-    p.add_argument("n1", type=int)
-    p.add_argument("n2", type=int)
-    p.add_argument("n3", type=int)
+    p.add_argument("n1", type=_decimal)
+    p.add_argument("n2", type=_decimal)
+    p.add_argument("n3", type=_decimal)
     p.add_argument("-o", "--output")
 
     p = add("verify", cmd_verify, help="verify a certificate file")
@@ -413,30 +418,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("pipeline", cmd_pipeline, help="homology, else --surjection to a triangle group")
     p.add_argument("triangulation")
-    p.add_argument("--base", help="base orbifold cone orders n1,n2,n3 (cyclic H1)")
+    p.add_argument(
+        "--base",
+        type=lambda text: tuple(map(_decimal, text.split(","))),
+        help="base orbifold cone orders n1,n2,n3 (cyclic H1)",
+    )
     p.add_argument(
         "--surjection", help="file mapping presentation generators to words in x,y (cyclic H1)"
     )
     p.add_argument("-o", "--output")
 
     p = add("sweep", cmd_sweep, help="build and verify all hyperbolic triples up to a bound")
-    p.add_argument("--max-n", type=int, default=19)
+    p.add_argument("--max-n", type=_decimal, default=19)
     p.add_argument("--verbose", action="store_true", help="one line per triple")
 
     p = add("degree-report", cmd_degree_report, help="trace-field degree and embedding scan")
-    p.add_argument("n1", type=int)
-    p.add_argument("n2", type=int)
-    p.add_argument("n3", type=int)
+    p.add_argument("n1", type=_decimal)
+    p.add_argument("n2", type=_decimal)
+    p.add_argument("n3", type=_decimal)
 
     p = add("norms", cmd_norms, help="cosine norm closed forms vs float products")
-    p.add_argument("--max-n", type=int, default=200)
+    p.add_argument("--max-n", type=_decimal, default=200)
     p.add_argument("--verbose", action="store_true")
 
     p = add("bounds", cmd_bounds, help="certificate-size bound report for a triple")
-    p.add_argument("n1", type=int)
-    p.add_argument("n2", type=int)
-    p.add_argument("n3", type=int)
-    p.add_argument("-t", "--tetrahedra", type=int)
+    p.add_argument("n1", type=_decimal)
+    p.add_argument("n2", type=_decimal)
+    p.add_argument("n3", type=_decimal)
+    p.add_argument("-t", "--tetrahedra", type=_decimal)
 
     return parser
 

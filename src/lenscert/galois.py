@@ -47,7 +47,7 @@ class PrimalityBoundError(RuntimeError):
 
 
 class SearchLimitExceeded(RuntimeError):
-    """Prime search passed its configured ceiling."""
+    """Prime search passed SEARCH_CEILING."""
 
 
 class FactorizationError(RuntimeError):
@@ -82,18 +82,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime_in_progression(l: int, ceiling: int = 10**9) -> int:
-    """Least prime p = 1 (mod l), scanning l+1, 2l+1, ... up to ceiling."""
+SEARCH_CEILING = 10**9
+
+
+def smallest_prime_in_progression(l: int) -> int:
+    """Least prime p = 1 (mod l), scanning l+1, 2l+1, ... up to SEARCH_CEILING."""
     if l < 2:
         raise ValueError("modulus must be at least 2")
     candidate = l + 1
-    while candidate <= ceiling:
+    while candidate <= SEARCH_CEILING:
         if is_prime(candidate):
             return candidate
         candidate += l
-    raise SearchLimitExceeded(
-        f"no prime = 1 (mod {l}) found below ceiling {ceiling}"
-    )
+    raise SearchLimitExceeded(f"no prime = 1 (mod {l}) found below ceiling {SEARCH_CEILING}")
 
 
 def linnik_ratio(p: int, l: int) -> float:

@@ -21,11 +21,10 @@ fold_letters (one product per letter of a word) call.  A word is one
 fold_letters over the coordinates of the images and their inverses
 (letter_coords, or coord_table for images given by their coordinates),
 which projmat.evaluate_word takes per call and a verifier once per
-certificate; an inverse is taken only for a generator that a fold reads
-with exponent -1.  fold_letters multiplies letter by letter unless the
-word has a period d <= 4, as the relators x^n and (xy)^n of a triangle
-group do: then it is w^k u, and w^k costs O(d + log k) products instead
-of n.
+certificate, every image's inverse taken once there.  fold_letters
+multiplies letter by letter unless the word has a period d <= 4, as the
+relators x^n and (xy)^n of a triangle group do: then it is w^k u, and
+w^k costs O(d + log k) products instead of n.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], which holds one of x and
@@ -152,6 +151,8 @@ class FieldElement:
 MAX_DIGITS = 4300
 # a canonical decimal: ASCII, no sign, no leading zero, so str() gives it back
 DECIMAL_PATTERN = f"(?:0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
+# the group in which a line's reader captures a number
+DECIMAL_GROUP = f"({DECIMAL_PATTERN})"
 _DECIMAL_RE = re.compile(DECIMAL_PATTERN)
 
 
@@ -344,33 +345,17 @@ class ProjMatrix:
         return f"ProjMatrix({self})"
 
 
-class _Inverses(dict):
-    """Generator -> the coordinates of its image's inverse, each taken the
-    first time a fold reads it, so a generator with no ^-1 letter costs
-    no inverse."""
-
-    __slots__ = ("p", "coords")
-
-    def __missing__(self, gen: int) -> tuple:
-        v = self[gen] = _inverse_coords(self.p, self.coords[gen])
-        return v
-
-
 def letter_coords(images: Sequence[ProjMatrix]) -> tuple:
     """The coordinates of the images and of their inverses, for many
-    folds: table[1][k] is image k and table[-1][k] its inverse, taken
-    once and only when a fold first reads it.  The images must share one
-    field."""
+    folds: table[1][k] is image k and table[-1][k] its inverse.  The
+    images must share one field."""
     return coord_table(images[0].spec.p, [m.coords for m in images])
 
 
 def coord_table(p: int, coords: list) -> tuple:
     """letter_coords for images given by their coordinates over F_p or
     F_{p^2}, as fold_letters returns them; the list may be empty."""
-    # set after construction: an __init__ would cost more than the inverses
-    inverses = _Inverses()
-    inverses.p, inverses.coords = p, coords
-    return (None, coords, inverses)
+    return (None, coords, [_inverse_coords(p, v) for v in coords])
 
 
 def _period(letters: Sequence[tuple[int, int]]) -> int:

@@ -164,8 +164,8 @@ def _conjugated_standard(spec: FieldSpec, c: int, r0: int, r1: int) -> ProjMatri
 @lru_cache(maxsize=None)
 def _cyclotomic_field(ell: int) -> tuple[FieldSpec, int]:
     """F_p for the least prime p = 1 (mod ell), up to the prime search's
-    default ceiling, and zeta of exact order ell in it as an int: the
-    prime search and root_of_unity, with their primality proof and order
+    ceiling, and zeta of exact order ell in it as an int: the prime
+    search and root_of_unity, with their primality proof and order
     check, run once per ell."""
     spec = FieldSpec(smallest_prime_in_progression(ell))
     return spec, root_of_unity(spec, ell).a
@@ -470,9 +470,12 @@ def bound_report(
 ) -> BoundReport:
     """spec is the field of the triple's image, as in the field of its x
     image or a certificate's field; without it the field rows stay None.
-    t, the tetrahedron count, must be at least 1."""
+    t, the tetrahedron count, must be at least 1 and have 12t < 10^80,
+    the reach of _at_most_power's 80-digit bracket on log2 3."""
     if t is not None and t < 1:
         raise ValueError(f"tetrahedron count t={t} must be at least 1")
+    if t is not None and 12 * t >= 10**80:
+        raise ValueError("tetrahedron count t must have 12t < 10^80")
     ell = t_type.ell
     phi_half = euler_phi(ell) // 2
     kwargs: dict = {}

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import count, permutations
 from typing import Optional, Sequence
 
-from .psl import MAX_DIGITS
+from .psl import DECIMAL_GROUP
 
 
 class TriangulationError(ValueError):
@@ -307,17 +307,17 @@ def _assemble(t: int, rows: Sequence[tuple]) -> Triangulation:
     raise TriangulationError("face {}:{} is unpaired".format(*divmod(first, 4)))
 
 
-_NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"  # as many digits as int() reads under any limit
 _BLANKS = " \t"  # ASCII, as the certificate grammar is
 _BLANK = f"[{_BLANKS}]*"
-_HEADER_RE = re.compile(rf"^{_BLANK}t{_BLANK}={_BLANK}{_NUMBER}{_BLANK}$")
+_HEADER_RE = re.compile(rf"^{_BLANK}t{_BLANK}={_BLANK}{DECIMAL_GROUP}{_BLANK}$")
 # One line of gluings text: a gluing, a blank or comment line with no group
 # set, or else any other line, caught whole by the last group.  Blanks hold
 # no newline, so in MULTILINE mode over lines joined by newlines each match
 # is one whole line.
 _GLUING_LINES_RE = re.compile(
-    rf"^{_BLANK}(?:{_NUMBER}{_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}{_NUMBER}{_BLANK}:"
-    rf"{_BLANK}([0-3]){_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}}){_BLANK})?(?:#.*)?$|^(.*)$",
+    rf"^{_BLANK}(?:{DECIMAL_GROUP}{_BLANK}:{_BLANK}([0-3]){_BLANK}->{_BLANK}"
+    rf"{DECIMAL_GROUP}{_BLANK}:{_BLANK}([0-3]){_BLANK}perm{_BLANK}={_BLANK}([0-3]{{4}})"
+    rf"{_BLANK})?(?:#.*)?$|^(.*)$",
     re.MULTILINE,
 )
 _FACE_OF_TEXT = {str(face): face for face in range(4)}
@@ -329,10 +329,11 @@ def parse_triangulation(text: str) -> Triangulation:
 
     First non-comment line is ``t=<N>``; each following line is
     ``<tet>:<face> -> <tet>:<face> perm=<abcd>`` where abcd is the image
-    of 0123.  ``#`` starts a comment.  Listing both directions is allowed
-    but they must be mutually inverse.  Fewer than 2t gluing lines leave
-    a face unpaired, and that is reported after work of the order of the
-    lines, whatever t is.
+    of 0123.  Numbers are canonical decimals (psl.DECIMAL_PATTERN),
+    blanks are spaces and tabs, and ``#`` starts a comment.  Listing
+    both directions is allowed but they must be mutually inverse.  Fewer
+    than 2t gluing lines leave a face unpaired, and that is reported
+    after work of the order of the lines, whatever t is.
 
     The lines after the header are read in one pass: rejoined with
     newlines (so line boundaries are those of ``str.splitlines``) and

@@ -822,11 +822,12 @@ def pairings_format_triangulation(tri: Triangulation, comment: str = "") -> str:
 def closure_parse_triangulation(text: str) -> Triangulation:
     """The gluing format read line by line, each line stripped of its
     comment and blanks first, then assembled by `closure_assemble`.  The
-    grammar is ASCII: numbers are [0-9] and blanks are spaces and tabs."""
-    header = re.compile(r"^[ \t]*t[ \t]*=[ \t]*([0-9]+)[ \t]*$")
+    grammar is ASCII: numbers are [0-9] with no leading zero and blanks
+    are spaces and tabs."""
+    header = re.compile(r"^[ \t]*t[ \t]*=[ \t]*(0|[1-9][0-9]*)[ \t]*$")
     gluing = re.compile(
-        r"^[ \t]*([0-9]+)[ \t]*:[ \t]*([0-3])[ \t]*->[ \t]*([0-9]+)[ \t]*:[ \t]*([0-3])"
-        r"[ \t]*perm[ \t]*=[ \t]*([0-3]{4})[ \t]*$"
+        r"^[ \t]*(0|[1-9][0-9]*)[ \t]*:[ \t]*([0-3])[ \t]*->[ \t]*(0|[1-9][0-9]*)[ \t]*:"
+        r"[ \t]*([0-3])[ \t]*perm[ \t]*=[ \t]*([0-3]{4})[ \t]*$"
     )
     t = None
     gluings = []

@@ -1,3 +1,4 @@
+import ast
 import glob
 import hashlib
 import itertools
@@ -23,13 +24,14 @@ from test_cost_model import BASES
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, cwd=None, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "lenscert.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
         env={**(os.environ if env is None else env), "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+        timeout=timeout,
     )
 
 
@@ -348,6 +350,26 @@ def test_pipeline_surjection_file_allows_only_the_inverse_exponent(tmp_path, cap
     assert not target.exists()
 
 
+def test_pipeline_surjection_file_blanks_are_spaces_and_tabs(tmp_path, capsys):
+    # a tab between tokens reads as a space does; any other whitespace
+    # there is part of a token, so the word names an unknown generator
+    args = ["pipeline", fixture_path("prism_q12.tri"), "--base", "2,2,3", "--surjection"]
+    assert cli_main([*args, fixture_path("prism_q12.surj"), "-o", str(tmp_path / "a.cert")]) == 0
+    capsys.readouterr()
+    for k, blank in enumerate(("\t", " \t ", "\xa0", "\u3000")):
+        surj, target = tmp_path / f"{k}.surj", tmp_path / f"{k}.cert"
+        text = fixture_text("prism_q12.surj").replace("gen x3 -> x y x", f"gen x3 -> x{blank}y x")
+        surj.write_text(text, encoding="utf-8")
+        code = cli_main([*args, str(surj), "-o", str(target)])
+        err = capsys.readouterr().err
+        if blank.strip(" \t"):
+            assert (code, err) == (2, f"error: line 4: unknown generator {f'x{blank}y'!r} in word\n")
+            assert not target.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert target.read_bytes() == (tmp_path / "a.cert").read_bytes()
+
+
 def test_pipeline_nonorientable_is_error():
     out = run_cli("pipeline", fixture_path("s2xs1_twisted.tri"), "--base", "2,3,7")
     assert out.returncode == 2
@@ -534,10 +556,104 @@ def test_bounds_at_a_billion_tetrahedra_need_no_power(capsys):
 
 
 def test_bounds_tetrahedron_count_below_one_exits_two():
-    for count in ("0", "-2"):
+    # 0 is a number that bound_report refuses; -2 is not a number at all
+    for count, reason in (("0", "must be at least 1"), ("-2", "argument -t/--tetrahedra: ")):
         out = run_cli("bounds", "2", "3", "7", "-t", count)
         assert out.returncode == 2
-        assert "must be at least 1" in out.stderr and out.stdout == ""
+        assert reason in out.stderr and out.stdout == ""
+
+
+def test_bounds_refuse_a_tetrahedron_count_past_the_log2_3_bracket_at_once():
+    # log2 3 is bracketed to 80 digits, so from 12t = 10^80 on the bit
+    # lengths could not be read off it and 3^(12t) would be formed
+    out = run_cli("bounds", "2", "3", "7", "-t", str(10**79), timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: tetrahedron count t must have 12t < 10^80\n"
+    out = run_cli("bounds", "2", "3", "7", "-t", str(10**70), "--json", timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["t"] == 10**70
+
+
+# not canonical decimals: a leading zero, a sign, a blank, an underscore,
+# a non-ASCII digit, and more digits than psl.MAX_DIGITS
+NOT_CANONICAL = ("07", "+7", " 7", "1_9", "\u0667", "1" * 4301)
+
+
+def _integer_argument_cases(bad: str) -> list[list[str]]:
+    """Each integer argument of the CLI given bad, every other valid."""
+    cases = []
+    for command in ("trianglecert", "degree-report", "bounds"):
+        for k in range(3):
+            cases.append([command, *(bad if j == k else n for j, n in enumerate("237"))])
+    cases += [["bounds", "2", "3", "7", "-t", bad], ["sweep", "--max-n", bad]]
+    cases.append(["norms", "--max-n", bad])
+    for k in range(3):
+        base = ",".join(bad if j == k else n for j, n in enumerate("237"))
+        cases.append(["pipeline", fixture_path("lens_7_2.tri"), "--base", base])
+    return cases
+
+
+# runs main on each JSON-listed argv read from stdin, and prints each
+# one's exit code, stdout and stderr
+_MAIN_EACH = """
+import contextlib, io, json, sys
+from lenscert.cli import main
+results = []
+for args in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_integer_argument_is_a_canonical_decimal_whatever_int_allows(tmp_path):
+    """Each integer argument refuses each non-canonical form with exit 2
+    before any work, and stderr names the argument, the same with
+    PYTHONINTMAXSTRDIGITS unset and with it 0 (no limit)."""
+    cases = [args for bad in NOT_CANONICAL for args in _integer_argument_cases(bad)]
+    unset = {name: value for name, value in os.environ.items() if name != "PYTHONINTMAXSTRDIGITS"}
+    outcomes = []
+    for env in (unset, {**unset, "PYTHONINTMAXSTRDIGITS": "0"}):
+        out = subprocess.run(
+            [sys.executable, "-c", _MAIN_EACH],
+            input=json.dumps(cases),
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**env, "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+            check=True,
+            timeout=120,  # an accepted --max-n of 4301 digits would sweep forever
+        )
+        outcomes.append(json.loads(out.stdout))
+    assert outcomes[0] == outcomes[1]
+    for args, (code, stdout, stderr) in zip(cases, outcomes[0]):
+        assert (code, stdout) == (2, ""), args
+        assert ": error: argument " in stderr, args
+    assert sum("number has 4301 digits, more than 4300" in err for _, _, err in outcomes[0]) == 15
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cli_reads_no_integer_with_int():
+    """Every integer argument goes through one argparse type built on
+    psl.parse_decimal: cli.py calls int() nowhere and passes no type=int."""
+    with open(os.path.join(PKG_ROOT, "src", "lenscert", "cli.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    # a call's function, its arguments and its keyword values, as in
+    # int(x), map(int, xs) and type=int
+    used = [
+        arg.id
+        for call in calls
+        for arg in (call.func, *call.args, *(kw.value for kw in call.keywords))
+        if isinstance(arg, ast.Name)
+    ]
+    assert "int" not in used
+    assert used.count("parse_decimal") == 1 and used.count("_decimal") == 13
 
 
 def test_usage_error_exits_two():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenscert import galois
 from lenscert.galois import (
     PrimalityBoundError,
     SearchLimitExceeded,
@@ -118,9 +119,10 @@ def test_no_smaller_prime_exists():
             assert not is_prime(candidate)
 
 
-def test_search_ceiling():
-    with pytest.raises(SearchLimitExceeded):
-        smallest_prime_in_progression(84, ceiling=300)
+def test_search_ceiling(monkeypatch):
+    monkeypatch.setattr(galois, "SEARCH_CEILING", 300)
+    with pytest.raises(SearchLimitExceeded, match="below ceiling 300"):
+        smallest_prime_in_progression(84)
 
 
 def test_linnik_ratio_is_reported_value():

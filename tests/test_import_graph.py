@@ -95,9 +95,7 @@ def test_no_public_name_is_defined_in_two_modules():
             homes.setdefault(name, []).append(module)
     assert "parse_word" in _defined_names("certificate")
     assert {"Closure", "closure", "lift"} <= _defined_names("intlinalg")
-    assert {name: found for name, found in homes.items() if len(found) > 1} == {
-        "_NUMBER": ["checker", "triangulation"]  # private: each grammar's own
-    }
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {}
 
 
 @pytest.mark.parametrize("module", CHECKER)

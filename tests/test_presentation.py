@@ -104,9 +104,14 @@ def test_word_format_roundtrip():
     labels = ("a", "b")
     w = parse_word("a b^-1 a a", labels)
     assert format_word(w, labels) == "a b^-1 a a"
-    # a surjection file may space its tokens freely
-    assert parse_word(" a\tb^-1  a\na ", labels) == w
-    assert parse_word("", labels) == parse_word("  ", labels) == Word()
+    # a surjection file may space its tokens with runs of spaces and tabs
+    assert parse_word(" a\tb^-1  a \t a ", labels) == w
+    assert parse_word("", labels) == parse_word(" \t ", labels) == Word()
+    # and with nothing else: other whitespace is part of a token
+    for blank in ("\n", "\xa0", "\u3000"):
+        with pytest.raises(ValueError) as raised:
+            parse_word(f"a{blank}b", labels)
+        assert str(raised.value) == f"unknown generator {f'a{blank}b'!r} in word"
 
 
 @settings(max_examples=300, deadline=None)

@@ -610,15 +610,17 @@ def test_figure8_relator_dies_in_d10():
     assert not evaluate_word([a, b], parse_word("a b", ("a", "b"))).is_identity()
 
 
-def test_letter_coords_inverts_only_generators_read_with_exponent_minus_one():
+def test_letter_coords_holds_the_inverse_of_every_image():
     rng = random.Random(43)
-    images = [random_matrix(SPEC337, rng) for _ in range(3)]
-    table = letter_coords(images)
-    fold_letters(SPEC337, table, ((0, 1), (1, 1), (2, 1)))
-    assert dict(table[-1]) == {}
-    fold_letters(SPEC337, table, ((0, 1), (2, -1), (1, 1), (2, -1)))
-    assert list(table[-1]) == [2]
-    assert _sign_normalized(SPEC337.p, table[-1][2]) == images[2].inverse().coords
+    for spec in (SPEC337, quadratic_extension(FieldSpec(7))):
+        images = [random_matrix(spec, rng) for _ in range(3)]
+        table = letter_coords(images)
+        assert table[1] == [m.coords for m in images]
+        assert len(table[-1]) == len(images)
+        for k, m in enumerate(images):
+            assert _sign_normalized(spec.p, table[-1][k]) == m.inverse().coords
+            for word in (((k, 1), (k, -1)), ((k, -1), (k, 1))):
+                assert fold_letters(spec, table, word) == ProjMatrix.identity(spec).coords
 
 
 def test_word_evaluation_is_multiplicative():

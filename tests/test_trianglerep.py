@@ -338,9 +338,9 @@ def test_sweep_sets_up_each_field_once_per_ell(monkeypatch, capsys):
     primes, roots = [], []
     search, root = trianglerep.smallest_prime_in_progression, trianglerep.root_of_unity
 
-    def counted_search(ell, *ceiling):
+    def counted_search(ell):
         primes.append(ell)
-        return search(ell, *ceiling)
+        return search(ell)
 
     def counted_root(spec, ell):
         roots.append(ell)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MANIFOLD_FIXTURES, load_fixture
+from conftest import MANIFOLD_FIXTURES, fixture_text, load_fixture
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import fundamental_group
 from lenscert.triangulation import (
@@ -113,6 +113,25 @@ def test_over_long_numbers_name_their_line():
         parse_triangulation(f"t={'9' * 4300}\n")
 
 
+@pytest.mark.parametrize("name", [*MANIFOLD_FIXTURES, "badlink_torus.tri"])
+def test_a_leading_zero_is_refused_at_its_line(name):
+    """Each number on the header or a gluing line, rewritten with a
+    leading zero one at a time: both readers refuse the text at that
+    line, as numbers are canonical decimals (psl.DECIMAL_PATTERN)."""
+    lines = fixture_text(name).split("\n")
+    edits = 0
+    for k, line in enumerate(lines):
+        for m in re.finditer(r"[0-9]+", line.split("#", 1)[0]):
+            edited = lines[:k] + [line[: m.start()] + "0" + line[m.start():]] + lines[k + 1:]
+            text = "\n".join(edited)
+            outcome = _outcome_of(parse_triangulation, text)
+            assert outcome == _outcome_of(closure_parse_triangulation, text)
+            assert outcome[0] is TriangulationError
+            assert outcome[1].startswith(f"line {k + 1}: "), (name, k, outcome)
+            edits += 1
+    assert edits > len(lines)
+
+
 def test_one_pairing_assembles_without_work_of_order_t():
     # make_triangulation's counterpart of the bare header: its table
     # holds the two slots the gluing fills, not 4 * 10**12
@@ -165,10 +184,13 @@ def _outcome_of(fn, *args):
 # whole-text pass, so a rewrite that moves one accepted text or one error
 # message fails here.  Re-pinned twice since: when the non-permutation
 # error gained its "line N:" prefix (its 382 outcomes changed by that
-# prefix alone), and when the grammar became ASCII, which refused the 116
-# Arabic-Indic-digit and 259 no-break-space edits that had been accepted.
-# Every other outcome stayed the same each time.
-TRIANGULATION_PARSE_SHA256 = "b0b2085f6fc36174bd05593e57c31b6cdbd218ff745ce810c0ae98b192d4d813"
+# prefix alone), when the grammar became ASCII, which refused the 116
+# Arabic-Indic-digit and 259 no-break-space edits that had been accepted,
+# and when numbers became canonical decimals (psl.DECIMAL_PATTERN), which
+# refused the 178 leading-zero edits that had been accepted (28 headers,
+# 150 gluing lines), each at its line.  Every other outcome stayed the
+# same each time.
+TRIANGULATION_PARSE_SHA256 = "89f3f657470d2695117d508f661f724d39a2cb80d2d0ca834e0a9c2cd5d6b198"
 
 _GLUING_LINE = re.compile(r"(\d+):([0-3]) -> (\d+):([0-3]) perm=([0-3]{4})")
 

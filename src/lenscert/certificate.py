@@ -85,18 +85,18 @@ def _triangle_group_certificate(t: TriangleType) -> Certificate:
     """The triangle group's certificate, unverified: (Z/d)^2 by
     x -> (1,0), y -> (0,1) when t.d > 1, else triangle_image's x and y
     matrices with witness xy | yx."""
-    pres = triangle_presentation(t)
     if t.d > 1:
         return Certificate(
             kind=NON_CYCLIC,
-            presentation=pres,
+            presentation=triangle_presentation(t),
             target=(t.d, t.d),
             abelian_images=((1, 0), (0, 1)),
         )
+    # the image first: past the prime search's ceiling, no relator is spelled out
     images = triangle_image(t)
     return Certificate(
         kind=NON_ABELIAN,
-        presentation=pres,
+        presentation=triangle_presentation(t),
         field=images[0].spec,
         rep_gens=("x", "y"),
         rep_images=images,

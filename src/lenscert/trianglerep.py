@@ -417,11 +417,13 @@ _LOG2_3 = 1584962500721156181453738943947816508759814407692481060455752654541098
 def _at_most_power(n: int, a: int, b: int) -> tuple[int, bool]:
     """The bit length of 2^a * 3^b, a + floor(b log2 3) + 1, and whether
     n <= 2^a * 3^b.  floor(b log2 3) is read off both ends of the bracket
-    on log2 3, and 3^b is formed only when they disagree, that is when
-    b log2 3 lies within b / 10^80 of an integer; the power is formed
-    only when n has its bit length."""
+    on log2 3, or ValueError where they differ: only when b log2 3 lies
+    within b / 10^80 of an integer, and always when b >= 10^80.  The
+    power is formed only when n has its bit length."""
     low, high = (b * k // 10**80 for k in (_LOG2_3, _LOG2_3 + 1))
-    bits = a + low + 1 if low == high else a + (3**b).bit_length()
+    if low != high:
+        raise ValueError(f"the 80-digit bracket on log2 3 cannot place floor({b} log2 3)")
+    bits = a + low + 1
     n_bits = n.bit_length()
     return bits, n_bits < bits or (n_bits == bits and n <= 2**a * 3**b)
 
@@ -470,19 +472,20 @@ def bound_report(
 ) -> BoundReport:
     """spec is the field of the triple's image, as in the field of its x
     image or a certificate's field; without it the field rows stay None.
-    t, the tetrahedron count, must be at least 1 and have 12t < 10^80,
-    the reach of _at_most_power's 80-digit bracket on log2 3."""
+    t, the tetrahedron count, must be at least 1, with both bounds' bit
+    lengths placed by _at_most_power's 80-digit bracket on log2 3."""
     if t is not None and t < 1:
         raise ValueError(f"tetrahedron count t={t} must be at least 1")
-    if t is not None and 12 * t >= 10**80:
-        raise ValueError("tetrahedron count t must have 12t < 10^80")
     ell = t_type.ell
     phi_half = euler_phi(ell) // 2
     kwargs: dict = {}
     if t is not None:
-        # the exponents of the two bounds, as in BoundReport's fields
-        ell_bits, ell_within = _at_most_power(ell, 2 * t, 12 * t)
-        degree_bits, degree_within = _at_most_power(phi_half, t - 1, 6 * t)
+        try:
+            # the exponents of the two bounds, as in BoundReport's fields
+            ell_bits, ell_within = _at_most_power(ell, 2 * t, 12 * t)
+            degree_bits, degree_within = _at_most_power(phi_half, t - 1, 6 * t)
+        except ValueError as exc:
+            raise ValueError(f"tetrahedron count t={t}: {exc}") from None
         kwargs.update(
             t=t,
             ell_bound_bits=ell_bits,
@@ -493,14 +496,10 @@ def bound_report(
         )
     if spec is not None:
         size, budget = spec.p**spec.degree, ell**10
-        try:
-            ratio = size / budget
-        except OverflowError:
-            ratio = 0.0
         kwargs.update(
             field_size=size,
             field_within_ell10=size < budget,
-            field_ratio_ell10=ratio,
+            field_ratio_ell10=size / budget,
             prime=spec.p,
             linnik_ratio=linnik_ratio(spec.p, ell),
         )

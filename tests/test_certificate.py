@@ -37,8 +37,9 @@ from lenscert.checker import (
     verify,
     verify_bound,
 )
+from lenscert import certificate, galois, trianglerep
 from lenscert.cli import main as cli_main
-from lenscert.galois import is_prime, quadratic_extension
+from lenscert.galois import SearchLimitExceeded, is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
 from lenscert.presentation import GroupPresentation, Word, fundamental_group
 from lenscert.psl import FieldSpec, ProjMatrix
@@ -953,6 +954,19 @@ def test_relator_cost_is_sum_of_lengths():
     cert, _ = triangle_certificate(2, 3, 7)
     report = verify(cert)
     assert report.relator_mat_mults == sum(len(w) for w in cert.presentation.relators)
+
+
+def test_a_triple_past_the_search_ceiling_is_refused_before_its_relators(monkeypatch):
+    # (2,3,29) has ell = 348, whose least prime 349 is past a ceiling of 300;
+    # the cache is cleared so that no earlier build of ell 348 answers
+    def spell_out(t):
+        raise AssertionError(f"the relators of {t.triple} were spelled out")
+
+    monkeypatch.setattr(certificate, "triangle_presentation", spell_out)
+    monkeypatch.setattr(galois, "SEARCH_CEILING", 300)
+    trianglerep._cyclotomic_field.cache_clear()
+    with pytest.raises(SearchLimitExceeded, match=r"\(mod 348\) found below ceiling 300"):
+        triangle_certificate(2, 3, 29)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from test_cost_model import BASES
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def run_cli(*args, cwd=None, env=None, timeout=None):
+def run_cli(*args, cwd=None, env=None, timeout=60):
     return subprocess.run(
         [sys.executable, "-m", "lenscert.cli", *args],
         capture_output=True,
@@ -555,6 +555,16 @@ def test_bounds_at_a_billion_tetrahedra_need_no_power(capsys):
     assert elapsed < 30
 
 
+def test_trianglecert_past_the_search_ceiling_exits_two_before_its_relators():
+    # (xy)^n3 with n3 past an index-sized int: spelled out first, it failed
+    # on its length, not at the prime search's ceiling
+    out = run_cli("trianglecert", "2", "3", str(10**30 + 1))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        f"error: no prime = 1 (mod {12 * (10**30 + 1)}) found below ceiling 1000000000\n"
+    )
+
+
 def test_bounds_tetrahedron_count_below_one_exits_two():
     # 0 is a number that bound_report refuses; -2 is not a number at all
     for count, reason in (("0", "must be at least 1"), ("-2", "argument -t/--tetrahedra: ")):
@@ -564,11 +574,17 @@ def test_bounds_tetrahedron_count_below_one_exits_two():
 
 
 def test_bounds_refuse_a_tetrahedron_count_past_the_log2_3_bracket_at_once():
-    # log2 3 is bracketed to 80 digits, so from 12t = 10^80 on the bit
-    # lengths could not be read off it and 3^(12t) would be formed
-    out = run_cli("bounds", "2", "3", "7", "-t", str(10**79), timeout=10)
-    assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == "error: tetrahedron count t must have 12t < 10^80\n"
+    # log2 3 is bracketed to 80 digits; where its two ends give two floors
+    # of 12t log2 3, always from 12t = 10^80 on and at some smaller t, the
+    # report refuses rather than form 3^(12t).  Run in a child with a timeout,
+    # as forming that power would not finish
+    for t in (10**79, 6167783688800764861832724692955402469407):
+        out = run_cli("bounds", "2", "3", "7", "-t", str(t), timeout=10)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            f"error: tetrahedron count t={t}: the 80-digit bracket on log2 3"
+            f" cannot place floor({12 * t} log2 3)\n"
+        )
     out = run_cli("bounds", "2", "3", "7", "-t", str(10**70), "--json", timeout=10)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["t"] == 10**70

@@ -123,7 +123,8 @@ def test_importing_the_checker_loads_only_the_trusted_modules():
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
     ).stdout
     counts = {name: int(lines) for name, lines in map(str.split, out.splitlines())}
     assert set(counts) == {"lenscert", "lenscert.checker"} | {f"lenscert.{m}" for m in TRUSTED}

@@ -685,12 +685,40 @@ def test_bound_bits_and_verdicts_equal_the_big_int_computation(t):
             assert trianglerep._at_most_power(n, a, b) == (bits, n <= bound), (n, a, b)
 
 
-def test_bound_bits_form_the_power_where_the_bracket_straddles_an_integer(monkeypatch):
+def test_bound_bits_are_refused_where_the_bracket_straddles_an_integer(monkeypatch):
     # with log2 3 bracketed by [1 - 10^-80, 1], b = 1 has no floor from the
-    # bracket, so 3^1 is formed and the bit length is still exact
+    # bracket: the bit length is refused, and 3^1 is not formed instead
     monkeypatch.setattr(trianglerep, "_LOG2_3", 10**80 - 1)
-    assert trianglerep._at_most_power(96, 5, 1) == ((2**5 * 3).bit_length(), True)
-    assert trianglerep._at_most_power(97, 5, 1) == (7, False)
+    for n in (96, 97):
+        with pytest.raises(ValueError, match=r"cannot place floor\(1 log2 3\)"):
+            trianglerep._at_most_power(n, 5, 1)
+    # b = 12t straddles too, and the report's one refusal names t
+    with pytest.raises(ValueError, match=r"^tetrahedron count t=1: the 80-digit bracket"):
+        bound_report(classify(2, 3, 7), t=1)
+
+
+def test_bound_report_places_both_bit_lengths_at_t_10_to_the_39():
+    from decimal import ROUND_FLOOR, Context
+
+    t = 10**39
+    report = bound_report(classify(2, 3, 7), t=t)
+    assert report.ell_bound_bits == 2 * t + 12 * t * trianglerep._LOG2_3 // 10**80 + 1
+    # the floors against log2 3 to 120 digits, not the bracket
+    ctx = Context(prec=120, rounding=ROUND_FLOOR)
+    log2_3 = ctx.divide(ctx.ln(3), ctx.ln(2))
+    for bits, (a, b) in (
+        (report.ell_bound_bits, (2 * t, 12 * t)),
+        (report.degree_bound_bits, (t - 1, 6 * t)),
+    ):
+        assert bits == a + int(ctx.multiply(log2_3, b)) + 1
+    assert report.ell_within_bound and report.degree_within_bound
+
+
+def test_bound_report_gives_no_ratio_for_a_field_past_float_range():
+    # |F| = (10^200 + 1)^2 over 84^10 has no float: the report raises rather
+    # than state a ratio of 0.0 beside field_within_ell10 False
+    with pytest.raises(OverflowError):
+        bound_report(classify(2, 3, 7), spec=FieldSpec(10**200 + 1, 2, 3))
 
 
 def test_log2_3_bracket_holds():

@@ -65,7 +65,7 @@ from lenscert.triangulation import (
     orientation_check,
     validate,
 )
-from lenscert.trianglerep import build_nonhyperbolic_cert, classify
+from lenscert.trianglerep import classify, triangle_image
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -305,7 +305,7 @@ def figure8_certificate() -> Certificate:
 def brute_force_surjection(tri: Triangulation, base: tuple[int, int, int]) -> str:
     """Find generator images in the (small) triangle-group matrix image by
     exhaustive search, then express them as words in x and y."""
-    x_img, y_img = build_nonhyperbolic_cert(classify(*base))
+    x_img, y_img = triangle_image(classify(*base))
 
     # closure of the image group, with shortest words
     identity = ProjMatrix.identity(x_img.spec)

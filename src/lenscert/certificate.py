@@ -1,22 +1,20 @@
 """Produce "not a lens space" certificates; checker parses, serializes
 and verifies them.
 
-The producers, triangle_certificate and pipeline, build a triangle
-group's certificate in one helper, _triangle_group_certificate: the
-abelian image (Z/d)^2 when the triple's entries share a factor d > 1,
-else the matrix pair trianglerep.triangle_image returns.  trianglerep
-decides a triangle's matrices and this module its certificate kind.
-triangle_certificate states the triangle group's own claim; pipeline
+triangle_certificate states a triangle group's own claim: the abelian
+image (Z/d)^2 when the triple's entries share a factor d > 1, else the
+matrix pair trianglerep.triangle_image returns.  trianglerep decides a
+triangle's matrices and this module its certificate kind.  pipeline
 states every claim about the triangulation's own presentation: at step
 1 the (Z/n)^2 image noncyclic_certificate reads off the Smith normal
 form of the one intlinalg.seed_core that pipeline computes and reads
 H1 off, at step 2 the triangle group's matrices, carried there by a
-surjection, and without one nothing.
+surjection, and without one nothing.  Step 2 never spells out the
+triangle group's relators: it refuses d > 1 from the triple alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
 from typing import Optional, Sequence
@@ -34,7 +32,7 @@ from .checker import (
 from .intlinalg import SeedCore, format_abelian, is_cyclic, seed_core
 from .presentation import GroupPresentation, Word, fundamental_group, letter_table, read_word
 from .projmat import evaluate_word
-from .trianglerep import TriangleType, classify, triangle_image, triangle_presentation
+from .trianglerep import classify, triangle_image, triangle_presentation
 from .triangulation import _BLANKS, orientation_check, validate
 
 
@@ -81,34 +79,28 @@ def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificat
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
 
 
-def _triangle_group_certificate(t: TriangleType) -> Certificate:
-    """The triangle group's certificate, unverified: (Z/d)^2 by
-    x -> (1,0), y -> (0,1) when t.d > 1, else triangle_image's x and y
-    matrices with witness xy | yx."""
+def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
+    """Certificate for the triangle group itself, plus the triangle's
+    type; what the certificate holds is read off the certificate."""
+    t = classify(n1, n2, n3)
     if t.d > 1:
-        return Certificate(
+        cert = Certificate(
             kind=NON_CYCLIC,
             presentation=triangle_presentation(t),
             target=(t.d, t.d),
             abelian_images=((1, 0), (0, 1)),
         )
-    # the image first: past the prime search's ceiling, no relator is spelled out
-    images = triangle_image(t)
-    return Certificate(
-        kind=NON_ABELIAN,
-        presentation=triangle_presentation(t),
-        field=images[0].spec,
-        rep_gens=("x", "y"),
-        rep_images=images,
-        witness=_XY_WITNESS,
-    )
-
-
-def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
-    """Certificate for the triangle group itself, plus the triangle's
-    type; what the certificate holds is read off the certificate."""
-    t = classify(n1, n2, n3)
-    cert = _triangle_group_certificate(t)
+    else:
+        # the image first: past the prime search's ceiling, no relator is spelled out
+        images = triangle_image(t)
+        cert = Certificate(
+            kind=NON_ABELIAN,
+            presentation=triangle_presentation(t),
+            field=images[0].spec,
+            rep_gens=("x", "y"),
+            rep_images=images,
+            witness=_XY_WITNESS,
+        )
     info = {"triple": t.triple, "ell": t.ell, "gcd": t.d, "curvature": t.curvature}
     outcome = verify(cert)
     if not outcome.accepted:
@@ -194,16 +186,16 @@ def pipeline(
             f"mapping the presentation generators onto the triangle group of base {t_type.triple}"
         )
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
-    triangle_cert = _triangle_group_certificate(t_type)
-
+    # the image's errors come before the surjection file's
+    xy = triangle_image(t_type) if t_type.d == 1 else None
     surj = parse_surjection(surjection_text, pres.labels)
-    if triangle_cert.kind == NON_CYCLIC:
+    if xy is None:
         raise PipelineError(
             f"a surjection cannot carry the abelian image (Z/{t_type.d})^2 of base "
             f"{t_type.triple}: every abelian image of the group factors through "
             f"H1 = {info['h1']}, which is cyclic"
         )
-    images = [evaluate_word(triangle_cert.rep_images, w) for w in surj]
+    images = [evaluate_word(xy, w) for w in surj]
     witness = None
     for i in range(pres.g):
         for j in range(i + 1, pres.g):
@@ -218,7 +210,15 @@ def pipeline(
             "carry a non-abelian image"
         )
     # the triangle group's matrices, carried to pres by the surjection
-    cert = dataclasses.replace(triangle_cert, presentation=pres, surjection=surj, witness=witness)
+    cert = Certificate(
+        kind=NON_ABELIAN,
+        presentation=pres,
+        field=xy[0].spec,
+        rep_gens=("x", "y"),
+        rep_images=xy,
+        surjection=surj,
+        witness=witness,
+    )
     outcome = verify(cert)
     if not outcome.accepted:
         raise PipelineError(f"certificate through the surjection fails verify: {outcome.reason}")

@@ -207,7 +207,7 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     canonical (tet, face) order, gives the freely reduced boundary word
     of its smaller side.
     """
-    (vroot, _, droot), edge_roots, _ = tri.orbit_walk
+    vroot, droot, edge_roots, _ = tri.orbit_walk
     link = list(range(len(vroot)))  # vertex class -> a class of its component, or itself
     joined = 0  # tree edges
     g = 0  # generators

@@ -366,7 +366,7 @@ def field_degree_report(t: TriangleType) -> FieldDegreeReport:
     silently resolved.
     """
     if t.curvature != HYPERBOLIC:
-        raise ValueError("field degree scan applies to hyperbolic triples")
+        raise ValueError(f"triple {t.triple} is {t.curvature}; the scan needs hyperbolic")
     phi = euler_phi(t.ell)
     witness = _embedding_witness(t.ell, t.n2, t.n3, t.n3)
     variant = _embedding_witness(t.ell, t.n1, t.n2, t.n3)

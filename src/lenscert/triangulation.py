@@ -21,8 +21,8 @@ face.
 
 ``Triangulation.orbit_walk`` computes the vertex, edge and directed-edge
 orbits once per instance, in one walk around each directed-edge orbit:
-the edge orbits are read off the walks, and the vertex classes are the
-walks' tails, joined.  ``validate`` and ``presentation.fundamental_group``
+the edge classes' roots are read off the walks, and the vertex classes
+are the walks' tails, joined.  ``validate`` and ``presentation.fundamental_group``
 share it; it is derived from the gluings alone, so the memo never
 changes a value.  ``orientation_check``
 is one breadth-first pass from tetrahedron 0.  The dual spanning graph
@@ -80,12 +80,13 @@ _GLUING_SIGN = tuple(
 _PERM_TEXT = tuple("".join(map(str, images)) for images in _PERM_IMAGES)
 
 # The faces (numbered by their opposite vertex) that hold each directed
-# edge of a tetrahedron; the undirected edge of each directed edge; and,
-# for a directed edge s and one of its two faces g, the other.
+# edge of a tetrahedron; the undirected edge of each directed edge; its
+# reverse; and, for a directed edge s and one of its two faces g, the other.
 _DIRECTED_FACES = tuple(
     tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS
 )
 _EDGE_OF_DIRECTED = tuple(EDGE_INDEX[tuple(sorted(pair))] for pair in DIRECTED_PAIRS)
+_REVERSED = tuple(DIRECTED_INDEX[(b, a)] for a, b in DIRECTED_PAIRS)
 _OTHER_FACE = tuple(
     tuple(faces[g == faces[0]] if g in faces else -1 for g in range(4))
     for faces in _DIRECTED_FACES
@@ -161,21 +162,22 @@ class Triangulation:
         return out
 
     @cached_property
-    def orbit_walk(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-        """Vertex, edge and directed-edge orbits under the gluings.
+    def orbit_walk(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex and directed-edge root tables, edge roots and walk tails.
 
         Slots are 4*tet + vertex, 6*tet + EDGE_INDEX and 12*tet +
         DIRECTED_INDEX; each root table maps a slot to the smallest slot
-        of its orbit.  One walk around each directed-edge orbit
-        (`_walk_orbits`) gives the three tables, the edge classes' roots
-        and the walks' tails.  Computed on first use and kept on this
-        instance only.
+        of its orbit under the gluings, and an edge class's root is its
+        smallest edge slot.  One walk around each directed-edge orbit
+        (`_walk_orbits`) gives the two tables, the edge roots in
+        increasing order and the walks' tails.  Computed on first use
+        and kept on this instance only.
         """
         return _walk_orbits(self.gluings)
 
 
-def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The root tables, and the edge roots and tail slots as the walks meet them.
+def _walk_orbits(gluings) -> tuple[tuple[int, ...], ...]:
+    """The vertex and directed-edge roots, and edge roots and tails as the walks meet them.
 
     A directed edge lies on the two faces that miss both its ends, so its
     orbit is a cycle: leave through one face, and from each directed edge
@@ -184,11 +186,12 @@ def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
     increasing order, so a walk's start is its orbit's smallest slot.
 
     An edge orbit is the union of the orbits of its two directions, and
-    that union holds both directions of each of its edges.  Directed
+    that union holds both directions of each of its edges.  A walk's own
+    orbit is unwalked when it starts, so it starts a new edge class
+    exactly when the reverse of its start is unwalked too.  Directed
     slots within a tetrahedron are ordered by (tail, head) and edges by
     (low end, high end), so the union's smallest directed slot, where the
-    first of its walks starts, lies on its smallest edge slot.  The walk
-    over the reverse directions finds that root already set, and the
+    first of its walks starts, lies on its smallest edge slot, and the
     edge roots are met in increasing order.
 
     The same order puts three directed slots on each tail, so directed
@@ -201,18 +204,14 @@ def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
     smallest.
     """
     droot = [-1] * (12 * len(gluings))
-    eroot = [-1] * (6 * len(gluings))
     vlink = list(range(4 * len(gluings)))  # vertex slot -> smaller slot of its class, or itself
     edge_roots, tails = [], []  # as the walks meet them
     for start in range(len(droot)):
         if droot[start] >= 0:
             continue
         tet, s = divmod(start, 12)
-        edge = 6 * tet + _EDGE_OF_DIRECTED[s]
-        low = eroot[edge]
-        if low < 0:
-            low = edge
-            edge_roots.append(edge)
+        if droot[start - s + _REVERSED[s]] < 0:  # a new edge class
+            edge_roots.append(6 * tet + _EDGE_OF_DIRECTED[s])
         vlow = start // 3
         tails.append(vlow)
         while vlink[vlow] != vlow:
@@ -221,7 +220,6 @@ def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
         x = start
         while True:
             droot[x] = start
-            eroot[6 * tet + _EDGE_OF_DIRECTED[s]] = low
             v = x // 3
             if vlink[v] != vlow:  # else joined already
                 while vlink[v] != v:
@@ -242,7 +240,7 @@ def _walk_orbits(gluings) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
             face = _OTHER_FACE[s][entered]
     for v, up in enumerate(vlink):
         vlink[v] = vlink[up]  # up <= v is resolved already
-    return (tuple(vlink), tuple(eroot), tuple(droot)), tuple(edge_roots), tuple(tails)
+    return tuple(vlink), tuple(droot), tuple(edge_roots), tuple(tails)
 
 
 def make_triangulation(t: int, gluings: Sequence[tuple]) -> Triangulation:
@@ -420,7 +418,7 @@ def validate(tri: Triangulation) -> ValidationReport:
     has chi = 2 and no edge is glued to itself in reverse.
     """
     t = tri.t
-    (vroot, _, droot), edge_roots, tails = tri.orbit_walk
+    vroot, droot, edge_roots, tails = tri.orbit_walk
 
     corners = Counter(vroot)  # vertex class -> corners of its link
     v = len(corners)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import os
 import random
@@ -1709,6 +1710,18 @@ def test_pipeline_step2_abelian_base():
         pipeline(tri, (2, 4, 4), surjection_text=surjection)
 
 
+def test_pipeline_step2_error_precedence(monkeypatch):
+    # the base's image error, then the surjection file's, then the d > 1 refusal
+    tri = load_fixture("lens_5_2.tri")
+    malformed = "gen x0 -> z\n"
+    with pytest.raises(CertificateSyntaxError, match="^line 1: "):
+        pipeline(tri, (2, 2, 4), surjection_text=malformed)
+    monkeypatch.setattr(galois, "SEARCH_CEILING", 300)
+    trianglerep._cyclotomic_field.cache_clear()
+    with pytest.raises(SearchLimitExceeded, match="below ceiling 300"):
+        pipeline(tri, (2, 3, 29), surjection_text=malformed)
+
+
 def test_pipeline_with_surjection():
     tri = load_fixture("prism_q12.tri")
     surj = fixture_text("prism_q12.surj")
@@ -1777,8 +1790,12 @@ def test_pipeline_builds_and_verifies_once(monkeypatch):
         counts["verify"] += 1
         return check(cert)
 
+    def spell_out(t):
+        raise AssertionError(f"the relators of {t.triple} were spelled out")
+
     monkeypatch.setattr(certmod, "triangle_image", counted_build)
     monkeypatch.setattr(certmod, "verify", counted_verify)
+    monkeypatch.setattr(certmod, "triangle_presentation", spell_out)
     # no surjection: refused before the triangle group's image is built
     with pytest.raises(PipelineError, match="needs a surjection file"):
         pipeline(load_fixture("lens_7_2.tri"), (2, 3, 7))
@@ -1787,6 +1804,10 @@ def test_pipeline_builds_and_verifies_once(monkeypatch):
     cert, info = pipeline(load_fixture("prism_q12.tri"), (2, 2, 3), surjection)
     assert cert.field.p == 3
     assert counts == {"build": 1, "verify": 1}
+    # the bytes pipeline wrote when it built the triangle group's own
+    # certificate first and kept its matrices
+    digest = hashlib.sha256(serialize(cert).encode()).hexdigest()
+    assert digest == "5d74aab005832890c4c09688cf0a3e79a2d9c341030c6edfc648790d38a82092"
 
 
 def test_level_other_than_orbifold_is_a_syntax_error():

@@ -296,6 +296,19 @@ def test_pipeline_with_surjection(tmp_path):
     assert run_cli("verify", str(target)).returncode == 0
 
 
+def test_pipeline_spells_out_no_relator_of_the_base(tmp_path):
+    # pipeline carries only the base's two matrices, so (xy)^30000003 is
+    # never written; both bases give the dihedral image over F_3
+    written = []
+    for base in ("2,2,3", "2,2,30000003"):
+        target = tmp_path / f"{base}.cert"
+        args = ["--base", base, "--surjection", fixture_path("prism_q12.surj"), "-o", str(target)]
+        out = run_cli("pipeline", fixture_path("prism_q12.tri"), *args, timeout=10)
+        assert out.returncode == 0, out.stderr
+        written.append(target.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_pipeline_surjection_onto_an_abelian_base_is_error(tmp_path):
     # (2,2,4) has common divisor 2, so its image is (Z/2)^2, and H1 of
     # prism_q12 is cyclic: no surjection gives a non-cyclic abelian image
@@ -421,6 +434,9 @@ def test_degree_report():
     assert out.returncode == 0
     assert "trace_degree=12" in out.stdout
     assert "verdict=degree_phi" in out.stdout
+    out = run_cli("degree-report", "2", "3", "6")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: triple (2, 3, 6) is euclidean; the scan needs hyperbolic\n"
 
 
 def test_norms_small():

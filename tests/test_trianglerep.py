@@ -614,7 +614,8 @@ def test_degree_report_237():
 
 
 def test_degree_report_requires_hyperbolic():
-    with pytest.raises(ValueError):
+    message = r"^triple \(2, 3, 6\) is euclidean; the scan needs hyperbolic$"
+    with pytest.raises(ValueError, match=message):
         field_degree_report(classify(2, 3, 6))
 
 

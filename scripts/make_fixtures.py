@@ -151,9 +151,6 @@ def _match_faces(tets: list[tuple], boundary_partner) -> Triangulation:
 
 def three_torus() -> Triangulation:
     """T^3: Kuhn subdivision of the unit cube, opposite faces identified."""
-    def point(*coords):
-        return tuple(coords)
-
     tets = []
     for perm in itertools.permutations(range(3)):
         p0 = [0, 0, 0]

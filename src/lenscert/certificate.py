@@ -1,16 +1,16 @@
 """Produce "not a lens space" certificates; checker parses, serializes
 and verifies them.
 
-triangle_certificate states a triangle group's own claim: the abelian
-image (Z/d)^2 when the triple's entries share a factor d > 1, else the
-matrix pair trianglerep.triangle_image returns.  trianglerep decides a
-triangle's matrices and this module its certificate kind.  pipeline
-states every claim about the triangulation's own presentation: at step
-1 the (Z/n)^2 image noncyclic_certificate reads off the Smith normal
-form of the one intlinalg.seed_core that pipeline computes and reads
-H1 off, at step 2 the triangle group's matrices, carried there by a
-surjection, and without one nothing.  Step 2 never spells out the
-triangle group's relators: it refuses d > 1 from the triple alone.
+triangle_certificate states a triangle group's own claim: the matrix
+pair trianglerep.triangle_image returns, or, where it returns None as
+the triple's entries share a factor d > 1, the abelian image (Z/d)^2.
+triangle_image alone decides which; this module reads its answer.
+pipeline states every claim about the triangulation's own presentation:
+at step 1 the (Z/n)^2 image noncyclic_certificate reads off the Smith
+normal form of the one intlinalg.seed_core that pipeline computes and
+reads H1 off, at step 2 the triangle group's matrices, carried there by
+a surjection, and without one nothing.  Step 2 never spells out the
+triangle group's relators: it refuses a None image from the triple alone.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     """Certificate for the triangle group itself, plus the triangle's
     type; what the certificate holds is read off the certificate."""
     t = classify(n1, n2, n3)
-    if t.d > 1:
+    # the image first: past the prime search's ceiling, no relator is spelled out
+    images = triangle_image(t)
+    if images is None:
         cert = Certificate(
             kind=NON_CYCLIC,
             presentation=triangle_presentation(t),
@@ -91,8 +93,6 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
             abelian_images=((1, 0), (0, 1)),
         )
     else:
-        # the image first: past the prime search's ceiling, no relator is spelled out
-        images = triangle_image(t)
         cert = Certificate(
             kind=NON_ABELIAN,
             presentation=triangle_presentation(t),
@@ -187,7 +187,7 @@ def pipeline(
         )
     info.update(step=2, triple=t_type.triple, curvature=t_type.curvature)
     # the image's errors come before the surjection file's
-    xy = triangle_image(t_type) if t_type.d == 1 else None
+    xy = triangle_image(t_type)
     surj = parse_surjection(surjection_text, pres.labels)
     if xy is None:
         raise PipelineError(

@@ -46,8 +46,8 @@ Each invariant is checked once, where a certificate comes in:
   and relator generators.
 - verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
   certificate built in code is serialized to count its bytes.  serialize
-  keeps the text it writes on the certificate (Certificate._text, which
-  is not an init argument, not compared and not in repr), so a caller's
+  keeps the text it writes on the certificate (Certificate._text, a
+  ClassVar: not an init argument, not compared, not in repr), so a caller's
   serialize after verify reuses that text; dataclasses.replace and parse
   never carry it, so serialize(parse(text)) writes the text anew.  The
   images' coordinates and inverses are taken once per certificate
@@ -84,13 +84,12 @@ certificate import it, never the reverse.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import NoReturn, Optional, Sequence
+from typing import ClassVar, NoReturn, Optional, Sequence
 
 from .presentation import (
     LABEL_PATTERN,
@@ -131,13 +130,11 @@ class Certificate:
     witness: Optional[tuple[Word, Word]] = None  # words over presentation gens
     # bytes of the canonical text, recorded by parse from the text it read;
     # None for a certificate built in code, whose verify serializes it
-    text_bytes: Optional[int] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    text_bytes: ClassVar[Optional[int]] = None
     # the text serialize wrote for this certificate, kept so that verify's
-    # byte count and a later serialize share one serialization; not an
-    # init argument, so neither dataclasses.replace nor parse carries it
-    _text: Optional[str] = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # byte count and a later serialize share one serialization; a ClassVar,
+    # not a field, so neither dataclasses.replace nor parse carries it
+    _text: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
         self._check_fields()

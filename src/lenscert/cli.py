@@ -326,7 +326,7 @@ def cmd_degree_report(args) -> int:
         "phi_ell": euler_phi(t.ell),
     }
     lines = [
-        f"triple=({args.n1},{args.n2},{args.n3}) ell={t.ell} phi={euler_phi(t.ell)}",
+        f"triple=({t.n1},{t.n2},{t.n3}) ell={t.ell} phi={euler_phi(t.ell)}",
         f"trace_degree={scan.trace_degree} candidates={scan.candidate_degrees}",
         f"witness_l={scan.witness_l} verdict={scan.verdict} "
         f"variant_disagrees={'yes' if scan.variant_disagrees else 'no'}",
@@ -366,7 +366,8 @@ def _float_norm(n: int, shift: float) -> float:
 
 def cmd_bounds(args) -> int:
     t = classify(args.n1, args.n2, args.n3)
-    spec = triangle_image(t)[0].spec if t.curvature == HYPERBOLIC and t.d == 1 else None
+    image = triangle_image(t) if t.curvature == HYPERBOLIC else None
+    spec = image[0].spec if image else None
     # the fields only: the two bounds are there as bit lengths, as the
     # bounds themselves can have billions of bits
     doc = dict(bound_report(t, t=args.tetrahedra, spec=spec).__dict__)
@@ -452,7 +453,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except (CliError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,8 +106,7 @@ _RHO_MAX_ITER = 10**7  # steps per constant c before factorize gives up
 
 
 def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
+    """A proper factor of a composite n with no prime factor below 10000."""
     for c in range(1, 64):
         x = y = 2
         d = 1

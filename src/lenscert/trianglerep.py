@@ -26,9 +26,10 @@ classify compares n2*n3 + n1*n3 + n1*n2 with n1*n2*n3 as ints.
 Non-hyperbolic triples get a dihedral image or one of three fixed
 spherical matrix pairs over F_3, F_5, F_7.
 Every image is the pair (x_image, y_image), over the field x_image.spec.
-triangle_image is the one place that chooses between the two builders,
-and both refuse a triple with a common divisor d > 1: its certificate is
-the abelian (Z/d)^2 image, which certificate.py decides from d alone.
+triangle_image is the one place that reads a triple's common divisor d
+and curvature to choose its image: None when d > 1, whose image is the
+abelian (Z/d)^2 that certificate.py builds, else the pair of the one
+builder that fits; the builders trust that choice and recheck neither.
 """
 
 from __future__ import annotations
@@ -55,12 +56,9 @@ from .psl import FieldSpec, ProjMatrix
 HYPERBOLIC = "hyperbolic"
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
-# what both builders raise for a triple with a common divisor d > 1, whose
-# certificate is the abelian (Z/d)^2 image instead of a matrix pair
-_COMMON_DIVISOR = "triple has a common divisor; use the abelian certificate"
 
 
-class RepVerificationError(AssertionError):
+class RepVerificationError(RuntimeError):
     """A built representation failed its own postconditions (a bug)."""
 
 
@@ -180,10 +178,6 @@ def build_hyperbolic_rep(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
     +-C3, and xy, yx have distinct images.  Any failure is a bug, not a
     math failure, and raises RepVerificationError.
     """
-    if t.d != 1:
-        raise ValueError(_COMMON_DIVISOR)
-    if t.curvature != HYPERBOLIC:
-        raise ValueError("build_hyperbolic_rep needs a hyperbolic triple")
     base, zeta = _cyclotomic_field(t.ell)
     p = base.p
     c1, c2, c3 = reduced_cosines(base, t.ell, zeta, t.triple)
@@ -223,12 +217,14 @@ def _checked_xy(
     return xy
 
 
-def triangle_image(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
+def triangle_image(t: TriangleType) -> Optional[tuple[ProjMatrix, ProjMatrix]]:
     """The images of x and y in a non-abelian image of T(n1, n2, n3), over
     the field of x's image: the mod-p representation for a coprime
-    hyperbolic triple, build_nonhyperbolic_cert otherwise.  Both refuse a
-    triple with a common divisor."""
-    if t.curvature == HYPERBOLIC and t.d == 1:
+    hyperbolic triple, build_nonhyperbolic_cert for any other coprime
+    one, and None for a triple with a common divisor d > 1."""
+    if t.d > 1:
+        return None
+    if t.curvature == HYPERBOLIC:
         return build_hyperbolic_rep(t)
     return build_nonhyperbolic_cert(t)
 
@@ -241,10 +237,6 @@ def build_nonhyperbolic_cert(t: TriangleType) -> tuple[ProjMatrix, ProjMatrix]:
     (2,3,6) reuses the (2,3,3) images since (xy)^3 = 1 kills (xy)^6; odd
     (2,2,m) gets the dihedral image over the smallest prime divisor of m.
     """
-    if t.d != 1:
-        raise ValueError(_COMMON_DIVISOR)
-    if t.curvature == HYPERBOLIC:
-        raise ValueError("coprime hyperbolic triples use build_hyperbolic_rep")
     if t.triple in _SPHERICAL:
         return _spherical_pair(t.triple)
     if t.triple == (2, 3, 6):
@@ -298,9 +290,7 @@ def cosine_norm(n: int, variant: str = "plain") -> int:
 
 
 def _prime_power_base(m: int) -> Optional[int]:
-    """p when m = p^e with e >= 1, else None."""
-    if m < 2:
-        return None
+    """p when m = p^e with e >= 1, else None, for m >= 2."""
     factors = factorize(m)
     if len(factors) == 1:
         return next(iter(factors))

@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from conftest import (
     MERSENNE_PRIMES,
     fixture_path,
@@ -17,6 +19,7 @@ from conftest import (
     numeric_field_texts,
     toy_certificate_text,
 )
+from lenscert import trianglerep
 from lenscert.certificate import triangle_certificate
 from lenscert.cli import main as cli_main
 from test_cost_model import BASES
@@ -439,6 +442,16 @@ def test_degree_report():
     assert out.stderr == "error: triple (2, 3, 6) is euclidean; the scan needs hyperbolic\n"
 
 
+def test_degree_report_names_the_sorted_triple(capsys):
+    # the scan indexes the sorted (n2, n3), and the report names that triple
+    texts = []
+    for args in (("7", "3", "2"), ("2", "3", "7")):
+        assert cli_main(["degree-report", *args]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("triple=(2,3,7) ell=84 ")
+
+
 def test_norms_small():
     out = run_cli("norms", "--max-n", "30")
     assert out.returncode == 0
@@ -771,6 +784,61 @@ def test_unwritable_output_exits_two(tmp_path):
             assert "cannot write" in out.stderr and "Traceback" not in out.stderr
             assert sorted(os.listdir(tmp_path)) == ["adir"]
             assert os.listdir(tmp_path / "adir") == []
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_closed_stdout_exits_two_without_a_traceback(buffered):
+    """A reader that closes stdout early is a write error, as an unwritable
+    -o path is: exit 2 and one stderr line, block-buffered or not.
+    sweep's 118 KB outgrow a pipe's buffer, so it meets the closed end
+    mid-run; verify's few lines meet a pipe that never had a reader."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "lenscert.cli", "sweep", "--max-n", "19", "--verbose"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=PKG_ROOT, env=env,
+    )
+    assert sweep.stdout.readline().startswith("(2,3,7) ell=84 ")
+    sweep.stdout.close()
+    try:
+        _, stderr = sweep.communicate(timeout=60)
+    finally:
+        sweep.kill()
+    assert sweep.returncode == 2
+    assert stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        verify = subprocess.run(
+            [sys.executable, "-m", "lenscert.cli", "verify", fixture_path("fig8.cert")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=PKG_ROOT, env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert verify.returncode == 2
+    assert verify.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_a_failed_build_postcondition_exits_two(monkeypatch, tmp_path, capsys):
+    # a RepVerificationError is a bug in the build, reported as an error,
+    # not a traceback; sweep records it as a failure row and keeps going
+    monkeypatch.setattr(trianglerep, "has_order", lambda m, n: False)
+    target = tmp_path / "c237.cert"
+    assert cli_main(["trianglecert", "2", "3", "7", "-o", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: image of x does not have order 2\n"
+    assert list(tmp_path.iterdir()) == []
+    assert cli_main(["sweep", "--max-n", "7", "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(
+        row["error"] == f"image of x does not have order {row['triple'][0]}"
+        for row in rows if row["gcd"] == 1
+    )
+    assert all("kind" in row for row in rows if row["gcd"] > 1)
 
 
 def test_verify_writes_nothing(tmp_path):

@@ -280,13 +280,6 @@ def test_build_with_alternate_root_of_unity():
     assert xy != y.mul(x)
 
 
-def test_build_rejects_wrong_curvature():
-    with pytest.raises(ValueError):
-        build_hyperbolic_rep(classify(2, 3, 5))
-    with pytest.raises(ValueError):
-        build_hyperbolic_rep(classify(2, 4, 6))  # hyperbolic but gcd 2
-
-
 def test_trace_of_xy_is_plus_minus_c3():
     for triple in [(2, 3, 7), (3, 4, 5), (2, 4, 5)]:
         t = classify(*triple)
@@ -418,14 +411,6 @@ def test_spherical_235_lands_in_psl25():
     assert orders == (2, 3, 5)
 
 
-def test_euclidean_244_abelian():
-    with pytest.raises(ValueError, match="common divisor"):
-        build_nonhyperbolic_cert(classify(2, 4, 4))
-    cert = triangle_certificate(2, 4, 4)[0]
-    assert cert.kind == NON_CYCLIC
-    assert cert.target == (2, 2)
-
-
 def test_field_small_for_all_nonhyperbolic():
     triples = [(2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6)]
     triples += [(2, 2, m) for m in range(3, 100, 2)]
@@ -463,14 +448,6 @@ def test_commuting_images_fail_the_postcondition(monkeypatch):
         trianglerep._checked_xy(x, x, (2, 2, 2))
 
 
-def test_hyperbolic_gcd_goes_abelian():
-    for build in (build_hyperbolic_rep, build_nonhyperbolic_cert):
-        with pytest.raises(ValueError, match="common divisor"):
-            build(classify(2, 4, 6))
-    cert = triangle_certificate(2, 4, 6)[0]
-    assert cert.kind == NON_CYCLIC and cert.target == (2, 2)
-
-
 @pytest.mark.parametrize(
     "triple, searched",
     [((2, 3, 3), (2, 3, 3)), ((2, 3, 4), (2, 3, 4)), ((2, 3, 5), (2, 3, 5)),
@@ -496,25 +473,21 @@ def test_triangle_image_dispatch(monkeypatch):
         )
     x, y = triangle_image(classify(2, 3, 7))
     assert x.spec.p == 337 and y.spec == x.spec
-    with pytest.raises(ValueError, match="common divisor"):
-        triangle_image(classify(2, 4, 6))
+    assert triangle_image(classify(2, 4, 6)) is None
     assert triangle_image(classify(2, 3, 5))[0].spec.p == 5
     x, y = triangle_image(classify(2, 2, 7))
     assert y.spec == x.spec
-    assert calls == ["build_hyperbolic_rep"] + ["build_nonhyperbolic_cert"] * 3
+    # a common divisor is answered before either builder is called
+    assert calls == ["build_hyperbolic_rep"] + ["build_nonhyperbolic_cert"] * 2
     # every triple with entries up to 19 and no common divisor gets a pair
     # over one field, the matrices of its triangle certificate; a triple
-    # with common divisor d > 1 gets no pair from either builder, and its
-    # certificate is the (Z/d)^2 image
+    # with common divisor d > 1 gets the (Z/d)^2 certificate
     witness = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
     coprime = 0
     for triple in itertools.combinations_with_replacement(range(2, 20), 3):
         t = classify(*triple)
         cert = triangle_certificate(*triple)[0]
         if t.d > 1:
-            for build in (build_hyperbolic_rep, build_nonhyperbolic_cert):
-                with pytest.raises(ValueError, match="common divisor"):
-                    build(t)
             assert cert == Certificate(
                 kind=NON_CYCLIC,
                 presentation=triangle_presentation(t),
@@ -534,6 +507,17 @@ def test_triangle_image_dispatch(monkeypatch):
         ), triple
         coprime += 1
     assert coprime == 914
+
+
+def test_triangle_image_is_none_exactly_at_a_common_divisor():
+    # triangle_image alone reads d: no builder is asked for a pair when
+    # d > 1, and every coprime triple, of any curvature, gets one
+    common = 0
+    for triple in itertools.combinations_with_replacement(range(2, 20), 3):
+        t = classify(*triple)
+        assert (triangle_image(t) is None) == (t.d > 1), triple
+        common += t.d > 1
+    assert common == 226
 
 
 # ----------------------------------------------------------------------

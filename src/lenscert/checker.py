@@ -89,7 +89,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import ClassVar, NoReturn, Optional, Sequence
+from typing import ClassVar, NamedTuple, NoReturn, Optional, Sequence
 
 from .presentation import (
     LABEL_PATTERN,
@@ -530,8 +530,7 @@ def _parse_rep(
     }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     accepted: bool
     kind: str
     reason: Optional[str]

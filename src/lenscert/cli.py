@@ -370,7 +370,7 @@ def cmd_bounds(args) -> int:
     spec = image[0].spec if image else None
     # the fields only: the two bounds are there as bit lengths, as the
     # bounds themselves can have billions of bits
-    doc = dict(bound_report(t, t=args.tetrahedra, spec=spec).__dict__)
+    doc = bound_report(t, t=args.tetrahedra, spec=spec)._asdict()
     doc["triple"] = list(doc["triple"])
     lines = [f"{k}={v}" for k, v in doc.items()]
     _emit(doc, args.json, lines)

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .psl import Frozen
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
+
+class IntMatrix(Frozen):
+    __slots__ = _fields = ("entries", "rows", "cols")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
         rows = len(entries)
@@ -51,8 +49,7 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     diag: tuple[int, ...]
     rank: int
     v: IntMatrix  # the column transform: U * A * V = diag for some unimodular U
@@ -126,19 +123,19 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     return SNFResult(diag, len(diag) - diag.count(0), IntMatrix(v, cols=n))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """Z^free_rank plus cyclic factors in a divisibility chain."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        for k, d in enumerate(self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()) -> None:
+        for k, d in enumerate(torsion):
             if d <= 1:
                 raise ValueError("torsion factors must exceed 1")
-            if k and self.torsion[k] % self.torsion[k - 1] != 0:
+            if k and torsion[k] % torsion[k - 1] != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def torsion_order(self) -> int:
         out = 1

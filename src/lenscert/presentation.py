@@ -16,7 +16,8 @@ checked once, where the table is made.  The cell structure pi1 was once
 read from is kept as a reference oracle in `tests/oracles.py`.
 
 A presentation keeps nothing but its generators, relators and labels.
-This module holds what the checker runs on them: the two dataclasses,
+This module holds what the checker runs on them: Word (a `psl.Frozen`
+value) and the GroupPresentation dataclass,
 the word and presentation writers, `read_word` and `fundamental_group`.
 The closure that writes every generator in a few seeds, and its `lift`,
 are producer code in `intlinalg`.
@@ -34,6 +35,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
+from .psl import Frozen
 from .triangulation import (
     DIRECTED_INDEX,
     EDGE_DIRECTIONS,
@@ -52,18 +54,18 @@ def is_label(text: str) -> bool:
     return _LABEL_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A word in group generators: a sequence of (generator, +-1) letters."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        for gen, exp in self.letters:
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()) -> None:
+        for gen, exp in letters:
             if exp not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {exp}")
             if gen < 0:
                 raise ValueError(f"negative generator index {gen}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_checked(cls, letters: tuple[tuple[int, int], ...]) -> "Word":

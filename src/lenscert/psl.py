@@ -31,38 +31,80 @@ eight coordinates is forced into [0, (p-1)/2], which holds one of x and
 -x as p is odd, so equality is coordinate equality.  A fold of
 unnormalized representatives is the product up to sign, so it is
 normalized once, at the end.
+
+FieldSpec and FieldElement, and the package's other value types that
+check or normalize what they are built from (Permutation4, FacePairing,
+Triangulation, Word, IntMatrix and AbelianGroup), derive from Frozen:
+the fields named in _fields sit in __slots__ and are set once, by the
+type's own __init__ after its checks.  Frozen gives what a frozen
+dataclass would (== between instances of one class with equal fields,
+the hash of the field tuple, the dataclass repr and no attribute that
+can be set or deleted) from plain methods, so importing a module
+generates no code; == and hash read the fields in C, by one attrgetter.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """An immutable value with the fields named in _fields, which a
+    subclass keeps in its __slots__ and sets in __init__ with
+    object.__setattr__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # a tuple of the fields for two or more, the bare value for one
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        values = self._values(self)
+        return hash(values if len(self._fields) > 1 else (values,))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Frozen):
     """Z/p (degree 1) or Z/p[w]/(w^2 - s) (degree 2): p odd and at least
     3, and 0 < s < p."""
 
-    p: int
-    degree: int = 1
-    s: Optional[int] = None
+    __slots__ = _fields = ("p", "degree", "s")
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or not self.p & 1:
-            raise ValueError(f"field modulus must be odd and at least 3, got {self.p}")
-        if self.degree not in (1, 2):
+    def __init__(self, p: int, degree: int = 1, s: Optional[int] = None) -> None:
+        if p < 3 or not p & 1:
+            raise ValueError(f"field modulus must be odd and at least 3, got {p}")
+        if degree not in (1, 2):
             raise ValueError("only degree 1 and 2 fields are supported")
-        if self.degree == 1:
-            if self.s is not None:
+        if degree == 1:
+            if s is not None:
                 raise ValueError("s only makes sense for degree 2")
-        elif self.s is None:
+        elif s is None:
             raise ValueError("degree 2 needs s, the square of w")
-        elif not 0 < self.s < self.p:
-            raise ValueError(f"s={self.s} is not in [1, {self.p})")
+        elif not 0 < s < p:
+            raise ValueError(f"s={s} is not in [1, {p})")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "s", s)
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0, 0)
@@ -74,19 +116,18 @@ class FieldSpec:
         return FieldElement(self, a, b)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """a (degree 1) or a + b*w (degree 2), coordinates reduced mod p."""
 
-    spec: FieldSpec
-    a: int
-    b: int = 0
+    __slots__ = _fields = ("spec", "a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", self.a % self.spec.p)
-        object.__setattr__(self, "b", self.b % self.spec.p)
-        if self.spec.degree == 1 and self.b:
+    def __init__(self, spec: FieldSpec, a: int, b: int = 0) -> None:
+        a, b = a % spec.p, b % spec.p
+        if spec.degree == 1 and b:
             raise ValueError("degree-1 element with a w coordinate")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def _check(self, other: "FieldElement") -> None:
         if self.spec != other.spec:

@@ -35,9 +35,8 @@ builder that fits; the builders trust that choice and recheck neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .galois import (
     euler_phi,
@@ -62,8 +61,7 @@ class RepVerificationError(RuntimeError):
     """A built representation failed its own postconditions (a bug)."""
 
 
-@dataclass(frozen=True)
-class TriangleType:
+class TriangleType(NamedTuple):
     n1: int
     n2: int
     n3: int
@@ -336,8 +334,7 @@ def cyclotomic_eval(k: int, at: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FieldDegreeReport:
+class FieldDegreeReport(NamedTuple):
     triple: tuple[int, int, int]
     ell: int
     trace_degree: int  # phi(ell)/2
@@ -418,8 +415,7 @@ def _at_most_power(n: int, a: int, b: int) -> tuple[int, bool]:
     return bits, n_bits < bits or (n_bits == bits and n <= 2**a * 3**b)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Big-integer comparisons against the certificate-size bounds.
 
     Everything here is reported, never asserted: the absolute constant in

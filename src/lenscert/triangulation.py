@@ -5,6 +5,9 @@ tetrahedron is the face opposite vertex f, so a pairing is a permutation
 of {0,1,2,3} carrying the three vertices of the source face onto the
 target face and the source's opposite vertex onto the target's opposite
 vertex.  Everything here is an immutable value; all operations are pure.
+Permutation4, FacePairing and Triangulation are ``psl.Frozen`` values,
+not dataclasses, so the module generates no code at import; the two
+reports are NamedTuples.
 
 The 24 permutations are interned at import with int tables (inverse,
 parity, induced map on directed edges) and their text, so parsing and
@@ -34,12 +37,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, permutations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .psl import DECIMAL_GROUP
+from .psl import DECIMAL_GROUP, Frozen
 
 
 class TriangulationError(ValueError):
@@ -93,17 +95,18 @@ _OTHER_FACE = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Permutation4:
-    """A bijection of {0,1,2,3} stored as the image tuple of (0,1,2,3)."""
+class Permutation4(Frozen):
+    """A bijection of {0,1,2,3} stored as the image tuple of (0,1,2,3);
+    it compares, hashes and shows by its images alone."""
 
-    images: tuple[int, int, int, int]
-    index: int = field(init=False, repr=False, compare=False)  # into the tables above
+    __slots__ = ("images", "index")  # index: into the tables above
+    _fields = ("images",)
 
-    def __post_init__(self) -> None:
-        index = _PERM_INDEX.get(tuple(self.images))
+    def __init__(self, images: tuple[int, int, int, int]) -> None:
+        index = _PERM_INDEX.get(tuple(images))
         if index is None:
-            raise TriangulationError(f"not a permutation of 0..3: {self.images}")
+            raise TriangulationError(f"not a permutation of 0..3: {images}")
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "index", index)
 
     def __call__(self, v: int) -> int:
@@ -119,37 +122,41 @@ class Permutation4:
 _PERMS = tuple(Permutation4(images) for images in _PERM_IMAGES)
 
 
-@dataclass(frozen=True)
-class FacePairing:
+class FacePairing(Frozen):
     """One direction of a face gluing: source face -> target face."""
 
-    source: tuple[int, int]
-    target: tuple[int, int]
-    perm: Permutation4
+    __slots__ = _fields = ("source", "target", "perm")
 
-    def __post_init__(self) -> None:
-        for tet, face in (self.source, self.target):
+    def __init__(self, source: tuple[int, int], target: tuple[int, int], perm: Permutation4):
+        for tet, face in (source, target):
             if not 0 <= face < 4:
                 raise TriangulationError(f"face index out of range: {tet}:{face}")
-        if self.perm(self.source[1]) != self.target[1]:
+        if perm(source[1]) != target[1]:
             raise TriangulationError(
-                f"pairing {self.source} -> {self.target} does not map the "
-                f"opposite vertex correctly (perm={self.perm})"
+                f"pairing {source} -> {target} does not map the "
+                f"opposite vertex correctly (perm={perm})"
             )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "perm", perm)
 
     def reverse(self) -> "FacePairing":
         return FacePairing(self.target, self.source, self.perm.inverse())
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Frozen):
     """t tetrahedra with every face slot glued; gluings stored both ways.
 
-    gluings[tet][face] = (other tet, other face, perm).
+    gluings[tet][face] = (other tet, other face, perm).  The instance
+    dict holds only the orbit walk, which ==, hash and repr do not read.
     """
 
-    t: int
-    gluings: tuple[tuple[tuple[int, int, Permutation4], ...], ...]
+    __slots__ = ("t", "gluings", "__dict__")
+    _fields = ("t", "gluings")
+
+    def __init__(self, t: int, gluings: tuple) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "gluings", gluings)
 
     def pairings(self) -> list[FacePairing]:
         """Canonical one-per-class list, sources sorted."""
@@ -396,8 +403,7 @@ def format_triangulation(tri: Triangulation, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     v: int
     e: int
     f: int
@@ -465,8 +471,7 @@ def validate(tri: Triangulation) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
-class OrientationResult:
+class OrientationResult(NamedTuple):
     orientable: bool
     assignment: Optional[tuple[int, ...]]
     witness: Optional[FacePairing]

@@ -745,6 +745,32 @@ def test_deterministic_output(tmp_path):
             json.loads(first.stdout)
 
 
+# sha256 of stdout, pinned from the release whose reports were
+# dataclasses: a record's type may change, its JSON bytes may not
+JSON_SHA256 = {
+    ("bounds", "2", "3", "7", "-t", "10"):
+        "eac1b21e7f6a1f60bd09b972805589d62b59fd27036a2c61e048ddf871c8772f",
+    ("degree-report", "2", "3", "7"):
+        "4bef3b0ab6716d207d3181cd69c8526db3f7725d5edc1d17d3a21cd9c0552cfa",
+    ("validate", "t3_torus.tri"):
+        "1a1cdddca5f2568d69f1407d10f19cc837ad689c5eda87ebf44051a776ad0ff8",
+    ("orient", "s2xs1_twisted.tri"):
+        "1de519418285477c2464dbb7b235ea1d7bc408bc2f2ef71bcf77c7df175969cb",
+    ("homology", "prism_q8.tri"):
+        "96a09bc75fcdfb2c075dfebfee4f9cff68ca534ea91a40ba165a97126f2e646e",
+    ("verify", "fig8.cert"):
+        "8cc814d4b3302eff52d80da49b37a2a0d2beca654816ae17e0302ced51b2b366",
+}
+
+
+@pytest.mark.parametrize("args", JSON_SHA256, ids=" ".join)
+def test_json_output_keeps_its_pinned_bytes(args):
+    command, *rest = args
+    out = run_cli(command, *(fixture_path(a) if "." in a else a for a in rest), "--json")
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == JSON_SHA256[args]
+
+
 def test_certificate_mode_follows_the_umask(tmp_path):
     # a certificate is written for someone else to verify, so it gets the
     # mode of any file the user writes, not mkstemp's 0600

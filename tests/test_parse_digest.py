@@ -220,6 +220,13 @@ BUILT = "a certificate built in code needs it"
 TABLE = "the boundary check for a gluing table built in code"
 NOT_RUN = {
     "checker.Certificate.__post_init__": BUILT,
+    "psl.Frozen.__init_subclass__": "it runs at import, once per value type the modules define",
+    "psl.Frozen.__hash__": "equal values must hash alike, as they did as frozen dataclasses",
+    "psl.Frozen.__repr__": "tests and debugging show values with it, as the dataclass repr",
+    **{
+        f"psl.Frozen.{name}": "it refuses a write to a value, and the checker makes none"
+        for name in ("__setattr__", "__delattr__")
+    },
     "psl.FieldSpec.zero": "scripts/make_fixtures.py builds the figure-eight matrices with it",
     "psl.FieldSpec.one": ITEM_15,
     **{
@@ -241,14 +248,14 @@ NOT_RUN = {
         f"psl.ProjMatrix.{name}": BUILT
         for name in ("__setattr__", "__delattr__", "__eq__", "__hash__", "identity", "__repr__")
     },
-    "presentation.Word.__post_init__": BUILT,
+    "presentation.Word.__init__": BUILT,
     "presentation.Word.max_generator": BUILT,
     "presentation.GroupPresentation.__post_init__": BUILT,
     **{
         f"triangulation.{name}": ITEM_15
         for name in (
-            "Permutation4.__post_init__", "Permutation4.__call__", "Permutation4.inverse",
-            "Permutation4.__str__", "FacePairing.__post_init__", "FacePairing.reverse",
+            "Permutation4.__init__", "Permutation4.__call__", "Permutation4.inverse",
+            "Permutation4.__str__", "FacePairing.__init__", "FacePairing.reverse",
             "Triangulation.pairings", "format_triangulation", "orientation_check",
         )
     },

@@ -7,8 +7,8 @@ V_k = +-2 when tr(M) != +-2.  So "order exactly n" is a walk of at most
 n - 1 scalar multiply-adds, with no factorization of n; a trace of +-2
 means order 1 or p.  projective_order, which finds an unknown order,
 descends from the trace class's order bound by matrix powers.  Both
-order checks, like galois.root_of_unity, imaginary_unit and
-psl.FieldElement.inverse, assume a field, and only producers call them.
+order checks, like galois.root_of_unity and imaginary_unit, assume a
+field, and only producers call them.
 """
 
 from __future__ import annotations
@@ -94,8 +94,6 @@ def evaluate_word(images: Sequence[ProjMatrix], word: Word) -> ProjMatrix:
     if not images:
         raise ValueError("no generator images")
     spec = images[0].spec
-    if any(m.spec is not spec and m.spec != spec for m in images):
-        raise ValueError("field spec mismatch")
     top = word.max_generator()
     if top >= len(images):
         raise ValueError(f"no image for generator {top}")

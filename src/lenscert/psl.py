@@ -9,11 +9,13 @@ odd coordinates are 0 over a prime field.  Products, inverses and
 powers run on these ints; FieldElement appears only at the boundary
 (the public constructor and the a, b, c, d, entries and trace views).
 
-det = 1 is checked once, when a matrix is built from outside data:
-ProjMatrix(a, b, c, d) from field elements, or ProjMatrix.from_reduced
-from ints already reduced mod p.  A product or inverse of
-determinant-1 matrices has determinant 1, so results are built without
-a recheck.
+det = 1 and the field are checked once, where a matrix is built from
+outside data: ProjMatrix(a, b, c, d) from field elements of one spec,
+or ProjMatrix.from_reduced from ints already reduced mod p.  A product
+or inverse of determinant-1 matrices has determinant 1, so results are
+built without a recheck; and no product or sum, of matrices or of
+field elements, rechecks that its operands share a field, which every
+caller's values do (the checker's parse and Certificate see to it).
 
 Products run on raw 8-int tuples in one kernel, _mul_coords, which
 mul, _power_coords (the square-and-multiply loop of power) and
@@ -32,15 +34,16 @@ eight coordinates is forced into [0, (p-1)/2], which holds one of x and
 unnormalized representatives is the product up to sign, so it is
 normalized once, at the end.
 
-FieldSpec and FieldElement, and the package's other value types that
-check or normalize what they are built from (Permutation4, FacePairing,
-Triangulation, Word, IntMatrix and AbelianGroup), derive from Frozen:
-the fields named in _fields sit in __slots__ and are set once, by the
-type's own __init__ after its checks.  Frozen gives what a frozen
-dataclass would (== between instances of one class with equal fields,
-the hash of the field tuple, the dataclass repr and no attribute that
-can be set or deleted) from plain methods, so importing a module
-generates no code; == and hash read the fields in C, by one attrgetter.
+FieldSpec, FieldElement and ProjMatrix, and the package's other value
+types that check or normalize what they are built from (Permutation4,
+FacePairing, Triangulation, Word, IntMatrix and AbelianGroup), derive
+from Frozen: the fields named in _fields sit in __slots__ and are set
+once, by the type's own __init__ after its checks (or, for a matrix
+product, by _from_coords).  Frozen gives what a frozen dataclass would
+(== between instances of one class with equal fields, the hash of the
+field tuple, the dataclass repr and no attribute that can be set or
+deleted) from plain methods, so importing a module generates no code;
+== and hash read the fields in C, by one attrgetter.
 """
 
 from __future__ import annotations
@@ -129,42 +132,29 @@ class FieldElement(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("field spec mismatch")
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         return FieldElement(self.spec, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         return FieldElement(self.spec, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.spec, -self.a, -self.b)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.spec.p
-        if self.spec.degree == 1:
-            return FieldElement(self.spec, self.a * other.a % p)
-        s = self.spec.s
-        a = (self.a * other.a + s * self.b * other.b) % p
-        b = (self.a * other.b + self.b * other.a) % p
-        return FieldElement(self.spec, a, b)
+        s, a, b = self.spec.s or 0, self.a, self.b
+        return FieldElement(self.spec, a * other.a + s * b * other.b, a * other.b + b * other.a)
 
     def inverse(self) -> "FieldElement":
+        """(a - b*w) / (a^2 - s*b^2): ValueError if that norm, and so the
+        element, is not a unit, as in a ring that is not a field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         p = self.spec.p
-        if self.spec.degree == 1:
-            return FieldElement(self.spec, pow(self.a, p - 2, p))
-        norm = (self.a * self.a - self.spec.s * self.b * self.b) % p
-        ninv = pow(norm, p - 2, p)
+        ninv = pow(self.a * self.a - (self.spec.s or 0) * self.b * self.b, -1, p)
         return FieldElement(self.spec, self.a * ninv, -self.b * ninv)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
@@ -293,8 +283,8 @@ def _from_coords(spec: FieldSpec, v: tuple) -> "ProjMatrix":
     return m
 
 
-class ProjMatrix:
-    __slots__ = ("spec", "coords")
+class ProjMatrix(Frozen):
+    __slots__ = _fields = ("spec", "coords")
 
     def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement) -> None:
         spec = a.spec
@@ -314,20 +304,6 @@ class ProjMatrix:
         _check_det(spec, v)
         return _from_coords(spec, v)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ProjMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjMatrix):
-            return NotImplemented
-        return self.coords == other.coords and self.spec == other.spec
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
     @staticmethod
     def identity(spec: FieldSpec) -> "ProjMatrix":
         return _from_coords(spec, _IDENTITY)
@@ -337,8 +313,6 @@ class ProjMatrix:
 
     def mul(self, other: "ProjMatrix") -> "ProjMatrix":
         spec = self.spec
-        if other.spec is not spec and other.spec != spec:
-            raise ValueError("field spec mismatch")
         return _from_coords(spec, _mul_coords(spec.p, spec.s or 0, self.coords, other.coords))
 
     def inverse(self) -> "ProjMatrix":

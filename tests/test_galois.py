@@ -190,6 +190,30 @@ def test_division_by_zero():
         spec.zero().inverse()
 
 
+@pytest.mark.parametrize("spec, units, non_unit", [
+    (FieldSpec(9), 6, (3, 0)),
+    (FieldSpec(7, 2, 2), 36, (3, 1)),  # 2 = 3^2 mod 7, so w^2 - 2 splits
+])
+def test_inverse_in_a_ring_that_is_not_a_field(spec, units, non_unit):
+    """FieldSpec takes any odd modulus and any s, so its ring may have zero
+    divisors: each unit, found by search, gets its true inverse, and each
+    nonzero non-unit is refused."""
+    one = spec.one()
+    w_range = range(spec.p if spec.degree == 2 else 1)
+    elements = [spec.element(a, b) for a in range(spec.p) for b in w_range]
+    found = 0
+    for u in elements:
+        if any(u * v == one for v in elements):
+            found += 1
+            assert u * u.inverse() == one, u
+        elif not u.is_zero():
+            with pytest.raises(ValueError):
+                u.inverse()
+    assert found == units
+    with pytest.raises(ValueError):
+        spec.element(*non_unit).inverse()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 336), st.integers(0, 336), st.integers(0, 336))
 def test_field_axioms_prime_field(a, b, c):

@@ -176,15 +176,6 @@ def test_negation_is_equal_and_hashes_alike(entries):
     assert len({m, negated}) == 1
 
 
-def test_spec_mismatch_rejected():
-    a = ProjMatrix.identity(SPEC5)
-    b = ProjMatrix.identity(SPEC337)
-    with pytest.raises(ValueError):
-        a.mul(b)
-    with pytest.raises(ValueError):
-        evaluate_word([a, b], Word(((0, 1), (1, 1))))
-
-
 @settings(max_examples=300, deadline=None)
 @given(sl2_entries())
 def test_str_formats_entries(entries):

@@ -5,7 +5,10 @@ are NamedTuples; only Certificate and GroupPresentation, which callers
 rebuild with dataclasses.replace, stay dataclasses.  Each of the other
 15 types keeps what it had as a frozen dataclass: its repr, == by class
 and fields, the hash of its field tuple, and no attribute that can be
-set or deleted.
+set or deleted.  ProjMatrix, a Frozen value too, has the same == and
+hash over its spec and coordinates, and writes its repr as a matrix.
+Frozen is the one class that defines __setattr__, __delattr__, __eq__
+or __hash__.
 """
 
 import ast
@@ -19,7 +22,7 @@ from conftest import fixture_text
 from lenscert.checker import parse, verify
 from lenscert.intlinalg import AbelianGroup, IntMatrix, smith_normal_form
 from lenscert.presentation import Word
-from lenscert.psl import FieldElement, FieldSpec
+from lenscert.psl import FieldElement, FieldSpec, ProjMatrix
 from lenscert.trianglerep import bound_report, classify, field_degree_report
 from lenscert.triangulation import (
     FacePairing,
@@ -41,6 +44,10 @@ CASES = {
     "FieldElement": (
         lambda: FieldElement(FieldSpec(7, 2, 3), 1, 9), ("spec", "a", "b"),
         "FieldElement(spec=FieldSpec(p=7, degree=2, s=3), a=1, b=2)",
+    ),
+    "ProjMatrix": (
+        lambda: ProjMatrix(*(FieldSpec(7).element(x) for x in (5, 4, 6, 5))), ("spec", "coords"),
+        "ProjMatrix([[2,3],[1,2]])",
     ),
     "Permutation4": (lambda: Permutation4((1, 0, 2, 3)), ("images",),
                      "Permutation4(images=(1, 0, 2, 3))"),
@@ -128,6 +135,26 @@ def test_only_certificate_and_presentation_are_dataclasses():
     assert out.stdout.split() == ["checker.Certificate", "presentation.GroupPresentation"]
 
 
+def test_only_frozen_defines_attribute_writes_equality_and_hash():
+    package = os.path.join(SRC, "lenscert")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            found.extend(
+                f"{name[:-3]}.{node.name}.{item.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and item.name in ("__setattr__", "__delattr__", "__eq__", "__hash__")
+            )
+    assert sorted(found) == [
+        "psl.Frozen.__delattr__", "psl.Frozen.__eq__", "psl.Frozen.__hash__",
+        "psl.Frozen.__setattr__",
+    ]
+
+
 def test_no_source_file_calls_exec_or_eval():
     package = os.path.join(SRC, "lenscert")
     for name in sorted(os.listdir(package)):
@@ -191,6 +218,16 @@ def test_fields_can_be_neither_set_nor_deleted(name):
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert repr(value) == expected
+
+
+def test_a_matrix_differing_in_its_spec_or_one_coordinate_is_unequal():
+    one = ProjMatrix.identity(FieldSpec(7))
+    assert one.coords == ProjMatrix.identity(FieldSpec(11)).coords
+    assert one != ProjMatrix.identity(FieldSpec(11))
+    assert one != ProjMatrix.identity(FieldSpec(7, 2, 3))
+    e = FieldSpec(7).element
+    assert one != ProjMatrix(e(1), e(1), e(0), e(1))
+    assert one == ProjMatrix(e(6), e(0), e(0), e(6))
 
 
 def test_a_permutation_compares_and_hashes_by_its_images_only():

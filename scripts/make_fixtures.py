@@ -51,7 +51,7 @@ if __name__ == "__main__":  # run as a script, build with this checkout's packag
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from lenscert.certificate import parse_word, pipeline
-from lenscert.checker import Certificate, NON_ABELIAN, serialize, verify
+from lenscert.checker import NonAbelianRep, serialize, verify
 from lenscert.galois import quadratic_extension, sqrt_mod_p
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group
@@ -281,7 +281,7 @@ def find_one_vertex(t: int = 2) -> Triangulation:
 # figure-eight certificate and the surjection file
 
 
-def figure8_certificate() -> Certificate:
+def figure8_certificate() -> NonAbelianRep:
     spec = quadratic_extension(FieldSpec(5))
     x = spec.element(sqrt_mod_p(spec.p - 1, spec.p))  # a square root of -1
     a_img = ProjMatrix(x, spec.zero(), spec.zero(), -x)
@@ -289,8 +289,7 @@ def figure8_certificate() -> Certificate:
     labels = ("a", "b")
     relator = parse_word("a b a^-1 b^-1 a b a b^-1 a^-1 b^-1", labels)
     pres = GroupPresentation(2, (relator,), labels)
-    return Certificate(
-        kind=NON_ABELIAN,
+    return NonAbelianRep(
         presentation=pres,
         field=spec,
         rep_gens=labels,

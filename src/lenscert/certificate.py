@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 # perfbench and bench_verify.py read parse and serialize here, where older trees define them
 from .checker import (
-    NON_ABELIAN,
-    NON_CYCLIC,
     Certificate,
     CertificateSyntaxError,
+    NonAbelianRep,
+    NonCyclicAbelian,
     parse,  # noqa: F401
     serialize,  # noqa: F401
     verify,
@@ -69,7 +69,7 @@ def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificat
         (sum(map(operator.mul, x, a)) % n, sum(map(operator.mul, x, b)) % n)
         for x in zip(*core.coordinates)
     )
-    cert = Certificate(kind=NON_CYCLIC, presentation=pres, target=(n, n), abelian_images=images)
+    cert = NonCyclicAbelian(presentation=pres, target=(n, n), abelian_images=images)
     outcome = verify(cert)
     if not outcome.accepted:
         raise ArithmeticError(f"built abelian certificate fails: {outcome.reason}")
@@ -77,6 +77,9 @@ def noncyclic_certificate(pres: GroupPresentation, core: SeedCore) -> Certificat
 
 
 _XY_WITNESS = (Word(((0, 1), (1, 1))), Word(((1, 1), (0, 1))))
+# the most letters a triangle certificate's relators x^n1, y^n2, (xy)^n3
+# may spell: past it the certificate is refused, not written
+MAX_RELATOR_LETTERS = 10**6
 
 
 def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
@@ -85,17 +88,20 @@ def triangle_certificate(n1: int, n2: int, n3: int) -> tuple[Certificate, dict]:
     t = classify(n1, n2, n3)
     # the image first: past the prime search's ceiling, no relator is spelled out
     images = triangle_image(t)
+    letters = t.n1 + t.n2 + 2 * t.n3
+    if letters > MAX_RELATOR_LETTERS:
+        raise ValueError(
+            f"the relators of {t.triple} would spell {letters} letters, "
+            f"more than {MAX_RELATOR_LETTERS}"
+        )
+    pres = triangle_presentation(t)
     if images is None:
-        cert = Certificate(
-            kind=NON_CYCLIC,
-            presentation=triangle_presentation(t),
-            target=(t.d, t.d),
-            abelian_images=((1, 0), (0, 1)),
+        cert: Certificate = NonCyclicAbelian(
+            presentation=pres, target=(t.d, t.d), abelian_images=((1, 0), (0, 1))
         )
     else:
-        cert = Certificate(
-            kind=NON_ABELIAN,
-            presentation=triangle_presentation(t),
+        cert = NonAbelianRep(
+            presentation=pres,
             field=images[0].spec,
             rep_gens=("x", "y"),
             rep_images=images,
@@ -210,8 +216,7 @@ def pipeline(
             "carry a non-abelian image"
         )
     # the triangle group's matrices, carried to pres by the surjection
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=pres,
         field=xy[0].spec,
         rep_gens=("x", "y"),

@@ -1,8 +1,10 @@
 """Serialize, parse and verify "not a lens space" certificates: the checker.
 
-Two kinds of witness exist: a surjection onto a non-cyclic abelian group
-Z/a x Z/b, or a non-abelian image in SL(2, R)/{+-I}, where the field line
-names R = Z/p[w]/(w^2 - s) (psl.FieldSpec).  For any odd p >= 3 and
+Two kinds of witness exist, each a frozen dataclass deriving from
+Certificate and named as the kind line names it: NonCyclicAbelian, a
+surjection onto a non-cyclic abelian group Z/a x Z/b, and NonAbelianRep,
+a non-abelian image in SL(2, R)/{+-I}, where the field line names
+R = Z/p[w]/(w^2 - s) (psl.FieldSpec).  For any odd p >= 3 and
 0 < s < p that is a group in which I != -I, which is all soundness needs:
 so parse checks the line's shape, and R need not be a field.
 Verification is polynomial with exact operation tallies; a malformed
@@ -22,35 +24,35 @@ Each invariant is checked once, where a certificate comes in:
   word reader: a token is `label` or `label^-1`, so each letter is a
   known generator with exponent +-1) and free reduction, reduced abelian
   images, and image and surjection lines in the order of the gens line.
-  The gens line and each matrix line are accepted by one regex matched
-  against the whole line, built from psl.DECIMAL_PATTERN and
-  presentation.LABEL_PATTERN: so the labels need no other check than
-  distinctness, and a matrix's coordinates go straight to ints, in
-  range when their max is below p, with det 1 checked by
-  ProjMatrix.from_reduced and the sign normalization serialize writes by
-  one compare.  A line either regex refuses goes to a diagnose function
-  (_diagnose_gens, _diagnose_matrix) that runs the per-field checks
-  (psl.parse_coords, is_label) only to name the error, and always
-  raises.  Words and the presentation are then built by
-  Word.from_checked and GroupPresentation.from_checked, which trust the
-  letter table and the gens regex, and Certificate._check_fields checks
-  the rest once the text is read: the kind's fields, target moduli above
-  1, at least one matrix, distinct matrix names, and matrix names equal
-  to the labels when there is no surjection.  parse records the length
-  of the text it read as text_bytes, which is its byte count: every line
-  it accepts is an exact string or is made of `[0-9]` and
+  The gens line is read field by field: its count by
+  psl.parse_decimal, and its labels, once the relators are read, by
+  distinctness (GroupPresentation.from_checked) and then is_label.
+  Each matrix line is accepted by one regex matched against the whole
+  line, built from psl.DECIMAL_PATTERN and presentation.LABEL_PATTERN:
+  so a matrix's coordinates go straight to ints, in range when their
+  max is below p, with det 1 checked by ProjMatrix.from_reduced and the
+  sign normalization serialize writes by one compare.  A matrix line
+  the regex refuses goes to _diagnose_matrix, which runs the per-field
+  checks (psl.parse_coords, is_label) only to name the error, and
+  always raises.  Words are built by Word.from_checked, which trusts
+  the letter table, and the record's _check_fields checks the rest
+  once the text is read: target moduli above 1 and one image per
+  generator, or at least one matrix, distinct matrix names, and matrix
+  names equal to the labels when there is no surjection.  parse records
+  the length of the text it read as text_bytes, which is its byte count:
+  every line it accepts is an exact string or is made of `[0-9]` and
   psl.parse_decimal numbers and ASCII labels and letter-table tokens.
-- The constructors check a certificate built in code: Certificate runs
+- The constructors check a certificate built in code: each record runs
   _check_fields and then checks every word, matrix name and image field
   as parse does; Word checks its letters and GroupPresentation its labels
   and relator generators.
 - verify checks nothing again.  cert_bits is 8 * text_bytes, and only a
   certificate built in code is serialized to count its bytes.  serialize
   keeps the text it writes on the certificate (Certificate._text, a
-  ClassVar: not an init argument, not compared, not in repr), so a caller's
-  serialize after verify reuses that text; dataclasses.replace and parse
-  never carry it, so serialize(parse(text)) writes the text anew.  The
-  images' coordinates and inverses are taken once per certificate
+  class attribute: not an init argument, not compared, not in repr), so
+  a caller's serialize after verify reuses that text; dataclasses.replace
+  and parse never carry it, so serialize(parse(text)) writes the text
+  anew.  The images' coordinates and inverses are taken once per certificate
   (psl.letter_coords), and every word is one psl.fold_letters,
   which takes a word with a short period, such as x^n or (xy)^n, by
   square-and-multiply.  Without a surjection a generator's image is
@@ -115,109 +117,114 @@ HEADER = "lenscert v1"
 class CertificateSyntaxError(ValueError):
     """Malformed certificate text (distinct from a verification rejection)."""
 
-@dataclass(frozen=True)
 class Certificate:
-    kind: str
-    presentation: GroupPresentation
-    # NonCyclicAbelian
-    target: Optional[tuple[int, int]] = None
-    abelian_images: Optional[tuple[tuple[int, int], ...]] = None
-    # NonAbelianRep
-    field: Optional[FieldSpec] = None
-    rep_gens: Optional[tuple[str, ...]] = None
-    rep_images: Optional[tuple[ProjMatrix, ...]] = None
-    surjection: Optional[tuple[Word, ...]] = None  # per presentation generator
-    witness: Optional[tuple[Word, Word]] = None  # words over presentation gens
+    """The base of the two certificate records, NonCyclicAbelian and NonAbelianRep."""
+
     # bytes of the canonical text, recorded by parse from the text it read;
     # None for a certificate built in code, whose verify serializes it
     text_bytes: ClassVar[Optional[int]] = None
     # the text serialize wrote for this certificate, kept so that verify's
-    # byte count and a later serialize share one serialization; a ClassVar,
-    # not a field, so neither dataclasses.replace nor parse carries it
+    # byte count and a later serialize share one serialization; a class
+    # attribute, not a field, so neither dataclasses.replace nor parse carries it
     _text: ClassVar[Optional[str]] = None
+
+
+def _check_words(words: Sequence[Word], what: str, bound: Optional[int] = None) -> None:
+    """The constructors' check of words built in code: each is freely
+    reduced and, given a bound, over generators below it."""
+    for w in words:
+        if not w.is_reduced():
+            raise CertificateSyntaxError(f"{what} word is not freely reduced")
+        if bound is not None and w.max_generator() >= bound:
+            raise CertificateSyntaxError(f"{what} word uses unknown generator")
+
+
+@dataclass(frozen=True)
+class NonCyclicAbelian(Certificate):
+    """A surjection onto the non-cyclic abelian group Z/a x Z/b, by the
+    generators' images."""
+
+    kind: ClassVar[str] = NON_CYCLIC
+    field: ClassVar[None] = None
+    presentation: GroupPresentation
+    target: tuple[int, int]
+    abelian_images: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         self._check_fields()
-        pres = self.presentation
-        for w in pres.relators:
-            if not w.is_reduced():
-                raise CertificateSyntaxError("relator word is not freely reduced")
-        if self.kind == NON_CYCLIC:
-            a, b = self.target  # type: ignore[misc]
-            object.__setattr__(
-                self,
-                "abelian_images",
-                tuple((u % a, v % b) for u, v in self.abelian_images),  # type: ignore[union-attr]
-            )
-            return
-        for m in self.rep_images:  # type: ignore[union-attr]
+        _check_words(self.presentation.relators, "relator")
+        a, b = self.target
+        object.__setattr__(
+            self, "abelian_images", tuple((u % a, v % b) for u, v in self.abelian_images)
+        )
+
+    def _check_fields(self) -> None:
+        """The checks parse makes once the text is read: the target
+        moduli, and one image per generator."""
+        a, b = self.target
+        if a <= 1 or b <= 1:
+            raise CertificateSyntaxError("abelian target moduli must exceed 1")
+        if len(self.abelian_images) != self.presentation.g:
+            raise CertificateSyntaxError("need one abelian image per generator")
+
+
+@dataclass(frozen=True)
+class NonAbelianRep(Certificate):
+    """A non-abelian image in PSL(2, R): the matrices of rep_gens, which
+    are the presentation's labels or, with a surjection, the names its
+    words are over, and a witness pair of words with distinct images."""
+
+    kind: ClassVar[str] = NON_ABELIAN
+    presentation: GroupPresentation
+    field: FieldSpec
+    rep_gens: tuple[str, ...]
+    rep_images: tuple[ProjMatrix, ...]
+    witness: tuple[Word, Word]  # words over the presentation's generators
+    surjection: Optional[tuple[Word, ...]] = None  # one per presentation generator
+
+    def __post_init__(self) -> None:
+        self._check_fields()
+        _check_words(self.presentation.relators, "relator")
+        for m in self.rep_images:
             if m.spec != self.field:
                 raise CertificateSyntaxError("matrix over the wrong field")
         # without a surjection the names are the presentation's labels
         if self.surjection is not None:
-            for name in self.rep_gens:  # type: ignore[union-attr]
+            for name in self.rep_gens:
                 if not is_label(name):
                     raise CertificateSyntaxError(f"bad generator label {name!r}")
-            for w in self.surjection:
-                if not w.is_reduced():
-                    raise CertificateSyntaxError("surjection word is not freely reduced")
-                if w.max_generator() >= len(self.rep_gens):  # type: ignore[arg-type]
-                    raise CertificateSyntaxError("surjection word uses unknown generator")
-        for w in self.witness:  # type: ignore[union-attr]
-            if not w.is_reduced():
-                raise CertificateSyntaxError("witness word is not freely reduced")
-            if w.max_generator() >= pres.g:
-                raise CertificateSyntaxError("witness word uses unknown generator")
+            _check_words(self.surjection, "surjection", len(self.rep_gens))
+        _check_words(self.witness, "witness", self.presentation.g)
 
     def _check_fields(self) -> None:
-        """The checks parse makes once the text is read: the kind and
-        which fields it needs, the target moduli, and the matrix names
-        against each other and against the presentation."""
+        """The checks parse makes once the text is read: the matrix
+        names against the matrices, each other and the presentation."""
         pres = self.presentation
-        if self.kind == NON_CYCLIC:
-            if self.target is None or self.abelian_images is None:
-                raise CertificateSyntaxError("abelian certificate needs target and images")
-            if self.field or self.rep_gens or self.rep_images or self.surjection or self.witness:
-                raise CertificateSyntaxError("abelian certificate with representation fields")
-            a, b = self.target
-            if a <= 1 or b <= 1:
-                raise CertificateSyntaxError("abelian target moduli must exceed 1")
-            if len(self.abelian_images) != pres.g:
-                raise CertificateSyntaxError("need one abelian image per generator")
-        elif self.kind == NON_ABELIAN:
-            if self.field is None or self.rep_gens is None or self.rep_images is None:
-                raise CertificateSyntaxError("representation certificate needs field and images")
-            if self.witness is None:
-                raise CertificateSyntaxError("representation certificate needs a witness pair")
-            if self.target is not None or self.abelian_images is not None:
-                raise CertificateSyntaxError("representation certificate with abelian fields")
-            if len(self.rep_gens) != len(self.rep_images):
-                raise CertificateSyntaxError("matrix count does not match matrix generators")
-            if not self.rep_images:
-                raise CertificateSyntaxError("representation certificate needs a matrix")
-            if len(set(self.rep_gens)) != len(self.rep_gens):
-                raise CertificateSyntaxError("duplicate matrix generator names")
-            if self.surjection is None:
-                if self.rep_gens != pres.labels:
-                    raise CertificateSyntaxError(
-                        "without a surjection the matrices must be indexed by the "
-                        "presentation generators"
-                    )
-            elif len(self.surjection) != pres.g:
-                raise CertificateSyntaxError("need one surjection word per generator")
-        else:
-            raise CertificateSyntaxError(f"unknown certificate kind {self.kind!r}")
+        if len(self.rep_gens) != len(self.rep_images):
+            raise CertificateSyntaxError("matrix count does not match matrix generators")
+        if not self.rep_images:
+            raise CertificateSyntaxError("representation certificate needs a matrix")
+        if len(set(self.rep_gens)) != len(self.rep_gens):
+            raise CertificateSyntaxError("duplicate matrix generator names")
+        if self.surjection is None:
+            if self.rep_gens != pres.labels:
+                raise CertificateSyntaxError(
+                    "without a surjection the matrices must be indexed by the "
+                    "presentation generators"
+                )
+        elif len(self.surjection) != pres.g:
+            raise CertificateSyntaxError("need one surjection word per generator")
 
 
-def _parsed_certificate(fields: dict) -> Certificate:
-    """The certificate parse read, text_bytes included.  Its words, matrix
+def _parsed_certificate(record: type[Certificate], fields: dict) -> Certificate:
+    """The record parse read, text_bytes included.  Its words, matrix
     names and images were checked line by line as they were read, so of
     the constructor's checks only _check_fields runs.  A field parse did
-    not read keeps its class default, None.  The fields go into the
-    instance dict one by one, not by dict.update, which would give every
+    not read keeps its class default.  The fields go into the instance
+    dict one by one, not by dict.update, which would give every
     certificate its own copy of the keys instead of the class's shared
     ones."""
-    cert = object.__new__(Certificate)
+    cert = object.__new__(record)
     state = cert.__dict__
     for name, value in fields.items():
         state[name] = value
@@ -239,38 +246,35 @@ def _format_certificate(cert: Certificate) -> str:
     lines = [HEADER, f"kind {cert.kind}"]
     lines.extend(format_presentation(cert.presentation))
     labels = cert.presentation.labels
-    if cert.kind == NON_CYCLIC:
-        a, b = cert.target  # type: ignore[misc]
+    if isinstance(cert, NonCyclicAbelian):
+        a, b = cert.target
         lines.append(f"target Z/{a} x Z/{b}")
-        for lab, (u, v) in zip(labels, cert.abelian_images):  # type: ignore[arg-type]
+        for lab, (u, v) in zip(labels, cert.abelian_images):
             lines.append(f"gen {lab} = ({u},{v})")
     else:
         spec = cert.field
-        assert spec is not None
         field_line = f"field p={spec.p} deg={spec.degree}"
         if spec.degree == 2:
             field_line += f" s={spec.s}"
         lines.append(field_line)
-        for name, m in zip(cert.rep_gens, cert.rep_images):  # type: ignore[arg-type]
+        for name, m in zip(cert.rep_gens, cert.rep_images):
             lines.append(f"gen {name} = {m}")
         if cert.surjection is not None:
             lines.append("surjection")
             for lab, w in zip(labels, cert.surjection):
                 lines.append(f"gen {lab} -> {format_word(w, cert.rep_gens)}")
-        w1, w2 = cert.witness  # type: ignore[misc]
+        w1, w2 = cert.witness
         lines.append(
             f"witness {format_word(w1, labels)} | {format_word(w2, labels)}"
         )
     return "\n".join(lines) + "\n"
 
 
-# Tokens are separated by single spaces, as serialize writes them.  The gens
-# line and each degree's matrix line are accepted by one regex, matched
-# against the whole line (fullmatch), whose groups are canonical decimals
-# (psl.DECIMAL_GROUP) and labels (presentation.LABEL_PATTERN); a line
-# the regex refuses goes to a diagnose function that names the error and
-# always raises.
-_GENS_RE = re.compile(rf"gens {DECIMAL_GROUP}(?: {LABEL_PATTERN})*")
+# Tokens are separated by single spaces, as serialize writes them.  Each
+# degree's matrix line is accepted by one regex, matched against the whole
+# line (fullmatch), whose groups are canonical decimals (psl.DECIMAL_GROUP)
+# and a label (presentation.LABEL_PATTERN); a line the regex refuses goes
+# to _diagnose_matrix, which names the error and always raises.
 _MATRIX_RES = {
     deg: re.compile(rf"gen ({LABEL_PATTERN}) = \[\[{e},{e}\],\[{e},{e}\]\]")
     for deg, e in ((1, DECIMAL_GROUP), (2, rf"{DECIMAL_GROUP}\+{DECIMAL_GROUP}\*w"))
@@ -342,10 +346,18 @@ def _read_relators(reader: _Reader, letters: dict[str, tuple[int, int]]) -> tupl
     return tuple(_parse_reduced_word(reader, reader.next(), letters) for _ in range(r))
 
 
-def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
-    """Raise the error parse names for a gens line _GENS_RE refused: a
-    bad count at once; a malformed label once the relators are read, as
-    a label error is named after any relator error."""
+def parse(text: str) -> Certificate:
+    reader = _Reader(text)
+    if reader.next() != HEADER:
+        raise reader.error(f"expected header {HEADER!r}")
+    line = reader.next()
+    if not line.startswith("kind "):
+        raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
+    kind = line[5:]
+
+    # the gens line: a bad count is named at once, a bad label only once
+    # the relators are read, as a label error is named after any relator error
+    line = reader.next()
     if not line.startswith("gens "):
         raise reader.error("expected 'gens <g> <labels...>'")
     parts = line.split(" ")
@@ -356,43 +368,21 @@ def _diagnose_gens(reader: _Reader, line: str) -> NoReturn:
     labels = tuple(parts[2:])
     if len(labels) != g:
         raise reader.error("label count does not match generator count")
-    relators = _read_relators(reader, letter_table(labels))
-    try:
-        GroupPresentation(g, relators, labels)
-    except ValueError as exc:
-        raise reader.error(str(exc)) from None
-    raise AssertionError(f"gens line {line!r} fails _GENS_RE but no check")
-
-
-def parse(text: str) -> Certificate:
-    reader = _Reader(text)
-    if reader.next() != HEADER:
-        raise reader.error(f"expected header {HEADER!r}")
-    line = reader.next()
-    if not line.startswith("kind "):
-        raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
-    kind = line[5:]
-
-    line = reader.next()
-    if _GENS_RE.fullmatch(line) is None:
-        _diagnose_gens(reader, line)
-    parts = line.split(" ")
-    labels = tuple(parts[2:])
-    g = int(parts[1])
-    if len(labels) != g:
-        raise reader.error("label count does not match generator count")
     letters = letter_table(labels)
     relators = _read_relators(reader, letters)
     try:
         pres = GroupPresentation.from_checked(g, relators, labels)
     except ValueError as exc:
         raise reader.error(str(exc)) from None
+    for label in labels:
+        if not is_label(label):
+            raise reader.error(f"bad generator label {label!r}")
 
     try:
         if kind == NON_CYCLIC:
-            fields = _parse_abelian(reader, labels)
+            record, fields = NonCyclicAbelian, _parse_abelian(reader, labels)
         elif kind == NON_ABELIAN:
-            fields = _parse_rep(reader, labels, letters)
+            record, fields = NonAbelianRep, _parse_rep(reader, labels, letters)
         else:
             raise reader.error(f"unknown certificate kind {kind!r}")
     except ValueError as exc:
@@ -401,11 +391,8 @@ def parse(text: str) -> Certificate:
         raise reader.error(str(exc)) from None
     if reader.peek() is not None:
         raise reader.error(f"unexpected trailing line {reader.peek()!r}")
-    fields.update(
-        presentation=pres,
-        text_bytes=len(text),
-    )
-    return _parsed_certificate(fields)
+    fields.update(presentation=pres, text_bytes=len(text))
+    return _parsed_certificate(record, fields)
 
 
 def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
@@ -423,7 +410,7 @@ def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
         if u >= a or v >= b:
             raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
         images.append((u, v))
-    return {"kind": NON_CYCLIC, "target": (a, b), "abelian_images": tuple(images)}
+    return {"target": (a, b), "abelian_images": tuple(images)}
 
 
 def _unnormalized(reader: _Reader, matrix: ProjMatrix) -> CertificateSyntaxError:
@@ -521,7 +508,6 @@ def _parse_rep(
         _parse_reduced_word(reader, right, letters),
     )
     return {
-        "kind": NON_ABELIAN,
         "field": spec,
         "rep_gens": tuple(rep_gens),
         "rep_images": tuple(rep_images),
@@ -591,7 +577,7 @@ def _report(
     text_bytes = cert.text_bytes
     if text_bytes is None:
         text_bytes = len(serialize(cert).encode())
-    images = cert.rep_images or ()
+    spec = cert.field
     return VerificationReport(
         accepted=accepted,
         kind=cert.kind,
@@ -600,7 +586,7 @@ def _report(
         mat_mults=mat_mults,
         field_ops=field_ops,
         cert_bits=8 * text_bytes,
-        matrix_bits=(bit_size_spec(cert.field),) * len(images) if images else (),
+        matrix_bits=(bit_size_spec(spec),) * len(cert.rep_images) if spec else (),
     )
 
 
@@ -632,7 +618,7 @@ def verify(cert: Certificate) -> VerificationReport:
     span a non-cyclic subgroup.
     """
     pres = cert.presentation
-    if cert.kind == NON_ABELIAN:
+    if isinstance(cert, NonAbelianRep):
         spec = cert.field
         table = letter_coords(cert.rep_images)
         surjection = cert.surjection or ()
@@ -647,7 +633,7 @@ def verify(cert: Certificate) -> VerificationReport:
                 relators, witness = relators[: k + 1], ()
                 break
         else:
-            w1, w2 = witness  # type: ignore[misc]
+            w1, w2 = witness
             if fold_letters(spec, table, w1.letters) == fold_letters(spec, table, w2.letters):
                 reason = "witness words have equal images"
             elif not _is_rotation(w1, w2):
@@ -656,9 +642,8 @@ def verify(cert: Certificate) -> VerificationReport:
         return _report(cert, reason is None, reason, sum(map(len, relators)), mat_mults, field_ops)
 
     # NonCyclicAbelian
-    a, b = cert.target  # type: ignore[misc]
+    a, b = cert.target
     images_ab = cert.abelian_images
-    assert images_ab is not None
     field_ops = 0
     reason = None
     for k, rel in enumerate(pres.relators):

@@ -16,21 +16,11 @@ import sys
 import tempfile
 from typing import Optional
 
-from . import certificate as certmod
+# the checker's modules only: each subcommand imports the producers it
+# runs, so that verify loads no producer module
 from . import checker
-from .galois import euler_phi
-from .intlinalg import abelianization, format_abelian, is_cyclic
 from .presentation import format_presentation, fundamental_group
 from .psl import parse_decimal
-from .trianglerep import (
-    HYPERBOLIC,
-    bound_report,
-    classify,
-    cosine_norm,
-    field_degree_report,
-    hyperbolic_triples,
-    triangle_image,
-)
 from .triangulation import orientation_check, parse_triangulation, validate
 
 
@@ -149,6 +139,7 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .intlinalg import abelianization, format_abelian, is_cyclic
     tri = _load_triangulation(args.triangulation)
     group = abelianization(fundamental_group(tri))
     text = format_abelian(group)
@@ -163,6 +154,7 @@ def cmd_homology(args) -> int:
 
 
 def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
+    from .trianglerep import HYPERBOLIC
     # json.dumps writes the tuples in doc as lists
     doc = {"kind": cert.kind, **info}
     if cert.field is None:
@@ -178,6 +170,7 @@ def _cert_summary(cert, info: dict) -> tuple[dict, list[str]]:
 
 
 def cmd_trianglecert(args) -> int:
+    from . import certificate as certmod
     cert, info = certmod.triangle_certificate(args.n1, args.n2, args.n3)
     out = args.output or f"t_{args.n1}_{args.n2}_{args.n3}.cert"
     _write_atomic(out, checker.serialize(cert))
@@ -226,6 +219,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from . import certificate as certmod
     tri = _load_triangulation(args.triangulation)
     if args.base is not None and len(args.base) != 3:
         raise CliError("--base needs exactly three integers")
@@ -241,6 +235,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import certificate as certmod
+    from .trianglerep import bound_report, field_degree_report, hyperbolic_triples
     triples = hyperbolic_triples(args.max_n)
     built = witnesses = failures = 0
     rows = []
@@ -313,6 +309,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_degree_report(args) -> int:
+    from .galois import euler_phi
+    from .trianglerep import classify, field_degree_report
     t = classify(args.n1, args.n2, args.n3)
     scan = field_degree_report(t)
     doc = {
@@ -336,6 +334,7 @@ def cmd_degree_report(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    from .trianglerep import cosine_norm
     rows = []
     lines = []
     max_err = 0.0
@@ -365,6 +364,7 @@ def _float_norm(n: int, shift: float) -> float:
 
 
 def cmd_bounds(args) -> int:
+    from .trianglerep import HYPERBOLIC, bound_report, classify, triangle_image
     t = classify(args.n1, args.n2, args.n3)
     image = triangle_image(t) if t.curvature == HYPERBOLIC else None
     spec = image[0].spec if image else None

@@ -136,10 +136,10 @@ class GroupPresentation:
     def from_checked(
         cls, g: int, relators: tuple[Word, ...], labels: tuple[str, ...]
     ) -> "GroupPresentation":
-        """The presentation on g labels already known to be well formed,
-        as a parser's regex reads them, and on relators already known to
-        use only generators below g, as a parser's letter table gives
-        them: only the labels' distinctness is checked."""
+        """The presentation on g labels that the caller checks to be well
+        formed, before or after, and on relators already known to use
+        only generators below g, as a parser's letter table gives them:
+        only the labels' distinctness is checked."""
         pres = object.__new__(cls)
         object.__setattr__(pres, "g", g)
         object.__setattr__(pres, "relators", relators)

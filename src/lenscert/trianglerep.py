@@ -39,6 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .galois import (
+    SEARCH_CEILING,
     euler_phi,
     factorize,
     imaginary_unit,
@@ -350,10 +351,13 @@ def field_degree_report(t: TriangleType) -> FieldDegreeReport:
     The inequality tested is the published one, indexed by (n2, n3); the
     proof's discriminant condition indexes (n1, n2, n3) instead, so both
     are scanned and a disagreement on the verdict is flagged rather than
-    silently resolved.
+    silently resolved.  An ell at or past the prime search's ceiling is
+    refused before the scan, as no certificate of the triple is built.
     """
     if t.curvature != HYPERBOLIC:
         raise ValueError(f"triple {t.triple} is {t.curvature}; the scan needs hyperbolic")
+    if t.ell >= SEARCH_CEILING:
+        raise ValueError(f"ell = {t.ell} is not below the prime search's ceiling {SEARCH_CEILING}")
     phi = euler_phi(t.ell)
     witness = _embedding_witness(t.ell, t.n2, t.n3, t.n3)
     variant = _embedding_witness(t.ell, t.n1, t.n2, t.n3)

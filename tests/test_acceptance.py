@@ -16,6 +16,7 @@ from lenscert.checker import (
     NON_ABELIAN,
     Certificate,
     CertificateSyntaxError,
+    NonAbelianRep,
     parse,
     serialize,
     verify,
@@ -109,8 +110,7 @@ def test_criterion_2_hyperbolic_sweep():
             assert xy.trace() in (c3, -c3)
             check = r * r + r * (c1 - c2) + (x.spec.element(2) - c1 * c2 - c3)
             assert check.is_zero()
-            cert = Certificate(
-                kind=NON_ABELIAN,
+            cert = NonAbelianRep(
                 presentation=triangle_presentation(t),
                 field=x.spec,
                 rep_gens=("x", "y"),
@@ -288,8 +288,7 @@ def _surjection_case_certificate() -> Certificate:
         ),
         labels,
     )
-    return Certificate(
-        kind=NON_ABELIAN,
+    return NonAbelianRep(
         presentation=pres,
         field=base.field,
         rep_gens=("x", "y"),

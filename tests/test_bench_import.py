@@ -19,7 +19,9 @@ def test_bench_import_one_round_writes_one_column():
     assert doc["command"] == "scripts/bench_import.py --repeats 1 --rounds 1"
     assert list(doc["columns"]) == ["change"]
     column = doc["columns"]["change"]
-    assert column["dataclass_classes"] == ["checker.Certificate", "presentation.GroupPresentation"]
+    assert column["dataclass_classes"] == [
+        "checker.NonAbelianRep", "checker.NonCyclicAbelian", "presentation.GroupPresentation",
+    ]
     for metric in ("import_ms", "import_ms_raw"):
         assert set(column[metric]) == {"uncached", "cached"}
         assert all(ms > 0 for ms in column[metric].values())

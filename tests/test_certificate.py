@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -32,6 +33,8 @@ from lenscert.checker import (
     NON_CYCLIC,
     Certificate,
     CertificateSyntaxError,
+    NonAbelianRep,
+    NonCyclicAbelian,
     parse,
     serialize,
     subgroup_invariants,
@@ -356,8 +359,7 @@ def test_representation_certificate_without_a_matrix_is_a_syntax_error(surjectio
     checks, but verify would index its first image and parse refuses the
     text serialize would write, so the constructor refuses it too."""
     with pytest.raises(CertificateSyntaxError, match="needs a matrix"):
-        Certificate(
-            kind=NON_ABELIAN,
+        NonAbelianRep(
             presentation=GroupPresentation(g=0, relators=()),
             field=FieldSpec(5),
             rep_gens=(),
@@ -432,8 +434,9 @@ def test_text_bytes_is_recorded_by_parse_only():
     assert built == parsed and hash(built) == hash(parsed) and repr(built) == repr(parsed)
     assert "text_bytes" not in repr(parsed)
     assert verify(built) == verify(parsed)
+    assert NonAbelianRep(**_init_args(parsed)) == parsed
     with pytest.raises(TypeError):
-        Certificate(kind=NON_ABELIAN, presentation=parsed.presentation, text_bytes=1)
+        NonAbelianRep(**_init_args(parsed), text_bytes=1)
 
 
 def test_serialize_keeps_its_text_on_the_certificate_it_was_given():
@@ -448,7 +451,39 @@ def test_serialize_keeps_its_text_on_the_certificate_it_was_given():
     assert cert == fig8_certificate() and repr(cert) == repr(fig8_certificate())
     assert hash(cert) == hash(fig8_certificate())
     with pytest.raises(TypeError):
-        Certificate(kind=NON_ABELIAN, presentation=cert.presentation, _text=text)
+        NonAbelianRep(**_init_args(cert), _text=text)
+
+
+def _init_args(cert: Certificate) -> dict:
+    return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+
+
+def test_each_record_has_exactly_its_kinds_fields():
+    """kind is a class attribute of each record, not a field: not in
+    repr and not an argument of replace; field is None on the abelian
+    record, which has no field of that name."""
+    rep, abelian = fig8_certificate(), triangle_certificate(3, 3, 3)[0]
+    assert type(rep) is NonAbelianRep and type(abelian) is NonCyclicAbelian
+    assert list(_init_args(rep)) == [
+        "presentation", "field", "rep_gens", "rep_images", "witness", "surjection",
+    ]
+    assert list(_init_args(abelian)) == ["presentation", "target", "abelian_images"]
+    assert (rep.kind, abelian.kind) == (NON_ABELIAN, NON_CYCLIC)
+    assert abelian.field is None and isinstance(rep, Certificate)
+    for cert in (rep, abelian):
+        assert "kind" not in repr(cert) and repr(cert).startswith(f"{cert.kind}(")
+        with pytest.raises(TypeError):
+            replace(cert, kind=cert.kind)
+
+
+def test_a_record_refuses_the_other_kinds_fields():
+    rep, abelian = fig8_certificate(), triangle_certificate(3, 3, 3)[0]
+    for name in ("field", "rep_gens", "rep_images", "witness", "surjection"):
+        with pytest.raises(TypeError):
+            NonCyclicAbelian(**_init_args(abelian), **{name: getattr(rep, name)})
+    for name in ("target", "abelian_images"):
+        with pytest.raises(TypeError):
+            NonAbelianRep(**_init_args(rep), **{name: getattr(abelian, name)})
 
 
 def test_replace_never_returns_the_stored_text():
@@ -699,8 +734,7 @@ def test_failing_relator_rejected():
     labels = ("x",)
     spec = FieldSpec(5)
     m = ProjMatrix(spec.element(1), spec.element(1), spec.zero(), spec.element(1))
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(1, (Word(((0, 1), (0, 1))),), labels),
         field=spec,
         rep_gens=labels,
@@ -715,8 +749,7 @@ def test_failing_relator_rejected():
 def test_trivial_image_rejected():
     labels = ("x",)
     spec = FieldSpec(5)
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(1, (), labels),
         field=spec,
         rep_gens=labels,
@@ -736,8 +769,7 @@ def test_all_identity_images_rejected_with_their_charge(spec):
     labels = ("x", "y")
     relators = (parse_word("x y x^-1 y^-1", labels), parse_word("x x x", labels))
     identity = ProjMatrix.identity(spec)
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(2, relators, labels),
         field=spec,
         rep_gens=labels,
@@ -894,8 +926,7 @@ def test_one_generator_rep_certificate_never_accepted(data):
         rep_gens = ("u", "v")
         letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
         surjection = (reduced_word(Word(tuple(data.draw(st.lists(letters, max_size=5))))),)
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(1, relators, ("x",)),
         field=spec,
         rep_gens=rep_gens,
@@ -930,8 +961,7 @@ def test_commuting_images_never_accepted(data):
     k = data.draw(st.integers(1, len(w) - 1))
     u, v = Word(w.letters[:k]), Word(w.letters[k:])
     labels = ("a", "b", "c")[:g]
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(g, (), labels),
         field=spec,
         rep_gens=labels,
@@ -983,8 +1013,7 @@ def test_333_certificate_accepted():
 
 def test_abelian_relator_violation_rejected():
     pres = GroupPresentation(1, (Word(((0, 1),)),), ("x",))
-    cert = Certificate(
-        kind=NON_CYCLIC,
+    cert = NonCyclicAbelian(
         presentation=pres,
         target=(2, 2),
         abelian_images=((1, 0),),
@@ -996,8 +1025,7 @@ def test_abelian_relator_violation_rejected():
 
 def test_cyclic_image_rejected():
     pres = GroupPresentation(2, (), ("x", "y"))
-    cert = Certificate(
-        kind=NON_CYCLIC,
+    cert = NonCyclicAbelian(
         presentation=pres,
         target=(2, 4),
         abelian_images=((1, 2), (0, 0)),
@@ -1029,8 +1057,7 @@ def abelian_certificates(draw):
     images = tuple(
         (draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1))) for _ in range(g)
     )
-    return Certificate(
-        kind=NON_CYCLIC,
+    return NonCyclicAbelian(
         presentation=GroupPresentation(g, tuple(relators)),
         target=(a, b),
         abelian_images=images,
@@ -1055,8 +1082,7 @@ def test_abelian_verify_is_linear_in_the_relators():
     for i in range(g):
         j, k = (i + 1) % g, (i + 2) % g
         relators += [Word(((i, 1), (j, 1), (k, -1))), Word(((i, 1), (k, 1), (j, -1)))]
-    cert = Certificate(
-        kind=NON_CYCLIC,
+    cert = NonCyclicAbelian(
         presentation=GroupPresentation(g, tuple(relators)),
         target=(2, 2),
         abelian_images=((0, 0),) * g,
@@ -1071,8 +1097,8 @@ def test_abelian_verify_is_linear_in_the_relators():
 def test_target_moduli_must_exceed_one():
     pres = GroupPresentation(1, (), ("x",))
     with pytest.raises(CertificateSyntaxError):
-        Certificate(
-            kind=NON_CYCLIC, presentation=pres, target=(1, 4), abelian_images=((0, 1),)
+        NonCyclicAbelian(
+            presentation=pres, target=(1, 4), abelian_images=((0, 1),)
         )
 
 
@@ -1150,8 +1176,7 @@ def synthetic_surjection_cert() -> Certificate:
         parse_word("y", ("x", "y")),
         parse_word("x y", ("x", "y")),
     )
-    return Certificate(
-        kind=NON_ABELIAN,
+    return NonAbelianRep(
         presentation=pres,
         field=cert237.field,
         rep_gens=("x", "y"),
@@ -1300,8 +1325,7 @@ def rep_certificates(draw, specs=SPECS):
         w2 = reduced_word(Word(w1.letters[k:] + w1.letters[:k]))
     else:
         w2 = word(g, 6)
-    cert = Certificate(
-        kind=NON_ABELIAN,
+    cert = NonAbelianRep(
         presentation=GroupPresentation(g, tuple(relators), labels),
         field=spec,
         rep_gens=rep_gens,
@@ -1340,8 +1364,7 @@ TOY_EXAMPLES = tuple(
 # NonCyclicAbelian certificates onto Z/2 x Z/2 with a -> (1,0): rejected
 # at relator 0 (a) and at relator 1 (a a, then a)
 ABELIAN_EXAMPLES = tuple(
-    Certificate(
-        kind=NON_CYCLIC,
+    NonCyclicAbelian(
         presentation=GroupPresentation(2, relators, ("a", "b")),
         target=(2, 2),
         abelian_images=((1, 0), (0, 1)),

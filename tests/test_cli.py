@@ -508,12 +508,17 @@ def test_sweep_closing_lines_follow_the_json_rows(capsys):
 # document lost `verified` (always equal to `built`); the rest of the
 # document is as it was under the previous pin
 SWEEP_12_JSON_SHA256 = "7506cc1cbec35716f381cb53d27efe61c35d2548a7d7f13ddef197a83479259b"
+# the same for `--max-n 19`, acceptance criterion 2's run
+SWEEP_19_JSON_SHA256 = "8fc6a0a50443b7e0505ebffe102892a565c88504fae9c5f45a375e1308afcb08"
 
 
-def test_sweep_json_bytes_are_pinned():
-    out = run_cli("sweep", "--max-n", "12", "--json")
+@pytest.mark.parametrize(
+    "max_n,digest", [("12", SWEEP_12_JSON_SHA256), ("19", SWEEP_19_JSON_SHA256)], ids=["12", "19"]
+)
+def test_sweep_json_bytes_are_pinned(max_n, digest):
+    out = run_cli("sweep", "--max-n", max_n, "--json")
     assert out.returncode == 0
-    assert hashlib.sha256(out.stdout.encode()).hexdigest() == SWEEP_12_JSON_SHA256
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 # sha256 of what `trianglecert` and `pipeline` print and write, text and
@@ -592,6 +597,60 @@ def test_trianglecert_past_the_search_ceiling_exits_two_before_its_relators():
     assert out.stderr == (
         f"error: no prime = 1 (mod {12 * (10**30 + 1)}) found below ceiling 1000000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("trianglecert", "2", "2", "10000001"), "would spell 20000006 letters, more than 1000000"),
+        (
+            ("trianglecert", "3000000", "3000000", "3000000"),
+            "would spell 12000000 letters, more than 1000000",
+        ),
+        (
+            ("degree-report", "2", "3", "1000000007"),
+            "ell = 12000000084 is not below the prime search's ceiling 1000000000",
+        ),
+    ],
+    ids=["2-2-10000001", "3000000-3000000-3000000", "degree-report"],
+)
+def test_work_out_of_proportion_to_the_arguments_is_refused_at_once(args, message, tmp_path):
+    """A triangle certificate whose relators would spell more than
+    certificate.MAX_RELATOR_LETTERS letters is refused, not written, and
+    so is a degree scan at an ell no certificate is built for."""
+    start = time.perf_counter()
+    out = run_cli(*args, cwd=tmp_path, timeout=30)
+    assert time.perf_counter() - start < 2
+    assert (out.returncode, out.stdout, os.listdir(tmp_path)) == (2, "", [])
+    assert out.stderr.count("error:") == 1 and out.stderr.startswith("error: ")
+    assert message in out.stderr
+
+
+def test_the_checker_subcommands_load_no_producer_module():
+    """verify, with or without a triangulation, validate, orient and pi1
+    load only the checker's modules and cli."""
+    cert, tri = fixture_path("fig8.cert"), fixture_path("lens_7_2.tri")
+    runs = [
+        ["verify", cert], ["verify", cert, "--triangulation", tri],
+        ["validate", tri], ["orient", tri], ["pi1", tri],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from lenscert import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'lenscert')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        "lenscert", "lenscert.checker", "lenscert.cli", "lenscert.presentation", "lenscert.psl",
+        "lenscert.triangulation",
+    ]
 
 
 def test_bounds_tetrahedron_count_below_one_exits_two():

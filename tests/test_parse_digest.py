@@ -147,10 +147,10 @@ def test_parse_outcomes_are_pinned():
     assert digest.hexdigest() == PARSE_OUTCOME_SHA256
 
 
-@pytest.mark.parametrize("name", ["_diagnose_gens", "_diagnose_matrix"])
+@pytest.mark.parametrize("name", ["_diagnose_matrix"])
 def test_diagnose_fallback_always_raises(monkeypatch, name):
-    """A line the accepting regex refuses is only diagnosed: the fallback
-    raises a syntax error on every corpus text that reaches it."""
+    """A matrix line the accepting regex refuses is only diagnosed: the
+    fallback raises a syntax error on every corpus text that reaches it."""
     diagnose = getattr(checker, name)
     calls, raised = [], []
 
@@ -169,6 +169,16 @@ def test_diagnose_fallback_always_raises(monkeypatch, name):
         except CertificateSyntaxError:
             pass
     assert calls and raised == calls
+
+
+def test_parse_returns_the_record_its_kind_line_names():
+    kinds = set()
+    for text, is_base in corpus():
+        if is_base:
+            kind = text.split("\n")[1].removeprefix("kind ")
+            assert type(parse(text)) is getattr(checker, kind)
+            kinds.add(kind)
+    assert kinds == {"NonAbelianRep", "NonCyclicAbelian"}
 
 
 def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
@@ -219,7 +229,12 @@ ITEM_15 = "perfbench reads it, so it moves with perfbench's rewrite (ROADMAP ite
 BUILT = "a certificate built in code needs it"
 TABLE = "the boundary check for a gluing table built in code"
 NOT_RUN = {
-    "checker.Certificate.__post_init__": BUILT,
+    **{
+        f"checker.{name}": BUILT
+        for name in (
+            "_check_words", "NonCyclicAbelian.__post_init__", "NonAbelianRep.__post_init__",
+        )
+    },
     "psl.Frozen.__init_subclass__": "it runs at import, once per value type the modules define",
     "psl.Frozen.__hash__": "equal values must hash alike, as they did as frozen dataclasses",
     "psl.Frozen.__repr__": "tests and debugging show values with it, as the dataclass repr",

@@ -10,7 +10,7 @@ from lenscert.projmat import evaluate_word, projective_order
 from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert import trianglerep
 from lenscert.certificate import triangle_certificate
-from lenscert.checker import NON_ABELIAN, NON_CYCLIC, Certificate, serialize
+from lenscert.checker import NonAbelianRep, NonCyclicAbelian, serialize
 from lenscert.cli import main as cli_main
 from lenscert.trianglerep import (
     EUCLIDEAN,
@@ -488,8 +488,7 @@ def test_triangle_image_dispatch(monkeypatch):
         t = classify(*triple)
         cert = triangle_certificate(*triple)[0]
         if t.d > 1:
-            assert cert == Certificate(
-                kind=NON_CYCLIC,
+            assert cert == NonCyclicAbelian(
                 presentation=triangle_presentation(t),
                 target=(t.d, t.d),
                 abelian_images=((1, 0), (0, 1)),
@@ -497,8 +496,7 @@ def test_triangle_image_dispatch(monkeypatch):
             continue
         x, y = triangle_image(t)
         assert y.spec == x.spec, triple
-        assert cert == Certificate(
-            kind=NON_ABELIAN,
+        assert cert == NonAbelianRep(
             presentation=triangle_presentation(t),
             field=x.spec,
             rep_gens=("x", "y"),

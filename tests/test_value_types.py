@@ -1,8 +1,8 @@
 """lenscert's value types and records generate no code at import.
 
 The validated value types derive from psl.Frozen and the plain records
-are NamedTuples; only Certificate and GroupPresentation, which callers
-rebuild with dataclasses.replace, stay dataclasses.  Each of the other
+are NamedTuples; only the two certificate records and GroupPresentation,
+which callers rebuild with dataclasses.replace, stay dataclasses.  Each of the other
 15 types keeps what it had as a frozen dataclass: its repr, == by class
 and fields, the hash of its field tuple, and no attribute that can be
 set or deleted.  ProjMatrix, a Frozen value too, has the same == and
@@ -132,7 +132,9 @@ def test_only_certificate_and_presentation_are_dataclasses():
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["checker.Certificate", "presentation.GroupPresentation"]
+    assert out.stdout.split() == [
+        "checker.NonCyclicAbelian", "checker.NonAbelianRep", "presentation.GroupPresentation",
+    ]
 
 
 def test_only_frozen_defines_attribute_writes_equality_and_hash():

@@ -10,18 +10,28 @@ things per certificate, grouped by kind and field degree:
     fold_letters over the images' coordinate table (matrix
     certificates only), the part of verify that a faster fold moves.
 
+It also times one input at the paper's scale: the step-1 certificate
+`pipeline` writes for prism_manifold(10^4) (scripts/make_fixtures.py),
+as bound_parse_ms, its parse, and bound_verify_ms, verify_bound of the
+parsed certificate against the triangulation, read afresh from its text
+for each pass so that no pass reuses the orbit walk a triangulation
+caches.  The certificate's bytes and its verify_bound report, cost
+model included, are recorded beside them as bound_certificate.
+
 One measurement is the median, over --repeats passes, of a pass's mean
 microseconds per certificate.  Each pass is calibrated for machine speed
 as perfbench/run.py calibrates its timings: perfbench's reference_work()
 is timed CALIBRATION_SAMPLES times just before the pass and as many just
 after, and the pass's figure is scaled by REFERENCE_NS over the median of
 those samples, so it reads in microseconds at perfbench's nominal speed.
-The raw figure is kept beside it (verify_us_raw, relator_fold_us_raw).
+The raw figure is kept beside it (verify_us_raw, relator_fold_us_raw,
+and the same _raw names for the bound figures).
 Each source tree named by --tree is measured in a fresh process once per
 round, and the trees take turns going first, so that a drift in machine
 speed falls on both alike; a figure is the median over --rounds.  The
 cost-model means (relator and total mat_mults, field_ops, cert_bits) come
-from the verify reports and must not change with a speed-up.
+from the verify reports and must not change with a speed-up, and neither
+may the bound certificate's bytes and report.
 
   python3 scripts/bench_verify.py --tree parent=OLD/src --tree change=src \\
       --out BENCH_verify.json
@@ -49,6 +59,9 @@ from run import REFERENCE_NS, reference_work  # noqa: E402
 
 GROUPS = ("abelian", "F_p", "F_p2")
 CALIBRATION_SAMPLES = 3  # reference_work() timings on each side of a pass
+BOUND_TETRAHEDRA = 10**4  # the prism manifold the bound figures are of
+BOUND_INPUT = f"prism_manifold({BOUND_TETRAHEDRA})"
+TIMINGS = ("verify_us", "relator_fold_us", "bound_parse_ms", "bound_verify_ms")
 
 
 def _group(cert) -> str:
@@ -69,6 +82,13 @@ def _reference_ns() -> list[int]:
     return samples
 
 
+def _scale(before: list[int]) -> float:
+    """The factor that takes a time measured just after the reference
+    samples before to nominal speed: REFERENCE_NS over the median of
+    those samples and of as many taken now."""
+    return REFERENCE_NS / statistics.median(before + _reference_ns())
+
+
 def _median_pass_us(items, run, repeats: int) -> tuple[float, float]:
     """Median over repeats of one pass's mean microseconds per item:
     calibrated by the reference samples taken around the pass, and raw."""
@@ -79,10 +99,42 @@ def _median_pass_us(items, run, repeats: int) -> tuple[float, float]:
         for item in items:
             run(item)
         us = (time.perf_counter() - start) / len(items) * 1e6
-        reference = statistics.median(before + _reference_ns())
-        calibrated.append(us * REFERENCE_NS / reference)
+        calibrated.append(us * _scale(before))
         raw.append(us)
     return statistics.median(calibrated), statistics.median(raw)
+
+
+def _bound_figures(repeats: int) -> dict:
+    """The bound figures the module docstring describes, each the median
+    over repeats passes, in ms at nominal speed and raw."""
+    from make_fixtures import prism_manifold
+    from lenscert.certificate import parse, pipeline, serialize
+    from lenscert.checker import verify_bound
+    from lenscert.triangulation import format_triangulation, parse_triangulation
+
+    tri = prism_manifold(BOUND_TETRAHEDRA)
+    text, tri_text = serialize(pipeline(tri)[0]), format_triangulation(tri)
+    raw: dict[str, list[float]] = {"bound_parse_ms": [], "bound_verify_ms": []}
+    calibrated: dict[str, list[float]] = {metric: [] for metric in raw}
+    for _ in range(repeats):
+        fresh = parse_triangulation(tri_text)
+        before = _reference_ns()
+        start = time.perf_counter()
+        cert = parse(text)
+        parsed = time.perf_counter()
+        report = verify_bound(cert, fresh)
+        ms = {"bound_parse_ms": parsed - start, "bound_verify_ms": time.perf_counter() - parsed}
+        scale = _scale(before)
+        for metric, seconds in ms.items():
+            raw[metric].append(seconds * 1e3)
+            calibrated[metric].append(seconds * 1e3 * scale)
+    if not report.accepted:
+        raise SystemExit(f"error: verify_bound rejected the bound certificate: {report.reason}")
+    doc: dict = {"bound_certificate": {"bytes": len(text.encode()), "report": report._asdict()}}
+    for metric in raw:
+        doc[metric] = {BOUND_INPUT: statistics.median(calibrated[metric])}
+        doc[metric + "_raw"] = {BOUND_INPUT: statistics.median(raw[metric])}
+    return doc
 
 
 def measure(max_n: int, repeats: int) -> dict:
@@ -126,19 +178,25 @@ def measure(max_n: int, repeats: int) -> dict:
         key: statistics.fmean(getattr(r, key) for r in reports)
         for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
     }
+    doc.update(_bound_figures(repeats))
     return doc
 
 
 def _column(runs: list[dict]) -> dict:
-    """Median of each timing over the rounds, each round's timings, and
-    the cost-model means, which every round must repeat exactly."""
+    """Median of each timing over the rounds, each round's timings, the
+    cost-model means and the bound certificate's bytes and report, which
+    every round must repeat exactly."""
     first = runs[0]
     if any(run["cost_model_means"] != first["cost_model_means"] for run in runs):
         raise SystemExit("error: the cost-model means differ between rounds")
-    column = {"certificates": first["certificates"], "cost_model_means": {
-        key: round(value, 4) for key, value in first["cost_model_means"].items()
-    }}
-    for metric in ("verify_us", "verify_us_raw", "relator_fold_us", "relator_fold_us_raw"):
+    column = {
+        "certificates": first["certificates"],
+        "cost_model_means": {
+            key: round(value, 4) for key, value in first["cost_model_means"].items()
+        },
+        "bound_certificate": first["bound_certificate"],
+    }
+    for metric in (name + suffix for name in TIMINGS for suffix in ("", "_raw")):
         rounds = {g: [round(run[metric][g], 2) for run in runs] for g in first[metric]}
         column[metric] = {g: round(statistics.median(v), 2) for g, v in rounds.items()}
         column[metric + "_rounds"] = rounds
@@ -239,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-n must be at least 4: no triple with entries up to 3 is hyperbolic")
     return drive(
         parser, args, os.path.abspath(__file__), ["--max-n", str(args.max_n)],
-        lambda: measure(args.max_n, args.repeats), _column,
+        lambda: measure(args.max_n, args.repeats), _column, same="bound_certificate",
     )
 
 

@@ -18,15 +18,22 @@ gens line without its labels.
 
 Each invariant is checked once, where a certificate comes in:
 
-- parse checks line by line: spelling and spacing, canonical decimals
-  (psl.parse_decimal), every word token against the letter table of
-  the names it is over (presentation.letter_table and read_word, the one
-  word reader: a token is `label` or `label^-1`, so each letter is a
-  known generator with exponent +-1) and free reduction, reduced abelian
-  images, and image and surjection lines in the order of the gens line.
-  The gens line is read field by field: its count by
-  psl.parse_decimal, and its labels, once the relators are read, by
-  distinctness (GroupPresentation.from_checked) and then is_label.
+- parse reads the text's lines by index, in one pass, and each error
+  names its line: the code that reads a line, a number on it included,
+  raises the error with that line's number, and a block the text ends
+  inside names the line after the text's last.  It checks spelling and
+  spacing, canonical decimals (psl.parse_decimal), every word token
+  against the letter table of the names it is over
+  (presentation.letter_table and read_word, the one word reader: a
+  token is `label` or `label^-1`, so each letter is a known generator
+  with exponent +-1) and free reduction, scanned for only in a word
+  with a ^-1 token, reduced abelian images, and image and surjection
+  lines in the order of the gens line.  The relator block is one loop
+  over as many of its lines as the text has, so a relator count beyond
+  the text costs no more than the text.  The gens line is read field
+  by field: its count by psl.parse_decimal, and its labels, once the
+  relators are read, by distinctness (GroupPresentation.from_checked)
+  and then is_label.
   Each matrix line is accepted by one regex matched against the whole
   line, built from psl.DECIMAL_PATTERN and presentation.LABEL_PATTERN:
   so a matrix's coordinates go straight to ints, in range when their
@@ -54,12 +61,12 @@ Each invariant is checked once, where a certificate comes in:
   and parse never carry it, so serialize(parse(text)) writes the text
   anew.  The images' coordinates and inverses are taken once per certificate
   (psl.letter_coords), and every word is one psl.fold_letters,
-  which takes a word with a short period, such as x^n or (xy)^n, by
-  square-and-multiply.  Without a surjection a generator's image is
-  read from its coordinates; with one, each surjection word is folded
-  once, into the image of its presentation generator
-  (psl.coord_table).  The relators and the witness are then folded
-  over the generators' images.
+  which takes a word with a short period, such as x^n or (xy)^n, as a
+  power by Cayley-Hamilton (psl._power_coords).  Without a surjection a
+  generator's image is read from its coordinates; with one, each
+  surjection word is folded once, into the image of its presentation
+  generator (psl.coord_table).  The relators and the witness are then
+  folded over the generators' images.
 - verify reports the paper's cost model, which this module alone
   applies.  It charges each word it reads from the word itself, in the
   letter-count model: the letters a word spells out, not the products
@@ -291,229 +298,228 @@ _FIELD_RE = re.compile(r"^field p=([0-9]+) deg=([0-9]+)(?: s=([0-9]+))?$")
 _SURJ_RE = re.compile(r"^gen (\w+) -> (.*)$")
 
 
-class _Reader:
-    """The certificate's lines exactly as written, each ended by '\\n'."""
-
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        if self.lines.pop():
-            raise CertificateSyntaxError(f"line {len(self.lines) + 1}: no newline at end of line")
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise CertificateSyntaxError(f"line {self.pos + 1}: unexpected end of file")
-        self.pos += 1
-        return self.lines[self.pos - 1]
-
-    def error(self, message: str) -> CertificateSyntaxError:
-        return CertificateSyntaxError(f"line {self.pos}: {message}")
+def _error(n: int, message: str) -> CertificateSyntaxError:
+    return CertificateSyntaxError(f"line {n}: {message}")
 
 
-def _parse_reduced_word(
-    reader: _Reader, text: str, letters: dict[str, tuple[int, int]]
-) -> Word:
-    """A certificate word, read by presentation.read_word, that is freely
-    reduced."""
+def _line(lines: list[str], n: int) -> str:
+    """Line n of the text, counting from 1."""
+    if n > len(lines):
+        raise _error(n, "unexpected end of file")
+    return lines[n - 1]
+
+
+def _reduced_word(text: str, letters: dict[str, tuple[int, int]], n: int) -> Word:
+    """The word that line n spells, read by presentation.read_word, which
+    must be freely reduced.  letter_table maps only the tokens ending in
+    '^-1' to a -1 exponent, so a text without a '^' spells no inverse
+    letter, and its word is reduced without a scan."""
     try:
         word = read_word(text, letters)
     except ValueError as exc:
-        raise reader.error(str(exc)) from None
-    if not word.is_reduced():
-        raise reader.error(f"word {text!r} is not freely reduced")
+        raise _error(n, str(exc)) from None
+    if "^" in text and not word.is_reduced():
+        raise _error(n, f"word {text!r} is not freely reduced")
     return word
 
 
-def _expect_name(reader: _Reader, name: str, label: str) -> None:
+def _expect_name(n: int, name: str, label: str) -> None:
     if name != label:
-        raise reader.error(
-            f"expected generator {label!r}, not {name!r}: these lines follow the gens line's order"
+        raise _error(
+            n,
+            f"expected generator {label!r}, not {name!r}: these lines follow the gens line's order",
         )
 
 
-def _read_relators(reader: _Reader, letters: dict[str, tuple[int, int]]) -> tuple[Word, ...]:
-    """The rels line and the relator words after it."""
-    line = reader.next()
-    if not line.startswith("rels "):
-        raise reader.error("expected 'rels <r>'")
-    try:
-        r = parse_decimal(line[5:])
-    except ValueError:
-        raise reader.error("bad relator count") from None
-    return tuple(_parse_reduced_word(reader, reader.next(), letters) for _ in range(r))
-
-
 def parse(text: str) -> Certificate:
-    reader = _Reader(text)
-    if reader.next() != HEADER:
-        raise reader.error(f"expected header {HEADER!r}")
-    line = reader.next()
+    lines = text.split("\n")
+    if lines.pop():
+        raise _error(len(lines) + 1, "no newline at end of line")
+    if _line(lines, 1) != HEADER:
+        raise _error(1, f"expected header {HEADER!r}")
+    line = _line(lines, 2)
     if not line.startswith("kind "):
-        raise reader.error("expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
+        raise _error(2, "expected 'kind <NonCyclicAbelian|NonAbelianRep>'")
     kind = line[5:]
 
     # the gens line: a bad count is named at once, a bad label only once
     # the relators are read, as a label error is named after any relator error
-    line = reader.next()
+    line = _line(lines, 3)
     if not line.startswith("gens "):
-        raise reader.error("expected 'gens <g> <labels...>'")
+        raise _error(3, "expected 'gens <g> <labels...>'")
     parts = line.split(" ")
     try:
         g = parse_decimal(parts[1])
     except ValueError:
-        raise reader.error("bad generator count") from None
+        raise _error(3, "bad generator count") from None
     labels = tuple(parts[2:])
     if len(labels) != g:
-        raise reader.error("label count does not match generator count")
+        raise _error(3, "label count does not match generator count")
     letters = letter_table(labels)
-    relators = _read_relators(reader, letters)
+    line = _line(lines, 4)
+    if not line.startswith("rels "):
+        raise _error(4, "expected 'rels <r>'")
+    try:
+        r = parse_decimal(line[5:])
+    except ValueError:
+        raise _error(4, "bad relator count") from None
+    # one pass over the block's lines, as many as the text has: a block
+    # the text ends inside is named after the errors of the lines it has
+    relators = tuple([_reduced_word(w, letters, n) for n, w in enumerate(lines[4:4 + r], 5)])
+    n = 4 + len(relators)  # the lines read
+    if n < 4 + r:
+        raise _error(n + 1, "unexpected end of file")
     try:
         pres = GroupPresentation.from_checked(g, relators, labels)
     except ValueError as exc:
-        raise reader.error(str(exc)) from None
+        raise _error(n, str(exc)) from None
     for label in labels:
         if not is_label(label):
-            raise reader.error(f"bad generator label {label!r}")
+            raise _error(n, f"bad generator label {label!r}")
 
-    try:
-        if kind == NON_CYCLIC:
-            record, fields = NonCyclicAbelian, _parse_abelian(reader, labels)
-        elif kind == NON_ABELIAN:
-            record, fields = NonAbelianRep, _parse_rep(reader, labels, letters)
-        else:
-            raise reader.error(f"unknown certificate kind {kind!r}")
-    except ValueError as exc:
-        if isinstance(exc, CertificateSyntaxError):
-            raise
-        raise reader.error(str(exc)) from None
-    if reader.peek() is not None:
-        raise reader.error(f"unexpected trailing line {reader.peek()!r}")
+    if kind == NON_CYCLIC:
+        record, (fields, n) = NonCyclicAbelian, _parse_abelian(lines, n, labels)
+    elif kind == NON_ABELIAN:
+        record, (fields, n) = NonAbelianRep, _parse_rep(lines, n, labels, letters)
+    else:
+        raise _error(n, f"unknown certificate kind {kind!r}")
+    if n < len(lines):
+        raise _error(n, f"unexpected trailing line {lines[n]!r}")
     fields.update(presentation=pres, text_bytes=len(text))
     return _parsed_certificate(record, fields)
 
 
-def _parse_abelian(reader: _Reader, labels: tuple[str, ...]) -> dict:
-    m = _TARGET_RE.match(reader.next())
+def _parse_abelian(lines: list[str], n: int, labels: tuple[str, ...]) -> tuple[dict, int]:
+    """The fields of the lines after line n, and the lines read."""
+    n += 1
+    m = _TARGET_RE.match(_line(lines, n))
     if not m:
-        raise reader.error("expected 'target Z/<a> x Z/<b>'")
-    a, b = parse_decimal(m.group(1)), parse_decimal(m.group(2))
+        raise _error(n, "expected 'target Z/<a> x Z/<b>'")
+    try:
+        a, b = parse_decimal(m.group(1)), parse_decimal(m.group(2))
+    except ValueError as exc:
+        raise _error(n, str(exc)) from None
     images = []
     for label in labels:
-        gm = _ABELIAN_RE.match(reader.next())
+        n += 1
+        gm = _ABELIAN_RE.match(_line(lines, n))
         if not gm:
-            raise reader.error("expected 'gen <name> = (<u>,<v>)'")
-        _expect_name(reader, gm.group(1), label)
-        u, v = parse_decimal(gm.group(2)), parse_decimal(gm.group(3))
+            raise _error(n, "expected 'gen <name> = (<u>,<v>)'")
+        _expect_name(n, gm.group(1), label)
+        try:
+            u, v = parse_decimal(gm.group(2)), parse_decimal(gm.group(3))
+        except ValueError as exc:
+            raise _error(n, str(exc)) from None
         if u >= a or v >= b:
-            raise reader.error(f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
+            raise _error(n, f"abelian image ({u},{v}) is not reduced in Z/{a} x Z/{b}")
         images.append((u, v))
-    return {"target": (a, b), "abelian_images": tuple(images)}
+    return {"target": (a, b), "abelian_images": tuple(images)}, n
 
 
-def _unnormalized(reader: _Reader, matrix: ProjMatrix) -> CertificateSyntaxError:
-    return reader.error(
+def _unnormalized(n: int, matrix: ProjMatrix) -> CertificateSyntaxError:
+    return _error(
+        n,
         f"matrix is not sign-normalized: its first nonzero coordinate "
-        f"exceeds {(matrix.spec.p - 1) // 2}; write it as {matrix}"
+        f"exceeds {(matrix.spec.p - 1) // 2}; write it as {matrix}",
     )
 
 
-def _diagnose_matrix(reader: _Reader, line: str, spec: FieldSpec) -> NoReturn:
-    """Raise the error parse names for a matrix line _MATRIX_LINE_RE takes
-    but the field's regex refuses, or with a coordinate out of range.  The
-    checks run in the order they name errors: each entry's syntax and
-    range (psl.parse_coords), det 1, sign normalization, the label."""
+def _diagnose_matrix(n: int, line: str, spec: FieldSpec) -> NoReturn:
+    """Raise the error parse names for matrix line n when _MATRIX_LINE_RE
+    takes it but the field's regex refuses it, or a coordinate is out of
+    range.  The checks run in the order they name errors: each entry's
+    syntax and range (psl.parse_coords), det 1, sign normalization, the
+    label."""
     gm = _MATRIX_LINE_RE.match(line)
     try:
         a, b, c, d = (parse_coords(entry, spec) for entry in gm.group(2, 3, 4, 5))
         coords = (*a, *b, *c, *d)
         matrix = ProjMatrix.from_reduced(spec, coords)
     except ValueError as exc:
-        raise reader.error(str(exc)) from None
+        raise _error(n, str(exc)) from None
     if matrix.coords != coords:
-        raise _unnormalized(reader, matrix)
+        raise _unnormalized(n, matrix)
     name = gm.group(1)
     if not is_label(name):
-        raise reader.error(f"bad generator label {name!r}")
+        raise _error(n, f"bad generator label {name!r}")
     raise AssertionError(f"matrix line {line!r} fails its regex but no check")
 
 
 def _parse_rep(
-    reader: _Reader, labels: tuple[str, ...], letters: dict[str, tuple[int, int]]
-) -> dict:
-    m = _FIELD_RE.match(reader.next())
+    lines: list[str], n: int, labels: tuple[str, ...], letters: dict[str, tuple[int, int]]
+) -> tuple[dict, int]:
+    """The fields of the lines after line n, and the lines read."""
+    n += 1
+    m = _FIELD_RE.match(_line(lines, n))
     if not m:
-        raise reader.error("expected 'field p=<p> deg=<d> [s=<s>]'")
+        raise _error(n, "expected 'field p=<p> deg=<d> [s=<s>]'")
     try:
         p, deg = parse_decimal(m.group(1)), parse_decimal(m.group(2))
         s = parse_decimal(m.group(3)) if m.group(3) else None
         spec = FieldSpec(p, deg, s)
     except ValueError as exc:
-        raise reader.error(str(exc)) from None
+        raise _error(n, str(exc)) from None
 
+    # the matrix block: every line from the next on that _MATRIX_LINE_RE takes
     rep_gens: list[str] = []
     rep_images: list[ProjMatrix] = []
     matrix_re = _MATRIX_RES[deg]
-    while True:
-        line = reader.peek()
-        if line is None:
-            break
+    while n < len(lines):
+        line = lines[n]
         gm = matrix_re.fullmatch(line)
         if gm is None and _MATRIX_LINE_RE.match(line) is None:
             break
-        reader.next()
+        n += 1
         if gm is None:
-            _diagnose_matrix(reader, line, spec)
+            _diagnose_matrix(n, line, spec)
         if deg == 1:
             a, b, c, d = map(int, gm.group(2, 3, 4, 5))
             coords = (a, 0, b, 0, c, 0, d, 0)
         else:
             coords = tuple(map(int, gm.group(2, 3, 4, 5, 6, 7, 8, 9)))
         if max(coords) >= p:
-            _diagnose_matrix(reader, line, spec)
+            _diagnose_matrix(n, line, spec)
         try:
             matrix = ProjMatrix.from_reduced(spec, coords)
         except ValueError as exc:
-            raise reader.error(str(exc)) from None
+            raise _error(n, str(exc)) from None
         if matrix.coords != coords:
-            raise _unnormalized(reader, matrix)
+            raise _unnormalized(n, matrix)
         rep_gens.append(gm.group(1))
         rep_images.append(matrix)
     if not rep_images:
-        raise reader.error("expected at least one 'gen <name> = [[..],[..]]' line")
+        raise _error(n, "expected at least one 'gen <name> = [[..],[..]]' line")
 
     surjection = None
-    if reader.peek() == "surjection":
-        reader.next()
+    if n < len(lines) and lines[n] == "surjection":
+        n += 1
         rep_letters = letter_table(rep_gens)
         words = []
         for label in labels:
-            sm = _SURJ_RE.match(reader.next())
+            n += 1
+            sm = _SURJ_RE.match(_line(lines, n))
             if not sm:
-                raise reader.error("expected 'gen <name> -> <word>'")
-            _expect_name(reader, sm.group(1), label)
-            words.append(_parse_reduced_word(reader, sm.group(2), rep_letters))
+                raise _error(n, "expected 'gen <name> -> <word>'")
+            _expect_name(n, sm.group(1), label)
+            words.append(_reduced_word(sm.group(2), rep_letters, n))
         surjection = tuple(words)
 
-    line = reader.next()
+    n += 1
+    line = _line(lines, n)
     if not line.startswith("witness "):
-        raise reader.error("expected 'witness <word1> | <word2>'")
+        raise _error(n, "expected 'witness <word1> | <word2>'")
     left, bar, right = line[len("witness "):].partition(" | ")
     if not bar:
-        raise reader.error("witness needs two words separated by ' | '")
-    witness = (
-        _parse_reduced_word(reader, left, letters),
-        _parse_reduced_word(reader, right, letters),
-    )
-    return {
+        raise _error(n, "witness needs two words separated by ' | '")
+    witness = (_reduced_word(left, letters, n), _reduced_word(right, letters, n))
+    fields = {
         "field": spec,
         "rep_gens": tuple(rep_gens),
         "rep_images": tuple(rep_images),
         "surjection": surjection,
         "witness": witness,
     }
+    return fields, n
 
 
 class VerificationReport(NamedTuple):

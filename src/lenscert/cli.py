@@ -81,17 +81,7 @@ def _load_triangulation(path: str):
 def cmd_validate(args) -> int:
     tri = _load_triangulation(args.triangulation)
     report = validate(tri)
-    doc = {
-        "v": report.v,
-        "e": report.e,
-        "f": report.f,
-        "t": report.t,
-        "euler": report.euler,
-        "vertex_link_eulers": list(report.vertex_link_eulers),
-        "reversed_edges": report.reversed_edges,
-        "passed": report.passed,
-        "failures": list(report.failures),
-    }
+    doc = report._asdict()
     lines = [
         f"v={report.v} e={report.e} f={report.f} t={report.t} euler={report.euler}",
         "links=" + ",".join(str(x) for x in report.vertex_link_eulers),
@@ -313,16 +303,7 @@ def cmd_degree_report(args) -> int:
     from .trianglerep import classify, field_degree_report
     t = classify(args.n1, args.n2, args.n3)
     scan = field_degree_report(t)
-    doc = {
-        "triple": list(t.triple),
-        "ell": t.ell,
-        "trace_degree": scan.trace_degree,
-        "candidate_degrees": list(scan.candidate_degrees),
-        "witness_l": scan.witness_l,
-        "verdict": scan.verdict,
-        "variant_disagrees": scan.variant_disagrees,
-        "phi_ell": euler_phi(t.ell),
-    }
+    doc = {**scan._asdict(), "phi_ell": euler_phi(t.ell)}
     lines = [
         f"triple=({t.n1},{t.n2},{t.n3}) ell={t.ell} phi={euler_phi(t.ell)}",
         f"trace_degree={scan.trace_degree} candidates={scan.candidate_degrees}",

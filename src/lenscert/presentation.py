@@ -72,7 +72,7 @@ class Word(Frozen):
         """The word on letters already known to be (generator >= 0, +-1)
         pairs, as a parser's letter table gives them: no recheck."""
         word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
+        _set_letters(word, letters)
         return word
 
     def __len__(self) -> int:
@@ -104,6 +104,10 @@ class Word(Frozen):
             if 0 in sums.values():
                 sums = {gen: x for gen, x in sums.items() if x}
         return sums
+
+
+# the setter of Word's one slot, which Frozen's __setattr__ does not refuse
+_set_letters = Word.letters.__set__
 
 
 def default_labels(g: int) -> tuple[str, ...]:

@@ -17,16 +17,17 @@ built without a recheck; and no product or sum, of matrices or of
 field elements, rechecks that its operands share a field, which every
 caller's values do (the checker's parse and Certificate see to it).
 
-Products run on raw 8-int tuples in one kernel, _mul_coords, which
-mul, _power_coords (the square-and-multiply loop of power) and
-fold_letters (one product per letter of a word) call.  A word is one
-fold_letters over the coordinates of the images and their inverses
-(letter_coords, or coord_table for images given by their coordinates),
-which projmat.evaluate_word takes per call and a verifier once per
-certificate, every image's inverse taken once there.  fold_letters
-multiplies letter by letter unless the word has a period d <= 4, as the
-relators x^n and (xy)^n of a triangle group do: then it is w^k u, and
-w^k costs O(d + log k) products instead of n.
+Products run on raw 8-int tuples in one 2x2 kernel, _mul_coords, which
+mul and fold_letters (one product per letter of a word) call; powers
+(_power_coords) double a pair of ring elements on the same ints, by
+Cayley-Hamilton.  A word is one fold_letters over the coordinates of
+the images and their inverses (letter_coords, or coord_table for images
+given by their coordinates), which projmat.evaluate_word takes per call
+and a verifier once per certificate, every image's inverse taken once
+there.  fold_letters multiplies letter by letter unless the word has a
+period d <= 4, as the relators x^n and (xy)^n of a triangle group do:
+then it is w^k u, and w^k costs O(d + log k) operations instead of n
+products.
 
 The +-M ambiguity is resolved at construction: the first nonzero of the
 eight coordinates is forced into [0, (p-1)/2], which holds one of x and
@@ -242,16 +243,43 @@ def _inverse_coords(p: int, v: tuple) -> tuple:
 
 
 def _power_coords(p: int, s: int, v: tuple, k: int) -> tuple:
-    """Coordinates of v^k for k >= 0 by square-and-multiply: at most
-    2*log2(k) products, reduced but not sign-normalized."""
-    out = None  # the identity, which the first factor replaces unmultiplied
-    while k:
-        if k & 1:
-            out = v if out is None else _mul_coords(p, s, out, v)
-        k >>= 1
-        if k:
-            v = _mul_coords(p, s, v, v)
-    return out or _IDENTITY
+    """Coordinates of v^k for k >= 0, reduced but not sign-normalized:
+    exactly those of the product of k factors v, in O(log k) ring
+    operations and no 2x2 product.  v must have determinant 1, the
+    invariant _inverse_coords' adjugate relies on too: then
+    v^2 = t*v - I, t = tr v, by Cayley-Hamilton over any commutative
+    ring, field or not, so v^j = a*v + b*I, and the bits of k, from the
+    top, take (a, b) from j to 2j by (a(at + 2b), b^2 - a^2) and to j + 1
+    by (at + b, -a), as Joye and Quisquater double Lucas sequences."""
+    if k < 2:
+        return v if k else _IDENTITY
+    a0, a1, b0, b1, c0, c1, d0, d1 = v
+    t0, x0, y0 = a0 + d0, 1, 0  # v = 1*v + 0*I
+    if not s:  # every odd coordinate is 0
+        for bit in bin(k)[3:]:
+            x0, y0 = x0 * (x0 * t0 + 2 * y0) % p, (y0 - x0) * (y0 + x0) % p
+            if bit == "1":
+                x0, y0 = (x0 * t0 + y0) % p, -x0
+        return ((x0 * a0 + y0) % p, 0, x0 * b0 % p, 0, x0 * c0 % p, 0, (x0 * d0 + y0) % p, 0)
+    t1, x1, y1 = a1 + d1, 0, 0
+    for bit in bin(k)[3:]:
+        u0, u1 = (x0 * t0 + s * x1 * t1 + 2 * y0) % p, (x0 * t1 + x1 * t0 + 2 * y1) % p
+        x0, x1, y0, y1 = (
+            (x0 * u0 + s * x1 * u1) % p,
+            (x0 * u1 + x1 * u0) % p,
+            ((y0 - x0) * (y0 + x0) + s * (y1 - x1) * (y1 + x1)) % p,
+            2 * (y0 * y1 - x0 * x1) % p,
+        )
+        if bit == "1":
+            x0, x1, y0, y1 = (
+                (x0 * t0 + s * x1 * t1 + y0) % p, (x0 * t1 + x1 * t0 + y1) % p, -x0, -x1
+            )
+    return (
+        (x0 * a0 + s * x1 * a1 + y0) % p, (x0 * a1 + x1 * a0 + y1) % p,
+        (x0 * b0 + s * x1 * b1) % p, (x0 * b1 + x1 * b0) % p,
+        (x0 * c0 + s * x1 * c1) % p, (x0 * c1 + x1 * c0) % p,
+        (x0 * d0 + s * x1 * d1 + y0) % p, (x0 * d1 + x1 * d0 + y1) % p,
+    )
 
 
 def _sign_normalized(p: int, v: tuple) -> tuple:
@@ -389,9 +417,10 @@ def fold_letters(spec: FieldSpec, table: tuple, letters: Sequence[tuple[int, int
     letters with a period d <= 4 (letters[i] == letters[i + d]
     throughout) is w^k u, with w its first d letters, k = n // d and
     u = w[:n % d]: w and u are folded letter by letter and w^k is taken
-    by square-and-multiply, the same product of the same factors up to
-    sign.  Any other word starts from its first letter and takes one
-    _mul_coords per later letter."""
+    by _power_coords.  w's fold is sign-normalized, so that power is the
+    product of the same factors up to sign, and the result, normalized,
+    is exactly the letter-by-letter fold's.  Any other word starts from
+    its first letter and takes one _mul_coords per later letter."""
     p, s = spec.p, spec.s or 0
     n = len(letters)
     period = _period(letters) if n >= 6 else 0

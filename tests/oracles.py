@@ -26,7 +26,9 @@ int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
 r through the library's public steps.  letter_by_letter_fold is the
 plain one-product-per-letter word fold that fold_letters' period
-shortcut and verify's letter-count charge are checked against, and
+shortcut and verify's letter-count charge are checked against,
+square_and_multiply_power is the power psl took by 2x2 products before
+its Cayley-Hamilton doubling, which must give its coordinates exactly, and
 closure_by_rescan is the presentation
 closure's stated order, recounted from the words at every step.
 dual_presentation reads pi1 off the dual cell complex, its own walk
@@ -67,7 +69,7 @@ from lenscert.galois import (
 from lenscert.intlinalg import IntMatrix
 from lenscert.presentation import GroupPresentation, Word
 from lenscert.projmat import projective_order
-from lenscert.psl import FieldElement, FieldSpec, ProjMatrix
+from lenscert.psl import _IDENTITY, FieldElement, FieldSpec, ProjMatrix, _mul_coords
 from lenscert.trianglerep import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -1040,6 +1042,21 @@ def matrix_inverse(m):
     """Adjugate of a determinant-1 entry tuple."""
     a, b, c, d = m
     return (d, -b, -c, a)
+
+
+def square_and_multiply_power(p: int, s: int, v: tuple, k: int) -> tuple:
+    """Coordinates of v^k for k >= 0, reduced but not sign-normalized,
+    by square-and-multiply on 2x2 products (psl._mul_coords): the power
+    psl took before its Cayley-Hamilton doubling, at most 2*log2(k)
+    products, for any v, of determinant 1 or not."""
+    out = None  # the identity, which the first factor replaces unmultiplied
+    while k:
+        if k & 1:
+            out = v if out is None else _mul_coords(p, s, out, v)
+        k >>= 1
+        if k:
+            v = _mul_coords(p, s, v, v)
+    return out or _IDENTITY
 
 
 def letter_by_letter_fold(p: int, s: int, images: Sequence[tuple], letters) -> tuple:

@@ -37,6 +37,12 @@ def test_bench_verify_small_sweep_writes_one_column():
     for metric in ("relator_fold_us", "relator_fold_us_raw"):
         assert set(column[metric]) == {"F_p", "F_p2"}
         assert all(us > 0 for us in column[metric].values())
+    for metric in (f"bound_{step}_ms{raw}" for step in ("parse", "verify") for raw in ("", "_raw")):
+        assert list(column[metric]) == ["prism_manifold(10000)"]
+        assert column[metric]["prism_manifold(10000)"] > 0
+    bound = column["bound_certificate"]
+    assert bound["bytes"] == 593455
+    assert bound["report"]["accepted"] and bound["report"]["kind"] == "NonCyclicAbelian"
     reports = [
         verify(parse(serialize(triangle_certificate(*t.triple)[0])))
         for t in hyperbolic_triples(5)

@@ -142,6 +142,53 @@ def test_unlabelled_generator_count_is_capped_by_lines_left():
     assert time.monotonic() - start < 0.5
 
 
+# LABELLED_CERT with a relator block of two lines: ten lines in all
+TEN_LINE_CERT = LABELLED_CERT.replace("rels 0\n", "rels 2\nx0 x0 x0 x0 x0\nx1 x1 x1 x1 x1\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # no block: its lines are read as the field line
+        ("rels 2\n", "rels 0\n", "line 5: expected 'field p=<p> deg=<d> [s=<s>]'"),
+        # a block one line short of its count, or far more: the field
+        # line is read as a relator
+        ("rels 2\n", "rels 3\n", "line 7: unknown generator 'field' in word"),
+        ("rels 2\n", "rels " + "1" + "0" * 100 + "\n", "line 7: unknown generator 'field' in word"),
+        # the block's last line, x1 x1 x1 x1 x1, edited
+        (" x1 x1\nfield", " x1 z\nfield", "line 6: unknown generator 'z' in word"),
+        (
+            " x1 x1\nfield",
+            " x1 x1^-1\nfield",
+            "line 6: word 'x1 x1 x1 x1 x1^-1' is not freely reduced",
+        ),
+    ],
+)
+def test_relator_block_errors_name_their_line(old, new, message):
+    assert verify(parse(TEN_LINE_CERT)).accepted
+    assert len(TEN_LINE_CERT.splitlines()) == 10
+    text = TEN_LINE_CERT.replace(old, new)
+    assert text != TEN_LINE_CERT
+    start = time.monotonic()
+    with pytest.raises(CertificateSyntaxError) as info:
+        parse(text)
+    assert time.monotonic() - start < 0.5
+    assert str(info.value) == message
+
+
+def test_a_relator_block_past_the_text_ends_there_at_once():
+    """A count of 10^100 relators reads the lines the text has, and no
+    more: the block runs out at the end of the text."""
+    assert parse(LABELLED_CERT).presentation.relators == ()
+    head = "lenscert v1\nkind NonAbelianRep\ngens 2 x0 x1\n"
+    for r, block, line in (("1" + "0" * 100, "x0\nx1\n", 7), ("1", "", 5), ("2", "x0\n", 6)):
+        start = time.monotonic()
+        with pytest.raises(CertificateSyntaxError) as info:
+            parse(f"{head}rels {r}\n{block}")
+        assert time.monotonic() - start < 0.5
+        assert str(info.value) == f"line {line}: unexpected end of file"
+
+
 def test_gens_line_of_many_labels():
     g = 10**5
     labels = [f"g{k}" for k in range(g)]

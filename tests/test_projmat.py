@@ -12,9 +12,13 @@ from lenscert.certificate import parse_word
 from lenscert.presentation import Word
 from lenscert.projmat import evaluate_word, has_order, projective_order
 from lenscert.psl import (
+    _IDENTITY,
+    _mul_coords,
+    _power_coords,
     _sign_normalized,
     FieldSpec,
     ProjMatrix,
+    coord_table,
     fold_letters,
     letter_coords,
 )
@@ -29,6 +33,7 @@ from oracles import (
     power_has_order,
     psl_elements,
     psl_group_order,
+    square_and_multiply_power,
 )
 
 SPEC5 = FieldSpec(5)
@@ -374,6 +379,80 @@ def test_power_matches_oracle_fold(entries, n):
     factor = entries if n >= 0 else matrix_inverse(entries)
     assert equal_up_to_sign(m.power(n).entries(), _oracle_fold(m.spec, [factor] * abs(n)))
     assert m.power(n) == evaluate_word([m], Word(((0, 1 if n >= 0 else -1),) * abs(n)))
+
+
+# the rings a FieldSpec names: prime fields, fields of p^2 elements, and
+# rings that are not fields (Z/9, Z/15, and Z/7[w]/(w^2 - 2) = F_7 x F_7)
+POWER_SPECS = (
+    SPEC5,
+    SPEC337,
+    MERSENNE_61,
+    quadratic_extension(FieldSpec(5)),
+    quadratic_extension(SPEC337),
+    FieldSpec(9),
+    FieldSpec(15),
+    FieldSpec(7, 2, 2),
+)
+
+
+@st.composite
+def ring_sl2(draw, specs=POWER_SPECS):
+    """A spec and the coordinates of a determinant-1 matrix over its ring:
+    a product of elementary matrices [[1, x], [0, 1]] and [[1, 0], [y, 1]],
+    which have determinant 1 over any commutative ring."""
+    spec = draw(st.sampled_from(specs))
+    p, s = spec.p, spec.s or 0
+    element = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1) if s else st.just(0))
+    v = _IDENTITY
+    for _ in range(draw(st.integers(1, 3))):
+        (x0, x1), (y0, y1) = draw(element), draw(element)
+        v = _mul_coords(p, s, v, (1, 0, x0, x1, 0, 0, 1, 0))
+        v = _mul_coords(p, s, v, (1, 0, 0, 0, y0, y1, 1, 0))
+    return spec, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_sl2(), st.integers(0, 10**6))
+@example((SPEC5, (1, 0, 1, 0, 0, 0, 1, 0)), 0)
+@example((FieldSpec(9), (1, 0, 3, 0, 0, 0, 1, 0)), 1)
+@example((FieldSpec(15), (0, 0, 1, 0, 14, 0, 0, 0)), 2)
+@example((FieldSpec(7, 2, 2), (3, 1, 1, 0, 6, 0, 0, 0)), 3)
+def test_power_coords_are_square_and_multiply_coords(case, k):
+    """The Cayley-Hamilton doubling gives v^k coordinate for coordinate as
+    the square-and-multiply reference does, before any sign
+    normalization, over fields and over rings that are not fields."""
+    spec, v = case
+    p, s = spec.p, spec.s or 0
+    assert _power_coords(p, s, v, k) == square_and_multiply_power(p, s, v, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_sl2(), st.integers(-(10**6), -1))
+def test_a_negative_power_is_the_inverse_powered(case, n):
+    spec, v = case
+    p, s = spec.p, spec.s or 0
+    m = ProjMatrix.from_reduced(spec, v)
+    a0, a1, b0, b1, c0, c1, d0, d1 = v  # the adjugate is the inverse
+    inverse = (d0, d1, -b0 % p, -b1 % p, -c0 % p, -c1 % p, a0, a1)
+    assert m.power(n).coords == _sign_normalized(p, square_and_multiply_power(p, s, inverse, -n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 10**6))
+def test_fold_letters_takes_powers_of_periodic_words_exactly(data, k):
+    """x^k and (xy)^k fold to the sign-normalized square-and-multiply
+    power of x and of xy: by the Cayley-Hamilton power for k >= 6 (x^k)
+    or k >= 3 ((xy)^k), letter by letter below."""
+    spec, u = data.draw(ring_sl2())
+    _, v = data.draw(ring_sl2(specs=(spec,)))
+    p, s = spec.p, spec.s or 0
+    table = coord_table(p, [u, v])
+    assert fold_letters(spec, table, ((0, 1),) * k) == _sign_normalized(
+        p, square_and_multiply_power(p, s, u, k)
+    )
+    assert fold_letters(spec, table, ((0, 1), (1, 1)) * k) == _sign_normalized(
+        p, square_and_multiply_power(p, s, _mul_coords(p, s, u, v), k)
+    )
 
 
 # ----------------------------------------------------------------------

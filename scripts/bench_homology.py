@@ -35,11 +35,9 @@ figures are timed on their own inputs:
 One measurement is the median, over --repeats passes, of a pass's mean
 microseconds per call, calibrated for machine speed by
 bench_verify._median_pass_us (perfbench's reference loop timed around
-each pass), with the raw figure beside it.  The trees and rounds are
-run by bench_verify.drive: each source tree named by --tree is measured
-in a fresh process once per round, the trees taking turns to go first;
-a figure is the median over --rounds.  Every round of every tree must
-give the same H1 for each input.
+each pass), with the raw figure beside it.  bench_verify.drive runs the
+trees and rounds and builds each tree's column.  Every round of every
+tree must give the same H1 for each input.
 
   python3 scripts/bench_homology.py --tree parent=OLD/src --tree change=src \\
       --out BENCH_homology.json
@@ -52,7 +50,6 @@ A tree is NAME=SRC, SRC a directory holding the lenscert package
 from __future__ import annotations
 
 import os
-import statistics
 import sys
 from functools import partial
 
@@ -70,10 +67,6 @@ PIPELINE = (
     ("prism_q12", (2, 2, 3), "prism_q12.surj"),
 )
 PIPELINES_PER_PASS = 400
-METRICS = (
-    "build_us", "build_us_raw", "pi1_h1_us", "pi1_h1_us_raw", "h1_us", "h1_us_raw",
-    "step1_us", "step1_us_raw", "pipeline_us", "pipeline_us_raw",
-)
 
 
 def _fixture_text(name: str) -> str:
@@ -101,11 +94,13 @@ def measure(repeats: int, src: str) -> dict:
     from make_fixtures import lens_space, prism_manifold
 
     def timed(metric, name, items, run):
-        doc[metric][name], doc[metric + "_raw"][name] = _median_pass_us(items, run, repeats)
+        us, raw = _median_pass_us(items, run, repeats)
+        doc.setdefault(metric, {})[name] = us
+        doc.setdefault(metric + "_raw", {})[name] = raw
 
     builds = [(f"L({p},{q})", partial(lens_space, p, q)) for p, q in LENS]
     builds += [(f"prism_manifold({m})", partial(prism_manifold, m)) for m in PRISM]
-    doc: dict = {"h1": {}, **{metric: {} for metric in METRICS}}
+    doc: dict = {"h1": {}}
     for name, build in builds:
         tri = build()
         pres = fundamental_group(tri)
@@ -129,22 +124,12 @@ def measure(repeats: int, src: str) -> dict:
     return doc
 
 
-def _column(runs: list[dict]) -> dict:
-    """Median of each timing over the rounds, and each round's timings."""
-    column = {"h1": runs[0]["h1"]}
-    for metric in METRICS:
-        rounds = {name: [round(run[metric][name], 1) for run in runs] for name in runs[0][metric]}
-        column[metric] = {name: round(statistics.median(v), 1) for name, v in rounds.items()}
-        column[metric + "_rounds"] = rounds
-    return column
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = driver_parser(__doc__.split("\n\n")[0])
     args = parser.parse_args(argv)
     return drive(
         parser, args, os.path.abspath(__file__), [],
-        lambda: measure(args.repeats, args.measure), _column, same="h1",
+        lambda: measure(args.repeats, args.measure), same="h1",
     )
 
 

@@ -30,10 +30,9 @@ IMPORTS_PER_PASS imports, of a pass's mean milliseconds per import,
 calibrated for machine speed by bench_verify._median_pass_us
 (perfbench's reference loop timed around each pass), with the raw figure
 beside it; one warm-up import in each mode comes first.  cli_verify_ms
-is the median of --repeats runs.  The trees and rounds are run by
-bench_verify.drive: each source tree named by --tree is measured in a
-fresh process once per round, the trees taking turns to go first; a
-figure is the median over --rounds.
+is the median of --repeats runs.  bench_verify.drive runs the trees and
+rounds and builds each tree's column; every round of a tree must find
+the same dataclass classes.
 
   python3 scripts/bench_import.py --tree parent=OLD/src --tree change=src \\
       --out BENCH_import.json
@@ -57,8 +56,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
+sys.path.append(os.path.join(HERE, "..", "perfbench"))
 from bench_verify import _median_pass_us, drive, driver_parser  # noqa: E402
-from bench_workloads import LIB_MODULES  # noqa: E402  (perfbench is on sys.path now)
+from bench_workloads import LIB_MODULES  # noqa: E402
 
 MODES = ("uncached", "cached")
 PARTS = ("compile", "dataclass", "rest")
@@ -174,36 +174,12 @@ def measure(repeats: int, src: str) -> dict:
     return doc
 
 
-def _column(runs: list[dict]) -> dict:
-    """Median of each timing over the rounds, each round's timings, and
-    the dataclass classes, which every round must repeat."""
-    first = runs[0]
-    if any(run["dataclass_classes"] != first["dataclass_classes"] for run in runs):
-        raise SystemExit("error: the dataclass classes differ between rounds")
-    column: dict = {"dataclass_classes": first["dataclass_classes"]}
-    for metric in ("import_ms", "import_ms_raw"):
-        rounds = {mode: [round(run[metric][mode], 2) for run in runs] for mode in MODES}
-        column[metric] = {mode: round(statistics.median(v), 2) for mode, v in rounds.items()}
-        column[metric + "_rounds"] = rounds
-    column["split_ms"] = {
-        mode: {
-            part: round(statistics.median(run["split_ms"][mode][part] for run in runs), 2)
-            for part in PARTS
-        }
-        for mode in MODES
-    }
-    rounds = [round(run["cli_verify_ms"], 1) for run in runs]
-    column["cli_verify_ms"] = round(statistics.median(rounds), 1)
-    column["cli_verify_ms_rounds"] = rounds
-    return column
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = driver_parser(__doc__.split("\n\n")[0])
     args = parser.parse_args(argv)
     return drive(
         parser, args, os.path.abspath(__file__), [],
-        lambda: measure(args.repeats, args.measure), _column,
+        lambda: measure(args.repeats, args.measure), fixed=("dataclass_classes",),
     )
 
 

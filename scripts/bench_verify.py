@@ -13,25 +13,26 @@ things per certificate, grouped by kind and field degree:
 It also times one input at the paper's scale: the step-1 certificate
 `pipeline` writes for prism_manifold(10^4) (scripts/make_fixtures.py),
 as bound_parse_ms, its parse, and bound_verify_ms, verify_bound of the
-parsed certificate against the triangulation, read afresh from its text
-for each pass so that no pass reuses the orbit walk a triangulation
-caches.  The certificate's bytes and its verify_bound report, cost
-model included, are recorded beside them as bound_certificate.
+parsed certificate against the triangulation, each call on a fresh
+Triangulation(tri.t, tri.gluings) so that no call reuses the orbit walk
+an instance caches.  The certificate's bytes and its verify_bound
+report, cost model included, are recorded beside them as
+bound_certificate.
 
-One measurement is the median, over --repeats passes, of a pass's mean
-microseconds per certificate.  Each pass is calibrated for machine speed
-as perfbench/run.py calibrates its timings: perfbench's reference_work()
-is timed CALIBRATION_SAMPLES times just before the pass and as many just
+One measurement is _median_pass_us's: the median, over --repeats
+passes, of a pass's mean microseconds per item (milliseconds for the
+bound figures).  Each pass is calibrated for machine speed as
+perfbench/run.py calibrates its timings: perfbench's reference_work() is
+timed CALIBRATION_SAMPLES times just before the pass and as many just
 after, and the pass's figure is scaled by REFERENCE_NS over the median of
-those samples, so it reads in microseconds at perfbench's nominal speed.
-The raw figure is kept beside it (verify_us_raw, relator_fold_us_raw,
-and the same _raw names for the bound figures).
-Each source tree named by --tree is measured in a fresh process once per
-round, and the trees take turns going first, so that a drift in machine
-speed falls on both alike; a figure is the median over --rounds.  The
-cost-model means (relator and total mat_mults, field_ops, cert_bits) come
-from the verify reports and must not change with a speed-up, and neither
-may the bound certificate's bytes and report.
+those samples, so it reads at perfbench's nominal speed.  The raw figure
+is kept beside it under the same name with _raw.
+
+drive() runs the rounds and says how they become each tree's column.
+The certificate counts and the cost-model means (relator and total
+mat_mults, field_ops, cert_bits, to 4 places, from the verify reports)
+must not change between rounds, and the bound certificate must not
+change between rounds or trees: a speed-up moves none of them.
 
   python3 scripts/bench_verify.py --tree parent=OLD/src --tree change=src \\
       --out BENCH_verify.json
@@ -39,7 +40,7 @@ may the bound certificate's bytes and report.
 A tree is NAME=SRC, SRC a directory holding the lenscert package
 (default: change=this checkout's src); a NAME may be given once,
 and --repeats and --rounds are at least 1.  The JSON holds one column per
-tree, with each round's figures, plus the machine and Python version.
+tree, plus the machine and Python version.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ GROUPS = ("abelian", "F_p", "F_p2")
 CALIBRATION_SAMPLES = 3  # reference_work() timings on each side of a pass
 BOUND_TETRAHEDRA = 10**4  # the prism manifold the bound figures are of
 BOUND_INPUT = f"prism_manifold({BOUND_TETRAHEDRA})"
-TIMINGS = ("verify_us", "relator_fold_us", "bound_parse_ms", "bound_verify_ms")
 
 
 def _group(cert) -> str:
@@ -105,35 +105,26 @@ def _median_pass_us(items, run, repeats: int) -> tuple[float, float]:
 
 
 def _bound_figures(repeats: int) -> dict:
-    """The bound figures the module docstring describes, each the median
-    over repeats passes, in ms at nominal speed and raw."""
+    """The bound figures the module docstring describes, in ms at nominal
+    speed and raw, and the bound certificate's bytes and report."""
     from make_fixtures import prism_manifold
     from lenscert.certificate import parse, pipeline, serialize
     from lenscert.checker import verify_bound
-    from lenscert.triangulation import format_triangulation, parse_triangulation
+    from lenscert.triangulation import Triangulation
 
     tri = prism_manifold(BOUND_TETRAHEDRA)
-    text, tri_text = serialize(pipeline(tri)[0]), format_triangulation(tri)
-    raw: dict[str, list[float]] = {"bound_parse_ms": [], "bound_verify_ms": []}
-    calibrated: dict[str, list[float]] = {metric: [] for metric in raw}
-    for _ in range(repeats):
-        fresh = parse_triangulation(tri_text)
-        before = _reference_ns()
-        start = time.perf_counter()
-        cert = parse(text)
-        parsed = time.perf_counter()
-        report = verify_bound(cert, fresh)
-        ms = {"bound_parse_ms": parsed - start, "bound_verify_ms": time.perf_counter() - parsed}
-        scale = _scale(before)
-        for metric, seconds in ms.items():
-            raw[metric].append(seconds * 1e3)
-            calibrated[metric].append(seconds * 1e3 * scale)
+    text = serialize(pipeline(tri)[0])
+    cert = parse(text)
+    report = verify_bound(cert, tri)
     if not report.accepted:
         raise SystemExit(f"error: verify_bound rejected the bound certificate: {report.reason}")
     doc: dict = {"bound_certificate": {"bytes": len(text.encode()), "report": report._asdict()}}
-    for metric in raw:
-        doc[metric] = {BOUND_INPUT: statistics.median(calibrated[metric])}
-        doc[metric + "_raw"] = {BOUND_INPUT: statistics.median(raw[metric])}
+    for metric, item, run in (
+        ("bound_parse_ms", text, parse),
+        ("bound_verify_ms", cert, lambda c: verify_bound(c, Triangulation(tri.t, tri.gluings))),
+    ):
+        ms, raw = _median_pass_us([item], run, repeats)
+        doc[metric], doc[metric + "_raw"] = {BOUND_INPUT: ms / 1e3}, {BOUND_INPUT: raw / 1e3}
     return doc
 
 
@@ -175,32 +166,21 @@ def measure(max_n: int, repeats: int) -> dict:
         doc[metric] = {g: us for g, (us, _) in figures.items()}
         doc[metric + "_raw"] = {g: raw for g, (_, raw) in figures.items()}
     doc["cost_model_means"] = {
-        key: statistics.fmean(getattr(r, key) for r in reports)
+        key: round(statistics.fmean(getattr(r, key) for r in reports), 4)
         for key in ("relator_mat_mults", "mat_mults", "field_ops", "cert_bits")
     }
     doc.update(_bound_figures(repeats))
     return doc
 
 
-def _column(runs: list[dict]) -> dict:
-    """Median of each timing over the rounds, each round's timings, the
-    cost-model means and the bound certificate's bytes and report, which
-    every round must repeat exactly."""
-    first = runs[0]
-    if any(run["cost_model_means"] != first["cost_model_means"] for run in runs):
-        raise SystemExit("error: the cost-model means differ between rounds")
-    column = {
-        "certificates": first["certificates"],
-        "cost_model_means": {
-            key: round(value, 4) for key, value in first["cost_model_means"].items()
-        },
-        "bound_certificate": first["bound_certificate"],
-    }
-    for metric in (name + suffix for name in TIMINGS for suffix in ("", "_raw")):
-        rounds = {g: [round(run[metric][g], 2) for run in runs] for g in first[metric]}
-        column[metric] = {g: round(statistics.median(v), 2) for g, v in rounds.items()}
-        column[metric + "_rounds"] = rounds
-    return column
+def _over_rounds(values: list) -> tuple:
+    """The median, to two decimals, of each number in values, one value
+    per round, at any depth of nested dicts, and its rounds."""
+    if isinstance(values[0], dict):
+        pairs = {key: _over_rounds([value[key] for value in values]) for key in values[0]}
+        return {k: m for k, (m, _) in pairs.items()}, {k: r for k, (_, r) in pairs.items()}
+    rounds = [round(value, 2) for value in values]
+    return round(statistics.median(rounds), 2), rounds
 
 
 def _machine() -> str:
@@ -229,14 +209,23 @@ def driver_parser(description: str) -> argparse.ArgumentParser:
     return parser
 
 
-def drive(parser, args, script: str, options: list[str], measure, column, same=None) -> int:
+def drive(parser, args, script: str, options: list[str], measure, fixed=(), same=None) -> int:
     """Run a bench script's rounds and write its JSON document.
 
     With --measure SRC, print measure()'s figures for the lenscert package
     in SRC.  Otherwise measure each --tree in a fresh process, running
     script with options and --repeats, once per round, the trees taking
-    turns to go first, and write one column(runs) per tree.  Every run of
-    every tree must give the same value for the key same, if one is named.
+    turns to go first so that a drift in machine speed falls on all
+    alike, and write one column per tree.  A column holds each key of
+    measure()'s figures by one rule:
+
+      * a key named in fixed or same must hold the same value in every
+        round of its tree, and is copied as it is; the key same, if one
+        is named, must also hold it in every tree;
+      * every other key holds, for each number at any depth of its
+        value, the median over the rounds to two decimals, and
+        <key>_rounds holds each round's number there, to two decimals.
+
     Zero repeats or rounds and a repeated tree NAME are usage errors, and
     a failed measurement ends the run with the child's error output."""
     for flag in ("repeats", "rounds"):
@@ -272,13 +261,25 @@ def drive(parser, args, script: str, options: list[str], measure, column, same=N
         if any(run[same] != first for column_runs in runs.values() for run in column_runs):
             raise SystemExit(f"error: the trees or rounds disagree on {same}")
 
+    kept = {*fixed, *([same] if same is not None else [])}
+    columns = {}
+    for name, column_runs in runs.items():
+        first = column_runs[0]
+        for key in fixed:
+            if any(run[key] != first[key] for run in column_runs):
+                raise SystemExit(f"error: the rounds of tree {name!r} disagree on {key}")
+        column = {key: first[key] for key in kept}
+        for key in first.keys() - kept:
+            column[key], column[key + "_rounds"] = _over_rounds([run[key] for run in column_runs])
+        columns[name] = column
+
     doc = {
         "command": " ".join(
             [f"scripts/{os.path.basename(script)}", *options, "--rounds", str(args.rounds)]
         ),
         "machine": _machine(),
         "python": platform.python_version(),
-        "columns": {name: column(runs[name]) for name in trees},
+        "columns": columns,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -297,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-n must be at least 4: no triple with entries up to 3 is hyperbolic")
     return drive(
         parser, args, os.path.abspath(__file__), ["--max-n", str(args.max_n)],
-        lambda: measure(args.max_n, args.repeats), _column, same="bound_certificate",
+        lambda: measure(args.max_n, args.repeats),
+        fixed=("certificates", "cost_model_means"), same="bound_certificate",
     )
 
 

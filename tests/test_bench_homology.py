@@ -7,8 +7,6 @@ import shutil
 import subprocess
 import sys
 
-import pytest
-
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_homology.py")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -59,25 +57,3 @@ def test_bench_homology_names_a_tree_without_seed_core(tmp_path):
         "error: the tree has no lenscert.intlinalg.seed_core, the step-1 API "
         "(noncyclic_certificate(pres, seed_core(pres))) this script times",
     ]
-
-
-def test_bench_homology_refuses_a_tree_without_lenscert(tmp_path):
-    out = _run("--tree", f"old={tmp_path}", "--rounds", "1")
-    assert out.returncode == 2
-    assert "expected NAME=SRC with SRC/lenscert" in out.stderr
-    assert "Traceback" not in out.stderr
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (("--rounds", "0"), "--rounds must be at least 1"),
-        (("--repeats", "0"), "--repeats must be at least 1"),
-        (("--tree", f"a={SRC}", "--tree", f"a={SRC}"), "the name 'a' is given twice"),
-    ],
-)
-def test_bench_homology_refuses_an_empty_or_merged_measurement(args, message):
-    out = _run(*args)
-    assert out.returncode == 2
-    assert message in out.stderr
-    assert "Traceback" not in out.stderr

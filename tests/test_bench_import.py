@@ -28,6 +28,7 @@ def test_bench_import_one_round_writes_one_column():
         assert all(len(v) == 1 for v in column[metric + "_rounds"].values())
     for mode, split in column["split_ms"].items():
         assert set(split) == {"compile", "dataclass", "rest"}
+        assert all(len(v) == 1 for v in column["split_ms_rounds"][mode].values())
         assert abs(sum(split.values()) - column["import_ms"][mode]) < 0.05
     # a warm cache compiles nothing; without one, every module is compiled
     assert column["split_ms"]["cached"]["compile"] == 0

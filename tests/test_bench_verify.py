@@ -1,8 +1,10 @@
 """scripts/bench_verify.py runs end to end on a small sweep and writes
-the JSON its docstring describes."""
+the JSON its docstring describes, and its drive() runs the trees and
+rounds of every bench script."""
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -13,7 +15,8 @@ from lenscert.certificate import triangle_certificate
 from lenscert.checker import parse, serialize, verify
 from lenscert.trianglerep import hyperbolic_triples
 
-SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_verify.py")
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+SCRIPT = os.path.join(SCRIPTS, "bench_verify.py")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -60,16 +63,65 @@ def test_bench_verify_refuses_a_sweep_without_hyperbolic_triples():
     assert "Traceback" not in out.stderr
 
 
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_bench_verify_two_trees_take_turns_over_two_rounds():
+    out = _run(
+        "--tree", f"a={SRC}", "--tree", f"b={SRC}",
+        "--max-n", "5", "--repeats", "1", "--rounds", "2",
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["command"].endswith("--rounds 2")
+    assert list(doc["columns"]) == ["a", "b"]
+    for column in doc["columns"].values():
+        rounds = [leaf for key in column if key.endswith("_rounds") for leaf in _leaves(column[key])]
+        assert rounds and all(len(leaf) == 2 for leaf in rounds)
+
+
+def test_bench_verify_refuses_trees_that_disagree_on_the_bound_certificate(tmp_path):
+    shutil.copytree(
+        os.path.join(SRC, "lenscert"), tmp_path / "lenscert",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    presentation = tmp_path / "lenscert" / "presentation.py"
+    old = presentation.read_text()
+    new = old.replace('tuple(f"x{i}" for i in range(g))', 'tuple(f"gen{i}" for i in range(g))')
+    assert new != old
+    presentation.write_text(new)
+    out = _run(
+        "--tree", f"a={SRC}", "--tree", f"b={tmp_path}",
+        "--max-n", "5", "--repeats", "1", "--rounds", "1",
+    )
+    assert out.returncode == 1
+    assert out.stderr.rstrip("\n") == "error: the trees or rounds disagree on bound_certificate"
+
+
+@pytest.mark.parametrize("script", ["bench_verify.py", "bench_homology.py", "bench_import.py"],
+                         ids=["verify", "homology", "import"])
 @pytest.mark.parametrize(
     "args, message",
     [
         (("--rounds", "0"), "--rounds must be at least 1"),
         (("--repeats", "0"), "--repeats must be at least 1"),
         (("--tree", f"a={SRC}", "--tree", f"a={SRC}"), "the name 'a' is given twice"),
+        (("--tree", f"old={SCRIPTS}"), "expected NAME=SRC with SRC/lenscert"),
     ],
+    ids=["rounds-0", "repeats-0", "name-twice", "no-lenscert"],
 )
-def test_bench_verify_refuses_an_empty_or_merged_measurement(args, message):
-    out = _run("--max-n", "5", *args)
+def test_bench_refuses_an_empty_or_merged_measurement(script, args, message):
+    """drive() refuses these before it measures anything, for every bench
+    script; SCRIPTS holds no lenscert package."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, script), *args],
+        capture_output=True, text=True, timeout=120,
+    )
     assert out.returncode == 2
     assert message in out.stderr
     assert "Traceback" not in out.stderr

@@ -704,6 +704,39 @@ def test_abelian_images_must_be_reduced():
     assert reduced.abelian_images == ((6, 0), (0, 1))
 
 
+# the free group on x and y onto Z/2 x Z/2, in seven lines
+V4_CERT = (
+    "lenscert v1\nkind NonCyclicAbelian\ngens 2 x y\nrels 0\n"
+    "target Z/2 x Z/2\ngen x = (1,0)\ngen y = (0,1)\n"
+)
+
+
+def test_a_target_modulus_of_one_is_a_syntax_error(tmp_path):
+    """Z/3 x Z/1 is refused by the grammar (exit 2), not read and then
+    rejected by verify as a cyclic span (exit 1)."""
+    assert verify(parse(V4_CERT)).accepted
+    text = V4_CERT.replace("Z/2 x Z/2", "Z/3 x Z/1").replace("(0,1)", "(0,0)")
+    with pytest.raises(CertificateSyntaxError, match=r"^abelian target moduli must exceed 1$"):
+        parse(text)
+    path = tmp_path / "z1.cert"
+    path.write_text(text)
+    assert cli_main(["verify", str(path)]) == 2
+
+
+def test_an_image_equal_to_its_modulus_is_not_reduced():
+    """(0,2) over Z/2 x Z/2 is refused, not reduced to (0,0): serialize
+    would write a different text."""
+    with pytest.raises(CertificateSyntaxError) as info:
+        parse(V4_CERT.replace("(0,1)", "(0,2)"))
+    assert str(info.value) == "line 7: abelian image (0,2) is not reduced in Z/2 x Z/2"
+
+
+def test_a_missing_final_newline_names_the_last_line():
+    with pytest.raises(CertificateSyntaxError) as info:
+        parse(V4_CERT.rstrip("\n"))
+    assert str(info.value) == "line 7: no newline at end of line"
+
+
 # (certificate, replacement for its first matrix line, the error message
 # the parser gave before matrix lines were read as ints, and still gives)
 MALFORMED_MATRIX_LINES = [

@@ -53,9 +53,9 @@ import os
 import sys
 from functools import partial
 
+from bench_verify import _median_pass_us, drive, driver_parser
+
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
-from bench_verify import _median_pass_us, drive, driver_parser  # noqa: E402
 
 LENS = ((40, 11), (120, 37), (240, 61), (1000, 331), (10000, 3001))
 PRISM = (101, 10000)

@@ -55,7 +55,6 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
 sys.path.append(os.path.join(HERE, "..", "perfbench"))
 from bench_verify import _median_pass_us, drive, driver_parser  # noqa: E402
 from bench_workloads import LIB_MODULES  # noqa: E402

@@ -12,8 +12,8 @@ directed-edge orbit): a generator's letter is the directed-edge orbit
 it runs along.  Every letter comes from that letter table, a
 (generator below g, +-1) pair, so the relators and the presentation are
 built by `Word.from_checked` and `GroupPresentation.from_checked` and
-checked once, where the table is made.  The cell structure pi1 was once
-read from is kept as a reference oracle in `tests/oracles.py`.
+checked once, where the table is made.  Reading pi1 from a cell
+structure is kept as a reference oracle in `tests/oracles.py`.
 
 A presentation keeps nothing but its generators, relators and labels.
 This module holds what the checker runs on them: Word (a `psl.Frozen`

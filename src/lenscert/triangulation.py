@@ -28,9 +28,9 @@ the edge classes' roots are read off the walks, and the vertex classes
 are the walks' tails, joined.  ``validate`` and ``presentation.fundamental_group``
 share it; it is derived from the gluings alone, so the memo never
 changes a value.  ``orientation_check``
-is one breadth-first pass from tetrahedron 0.  The dual spanning graph
-that the orientation check once built, and the earlier three-pass orbit
-search, are kept as reference oracles in ``tests/oracles.py``.
+is one breadth-first pass from tetrahedron 0.  A dual spanning graph
+with its tree-sign orientation check, and a three-pass orbit search, are
+kept as reference oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

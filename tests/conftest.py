@@ -2,6 +2,11 @@ import json
 import os
 
 import pytest
+from hypothesis import settings
+
+# an example takes as long as its input is large: no per-example deadline
+settings.register_profile("lenscert", deadline=None)
+settings.load_profile("lenscert")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

@@ -103,6 +103,29 @@ def test_bench_verify_refuses_trees_that_disagree_on_the_bound_certificate(tmp_p
     assert out.stderr.rstrip("\n") == "error: the trees or rounds disagree on bound_certificate"
 
 
+def test_bench_verify_refuses_a_tree_whose_rounds_disagree_on_a_fixed_key(tmp_path):
+    # in the copy, every process after the first, told so by a marker file
+    # the first leaves beside the module, sweeps one triple fewer
+    shutil.copytree(
+        os.path.join(SRC, "lenscert"), tmp_path / "lenscert",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    trianglerep = tmp_path / "lenscert" / "trianglerep.py"
+    trianglerep.write_text(trianglerep.read_text() + (
+        "\nimport os as _os\n"
+        "_MARKER = _os.path.join(_os.path.dirname(__file__), 'measured')\n"
+        "_LATER = _os.path.exists(_MARKER)\n"
+        "open(_MARKER, 'w').close()\n"
+        "_all_triples = hyperbolic_triples\n\n\n"
+        "def hyperbolic_triples(max_n):\n"
+        "    triples = _all_triples(max_n)\n"
+        "    return triples[:-1] if _LATER else triples\n"
+    ))
+    out = _run("--tree", f"a={tmp_path}", "--max-n", "5", "--repeats", "1", "--rounds", "2")
+    assert out.returncode == 1
+    assert out.stderr.rstrip("\n") == "error: the rounds of tree 'a' disagree on certificates"
+
+
 @pytest.mark.parametrize("script", ["bench_verify.py", "bench_homology.py", "bench_import.py"],
                          ids=["verify", "homology", "import"])
 @pytest.mark.parametrize(

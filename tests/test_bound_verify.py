@@ -5,9 +5,7 @@ pipeline, trianglecert or the fixtures emit is accepted on a lens space,
 and pipeline emits none for a cyclic H1 without a surjection."""
 
 import math
-import os
 import re
-import sys
 
 import pytest
 
@@ -16,10 +14,8 @@ from lenscert.certificate import PipelineError, pipeline, triangle_certificate
 from lenscert.checker import parse, serialize, verify, verify_bound
 from lenscert.intlinalg import abelianization, format_abelian, is_cyclic
 from lenscert.presentation import fundamental_group
+from make_fixtures import lens_space
 from oracles import disjoint_union
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space  # noqa: E402
 
 TRIANGULATIONS = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
 # pipeline's certificates, each about the triangulation it names

@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import hashlib
 import itertools
-import os
 import random
 import re
 import sys
@@ -47,6 +46,7 @@ from lenscert.galois import SearchLimitExceeded, is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
 from lenscert.presentation import GroupPresentation, Word, fundamental_group
 from lenscert.psl import FieldSpec, ProjMatrix
+from make_fixtures import prism_manifold
 from oracles import (
     dense_abelian_report,
     equal_up_to_sign,
@@ -58,9 +58,6 @@ from oracles import (
     spliced_word_image,
     word_power,
 )
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import prism_manifold  # noqa: E402
 
 
 def fig8_certificate() -> Certificate:
@@ -621,7 +618,7 @@ def test_gens_line_without_its_labels_exits_two(text, tmp_path):
     assert cli_main(["verify", str(path)]) == 2
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(EMITTED_TEXTS), st.data())
 def test_spelling_edits_round_trip_or_are_syntax_errors(text, data):
     """One edit anywhere in an emitted certificate gives text that either
@@ -987,7 +984,7 @@ def _det_one_matrix(spec, a, b, c, d):
     return ProjMatrix(spec.element(a % p), spec.element(b % p), spec.element(c), spec.element(d))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_one_generator_rep_certificate_never_accepted(data):
     """Over one generator every image is abelian, so no witness can pass."""
@@ -1017,7 +1014,7 @@ def test_one_generator_rep_certificate_never_accepted(data):
     assert not verify(cert).accepted
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_commuting_images_never_accepted(data):
     """If all generator images commute, u v and v u have equal images for
@@ -1144,7 +1141,7 @@ def abelian_certificates(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(abelian_certificates())
 def test_abelian_path_matches_dense_oracle(cert):
     """Sums kept for the generators a relator touches give the report of
@@ -1182,7 +1179,7 @@ def test_target_moduli_must_exceed_one():
         )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(2, 10**6), st.integers(2, 10**6), st.data())
 def test_subgroup_invariants_match_snf_oracle(a, b, data):
     """Moduli up to 10^6, equal or not; up to 50 images, with zero,
@@ -1473,7 +1470,7 @@ def test_verify_matches_the_spliced_surjection_oracle():
     seen = set()
     accepted_through_surjection = set()
 
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=600, derandomize=True, database=None)
     @given(rep_certificates())
     def check(cert):
         accepted, reason = spliced_rep_verdict(cert)
@@ -1552,7 +1549,7 @@ def test_verify_charges_exactly_the_words_it_reads():
     fields = PRIME_FIELDS[2:] + tuple(quadratic_extension(FieldSpec(p)) for p in (3, 5, 7))
     seen = set()
 
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=600, derandomize=True, database=None)
     @given(rep_certificates(st.one_of(st.sampled_from(fields), RINGS)), st.booleans(), st.booleans())
     def check_rep(cert, rotate_ab, lift):
         g = cert.presentation.g
@@ -1571,7 +1568,7 @@ def test_verify_charges_exactly_the_words_it_reads():
             outcome = "equal"
         seen.add((is_prime(cert.field.p), cert.field.degree, cert.surjection is not None, outcome))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, derandomize=True, database=None)
     @given(abelian_certificates())
     def check_abelian(cert):
         report = verify(parse(serialize(cert)))
@@ -1691,7 +1688,7 @@ def test_noncyclic_certificate_splits_the_modulus_only_without_a_unit_pivot():
         assert snf_subgroup_invariants(8, 8, cert.abelian_images) == (8, 8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.randoms(use_true_random=False))
 def test_noncyclic_certificate_on_random_presentations(rng):
     """Freely reduced random relators with a non-cyclic H1: the

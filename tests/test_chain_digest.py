@@ -14,7 +14,6 @@ import glob
 import hashlib
 import os
 import random
-import sys
 from math import gcd
 
 from conftest import FIXTURES, fixture_text
@@ -26,10 +25,8 @@ from lenscert.triangulation import (
     parse_triangulation,
     validate,
 )
+from make_fixtures import lens_space
 from oracles import disjoint_union, random_gluing_table
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space  # noqa: E402
 
 CHAIN_SHA256 = "33fe4bf2d1b9cd9299810d6f9e818bbe6c50b3c9cd5827c783457f099d0f521b"
 

@@ -214,7 +214,7 @@ def test_inverse_in_a_ring_that_is_not_a_field(spec, units, non_unit):
         spec.element(*non_unit).inverse()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 336), st.integers(0, 336), st.integers(0, 336))
 def test_field_axioms_prime_field(a, b, c):
     spec = FieldSpec(337)
@@ -225,7 +225,7 @@ def test_field_axioms_prime_field(a, b, c):
     assert x + y == y + x and x * y == y * x
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(*(st.integers(0, 12) for _ in range(6)))
 def test_field_axioms_quadratic(a0, a1, b0, b1, c0, c1):
     spec = quadratic_extension(FieldSpec(13))

@@ -1,6 +1,4 @@
-import os
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ from lenscert.certificate import parse_word
 from lenscert.presentation import GroupPresentation, Word
 from conftest import MANIFOLD_FIXTURES, load_fixture
 from lenscert.presentation import fundamental_group
+from make_fixtures import lens_space
 from oracles import (
     det_int,
     exponent_matrix,
@@ -32,9 +31,6 @@ from oracles import (
     two_sided_smith_normal_form,
     word_power,
 )
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space  # noqa: E402
 
 
 def triangle_presentation_333():
@@ -107,7 +103,7 @@ def _int_matrices():
     return st.integers(0, 5).flatmap(rows_of)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_int_matrices())
 def test_snf_v_is_a_unimodular_column_transform(a):
     """V is unimodular, column j of a*V is 0 beyond the rank and divisible
@@ -266,7 +262,7 @@ def test_hadamard_bound_on_500_random_presentations():
         assert group.torsion_order() <= hadamard_torsion_bound(pres)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_hadamard_bound_property(data):
     g = data.draw(st.integers(1, 5))
@@ -296,7 +292,7 @@ def dense_abelianization(pres) -> AbelianGroup:
     return AbelianGroup(free_rank=pres.g - snf.rank, torsion=torsion)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_abelianization_matches_minors_oracle(data):
     # exponents +-2 and +-3 leave non-unit pivots, so the dense core is

@@ -17,9 +17,7 @@ from conftest import FIXTURES
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import fundamental_group
 from lenscert.triangulation import orientation_check, validate
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-import make_fixtures  # noqa: E402
+import make_fixtures
 
 
 def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,8 @@ against the chain they replaced (three orbit passes, the dual-graph
 orientation check, pi1 from a cell structure)."""
 
 import itertools
-import os
 import random
 import signal
-import sys
 from math import gcd
 
 import pytest
@@ -31,6 +29,7 @@ from lenscert.triangulation import (
     parse_triangulation,
     validate,
 )
+from make_fixtures import lens_space
 from oracles import (
     _edge_orbits,
     _vertex_orbits,
@@ -47,9 +46,6 @@ from oracles import (
     three_pass_orbit_roots,
     tree_orientation_check,
 )
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space  # noqa: E402
 
 ALL_FIXTURES = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
 # fixtures whose boundary matrices keep the minors oracle cheap; the other
@@ -234,13 +230,13 @@ def _assert_chain_matches_replaced(tri):
     assert _result(fundamental_group, tri) == _result(cell_fundamental_group, tri)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(1, 12), st.booleans(), st.randoms(use_true_random=False))
 def test_chain_equals_replaced_chain_on_random_tables(t, connected, rnd):
     _assert_chain_matches_replaced(random_gluing_table(t, rnd, connected=connected))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
 def test_chain_equals_replaced_chain_on_disjoint_unions(t1, t2, rnd):
     tri = disjoint_union(random_gluing_table(t1, rnd), random_gluing_table(t2, rnd))
@@ -296,7 +292,7 @@ def lens_parameters(draw):
     return p, q
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(lens_parameters(), st.randoms(use_true_random=False))
 def test_chain_equals_replaced_chain_on_relabelled_lens_spaces(pq, rnd):
     tri = lens_space(*pq)

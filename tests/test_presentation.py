@@ -1,8 +1,6 @@
 import functools
 import math
-import os
 import random
-import sys
 import time
 
 import pytest
@@ -25,6 +23,7 @@ from lenscert.presentation import (
 )
 from lenscert.psl import FieldSpec, ProjMatrix
 from lenscert.triangulation import parse_triangulation, validate
+from make_fixtures import enumerate_tables, lens_space, prism_manifold
 from oracles import (
     cell_structure,
     chain_complex_h1,
@@ -40,9 +39,6 @@ from oracles import (
     s4_homomorphism_count,
     word_power,
 )
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import enumerate_tables, lens_space, prism_manifold  # noqa: E402
 
 MINIMAL_ONE_TET = """
 t=1
@@ -62,7 +58,7 @@ def test_free_reduction():
     assert reduced_word(nested) == Word(((2, 1),))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.lists(
         st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=30
@@ -73,7 +69,7 @@ def test_reduction_idempotent(letters):
     assert reduced_word(reduced_word(w)) == reduced_word(w)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=15)
 )
@@ -82,7 +78,7 @@ def test_word_inverse_cancels(letters):
     assert reduced_word(Word(w.letters + inverse_word(w).letters)) == Word()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=12)
 )
@@ -114,7 +110,7 @@ def test_word_format_roundtrip():
         assert str(raised.value) == f"unknown generator {f'a{blank}b'!r} in word"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_parse_word_reads_back_format_word(data):
     label = st.from_regex(LABEL_PATTERN, fullmatch=True)
@@ -153,7 +149,7 @@ def test_read_word_names_an_unknown_generator():
 LETTERS = st.tuples(st.integers(0, 7), st.sampled_from((1, -1)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 6), st.lists(st.lists(LETTERS, max_size=4), max_size=5))
 def test_presentation_rejects_exactly_the_relators_past_its_generators(g, words):
     relators = tuple(Word(tuple(letters)) for letters in words)
@@ -342,7 +338,7 @@ def test_exponent_matrix_no_relators():
     assert matrix.rows == 0 and matrix.cols == 3
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=24))
 @example([])
 @example([(0, 1), (0, 1), (2, -1)])  # a repeated letter
@@ -381,7 +377,7 @@ def test_format_presentation_block():
 # closure and lift
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1))
 def test_closure_follows_its_stated_order(seed):
     pres = random_presentation(random.Random(seed))
@@ -484,7 +480,7 @@ def _check_lift_into_psl25(pres, rng) -> int:
     return len({hom for hom in homs if hom != (one,) * pres.g})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.randoms(use_true_random=False))
 def test_lift_rebuilds_every_homomorphism_into_psl_2_5(rng):
     # PSL(2,5) is non-abelian, so a lift that multiplied B and A in the

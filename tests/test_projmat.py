@@ -159,7 +159,7 @@ def test_matrices_are_immutable():
         del m.spec
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(sl2_entries(), st.data())
 def test_mul_and_inverse_match_reference_product(entries, data):
     spec = entries[0].spec
@@ -170,7 +170,7 @@ def test_mul_and_inverse_match_reference_product(entries, data):
     assert equal_up_to_sign(m.entries(), entries)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(sl2_entries())
 def test_negation_is_equal_and_hashes_alike(entries):
     m = ProjMatrix(*entries)
@@ -181,14 +181,14 @@ def test_negation_is_equal_and_hashes_alike(entries):
     assert len({m, negated}) == 1
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(sl2_entries())
 def test_str_formats_entries(entries):
     m = ProjMatrix(*entries)
     assert str(m) == f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(sl2_entries())
 def test_from_reduced_matches_field_constructor(entries):
     m = ProjMatrix(*entries)
@@ -226,7 +226,7 @@ def images_and_word(draw):
     return spec, images, Word(tuple(draw(st.lists(letter, max_size=14))))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(images_and_word())
 def test_evaluate_word_matches_oracle_fold(case):
     spec, entries, word = case
@@ -277,7 +277,7 @@ def _short_word_examples(test):
     return test
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(wide_words())
 @_short_word_examples
 def test_fold_letters_matches_the_letter_by_letter_oracle_beyond_64_bits(case):
@@ -315,7 +315,7 @@ def periodic_words(draw):
     return spec, images, tuple(letters)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(periodic_words())
 def test_fold_letters_matches_the_letter_by_letter_oracle_on_periodic_words(case):
     """A word with a short period is folded as w^k u by square-and-multiply;
@@ -360,7 +360,7 @@ def test_period_two_word_costs_logarithmic_products(monkeypatch, spec, k, tail):
     assert value == expected[0]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(images_and_word(), st.integers(0, 5))
 def test_evaluate_word_rejects_unmapped_generator(case, excess):
     spec, entries, word = case
@@ -372,7 +372,7 @@ def test_evaluate_word_rejects_unmapped_generator(case, excess):
         evaluate_word([], word)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(sl2_entries(), st.integers(-20, 20))
 def test_power_matches_oracle_fold(entries, n):
     m = ProjMatrix(*entries)
@@ -411,7 +411,7 @@ def ring_sl2(draw, specs=POWER_SPECS):
     return spec, v
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(ring_sl2(), st.integers(0, 10**6))
 @example((SPEC5, (1, 0, 1, 0, 0, 0, 1, 0)), 0)
 @example((FieldSpec(9), (1, 0, 3, 0, 0, 0, 1, 0)), 1)
@@ -426,7 +426,7 @@ def test_power_coords_are_square_and_multiply_coords(case, k):
     assert _power_coords(p, s, v, k) == square_and_multiply_power(p, s, v, k)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ring_sl2(), st.integers(-(10**6), -1))
 def test_a_negative_power_is_the_inverse_powered(case, n):
     spec, v = case
@@ -437,7 +437,7 @@ def test_a_negative_power_is_the_inverse_powered(case, n):
     assert m.power(n).coords == _sign_normalized(p, square_and_multiply_power(p, s, inverse, -n))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data(), st.integers(0, 10**6))
 def test_fold_letters_takes_powers_of_periodic_words_exactly(data, k):
     """x^k and (xy)^k fold to the sign-normalized square-and-multiply
@@ -510,7 +510,7 @@ def test_order_matches_naive_iteration():
     assert {4, 8, 9, 16, 17, 31} <= seen
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(sl2_entries(specs=SMALL_SPECS))
 def test_orders_match_naive_powering(entries):
     m = ProjMatrix(*entries)
@@ -629,7 +629,7 @@ def order_cases(draw):
     return m, ns
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(order_cases())
 def test_has_order_matches_power_oracle(case):
     m, ns = case

@@ -1,28 +1,50 @@
-"""pyproject.toml's `test` extra and the CI workflow pin the same test
-dependencies: a new hypothesis release can change what the derandomized
-tests draw, so a local install from the extra must match CI's.
+"""Each set-up fact is stated once: pyproject.toml's `test` extra pins the
+test dependencies, which README and CI install, and pytest's import path;
+conftest.py sets the deadline.  Read as text or ast: 3.10 has no tomllib."""
 
-Both files are read as text, as tomllib is not in Python 3.10.
-"""
-
-import os
+import ast
 import re
+from pathlib import Path
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-_PIN = re.compile(r"([A-Za-z0-9_.-]+)==([^\s\"',\]]+)")
+from hypothesis import settings
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTALL = ['pip install "setuptools>=68" wheel', 'pip install -e ".[test]" --no-build-isolation']
 
 
-def _pins(path: str, line_start: str) -> dict[str, str]:
-    """{package: version} of the `name==version` pins on the one line of
-    path that starts, after indentation, with line_start."""
-    with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
-        lines = [line for line in handle if line.lstrip().startswith(line_start)]
-    assert len(lines) == 1, lines
-    return dict(_PIN.findall(lines[0]))
+def _read(path) -> str:
+    return (ROOT / path).read_text(encoding="utf-8")
+
+
+def _test_nodes():
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(_read(path))):
+            yield path.name, node
 
 
 def test_ci_installs_the_pins_of_the_test_extra():
-    extra = _pins("pyproject.toml", "test = [")
-    ci = _pins(os.path.join(".github", "workflows", "tier1.yml"), "run: pip install ")
-    assert set(extra) == {"pytest", "hypothesis"}
-    assert extra == ci
+    (extra,) = [line for line in _read("pyproject.toml").splitlines() if line.startswith("test = [")]
+    assert set(re.findall(r'"(\w+)==', extra)) == {"pytest", "hypothesis"}
+    for path in (".github/workflows/tier1.yml", "README.md"):
+        text = _read(path)
+        assert not re.search(r"(pytest|hypothesis)\s*[=<>~!]=", text), path
+        lines = (line.strip().removeprefix("run: ").split(" #")[0].rstrip() for line in text.splitlines())
+        assert [line for line in lines if line.startswith("pip install ")] == INSTALL, path
+
+
+def test_pyproject_alone_sets_the_import_path():
+    assert 'pythonpath = ["src", "scripts"]' in _read("pyproject.toml").splitlines()
+    # a string naming sys.path, as a child process's source, is not code
+    assert [
+        (module, node.lineno) for module, node in _test_nodes()
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.path", "monkeypatch.syspath_prepend")
+    ] == []
+
+
+def test_conftest_alone_sets_the_hypothesis_deadline():
+    assert settings.default.deadline is None
+    assert [
+        (module, node.lineno) for module, node in _test_nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "settings"
+        and any(keyword.arg == "deadline" for keyword in node.keywords)
+    ] == []

@@ -85,7 +85,7 @@ def test_classify_matches_fraction_oracle_up_to_60():
                 assert classify(c, a, b) == fraction_classify(a, b, c)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.one_of(st.integers(2, 7), st.integers(2, 10**12)), min_size=3, max_size=3))
 @example([2, 3, 6])
 @example([2, 4, 4])
@@ -176,7 +176,7 @@ def test_solve_r_residue_verdict_recorded():
     assert (out_spec.degree == 1) == is_quadratic_residue(disc.a, p)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.integers(2, 40), min_size=3, max_size=3), st.integers(0, 2))
 @example([2, 3, 7], 0)  # F_337
 @example([2, 3, 8], 0)  # F_97^2
@@ -196,7 +196,7 @@ def test_int_construction_matches_field_oracles(entries, k):
     assert r == (oracle_r.a, oracle_r.b)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from([5, 13, 97, 337, 1009, 65537]), st.data())
 def test_solve_r_matches_field_oracle_on_any_coefficients(p, data):
     spec = FieldSpec(p)
@@ -365,7 +365,7 @@ def test_closed_form_y_matches_the_product_oracle():
     assert degrees == {1, 2}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from([5, 13, 97, 337, 65537]), st.booleans(), st.data())
 def test_closed_form_conjugate_matches_the_product_oracle_on_any_c_and_r(p, extend, data):
     spec = quadratic_extension(FieldSpec(p)) if extend else FieldSpec(p)

@@ -1,9 +1,7 @@
 import hashlib
 import itertools
-import os
 import random
 import re
-import sys
 import time
 from math import gcd
 
@@ -25,6 +23,7 @@ from lenscert.triangulation import (
     parse_triangulation,
     validate,
 )
+from make_fixtures import lens_space, prism_manifold
 from oracles import (
     closure_assemble,
     closure_parse_triangulation,
@@ -37,9 +36,6 @@ from oracles import (
     relabel_triangulation,
     table_built_directly,
 )
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
-from make_fixtures import lens_space, prism_manifold  # noqa: E402
 
 MINIMAL_ONE_TET = """
 # two self-gluings of a single tetrahedron
@@ -350,7 +346,7 @@ def _decorated_gluing_text(rnd):
     return "\n".join(lines) + rnd.choice(["", "\n", "\r\n"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.randoms(use_true_random=False))
 def test_parse_equals_line_by_line_parse(rnd):
     text = _decorated_gluing_text(rnd)
@@ -360,7 +356,7 @@ def test_parse_equals_line_by_line_parse(rnd):
 _ALL_PERMS = [Permutation4(images) for images in itertools.permutations(range(4))]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(-1, 4), st.randoms(use_true_random=False))
 def test_assembly_equals_closure_assembly(t, rnd):
     """Random gluings on t tetrahedra, each now and then with a face out
@@ -467,7 +463,7 @@ def test_format_equals_pairings_format_on_fixtures_and_parametric_builds():
         assert format_triangulation(tri) == pairings_format_triangulation(tri)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 6), st.text(max_size=30), st.randoms(use_true_random=False))
 def test_format_equals_pairings_format_on_random_tables(t, comment, rnd):
     # the rows built directly need not pair faces both ways; their perms
@@ -652,7 +648,7 @@ def test_witness_is_a_violating_pairing():
     assert exhaustive_orientation(tri) is None
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 6), st.randoms(use_true_random=False))
 def test_involution_property_random_tables(t, rnd):
     tri = random_gluing_table(t, rnd, connected=False)

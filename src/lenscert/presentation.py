@@ -213,17 +213,13 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
     canonical (tet, face) order, gives the freely reduced boundary word
     of its smaller side.
     """
-    vroot, droot, edge_roots, _ = tri.orbit_walk
+    vroot, droot, edge_roots, _, reversed_edges = tri.orbit_walk
     link = list(range(len(vroot)))  # vertex class -> a class of its component, or itself
     joined = 0  # tree edges
     g = 0  # generators
-    reversed_edge = False
     letter: dict[int, tuple[int, int]] = {}  # directed root -> (generator, +-1)
     for root in edge_roots:
         tet, k = divmod(root, 6)
-        fwd, back = EDGE_DIRECTIONS[k]
-        positive, negative = droot[12 * tet + fwd], droot[12 * tet + back]
-        reversed_edge = reversed_edge or positive == negative
         a, b = EDGE_PAIRS[k]
         va, vb = vroot[4 * tet + a], vroot[4 * tet + b]
         if va != vb:  # the classes' components, by path halving
@@ -235,14 +231,15 @@ def fundamental_group(tri: Triangulation) -> GroupPresentation:
             link[va] = vb
             joined += 1
         else:
-            letter[positive] = (g, 1)
-            letter[negative] = (g, -1)
+            fwd, back = EDGE_DIRECTIONS[k]
+            letter[droot[12 * tet + fwd]] = (g, 1)
+            letter[droot[12 * tet + back]] = (g, -1)
             g += 1
     # the 1-skeleton is connected iff the triangulation is; a spanning
     # forest of it has one edge fewer than its vertex classes per component
     if joined < len(set(vroot)) - 1:
         raise DisconnectedError("triangulation is not connected")
-    if reversed_edge:
+    if reversed_edges:
         raise TriangulationError("edge glued to itself in reverse; no orientation")
 
     relators = []

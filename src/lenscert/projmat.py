@@ -6,9 +6,10 @@ V_k = tr(M^k) satisfy V_(k+1) = tr(M)*V_k - V_(k-1), and M^k = +-I iff
 V_k = +-2 when tr(M) != +-2.  So "order exactly n" is a walk of at most
 n - 1 scalar multiply-adds, with no factorization of n; a trace of +-2
 means order 1 or p.  projective_order, which finds an unknown order,
-descends from the trace class's order bound by matrix powers.  Both
-order checks, like galois.root_of_unity and imaginary_unit, assume a
-field, and only producers call them.
+descends from the trace class's order bound by matrix powers; no
+producer calls it, only criterion 2, unit tests and perfbench's order
+check span.  Both order checks, like galois.root_of_unity and
+imaginary_unit, assume a field, and the checker calls neither.
 """
 
 from __future__ import annotations

@@ -296,43 +296,22 @@ def _prime_power_base(m: int) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(k: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the k-th cyclotomic polynomial,
-    by exact division of x^k - 1 by the lower cyclotomic factors."""
-    poly = [-1] + [0] * (k - 1) + [1]  # x^k - 1
-    for d in range(1, k):
-        if k % d == 0:
-            poly = _polydiv_exact(poly, list(_cyclotomic_poly(d)))
-    return tuple(poly)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        coeff = rem[i + len(den) - 1] // den[-1]
-        out[i] = coeff
-        for j, dj in enumerate(den):
-            rem[i + j] -= coeff * dj
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 def cyclotomic_eval(k: int, at: int) -> int:
-    """Exact value of the k-th cyclotomic polynomial at +1 or -1."""
+    """Exact value of the k-th cyclotomic polynomial at +1 or -1, by the
+    closed forms: Phi_1(1) = 0 and Phi_1(-1) = -2; Phi_k(-1) = 1 for odd
+    k > 1; Phi_2m(-1) = Phi_m(1); and for k > 1, Phi_k(1) is p when k is
+    a power of the prime p, else 1."""
     if k < 1:
         raise ValueError("k must be positive")
     if at not in (1, -1):
         raise ValueError("evaluation point must be +1 or -1")
-    coeffs = _cyclotomic_poly(k)
-    out = 0
-    sign = 1
-    for c in coeffs:
-        out += c * sign
-        sign *= at
-    return out
+    if at == -1:
+        if k % 2:
+            return -2 if k == 1 else 1
+        k //= 2
+    if k == 1:
+        return 0
+    return _prime_power_base(k) or 1
 
 
 class FieldDegreeReport(NamedTuple):

@@ -24,13 +24,13 @@ face.
 
 ``Triangulation.orbit_walk`` computes the vertex, edge and directed-edge
 orbits once per instance, in one walk around each directed-edge orbit:
-the edge classes' roots are read off the walks, and the vertex classes
-are the walks' tails, joined.  ``validate`` and ``presentation.fundamental_group``
-share it; it is derived from the gluings alone, so the memo never
-changes a value.  ``orientation_check``
-is one breadth-first pass from tetrahedron 0.  A dual spanning graph
-with its tree-sign orientation check, and a three-pass orbit search, are
-kept as reference oracles in ``tests/oracles.py``.
+the edge classes' roots, and the count of those glued in reverse, are
+read off the walks, and the vertex classes are the walks' tails, joined.
+``validate`` and ``presentation.fundamental_group`` share it; it is
+derived from the gluings alone, so the memo never changes a value.
+``orientation_check`` is one breadth-first pass from tetrahedron 0.
+Union-find orbits and a dual spanning graph with its tree-sign
+orientation check are kept as reference oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -169,22 +169,24 @@ class Triangulation(Frozen):
         return out
 
     @cached_property
-    def orbit_walk(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex and directed-edge root tables, edge roots and walk tails.
+    def orbit_walk(self) -> tuple:
+        """Vertex and directed-edge root tables, edge roots, walk tails
+        and the count of edge classes glued in reverse.
 
         Slots are 4*tet + vertex, 6*tet + EDGE_INDEX and 12*tet +
         DIRECTED_INDEX; each root table maps a slot to the smallest slot
         of its orbit under the gluings, and an edge class's root is its
         smallest edge slot.  One walk around each directed-edge orbit
         (`_walk_orbits`) gives the two tables, the edge roots in
-        increasing order and the walks' tails.  Computed on first use
-        and kept on this instance only.
+        increasing order, the walks' tails and that count.  Computed on
+        first use and kept on this instance only.
         """
         return _walk_orbits(self.gluings)
 
 
-def _walk_orbits(gluings) -> tuple[tuple[int, ...], ...]:
-    """The vertex and directed-edge roots, and edge roots and tails as the walks meet them.
+def _walk_orbits(gluings) -> tuple:
+    """The vertex and directed-edge roots, edge roots and tails as the
+    walks meet them, and the count of edge classes glued in reverse.
 
     A directed edge lies on the two faces that miss both its ends, so its
     orbit is a cycle: leave through one face, and from each directed edge
@@ -199,7 +201,9 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], ...]:
     slots within a tetrahedron are ordered by (tail, head) and edges by
     (low end, high end), so the union's smallest directed slot, where the
     first of its walks starts, lies on its smallest edge slot, and the
-    edge roots are met in increasing order.
+    edge roots are met in increasing order.  An edge class is glued in
+    reverse when its two directions share an orbit: exactly when the
+    walk round it has labelled the reverse of its start with that start.
 
     The same order puts three directed slots on each tail, so directed
     slot x has its tail at vertex slot x // 3.  A gluing keeps a directed
@@ -213,11 +217,13 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], ...]:
     droot = [-1] * (12 * len(gluings))
     vlink = list(range(4 * len(gluings)))  # vertex slot -> smaller slot of its class, or itself
     edge_roots, tails = [], []  # as the walks meet them
+    reversed_edges = 0
     for start in range(len(droot)):
         if droot[start] >= 0:
             continue
         tet, s = divmod(start, 12)
-        if droot[start - s + _REVERSED[s]] < 0:  # a new edge class
+        back = start - s + _REVERSED[s]
+        if droot[back] < 0:  # a new edge class
             edge_roots.append(6 * tet + _EDGE_OF_DIRECTED[s])
         vlow = start // 3
         tails.append(vlow)
@@ -245,9 +251,10 @@ def _walk_orbits(gluings) -> tuple[tuple[int, ...], ...]:
                 # both ways, as make_triangulation and the parser ensure
                 raise TriangulationError("gluings do not pair the faces both ways")
             face = _OTHER_FACE[s][entered]
+        reversed_edges += droot[back] == start
     for v, up in enumerate(vlink):
         vlink[v] = vlink[up]  # up <= v is resolved already
-    return tuple(vlink), tuple(droot), tuple(edge_roots), tuple(tails)
+    return tuple(vlink), tuple(droot), tuple(edge_roots), tuple(tails), reversed_edges
 
 
 def make_triangulation(t: int, gluings: Sequence[tuple]) -> Triangulation:
@@ -424,21 +431,13 @@ def validate(tri: Triangulation) -> ValidationReport:
     has chi = 2 and no edge is glued to itself in reverse.
     """
     t = tri.t
-    vroot, droot, edge_roots, tails = tri.orbit_walk
+    vroot, _, edge_roots, tails, reversed_edges = tri.orbit_walk
 
     corners = Counter(vroot)  # vertex class -> corners of its link
     v = len(corners)
     e = len(edge_roots)
     f = 2 * t
     euler = v - e + f - t
-
-    # Count edge classes whose two directions share an orbit; a gluing
-    # maps both directions of an edge together, so the root decides.
-    reversed_edges = 0
-    for root in edge_roots:
-        tet, k = divmod(root, 6)
-        fwd, back = EDGE_DIRECTIONS[k]
-        reversed_edges += droot[12 * tet + fwd] == droot[12 * tet + back]
 
     # Link of a vertex class: corner triangles are its faces, corner
     # sides are glued in face-pairing pairs, corner tips are the directed

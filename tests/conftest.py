@@ -12,11 +12,6 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 @pytest.fixture(scope="session")
-def fixture_dir() -> str:
-    return FIXTURES
-
-
-@pytest.fixture(scope="session")
 def fixture_metadata() -> dict:
     with open(os.path.join(FIXTURES, "metadata.json"), encoding="utf-8") as handle:
         return json.load(handle)

@@ -3,38 +3,38 @@
 Everything here is implemented from first principles, separately from
 the library: invariant factors come from gcds of minors, orientability
 from trying all 2^t sign assignments, homology from cellular boundary
-matrices, link Euler characteristics from explicit corner-piece orbit
-counts.  Slow is fine; these only run at fixture scale.  The exceptions
-are the triangle cosines, solve_r, the dihedral images and subgroup
-invariants below: they are the library's earlier FieldElement and
-Smith-normal-form versions, kept as references for the int code that
-replaced them; the earlier two-sided Smith normal form, which also
-tracked the row transform U, Fraction classification, matrix-power order check, dense abelian
-verification loop, verification of representation certificates with
-every word spelled out through the surjection, and min()-pivot sparse
-elimination, kept for the same reason; and the
-triangulation chain's earlier stages: the three-pass orbit search, the
-dual spanning graph with its tree-sign orientation check, and the cell
-structure that pi1 was read from, the gluing-table assembly with
-its per-gluing closure, and the writer that built one FacePairing per
-gluing.  The
-spherical-pair search is the one the library's fixed spherical images
-came from; psl_group_order, element_order and exponent_matrix are
-helpers that only tests call, as are perm_is_odd, is_connected,
-table_built_directly, reduced_word, word_power, int_matmul,
-int_identity, field_elements and
+matrices, vertex, edge and directed-edge orbits (union_orbit_roots) by
+union-find, link Euler characteristics from explicit corner-piece orbit
+counts, and Phi_k(+-1) from the coefficients of Phi_k, by exact division
+of x^k - 1 (cyclotomic_by_division).  Slow is fine; these only run at
+fixture scale.  The exceptions are the triangle cosines, solve_r, the
+dihedral images and subgroup invariants below: they are the library's
+earlier FieldElement and Smith-normal-form versions, kept as references
+for the int code that replaced them; the earlier two-sided Smith normal
+form, which also tracked the row transform U, Fraction classification,
+matrix-power order check, dense abelian verification loop, and
+verification of representation certificates with every word spelled out
+through the surjection, kept for the same reason; and the triangulation
+chain's earlier stages: the dual spanning graph with its tree-sign
+orientation check, the cell structure that pi1 was read from, the
+gluing-table assembly with its per-gluing closure, and the writer that
+built one FacePairing per gluing.  The spherical-pair search is the one
+the library's fixed spherical images came from; psl_group_order,
+element_order and exponent_matrix are helpers that only tests call, as
+are perm_is_odd, is_connected, table_built_directly, reduced_word,
+word_power, int_matmul, int_identity, field_elements and
 hyperbolic_parameters, which recomputes a hyperbolic build's cosines and
 r through the library's public steps.  letter_by_letter_fold is the
 plain one-product-per-letter word fold that fold_letters' period
 shortcut and verify's letter-count charge are checked against,
 square_and_multiply_power is the power psl took by 2x2 products before
-its Cayley-Hamilton doubling, which must give its coordinates exactly, and
-closure_by_rescan is the presentation
-closure's stated order, recounted from the words at every step.
-dual_presentation reads pi1 off the dual cell complex, its own walk
-around each edge sharing nothing with the library's orbit walk or
-fundamental_group, and s4_homomorphism_count compares two
-presentations by their number of homomorphisms into S4.
+its Cayley-Hamilton doubling, which must give its coordinates exactly,
+and closure_by_rescan is the presentation closure's stated order,
+recounted from the words at every step.  dual_presentation reads pi1 off
+the dual cell complex, its own walk around each edge sharing nothing
+with the library's orbit walk or fundamental_group, and
+s4_homomorphism_count compares two presentations by their number of
+homomorphisms into S4.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from lenscert.checker import (
@@ -367,6 +368,28 @@ def _edge_orbits(tri: Triangulation) -> tuple[_Orbits, _Orbits]:
     return edges, directed
 
 
+def _min_slots(orbits: _Orbits, slot_of) -> tuple[int, ...]:
+    """Slot -> smallest slot of its class."""
+    out = {}
+    for members in orbits.classes().values():
+        slots = [slot_of(m) for m in members]
+        for s in slots:
+            out[s] = min(slots)
+    return tuple(out[s] for s in range(len(out)))
+
+
+def union_orbit_roots(tri: Triangulation):
+    """(vertex, edge, directed-edge) roots from the union-find orbits:
+    each maps a slot, numbered as `Triangulation.orbit_walk` numbers
+    them, to the smallest slot of its orbit."""
+    edges, directed = _edge_orbits(tri)
+    return (
+        _min_slots(_vertex_orbits(tri), lambda m: 4 * m[0] + m[1]),
+        _min_slots(edges, lambda m: 6 * m[0] + EDGE_INDEX[m[1:]]),
+        _min_slots(directed, lambda m: 12 * m[0] + DIRECTED_INDEX[m[1:]]),
+    )
+
+
 def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
     """H_1 from cellular boundary matrices of the identified complex,
     using the minors oracle for the torsion."""
@@ -416,56 +439,8 @@ def chain_complex_h1(tri: Triangulation) -> tuple[int, list[int]]:
 
 # ----------------------------------------------------------------------
 # the triangulation chain as the library computed it before it read
-# everything off one directed-edge walk: three orbit passes, a dual
-# spanning graph for the orientation, and a cell structure for pi1
-
-
-_PERMUTATIONS = tuple(itertools.permutations(range(4)))
-# faces holding each vertex, edge and directed edge of a tetrahedron, and
-# the maps a permutation induces on edges and directed edges
-_VERTEX_FACES = tuple(tuple(f for f in range(4) if f != v) for v in range(4))
-_EDGE_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in EDGE_PAIRS)
-_DIRECTED_FACES = tuple(tuple(f for f in range(4) if f not in pair) for pair in DIRECTED_PAIRS)
-_EDGE_MAP = tuple(
-    tuple(EDGE_INDEX[tuple(sorted((images[a], images[b])))] for a, b in EDGE_PAIRS)
-    for images in _PERMUTATIONS
-)
-_DIRECTED_MAP = tuple(
-    tuple(DIRECTED_INDEX[(images[a], images[b])] for a, b in DIRECTED_PAIRS)
-    for images in _PERMUTATIONS
-)
-
-
-def _orbit_roots(gluings, width: int, faces_of, maps) -> tuple[int, ...]:
-    """Slot -> smallest slot of its orbit, for slots of `width` per
-    tetrahedron, by depth-first search from each unlabelled slot in
-    increasing order."""
-    across = [[(width * tet2, maps[perm.index]) for tet2, _, perm in row] for row in gluings]
-    root = [-1] * (width * len(gluings))
-    for start in range(len(root)):
-        if root[start] >= 0:
-            continue
-        root[start] = start
-        stack = [start]
-        while stack:
-            tet, s = divmod(stack.pop(), width)
-            row = across[tet]
-            for f in faces_of[s]:
-                base, image = row[f]
-                other = base + image[s]
-                if root[other] < 0:
-                    root[other] = start
-                    stack.append(other)
-    return tuple(root)
-
-
-def three_pass_orbit_roots(tri: Triangulation):
-    """(vertex, edge, directed-edge) roots, one depth-first pass each."""
-    return (
-        _orbit_roots(tri.gluings, 4, _VERTEX_FACES, _PERMUTATIONS),
-        _orbit_roots(tri.gluings, 6, _EDGE_FACES, _EDGE_MAP),
-        _orbit_roots(tri.gluings, 12, _DIRECTED_FACES, _DIRECTED_MAP),
-    )
+# everything off one directed-edge walk: a dual spanning graph for the
+# orientation, and a cell structure for pi1
 
 
 @dataclass(frozen=True)
@@ -573,8 +548,8 @@ def _class_indices(roots):
 
 
 def cell_structure(tri: Triangulation) -> CellStructure:
-    """Orbit closure of vertices, edges and faces, from the three-pass roots."""
-    vroot, eroot, droot = three_pass_orbit_roots(tri)
+    """Orbit closure of vertices, edges and faces, from the union-find roots."""
+    vroot, eroot, droot = union_orbit_roots(tri)
     vertex_class, vreps = _class_indices(vroot)
     edge_class, ereps = _class_indices(eroot)
     edge_reps = tuple(divmod(root, 6) for root in ereps)
@@ -974,35 +949,36 @@ def closure_by_rescan(pres: GroupPresentation) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# number theory closed forms
+# number theory references
 
 
-def cyclotomic_closed_form(k: int, at: int) -> int:
-    """Known values of Phi_k at +-1."""
-    def prime_power(m):
-        for p in range(2, m + 1):
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                return p if m == 1 else None
-        return None
+@lru_cache(maxsize=None)
+def cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of the k-th cyclotomic polynomial,
+    by exact division of x^k - 1 by the lower cyclotomic factors."""
+    poly = [-1] + [0] * (k - 1) + [1]  # x^k - 1
+    for d in range(1, k):
+        if k % d == 0:
+            poly = _polydiv_exact(poly, cyclotomic_poly(d))
+    return tuple(poly)
 
-    if at == 1:
-        # Phi_k(1): 0 for k=1, p for prime powers p^e, 1 otherwise
-        if k == 1:
-            return 0
-        p = prime_power(k)
-        return p if p is not None else 1
-    # Phi_k(-1): -2 for k=1, 0 for k=2, p for k = 2p^e, 1 otherwise
-    if k == 1:
-        return -2
-    if k == 2:
-        return 0
-    if k % 2 == 0:
-        p = prime_power(k // 2)
-        if p is not None:
-            return p
-    return 1
+
+def _polydiv_exact(num: list[int], den: Sequence[int]) -> list[int]:
+    out = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for i in range(len(out) - 1, -1, -1):
+        coeff = rem[i + len(den) - 1] // den[-1]
+        out[i] = coeff
+        for j, dj in enumerate(den):
+            rem[i + j] -= coeff * dj
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def cyclotomic_by_division(k: int, at: int) -> int:
+    """Phi_k(at), summed from the coefficients of cyclotomic_poly."""
+    return sum(c * at**i for i, c in enumerate(cyclotomic_poly(k)))
 
 
 def float_cosine_norm(n: int, shift: float) -> float:

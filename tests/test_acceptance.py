@@ -38,7 +38,7 @@ from lenscert.trianglerep import (
 )
 from lenscert.triangulation import orientation_check, validate
 from oracles import (
-    cyclotomic_closed_form,
+    cyclotomic_by_division,
     exhaustive_orientation,
     float_cosine_norm,
     hyperbolic_parameters,
@@ -148,8 +148,8 @@ def test_criterion_3_cosine_norms_and_cyclotomics():
         assert abs(cosine_norm(n, "plain") - float_cosine_norm(n, 0.0)) < 1e-6
         assert abs(cosine_norm(n, "minus_two") - float_cosine_norm(n, 2.0)) < 1e-6
     for k in range(1, 501):
-        assert cyclotomic_eval(k, 1) == cyclotomic_closed_form(k, 1)
-        assert cyclotomic_eval(k, -1) == cyclotomic_closed_form(k, -1)
+        assert cyclotomic_eval(k, 1) == cyclotomic_by_division(k, 1)
+        assert cyclotomic_eval(k, -1) == cyclotomic_by_division(k, -1)
     report(3, "cosine norms to n=200 and cyclotomic values to k=500", time.monotonic() - start, 30)
 
 

@@ -1,7 +1,7 @@
 """The shared orbit pass (`Triangulation.orbit_walk`) and its readers,
-checked against the independent orbit oracles in `oracles.py`, and
-against the chain they replaced (three orbit passes, the dual-graph
-orientation check, pi1 from a cell structure)."""
+checked against the independent union-find orbit oracle in `oracles.py`, and
+against the chain it replaced (the dual-graph orientation check, pi1
+from a cell structure)."""
 
 import itertools
 import random
@@ -18,7 +18,7 @@ from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.triangulation import (
     _GLUING_SIGN,
     DIRECTED_INDEX,
-    EDGE_INDEX,
+    EDGE_PAIRS,
     DisconnectedError,
     OrientationResult,
     Permutation4,
@@ -31,8 +31,6 @@ from lenscert.triangulation import (
 )
 from make_fixtures import lens_space
 from oracles import (
-    _edge_orbits,
-    _vertex_orbits,
     cell_fundamental_group,
     cell_structure,
     chain_complex_h1,
@@ -43,8 +41,8 @@ from oracles import (
     random_gluing_table,
     relabel_triangulation,
     table_built_directly,
-    three_pass_orbit_roots,
     tree_orientation_check,
+    union_orbit_roots,
 )
 
 ALL_FIXTURES = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
@@ -68,41 +66,21 @@ def _random_tables(count: int, seed: int, max_t: int):
     return [random_gluing_table(rng.randint(1, max_t), rng) for _ in range(count)]
 
 
-def _min_slots(orbits, slot_of) -> list[int]:
-    """Slot -> smallest slot of its oracle class."""
-    out = {}
-    for members in orbits.classes().values():
-        slots = [slot_of(m) for m in members]
-        for s in slots:
-            out[s] = min(slots)
-    return [out[s] for s in range(len(out))]
-
-
-def _oracle_report(tri):
-    vertices = _vertex_orbits(tri)
-    edges, directed = _edge_orbits(tri)
-    v, e = vertices.count(), edges.count()
-    reversed_edges = len({
-        edges.find((tet, a, b))
-        for tet, a, b in edges.parent
-        if directed.find((tet, a, b)) == directed.find((tet, b, a))
-    })
-    chi = link_euler_characteristics(tri)
-    classes = vertices.classes()
-    links = [chi[root] for root in sorted(classes, key=lambda r: min(classes[r]))]
-    return v, e, reversed_edges, links
-
-
 def _check_against_oracles(tri, h1_oracle=True):
-    vertices = _vertex_orbits(tri)
-    edges, directed = _edge_orbits(tri)
-    vroot, droot, edge_roots, _ = tri.orbit_walk
-    assert list(vroot) == _min_slots(vertices, lambda m: 4 * m[0] + m[1])
-    assert list(droot) == _min_slots(directed, lambda m: 12 * m[0] + DIRECTED_INDEX[m[1:]])
-    eroot = _min_slots(edges, lambda m: 6 * m[0] + EDGE_INDEX[m[1:]])
+    vroot, eroot, droot = union_orbit_roots(tri)
+    *tables, edge_roots, _, _ = tri.orbit_walk
+    assert tables == [vroot, droot]
     assert edge_roots == tuple(x for x, root in enumerate(eroot) if x == root)
 
-    v, e, reversed_edges, links = _oracle_report(tri)
+    v, e = len(set(vroot)), len(set(eroot))
+    reversed_edges = len({
+        eroot[6 * tet + k]
+        for tet in range(tri.t)
+        for k, (a, b) in enumerate(EDGE_PAIRS)
+        if droot[12 * tet + DIRECTED_INDEX[(a, b)]] == droot[12 * tet + DIRECTED_INDEX[(b, a)]]
+    })
+    chi = link_euler_characteristics(tri)  # keyed by a (tet, vertex) of each class
+    links = [chi[root] for root in sorted(chi, key=lambda m: vroot[4 * m[0] + m[1]])]
     report = validate(tri)
     assert (report.v, report.e, report.f, report.t) == (v, e, 2 * tri.t, tri.t)
     assert report.euler == v - e + tri.t
@@ -118,8 +96,7 @@ def _check_against_oracles(tri, h1_oracle=True):
         return False
     cs = cell_structure(tri)
     assert (cs.n_vertices, cs.n_edges, len(cs.face_classes)) == (v, e, 2 * tri.t)
-    edge_mins = sorted(min(m) for m in edges.classes().values())
-    assert list(cs.edge_reps) == [(tet, EDGE_INDEX[(a, b)]) for tet, a, b in edge_mins]
+    assert list(cs.edge_reps) == [divmod(x, 6) for x in edge_roots]
     if h1_oracle:
         group = abelianization(fundamental_group(tri))
         free_rank, torsion = chain_complex_h1(tri)
@@ -220,8 +197,8 @@ def _result(fn, tri):
 
 
 def _assert_chain_matches_replaced(tri):
-    *tables, edge_roots, tails = tri.orbit_walk
-    vroot, eroot, droot = three_pass_orbit_roots(tri)
+    *tables, edge_roots, tails, _ = tri.orbit_walk
+    vroot, eroot, droot = union_orbit_roots(tri)
     assert tables == [vroot, droot]
     # the roots the walk lists as it meets them are the oracle's own
     assert edge_roots == tuple(x for x, root in enumerate(eroot) if x == root)
@@ -248,7 +225,7 @@ def test_chain_equals_replaced_chain_on_disjoint_unions(t1, t2, rnd):
 def test_empty_triangulation_has_the_empty_presentation():
     empty = make_triangulation(0, [])
     assert fundamental_group(empty) == cell_fundamental_group(empty) == GroupPresentation(0, ())
-    assert validate(empty).v == 0 and empty.orbit_walk == ((), (), (), ())
+    assert validate(empty).v == 0 and empty.orbit_walk == ((), (), (), (), 0)
 
 
 def test_empty_triangulation_is_orientable():

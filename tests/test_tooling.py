@@ -34,6 +34,7 @@ def test_ci_installs_the_pins_of_the_test_extra():
 
 def test_pyproject_alone_sets_the_import_path():
     assert 'pythonpath = ["src", "scripts"]' in _read("pyproject.toml").splitlines()
+    assert "PYTHONPATH" not in _read(".github/workflows/tier1.yml")
     # a string naming sys.path, as a child process's source, is not code
     assert [
         (module, node.lineno) for module, node in _test_nodes()

@@ -32,7 +32,8 @@ from lenscert.trianglerep import (
 )
 from oracles import (
     conjugate_by_translation,
-    cyclotomic_closed_form,
+    cyclotomic_by_division,
+    cyclotomic_poly,
     field_dihedral_pair,
     field_reduced_cosines,
     field_solve_r,
@@ -566,8 +567,8 @@ def test_cyclotomic_quoted_values(k, at, expected):
 
 def test_cyclotomic_matches_closed_forms_to_500():
     for k in range(1, 501):
-        assert cyclotomic_eval(k, 1) == cyclotomic_closed_form(k, 1)
-        assert cyclotomic_eval(k, -1) == cyclotomic_closed_form(k, -1)
+        assert cyclotomic_eval(k, 1) == cyclotomic_by_division(k, 1)
+        assert cyclotomic_eval(k, -1) == cyclotomic_by_division(k, -1)
 
 
 def test_cyclotomic_polynomial_product():
@@ -576,10 +577,7 @@ def test_cyclotomic_polynomial_product():
         product = 1
         for d in range(1, k + 1):
             if k % d == 0:
-                from lenscert.trianglerep import _cyclotomic_poly
-
-                coeffs = _cyclotomic_poly(d)
-                product *= sum(c * 2**i for i, c in enumerate(coeffs))
+                product *= sum(c * 2**i for i, c in enumerate(cyclotomic_poly(d)))
         assert product == 2**k - 1
 
 

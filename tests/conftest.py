@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -9,12 +10,12 @@ settings.register_profile("lenscert", deadline=None)
 settings.load_profile("lenscert")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-@pytest.fixture(scope="session")
-def fixture_metadata() -> dict:
-    with open(os.path.join(FIXTURES, "metadata.json"), encoding="utf-8") as handle:
-        return json.load(handle)
+def child_env(base=None) -> dict:
+    """base (os.environ by default) with this checkout's src on PYTHONPATH."""
+    return {**(os.environ if base is None else base), "PYTHONPATH": SRC}
 
 
 def fixture_path(name: str) -> str:
@@ -24,13 +25,20 @@ def fixture_path(name: str) -> str:
 def load_fixture(name: str):
     from lenscert.triangulation import parse_triangulation
 
-    with open(fixture_path(name), encoding="utf-8") as handle:
-        return parse_triangulation(handle.read())
+    return parse_triangulation(fixture_text(name))
 
 
 def fixture_text(name: str) -> str:
     with open(fixture_path(name), encoding="utf-8") as handle:
         return handle.read()
+
+
+_METADATA = json.loads(fixture_text("metadata.json"))
+
+
+@pytest.fixture(scope="session")
+def fixture_metadata() -> dict:
+    return _METADATA
 
 
 MANIFOLD_FIXTURES = [
@@ -48,7 +56,22 @@ MANIFOLD_FIXTURES = [
     "onevertex_t2.tri",
 ]
 
-ORIENTABLE_FIXTURES = [n for n in MANIFOLD_FIXTURES if n != "s2xs1_twisted.tri"]
+# every fixture triangulation: the manifolds and one that is not
+TRI_FIXTURES = [*MANIFOLD_FIXTURES, "badlink_torus.tri"]
+
+ORIENTABLE_FIXTURES = [name for name in MANIFOLD_FIXTURES if _METADATA[name]["orientable"]]
+
+# (fixture, base, surjection file) of each Seifert-fibered fixture pipeline certifies
+SEIFERT_PIPELINES = (
+    ("prism_q8.tri", (2, 2, 2), None),
+    ("t3_torus.tri", (2, 3, 7), None),
+    ("prism_q12.tri", (2, 2, 3), "prism_q12.surj"),
+)
+
+
+def lens_pairs(below: int, step: int = 1) -> list[tuple[int, int]]:
+    """Each coprime (p, q) with 0 < q < p and p in range(2, below, step), by p, then q."""
+    return [(p, q) for p in range(2, below, step) for q in range(1, p) if math.gcd(p, q) == 1]
 
 # Mersenne primes, the second of 2203 bits: both lie beyond the
 # deterministic Miller-Rabin range that galois.is_prime covers

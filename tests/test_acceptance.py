@@ -5,12 +5,11 @@ entries up to 19: 1116 triples, of which 901 have coprime entries and get
 the full matrix-image build; the rest get the abelian certificate.
 """
 
-import json
 import random
 import re
 import time
 
-from conftest import MANIFOLD_FIXTURES, fixture_text, load_fixture
+from conftest import MANIFOLD_FIXTURES, TRI_FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import parse_word, pipeline, triangle_certificate
 from lenscert.checker import (
     NON_ABELIAN,
@@ -175,7 +174,7 @@ def test_criterion_4_snf_and_hadamard():
 def test_criterion_5_orientability():
     start = time.monotonic()
     rng = random.Random(987123)
-    for name in MANIFOLD_FIXTURES + ["badlink_torus.tri"]:
+    for name in TRI_FIXTURES:
         tri = load_fixture(name)
         assert orientation_check(tri).orientable == (exhaustive_orientation(tri) is not None)
     for _ in range(200):
@@ -189,10 +188,9 @@ def test_criterion_5_orientability():
     report(5, "orientation matches the 2^t oracle on fixtures and 200 random tables", time.monotonic() - start, 60)
 
 
-def test_criterion_6_presentation_bounds():
+def test_criterion_6_presentation_bounds(fixture_metadata):
     start = time.monotonic()
     one_vertex = 0
-    meta = json.loads(fixture_text("metadata.json"))
     for name in MANIFOLD_FIXTURES:
         tri = load_fixture(name)
         if validate(tri).v != 1:
@@ -203,7 +201,7 @@ def test_criterion_6_presentation_bounds():
         assert len(pres.relators) <= 2 * tri.t
         assert all(len(w) <= 3 for w in pres.relators)
         group = abelianization(pres)
-        expected = meta[name]["h1"]
+        expected = fixture_metadata[name]["h1"]
         assert group.free_rank == expected["free_rank"]
         assert list(group.torsion) == expected["torsion"]
     assert one_vertex >= 3

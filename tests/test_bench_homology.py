@@ -7,8 +7,9 @@ import shutil
 import subprocess
 import sys
 
+from conftest import SRC
+
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_homology.py")
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:

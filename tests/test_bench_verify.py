@@ -11,13 +11,13 @@ import sys
 
 import pytest
 
+from conftest import SRC
 from lenscert.certificate import triangle_certificate
 from lenscert.checker import parse, serialize, verify
 from lenscert.trianglerep import hyperbolic_triples
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 SCRIPT = os.path.join(SCRIPTS, "bench_verify.py")
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:

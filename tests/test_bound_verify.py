@@ -4,12 +4,18 @@ presentation is that triangulation's own pi1.  So no certificate that
 pipeline, trianglecert or the fixtures emit is accepted on a lens space,
 and pipeline emits none for a cyclic H1 without a surjection."""
 
-import math
 import re
 
 import pytest
 
-from conftest import MANIFOLD_FIXTURES, ORIENTABLE_FIXTURES, fixture_text, load_fixture
+from conftest import (
+    MANIFOLD_FIXTURES,
+    ORIENTABLE_FIXTURES,
+    TRI_FIXTURES,
+    fixture_text,
+    lens_pairs,
+    load_fixture,
+)
 from lenscert.certificate import PipelineError, pipeline, triangle_certificate
 from lenscert.checker import parse, serialize, verify, verify_bound
 from lenscert.intlinalg import abelianization, format_abelian, is_cyclic
@@ -17,7 +23,6 @@ from lenscert.presentation import fundamental_group
 from make_fixtures import lens_space
 from oracles import disjoint_union
 
-TRIANGULATIONS = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
 # pipeline's certificates, each about the triangulation it names
 BOUND = {
     "prism_q8.tri": "prism_q8.tri",
@@ -54,7 +59,7 @@ def fixture_certificates() -> dict:
 
 @pytest.fixture(scope="module")
 def triangulations() -> dict:
-    return {name: load_fixture(name) for name in TRIANGULATIONS}
+    return {name: load_fixture(name) for name in TRI_FIXTURES}
 
 
 def test_each_bound_certificate_is_accepted_on_its_own_triangulation_only(
@@ -96,22 +101,18 @@ def test_no_emitted_certificate_is_accepted_on_a_small_lens_space(fixture_certif
     texts |= triangles
     texts.add(fixture_text("fig8.cert"))
     certs = [(parse(text), text in triangles) for text in sorted(texts)]
-    lenses = 0
-    for p in range(2, 60):
-        for q in range(1, p):
-            if math.gcd(p, q) != 1:
-                continue
-            tri = lens_space(p, q)
-            lenses += 1
-            if p <= 7:
-                with pytest.raises(PipelineError, match="is cyclic"):
-                    pipeline(tri, (2, 3, 7))
-            for cert, is_triangle in certs:
-                report = verify_bound(cert, tri)
-                assert not report.accepted, (p, q)
-                if is_triangle:
-                    assert report.reason == PRESENTATION_MISMATCH, (p, q)
-    assert lenses == 1085
+    pairs = lens_pairs(60)
+    for p, q in pairs:
+        tri = lens_space(p, q)
+        if p <= 7:
+            with pytest.raises(PipelineError, match="is cyclic"):
+                pipeline(tri, (2, 3, 7))
+        for cert, is_triangle in certs:
+            report = verify_bound(cert, tri)
+            assert not report.accepted, (p, q)
+            if is_triangle:
+                assert report.reason == PRESENTATION_MISMATCH, (p, q)
+    assert len(pairs) == 1085
 
 
 def test_a_rejection_before_verify_reports_no_operations(fixture_certificates, triangulations):

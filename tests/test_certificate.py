@@ -41,7 +41,6 @@ from lenscert.checker import (
     verify_bound,
 )
 from lenscert import certificate, galois, trianglerep
-from lenscert.cli import main as cli_main
 from lenscert.galois import SearchLimitExceeded, is_prime, quadratic_extension
 from lenscert.intlinalg import AbelianGroup, abelianization, is_cyclic, seed_core
 from lenscert.presentation import GroupPresentation, Word, fundamental_group
@@ -203,11 +202,10 @@ def test_gens_line_of_many_labels():
         parse(text(labels[:-1] + ["9z"]))
 
 
-def test_composite_modulus_certificate_is_accepted(tmp_path):
+def test_composite_modulus_certificate_is_accepted():
     """Non-commuting images over the rings Z/N and Z/N[w]/(w^2 - s) for
     odd composite N, s a square or not: SL(2, R)/{+-I} is a group, and
     x y != +-y x there, so the certificate is accepted, relators or not."""
-    path = tmp_path / "ring.cert"
     for n, s, relators in itertools.product((15, 105), (None, 1, 2, 14), (False, True)):
         text = toy_certificate_text(n, s, relators)
         cert = parse(text)
@@ -216,8 +214,6 @@ def test_composite_modulus_certificate_is_accepted(tmp_path):
         assert verify(cert).accepted
         # 4 letters of witness and 2n of relators, each charged one multiply
         assert verify(cert).mat_mults == 4 + 2 * n * relators
-        path.write_text(text, encoding="utf-8")
-        assert cli_main(["verify", str(path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -225,17 +221,13 @@ def test_composite_modulus_certificate_is_accepted(tmp_path):
     ["field p=15 deg=2 s=0", "field p=16 deg=1", "field p=1 deg=1", "field p=15 deg=2 s=15"],
     ids=["deg=2 s=0", "even p", "p=1", "s=p"],
 )
-def test_field_line_of_the_wrong_shape_exits_two(field, tmp_path, capsys):
+def test_field_line_of_the_wrong_shape_exits_two(field):
     """The field line names Z/p[w]/(w^2 - s) with p odd and at least 3
     and 0 < s < p.  s = 0 stays a syntax error: the fold reads s = 0 as a
     prime field and would drop the w coordinates."""
     text = toy_certificate_text(15).replace("field p=15 deg=1", field)
     with pytest.raises(CertificateSyntaxError, match="^line 5: "):
         parse(text)
-    path = tmp_path / "shape.cert"
-    path.write_text(text, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
-    assert "error: line 5: " in capsys.readouterr().err
 
 
 def test_unknown_kind_rejected():
@@ -292,15 +284,11 @@ def test_non_canonical_cases_start_from_valid_certificates():
 
 
 @pytest.mark.parametrize("name,old,new", NON_CANONICAL)
-def test_non_canonical_integer_is_syntax_error(name, old, new, tmp_path, capsys):
+def test_non_canonical_integer_is_syntax_error(name, old, new):
     # each of these parsed under int() rules and then failed to round-trip
     text = certificate_text(name).replace(old, new, 1)
     with pytest.raises(CertificateSyntaxError):
         parse(text)
-    path = tmp_path / "non_canonical.cert"
-    path.write_text(text, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 SURJ_CERT = serialize(
@@ -340,16 +328,12 @@ def spaced_text(name: str) -> str:
 
 
 @pytest.mark.parametrize("name,old,new", NON_CANONICAL_SPACING)
-def test_non_canonical_spacing_is_syntax_error(name, old, new, tmp_path, capsys):
+def test_non_canonical_spacing_is_syntax_error(name, old, new):
     text = spaced_text(name)
     assert old in text.splitlines()
     mutated = text.replace(old, new, 1)
     with pytest.raises(CertificateSyntaxError):
         parse(mutated)
-    path = tmp_path / "spaced.cert"
-    path.write_text(mutated, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def _rename_matrix_generator(text: str, new: str, old: str = "x") -> str:
@@ -376,16 +360,12 @@ def test_renamed_matrix_generator_round_trips():
 
 
 @pytest.mark.parametrize("name", ["é", "1", "٣", "1x", "xé"])
-def test_matrix_generator_names_follow_the_label_rule(name, tmp_path, capsys):
+def test_matrix_generator_names_follow_the_label_rule(name):
     """A matrix generator name is ASCII with a letter or '_' first, as a
     presentation label is; each of these once verified and round-tripped."""
     text = _rename_matrix_generator(SURJ_CERT, name)
     with pytest.raises(CertificateSyntaxError, match=f"line 12: bad generator label '{name}'"):
         parse(text)
-    path = tmp_path / "renamed.cert"
-    path.write_text(text, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
     with pytest.raises(CertificateSyntaxError, match="bad generator label"):
         replace(parse(SURJ_CERT), rep_gens=(name, "y"))
 
@@ -455,15 +435,12 @@ NON_CANONICAL_ORDER_OR_SIGN = [
 
 
 @pytest.mark.parametrize("name,old,new,message", NON_CANONICAL_ORDER_OR_SIGN)
-def test_negated_matrix_or_reordered_lines_are_syntax_errors(name, old, new, message, tmp_path):
+def test_negated_matrix_or_reordered_lines_are_syntax_errors(name, old, new, message):
     text = spaced_text(name)
     assert old in text
     mutated = text.replace(old, new, 1)
     with pytest.raises(CertificateSyntaxError, match=message):
         parse(mutated)
-    path = tmp_path / "reordered.cert"
-    path.write_text(mutated, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
 
 
 def test_text_bytes_is_recorded_by_parse_only():
@@ -606,16 +583,13 @@ EMITTED_TEXTS = [
     EMITTED_TEXTS + [LABELLED_CERT],
     ids=[f"text{i}" for i in range(len(EMITTED_TEXTS) + 1)],
 )
-def test_gens_line_without_its_labels_exits_two(text, tmp_path):
+def test_gens_line_without_its_labels_exits_two(text):
     assert verify(parse(text)).cert_bits == 8 * len(text.encode())
     gens = next(line for line in text.split("\n") if line.startswith("gens "))
     unlabelled = text.replace(gens + "\n", " ".join(gens.split(" ")[:2]) + "\n", 1)
     assert unlabelled != text
     with pytest.raises(CertificateSyntaxError, match="label count"):
         parse(unlabelled)
-    path = tmp_path / "unlabelled.cert"
-    path.write_text(unlabelled, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
 
 
 @settings(max_examples=300)
@@ -667,14 +641,10 @@ LINE_LEVEL_EDITS = [
 
 
 @pytest.mark.parametrize("name,edit", LINE_LEVEL_EDITS)
-def test_line_level_edits_are_syntax_errors(name, edit, tmp_path, capsys):
+def test_line_level_edits_are_syntax_errors(name, edit):
     text = _edit_lines(spaced_text(name), edit)
     with pytest.raises(CertificateSyntaxError):
         parse(text)
-    path = tmp_path / "edited.cert"
-    path.write_text(text, encoding="utf-8")
-    assert cli_main(["verify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -686,12 +656,9 @@ def test_line_level_edits_are_syntax_errors(name, edit, tmp_path, capsys):
     ],
     ids=["no-final-newline", "crlf", "empty-surjection-word-unspaced"],
 )
-def test_line_ends_other_than_serialized_are_syntax_errors(text, tmp_path):
+def test_line_ends_other_than_serialized_are_syntax_errors(text):
     with pytest.raises(CertificateSyntaxError):
         parse(text)
-    path = tmp_path / "ends.cert"
-    path.write_bytes(text.encode("utf-8"))
-    assert cli_main(["verify", str(path)]) == 2
 
 
 def test_abelian_images_must_be_reduced():
@@ -708,16 +675,13 @@ V4_CERT = (
 )
 
 
-def test_a_target_modulus_of_one_is_a_syntax_error(tmp_path):
-    """Z/3 x Z/1 is refused by the grammar (exit 2), not read and then
-    rejected by verify as a cyclic span (exit 1)."""
+def test_a_target_modulus_of_one_is_a_syntax_error():
+    """Z/3 x Z/1 is refused by the grammar, a syntax error, not read and
+    then rejected by verify as a cyclic span."""
     assert verify(parse(V4_CERT)).accepted
     text = V4_CERT.replace("Z/2 x Z/2", "Z/3 x Z/1").replace("(0,1)", "(0,0)")
     with pytest.raises(CertificateSyntaxError, match=r"^abelian target moduli must exceed 1$"):
         parse(text)
-    path = tmp_path / "z1.cert"
-    path.write_text(text)
-    assert cli_main(["verify", str(path)]) == 2
 
 
 def test_an_image_equal_to_its_modulus_is_not_reduced():
@@ -874,10 +838,9 @@ witness x | x x
 
 
 @pytest.mark.parametrize("s", [None, 2], ids=["deg=1", "deg=2 s=2"])
-def test_toy_certificate_verifies_beyond_the_primality_range(s, tmp_path):
+def test_toy_certificate_verifies_beyond_the_primality_range(s):
     # no primality test is deterministic from psi_13 up, and parse makes
     # none: the toy certificate verifies over 2^127 - 1 and 2^2203 - 1
-    path = tmp_path / "toy.cert"
     for p in MERSENNE_PRIMES:
         text = toy_certificate_text(p, s)
         cert = parse(text)
@@ -885,8 +848,6 @@ def test_toy_certificate_verifies_beyond_the_primality_range(s, tmp_path):
         report = verify(cert)
         assert report.accepted
         assert report.matrix_bits == (4 * (1 if s is None else 2) * p.bit_length(),) * 2
-        path.write_text(text, encoding="utf-8")
-        assert cli_main(["verify", str(path)]) == 0
 
 
 # what parse does with each numeric field at psl.MAX_DIGITS digits: the

@@ -10,21 +10,13 @@ dual graph for the orientation and a cell structure for pi1, so a
 rewrite of any of those stages that moves one output byte fails here.
 """
 
-import glob
 import hashlib
-import os
 import random
-from math import gcd
 
-from conftest import FIXTURES, fixture_text
+from conftest import TRI_FIXTURES, lens_pairs, load_fixture
 from lenscert.intlinalg import abelianization, format_abelian
 from lenscert.presentation import format_presentation, fundamental_group
-from lenscert.triangulation import (
-    TriangulationError,
-    orientation_check,
-    parse_triangulation,
-    validate,
-)
+from lenscert.triangulation import TriangulationError, orientation_check, validate
 from make_fixtures import lens_space
 from oracles import disjoint_union, random_gluing_table
 
@@ -32,12 +24,8 @@ CHAIN_SHA256 = "33fe4bf2d1b9cd9299810d6f9e818bbe6c50b3c9cd5827c783457f099d0f521b
 
 
 def triangulations():
-    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.tri"))):
-        yield parse_triangulation(fixture_text(os.path.basename(path)))
-    for p in range(2, 60):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                yield lens_space(p, q)
+    yield from (load_fixture(name) for name in sorted(TRI_FIXTURES))
+    yield from (lens_space(p, q) for p, q in lens_pairs(60))
     yield lens_space(1000, 331)
     rng = random.Random(20261018)
     draws = [random_gluing_table(rng.randint(1, 12), rng, connected=k % 2 == 0) for k in range(200)]

@@ -1,5 +1,4 @@
 import ast
-import glob
 import hashlib
 import itertools
 import json
@@ -14,6 +13,8 @@ import pytest
 
 from conftest import (
     MERSENNE_PRIMES,
+    TRI_FIXTURES,
+    child_env,
     fixture_path,
     fixture_text,
     numeric_field_texts,
@@ -33,7 +34,7 @@ def run_cli(*args, cwd=None, env=None, timeout=60):
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
-        env={**(os.environ if env is None else env), "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+        env=child_env(env),
         timeout=timeout,
     )
 
@@ -142,6 +143,9 @@ def test_verify_parse_error_exits_two(tmp_path):
     out = run_cli("verify", str(path))
     assert out.returncode == 2
     assert "error:" in out.stderr
+    # certificates are read with their line ends as written: CRLF is a syntax error
+    path.write_bytes(fixture_text("fig8.cert").replace("\n", "\r\n").encode())
+    assert run_cli("verify", str(path)).returncode == 2
 
 
 def test_verify_huge_unlabelled_generator_count_exits_two(tmp_path):
@@ -534,7 +538,7 @@ def cert_summary_runs():
     for triple in triples + list(BASES):
         yield ["trianglecert", *map(str, triple)]
     surj = fixture_path("prism_q12.surj")
-    for path in sorted(glob.glob(fixture_path("*.tri"))):
+    for path in map(fixture_path, sorted(TRI_FIXTURES)):
         for base, with_surj in itertools.product(BASES, (False, True)):
             args = ["pipeline", path, "--base", ",".join(map(str, base))]
             yield args + ["--surjection", surj] if with_surj else args
@@ -644,7 +648,7 @@ def test_the_checker_subcommands_load_no_producer_module():
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+        env=child_env(),
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [
@@ -729,7 +733,7 @@ def test_every_integer_argument_is_a_canonical_decimal_whatever_int_allows(tmp_p
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env={**env, "PYTHONPATH": os.path.join(PKG_ROOT, "src")},
+            env=child_env(env),
             check=True,
             timeout=120,  # an accepted --max-n of 4301 digits would sweep forever
         )
@@ -877,10 +881,9 @@ def test_a_closed_stdout_exits_two_without_a_traceback(buffered):
     -o path is: exit 2 and one stderr line, block-buffered or not.
     sweep's 118 KB outgrow a pipe's buffer, so it meets the closed end
     mid-run; verify's few lines meet a pipe that never had a reader."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env = child_env({name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"})
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
     sweep = subprocess.Popen(
         [sys.executable, "-m", "lenscert.cli", "sweep", "--max-n", "19", "--verbose"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=PKG_ROOT, env=env,

@@ -14,14 +14,12 @@ that reaches each branch of the triangle dispatch, with and without a
 surjection file.
 """
 
-import glob
 import hashlib
 import itertools
 import json
-import os
 from dataclasses import replace
 
-from conftest import FIXTURES, fixture_text, load_fixture
+from conftest import SEIFERT_PIPELINES, TRI_FIXTURES, fixture_text, load_fixture
 from lenscert.certificate import pipeline, triangle_certificate
 from lenscert.checker import parse, serialize, verify
 
@@ -32,18 +30,12 @@ from lenscert.checker import parse, serialize, verify
 # the same bytes
 COST_MODEL_SHA256 = "f5679359f1e128bffdb1b75677c95798557811baa3aef578f45d20d6aab353bb"
 
-PIPELINE_CASES = (
-    ("prism_q8.tri", (2, 2, 2), None),
-    ("t3_torus.tri", (2, 3, 7), None),
-    ("prism_q12.tri", (2, 2, 3), "prism_q12.surj"),
-)
-
 
 def certificates():
     for triple in itertools.combinations_with_replacement(range(2, 20), 3):
         yield triangle_certificate(*triple)[0]
     yield parse(fixture_text("fig8.cert"))
-    for name, base, surj in PIPELINE_CASES:
+    for name, base, surj in SEIFERT_PIPELINES:
         surj_text = fixture_text(surj) if surj else None
         yield pipeline(load_fixture(name), base, surjection_text=surj_text)[0]
 
@@ -63,7 +55,7 @@ def cost_model_digest() -> tuple[str, int]:
 
 def test_cost_model_digest_is_pinned():
     sha, count = cost_model_digest()
-    assert count == 1140 + 1 + len(PIPELINE_CASES)
+    assert count == 1140 + 1 + len(SEIFERT_PIPELINES)
     assert sha == COST_MODEL_SHA256
 
 
@@ -77,7 +69,7 @@ def test_parsed_certificate_verifies_as_built():
         assert built.text_bytes is None and parsed.text_bytes is not None
         assert verify(parsed) == verify(built)
         count += 1
-    assert count == 1140 + 1 + len(PIPELINE_CASES)
+    assert count == 1140 + 1 + len(SEIFERT_PIPELINES)
 
 
 # re-pinned when the info dicts stopped copying what the certificate
@@ -109,8 +101,7 @@ def build_info_records():
         info = triangle_certificate(*triple)[1]
         yield f"triangle {triple} {json.dumps(info, sort_keys=True)}\n"
     surj_text = fixture_text("prism_q12.surj")
-    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.tri"))):
-        name = os.path.basename(path)
+    for name in sorted(TRI_FIXTURES):
         tri = load_fixture(name)
         for base, surj in itertools.product(BASES, (None, surj_text)):
             head = f"pipeline {name} {base} {surj is not None}"

@@ -16,7 +16,8 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+from conftest import SRC, child_env
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 PACKAGE = os.path.join(SRC, "lenscert")
 CHECKER = ("psl", "triangulation", "presentation", "checker")
@@ -121,9 +122,8 @@ def test_importing_the_checker_loads_only_the_trusted_modules():
         "    with open(sys.modules[name].__file__, encoding='utf-8') as handle:\n"
         "        print(name, len(handle.read().splitlines()))\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True,
         timeout=60,
     ).stdout
     counts = {name: int(lines) for name, lines in map(str.split, out.splitlines())}

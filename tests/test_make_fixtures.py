@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ORIENTABLE_FIXTURES, TRI_FIXTURES, child_env
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import fundamental_group
 from lenscert.triangulation import orientation_check, validate
@@ -29,6 +29,15 @@ def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeyp
     for name in names:
         with open(os.path.join(FIXTURES, name), "rb") as handle:
             assert (tmp_path / name).read_bytes() == handle.read(), name
+
+
+def test_conftest_lists_every_fixture_triangulation(fixture_metadata):
+    """TRI_FIXTURES names each .tri file of fixtures/ once, each described
+    in the metadata, and ORIENTABLE_FIXTURES follows its orientable flags."""
+    files = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".tri"))
+    assert sorted(TRI_FIXTURES) == files
+    assert sorted(name for name in fixture_metadata if name.endswith(".tri")) == files
+    assert set(ORIENTABLE_FIXTURES) == {name for name, meta in fixture_metadata.items() if meta.get("orientable")}
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), (["--bogus"], 2), (["x"], 2)])
@@ -57,9 +66,8 @@ def test_importing_make_fixtures_keeps_the_importers_lenscert(tmp_path):
         "import make_fixtures\n"
         "print(make_fixtures.abelianization.__code__.co_filename)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert out.returncode == 0, out.stderr
     assert Path(out.stdout.strip()) == copy / "lenscert" / "intlinalg.py"

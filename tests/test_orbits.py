@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MANIFOLD_FIXTURES, load_fixture
+from conftest import TRI_FIXTURES, load_fixture
 from lenscert.intlinalg import abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.triangulation import (
@@ -45,7 +45,6 @@ from oracles import (
     union_orbit_roots,
 )
 
-ALL_FIXTURES = MANIFOLD_FIXTURES + ["badlink_torus.tri"]
 # fixtures whose boundary matrices keep the minors oracle cheap; the other
 # manifolds are checked against the H1 recorded in fixtures/metadata.json
 SMALL_FIXTURES = [
@@ -104,7 +103,7 @@ def _check_against_oracles(tri, h1_oracle=True):
     return True
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", TRI_FIXTURES)
 def test_fixture_orbits_match_oracles(name, fixture_metadata):
     tri = load_fixture(name)
     _check_against_oracles(tri, h1_oracle=name in SMALL_FIXTURES)
@@ -127,7 +126,7 @@ def _outcome(fn, tri):
 
 
 def test_results_do_not_depend_on_call_order():
-    for tri in _random_tables(60, 31337, 6) + [load_fixture(n) for n in ALL_FIXTURES]:
+    for tri in _random_tables(60, 31337, 6) + [load_fixture(n) for n in TRI_FIXTURES]:
         text = format_triangulation(tri)
         first, second = parse_triangulation(text), parse_triangulation(text)
         report_first = validate(first)

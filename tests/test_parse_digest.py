@@ -24,7 +24,13 @@ import types
 
 import pytest
 
-from conftest import MERSENNE_PRIMES, fixture_text, load_fixture, toy_certificate_text
+from conftest import (
+    MERSENNE_PRIMES,
+    SEIFERT_PIPELINES,
+    fixture_text,
+    load_fixture,
+    toy_certificate_text,
+)
 from lenscert import checker
 from lenscert.certificate import pipeline, triangle_certificate
 from lenscert.checker import HEADER, CertificateSyntaxError, parse, serialize, verify, verify_bound
@@ -47,11 +53,6 @@ from test_import_graph import CHECKER
 # the earlier digest, and no text went from refused to accepted or back
 PARSE_OUTCOME_SHA256 = "047669b267012d37640006339a14d9163af141e2bc6adb2646a3a010ec3e375b"
 
-SEIFERT = (
-    ("prism_q8.tri", (2, 2, 2), None),
-    ("t3_torus.tri", (2, 3, 7), None),
-    ("prism_q12.tri", (2, 2, 3), "prism_q12.surj"),
-)
 _NUMBER = re.compile(r"[0-9]+")
 _FIELD_P = re.compile(r"^field p=([0-9]+) ", re.MULTILINE)
 
@@ -62,7 +63,7 @@ def base_texts() -> list[str]:
         for triple in itertools.combinations_with_replacement(range(2, 13), 3)
     ]
     texts.append(fixture_text("fig8.cert"))
-    for name, base, surj in SEIFERT:
+    for name, base, surj in SEIFERT_PIPELINES:
         surj_text = fixture_text(surj) if surj else None
         texts.append(serialize(pipeline(load_fixture(name), base, surjection_text=surj_text)[0]))
     return texts
@@ -192,7 +193,8 @@ def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
     the other texts against L(7,2), whose group none of them is about."""
     # built unpatched, as the producers prove their primes
     bases = [text for text, is_base in corpus() if is_base]
-    own = dict(zip(bases[-len(SEIFERT):], (load_fixture(name) for name, _, _ in SEIFERT)))
+    names = [name for name, _, _ in SEIFERT_PIPELINES]
+    own = dict(zip(bases[-len(names):], map(load_fixture, names)))
     lens = load_fixture("lens_7_2.tri")
     texts = bases + [toy_certificate_text(p) for p in MERSENNE_PRIMES]
     texts += [toy_certificate_text(n, s, True) for n in (15, 105) for s in (None, 1, 2)]
@@ -219,7 +221,7 @@ def test_the_checker_calls_no_primality_or_residue_test(monkeypatch):
     assert patched >= 4  # galois' three, and projmat's is_quadratic_residue
     assert reports() == expected
     assert all(report.accepted for _, report, _ in expected[len(bases):])
-    assert [bound.accepted for _, _, bound in expected].count(True) == len(SEIFERT)
+    assert [bound.accepted for _, _, bound in expected].count(True) == len(SEIFERT_PIPELINES)
 
 
 # Why a function of the checker's modules stays there although the
@@ -304,7 +306,7 @@ def test_the_checker_runs_every_function_of_its_modules():
     go."""
     texts = corpus()
     bases = [text for text, is_base in texts if is_base]
-    own = dict(zip(bases[-len(SEIFERT):], (name for name, _, _ in SEIFERT)))
+    own = dict(zip(bases[-len(SEIFERT_PIPELINES):], (name for name, _, _ in SEIFERT_PIPELINES)))
     tri_texts = {name: fixture_text(name) for name in [*own.values(), "lens_7_2.tri"]}
     called = set()
 

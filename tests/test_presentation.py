@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MANIFOLD_FIXTURES, fixture_path, load_fixture
+from conftest import MANIFOLD_FIXTURES, fixture_path, lens_pairs, load_fixture
 from lenscert.cli import main as cli_main
 from lenscert.certificate import parse_word
 from lenscert.intlinalg import AbelianGroup, Closure, abelianization, closure, lift
@@ -281,7 +281,7 @@ def test_pi1_has_as_many_homomorphisms_into_s4_as_the_dual_presentation():
     tetrahedra, the presentation read off the edges and the one read off
     the dual complex have the same number of homomorphisms into S4."""
     tris = [load_fixture(name) for name in MANIFOLD_FIXTURES]
-    tris += [lens_space(p, q) for p in range(2, 30) for q in range(1, p) if math.gcd(p, q) == 1]
+    tris += [lens_space(p, q) for p, q in lens_pairs(30)]
     tris += [prism_manifold(m) for m in range(2, 16)]
     rng = random.Random(2)
     sample = [tri for tri in enumerate_tables(2) if rng.random() < 0.01]
@@ -499,12 +499,10 @@ def test_lift_rebuilds_homomorphisms_of_the_235_triangle_group():
 
 
 def test_every_small_lens_space_has_one_seed():
-    for p in range(2, 60):
-        for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                pres = fundamental_group(lens_space(p, q))
-                assert len(closure(pres).seeds) == 1, (p, q)
-                assert abelianization(pres) == AbelianGroup(0, (p,))
+    for p, q in lens_pairs(60):
+        pres = fundamental_group(lens_space(p, q))
+        assert len(closure(pres).seeds) == 1, (p, q)
+        assert abelianization(pres) == AbelianGroup(0, (p,))
 
 
 def test_prism_manifolds_have_two_seeds_and_the_3_torus_three():

@@ -1,6 +1,7 @@
 """Each set-up fact is stated once: pyproject.toml's `test` extra pins the
 test dependencies, which README and CI install, and pytest's import path;
-conftest.py sets the deadline.  Read as text or ast: 3.10 has no tomllib."""
+conftest.py holds the deadline, the fixture inventory and a child's
+PYTHONPATH.  Read as text or ast: 3.10 has no tomllib."""
 
 import ast
 import re
@@ -39,6 +40,33 @@ def test_pyproject_alone_sets_the_import_path():
     assert [
         (module, node.lineno) for module, node in _test_nodes()
         if isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.path", "monkeypatch.syspath_prepend")
+    ] == []
+
+
+def test_conftest_alone_names_a_childs_pythonpath_and_the_metadata():
+    # strings ending in name and keywords called name, outside this module, which seeks them
+    for name in ("PYTHONPATH", "metadata.json"):
+        assert [
+            module for module, node in _test_nodes() if module != Path(__file__).name
+            and (isinstance(node, ast.Constant) and str(node.value).endswith(name)
+                 or isinstance(node, ast.keyword) and node.arg == name)
+        ] == ["conftest.py"], name
+
+
+def test_no_test_module_globs_the_fixtures():
+    assert [
+        (module, node.lineno) for module, node in _test_nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("glob", "iglob", "rglob")
+        and "fixture" in ast.unparse(node).lower()
+    ] == []
+
+
+def test_certificate_tests_import_no_cli():
+    # the CLI's exit codes are test_cli.py's to check
+    assert [
+        ast.unparse(node) for module, node in _test_nodes()
+        if module == "test_certificate.py" and isinstance(node, (ast.Import, ast.ImportFrom))
+        and re.search(r"\blenscert\.cli\b|^from lenscert import .*\bcli\b", ast.unparse(node))
     ] == []
 
 

@@ -3,13 +3,12 @@ import itertools
 import random
 import re
 import time
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MANIFOLD_FIXTURES, fixture_text, load_fixture
+from conftest import MANIFOLD_FIXTURES, TRI_FIXTURES, fixture_text, lens_pairs, load_fixture
 from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import fundamental_group
 from lenscert.triangulation import (
@@ -109,7 +108,7 @@ def test_over_long_numbers_name_their_line():
         parse_triangulation(f"t={'9' * 4300}\n")
 
 
-@pytest.mark.parametrize("name", [*MANIFOLD_FIXTURES, "badlink_torus.tri"])
+@pytest.mark.parametrize("name", TRI_FIXTURES)
 def test_a_leading_zero_is_refused_at_its_line(name):
     """Each number on the header or a gluing line, rewritten with a
     leading zero one at a time: both readers refuse the text at that
@@ -194,8 +193,8 @@ _GLUING_LINE = re.compile(r"(\d+):([0-3]) -> (\d+):([0-3]) perm=([0-3]{4})")
 def _digest_bases() -> list[str]:
     """format_triangulation of every fixture, every L(p,q) with p < 30 and
     100 seeded random tables."""
-    tris = [load_fixture(name) for name in [*MANIFOLD_FIXTURES, "badlink_torus.tri"]]
-    tris += [lens_space(p, q) for p in range(2, 30) for q in range(1, p) if gcd(p, q) == 1]
+    tris = [load_fixture(name) for name in TRI_FIXTURES]
+    tris += [lens_space(p, q) for p, q in lens_pairs(30)]
     rng = random.Random(14)
     tris += [random_gluing_table(rng.randint(1, 8), rng, connected=False) for _ in range(100)]
     return [format_triangulation(tri) for tri in tris]
@@ -455,8 +454,8 @@ def test_permutation_text_is_its_images_digits():
 
 
 def test_format_equals_pairings_format_on_fixtures_and_parametric_builds():
-    tris = [load_fixture(name) for name in MANIFOLD_FIXTURES + ["badlink_torus.tri"]]
-    tris += [lens_space(p, q) for p in range(2, 60) for q in range(1, p) if gcd(p, q) == 1]
+    tris = [load_fixture(name) for name in TRI_FIXTURES]
+    tris += [lens_space(p, q) for p, q in lens_pairs(60)]
     tris += [prism_manifold(m) for m in range(2, 41)]
     assert len(tris) == 13 + 1085 + 39
     for tri in tris:
@@ -606,7 +605,7 @@ def test_orientation_assignment_and_witness_follow_the_tree():
     rng = random.Random(4711)
     tris = [load_fixture(name) for name in MANIFOLD_FIXTURES]
     tris += [random_gluing_table(rng.randint(1, 12), rng) for _ in range(100)]
-    tris += [lens_space(p, q) for p in range(2, 60, 7) for q in range(1, p) if gcd(p, q) == 1]
+    tris += [lens_space(p, q) for p, q in lens_pairs(60, 7)]
     tris.append(lens_space(1000, 331))
     for tri in tris:
         result = orientation_check(tri)

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_text
+from conftest import SRC, child_env, fixture_text
 from lenscert.checker import parse, verify
 from lenscert.intlinalg import AbelianGroup, IntMatrix, smith_normal_form
 from lenscert.presentation import Word
@@ -33,7 +33,6 @@ from lenscert.triangulation import (
     validate,
 )
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 ONE_TET = "t=1\n0:0 -> 0:1 perm=1032\n0:2 -> 0:3 perm=0132\n"
 
 # name -> (a builder of a fresh instance, its fields in order, its repr as
@@ -129,7 +128,7 @@ def test_only_certificate_and_presentation_are_dataclasses():
         "                print(f[:-3] + '.' + obj.__qualname__)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", script], env=child_env(),
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.split() == [

@@ -3,7 +3,9 @@
 
 Every named triangulation comes from an explicit construction whose
 identity is a standard fact, so the recorded metadata (homology,
-orientability) is ground truth independent of the library:
+orientability) is ground truth independent of the library.  That truth
+is stated once, per family, in scripts/families.py, which main reads;
+the builders stay here:
 
   * boundary of the 4-simplex                      -> S^3
   * quotient of the join of two p-gon circles by
@@ -53,7 +55,7 @@ if __name__ == "__main__":  # run as a script, build with this checkout's packag
 from lenscert.certificate import parse_word, pipeline
 from lenscert.checker import NonAbelianRep, serialize, verify
 from lenscert.galois import quadratic_extension, sqrt_mod_p
-from lenscert.intlinalg import abelianization
+from lenscert.intlinalg import AbelianGroup, abelianization
 from lenscert.presentation import GroupPresentation, fundamental_group
 from lenscert.projmat import evaluate_word
 from lenscert.psl import FieldSpec, ProjMatrix
@@ -346,94 +348,54 @@ def write(name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def h1_dict(tri: Triangulation) -> dict:
-    group = abelianization(fundamental_group(tri))
+def h1_dict(group: AbelianGroup) -> dict:
     return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
 
 def main(argv: Sequence[str] = ()) -> None:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    from families import FAMILIES  # imported here, so an importer of the builders loads no truths
+
     os.makedirs(FIXTURES, exist_ok=True)
     metadata = {}
 
+    # name: (description, family, *params); the truths give H1 and orientability
     named = {
-        "s3_boundary_4simplex.tri": (
-            boundary_4_simplex(),
-            "S^3: boundary of the 4-simplex",
-            {"free_rank": 0, "torsion": []},
-            True,
-        ),
+        "s3_boundary_4simplex.tri": ("S^3: boundary of the 4-simplex", "boundary_4_simplex"),
         "lens_2_1.tri": (
-            lens_space(2, 1),
-            "RP^3 = L(2,1): Z/2 quotient of the join of two 2-gon circles",
-            {"free_rank": 0, "torsion": [2]},
-            True,
+            "RP^3 = L(2,1): Z/2 quotient of the join of two 2-gon circles", "lens_space", 2, 1
         ),
-        "lens_3_1.tri": (
-            lens_space(3, 1),
-            "L(3,1): Z/3 quotient of the join of two 3-gon circles",
-            {"free_rank": 0, "torsion": [3]},
-            True,
-        ),
-        "lens_4_1.tri": (
-            lens_space(4, 1),
-            "L(4,1)",
-            {"free_rank": 0, "torsion": [4]},
-            True,
-        ),
-        "lens_5_2.tri": (
-            lens_space(5, 2),
-            "L(5,2)",
-            {"free_rank": 0, "torsion": [5]},
-            True,
-        ),
-        "lens_7_2.tri": (
-            lens_space(7, 2),
-            "L(7,2)",
-            {"free_rank": 0, "torsion": [7]},
-            True,
-        ),
-        "t3_torus.tri": (
-            three_torus(),
-            "3-torus: Kuhn cube with opposite faces identified",
-            {"free_rank": 3, "torsion": []},
-            True,
-        ),
+        "lens_3_1.tri": ("L(3,1): Z/3 quotient of the join of two 3-gon circles", "lens_space", 3, 1),
+        "lens_4_1.tri": ("L(4,1)", "lens_space", 4, 1),
+        "lens_5_2.tri": ("L(5,2)", "lens_space", 5, 2),
+        "lens_7_2.tri": ("L(7,2)", "lens_space", 7, 2),
+        "t3_torus.tri": ("3-torus: Kuhn cube with opposite faces identified", "three_torus"),
         "s2xs1.tri": (
-            sphere_bundle(twisted=False),
-            "S^2 x S^1: sphere prisms, top glued to bottom by the identity",
-            {"free_rank": 1, "torsion": []},
-            True,
+            "S^2 x S^1: sphere prisms, top glued to bottom by the identity", "sphere_bundle", False
         ),
         "s2xs1_twisted.tri": (
-            sphere_bundle(twisted=True),
-            "twisted S^2 bundle over S^1 (non-orientable)",
-            {"free_rank": 1, "torsion": []},
-            False,
+            "twisted S^2 bundle over S^1 (non-orientable)", "sphere_bundle", True
         ),
         "prism_q8.tri": (
-            prism_manifold(2),
-            "S^3/Q_8 (quaternionic space): Seifert fibered over S^2(2,2,2)",
-            {"free_rank": 0, "torsion": [2, 2]},
-            True,
+            "S^3/Q_8 (quaternionic space): Seifert fibered over S^2(2,2,2)", "prism_manifold", 2
         ),
         "prism_q12.tri": (
-            prism_manifold(3),
             "S^3/Q_12: Seifert fibered over S^2(2,2,3), pi_1 = Q_12 surjects T_{2,2,3}",
-            {"free_rank": 0, "torsion": [4]},
-            True,
+            "prism_manifold",
+            3,
         ),
     }
 
-    for name, (tri, description, h1, orientable) in named.items():
+    for name, (description, family, *params) in named.items():
+        tri, truth = FAMILIES[family].build(*params), FAMILIES[family].truth(*params)
         report = validate(tri)
         if not report.passed:
             raise RuntimeError(f"{name} failed validation: {report.failures}")
-        computed = h1_dict(tri)
-        if computed != h1:
-            raise RuntimeError(f"{name}: computed H1 {computed} != expected {h1}")
+        computed = abelianization(fundamental_group(tri))
+        if computed != truth.h1:
+            raise RuntimeError(f"{name}: computed H1 {computed} != expected {truth.h1}")
         orient = orientation_check(tri)
-        if orient.orientable != orientable:
+        if orient.orientable != truth.orientable:
             raise RuntimeError(f"{name}: orientability mismatch")
         write(name, format_triangulation(tri, comment=description))
         metadata[name] = {
@@ -441,8 +403,8 @@ def main(argv: Sequence[str] = ()) -> None:
             "t": tri.t,
             "v": report.v,
             "e": report.e,
-            "h1": h1,
-            "orientable": orientable,
+            "h1": h1_dict(truth.h1),
+            "orientable": truth.orientable,
             "provenance": "explicit construction; identity is a standard fact",
         }
 
@@ -468,7 +430,7 @@ def main(argv: Sequence[str] = ()) -> None:
         "t": 2,
         "v": report.v,
         "e": report.e,
-        "h1": h1_dict(one_vertex),
+        "h1": h1_dict(abelianization(fundamental_group(one_vertex))),
         "orientable": orientation_check(one_vertex).orientable,
         "provenance": "exhaustive search; homology recorded from the chain-complex oracle",
     }
@@ -484,7 +446,7 @@ def main(argv: Sequence[str] = ()) -> None:
         "image_order": 10,
     }
 
-    prism = named["prism_q12.tri"][0]
+    prism = prism_manifold(3)
     surj = brute_force_surjection(prism, (2, 2, 3))
     write("prism_q12.surj", surj)
     cert, info = pipeline(prism, (2, 2, 3), surjection_text=surj)

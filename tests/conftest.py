@@ -1,9 +1,10 @@
 import json
-import math
 import os
 
 import pytest
 from hypothesis import settings
+
+from families import lens_pairs  # noqa: F401  the L(p,q) rule, re-exported for the tests
 
 # an example takes as long as its input is large: no per-example deadline
 settings.register_profile("lenscert", deadline=None)
@@ -68,10 +69,6 @@ SEIFERT_PIPELINES = (
     ("prism_q12.tri", (2, 2, 3), "prism_q12.surj"),
 )
 
-
-def lens_pairs(below: int, step: int = 1) -> list[tuple[int, int]]:
-    """Each coprime (p, q) with 0 < q < p and p in range(2, below, step), by p, then q."""
-    return [(p, q) for p in range(2, below, step) for q in range(1, p) if math.gcd(p, q) == 1]
 
 # Mersenne primes, the second of 2203 bits: both lie beyond the
 # deterministic Miller-Rabin range that galois.is_prime covers

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 from conftest import SRC
+from families import FAMILIES
+from lenscert.intlinalg import format_abelian
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_homology.py")
 
@@ -25,11 +27,12 @@ def test_bench_homology_one_round_writes_one_column():
     assert doc["command"] == "scripts/bench_homology.py --repeats 1 --rounds 1"
     assert list(doc["columns"]) == ["change"]
     column = doc["columns"]["change"]
-    lens = {f"L({p},{q})": p for p, q in ((40, 11), (120, 37), (240, 61), (1000, 331), (10000, 3001))}
+    pairs = ((40, 11), (120, 37), (240, 61), (1000, 331), (10000, 3001))
+    lens = {f"L({p},{q})": ("lens_space", p, q) for p, q in pairs}
+    prism = {f"prism_manifold({m})": ("prism_manifold", m) for m in (101, 10000)}
     assert column["h1"] == {
-        **{name: f"Z^0 + Z/{p}" for name, p in lens.items()},
-        "prism_manifold(101)": "Z^0 + Z/4",
-        "prism_manifold(10000)": "Z^0 + Z/2 + Z/2",
+        label: format_abelian(FAMILIES[name].truth(*params).h1)
+        for label, (name, *params) in {**lens, **prism}.items()
     }
     inputs = {
         "step1_us": {"prism_manifold(160)", "prism_manifold(10000)"},

@@ -221,7 +221,7 @@ def test_composite_modulus_certificate_is_accepted():
     ["field p=15 deg=2 s=0", "field p=16 deg=1", "field p=1 deg=1", "field p=15 deg=2 s=15"],
     ids=["deg=2 s=0", "even p", "p=1", "s=p"],
 )
-def test_field_line_of_the_wrong_shape_exits_two(field):
+def test_field_line_of_the_wrong_shape_is_a_syntax_error(field):
     """The field line names Z/p[w]/(w^2 - s) with p odd and at least 3
     and 0 < s < p.  s = 0 stays a syntax error: the fold reads s = 0 as a
     prime field and would drop the w coordinates."""
@@ -583,7 +583,7 @@ EMITTED_TEXTS = [
     EMITTED_TEXTS + [LABELLED_CERT],
     ids=[f"text{i}" for i in range(len(EMITTED_TEXTS) + 1)],
 )
-def test_gens_line_without_its_labels_exits_two(text):
+def test_gens_line_without_its_labels_is_a_syntax_error(text):
     assert verify(parse(text)).cert_bits == 8 * len(text.encode())
     gens = next(line for line in text.split("\n") if line.startswith("gens "))
     unlabelled = text.replace(gens + "\n", " ".join(gens.split(" ")[:2]) + "\n", 1)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, fixture_path, lens_pairs, load_fixture
+from families import FAMILIES
 from lenscert.cli import main as cli_main
 from lenscert.certificate import parse_word
 from lenscert.intlinalg import AbelianGroup, Closure, abelianization, closure, lift
@@ -268,13 +269,6 @@ def test_abelianization_matches_chain_complex_oracle(name):
     assert sorted(group.torsion) == torsion
 
 
-def test_lens_space_homology_is_cyclic_of_order_p():
-    for name, p in (("lens_3_1.tri", 3), ("lens_4_1.tri", 4), ("lens_7_2.tri", 7)):
-        group = abelianization(fundamental_group(load_fixture(name)))
-        assert group.free_rank == 0
-        assert group.torsion == (p,)
-
-
 def test_pi1_has_as_many_homomorphisms_into_s4_as_the_dual_presentation():
     """On every fixture, every L(p,q) with p < 30, prism_manifold(2..15)
     and a seeded sample of the closed connected tables on two
@@ -502,7 +496,7 @@ def test_every_small_lens_space_has_one_seed():
     for p, q in lens_pairs(60):
         pres = fundamental_group(lens_space(p, q))
         assert len(closure(pres).seeds) == 1, (p, q)
-        assert abelianization(pres) == AbelianGroup(0, (p,))
+        assert abelianization(pres) == FAMILIES["lens_space"].truth(p, q).h1
 
 
 def test_prism_manifolds_have_two_seeds_and_the_3_torus_three():

@@ -1,13 +1,16 @@
 """Each set-up fact is stated once: pyproject.toml's `test` extra pins the
 test dependencies, which README and CI install, and pytest's import path;
 conftest.py holds the deadline, the fixture inventory and a child's
-PYTHONPATH.  Read as text or ast: 3.10 has no tomllib."""
+PYTHONPATH; scripts/families.py holds each family's H1.  Read as text or
+ast: 3.10 has no tomllib."""
 
 import ast
 import re
 from pathlib import Path
 
 from hypothesis import settings
+
+from families import FAMILIES
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTALL = ['pip install "setuptools>=68" wheel', 'pip install -e ".[test]" --no-build-isolation']
@@ -76,4 +79,29 @@ def test_conftest_alone_sets_the_hypothesis_deadline():
         (module, node.lineno) for module, node in _test_nodes()
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "settings"
         and any(keyword.arg == "deadline" for keyword in node.keywords)
+    ] == []
+
+
+def test_only_the_registry_tests_restate_a_familys_h1():
+    # a test that names a registered builder, by a call, through FAMILIES
+    # or in a string such as "prism_manifold(101)", reads that member's H1
+    # from families.py: it writes no AbelianGroup(...), no `.torsion ==`
+    # tuple and no string that starts "Z^0 + Z/"; a CLI message that
+    # quotes an H1 inside its text is not such a string.  This module,
+    # which names them to find them, is skipped
+    builder = re.compile(r"\bFAMILIES\b|\b(%s)\(" % "|".join(FAMILIES))
+
+    def is_literal(node) -> bool:
+        if isinstance(node, ast.Call):
+            return ast.unparse(node.func).split(".")[-1] == "AbelianGroup"
+        if isinstance(node, ast.Compare):
+            return (isinstance(node.left, ast.Attribute) and node.left.attr == "torsion"
+                    and isinstance(node.ops[0], ast.Eq) and isinstance(node.comparators[0], ast.Tuple))
+        return isinstance(node, ast.Constant) and str(node.value).startswith("Z^0 + Z/")
+
+    assert [
+        (module, node.name) for module, node in _test_nodes()
+        if module not in ("test_families.py", Path(__file__).name)
+        and isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        and builder.search(ast.unparse(node)) and any(is_literal(inner) for inner in ast.walk(node))
     ] == []

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MANIFOLD_FIXTURES, TRI_FIXTURES, fixture_text, lens_pairs, load_fixture
-from lenscert.intlinalg import AbelianGroup, abelianization
+from families import FAMILIES
+from lenscert.intlinalg import abelianization
 from lenscert.presentation import fundamental_group
 from lenscert.triangulation import (
     DisconnectedError,
@@ -154,16 +155,15 @@ def test_homology_chain_is_linear_at_ten_thousand_tetrahedra():
     # each chain takes about 0.5 s on a 2-vCPU x86 VM, so work of order t
     # per gluing line (4 * 10**4 slots times 2 * 10**4 lines) overruns the
     # bound
-    for built, h1 in (
-        (lens_space(10000, 3001), AbelianGroup(0, (10000,))),
-        (prism_manifold(10000), AbelianGroup(0, (2, 2))),
-    ):
-        text = format_triangulation(built)
+    for name, params in (("lens_space", (10000, 3001)), ("prism_manifold", (10000,))):
+        family = FAMILIES[name]
+        truth = family.truth(*params)
+        text = format_triangulation(family.build(*params))
         start = time.perf_counter()
         tri = parse_triangulation(text)
         assert validate(tri).passed
-        assert orientation_check(tri).orientable
-        assert abelianization(fundamental_group(tri)) == h1
+        assert orientation_check(tri).orientable == truth.orientable
+        assert abelianization(fundamental_group(tri)) == truth.h1
         assert time.perf_counter() - start < 6.0
 
 
